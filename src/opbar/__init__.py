@@ -8,5 +8,3 @@ on homology.
 """
 
 __version__ = "0.1.0"
-
-ENGINE_VERSION = __version__

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import trees as tr
 from .combinat import perm_inverse, set_partitions
@@ -29,13 +28,13 @@ from .exactla import (
     ChainMap,
     ExactMatrix,
     GradedFreeModule,
-    express_in_homology,
     flatten_index,
     homology,
+    homology_coordinates,
     homology_representatives,
     koszul_sign,
     perm_sign,
-    solve_in_span,
+    solve_in_span,  # noqa: F401  (perfbench's tracer test reads this name)
     tensor_list,
 )
 from .opalg import (
@@ -51,6 +50,7 @@ from .opalg import (
     canonical_partition,
     dual,
     builtin,
+    fingerprint,
     unit_module,
 )
 
@@ -695,33 +695,44 @@ def symmetric_action(bc, sigma):
 
 
 def one_sided_key(kind, r_mod, p, l_mod, arity):
-    """Cache key for a complex, discriminated by input provenance."""
-    return (kind, getattr(r_mod, "name", "R"), getattr(p, "name", "P"),
-            getattr(l_mod, "name", "L"), arity)
+    """Cache key of a complex: its kind, its arity and its inputs' content.
+
+    Structures with equal data share the key whatever their names, and
+    structures that differ in ring or data never do.
+    """
+    return (kind, fingerprint(r_mod), fingerprint(p), fingerprint(l_mod),
+            arity)
+
+
+def _cached_complex(kind, r_mod, p, l_mod, arity, cache):
+    """The bar or cobar complex at one arity, through an optional cache."""
+    build = bar_complex if kind == BAR else cobar_complex
+    if cache is None:
+        return build(r_mod, p, l_mod, arity)
+    key = one_sided_key(kind, r_mod, p, l_mod, arity)
+    if key not in cache:
+        cache[key] = build(r_mod, p, l_mod, arity)
+    return cache[key]
+
+
+def _unit(p, side):
+    """The unit (co)module over p, built once per structure."""
+    units = vars(p).setdefault("_unit_modules", {})
+    if side not in units:
+        units[side] = unit_module(p, side)
+    return units[side]
 
 
 def reduced_bar(p, arity, cache=None):
     """B(I,P,I) at one arity, with optional cross-call caching."""
-    key = (BAR, "unit", getattr(p, "name", "P"), "unit", arity)
-    if cache is not None and key in cache:
-        return cache[key]
-    bc = bar_complex(unit_module(p, RIGHT_MODULE), p,
-                     unit_module(p, LEFT_MODULE), arity)
-    if cache is not None:
-        cache[key] = bc
-    return bc
+    return _cached_complex(BAR, _unit(p, RIGHT_MODULE), p,
+                           _unit(p, LEFT_MODULE), arity, cache)
 
 
 def reduced_cobar(q, arity, cache=None):
     """Omega(I,Q,I) at one arity, with optional cross-call caching."""
-    key = (COBAR, "unit", getattr(q, "name", "Q"), "unit", arity)
-    if cache is not None and key in cache:
-        return cache[key]
-    bc = cobar_complex(unit_module(q, RIGHT_COMODULE), q,
-                       unit_module(q, LEFT_COMODULE), arity)
-    if cache is not None:
-        cache[key] = bc
-    return bc
+    return _cached_complex(COBAR, _unit(q, RIGHT_COMODULE), q,
+                           _unit(q, LEFT_COMODULE), arity, cache)
 
 
 def _ungraft_terms(cplx_n, cplx_m, cplx_k, b_set):
@@ -1008,12 +1019,8 @@ def module_structure_maps(bc, blocks, cache=None):
         raise ValidationError("structure maps need a one-sided complex")
     r = len(blocks)
     p = bc.op
-    if bc.kind == BAR:
-        skel = reduced_bar(p, r, cache)
-        parts = [_one_sided(bc, len(b), cache) for b in blocks]
-    else:
-        skel = reduced_cobar(p, r, cache)
-        parts = [_one_sided(bc, len(b), cache) for b in blocks]
+    skel = (reduced_bar if bc.kind == BAR else reduced_cobar)(p, r, cache)
+    parts = [_one_sided(bc, len(b), cache) for b in blocks]
     factors = [skel.complex] + [pt.complex for pt in parts]
     tensor = tensor_list(factors)
     tindex = _TensorIndex(tensor)
@@ -1047,16 +1054,8 @@ def module_structure_maps(bc, blocks, cache=None):
 
 def _one_sided(bc, arity, cache=None):
     """The same one-sided construction at another arity."""
-    key = one_sided_key(bc.kind, bc.r_coeff, bc.op, bc.l_coeff, arity)
-    if cache is not None and key in cache:
-        return cache[key]
-    if bc.kind == BAR:
-        out = bar_complex(bc.r_coeff, bc.op, bc.l_coeff, arity)
-    else:
-        out = cobar_complex(bc.r_coeff, bc.op, bc.l_coeff, arity)
-    if cache is not None:
-        cache[key] = out
-    return out
+    return _cached_complex(bc.kind, bc.r_coeff, bc.op, bc.l_coeff, arity,
+                           cache)
 
 
 # ---------------------------------------------------------------------------
@@ -1091,9 +1090,6 @@ class KoszulReport:
 
     def is_koszul(self):
         return all(self.concentrated.values())
-
-    def k_module(self, arity):
-        return self.modules[arity]
 
     def export_text(self):
         lines = [f"koszul kind {self.kind} name {self.name} "
@@ -1136,20 +1132,42 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
                 if s != top:
                     concentrated = False
         report.concentrated[n] = concentrated
-        reps = []
-        spaces = {}
-        for d in bc.complex.degrees():
-            level, _b = homology_representatives(bc.complex, d)
-            for z in level:
-                spaces.setdefault(d, []).append(f"h{n}.{d}.{len(reps)}")
-                reps.append((d, z))
-        report.reps[n] = reps
-        report.modules[n] = GradedFreeModule(
-            {d: tuple(v) for d, v in spaces.items()})
+        report.reps[n], report.modules[n] = _homology_basis(bc.complex,
+                                                            f"h{n}")
     if with_structure and report.is_koszul():
         _koszul_structure(structure, report, cache)
-        _koszul_actions(report)
+        for n in range(2, max_arity + 1):
+            report.actions[n] = _homology_actions(report.complexes[n],
+                                                  report.reps[n])
     return report
+
+
+def _homology_basis(complex_, prefix):
+    """Homology representatives of every degree and their labelled module.
+
+    Returns the (degree, cycle) pairs in degree order and the graded
+    module whose basis labels are prefix.degree.index.
+    """
+    reps = []
+    spaces = {}
+    for d in complex_.degrees():
+        level, _b = homology_representatives(complex_, d)
+        for z in level:
+            spaces.setdefault(d, []).append(f"{prefix}.{d}.{len(reps)}")
+            reps.append((d, z))
+    return reps, GradedFreeModule({d: tuple(v) for d, v in spaces.items()})
+
+
+def _homology_actions(bc, reps):
+    """Matrices of the adjacent transpositions on the homology basis reps."""
+    mats = []
+    for i in range(1, bc.arity):
+        sigma = list(range(1, bc.arity + 1))
+        sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
+        act = symmetric_action(bc, tuple(sigma))
+        mats.append(homology_coordinates(
+            bc.complex, reps, [(d, act[d].apply(z)) for d, z in reps]))
+    return tuple(mats)
 
 
 def _koszul_structure(structure, report, cache):
@@ -1177,23 +1195,6 @@ def _koszul_structure(structure, report, cache):
                         report, total, m, k, cm, direction="merge")
 
 
-def _rep_vector_in_tensor(tensor_index, bc_a, bc_b, rep_a, rep_b):
-    """Coordinates of u (x) v inside the binary tensor complex.
-
-    The factors are taken in order, so no Koszul signs arise.
-    """
-    da, za = rep_a
-    db, zb = rep_b
-    out = {}
-    for ia, ca in za.items():
-        lab_a = bc_a.complex.labels(da)[ia]
-        for ib, cb in zb.items():
-            lab_b = bc_b.complex.labels(db)[ib]
-            _d, idx = tensor_index((lab_a, lab_b))
-            out[idx] = out.get(idx, 0) + ca * cb
-    return da + db, out
-
-
 def _induced_on_homology_pairs(report, total, m, k, chain_map, direction):
     """Express a chain map through homology in the Kunneth pair basis.
 
@@ -1202,99 +1203,20 @@ def _induced_on_homology_pairs(report, total, m, k, chain_map, direction):
     columns by K(total).  direction "merge": the transposed layout, as
     for an operad composition.
     """
-    bc_n = report.complexes[total]
-    bc_m = report.complexes[m]
-    bc_k = report.complexes[k]
     tensor_cplx = (chain_map.target if direction == "split"
                    else chain_map.source)
     tindex = _TensorIndex(tensor_cplx)
-    reps_n = report.reps[total]
-    reps_m = report.reps[m]
-    reps_k = report.reps[k]
-    dim_m, dim_k, dim_n = len(reps_m), len(reps_k), len(reps_n)
-    pair_vecs = {}
-    for im, rep_m in enumerate(reps_m):
-        for ik, rep_k in enumerate(reps_k):
-            deg, vec = _rep_vector_in_tensor(tindex, bc_m, bc_k,
-                                             rep_m, rep_k)
-            pair_vecs[(im, ik)] = (deg, vec)
-    entries = {}
+    factors = [report.complexes[m], report.complexes[k]]
+    pairs = [_tensor_rep(tindex, factors, (rep_m, rep_k))
+             for rep_m in report.reps[m] for rep_k in report.reps[k]]
     if direction == "split":
-        for jn, (dn, zn) in enumerate(reps_n):
-            img = chain_map.component(dn).apply(zn)
-            coords = _solve_pairs(tensor_cplx, pair_vecs, dn, img)
-            for (im, ik), c in coords.items():
-                entries[(im * dim_k + ik, jn)] = c
-        shape = (dim_m * dim_k, dim_n)
-    else:
-        hr_cache = {}
-        for (im, ik), (deg, vec) in sorted(pair_vecs.items()):
-            img = chain_map.component(deg).apply(vec)
-            if deg not in hr_cache:
-                hr_cache[deg] = homology_representatives(bc_n.complex, deg)
-            reps_d, bnd_d = hr_cache[deg]
-            coords = express_in_homology(bc_n.complex, deg, img,
-                                         reps=reps_d, boundaries=bnd_d)
-            # Map level-d representative coordinates back to K(total) slots.
-            slots = [j for j, (dj, _z) in enumerate(reps_n) if dj == deg]
-            for pos, c in enumerate(coords):
-                if c != 0:
-                    entries[(slots[pos], im * dim_k + ik)] = c
-        shape = (dim_n, dim_m * dim_k)
-    return ExactMatrix(shape[0], shape[1],
-                       {k2: v for k2, v in entries.items() if v != 0},
-                       ring=RAT)
-
-
-def _solve_pairs(tensor_cplx, pair_vecs, degree, vec):
-    slots = [key for key, (d, _v) in sorted(pair_vecs.items()) if d == degree]
-    basis = [ {i: Fraction(c) for i, c in pair_vecs[key][1].items()}
-              for key in slots]
-    boundary = tensor_cplx.differential(degree + 1)
-    boundaries = []
-    for j in range(boundary.ncols):
-        col = boundary.column(j)
-        if col:
-            boundaries.append({i: Fraction(c) for i, c in col.items()})
-    coords = solve_in_span(boundaries + basis,
-                           {i: Fraction(c) for i, c in vec.items()})
-    if coords is None:
-        raise InternalConsistencyError(
-            "homology image misses the Kunneth span")
-    nb = len(boundaries)
-    out = {}
-    for pos, c in coords.items():
-        if pos >= nb and c != 0:
-            out[slots[pos - nb]] = c
-    return out
-
-
-def _koszul_actions(report):
-    """Signed symmetric action on the homology representatives."""
-    for n in range(2, report.max_arity + 1):
-        bc = report.complexes[n]
-        reps = report.reps[n]
-        mats = []
-        hr_cache = {}
-        for i in range(1, n):
-            sigma = list(range(1, n + 1))
-            sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-            act = symmetric_action(bc, tuple(sigma))
-            entries = {}
-            for j, (d, z) in enumerate(reps):
-                img = act[d].apply(z)
-                if d not in hr_cache:
-                    hr_cache[d] = homology_representatives(bc.complex, d)
-                reps_d, bnd_d = hr_cache[d]
-                coords = express_in_homology(bc.complex, d, img,
-                                             reps=reps_d, boundaries=bnd_d)
-                slots = [jj for jj, (dj, _z) in enumerate(reps) if dj == d]
-                for pos, c in enumerate(coords):
-                    if c != 0:
-                        entries[(slots[pos], j)] = c
-            size = len(reps)
-            mats.append(ExactMatrix(size, size, entries, ring=RAT))
-        report.actions[n] = tuple(mats)
+        return homology_coordinates(
+            tensor_cplx, pairs,
+            [(d, chain_map.component(d).apply(z))
+             for d, z in report.reps[total]])
+    return homology_coordinates(
+        report.complexes[total].complex, report.reps[total],
+        [(d, chain_map.component(d).apply(v)) for d, v in pairs])
 
 
 def cooperad_from_koszul(report):
@@ -1407,113 +1329,49 @@ def module_MX_homology(x_module, coproduct, max_arity=4, ring=INT,
     comodule = constant_comodule(x_module, coproduct, max_arity, ring=ring,
                                  name="mx")
     q = comodule.over
-    r_unit = unit_module(q, RIGHT_COMODULE)
     report = ModuleMXReport("mx", max_arity)
     if cache is None:
         cache = {}
-    complexes = {}
+    complexes = report.complexes
     for n in range(1, max_arity + 1):
-        cc = cobar_complex(r_unit, q, comodule, n)
-        cache[one_sided_key(COBAR, r_unit, q, comodule, n)] = cc
-        complexes[n] = cc
-        report.complexes[n] = cc
-        report.summaries[n] = cc.homology(ring=ring)
+        complexes[n] = _cached_complex(COBAR, _unit(q, RIGHT_COMODULE), q,
+                                       comodule, n, cache)
+        report.summaries[n] = complexes[n].homology(ring=ring)
     if not with_action:
         return report
     if deriv_report is None:
         deriv_report = derivatives_homology(max_arity, cache=cache)
     k_op = operad_from_koszul(deriv_report)
-    # Homology representatives and signed symmetric action of H(M).
-    action_mats = {}
-    h_modules = {}
-    h_reps = {}
-    for n in range(1, max_arity + 1):
-        cc = complexes[n]
-        reps = []
-        spaces = {}
-        for d in cc.complex.degrees():
-            level, _b = homology_representatives(cc.complex, d)
-            for z in level:
-                spaces.setdefault(d, []).append(f"m{n}.{d}.{len(reps)}")
-                reps.append((d, z))
-        h_reps[n] = reps
-        h_modules[n] = GradedFreeModule(
-            {d: tuple(v) for d, v in spaces.items()})
-        report.reps[n] = reps
-        report.modules[n] = h_modules[n]
     h_actions = {}
-    for n in range(2, max_arity + 1):
-        cc = complexes[n]
-        reps = h_reps[n]
-        hr_cache = {}
-        mats = []
-        for i in range(1, n):
-            sigma = list(range(1, n + 1))
-            sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-            act = symmetric_action(cc, tuple(sigma))
-            entries = {}
-            for j, (d, z) in enumerate(reps):
-                img = act[d].apply(z)
-                if d not in hr_cache:
-                    hr_cache[d] = homology_representatives(cc.complex, d)
-                reps_d, bnd_d = hr_cache[d]
-                coords = express_in_homology(cc.complex, d, img,
-                                             reps=reps_d, boundaries=bnd_d)
-                slots = [jj for jj, (dj, _z) in enumerate(reps) if dj == d]
-                for pos, c in enumerate(coords):
-                    if c != 0:
-                        entries[(slots[pos], j)] = c
-            mats.append(ExactMatrix(len(reps), len(reps), entries, ring=RAT))
-        h_actions[n] = tuple(mats)
-    h_symseq = SymSeq(RAT, h_modules, h_actions)
+    for n in range(1, max_arity + 1):
+        report.reps[n], report.modules[n] = _homology_basis(
+            complexes[n].complex, f"m{n}")
+        h_actions[n] = _homology_actions(complexes[n], report.reps[n])
+    h_symseq = SymSeq(RAT, report.modules, h_actions)
     # Induced action per partition, expressed in the homology bases.
     maps = {}
     for n in range(1, max_arity + 1):
-        cc = complexes[n]
-        hr_cache = {}
         for blocks in set_partitions(range(1, n + 1)):
             r = len(blocks)
-            cm = module_structure_maps(cc, blocks, cache=cache)
+            cm = module_structure_maps(complexes[n], blocks, cache=cache)
             tindex = _TensorIndex(cm.source)
-            reps_k = deriv_report.reps[r]
-            part_reps = [h_reps[len(b)] for b in blocks]
-            entries = {}
-            col_sizes = [len(reps_k)] + [len(pr) for pr in part_reps]
-            for combo in itertools.product(
-                    *(range(s) for s in col_sizes)):
-                rep_list = [reps_k[combo[0]]] + [
-                    part_reps[j][combo[j + 1]] for j in range(r)]
-                deg = sum(d for d, _z in rep_list)
-                vec = _multi_tensor_vector(cm.source, tindex,
-                                           [deriv_report.complexes[r]]
-                                           + [complexes[len(b)]
-                                              for b in blocks],
-                                           rep_list)
-                img = cm.component(deg).apply(vec)
-                if deg not in hr_cache:
-                    hr_cache[deg] = homology_representatives(
-                        cc.complex, deg)
-                reps_d, bnd_d = hr_cache[deg]
-                coords = express_in_homology(cc.complex, deg, img,
-                                             reps=reps_d, boundaries=bnd_d)
-                slots = [jj for jj, (dj, _z) in enumerate(h_reps[n])
-                         if dj == deg]
-                col = flatten_index(col_sizes, combo)
-                for pos, c in enumerate(coords):
-                    if c != 0:
-                        entries[(slots[pos], col)] = c
-            rows = len(h_reps[n])
-            cols = 1
-            for s in col_sizes:
-                cols *= s
-            maps[blocks] = ExactMatrix(rows, cols, entries, ring=RAT)
+            factors = [deriv_report.complexes[r]] + [
+                complexes[len(b)] for b in blocks]
+            images = []
+            for rep_list in itertools.product(
+                    deriv_report.reps[r], *(report.reps[len(b)]
+                                            for b in blocks)):
+                d, vec = _tensor_rep(tindex, factors, rep_list)
+                images.append((d, cm.component(d).apply(vec)))
+            maps[blocks] = homology_coordinates(
+                complexes[n].complex, report.reps[n], images)
     report.homology_module = SidedModule(
         LEFT_MODULE, h_symseq, k_op, maps, name="H(mx)")
     return report
 
 
-def _multi_tensor_vector(tensor_cplx, tindex, factor_cplxs, rep_list):
-    """Coordinates of rep_1 (x) ... (x) rep_r inside a tensor complex.
+def _tensor_rep(tindex, factors, rep_list):
+    """(degree, coordinates) of rep_1 (x) ... (x) rep_r in a tensor complex.
 
     All representatives live in single degrees, so no Koszul signs arise
     in forming the product of their coordinate expansions: the tensor
@@ -1522,7 +1380,7 @@ def _multi_tensor_vector(tensor_cplx, tindex, factor_cplxs, rep_list):
     out = {}
     items = [[] for _ in rep_list]
     for pos, (d, z) in enumerate(rep_list):
-        labels = factor_cplxs[pos].complex.labels(d)
+        labels = factors[pos].complex.labels(d)
         for i, c in z.items():
             items[pos].append((labels[i], c))
     for combo in itertools.product(*items):
@@ -1530,6 +1388,6 @@ def _multi_tensor_vector(tensor_cplx, tindex, factor_cplxs, rep_list):
         coeff = 1
         for _lab, c in combo:
             coeff *= c
-        d, idx = tindex(labs)
+        _d, idx = tindex(labs)
         out[idx] = out.get(idx, 0) + coeff
-    return out
+    return sum(d for d, _z in rep_list), out

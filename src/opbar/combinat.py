@@ -34,10 +34,6 @@ def partitions_into_at_least_two(items):
             yield part
 
 
-def perm_compose(sigma, tau):
-    """(sigma o tau)(i) = sigma(tau(i)); permutations as 1-based image tuples."""
-    return tuple(sigma[tau[i] - 1] for i in range(len(tau)))
-
 def perm_inverse(sigma):
     inv = [0] * len(sigma)
     for i, v in enumerate(sigma):

@@ -434,10 +434,6 @@ class GradedFreeModule:
     def negated(self):
         return GradedFreeModule({-d: labs for d, labs in self.spaces.items()})
 
-    def shifted_labels(self, fn):
-        return GradedFreeModule({d: tuple(fn(d, lab) for lab in labs)
-                                 for d, labs in self.spaces.items()})
-
     def __eq__(self, other):
         if not isinstance(other, GradedFreeModule):
             return NotImplemented
@@ -714,19 +710,35 @@ def homology_representatives(complex_, degree):
     return reps, boundaries
 
 
-def express_in_homology(complex_, degree, vec, reps=None, boundaries=None):
-    """Coordinates of a cycle in the homology basis of the given degree."""
-    if reps is None or boundaries is None:
-        reps, boundaries = homology_representatives(complex_, degree)
-    coords = solve_in_span(boundaries + reps, vec)
-    if coords is None:
-        raise ValidationError("vector is not a cycle in the given degree")
-    nb = len(boundaries)
-    out = [Fraction(0)] * len(reps)
-    for k, c in coords.items():
-        if k >= nb:
-            out[k - nb] = c
-    return out
+def homology_coordinates(complex_, basis, images):
+    """Coordinates of homology classes in a homology basis, over Q.
+
+    basis and images are lists of (degree, sparse cycle) pairs; the basis
+    vectors of each degree must be independent modulo boundaries.  Column
+    j of the result holds the coordinates of images[j] and row i belongs
+    to basis[i], so basis vectors of another degree than the image get
+    coordinate 0.  The boundary span of each degree is computed once per
+    call, and each image is one solve_in_span over those boundaries and
+    the basis vectors of its degree.  An image outside that span, such as
+    a vector that is not a cycle, raises ValidationError.
+    """
+    spans = {}
+    entries = {}
+    for j, (d, img) in enumerate(images):
+        if d not in spans:
+            rows = [i for i, (bd, _v) in enumerate(basis) if bd == d]
+            bounds = column_space_basis(complex_.differential(d + 1))
+            spans[d] = (rows, len(bounds), bounds + [basis[i][1] for i in rows])
+        rows, nb, spanning = spans[d]
+        coords = solve_in_span(spanning, img)
+        if coords is None:
+            raise ValidationError(
+                f"image {j} in degree {d} lies outside the span of the "
+                f"boundaries and the basis")
+        for k, c in coords.items():
+            if k >= nb:
+                entries[(rows[k - nb], j)] = c
+    return ExactMatrix(len(basis), len(images), entries, ring=RAT)
 
 
 def induced_map_on_homology(f, degree):
@@ -734,17 +746,10 @@ def induced_map_on_homology(f, degree):
     if f.source.ring != RAT and f.source.ring != INT:
         raise ValidationError("induced maps require an exact ring")
     src_reps, _src_b = homology_representatives(f.source, degree)
-    tgt_reps, tgt_b = homology_representatives(f.target, degree)
-    entries = {}
+    tgt_reps, _tgt_b = homology_representatives(f.target, degree)
     comp = f.component(degree)
-    for j, z in enumerate(src_reps):
-        img = comp.apply(z)
-        coords = express_in_homology(f.target, degree, img,
-                                     reps=tgt_reps, boundaries=tgt_b)
-        for i, c in enumerate(coords):
-            if c != 0:
-                entries[(i, j)] = c
-    return ExactMatrix(len(tgt_reps), len(src_reps), entries, ring=RAT)
+    return homology_coordinates(f.target, [(degree, z) for z in tgt_reps],
+                                [(degree, comp.apply(z)) for z in src_reps])
 
 
 def alternating_trace(complex_, automorphism):
@@ -803,10 +808,3 @@ def flatten_index(sizes, multi):
         idx = idx * s + m
     return idx
 
-
-def unflatten_index(sizes, idx):
-    out = []
-    for s in reversed(sizes):
-        out.append(idx % s)
-        idx //= s
-    return tuple(reversed(out))

@@ -187,10 +187,6 @@ class SymSeq:
 # elementwise identity checking
 
 
-def _tensor_sizes(parts):
-    return [p.total_rank() for p in parts]
-
-
 def _columns(sizes):
     return itertools.product(*(range(s) for s in sizes))
 
@@ -204,10 +200,6 @@ def _maps_equal(sizes, f, g):
                 {k: v for k, v in rhs.items() if v != 0}:
             return multi
     return None
-
-
-def _scaled(d, c):
-    return {k: c * v for k, v in d.items()}
 
 
 def _acc(target, d, c=1):
@@ -691,9 +683,6 @@ def _validate_left_module(mod, transposed):
         if mod.rank(n) == 0:
             continue
         for lam in set_partitions(range(1, n + 1)):
-            base = act_blocks(lam)
-            if base.is_zero():
-                pass
             for i in range(1, n):
                 sigma = list(perm_identity(n))
                 sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
@@ -1025,10 +1014,6 @@ def _validate_right_module(mod, transposed):
 def _full_cocomposition(cooperad, inner_arities):
     """Q(sum n_i) -> Q(s) (x) Q(n_1) (x) ... (x) Q(n_s), iterated partials."""
     arities = tuple(inner_arities)
-    s = len(arities)
-    sizes = [cooperad.rank(s)] + [cooperad.rank(n) for n in arities]
-    total = sum(arities)
-    entries = {}
     # Transpose of the operad derivation: build the dual full composition
     # from the transposed cocompositions and transpose back.
     dual_ss = cooperad.symseq.dual_symseq()
@@ -1391,25 +1376,38 @@ def dumps(structure):
 
 
 def _dump_one(structure):
-    lines = []
-    if isinstance(structure, Operad):
-        kind = "operad"
-    elif isinstance(structure, Cooperad):
-        kind = "cooperad"
-    elif isinstance(structure, SidedModule):
-        kind = structure.side
-    elif isinstance(structure, SymSeq):
-        kind = "symseq"
-    else:
-        raise ValidationError(f"cannot serialize {type(structure).__name__}")
-    name = getattr(structure, "name", "symseq")
-    ss = structure if isinstance(structure, SymSeq) else structure.symseq
-    lines.append(f"kind {kind}")
-    lines.append(f"name {name}")
-    lines.append(f"ring {ss.ring}")
-    lines.append(f"max_arity {ss.max_arity}")
+    ss = _symseq_of(structure)
+    lines = [f"kind {_kind(structure)}",
+             f"name {getattr(structure, 'name', 'symseq')}",
+             f"ring {ss.ring}",
+             f"max_arity {ss.max_arity}"]
     if isinstance(structure, SidedModule):
         lines.append(f"over {structure.over.name}")
+    lines.extend(_content_lines(structure))
+    lines.append("endstructure")
+    return "\n".join(lines)
+
+
+def _kind(structure):
+    if isinstance(structure, Operad):
+        return "operad"
+    if isinstance(structure, Cooperad):
+        return "cooperad"
+    if isinstance(structure, SidedModule):
+        return structure.side
+    if isinstance(structure, SymSeq):
+        return "symseq"
+    raise ValidationError(f"cannot serialize {type(structure).__name__}")
+
+
+def _symseq_of(structure):
+    return structure if isinstance(structure, SymSeq) else structure.symseq
+
+
+def _content_lines(structure):
+    """Components, actions and structure maps in the text format."""
+    ss = _symseq_of(structure)
+    lines = []
     for n in sorted(ss.components):
         c = ss.components[n]
         lines.append(f"begin component {n}")
@@ -1437,8 +1435,24 @@ def _dump_one(structure):
         lines.extend(f"{r} {c} {_format_value(v)}"
                      for (r, c), v in sorted(m.entries()))
         lines.append("end")
-    lines.append("endstructure")
-    return "\n".join(lines)
+    return lines
+
+
+def fingerprint(structure):
+    """Canonical text of a structure's content, computed once per object.
+
+    It holds the kind, the ring, the degree labels of every component,
+    the symmetric actions and the structure matrices, but not the name
+    or the structure a (co)module is over: structures with equal data
+    have equal fingerprints, and others have different ones.  The text
+    itself is the fingerprint, so no digest can collide.
+    """
+    fp = vars(structure).get("_fingerprint")
+    if fp is None:
+        fp = structure._fingerprint = "\n".join(
+            [_kind(structure), _symseq_of(structure).ring]
+            + _content_lines(structure))
+    return fp
 
 
 def _encode_key(key):
@@ -1513,13 +1527,15 @@ def _parse_structure(lines, i, by_name):
                 n = int(parts[2])
                 spaces = {}
                 i += 1
-                while lines[i].strip() != "end":
+                while i < len(lines) and lines[i].strip() != "end":
                     toks = lines[i].split()
-                    if toks[0] != "degree":
+                    if not toks or toks[0] != "degree":
                         err("expected 'degree' line", i)
                     spaces[int(toks[1])] = tuple(
                         urllib.parse.unquote(t) for t in toks[2:])
                     i += 1
+                if i == len(lines):
+                    err("unterminated component section", i - 1)
                 components[n] = GradedFreeModule(spaces)
                 i += 1
             elif section == "action":
@@ -1535,6 +1551,8 @@ def _parse_structure(lines, i, by_name):
                 err(f"unknown section {section!r}", i)
         else:
             err(f"unrecognized line {line!r}", i)
+    else:
+        err("structure ends without 'endstructure'", len(lines) - 1)
     kind = header.get("kind")
     ring = header.get("ring", INT)
     if kind is None:
@@ -1628,12 +1646,3 @@ def load_operad(path):
             return structure
     raise ParseError(f"no operad in {path}")
 
-
-def load_symseq(path):
-    for structure in load_structures(path):
-        if isinstance(structure, SymSeq) and not isinstance(
-                structure, (Operad, Cooperad)):
-            return structure
-        if isinstance(structure, (Operad, Cooperad)):
-            return structure.symseq
-    raise ParseError(f"no symmetric sequence in {path}")

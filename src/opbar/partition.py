@@ -21,6 +21,8 @@ from .exactla import (
     GradedFreeModule,
     alternating_trace,
     homology,
+    homology_coordinates,
+    homology_representatives,
 )
 
 MAX_PARTITION_SIZE = 8
@@ -196,24 +198,17 @@ def character_is_class_function(n):
 
 def character_on_homology(n):
     """Character recomputed from the rational homology action matrices."""
-    from .exactla import (RAT, express_in_homology,
-                          homology_representatives)
     complex_ = partition_complex(n)
     top = n - 1 if n > 1 else 0
-    reps, bnd = homology_representatives(complex_, top)
+    reps, _b = homology_representatives(complex_, top)
+    basis = [(top, z) for z in reps]
     values = {}
     for sigma in all_permutations(n):
         ct = cycle_type(sigma)
-        if ct in values:
-            continue
-        auto = flag_action(n, sigma)
-        trace = 0
-        for j, z in enumerate(reps):
-            img = auto[top].apply(z)
-            coords = express_in_homology(complex_, top, img,
-                                         reps=reps, boundaries=bnd)
-            trace += coords[j]
-        values[ct] = trace
+        if ct not in values:
+            auto = flag_action(n, sigma)[top]
+            values[ct] = homology_coordinates(
+                complex_, basis, [(top, auto.apply(z)) for z in reps]).trace()
     return values
 
 

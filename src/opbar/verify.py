@@ -32,6 +32,7 @@ from .checks import (
     check_module_pentagon_chain,
     check_unary_action_is_identity,
 )
+from .errors import BoundsError
 from .exactla import GradedFreeModule, ExactMatrix, homology
 from .opalg import (
     LEFT_MODULE,
@@ -79,7 +80,9 @@ class VerifyContext:
     """Shared builds across criteria (operads, complexes, reports)."""
 
     def __init__(self, max_arity=5):
-        self.max_arity = max(2, min(int(max_arity), 5))
+        if not 2 <= int(max_arity) <= 5:
+            raise BoundsError(f"max_arity {max_arity} outside 2..5")
+        self.max_arity = int(max_arity)
         self.cache = {}
         self._com = None
         self._ass = None

@@ -6,6 +6,7 @@ the expensive builds (operads, complexes, the derivatives report).
 
 import pytest
 
+from opbar.errors import BoundsError
 from opbar.verify import CRITERIA, VerifyContext, run_criterion
 
 MAX_ARITY = 5
@@ -21,3 +22,9 @@ def test_criterion(ctx, number):
     result = run_criterion(number, ctx)
     print(result.line())
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("max_arity", [1, 6, 7])
+def test_context_rejects_arity_outside_bounds(max_arity):
+    with pytest.raises(BoundsError):
+        VerifyContext(max_arity)

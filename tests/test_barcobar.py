@@ -41,6 +41,7 @@ from opbar.opalg import (
     dual,
     unit_module,
 )
+from test_partition import cycle_types, sgn_lie_character
 
 
 def factorial(n):
@@ -317,6 +318,21 @@ class TestKoszul:
         for n in range(1, 5):
             assert kk.dimension(n) == 1
 
+    def test_action_character_is_sgn_lie(self, com):
+        report = koszul(com, 4, with_structure=True)
+        for n in range(2, 5):
+            # gens[i - 1] is the transposition (i, i+1); the product of
+            # gens[a - 1] .. gens[b - 2] is a cycle on a..b.
+            gens = report.actions[n]
+            for ct in cycle_types(n):
+                act = ExactMatrix.identity(report.dimension(n), ring=RAT)
+                start = 1
+                for length in ct:
+                    for i in range(start, start + length - 1):
+                        act = act * gens[i - 1]
+                    start += length
+                assert act.trace() == sgn_lie_character(ct), (n, ct)
+
     def test_non_koszul_is_reported_not_raised(self):
         # An operad with homology spread across tree degrees would set
         # the flag false; com stays true, exercising the accessor.
@@ -365,3 +381,26 @@ class TestModuleMX:
         report = module_MX_homology(x, delta, 3, with_action=True)
         assert report.homology_module is not None
         assert report.homology_module.side == LEFT_MODULE
+
+
+class TestComplexCache:
+    def test_equal_structures_share_a_complex(self):
+        cache = {}
+        first = reduced_bar(builtin("com", 4), 4, cache)
+        assert reduced_bar(builtin("com", 4), 4, cache) is first
+
+    def test_ring_separates_complexes(self):
+        cache = {}
+        over_z = reduced_bar(builtin("com", 4), 4, cache)
+        over_q = reduced_bar(builtin("com", 4, ring=RAT), 4, cache)
+        assert over_q is not over_z
+        assert over_z.ring == INT and over_q.ring == RAT
+
+    def test_name_does_not_select_the_complex(self):
+        cache = {}
+        com_bar = reduced_bar(builtin("com", 4), 4, cache)
+        renamed = builtin("ass", 4)
+        renamed.name = "com"
+        ass_bar = reduced_bar(renamed, 4, cache)
+        assert com_bar.complex.module.total_rank() == 26
+        assert ass_bar.complex.module.total_rank() == 264

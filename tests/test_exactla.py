@@ -16,6 +16,7 @@ from opbar.exactla import (
     HomologySummary,
     alternating_trace,
     homology,
+    homology_coordinates,
     induced_map_on_homology,
     kernel_basis,
     koszul_sign,
@@ -209,6 +210,28 @@ class TestInducedMap:
         with pytest.raises(ValidationError, match="degree"):
             ChainMap(c, c, {0: ExactMatrix.identity(1),
                             1: ExactMatrix(1, 1, {(0, 0): 2})})
+
+
+class TestHomologyCoordinates:
+    @staticmethod
+    def segment_plus_loop():
+        # d(b) = a0 - a1 and d(c) = 0: H_0 is spanned by [a0], H_1 by c.
+        module = GradedFreeModule({0: ["a0", "a1"], 1: ["b", "c"]})
+        return ChainComplex(module, {1: mat([[1, 0], [-1, 0]], ring=RAT)},
+                            ring=RAT)
+
+    def test_rows_follow_the_basis_across_degrees(self):
+        c = self.segment_plus_loop()
+        basis = [(1, {1: 1}), (0, {0: 1})]
+        images = [(0, {1: 3}), (1, {1: 2})]
+        got = homology_coordinates(c, basis, images)
+        assert got == ExactMatrix(2, 2, {(1, 0): 3, (0, 1): 2}, ring=RAT)
+
+    def test_non_cycle_names_index_and_degree(self):
+        c = self.segment_plus_loop()
+        basis = [(1, {1: 1}), (0, {0: 1})]
+        with pytest.raises(ValidationError, match="image 1 in degree 1"):
+            homology_coordinates(c, basis, [(1, {1: 1}), (1, {0: 1})])
 
 
 class TestAlternatingTrace:

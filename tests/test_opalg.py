@@ -238,6 +238,12 @@ class TestIO:
         with pytest.raises(ParseError, match="line 1"):
             loads("not a structure file")
 
+    def test_every_truncation_is_a_parse_error(self):
+        lines = dumps(builtin("com", 3)).splitlines()
+        for cut in range(1, len(lines)):
+            with pytest.raises((ParseError, ValidationError)):
+                loads("\n".join(lines[:cut]))
+
     def test_missing_end_reported(self, com4):
         text = dumps(com4)
         broken = text.replace("endstructure", "", 1)

@@ -14,6 +14,41 @@ from opbar.partition import (
 )
 
 
+def mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def cycle_types(n, largest=None):
+    """Integer partitions of n, parts in decreasing order."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in cycle_types(n - part, part):
+            yield (part,) + rest
+
+
+def sgn_lie_character(cycle_type):
+    """Character of sgn (x) Lie_n (Stanley 1982; Hanlon 1981).
+
+    On cycle type d^(n/d) it is (-1)^(n - #cycles) mu(d) (n/d)! d^(n/d) / n,
+    and 0 on every other class.
+    """
+    n, d = sum(cycle_type), cycle_type[0]
+    if any(c != d for c in cycle_type):
+        return 0
+    lie = mobius(d) * math.factorial(n // d) * d ** (n // d) // n
+    return (-1) ** (n - len(cycle_type)) * lie
+
+
 class TestComplex:
     def test_n_one_special_case(self):
         c = partition_complex(1)
@@ -66,7 +101,9 @@ class TestCharacter:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_two_computation_paths_agree(self, n):
-        assert partition_character(n) == character_on_homology(n)
+        want = {ct: sgn_lie_character(ct) for ct in cycle_types(n)}
+        assert partition_character(n) == want
+        assert character_on_homology(n) == want
 
 
 class TestCompareWithBar:
