@@ -32,6 +32,7 @@ from .exactla import (
     homology,
     homology_coordinates,
     homology_representatives,
+    kernel_basis,
     koszul_sign,
     perm_sign,
     solve_in_span,  # noqa: F401  (perfbench's tracer test reads this name)
@@ -48,6 +49,7 @@ from .opalg import (
     SymSeq,
     block_sort_perm,
     canonical_partition,
+    constant_comodule,
     dual,
     builtin,
     fingerprint,
@@ -847,56 +849,45 @@ def bar_cocomposition(p, arity, a, a_side, b_side, cache=None):
     inside a_side; matrices are over the canonical complexes, with the
     marker realized as min(b_side).
     """
-    _check_split(arity, a, a_side, b_side)
-    k = len(tuple(b_side))
-    m = arity - k + 1
-    cplx_n = reduced_bar(p, arity, cache)
-    cplx_m = reduced_bar(p, m, cache)
-    cplx_k = reduced_bar(p, k, cache)
-    tensor = tensor_list([cplx_m.complex, cplx_k.complex])
-    tindex = _TensorIndex(tensor)
-    entries = {}
-    for v_label, (lab_t, lab_u), coeff in _ungraft_terms(
-            cplx_n, cplx_m, cplx_k, b_side):
-        d, j = cplx_n.index(v_label)
-        d2, i = tindex((lab_t, lab_u))
-        if d2 != d:
-            raise InternalConsistencyError("cocomposition changes degree")
-        entries.setdefault(d, {})[(i, j)] = coeff
-    mats = {d: ExactMatrix(tensor.rank(d), cplx_n.complex.rank(d), e,
-                           ring=p.ring)
-            for d, e in entries.items()}
-    for d in cplx_n.complex.degrees():
-        mats.setdefault(d, ExactMatrix.zero(
-            tensor.rank(d), cplx_n.complex.rank(d), ring=p.ring))
-    return ChainMap(cplx_n.complex, tensor, mats)
+    return _split_map(BAR, p, arity, a, a_side, b_side, cache)
 
 
 def cobar_composition(q, arity, a, a_side, b_side, cache=None):
     """Chain map Omega(Q)(A) (x) Omega(Q)(B) -> Omega(Q)(A u_a B)."""
+    return _split_map(COBAR, q, arity, a, a_side, b_side, cache)
+
+
+def _split_map(kind, p, arity, a, a_side, b_side, cache):
     _check_split(arity, a, a_side, b_side)
     k = len(tuple(b_side))
-    m = arity - k + 1
-    cplx_n = reduced_cobar(q, arity, cache)
-    cplx_m = reduced_cobar(q, m, cache)
-    cplx_k = reduced_cobar(q, k, cache)
+    build = reduced_bar if kind == BAR else reduced_cobar
+    cplx_n, cplx_m, cplx_k = (build(p, n, cache)
+                              for n in (arity, arity - k + 1, k))
     tensor = tensor_list([cplx_m.complex, cplx_k.complex])
+    return _ungrafting_map(
+        cplx_n, tensor, _ungraft_terms(cplx_n, cplx_m, cplx_k, b_side))
+
+
+def _ungrafting_map(bc, tensor, terms):
+    """Chain map bc -> tensor on the bar side, tensor -> bc on the cobar side.
+
+    terms: (basis label of bc, labels of the tensor factors, coefficient).
+    """
     tindex = _TensorIndex(tensor)
     entries = {}
-    for v_label, (lab_t, lab_u), coeff in _ungraft_terms(
-            cplx_n, cplx_m, cplx_k, b_side):
-        d, i = cplx_n.index(v_label)
-        d2, j = tindex((lab_t, lab_u))
-        if d2 != d:
-            raise InternalConsistencyError("composition changes degree")
-        entries.setdefault(d, {})[(i, j)] = coeff
-    mats = {d: ExactMatrix(cplx_n.complex.rank(d), tensor.rank(d), e,
-                           ring=q.ring)
-            for d, e in entries.items()}
-    for d in tensor.degrees():
-        mats.setdefault(d, ExactMatrix.zero(
-            cplx_n.complex.rank(d), tensor.rank(d), ring=q.ring))
-    return ChainMap(tensor, cplx_n.complex, mats)
+    for v_label, labels, coeff in terms:
+        dv, iv = bc.index(v_label)
+        dt, it = tindex(labels)
+        if dt != dv:
+            raise InternalConsistencyError("structure map changes degree")
+        entries.setdefault(dv, {})[(it, iv) if bc.kind == BAR else (iv, it)] \
+            = coeff
+    src, tgt = ((bc.complex, tensor) if bc.kind == BAR
+                else (tensor, bc.complex))
+    return ChainMap(src, tgt, {
+        d: ExactMatrix(tgt.rank(d), src.rank(d), entries.get(d, {}),
+                       ring=bc.ring)
+        for d in src.degrees()})
 
 
 def _check_split(arity, a, a_side, b_side):
@@ -1017,39 +1008,12 @@ def module_structure_maps(bc, blocks, cache=None):
     if bc.r_coeff.rank(1) != 1 or any(
             bc.r_coeff.rank(n) for n in range(2, bc.arity + 1)):
         raise ValidationError("structure maps need a one-sided complex")
-    r = len(blocks)
-    p = bc.op
-    skel = (reduced_bar if bc.kind == BAR else reduced_cobar)(p, r, cache)
+    build = reduced_bar if bc.kind == BAR else reduced_cobar
+    skel = build(bc.op, len(blocks), cache)
     parts = [_one_sided(bc, len(b), cache) for b in blocks]
-    factors = [skel.complex] + [pt.complex for pt in parts]
-    tensor = tensor_list(factors)
-    tindex = _TensorIndex(tensor)
-    entries = {}
-    for v_label, labels, coeff in _partition_split_terms(
-            bc, skel, parts, blocks):
-        dv, iv = bc.index(v_label)
-        dt, it = tindex(labels)
-        if dt != dv:
-            raise InternalConsistencyError("structure map changes degree")
-        if bc.kind == BAR:
-            entries.setdefault(dv, {})[(it, iv)] = coeff
-        else:
-            entries.setdefault(dv, {})[(iv, it)] = coeff
-    if bc.kind == BAR:
-        mats = {d: ExactMatrix(tensor.rank(d), bc.complex.rank(d), e,
-                               ring=bc.ring)
-                for d, e in entries.items()}
-        for d in bc.complex.degrees():
-            mats.setdefault(d, ExactMatrix.zero(
-                tensor.rank(d), bc.complex.rank(d), ring=bc.ring))
-        return ChainMap(bc.complex, tensor, mats)
-    mats = {d: ExactMatrix(bc.complex.rank(d), tensor.rank(d), e,
-                           ring=bc.ring)
-            for d, e in entries.items()}
-    for d in tensor.degrees():
-        mats.setdefault(d, ExactMatrix.zero(
-            bc.complex.rank(d), tensor.rank(d), ring=bc.ring))
-    return ChainMap(tensor, bc.complex, mats)
+    tensor = tensor_list([skel.complex] + [pt.complex for pt in parts])
+    return _ungrafting_map(
+        bc, tensor, _partition_split_terms(bc, skel, parts, blocks))
 
 
 def _one_sided(bc, arity, cache=None):
@@ -1267,25 +1231,22 @@ def jacobi_relation(report):
     kernel of the 2x3 matrix whose columns are the translates of the
     self-composite of the binary generator under the 3-cycles.
     """
+    if (2, 1, 2) not in report.structure or 3 not in report.actions:
+        raise ValidationError(
+            f"the Jacobi relation needs the structure at arity 3; the report "
+            f"has max arity {report.max_arity}")
     comp = report.structure[(2, 1, 2)]
     if comp.ncols != 1 or comp.nrows != 2:
         raise InternalConsistencyError("unexpected K-structure shapes")
     x = {i: v for (i, _j), v in comp.entries()}
-    acts = report.actions[3]
-    s1, s2 = acts
-
-    def act(mat, vec):
-        return mat.apply(vec)
-
+    s1, s2 = report.actions[3]
     cyc = s1 * s2   # (1 2)(2 3) = the 3-cycle sending 2->1, 3->2, 1->3
-    translates = [x, act(cyc, x), act(cyc * cyc, x)]
+    translates = [x, cyc.apply(x), (cyc * cyc).apply(x)]
     cols = {}
     for j, v in enumerate(translates):
         for i, c in v.items():
             cols[(i, j)] = c
-    mat = ExactMatrix(2, 3, cols, ring=RAT)
-    from .exactla import kernel_basis
-    kernel = kernel_basis(mat)
+    kernel = kernel_basis(ExactMatrix(2, 3, cols, ring=RAT))
     return len(kernel), kernel[0] if kernel else None
 
 
@@ -1325,7 +1286,6 @@ def module_MX_homology(x_module, coproduct, max_arity=4, ring=INT,
     homology operad is computed and validated (unit, pentagon,
     equivariance) by constructing the homology-level module.
     """
-    from .opalg import constant_comodule
     comodule = constant_comodule(x_module, coproduct, max_arity, ring=ring,
                                  name="mx")
     q = comodule.over

@@ -15,6 +15,7 @@ import itertools
 from .barcobar import (
     BAR,
     _TensorIndex,
+    _one_sided,
     bar_cocomposition,
     cobar_composition,
     module_structure_maps,
@@ -204,7 +205,7 @@ def check_cobar_associativity(q, arity, cache=None):
         om_y = reduced_cobar(q, len(y_side) + 1, cache)
         om_z = reduced_cobar(q, len(z_side), cache)
 
-        def eval_side(first, second, nested_left, d_triple, labs):
+        def eval_side(first, second, nested_left, labs):
             lab_x, lab_y, lab_z = labs
             if nested_left:
                 # x o (y o z slot composite): compose (x,y) then with z.
@@ -241,8 +242,8 @@ def check_cobar_associativity(q, arity, cache=None):
                         for dz in om_z.complex.degrees():
                             for lab_z in om_z.complex.labels(dz):
                                 labs = (lab_x, lab_y, lab_z)
-                                lhs = eval_side(psi1, psi2, True, None, labs)
-                                rhs = eval_side(psi3, psi4, False, None, labs)
+                                lhs = eval_side(psi1, psi2, True, labs)
+                                rhs = eval_side(psi3, psi4, False, labs)
                                 if lhs != rhs:
                                     raise ValidationError(
                                         f"cobar associativity fails at arity "
@@ -317,13 +318,13 @@ def check_module_pentagon_chain(one_sided, lam, grouping, cache=None):
         rel = {x: i + 1 for i, x in enumerate(union)}
         sub_blocks = canonical_partition(
             [tuple(rel[x] for x in lam[bi]) for bi in g])
-        part = _one_sided_at(one_sided, len(union), cache)
+        part = _one_sided(one_sided, len(union), cache)
         sub_acts.append(module_structure_maps(part, sub_blocks, cache))
         sub_parts.append(part)
 
     omega_s = reduced_cobar(q, s, cache)
     omega_ri = [reduced_cobar(q, len(g), cache) for g in groups]
-    parts_lam = [_one_sided_at(one_sided, len(b), cache) for b in lam]
+    parts_lam = [_one_sided(one_sided, len(b), cache) for b in lam]
 
     def td(lab):
         return -lab.tree_degree + lab.internal_degree
@@ -388,8 +389,3 @@ def check_module_pentagon_chain(one_sided, lam, grouping, cache=None):
                 f"module pentagon fails for lam={lam} groups={groups} "
                 f"at {labs}")
     return True
-
-
-def _one_sided_at(bc, arity, cache):
-    from .barcobar import _one_sided
-    return _one_sided(bc, arity, cache)

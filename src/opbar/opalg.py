@@ -6,7 +6,13 @@ partial compositions P(m) (x) P(n) -> P(m+n-1) for canonical index sets,
 left-module actions per set partition, right-module actions as partials.
 General instances are derived through the symmetric action.  Every axiom
 (Coxeter relations, associativity, equivariance, units, pentagons) is an
-executable matrix identity checked on construction.
+executable matrix identity checked on construction.  One checker,
+``_check_partials``, covers all partial-composition data: a right module
+over P is P's data with one more colour, so an operad is checked as a
+right module over itself (plus reducedness and the left unit), and
+cooperads and right comodules are checked transposed, on the dual
+sequences.  One routine, ``_iterated_partials``, derives every full
+composition and full right action from the partials.
 
 Tensor bases are ordered row-major over the factors' (degree, index)
 global orders.  All structure maps preserve degree, so tensor products of
@@ -187,13 +193,9 @@ class SymSeq:
 # elementwise identity checking
 
 
-def _columns(sizes):
-    return itertools.product(*(range(s) for s in sizes))
-
-
 def _maps_equal(sizes, f, g):
     """Compare two (multi-index -> sparse dict) linear maps columnwise."""
-    for multi in _columns(sizes):
+    for multi in itertools.product(*(range(s) for s in sizes)):
         lhs = f(multi)
         rhs = g(multi)
         if {k: v for k, v in lhs.items() if v != 0} != \
@@ -211,143 +213,6 @@ def _acc(target, d, c=1):
             target[k] = w
 
 
-def validate_operad_data(ss, comp, what="operad"):
-    """Associativity, symmetry, unit and equivariance for partial maps.
-
-    comp: (m, a, n) -> ExactMatrix from P(m) (x) P(n) to P(m+n-1).
-    Used directly for operads and on transposed data for cooperads.
-    """
-    max_arity = ss.max_arity
-    if ss.rank(1) != 1 or ss.component(1).degrees() != [0]:
-        raise ValidationError(f"{what} is not reduced: arity 1 is not the unit")
-
-    def rk(n):
-        return ss.rank(n)
-
-    # Units: composing with the arity-1 generator is the identity.
-    for n in range(1, max_arity + 1):
-        if rk(n) == 0:
-            continue
-        left = comp(1, 1, n)
-        for j in range(rk(n)):
-            if left.column(j) != {j: 1}:
-                raise ValidationError(f"{what} axiom (3) fails at arity {n}")
-        for a in range(1, n + 1):
-            right = comp(n, a, 1)
-            for i in range(rk(n)):
-                if right.column(i) != {i: 1}:
-                    raise ValidationError(
-                        f"{what} axiom (4) fails at arity {n}, slot {a}")
-
-    # Axiom (1): nested insertion associativity.
-    for m in range(1, max_arity + 1):
-        for n in range(1, max_arity + 1):
-            for p in range(1, max_arity + 1):
-                if m + n + p - 2 > max_arity or 1 in (m, n, p):
-                    continue
-                if rk(m) * rk(n) * rk(p) == 0:
-                    continue
-                for a in range(1, m + 1):
-                    for b in range(1, n + 1):
-                        c1 = comp(m, a, n)
-                        c2 = comp(m + n - 1, a + b - 1, p)
-                        d1 = comp(n, b, p)
-                        d2 = comp(m, a, n + p - 1)
-
-                        def lhs(multi, c1=c1, c2=c2, n=n, p=p):
-                            xi, yi, zi = multi
-                            out = {}
-                            for w, cc in c1.column(xi * rk(n) + yi).items():
-                                _acc(out, c2.column(w * rk(p) + zi), cc)
-                            return out
-
-                        def rhs(multi, d1=d1, d2=d2, n=n, p=p):
-                            xi, yi, zi = multi
-                            out = {}
-                            for w, cc in d1.column(yi * rk(p) + zi).items():
-                                _acc(out, d2.column(xi * rk(n + p - 1) + w), cc)
-                            return out
-
-                        bad = _maps_equal([rk(m), rk(n), rk(p)], lhs, rhs)
-                        if bad is not None:
-                            raise ValidationError(
-                                f"{what} axiom (1) fails at "
-                                f"(m,n,p)=({m},{n},{p}), a={a}, b={b}")
-
-    # Axiom (2): disjoint insertions commute up to the Koszul swap.
-    for m in range(2, max_arity + 1):
-        for n in range(2, max_arity + 1):
-            for p in range(2, max_arity + 1):
-                if m + n + p - 2 > max_arity:
-                    continue
-                if rk(m) * rk(n) * rk(p) == 0:
-                    continue
-                for a in range(1, m + 1):
-                    for a2 in range(a + 1, m + 1):
-                        c1 = comp(m, a, n)
-                        c2 = comp(m + n - 1, a2 + n - 1, p)
-                        d1 = comp(m, a2, p)
-                        d2 = comp(m + p - 1, a, n)
-
-                        def lhs(multi, c1=c1, c2=c2):
-                            xi, yi, zi = multi
-                            out = {}
-                            for w, cc in c1.column(xi * rk(n) + yi).items():
-                                _acc(out, c2.column(w * rk(p) + zi), cc)
-                            return out
-
-                        def rhs(multi, d1=d1, d2=d2, n=n, p=p, m=m):
-                            xi, yi, zi = multi
-                            sgn = 1
-                            dy = ss.degree_of(n, yi)
-                            dz = ss.degree_of(p, zi)
-                            if dy % 2 and dz % 2:
-                                sgn = -1
-                            out = {}
-                            for w, cc in d1.column(xi * rk(p) + zi).items():
-                                _acc(out, d2.column(w * rk(n) + yi), sgn * cc)
-                            return out
-
-                        bad = _maps_equal([rk(m), rk(n), rk(p)], lhs, rhs)
-                        if bad is not None:
-                            raise ValidationError(
-                                f"{what} axiom (2) fails at "
-                                f"(m,n,p)=({m},{n},{p}), a={a}, a'={a2}")
-
-    # Equivariance under the stored generators.
-    for m in range(1, max_arity + 1):
-        for n in range(1, max_arity + 1):
-            if m + n - 1 > max_arity or rk(m) * rk(n) == 0:
-                continue
-            for a in range(1, m + 1):
-                base = comp(m, a, n)
-                for i in range(1, m):
-                    sigma = list(perm_identity(m))
-                    sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-                    sigma = tuple(sigma)
-                    rho = outer_insertion_perm(sigma, a, n)
-                    lhs_m = ss.action(m + n - 1, rho) * base
-                    act = ss.generator_action(m, i)
-                    rhs_m = comp(m, sigma[a - 1], n) * act.kron(
-                        ExactMatrix.identity(rk(n), ring=ss.ring))
-                    if lhs_m != rhs_m:
-                        raise ValidationError(
-                            f"{what} outer equivariance fails at "
-                            f"(m,a,n)=({m},{a},{n}), s_{i}")
-                for j in range(1, n):
-                    tau = list(perm_identity(n))
-                    tau[j - 1], tau[j] = tau[j], tau[j - 1]
-                    tau = tuple(tau)
-                    rho = inner_insertion_perm(m, a, tau)
-                    lhs_m = ss.action(m + n - 1, rho) * base
-                    rhs_m = base * ExactMatrix.identity(rk(m), ring=ss.ring).kron(
-                        ss.generator_action(n, j))
-                    if lhs_m != rhs_m:
-                        raise ValidationError(
-                            f"{what} inner equivariance fails at "
-                            f"(m,a,n)=({m},{a},{n}), s_{j}")
-
-
 class Operad:
     """Reduced operad: SymSeq plus partial composition matrices."""
 
@@ -357,9 +222,8 @@ class Operad:
         self.ring = symseq.ring
         self.max_arity = symseq.max_arity
         self.comp_maps = {tuple(k): v for k, v in comp.items()}
-        self._full_cache = {}
         if check:
-            validate_operad_data(symseq, self.comp, what=f"operad {name}")
+            _check_operad(self, f"operad {name}")
 
     @property
     def reduced(self):
@@ -384,37 +248,8 @@ class Operad:
         return mat
 
     def full_composition(self, inner_arities):
-        """Matrix of P(s) (x) P(n_1) (x) ... (x) P(n_s) -> P(sum n_i).
-
-        Derived by composing partials left to right; consumed factors are
-        always adjacent, so no Koszul signs arise.
-        """
-        key = tuple(inner_arities)
-        cached = self._full_cache.get(key)
-        if cached is not None:
-            return cached
-        s = len(key)
-        sizes = [self.rank(s)] + [self.rank(n) for n in key]
-        target = self.rank(sum(key))
-        entries = {}
-        for multi in _columns(sizes):
-            vec = {multi[0]: 1}
-            pos = 1
-            arity = s
-            for step, n_i in enumerate(key):
-                mat = self.comp(arity, pos, n_i)
-                nxt = {}
-                for x, c in vec.items():
-                    _acc(nxt, mat.column(x * self.rank(n_i) + multi[1 + step]), c)
-                vec = nxt
-                arity = arity + n_i - 1
-                pos += n_i
-            col = flatten_index(sizes, multi)
-            for row, v in vec.items():
-                entries[(row, col)] = v
-        mat = ExactMatrix(target, _prod(sizes), entries, ring=self.ring)
-        self._full_cache[key] = mat
-        return mat
+        """Matrix of P(s) (x) P(n_1) (x) ... (x) P(n_s) -> P(sum n_i)."""
+        return _iterated_partials(self, inner_arities)
 
     def __eq__(self, other):
         if not isinstance(other, Operad):
@@ -443,11 +278,7 @@ class Cooperad:
         self.max_arity = symseq.max_arity
         self.cocomp_maps = {tuple(k): v for k, v in cocomp.items()}
         if check:
-            dual_ss = symseq.dual_symseq()
-            validate_operad_data(
-                dual_ss,
-                lambda m, a, n: self.cocomp(m, a, n).transpose(),
-                what=f"cooperad {name}")
+            _check_operad(self, f"cooperad {name}")
 
     @property
     def reduced(self):
@@ -507,7 +338,6 @@ class SidedModule:
         self.ring = symseq.ring
         self.max_arity = min(symseq.max_arity, over.max_arity)
         self.maps = dict(maps)
-        self._full_cache = {}
         if check:
             self._validate()
 
@@ -559,45 +389,21 @@ class SidedModule:
 
     def right_full_action(self, inner_arities):
         """M(r) (x) P(n_1) (x) ... (x) P(n_r) -> M(sum n_i), via partials."""
-        key = ("rfull", tuple(inner_arities))
-        cached = self._full_cache.get(key)
-        if cached is not None:
-            return cached
-        arities = tuple(inner_arities)
-        r = len(arities)
-        sizes = [self.rank(r)] + [self.over.rank(n) for n in arities]
-        entries = {}
-        for multi in _columns(sizes):
-            vec = {multi[0]: 1}
-            pos = 1
-            arity = r
-            for step, n_i in enumerate(arities):
-                mat = self.right_partial(arity, pos, n_i)
-                nxt = {}
-                for x, c in vec.items():
-                    _acc(nxt, mat.column(x * self.over.rank(n_i) + multi[1 + step]), c)
-                vec = nxt
-                arity = arity + n_i - 1
-                pos += n_i
-            col = flatten_index(sizes, multi)
-            for row, v in vec.items():
-                entries[(row, col)] = v
-        mat = ExactMatrix(self.rank(sum(arities)), _prod(sizes), entries,
-                          ring=self.ring)
-        self._full_cache[key] = mat
-        return mat
+        return _iterated_partials(self, inner_arities)
 
     # -- validation --
 
     def _validate(self):
-        if self.side == LEFT_MODULE:
-            _validate_left_module(self, transposed=False)
-        elif self.side == LEFT_COMODULE:
-            _validate_left_module(self, transposed=True)
-        elif self.side == RIGHT_MODULE:
-            _validate_right_module(self, transposed=False)
+        label = f"{self.side} {self.name}"
+        over_kind = Cooperad if self.side in (LEFT_COMODULE, RIGHT_COMODULE) \
+            else Operad
+        if not isinstance(self.over, over_kind):
+            raise ValidationError(
+                f"{label} must be over a {over_kind.__name__.lower()}")
+        if self.side in (LEFT_MODULE, LEFT_COMODULE):
+            _validate_left_module(self, label)
         else:
-            _validate_right_module(self, transposed=True)
+            _check_partials(label, self, self.over)
 
     def __eq__(self, other):
         if not isinstance(other, SidedModule):
@@ -606,61 +412,197 @@ class SidedModule:
                 and self.maps == other.maps)
 
 
-def _validate_left_module(mod, transposed):
+# ---------------------------------------------------------------------------
+# the partial-composition axioms (see the module docstring)
+
+
+def _operad_form(structure):
+    """Partials (m, a, n) -> matrix of M(m) (x) P(n) -> M(m+n-1).
+
+    M = P for an operad or a cooperad; M is a right (co)module over P
+    otherwise.  Cooperad and comodule data are transposed.
+    """
+    if isinstance(structure, Operad):
+        return structure.comp
+    if isinstance(structure, Cooperad):
+        return lambda m, a, n: structure.cocomp(m, a, n).transpose()
+    if structure.side == RIGHT_MODULE:
+        return structure.right_partial
+    return lambda m, a, n: structure.right_copartial(m, a, n).transpose()
+
+
+def _accessors(mod, over):
+    """(m_action, p_action, m_degree, p_degree) of mod and over.
+
+    Over a cooperad the sequences are read dually: sigma acts by the
+    transpose of sigma^-1 and degrees are negated.
+    """
+    def forms(ss):
+        if not isinstance(over, Cooperad):
+            return ss.action, ss.degree_of
+        return (lambda n, sigma: ss.action(n, perm_inverse(sigma)).transpose(),
+                lambda n, i: -ss.degree_of(n, i))
+
+    m_action, m_degree = forms(mod.symseq)
+    p_action, p_degree = forms(over.symseq)
+    return m_action, p_action, m_degree, p_degree
+
+
+def _transposition(n, i):
+    """The adjacent transposition s_i in Sigma_n."""
+    sigma = list(perm_identity(n))
+    sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
+    return tuple(sigma)
+
+
+def _iterated_partials(structure, inner_arities):
+    """M(r) (x) P(n_1) (x) ... (x) P(n_r) -> M(sum n_i), in operad form.
+
+    Composes the partials of _operad_form left to right; the consumed
+    factors are always adjacent, so no Koszul signs arise.  Cached on the
+    structure.
+    """
+    key = tuple(inner_arities)
+    cache = vars(structure).setdefault("_full_cache", {})
+    if key in cache:
+        return cache[key]
+    over = getattr(structure, "over", structure)
+    ring = structure.ring
+    ranks = [over.rank(n) for n in key]
+    mat = ExactMatrix.identity(structure.rank(len(key)) * _prod(ranks),
+                               ring=ring)
+    if mat.nrows:
+        comp = _operad_form(structure)
+        arity, pos = len(key), 1
+        for i, n in enumerate(key):
+            rest = ExactMatrix.identity(_prod(ranks[i + 1:]), ring=ring)
+            mat = comp(arity, pos, n).kron(rest) * mat
+            arity, pos = arity + n - 1, pos + n
+    else:
+        mat = ExactMatrix.zero(structure.rank(sum(key)), 0, ring=ring)
+    cache[key] = mat
+    return mat
+
+
+def _check_partials(label, mod, over):
+    """Unit, associativity, slot commutation and equivariance.
+
+    mod's partials M(m) (x) P(n) -> M(m+n-1) are checked against the
+    operad over's partials, both in operad form; an operad or a cooperad
+    is checked as a right module over itself.
+    """
+    m_comp, p_comp = _operad_form(mod), _operad_form(over)
+    m_action, p_action, _m_degree, p_degree = _accessors(mod, over)
+    rk_m, rk_p = mod.rank, over.rank
+    max_arity = mod.max_arity
+
+    def ident(r):
+        return ExactMatrix.identity(r, ring=mod.ring)
+
+    for m in range(1, max_arity + 1):
+        for a in range(1, m + 1):
+            if rk_m(m) and m_comp(m, a, 1) != ident(rk_m(m)):
+                raise ValidationError(
+                    f"{label}: unit axiom fails at (m,a,n)=({m},{a},1)")
+
+    # (x o_a y) o_{a+b-1} z = x o_a (y o_b z), and for a < a2 the
+    # insertions into slots a and a2 commute up to the Koszul swap.
+    for m in range(1, max_arity + 1):
+        for n in range(2, max_arity - m + 1):
+            for p in range(2, max_arity - m - n + 3):
+                if rk_m(m) * rk_p(n) * rk_p(p) == 0:
+                    continue
+                swap = ident(rk_m(m)).kron(_koszul_swap(over, n, p, p_degree))
+                for a in range(1, m + 1):
+                    first = m_comp(m, a, n).kron(ident(rk_p(p)))
+                    for b in range(1, n + 1):
+                        lhs = m_comp(m + n - 1, a + b - 1, p) * first
+                        rhs = m_comp(m, a, n + p - 1) * ident(rk_m(m)).kron(
+                            p_comp(n, b, p))
+                        if lhs != rhs:
+                            raise ValidationError(
+                                f"{label}: associativity axiom fails at "
+                                f"(m,n,p)=({m},{n},{p}), a={a}, b={b}")
+                    for a2 in range(a + 1, m + 1):
+                        lhs = m_comp(m + n - 1, a2 + n - 1, p) * first
+                        rhs = (m_comp(m + p - 1, a, n)
+                               * m_comp(m, a2, p).kron(ident(rk_p(n))) * swap)
+                        if lhs != rhs:
+                            raise ValidationError(
+                                f"{label}: slot commutation axiom fails at "
+                                f"(m,n,p)=({m},{n},{p}), a={a}, a'={a2}")
+
+    for m in range(1, max_arity + 1):
+        for n in range(2, max_arity - m + 2):
+            if rk_m(m) * rk_p(n) == 0:
+                continue
+            for a in range(1, m + 1):
+                base = m_comp(m, a, n)
+                for i in range(1, m):
+                    sigma = _transposition(m, i)
+                    lhs = m_action(m + n - 1,
+                                   outer_insertion_perm(sigma, a, n)) * base
+                    rhs = m_comp(m, sigma[a - 1], n) * m_action(m, sigma).kron(
+                        ident(rk_p(n)))
+                    if lhs != rhs:
+                        raise ValidationError(
+                            f"{label}: outer equivariance fails at "
+                            f"(m,a,n)=({m},{a},{n}), s_{i}")
+                for j in range(1, n):
+                    tau = _transposition(n, j)
+                    lhs = m_action(m + n - 1,
+                                   inner_insertion_perm(m, a, tau)) * base
+                    rhs = base * ident(rk_m(m)).kron(p_action(n, tau))
+                    if lhs != rhs:
+                        raise ValidationError(
+                            f"{label}: inner equivariance fails at "
+                            f"(m,a,n)=({m},{a},{n}), s_{j}")
+
+
+def _koszul_swap(over, n, p, degree):
+    """P(n) (x) P(p) -> P(p) (x) P(n), y (x) z -> (-1)^{|y||z|} z (x) y."""
+    rn, rp = over.rank(n), over.rank(p)
+    entries = {(z * rn + y, y * rp + z):
+               -1 if degree(n, y) % 2 and degree(p, z) % 2 else 1
+               for y in range(rn) for z in range(rp)}
+    return ExactMatrix(rp * rn, rn * rp, entries, ring=over.ring)
+
+
+def _check_operad(structure, label):
+    """Reducedness, the left unit, and the axioms of a right module over
+    itself, for an operad or a cooperad."""
+    if structure.rank(1) != 1 or structure.component(1).degrees() != [0]:
+        raise ValidationError(
+            f"{label} is not reduced: arity 1 is not the unit")
+    comp = _operad_form(structure)
+    for n in range(1, structure.max_arity + 1):
+        r = structure.rank(n)
+        if r and comp(1, 1, n) != ExactMatrix.identity(r, ring=structure.ring):
+            raise ValidationError(
+                f"{label}: left unit axiom fails at (m,a,n)=(1,1,{n})")
+    _check_partials(label, structure, structure)
+
+
+def _validate_left_module(mod, label):
     """Unit, pentagon and equivariance for a left (co)module.
 
     For comodules the checks run on transposed matrices over the dual
     sequences, where they are literally the module identities.
     """
     over = mod.over
-    ring = mod.ring
-    label = f"{mod.side} {mod.name}"
-
-    if transposed:
+    if mod.side == LEFT_COMODULE:
         def act_blocks(blocks):
             return mod.left_coaction(blocks).transpose()
-
-        def p_comp(s, inner):
-            # Dual full cocomposition: transpose of iterated cocompositions.
-            return _full_cocomposition(over, inner).transpose()
-
-        def m_action(n, sigma):
-            return mod.action(n, perm_inverse(sigma)).transpose()
-
-        def p_action(n, sigma):
-            return over.action(n, perm_inverse(sigma)).transpose()
-
-        def m_degree(n, i):
-            return -mod.symseq.degree_of(n, i)
-
-        def p_degree(n, i):
-            return -over.symseq.degree_of(n, i)
     else:
-        def act_blocks(blocks):
-            return mod.left_action(blocks)
-
-        def p_comp(s, inner):
-            return over.full_composition(inner)
-
-        def m_action(n, sigma):
-            return mod.action(n, sigma)
-
-        def p_action(n, sigma):
-            return over.action(n, sigma)
-
-        def m_degree(n, i):
-            return mod.symseq.degree_of(n, i)
-
-        def p_degree(n, i):
-            return over.symseq.degree_of(n, i)
+        act_blocks = mod.left_action
+    m_action, p_action, m_degree, p_degree = _accessors(mod, over)
 
     # Unit: the trivial partition acts as the identity.
     for n in range(1, mod.max_arity + 1):
         if mod.rank(n) == 0:
             continue
         mat = act_blocks((_partition_of(n),))
-        ident = ExactMatrix.identity(mod.rank(n), ring=ring)
-        if mat != ident:
+        if mat != ExactMatrix.identity(mod.rank(n), ring=mod.ring):
             raise ValidationError(f"{label}: unit action is not the identity "
                                   f"at arity {n}")
 
@@ -674,9 +616,8 @@ def _validate_left_module(mod, transposed):
                 continue
             for grouping in set_partitions(range(r)):
                 groups = sorted(grouping, key=lambda g: lam[g[0]][0])
-                _check_left_pentagon(
-                    mod, over, lam, groups, label,
-                    act_blocks, p_comp, p_action, m_degree, p_degree)
+                _check_left_pentagon(mod, lam, groups, label, act_blocks,
+                                     p_action, m_degree, p_degree)
 
     # Equivariance under adjacent transpositions of the labels.
     for n in range(2, mod.max_arity + 1):
@@ -684,16 +625,13 @@ def _validate_left_module(mod, transposed):
             continue
         for lam in set_partitions(range(1, n + 1)):
             for i in range(1, n):
-                sigma = list(perm_identity(n))
-                sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-                sigma = tuple(sigma)
-                _check_left_equivariance(
-                    mod, over, lam, sigma, label,
-                    act_blocks, m_action, p_action, m_degree, p_degree)
+                _check_left_equivariance(mod, lam, _transposition(n, i), label,
+                                         act_blocks, m_action, p_action,
+                                         m_degree)
 
 
-def _check_left_pentagon(mod, over, lam, groups, label,
-                         act_blocks, p_comp, p_action, m_degree, p_degree):
+def _check_left_pentagon(mod, lam, groups, label, act_blocks, p_action,
+                         m_degree, p_degree):
     """One instance of the left-module associativity identity.
 
     lam partitions {1..n} into blocks B_1..B_r (least-element order);
@@ -701,6 +639,7 @@ def _check_left_pentagon(mod, over, lam, groups, label,
     the least label of their first block), defining the coarsening mu.
     Domain factors: (p in P(s); q_1..q_s; m_1..m_r).
     """
+    over = mod.over
     r = len(lam)
     s = len(groups)
     inner = tuple(len(g) for g in groups)
@@ -714,7 +653,7 @@ def _check_left_pentagon(mod, over, lam, groups, label,
     # Grouped order of lambda-blocks vs global least-element order.
     grouped = [bi for g in groups for bi in g]
     rho = block_sort_perm([lam[bi][0] for bi in grouped])
-    gamma = p_comp(s, inner)
+    gamma = _iterated_partials(over, inner)
     act_lam = act_blocks(lam)
     act_rho = p_action(r, _perm_from_zero(rho))
 
@@ -788,9 +727,9 @@ def _relabel_block(block, universe):
     return tuple(pos[x] for x in block)
 
 
-def _check_left_equivariance(mod, over, lam, sigma, label,
-                             act_blocks, m_action, p_action,
-                             m_degree, p_degree):
+def _check_left_equivariance(mod, lam, sigma, label, act_blocks, m_action,
+                             p_action, m_degree):
+    over = mod.over
     n = sum(len(b) for b in lam)
     r = len(lam)
     sigma_map = {i + 1: sigma[i] for i in range(n)}
@@ -843,185 +782,6 @@ def _check_left_equivariance(mod, over, lam, sigma, label,
         raise ValidationError(
             f"{label}: equivariance fails for partition {lam}, "
             f"transposition at {sigma}, column {bad}")
-
-
-def _validate_right_module(mod, transposed):
-    """Right-module axioms via the operad checker on combined data.
-
-    A right module is the same shape of data as an operad with two
-    colours; the mixed identities are checked directly.
-    """
-    over = mod.over
-    label = f"{mod.side} {mod.name}"
-
-    if transposed:
-        def partial(m, a, n):
-            return mod.right_copartial(m, a, n).transpose()
-
-        def p_comp(m, a, n):
-            return over.cocomp(m, a, n).transpose()
-
-        def m_degree(n, i):
-            return -mod.symseq.degree_of(n, i)
-
-        def p_degree(n, i):
-            return -over.symseq.degree_of(n, i)
-
-        def m_action(n, sigma):
-            return mod.action(n, perm_inverse(sigma)).transpose()
-
-        def p_action(n, sigma):
-            return over.action(n, perm_inverse(sigma)).transpose()
-    else:
-        def partial(m, a, n):
-            return mod.right_partial(m, a, n)
-
-        def p_comp(m, a, n):
-            return over.comp(m, a, n)
-
-        def m_degree(n, i):
-            return mod.symseq.degree_of(n, i)
-
-        def p_degree(n, i):
-            return over.symseq.degree_of(n, i)
-
-        def m_action(n, sigma):
-            return mod.action(n, sigma)
-
-        def p_action(n, sigma):
-            return over.action(n, sigma)
-
-    max_arity = mod.max_arity
-
-    def rk_m(n):
-        return mod.rank(n)
-
-    def rk_p(n):
-        return over.rank(n)
-
-    # Unit.
-    for m in range(1, max_arity + 1):
-        if rk_m(m) == 0:
-            continue
-        for a in range(1, m + 1):
-            mat = partial(m, a, 1)
-            for i in range(rk_m(m)):
-                if mat.column(i) != {i: 1}:
-                    raise ValidationError(f"{label}: unit fails at ({m},{a})")
-
-    # (x .a y) .{a+b-1} z == x .a (y o_b z)
-    for m in range(1, max_arity + 1):
-        for n in range(2, max_arity + 1):
-            for p in range(2, max_arity + 1):
-                if m + n + p - 2 > max_arity or rk_m(m) * rk_p(n) * rk_p(p) == 0:
-                    continue
-                for a in range(1, m + 1):
-                    for b in range(1, n + 1):
-                        c1 = partial(m, a, n)
-                        c2 = partial(m + n - 1, a + b - 1, p)
-                        d1 = p_comp(n, b, p)
-                        d2 = partial(m, a, n + p - 1)
-
-                        def lhs(multi):
-                            xi, yi, zi = multi
-                            out = {}
-                            for w, cc in c1.column(xi * rk_p(n) + yi).items():
-                                _acc(out, c2.column(w * rk_p(p) + zi), cc)
-                            return out
-
-                        def rhs(multi):
-                            xi, yi, zi = multi
-                            out = {}
-                            for w, cc in d1.column(yi * rk_p(p) + zi).items():
-                                _acc(out, d2.column(xi * rk_p(n + p - 1) + w), cc)
-                            return out
-
-                        bad = _maps_equal([rk_m(m), rk_p(n), rk_p(p)], lhs, rhs)
-                        if bad is not None:
-                            raise ValidationError(
-                                f"{label}: mixed associativity fails at "
-                                f"({m},{n},{p}), a={a}, b={b}")
-
-    # Disjoint slots commute with the Koszul swap.
-    for m in range(2, max_arity + 1):
-        for n in range(2, max_arity + 1):
-            for p in range(2, max_arity + 1):
-                if m + n + p - 2 > max_arity or rk_m(m) * rk_p(n) * rk_p(p) == 0:
-                    continue
-                for a in range(1, m + 1):
-                    for a2 in range(a + 1, m + 1):
-                        c1 = partial(m, a, n)
-                        c2 = partial(m + n - 1, a2 + n - 1, p)
-                        d1 = partial(m, a2, p)
-                        d2 = partial(m + p - 1, a, n)
-
-                        def lhs(multi):
-                            xi, yi, zi = multi
-                            out = {}
-                            for w, cc in c1.column(xi * rk_p(n) + yi).items():
-                                _acc(out, c2.column(w * rk_p(p) + zi), cc)
-                            return out
-
-                        def rhs(multi):
-                            xi, yi, zi = multi
-                            sgn = 1
-                            if p_degree(n, yi) % 2 and p_degree(p, zi) % 2:
-                                sgn = -1
-                            out = {}
-                            for w, cc in d1.column(xi * rk_p(p) + zi).items():
-                                _acc(out, d2.column(w * rk_p(n) + yi), sgn * cc)
-                            return out
-
-                        bad = _maps_equal([rk_m(m), rk_p(n), rk_p(p)], lhs, rhs)
-                        if bad is not None:
-                            raise ValidationError(
-                                f"{label}: slot commutation fails at "
-                                f"({m},{n},{p}), a={a}, a'={a2}")
-
-    # Equivariance.
-    for m in range(1, max_arity + 1):
-        for n in range(2, max_arity + 1):
-            if m + n - 1 > max_arity or rk_m(m) * rk_p(n) == 0:
-                continue
-            for a in range(1, m + 1):
-                base = partial(m, a, n)
-                for i in range(1, m):
-                    sigma = list(perm_identity(m))
-                    sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-                    sigma = tuple(sigma)
-                    rho = outer_insertion_perm(sigma, a, n)
-                    lhs_m = m_action(m + n - 1, rho) * base
-                    rhs_m = partial(m, sigma[a - 1], n) * m_action(m, sigma).kron(
-                        ExactMatrix.identity(rk_p(n), ring=mod.ring))
-                    if lhs_m != rhs_m:
-                        raise ValidationError(
-                            f"{label}: outer equivariance fails at "
-                            f"({m},{a},{n}), s_{i}")
-                for j in range(1, n):
-                    tau = list(perm_identity(n))
-                    tau[j - 1], tau[j] = tau[j], tau[j - 1]
-                    tau = tuple(tau)
-                    rho = inner_insertion_perm(m, a, tau)
-                    lhs_m = m_action(m + n - 1, rho) * base
-                    rhs_m = base * ExactMatrix.identity(rk_m(m), ring=mod.ring).kron(
-                        p_action(n, tau))
-                    if lhs_m != rhs_m:
-                        raise ValidationError(
-                            f"{label}: inner equivariance fails at "
-                            f"({m},{a},{n}), s_{j}")
-
-
-def _full_cocomposition(cooperad, inner_arities):
-    """Q(sum n_i) -> Q(s) (x) Q(n_1) (x) ... (x) Q(n_s), iterated partials."""
-    arities = tuple(inner_arities)
-    # Transpose of the operad derivation: build the dual full composition
-    # from the transposed cocompositions and transpose back.
-    dual_ss = cooperad.symseq.dual_symseq()
-    helper = Operad(dual_ss,
-                    {(m, a, n): cooperad.cocomp(m, a, n).transpose()
-                     for (m, a, n) in cooperad.cocomp_maps},
-                    name="_dual_helper", check=False)
-    return helper.full_composition(arities).transpose()
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,7 @@ def single_edge_tree(labels):
 def parse_tree(text):
     """Inverse of Tree.serialize."""
     pos = 0
+    seen = set()
 
     def error(msg):
         raise ParseError(f"{msg} at position {pos}")
@@ -229,6 +230,9 @@ def parse_tree(text):
                 labels = tuple(int(x) for x in text[start:pos].split(","))
             except ValueError:
                 error("bad leaf labels")
+            if len(set(labels)) != len(labels) or seen.intersection(labels):
+                error("repeated leaf label")
+            seen.update(labels)
             pos += 1
             return _leaf(labels)
         if text[pos] == "(":

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import trees as tr
 from .barcobar import (
+    _koszul_symseq,
     bar_complex,
     cobar_complex,
     cooperad_from_koszul,
@@ -32,6 +32,7 @@ from .checks import (
     check_module_pentagon_chain,
     check_unary_action_is_identity,
 )
+from .combinat import set_partitions
 from .errors import BoundsError
 from .exactla import GradedFreeModule, ExactMatrix, homology
 from .opalg import (
@@ -40,6 +41,7 @@ from .opalg import (
     RIGHT_MODULE,
     builtin,
     builtin_sphere_comodule,
+    builtin_sphere_module,
     compose_product,
     dual,
     unit_module,
@@ -143,14 +145,15 @@ def criterion_2_signs(ctx):
 
 
 def criterion_3_ass_bar(ctx):
-    for n in range(1, min(4, ctx.max_arity) + 1):
+    cap = min(4, ctx.max_arity)
+    for n in range(1, cap + 1):
         want = {n - 1: (math.factorial(n), ())} if n > 1 else {0: (1, ())}
         got = reduced_bar(ctx.ass, n, ctx.cache).homology().groups
         if got != want:
             return _result(3, "associative bar homology", False,
                            f"arity {n}: {got} != {want}")
     return _result(3, "associative bar homology", True,
-                   "free of rank n! in degree n-1, no torsion, n <= 4")
+                   f"free of rank n! in degree n-1, no torsion, n <= {cap}")
 
 
 def criterion_4_triple_oracle(ctx):
@@ -204,7 +207,8 @@ def criterion_5_koszul(ctx):
 
 
 def criterion_6_derivatives(ctx):
-    rep = ctx.deriv(ctx.max_arity)
+    # The Jacobi relation lives in arity 3, whatever the context's bound.
+    rep = ctx.deriv(max(3, ctx.max_arity))
     for n in range(2, ctx.max_arity + 1):
         got = rep.modules[n]
         if got.degrees() != [1 - n] or rep.dimension(n) != \
@@ -248,7 +252,6 @@ def criterion_8_module_mx(ctx):
     report = module_MX_homology(x, delta, cap, deriv_report=deriv,
                                 with_action=True, cache=ctx.cache)
     sphere_seq = builtin_sphere_comodule(2, cap).symseq
-    from .barcobar import _koszul_symseq
     hdi = _koszul_symseq(deriv)
     for n in range(2, cap + 1):
         got = report.summaries[n].groups
@@ -308,7 +311,6 @@ def criterion_10_structure_maps(ctx):
     if cap >= 4:
         counts.append(check_cobar_associativity(qcom, 4, ctx.cache))
     # Module action coherence for the sphere comodule, chain level.
-    from .combinat import set_partitions
     sphere = builtin_sphere_comodule(2, cap)
     runit = unit_module(qcom, RIGHT_COMODULE)
     cc = cobar_complex(runit, qcom, sphere, min(3, cap))
@@ -327,7 +329,6 @@ def criterion_11_odd_degree_stress(ctx):
     qcom = dual(ctx.com)
     sphere_c = builtin_sphere_comodule(1, cap)
     runit_c = unit_module(qcom, RIGHT_COMODULE)
-    from .opalg import builtin_sphere_module
     sphere_m = builtin_sphere_module(1, cap)
     runit_m = unit_module(ctx.com, RIGHT_MODULE)
     built = 0

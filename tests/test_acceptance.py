@@ -7,7 +7,7 @@ the expensive builds (operads, complexes, the derivatives report).
 import pytest
 
 from opbar.errors import BoundsError
-from opbar.verify import CRITERIA, VerifyContext, run_criterion
+from opbar.verify import CRITERIA, VerifyContext, run_all, run_criterion
 
 MAX_ARITY = 5
 
@@ -28,3 +28,9 @@ def test_criterion(ctx, number):
 def test_context_rejects_arity_outside_bounds(max_arity):
     with pytest.raises(BoundsError):
         VerifyContext(max_arity)
+
+
+@pytest.mark.parametrize("max_arity", [2, 3])
+def test_every_criterion_passes_at_small_arity(max_arity):
+    failed = [r.line() for r in run_all(max_arity) if not r.passed]
+    assert not failed

@@ -22,6 +22,7 @@ from opbar.barcobar import (
     simplicial_bar_complex,
     symmetric_action,
 )
+from opbar.errors import ValidationError
 from opbar.exactla import (
     INT,
     RAT,
@@ -364,6 +365,10 @@ class TestDerivatives:
         normalized = [v / lead for v in relation.values()]
         assert len(relation) == 3
         assert all(abs(v) == 1 for v in normalized)
+
+    def test_jacobi_names_a_missing_arity(self):
+        with pytest.raises(ValidationError, match="arity 3"):
+            jacobi_relation(derivatives_homology(2))
 
 
 class TestModuleMX:

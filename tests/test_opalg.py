@@ -7,9 +7,11 @@ from opbar.exactla import INT, ExactMatrix, GradedFreeModule
 from opbar.opalg import (
     LEFT_COMODULE,
     LEFT_MODULE,
+    RIGHT_COMODULE,
     RIGHT_MODULE,
     Cooperad,
     Operad,
+    SidedModule,
     SymSeq,
     builtin,
     builtin_sphere_comodule,
@@ -110,6 +112,67 @@ class TestValidationCatchesCorruption:
         comp[(2, 1, 2)] = ExactMatrix(1, 1, {(0, 0): -1})
         with pytest.raises(ValidationError, match="axiom"):
             Operad(com4.symseq, comp, name="broken")
+
+    @pytest.mark.parametrize("name", ["com", "ass"])
+    @pytest.mark.parametrize("kind", ["operad", "cooperad", "right_module",
+                                      "right_comodule"])
+    def test_every_negated_partial_is_rejected(self, kind, name):
+        # Negating one (co)composition matrix keeps every shape and every
+        # Coxeter relation, so only the partial-composition axioms see it.
+        op = builtin(name, 4)
+        q = dual(op)
+        maps = op.comp_maps if kind in ("operad", "right_module") \
+            else q.cocomp_maps
+        assert len(maps) == 20 and all(m.nnz() for m in maps.values())
+
+        def build(data):
+            if kind == "operad":
+                return Operad(op.symseq, data, name="broken")
+            if kind == "cooperad":
+                return Cooperad(q.symseq, data, name="broken")
+            if kind == "right_module":
+                return SidedModule(RIGHT_MODULE, op.symseq, op, data)
+            return SidedModule(RIGHT_COMODULE, q.symseq, q, data)
+
+        build(dict(maps))
+        for key, mat in maps.items():
+            data = dict(maps)
+            data[key] = mat.scale(-1)
+            with pytest.raises(ValidationError):
+                build(data)
+
+    def test_sign_action_breaks_equivariance(self, com4):
+        # The sign representation at arity 3 is a valid Sigma_3 action,
+        # but the compositions of com are not equivariant for it.
+        actions = dict(com4.symseq.actions)
+        actions[3] = tuple(m.scale(-1) for m in actions[3])
+        signed = SymSeq(INT, com4.symseq.components, actions)
+        with pytest.raises(ValidationError, match="equivariance"):
+            Operad(signed, com4.comp_maps, name="signed")
+        with pytest.raises(ValidationError, match="equivariance"):
+            SidedModule(RIGHT_MODULE, signed, com4, com4.comp_maps)
+
+    def test_left_unit_is_an_operad_axiom_only(self, com4):
+        # M(1) acting by -1 keeps every right-module axiom of com over
+        # itself; only the operad's left unit sees it.
+        comp = dict(com4.comp_maps)
+        for n in (2, 3, 4):
+            comp[(1, 1, n)] = comp[(1, 1, n)].scale(-1)
+        SidedModule(RIGHT_MODULE, com4.symseq, com4, comp)
+        with pytest.raises(ValidationError,
+                           match=r"left unit axiom .*\(1,1,2\)"):
+            Operad(com4.symseq, comp, name="broken")
+
+    def test_comodule_over_an_operad_rejected(self, com4):
+        with pytest.raises(ValidationError, match="over a cooperad"):
+            SidedModule(RIGHT_COMODULE, com4.symseq, com4, com4.comp_maps)
+
+    @pytest.mark.parametrize("name", ["com", "ass"])
+    def test_structures_are_right_modules_over_themselves(self, name):
+        op = builtin(name, 4)
+        q = dual(op)
+        SidedModule(RIGHT_MODULE, op.symseq, op, op.comp_maps)
+        SidedModule(RIGHT_COMODULE, q.symseq, q, q.cocomp_maps)
 
     def test_broken_action_rejected(self):
         comps = {1: GradedFreeModule({0: ("e",)}),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opbar.errors import BoundsError, ValidationError
+from opbar.errors import BoundsError, ParseError, ValidationError
 from opbar.trees import (
     BUD,
     GENERALIZED,
@@ -91,6 +91,12 @@ class TestCanonicalForm:
     def test_serialization_round_trip(self):
         for tree in enumerate_trees(4, GENERALIZED, max_labels=4):
             assert parse_tree(tree.serialize()) == tree
+
+    @pytest.mark.parametrize("text", ["([1],[1])", "(([1],[2]),[2])",
+                                      "([1,1])"])
+    def test_repeated_label_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="position"):
+            parse_tree(text)
 
     def test_vertex_needs_two_children(self):
         with pytest.raises(ValidationError):
