@@ -37,6 +37,7 @@ from .exactla import (
     perm_sign,
     solve_in_span,  # noqa: F401  (perfbench's tracer test reads this name)
     tensor_list,
+    tensor_vector,
 )
 from .opalg import (
     LEFT_COMODULE,
@@ -831,17 +832,6 @@ def _vertex_index(tree, path):
     return tree.vertex_paths().index(path)
 
 
-class _TensorIndex:
-    def __init__(self, tensor_cplx):
-        self.map = {}
-        for d in tensor_cplx.degrees():
-            for i, lab in enumerate(tensor_cplx.labels(d)):
-                self.map[lab] = (d, i)
-
-    def __call__(self, lab):
-        return self.map[lab]
-
-
 def bar_cocomposition(p, arity, a, a_side, b_side, cache=None):
     """Chain map B(P)(A u_a B) -> B(P)(A) (x) B(P)(B) by ungrafting.
 
@@ -873,21 +863,19 @@ def _ungrafting_map(bc, tensor, terms):
 
     terms: (basis label of bc, labels of the tensor factors, coefficient).
     """
-    tindex = _TensorIndex(tensor)
     entries = {}
     for v_label, labels, coeff in terms:
         dv, iv = bc.index(v_label)
-        dt, it = tindex(labels)
-        if dt != dv:
-            raise InternalConsistencyError("structure map changes degree")
+        try:
+            it = tensor.module.position(dv, labels)
+        except KeyError:
+            raise InternalConsistencyError(
+                "structure map changes degree") from None
         entries.setdefault(dv, {})[(it, iv) if bc.kind == BAR else (iv, it)] \
             = coeff
-    src, tgt = ((bc.complex, tensor) if bc.kind == BAR
-                else (tensor, bc.complex))
-    return ChainMap(src, tgt, {
-        d: ExactMatrix(tgt.rank(d), src.rank(d), entries.get(d, {}),
-                       ring=bc.ring)
-        for d in src.degrees()})
+    if bc.kind == BAR:
+        return ChainMap.from_entries(bc.complex, tensor, entries)
+    return ChainMap.from_entries(tensor, bc.complex, entries)
 
 
 def _check_split(arity, a, a_side, b_side):
@@ -1169,9 +1157,8 @@ def _induced_on_homology_pairs(report, total, m, k, chain_map, direction):
     """
     tensor_cplx = (chain_map.target if direction == "split"
                    else chain_map.source)
-    tindex = _TensorIndex(tensor_cplx)
-    factors = [report.complexes[m], report.complexes[k]]
-    pairs = [_tensor_rep(tindex, factors, (rep_m, rep_k))
+    factors = [report.complexes[m].complex, report.complexes[k].complex]
+    pairs = [tensor_vector(tensor_cplx, factors, (rep_m, rep_k))
              for rep_m in report.reps[m] for rep_k in report.reps[k]]
     if direction == "split":
         return homology_coordinates(
@@ -1314,40 +1301,16 @@ def module_MX_homology(x_module, coproduct, max_arity=4, ring=INT,
         for blocks in set_partitions(range(1, n + 1)):
             r = len(blocks)
             cm = module_structure_maps(complexes[n], blocks, cache=cache)
-            tindex = _TensorIndex(cm.source)
-            factors = [deriv_report.complexes[r]] + [
-                complexes[len(b)] for b in blocks]
+            factors = [deriv_report.complexes[r].complex] + [
+                complexes[len(b)].complex for b in blocks]
             images = []
             for rep_list in itertools.product(
                     deriv_report.reps[r], *(report.reps[len(b)]
                                             for b in blocks)):
-                d, vec = _tensor_rep(tindex, factors, rep_list)
+                d, vec = tensor_vector(cm.source, factors, rep_list)
                 images.append((d, cm.component(d).apply(vec)))
             maps[blocks] = homology_coordinates(
                 complexes[n].complex, report.reps[n], images)
     report.homology_module = SidedModule(
         LEFT_MODULE, h_symseq, k_op, maps, name="H(mx)")
     return report
-
-
-def _tensor_rep(tindex, factors, rep_list):
-    """(degree, coordinates) of rep_1 (x) ... (x) rep_r in a tensor complex.
-
-    All representatives live in single degrees, so no Koszul signs arise
-    in forming the product of their coordinate expansions: the tensor
-    basis is indexed by ordered tuples and the coefficients multiply.
-    """
-    out = {}
-    items = [[] for _ in rep_list]
-    for pos, (d, z) in enumerate(rep_list):
-        labels = factors[pos].complex.labels(d)
-        for i, c in z.items():
-            items[pos].append((labels[i], c))
-    for combo in itertools.product(*items):
-        labs = tuple(lab for lab, _c in combo)
-        coeff = 1
-        for _lab, c in combo:
-            coeff *= c
-        _d, idx = tindex(labs)
-        out[idx] = out.get(idx, 0) + coeff
-    return sum(d for d, _z in rep_list), out

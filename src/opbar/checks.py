@@ -1,11 +1,30 @@
 """Chain-level verification of the induced structure-map identities.
 
 Each check raises ValidationError on failure and returns the number of
-instances verified.  Splittings are parametrized by ordered disjoint
-triples (X, Y, Z) covering {1..n}: the nested identity splits Z off
-first and then Y together with the slot left behind by Z; the disjoint
-identity splits Y and Z from separate slots of the X side and compares
-across the Koszul swap of the last two tensor factors.
+instances verified.  Every instance is one equation between two composed
+chain maps, compared degree by degree; a failure names the arity, the
+split, the degree and the first column that differs.  Splittings are
+ordered disjoint triples (X, Y, Z) covering {1..n}, with x = |X| and so
+on, and B(k) is B(P) at arity k.  phi_S : B(n) -> B(n-|S|+1) (x) B(|S|)
+ungrafts the leaves S, the slot left behind labelled min(S); psi_S is
+the cobar composition running the other way; R is a signed reindexing of
+tensor factors (exactla.reindexing_map).
+
+- coassociativity, into (B(x+1) (x) B(y+1)) (x) B(z), R re-bracketing:
+  (phi_{Y+min Z} (x) id) o phi_Z = R o (id (x) phi_Z) o phi_{Y u Z};
+- disjoint cocompositions (X non-empty, min Y < min Z), into
+  (B(x+2) (x) B(y)) (x) B(z), R the Koszul swap of the last two factors:
+  (phi_Y (x) id) o phi_Z = R o (phi_Z (x) id) o phi_Y;
+- cobar associativity, the dual, from (Omega(x+1) (x) Omega(y+1)) (x)
+  Omega(z): psi_Z o (psi_{Y+min Z} (x) id) = psi_{Y u Z} o (id (x) psi_Z) o R;
+- unary action, with i : M(n) -> Omega(Q)(1) (x) M(n) inserting the unit:
+  act_{(1..n)} o i = id (on the bar side the coaction equals i);
+- module pentagon, for lambda with blocks B_1..B_r grouped into mu:
+  act_lambda o (gamma (x) id) = act_mu o (id (x) act_1 ... act_s) o R,
+  from (Omega(s) (x) Omega(r_1) ... Omega(r_s)) (x) M(B_1) ... M(B_r),
+  where R shuffles each Omega(r_i) in front of its group of blocks.
+
+Each distinct split map is built once per check call.
 """
 
 from __future__ import annotations
@@ -14,7 +33,6 @@ import itertools
 
 from .barcobar import (
     BAR,
-    _TensorIndex,
     _one_sided,
     bar_cocomposition,
     cobar_composition,
@@ -23,7 +41,7 @@ from .barcobar import (
     reduced_cobar,
 )
 from .errors import ValidationError
-from .exactla import tensor_list
+from .exactla import ChainMap, reindexing_map, tensor_chain_maps
 from .opalg import canonical_partition
 
 
@@ -40,215 +58,117 @@ def _triples(n, allow_empty_x=True):
                     yield x_side, y_side, z_side
 
 
-def _label_total_degree(kind, label):
-    s = label.tree_degree if kind == BAR else -label.tree_degree
-    return s + label.internal_degree
-
-
-def _split(structure, kind, arity, b_side, cache):
-    b_side = tuple(sorted(b_side))
-    a_rest = tuple(x for x in range(1, arity + 1) if x not in b_side)
-    a = min(b_side)
-    if kind == BAR:
-        return bar_cocomposition(structure, arity, a, a_rest + (a,),
-                                 b_side, cache)
-    return cobar_composition(structure, arity, a, a_rest + (a,),
-                             b_side, cache)
-
-
 def _positions(universe, subset):
     ordered = sorted(universe)
     return tuple(sorted(ordered.index(x) + 1 for x in subset))
 
 
-def check_coassociativity(p, arity, cache=None):
-    """Nested double cocompositions agree on B(P)(arity), all splittings."""
-    cache = {} if cache is None else cache
-    src = reduced_bar(p, arity, cache)
+class _Maps:
+    """Split maps, identities and reindexings of one structure, each built
+    once per check call and dropped with it."""
+
+    def __init__(self, structure, kind, cache):
+        self.structure, self.kind = structure, kind
+        self.cache = {} if cache is None else cache
+        self.built = {}
+
+    def once(self, key, build):
+        if key not in self.built:
+            self.built[key] = build()
+        return self.built[key]
+
+    def complex(self, n):
+        build = reduced_bar if self.kind == BAR else reduced_cobar
+        return build(self.structure, n, self.cache).complex
+
+    def split(self, universe, b_side):
+        """The split of b_side off universe, relabelled to 1..len(universe)."""
+        n, b = len(universe), _positions(universe, b_side)
+        a_rest = tuple(x for x in range(1, n + 1) if x not in b)
+        build = bar_cocomposition if self.kind == BAR else cobar_composition
+        return self.once(("split", n, b), lambda: build(
+            self.structure, n, b[0], a_rest + (b[0],), b, self.cache))
+
+    def tensor(self, *maps):
+        """Tensor product of split maps and identities (arities)."""
+        return tensor_chain_maps([
+            ChainMap.identity(self.complex(f)) if isinstance(f, int) else f
+            for f in maps])
+
+    def reindex(self, arities, source_shape, target_shape):
+        return self.once(
+            ("reindex", arities, source_shape, target_shape),
+            lambda: reindexing_map([self.complex(n) for n in arities],
+                                   source_shape, target_shape))
+
+
+def _chain(kind, *maps):
+    """Compose maps listed from B(P)(n) outwards: in this order on the bar
+    side, the reverse order on the cobar side."""
+    out = None
+    for f in (maps if kind == BAR else maps[::-1]):
+        out = f if out is None else f.compose(out)
+    return out
+
+
+def _agree(lhs, rhs, failure):
+    for d in sorted(set(lhs.mats) | set(rhs.mats)):
+        diff = lhs.component(d) - rhs.component(d)
+        if not diff.is_zero():
+            column = min(j for (_i, j), _v in diff.entries())
+            raise ValidationError(f"{failure}, degree {d}, column {column}")
+
+
+def _check_nested(structure, kind, arity, cache, name):
+    maps = _Maps(structure, kind, cache)
+    whole = range(1, arity + 1)
+    shapes = ((0, (1, 2)), ((0, 1), 2))
     count = 0
     for x_side, y_side, z_side in _triples(arity):
         count += 1
-        n = arity
-        # Side 1: split Z off, then split Y plus the Z slot.
-        phi1 = _split(p, BAR, n, z_side, cache)
-        a_labels = sorted(set(range(1, n + 1)) - set(z_side) | {min(z_side)})
-        y_block1 = _positions(a_labels, set(y_side) | {min(z_side)})
-        m1 = len(a_labels)
-        phi2 = _split(p, BAR, m1, y_block1, cache)
-        # Side 2: split Y u Z off as one block, then split Z inside it.
-        yz = tuple(sorted(set(y_side) | set(z_side)))
-        phi3 = _split(p, BAR, n, yz, cache)
-        z_block2 = _positions(yz, z_side)
-        phi4 = _split(p, BAR, len(yz), z_block2, cache)
-
-        bar_x = reduced_bar(p, len(x_side) + 1, cache)
-        bar_y = reduced_bar(p, len(y_side) + 1, cache)
-        bar_z = reduced_bar(p, len(z_side), cache)
-        triple = tensor_list([bar_x.complex, bar_y.complex, bar_z.complex])
-        tidx = _TensorIndex(triple)
-
-        def side1(d, j):
-            out = {}
-            for i1, c1 in phi1.component(d).column(j).items():
-                lab_left, lab_z = phi1.target.labels(d)[i1]
-                d_left = d - _label_total_degree(BAR, lab_z)
-                jj = phi2.source.labels(d_left).index(lab_left)
-                for i2, c2 in phi2.component(d_left).column(jj).items():
-                    lab_x, lab_y = phi2.target.labels(d_left)[i2]
-                    _dd, flat = tidx((lab_x, lab_y, lab_z))
-                    out[flat] = out.get(flat, 0) + c1 * c2
-            return {k: v for k, v in out.items() if v}
-
-        def side2(d, j):
-            out = {}
-            for i1, c1 in phi3.component(d).column(j).items():
-                lab_x, lab_yz = phi3.target.labels(d)[i1]
-                d_yz = d - _label_total_degree(BAR, lab_x)
-                jj = phi4.source.labels(d_yz).index(lab_yz)
-                for i2, c2 in phi4.component(d_yz).column(jj).items():
-                    lab_y, lab_z = phi4.target.labels(d_yz)[i2]
-                    _dd, flat = tidx((lab_x, lab_y, lab_z))
-                    out[flat] = out.get(flat, 0) + c1 * c2
-            return {k: v for k, v in out.items() if v}
-
-        for d in src.complex.degrees():
-            for j in range(src.complex.rank(d)):
-                if side1(d, j) != side2(d, j):
-                    raise ValidationError(
-                        f"coassociativity fails at arity {arity}, "
-                        f"split X={x_side} Y={y_side} Z={z_side}, "
-                        f"degree {d}, column {j}")
+        a_side = sorted(set(whole) - set(z_side) | {min(z_side)})
+        yz = y_side + z_side
+        lhs = _chain(kind, maps.split(whole, z_side), maps.tensor(
+            maps.split(a_side, y_side + (min(z_side),)), len(z_side)))
+        rhs = _chain(kind, maps.split(whole, yz), maps.tensor(
+            len(x_side) + 1, maps.split(sorted(yz), z_side)), maps.reindex(
+            (len(x_side) + 1, len(y_side) + 1, len(z_side)),
+            *(shapes if kind == BAR else shapes[::-1])))
+        _agree(lhs, rhs, f"{name} fails at arity {arity}, split "
+                         f"X={x_side} Y={y_side} Z={z_side}")
     return count
+
+
+def check_coassociativity(p, arity, cache=None):
+    """Nested double cocompositions agree on B(P)(arity), all splittings."""
+    return _check_nested(p, BAR, arity, cache, "coassociativity")
+
+
+def check_cobar_associativity(q, arity, cache=None):
+    """Nested double compositions agree on the cobar side, all splittings."""
+    return _check_nested(q, "cobar", arity, cache, "cobar associativity")
 
 
 def check_disjoint_cocompositions(p, arity, cache=None):
     """Disjoint double cocompositions agree up to the Koszul swap."""
-    cache = {} if cache is None else cache
-    src = reduced_bar(p, arity, cache)
+    maps = _Maps(p, BAR, cache)
+    whole = range(1, arity + 1)
     count = 0
     for x_side, y_side, z_side in _triples(arity, allow_empty_x=False):
         if min(y_side) > min(z_side):
             continue
         count += 1
-        n = arity
-        # Side 1: split Z, then Y (disjoint from the Z slot).
-        phi1 = _split(p, BAR, n, z_side, cache)
-        a_labels = sorted(set(range(1, n + 1)) - set(z_side) | {min(z_side)})
-        y_block1 = _positions(a_labels, y_side)
-        phi2 = _split(p, BAR, len(a_labels), y_block1, cache)
-        # Side 2: split Y, then Z.
-        phi3 = _split(p, BAR, n, y_side, cache)
-        b_labels = sorted(set(range(1, n + 1)) - set(y_side) | {min(y_side)})
-        z_block2 = _positions(b_labels, z_side)
-        phi4 = _split(p, BAR, len(b_labels), z_block2, cache)
-
-        bar_x = reduced_bar(p, len(x_side) + 2, cache)
-        bar_y = reduced_bar(p, len(y_side), cache)
-        bar_z = reduced_bar(p, len(z_side), cache)
-        triple = tensor_list([bar_x.complex, bar_y.complex, bar_z.complex])
-        tidx = _TensorIndex(triple)
-
-        def via(phi_a, phi_b, flip):
-            def evaluate(d, j):
-                out = {}
-                for i1, c1 in phi_a.component(d).column(j).items():
-                    lab_left, lab_last = phi_a.target.labels(d)[i1]
-                    d_left = d - _label_total_degree(BAR, lab_last)
-                    jj = phi_b.source.labels(d_left).index(lab_left)
-                    for i2, c2 in phi_b.component(d_left).column(jj).items():
-                        lab_x, lab_mid = phi_b.target.labels(d_left)[i2]
-                        if flip:
-                            # (x, z-part, y-part): swap the last factors.
-                            dy = _label_total_degree(BAR, lab_last)
-                            dz = _label_total_degree(BAR, lab_mid)
-                            sign = -1 if (dy % 2 and dz % 2) else 1
-                            labs = (lab_x, lab_last, lab_mid)
-                        else:
-                            sign = 1
-                            labs = (lab_x, lab_mid, lab_last)
-                        _dd, flat = tidx(labs)
-                        out[flat] = out.get(flat, 0) + sign * c1 * c2
-                return {k: v for k, v in out.items() if v}
-            return evaluate
-
-        side1 = via(phi1, phi2, flip=False)
-        side2 = via(phi3, phi4, flip=True)
-        for d in src.complex.degrees():
-            for j in range(src.complex.rank(d)):
-                if side1(d, j) != side2(d, j):
-                    raise ValidationError(
-                        f"disjoint cocompositions disagree at arity {arity}, "
-                        f"X={x_side} Y={y_side} Z={z_side}, degree {d}, "
-                        f"column {j}")
-    return count
-
-
-def check_cobar_associativity(q, arity, cache=None):
-    """Nested double compositions agree on the cobar side, all splittings."""
-    cache = {} if cache is None else cache
-    tgt = reduced_cobar(q, arity, cache)
-    count = 0
-    for x_side, y_side, z_side in _triples(arity):
-        count += 1
-        n = arity
-        psi1 = _split(q, "cobar", n, z_side, cache)
-        a_labels = sorted(set(range(1, n + 1)) - set(z_side) | {min(z_side)})
-        y_block1 = _positions(a_labels, set(y_side) | {min(z_side)})
-        m1 = len(a_labels)
-        psi2 = _split(q, "cobar", m1, y_block1, cache)
-        yz = tuple(sorted(set(y_side) | set(z_side)))
-        psi3 = _split(q, "cobar", n, yz, cache)
-        z_block2 = _positions(yz, z_side)
-        psi4 = _split(q, "cobar", len(yz), z_block2, cache)
-
-        om_x = reduced_cobar(q, len(x_side) + 1, cache)
-        om_y = reduced_cobar(q, len(y_side) + 1, cache)
-        om_z = reduced_cobar(q, len(z_side), cache)
-
-        def eval_side(first, second, nested_left, labs):
-            lab_x, lab_y, lab_z = labs
-            if nested_left:
-                # x o (y o z slot composite): compose (x,y) then with z.
-                d_xy = (_label_total_degree("cobar", lab_x)
-                        + _label_total_degree("cobar", lab_y))
-                jxy = second.source.labels(d_xy).index(
-                    (lab_x, lab_y))
-                out = {}
-                for imid, cmid in second.component(d_xy).column(jxy).items():
-                    lab_mid = second.target.labels(d_xy)[imid]
-                    d_tot = d_xy + _label_total_degree("cobar", lab_z)
-                    jtot = first.source.labels(d_tot).index(
-                        (lab_mid, lab_z))
-                    for iout, cout in first.component(d_tot).column(
-                            jtot).items():
-                        out[iout] = out.get(iout, 0) + cmid * cout
-                return {k: v for k, v in out.items() if v}
-            d_yz = (_label_total_degree("cobar", lab_y)
-                    + _label_total_degree("cobar", lab_z))
-            jyz = second.source.labels(d_yz).index((lab_y, lab_z))
-            out = {}
-            for imid, cmid in second.component(d_yz).column(jyz).items():
-                lab_mid = second.target.labels(d_yz)[imid]
-                d_tot = d_yz + _label_total_degree("cobar", lab_x)
-                jtot = first.source.labels(d_tot).index((lab_x, lab_mid))
-                for iout, cout in first.component(d_tot).column(jtot).items():
-                    out[iout] = out.get(iout, 0) + cmid * cout
-            return {k: v for k, v in out.items() if v}
-
-        for dx in om_x.complex.degrees():
-            for lab_x in om_x.complex.labels(dx):
-                for dy in om_y.complex.degrees():
-                    for lab_y in om_y.complex.labels(dy):
-                        for dz in om_z.complex.degrees():
-                            for lab_z in om_z.complex.labels(dz):
-                                labs = (lab_x, lab_y, lab_z)
-                                lhs = eval_side(psi1, psi2, True, labs)
-                                rhs = eval_side(psi3, psi4, False, labs)
-                                if lhs != rhs:
-                                    raise ValidationError(
-                                        f"cobar associativity fails at arity "
-                                        f"{arity}, X={x_side} Y={y_side} "
-                                        f"Z={z_side}, {labs}")
+        a_side = sorted(set(whole) - set(z_side) | {min(z_side)})
+        b_side = sorted(set(whole) - set(y_side) | {min(y_side)})
+        lhs = maps.tensor(maps.split(a_side, y_side), len(z_side)).compose(
+            maps.split(whole, z_side))
+        rhs = maps.tensor(maps.split(b_side, z_side), len(y_side)).compose(
+            maps.split(whole, y_side))
+        swap = maps.reindex((len(x_side) + 2, len(y_side), len(z_side)),
+                            ((0, 2), 1), ((0, 1), 2))
+        _agree(lhs, swap.compose(rhs),
+               f"disjoint cocompositions disagree at arity {arity}, "
+               f"split X={x_side} Y={y_side} Z={z_side}")
     return count
 
 
@@ -257,42 +177,28 @@ def check_unary_action_is_identity(one_sided, cache=None):
     cache = {} if cache is None else cache
     trivial = canonical_partition([tuple(range(1, one_sided.arity + 1))])
     cm = module_structure_maps(one_sided, trivial, cache)
-    if one_sided.kind == BAR:
-        src, tgt, pair_side = cm.source, cm.target, "target"
+    bar = one_sided.kind == BAR
+    units = (reduced_bar if bar else reduced_cobar)(
+        one_sided.op, 1, cache).complex
+    if units.degrees() != [0] or units.rank(0) != 1:
+        raise ValidationError("unary pair missing")
+    (unit,) = units.labels(0)
+    m, pairs = one_sided.complex, (cm.target if bar else cm.source)
+    insert = ChainMap.from_entries(m, pairs, {
+        d: {(pairs.module.position(d, (unit, lab)), j): 1
+            for j, lab in enumerate(m.labels(d))} for d in m.degrees()})
+    failure = f"unary {'co' if bar else ''}action is not the identity"
+    if bar:
+        _agree(cm, insert, failure)
     else:
-        src, tgt, pair_side = cm.target, cm.source, "source"
-    tensor_cplx = cm.target if one_sided.kind == BAR else cm.source
-    for d in one_sided.complex.degrees():
-        for j, lab in enumerate(one_sided.complex.labels(d)):
-            pair_idx = None
-            for i, pair in enumerate(tensor_cplx.labels(d)):
-                if pair[1] == lab:
-                    pair_idx = i
-                    break
-            if pair_idx is None:
-                raise ValidationError("unary pair missing")
-            if one_sided.kind == BAR:
-                col = cm.component(d).column(j)
-                if col != {pair_idx: 1}:
-                    raise ValidationError(
-                        f"unary coaction is not the identity in degree {d}")
-            else:
-                col = cm.component(d).column(pair_idx)
-                if col != {j: 1}:
-                    raise ValidationError(
-                        f"unary action is not the identity in degree {d}")
+        _agree(cm.compose(insert), ChainMap.identity(m), failure)
     return True
 
 
 def check_module_pentagon_chain(one_sided, lam, grouping, cache=None):
-    """Two-step versus one-step module action on a cobar complex.
-
-    lam partitions {1..n}; grouping partitions the block indices
-    {0..r-1}.  Path A composes the operadic factors first (through the
-    ungrafting composition on the reduced cobar), path B acts group by
-    group and then through the coarsening; Koszul signs use total
-    degrees.  Raises on any mismatch.
-    """
+    """Acting after composing equals acting group by group, on a cobar
+    complex: lam partitions {1..n} and grouping partitions its block
+    indices {0..r-1} into the groups of the coarsening mu."""
     cache = {} if cache is None else cache
     if one_sided.kind != "cobar":
         raise ValidationError("chain pentagon is implemented on the cobar side")
@@ -302,90 +208,28 @@ def check_module_pentagon_chain(one_sided, lam, grouping, cache=None):
                     key=lambda g: lam[g[0]][0])
     if sorted(x for g in groups for x in g) != list(range(r)):
         raise ValidationError("grouping must partition the blocks")
-    mu = canonical_partition(
-        [tuple(x for bi in g for x in lam[bi]) for g in groups])
+    unions = [sorted(x for bi in g for x in lam[bi]) for g in groups]
     s = len(groups)
-    q = one_sided.op
-    act_lam = module_structure_maps(one_sided, lam, cache)
-    act_mu = module_structure_maps(one_sided, mu, cache)
-    omega_r = reduced_cobar(q, r, cache)
-    gamma = module_structure_maps(
-        omega_r, [tuple(x + 1 for x in g) for g in groups], cache)
-    sub_acts = []
-    sub_parts = []
-    for g in groups:
-        union = sorted(x for bi in g for x in lam[bi])
-        rel = {x: i + 1 for i, x in enumerate(union)}
-        sub_blocks = canonical_partition(
-            [tuple(rel[x] for x in lam[bi]) for bi in g])
-        part = _one_sided(one_sided, len(union), cache)
-        sub_acts.append(module_structure_maps(part, sub_blocks, cache))
-        sub_parts.append(part)
+    maps = _Maps(one_sided.op, "cobar", cache)
 
-    omega_s = reduced_cobar(q, s, cache)
-    omega_ri = [reduced_cobar(q, len(g), cache) for g in groups]
-    parts_lam = [_one_sided(one_sided, len(b), cache) for b in lam]
+    def act(bc, blocks):
+        return maps.once(("act", id(bc), canonical_partition(blocks)),
+                         lambda: module_structure_maps(bc, blocks, cache))
 
-    def td(lab):
-        return -lab.tree_degree + lab.internal_degree
-
-    # Domain tuples: (p; q_1..q_s; m_1..m_r), lambda-blocks in min order.
-    dom = [omega_s] + omega_ri + parts_lam
-    for combo in itertools.product(*(
-            [(d, lab) for d in c.complex.degrees()
-             for lab in c.complex.labels(d)] for c in dom)):
-        labs = [lab for _d, lab in combo]
-        degs = [d for d, _lab in combo]
-        p_lab, q_labs, m_labs = labs[0], labs[1:1 + s], labs[1 + s:]
-        # Path A: compose operadic factors, then act through lam.
-        d_gamma = degs[0] + sum(degs[1:1 + s])
-        jg = gamma.source.labels(d_gamma).index(tuple([p_lab] + q_labs))
-        out_a = {}
-        for ig, cg in gamma.component(d_gamma).column(jg).items():
-            lab_r = gamma.target.labels(d_gamma)[ig]
-            d_tot = d_gamma + sum(degs[1 + s:])
-            jl = act_lam.source.labels(d_tot).index(
-                tuple([lab_r] + m_labs))
-            for iout, cout in act_lam.component(d_tot).column(jl).items():
-                out_a[iout] = out_a.get(iout, 0) + cg * cout
-        out_a = {k: v for k, v in out_a.items() if v}
-        # Path B: interleave, act per group, then act through mu.
-        seq = []
-        for i, g in enumerate(groups):
-            seq.append(("q", i))
-            seq.extend(("m", bi) for bi in g)
-        src = [("q", i) for i in range(s)] + [("m", bi) for bi in range(r)]
-        perm = tuple(seq.index(x) for x in src)
-        fdegs = tuple(degs[1:])
-        sign = 1
-        for ii in range(len(fdegs)):
-            for jj in range(ii + 1, len(fdegs)):
-                if perm[ii] > perm[jj] and fdegs[ii] % 2 and fdegs[jj] % 2:
-                    sign = -sign
-        group_vectors = []
-        for i, g in enumerate(groups):
-            da = degs[1 + i] + sum(degs[1 + s + bi] for bi in g)
-            tup = tuple([q_labs[i]] + [m_labs[bi] for bi in g])
-            ja = sub_acts[i].source.labels(da).index(tup)
-            group_vectors.append(
-                (da, sub_acts[i].component(da).column(ja)))
-        out_b = {}
-        for picks in itertools.product(*(v.items() for _d, v in
-                                         group_vectors)):
-            coeff = sign
-            mid_labs = []
-            for i, (idx, c) in enumerate(picks):
-                coeff *= c
-                mid_labs.append(
-                    sub_parts[i].complex.labels(group_vectors[i][0])[idx])
-            d_mu = degs[0] + sum(d for d, _v in group_vectors)
-            jm = act_mu.source.labels(d_mu).index(
-                tuple([p_lab] + mid_labs))
-            for iout, cout in act_mu.component(d_mu).column(jm).items():
-                out_b[iout] = out_b.get(iout, 0) + coeff * cout
-        out_b = {k: v for k, v in out_b.items() if v}
-        if out_a != out_b:
-            raise ValidationError(
-                f"module pentagon fails for lam={lam} groups={groups} "
-                f"at {labs}")
+    gamma = act(reduced_cobar(one_sided.op, r, cache),
+                [tuple(x + 1 for x in g) for g in groups])
+    sub_acts = [act(_one_sided(one_sided, len(u), cache), [
+        tuple(u.index(x) + 1 for x in lam[bi]) for bi in g])
+        for g, u in zip(groups, unions)]
+    parts = [_one_sided(one_sided, len(b), cache).complex for b in lam]
+    lhs = act(one_sided, lam).compose(tensor_chain_maps(
+        [gamma] + [ChainMap.identity(c) for c in parts]))
+    shuffle = reindexing_map(
+        [maps.complex(n) for n in [s] + [len(g) for g in groups]] + parts,
+        (tuple(range(s + 1)),) + tuple(range(s + 1, s + 1 + r)),
+        (0,) + tuple((1 + i,) + tuple(s + 1 + bi for bi in g)
+                     for i, g in enumerate(groups)))
+    rhs = act(one_sided, unions).compose(
+        maps.tensor(s, *sub_acts)).compose(shuffle)
+    _agree(lhs, rhs, f"module pentagon fails for lam={lam} groups={groups}")
     return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import ValidationError
 
@@ -393,7 +393,7 @@ def solve_in_span(vectors, target):
 class GradedFreeModule:
     """Finitely supported map degree -> ordered list of basis labels."""
 
-    __slots__ = ("spaces", "_basis", "_index")
+    __slots__ = ("spaces", "_basis", "_index", "_offset")
 
     def __init__(self, spaces):
         clean = {}
@@ -408,6 +408,8 @@ class GradedFreeModule:
         self._basis = tuple((d, lab) for d in sorted(clean)
                             for lab in clean[d])
         self._index = {pair: i for i, pair in enumerate(self._basis)}
+        self._offset = dict(zip(sorted(clean), itertools.accumulate(
+            (len(clean[d]) for d in sorted(clean)), initial=0)))
 
     def degrees(self):
         return sorted(self.spaces)
@@ -427,6 +429,10 @@ class GradedFreeModule:
 
     def index(self, degree, label):
         return self._index[(degree, label)]
+
+    def position(self, degree, label):
+        """Index of a basis label within its degree."""
+        return self._index[(degree, label)] - self._offset[degree]
 
     def degree_of(self, i):
         return self._basis[i][0]
@@ -599,29 +605,26 @@ def tensor_list(complexes):
     factor_bases = [c.module.basis() for c in complexes]
     # Global tuples in row-major order, then bucketed by total degree.
     spaces = {}
-    index_of = {}
     for combo in itertools.product(*factor_bases):
         deg = sum(d for d, _ in combo)
-        labs = tuple(lab for _, lab in combo)
-        spaces.setdefault(deg, []).append(labs)
-        index_of[labs] = (deg, len(spaces[deg]) - 1)
+        spaces.setdefault(deg, []).append(tuple(lab for _, lab in combo))
     module = GradedFreeModule({d: tuple(v) for d, v in spaces.items()})
 
     diffs_entries = {}
     for combo in itertools.product(*factor_bases):
         deg = sum(d for d, _ in combo)
         labs = tuple(lab for _, lab in combo)
-        col = index_of[labs][1]
+        col = module.position(deg, labs)
         sign = 1
         for pos, (fd, flab) in enumerate(combo):
             c = complexes[pos]
             dmat = c.diffs.get(fd)
             if dmat is not None:
-                j = c.module.index(fd, flab) - _degree_offset(c.module, fd)
+                j = c.module.position(fd, flab)
                 for i, v in dmat.column(j).items():
                     tlab = c.module.labels(fd - 1)[i]
                     new = labs[:pos] + (tlab,) + labs[pos + 1:]
-                    trow = index_of[new][1]
+                    trow = module.position(deg - 1, new)
                     key = (deg, trow, col)
                     diffs_entries[key] = diffs_entries.get(key, 0) + sign * v
             sign *= (-1) ** fd
@@ -632,16 +635,6 @@ def tensor_list(complexes):
     dmats = {deg: ExactMatrix(module.rank(deg - 1), module.rank(deg), e, ring=ring)
              for deg, e in diffs.items()}
     return ChainComplex(module, dmats, ring=ring)
-
-
-def _degree_offset(module, degree):
-    """Global index of the first basis element in the given degree."""
-    off = 0
-    for d in module.degrees():
-        if d == degree:
-            return off
-        off += module.rank(d)
-    return off
 
 
 def tensor(c, d):
@@ -666,6 +659,20 @@ class ChainMap:
         if check:
             self.verify()
 
+    @classmethod
+    def identity(cls, complex_):
+        return cls(complex_, complex_, {
+            d: ExactMatrix.identity(complex_.rank(d), ring=complex_.ring)
+            for d in complex_.degrees()}, check=False)
+
+    @classmethod
+    def from_entries(cls, source, target, entries, check=True):
+        """Chain map with the sparse entries {degree: {(i, j): v}}."""
+        return cls(source, target, {
+            d: ExactMatrix(target.rank(d), source.rank(d), entries.get(d),
+                           ring=source.ring) for d in source.degrees()},
+            check=check)
+
     def component(self, k):
         m = self.mats.get(k)
         if m is None:
@@ -682,12 +689,82 @@ class ChainMap:
                 raise ValidationError(f"not a chain map in degree {k}")
 
     def compose(self, other):
-        """self o other."""
-        if other.target is not self.source and other.target != self.source:
+        """self o other; the middle complexes may be equal copies, such as
+        two tensor_list calls on the same factors."""
+        mid, src = other.target, self.source
+        if mid is not src and (mid.ring, mid.module, mid.diffs) != \
+                (src.ring, src.module, src.diffs):
             raise ValidationError("chain maps not composable")
         degrees = set(other.mats) | set(self.mats)
         mats = {k: self.component(k) * other.component(k) for k in degrees}
         return ChainMap(other.source, self.target, mats, check=False)
+
+
+def tensor_vector(product, factors, vectors):
+    """(degree, coordinates in product) of v_1 (x) ... (x) v_k.
+
+    product is tensor_list(factors) and vectors[i] = (degree, sparse
+    vector) lies in one degree of factors[i]; the coefficients multiply
+    and take no Koszul sign.
+    """
+    d = sum(dv for dv, _v in vectors)
+    items = [[(f.labels(dv)[i], c) for i, c in v.items()]
+             for f, (dv, v) in zip(factors, vectors)]
+    return d, {product.module.position(d, tuple(lab for lab, _c in combo)):
+               prod(c for _lab, c in combo)
+               for combo in itertools.product(*items)}
+
+
+def tensor_chain_maps(maps):
+    """f_1 (x) ... (x) f_k from the tensor_list of the sources to that of
+    the targets.  The maps have degree 0, so no Koszul sign arises."""
+    source = tensor_list([f.source for f in maps])
+    target = tensor_list([f.target for f in maps])
+    entries = {}
+    for combo in itertools.product(*(f.source.module.basis() for f in maps)):
+        d = sum(fd for fd, _lab in combo)
+        j = source.module.position(d, tuple(lab for _d, lab in combo))
+        _d, col = tensor_vector(target, [f.target for f in maps], [
+            (fd, f.component(fd).column(f.source.module.position(fd, lab)))
+            for f, (fd, lab) in zip(maps, combo)])
+        entries.setdefault(d, {}).update(((i, j), c) for i, c in col.items())
+    return ChainMap.from_entries(source, target, entries, check=False)
+
+
+def _bracket(shape, items, join=tuple):
+    """items nested as shape, a nested tuple of positions into items,
+    with join applied to the parts of each bracket."""
+    if isinstance(shape, int):
+        return items[shape]
+    return join([_bracket(part, items, join) for part in shape])
+
+
+def reindexing_map(factors, source_shape, target_shape):
+    """Chain map between two bracketings and orders of one tensor product.
+
+    A shape is a nested tuple using each position of factors once, and it
+    brackets tensor_list complexes: ((0, 1), 2) is (F0 (x) F1) (x) F2.
+    The basis element carrying factor labels a_0..a_{k-1} goes to the one
+    carrying the same labels in the target, times the Koszul sign of the
+    reordering.  Re-bracketings, swaps and shuffles are all of this form;
+    the result is verified as a chain map, since a wrong sign breaks it.
+    """
+    source, target = (_bracket(shape, factors, tensor_list)
+                      for shape in (source_shape, target_shape))
+    singletons = [(k,) for k in range(len(factors))]
+    src_order, tgt_order = (_bracket(shape, singletons, lambda p: sum(p, ()))
+                            for shape in (source_shape, target_shape))
+    perm = tuple(tgt_order.index(k) for k in src_order)
+    entries = {}
+    for combo in itertools.product(*(f.module.basis() for f in factors)):
+        labels = [lab for _d, lab in combo]
+        degrees = [combo[k][0] for k in src_order]
+        d = sum(degrees)
+        entries.setdefault(d, {})[(
+            target.module.position(d, _bracket(target_shape, labels)),
+            source.module.position(d, _bracket(source_shape, labels)))] = \
+            koszul_sign(degrees, perm)
+    return ChainMap.from_entries(source, target, entries)
 
 
 def homology_representatives(complex_, degree):

@@ -435,13 +435,20 @@ def _accessors(mod, over):
     """(m_action, p_action, m_degree, p_degree) of mod and over.
 
     Over a cooperad the sequences are read dually: sigma acts by the
-    transpose of sigma^-1 and degrees are negated.
+    transpose of sigma^-1, transposed once per (n, sigma) here, and
+    degrees are negated.
     """
     def forms(ss):
         if not isinstance(over, Cooperad):
             return ss.action, ss.degree_of
-        return (lambda n, sigma: ss.action(n, perm_inverse(sigma)).transpose(),
-                lambda n, i: -ss.degree_of(n, i))
+        dual = {}
+
+        def action(n, sigma):
+            key = (n, tuple(sigma))
+            if key not in dual:
+                dual[key] = ss.action(n, perm_inverse(sigma)).transpose()
+            return dual[key]
+        return action, lambda n, i: -ss.degree_of(n, i)
 
     m_action, m_degree = forms(mod.symseq)
     p_action, p_degree = forms(over.symseq)

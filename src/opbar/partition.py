@@ -10,7 +10,6 @@ homologies is the cross-certification.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .combinat import all_permutations, cycle_type, set_partitions

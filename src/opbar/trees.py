@@ -215,7 +215,7 @@ def parse_tree(text):
     def error(msg):
         raise ParseError(f"{msg} at position {pos}")
 
-    def parse_node():
+    def parse_node(depth):
         nonlocal pos
         if pos >= len(text):
             error("unexpected end of input")
@@ -237,17 +237,20 @@ def parse_tree(text):
             return _leaf(labels)
         if text[pos] == "(":
             pos += 1
-            children = [parse_node()]
+            children = [parse_node(depth + 1)]
             while pos < len(text) and text[pos] == ",":
                 pos += 1
-                children.append(parse_node())
+                children.append(parse_node(depth + 1))
             if pos >= len(text) or text[pos] != ")":
                 error("expected ')'")
+            # The outermost parentheses hold the root's children.
+            if depth and len(children) < 2:
+                error("internal vertices need at least two children")
             pos += 1
             return ("V", tuple(children))
         error(f"unexpected character {text[pos]!r}")
 
-    node = parse_node()
+    node = parse_node(0)
     if pos != len(text):
         error("trailing input")
     if node[0] == "L":

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from fractions import Fraction
 
+from opbar import barcobar
 from opbar.barcobar import (
     BAR,
     COBAR,
@@ -21,6 +22,13 @@ from opbar.barcobar import (
     reduced_cobar,
     simplicial_bar_complex,
     symmetric_action,
+)
+from opbar.checks import (
+    check_cobar_associativity,
+    check_coassociativity,
+    check_disjoint_cocompositions,
+    check_module_pentagon_chain,
+    check_unary_action_is_identity,
 )
 from opbar.errors import ValidationError
 from opbar.exactla import (
@@ -409,3 +417,71 @@ class TestComplexCache:
         ass_bar = reduced_bar(renamed, 4, cache)
         assert com_bar.complex.module.total_rank() == 26
         assert ass_bar.complex.module.total_rank() == 264
+
+
+def _negated_terms(monkeypatch, name, match):
+    """Negate the (un)grafting terms that barcobar.<name> returns whenever
+    match(args) holds; the negated map is still a chain map."""
+    original = getattr(barcobar, name)
+
+    def negated(*args):
+        terms = original(*args)
+        if match(*args):
+            return [(label, parts, -c) for label, parts, c in terms]
+        return terms
+    monkeypatch.setattr(barcobar, name, negated)
+
+
+def _split_at(arity, b_set):
+    return lambda cplx_n, _m, _k, b: (cplx_n.arity, tuple(sorted(b))) == \
+        (arity, b_set)
+
+
+class TestChecksRejectCorruptedMaps:
+    """One negated structure map makes the matching identity check fail."""
+
+    @pytest.mark.parametrize("name", ["com", "ass"])
+    @pytest.mark.parametrize("arity,b_set", [(4, (3, 4)), (3, (2, 3)),
+                                             (2, (2,))])
+    def test_coassociativity(self, monkeypatch, name, arity, b_set):
+        _negated_terms(monkeypatch, "_ungraft_terms", _split_at(arity, b_set))
+        with pytest.raises(ValidationError, match="arity 4"):
+            check_coassociativity(builtin(name, 4), 4)
+
+    @pytest.mark.parametrize("arity,b_set", [(4, (2,)), (3, (2,))])
+    def test_disjoint_cocompositions(self, monkeypatch, com, arity, b_set):
+        _negated_terms(monkeypatch, "_ungraft_terms", _split_at(arity, b_set))
+        with pytest.raises(ValidationError, match="arity 4"):
+            check_disjoint_cocompositions(com, 4)
+
+    @pytest.mark.parametrize("arity,b_set", [(3, (2,)), (4, (2, 3))])
+    def test_cobar_associativity(self, monkeypatch, qcom, arity, b_set):
+        _negated_terms(monkeypatch, "_ungraft_terms", _split_at(arity, b_set))
+        with pytest.raises(ValidationError, match=f"arity {arity}"):
+            check_cobar_associativity(qcom, arity)
+
+    def _sphere_cobar(self, qcom):
+        sphere = builtin_sphere_comodule(2, 3)
+        runit = unit_module(qcom, RIGHT_COMODULE)
+        return cobar_complex(runit, qcom, sphere, 3), sphere
+
+    def test_unary_action(self, monkeypatch, qcom):
+        cc, sphere = self._sphere_cobar(qcom)
+        _negated_terms(
+            monkeypatch, "_partition_split_terms",
+            lambda bc, _s, _p, blocks: bc.l_coeff is sphere and
+            tuple(blocks) == ((1, 2, 3),))
+        with pytest.raises(ValidationError, match="degree"):
+            check_unary_action_is_identity(cc, {})
+
+    def test_module_pentagon(self, monkeypatch, qcom):
+        cc, sphere = self._sphere_cobar(qcom)
+        _negated_terms(
+            monkeypatch, "_partition_split_terms",
+            lambda bc, _s, _p, blocks: bc.l_coeff is sphere and
+            tuple(blocks) == ((1, 2), (3,)))
+        check_module_pentagon_chain(cc, [(1,), (2,), (3,)], [(0,), (1,), (2,)],
+                                    {})
+        with pytest.raises(ValidationError, match="lam="):
+            check_module_pentagon_chain(cc, [(1,), (2,), (3,)],
+                                        [(0, 1), (2,)], {})

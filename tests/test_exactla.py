@@ -21,9 +21,11 @@ from opbar.exactla import (
     kernel_basis,
     koszul_sign,
     matrix_rank,
+    reindexing_map,
     smith_normal_form,
     solve_in_span,
     tensor,
+    tensor_chain_maps,
     tensor_list,
 )
 
@@ -170,6 +172,69 @@ class TestTensor:
             {1: ExactMatrix.zero(1, 1)})
         t = tensor(circle, circle)
         assert homology(t).groups == {0: (1, ()), 1: (2, ()), 2: (1, ())}
+
+    def test_label_in_two_degrees(self):
+        # The label b sits in degrees 0 and 1; d(b_1) = b_0.
+        c = ChainComplex(GradedFreeModule({0: ("a", "b"), 1: ("b",)}),
+                         {1: ExactMatrix(2, 1, {(1, 0): 1})})
+        u = ChainComplex(GradedFreeModule({0: ("u",)}), {})
+        t = tensor_list([c, u])
+        assert dict(t.differential(1).entries()) == {(1, 0): 1}
+        assert homology(t).groups == {0: (1, ())}
+
+
+def odd_pair():
+    """x in degree 1, y in degree 2, d(y) = x."""
+    return ChainComplex(GradedFreeModule({1: ["x"], 2: ["y"]}),
+                        {2: ExactMatrix(1, 1, {(0, 0): 1})})
+
+
+class TestTensorOfChainMaps:
+    def test_tensor_is_a_chain_map_and_functorial(self):
+        c = odd_pair()
+        f = ChainMap(c, c, {1: mat([[2]]), 2: mat([[2]])})
+        g = ChainMap(c, c, {1: mat([[-1]]), 2: mat([[-1]])})
+        fg = tensor_chain_maps([f, g])
+        fg.verify()
+        assert fg.source.module == tensor_list([c, c]).module
+        assert fg.component(3) == mat([[-2, 0], [0, -2]])
+        twice = tensor_chain_maps([f, g]).compose(fg)
+        assert twice.mats == tensor_chain_maps(
+            [f.compose(f), g.compose(g)]).mats
+
+    def test_compose_accepts_equal_copies_only(self):
+        c = odd_pair()
+        ident = tensor_chain_maps([ChainMap.identity(c)] * 2)
+        copy = ChainMap.identity(tensor_list([c, c]))
+        assert copy.compose(ident).mats == ident.mats
+        with pytest.raises(ValidationError, match="composable"):
+            ChainMap.identity(tensor_list([c, c, c])).compose(ident)
+
+
+class TestReindexingMap:
+    def test_swap_carries_the_koszul_sign(self):
+        c = odd_pair()
+        swap = reindexing_map([c, c], (0, 1), (1, 0))
+        # x (x) x has two odd factors; x (x) y and y (x) x do not.
+        assert swap.component(2) == mat([[-1]])
+        assert swap.component(3) == mat([[0, 1], [1, 0]])
+        assert swap.compose(swap).mats == ChainMap.identity(swap.source).mats
+
+    def test_rebracketing_has_no_sign(self):
+        c = odd_pair()
+        r = reindexing_map([c, c, c], ((0, 1), 2), (0, (1, 2)))
+        assert r.source.module.labels(3) == ((("x", "x"), "x"),)
+        assert r.target.module.labels(3) == (("x", ("x", "x")),)
+        for d in r.source.degrees():
+            assert r.component(d) == ExactMatrix.identity(r.source.rank(d))
+
+    def test_shuffle_sign_counts_crossings(self):
+        odd = ChainComplex(GradedFreeModule({1: ["o"]}), {})
+        even = ChainComplex(GradedFreeModule({0: ["e"]}), {})
+        # (o1, o2, e, o3) -> (o1, (e, o3), o2): o2 crosses o3 only.
+        r = reindexing_map([odd, odd, even, odd], (0, 1, 2, 3),
+                           (0, (2, 3), 1))
+        assert r.component(3) == mat([[-1]])
 
 
 class TestInducedMap:

@@ -93,7 +93,7 @@ class TestCanonicalForm:
             assert parse_tree(tree.serialize()) == tree
 
     @pytest.mark.parametrize("text", ["([1],[1])", "(([1],[2]),[2])",
-                                      "([1,1])"])
+                                      "([1,1])", "(([1]))", "([1],([2]))"])
     def test_repeated_label_is_a_parse_error(self, text):
         with pytest.raises(ParseError, match="position"):
             parse_tree(text)
