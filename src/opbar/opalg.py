@@ -6,7 +6,8 @@ partial compositions P(m) (x) P(n) -> P(m+n-1) for canonical index sets,
 left-module actions per set partition, right-module actions as partials.
 General instances are derived through the symmetric action.  Every axiom
 (Coxeter relations, associativity, equivariance, units, pentagons) is an
-executable matrix identity checked on construction.  One checker,
+executable matrix identity checked on construction: each instance is one
+comparison of two ExactMatrix products.  One checker,
 ``_check_partials``, covers all partial-composition data: a right module
 over P is P's data with one more colour, so an operad is checked as a
 right module over itself (plus reducedness and the left unit), and
@@ -14,10 +15,29 @@ cooperads and right comodules are checked transposed, on the dual
 sequences.  One routine, ``_iterated_partials``, derives every full
 composition and full right action from the partials.
 
+A left module (a left comodule, transposed) satisfies, for lam with
+blocks B_1..B_r grouped into the blocks of mu, and for sigma in Sigma_n,
+
+    pentagon:      act_lam ((rho gamma) (x) id_M)
+                   = act_mu (id_P(s) (x) act_1 (x) ... (x) act_s)
+                     (id_P(s) (x) S),
+    equivariance:  sigma act_lam
+                   = act_{sigma lam} (rho (x) R) (id (x) tau_1 ... tau_r),
+
+where S shuffles each P(k_i) in front of its group of blocks, R and rho
+put the blocks into the order of sigma(lam) and tau_i relabels B_i.  A
+coalgebra Delta: X -> X (x) X behind ``constant_comodule`` satisfies
+
+    coassociativity:        (Delta (x) 1) Delta = (1 (x) Delta) Delta,
+    graded cocommutativity: T Delta = Delta,
+
+and its iterated coproducts are Delta^(r) = (1 (x) Delta^(r-1)) Delta.
+
 Tensor bases are ordered row-major over the factors' (degree, index)
 global orders.  All structure maps preserve degree, so tensor products of
 maps are plain Kronecker products; Koszul signs enter only through
-explicit factor reorderings.
+explicit factor reorderings.  In the axiom checks these (S, R, the swap
+T and the slot-commutation swap) all come from ``_factor_permutation``.
 """
 
 from __future__ import annotations
@@ -25,6 +45,8 @@ from __future__ import annotations
 import itertools
 import urllib.parse
 from fractions import Fraction
+from functools import cache, reduce
+from math import prod
 
 from .combinat import (
     adjacent_word,
@@ -38,7 +60,6 @@ from .exactla import (
     RAT,
     ExactMatrix,
     GradedFreeModule,
-    flatten_index,
     koszul_sign,
 )
 
@@ -135,8 +156,8 @@ class SymSeq:
         cached = self._action_cache.get(key)
         if cached is not None:
             return cached
-        if len(sigma) != n:
-            raise ValidationError(f"permutation length {len(sigma)} != arity {n}")
+        if sorted(sigma) != list(range(1, n + 1)):
+            raise ValidationError(f"{sigma} is not a permutation of 1..{n}")
         mat = ExactMatrix.identity(self.rank(n), ring=self.ring)
         if self.rank(n):
             for i in adjacent_word(sigma):
@@ -165,8 +186,8 @@ class SymSeq:
                 if m * m != ident:
                     raise ValidationError(f"Coxeter s_{i}^2 = 1 fails at arity {n}")
             for i in range(1, len(mats)):
-                prod = mats[i - 1] * mats[i]
-                if prod * prod * prod != ident:
+                braid = mats[i - 1] * mats[i]
+                if braid * braid * braid != ident:
                     raise ValidationError(
                         f"Coxeter braid relation fails at arity {n}, s_{i}")
             for i in range(1, len(mats) + 1):
@@ -187,30 +208,6 @@ class SymSeq:
             return NotImplemented
         return (self.ring == other.ring and self.components == other.components
                 and self.actions == other.actions)
-
-
-# ---------------------------------------------------------------------------
-# elementwise identity checking
-
-
-def _maps_equal(sizes, f, g):
-    """Compare two (multi-index -> sparse dict) linear maps columnwise."""
-    for multi in itertools.product(*(range(s) for s in sizes)):
-        lhs = f(multi)
-        rhs = g(multi)
-        if {k: v for k, v in lhs.items() if v != 0} != \
-                {k: v for k, v in rhs.items() if v != 0}:
-            return multi
-    return None
-
-
-def _acc(target, d, c=1):
-    for k, v in d.items():
-        w = target.get(k, 0) + c * v
-        if w == 0:
-            target.pop(k, None)
-        else:
-            target[k] = w
 
 
 class Operad:
@@ -255,13 +252,6 @@ class Operad:
         if not isinstance(other, Operad):
             return NotImplemented
         return self.symseq == other.symseq and self.comp_maps == other.comp_maps
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 class Cooperad:
@@ -366,7 +356,7 @@ class SidedModule:
         """P(r) (x) M(B_1) (x) ... (x) M(B_r) -> M(n) for left modules."""
         blocks = canonical_partition(blocks)
         n = sum(len(b) for b in blocks)
-        cols = self.over.rank(len(blocks)) * _prod(
+        cols = self.over.rank(len(blocks)) * prod(
             self.rank(len(b)) for b in blocks)
         return self._get(blocks, (self.rank(n), cols))
 
@@ -374,7 +364,7 @@ class SidedModule:
         """M(n) -> Q(r) (x) M(B_1) (x) ... (x) M(B_r) for left comodules."""
         blocks = canonical_partition(blocks)
         n = sum(len(b) for b in blocks)
-        rows = self.over.rank(len(blocks)) * _prod(
+        rows = self.over.rank(len(blocks)) * prod(
             self.rank(len(b)) for b in blocks)
         return self._get(blocks, (rows, self.rank(n)))
 
@@ -413,46 +403,65 @@ class SidedModule:
 
 
 # ---------------------------------------------------------------------------
-# the partial-composition axioms (see the module docstring)
+# the axioms (see the module docstring)
+
+
+def _require_equal(lhs, rhs, message):
+    """Raise ValidationError(message) naming the first differing column."""
+    if lhs != rhs:
+        col = min(j for (_i, j), _v in (lhs - rhs).entries())
+        raise ValidationError(f"{message} at column {col}")
+
+
+def _factor_permutation(modules, perm, ring):
+    """Signed reordering of tensor factors: factor k moves to slot perm[k].
+
+    x_0 (x) ... (x) x_{k-1} goes to the reordered product times the Koszul
+    sign of the move.  Only degree parities enter, so the dual sequences,
+    whose degrees are negated, use it unchanged.
+    """
+    sizes = [m.total_rank() for m in modules]
+    target = [0] * len(sizes)
+    for k, slot in enumerate(perm):
+        target[slot] = sizes[k]
+    strides = [prod(target[slot + 1:]) for slot in perm]
+    entries = {}
+    for col, multi in enumerate(itertools.product(*map(range, sizes))):
+        row = sum(i * stride for i, stride in zip(multi, strides))
+        entries[(row, col)] = koszul_sign(
+            [m.degree_of(i) for m, i in zip(modules, multi)], perm)
+    return ExactMatrix(prod(sizes), prod(sizes), entries, ring=ring)
 
 
 def _operad_form(structure):
     """Partials (m, a, n) -> matrix of M(m) (x) P(n) -> M(m+n-1).
 
     M = P for an operad or a cooperad; M is a right (co)module over P
-    otherwise.  Cooperad and comodule data are transposed.
+    otherwise.  Cooperad and comodule data are transposed, each partial
+    once per returned function.
     """
     if isinstance(structure, Operad):
         return structure.comp
     if isinstance(structure, Cooperad):
-        return lambda m, a, n: structure.cocomp(m, a, n).transpose()
+        return cache(lambda m, a, n: structure.cocomp(m, a, n).transpose())
     if structure.side == RIGHT_MODULE:
         return structure.right_partial
-    return lambda m, a, n: structure.right_copartial(m, a, n).transpose()
+    return cache(
+        lambda m, a, n: structure.right_copartial(m, a, n).transpose())
 
 
 def _accessors(mod, over):
-    """(m_action, p_action, m_degree, p_degree) of mod and over.
+    """The symmetric actions (m_action, p_action) of mod and over.
 
     Over a cooperad the sequences are read dually: sigma acts by the
-    transpose of sigma^-1, transposed once per (n, sigma) here, and
-    degrees are negated.
+    transpose of sigma^-1, transposed once per (n, sigma) here.
     """
-    def forms(ss):
-        if not isinstance(over, Cooperad):
-            return ss.action, ss.degree_of
-        dual = {}
-
-        def action(n, sigma):
-            key = (n, tuple(sigma))
-            if key not in dual:
-                dual[key] = ss.action(n, perm_inverse(sigma)).transpose()
-            return dual[key]
-        return action, lambda n, i: -ss.degree_of(n, i)
-
-    m_action, m_degree = forms(mod.symseq)
-    p_action, p_degree = forms(over.symseq)
-    return m_action, p_action, m_degree, p_degree
+    if not isinstance(over, Cooperad):
+        return mod.symseq.action, over.symseq.action
+    return tuple(
+        cache(lambda n, sigma, ss=ss:
+              ss.action(n, perm_inverse(sigma)).transpose())
+        for ss in (mod.symseq, over.symseq))
 
 
 def _transposition(n, i):
@@ -470,24 +479,24 @@ def _iterated_partials(structure, inner_arities):
     structure.
     """
     key = tuple(inner_arities)
-    cache = vars(structure).setdefault("_full_cache", {})
-    if key in cache:
-        return cache[key]
+    memo = vars(structure).setdefault("_full_cache", {})
+    if key in memo:
+        return memo[key]
     over = getattr(structure, "over", structure)
     ring = structure.ring
     ranks = [over.rank(n) for n in key]
-    mat = ExactMatrix.identity(structure.rank(len(key)) * _prod(ranks),
+    mat = ExactMatrix.identity(structure.rank(len(key)) * prod(ranks),
                                ring=ring)
     if mat.nrows:
         comp = _operad_form(structure)
         arity, pos = len(key), 1
         for i, n in enumerate(key):
-            rest = ExactMatrix.identity(_prod(ranks[i + 1:]), ring=ring)
+            rest = ExactMatrix.identity(prod(ranks[i + 1:]), ring=ring)
             mat = comp(arity, pos, n).kron(rest) * mat
             arity, pos = arity + n - 1, pos + n
     else:
         mat = ExactMatrix.zero(structure.rank(sum(key)), 0, ring=ring)
-    cache[key] = mat
+    memo[key] = mat
     return mat
 
 
@@ -498,8 +507,9 @@ def _check_partials(label, mod, over):
     operad over's partials, both in operad form; an operad or a cooperad
     is checked as a right module over itself.
     """
-    m_comp, p_comp = _operad_form(mod), _operad_form(over)
-    m_action, p_action, _m_degree, p_degree = _accessors(mod, over)
+    m_comp = _operad_form(mod)
+    p_comp = m_comp if over is mod else _operad_form(over)
+    m_action, p_action = _accessors(mod, over)
     rk_m, rk_p = mod.rank, over.rank
     max_arity = mod.max_arity
 
@@ -508,9 +518,10 @@ def _check_partials(label, mod, over):
 
     for m in range(1, max_arity + 1):
         for a in range(1, m + 1):
-            if rk_m(m) and m_comp(m, a, 1) != ident(rk_m(m)):
-                raise ValidationError(
-                    f"{label}: unit axiom fails at (m,a,n)=({m},{a},1)")
+            if rk_m(m):
+                _require_equal(m_comp(m, a, 1), ident(rk_m(m)),
+                               f"{label}: unit axiom fails at "
+                               f"(m,a,n)=({m},{a},1)")
 
     # (x o_a y) o_{a+b-1} z = x o_a (y o_b z), and for a < a2 the
     # insertions into slots a and a2 commute up to the Koszul swap.
@@ -519,25 +530,24 @@ def _check_partials(label, mod, over):
             for p in range(2, max_arity - m - n + 3):
                 if rk_m(m) * rk_p(n) * rk_p(p) == 0:
                     continue
-                swap = ident(rk_m(m)).kron(_koszul_swap(over, n, p, p_degree))
+                swap = ident(rk_m(m)).kron(_factor_permutation(
+                    [over.component(n), over.component(p)], (1, 0), mod.ring))
                 for a in range(1, m + 1):
                     first = m_comp(m, a, n).kron(ident(rk_p(p)))
                     for b in range(1, n + 1):
-                        lhs = m_comp(m + n - 1, a + b - 1, p) * first
-                        rhs = m_comp(m, a, n + p - 1) * ident(rk_m(m)).kron(
-                            p_comp(n, b, p))
-                        if lhs != rhs:
-                            raise ValidationError(
-                                f"{label}: associativity axiom fails at "
-                                f"(m,n,p)=({m},{n},{p}), a={a}, b={b}")
+                        _require_equal(
+                            m_comp(m + n - 1, a + b - 1, p) * first,
+                            m_comp(m, a, n + p - 1)
+                            * ident(rk_m(m)).kron(p_comp(n, b, p)),
+                            f"{label}: associativity axiom fails at "
+                            f"(m,n,p)=({m},{n},{p}), a={a}, b={b}")
                     for a2 in range(a + 1, m + 1):
-                        lhs = m_comp(m + n - 1, a2 + n - 1, p) * first
-                        rhs = (m_comp(m + p - 1, a, n)
-                               * m_comp(m, a2, p).kron(ident(rk_p(n))) * swap)
-                        if lhs != rhs:
-                            raise ValidationError(
-                                f"{label}: slot commutation axiom fails at "
-                                f"(m,n,p)=({m},{n},{p}), a={a}, a'={a2}")
+                        _require_equal(
+                            m_comp(m + n - 1, a2 + n - 1, p) * first,
+                            m_comp(m + p - 1, a, n)
+                            * m_comp(m, a2, p).kron(ident(rk_p(n))) * swap,
+                            f"{label}: slot commutation axiom fails at "
+                            f"(m,n,p)=({m},{n},{p}), a={a}, a'={a2}")
 
     for m in range(1, max_arity + 1):
         for n in range(2, max_arity - m + 2):
@@ -547,32 +557,21 @@ def _check_partials(label, mod, over):
                 base = m_comp(m, a, n)
                 for i in range(1, m):
                     sigma = _transposition(m, i)
-                    lhs = m_action(m + n - 1,
-                                   outer_insertion_perm(sigma, a, n)) * base
-                    rhs = m_comp(m, sigma[a - 1], n) * m_action(m, sigma).kron(
-                        ident(rk_p(n)))
-                    if lhs != rhs:
-                        raise ValidationError(
-                            f"{label}: outer equivariance fails at "
-                            f"(m,a,n)=({m},{a},{n}), s_{i}")
+                    _require_equal(
+                        m_action(m + n - 1, outer_insertion_perm(sigma, a, n))
+                        * base,
+                        m_comp(m, sigma[a - 1], n)
+                        * m_action(m, sigma).kron(ident(rk_p(n))),
+                        f"{label}: outer equivariance fails at "
+                        f"(m,a,n)=({m},{a},{n}), s_{i}")
                 for j in range(1, n):
                     tau = _transposition(n, j)
-                    lhs = m_action(m + n - 1,
-                                   inner_insertion_perm(m, a, tau)) * base
-                    rhs = base * ident(rk_m(m)).kron(p_action(n, tau))
-                    if lhs != rhs:
-                        raise ValidationError(
-                            f"{label}: inner equivariance fails at "
-                            f"(m,a,n)=({m},{a},{n}), s_{j}")
-
-
-def _koszul_swap(over, n, p, degree):
-    """P(n) (x) P(p) -> P(p) (x) P(n), y (x) z -> (-1)^{|y||z|} z (x) y."""
-    rn, rp = over.rank(n), over.rank(p)
-    entries = {(z * rn + y, y * rp + z):
-               -1 if degree(n, y) % 2 and degree(p, z) % 2 else 1
-               for y in range(rn) for z in range(rp)}
-    return ExactMatrix(rp * rn, rn * rp, entries, ring=over.ring)
+                    _require_equal(
+                        m_action(m + n - 1, inner_insertion_perm(m, a, tau))
+                        * base,
+                        base * ident(rk_m(m)).kron(p_action(n, tau)),
+                        f"{label}: inner equivariance fails at "
+                        f"(m,a,n)=({m},{a},{n}), s_{j}")
 
 
 def _check_operad(structure, label):
@@ -584,9 +583,11 @@ def _check_operad(structure, label):
     comp = _operad_form(structure)
     for n in range(1, structure.max_arity + 1):
         r = structure.rank(n)
-        if r and comp(1, 1, n) != ExactMatrix.identity(r, ring=structure.ring):
-            raise ValidationError(
-                f"{label}: left unit axiom fails at (m,a,n)=(1,1,{n})")
+        if r:
+            _require_equal(comp(1, 1, n),
+                           ExactMatrix.identity(r, ring=structure.ring),
+                           f"{label}: left unit axiom fails at "
+                           f"(m,a,n)=(1,1,{n})")
     _check_partials(label, structure, structure)
 
 
@@ -594,201 +595,96 @@ def _validate_left_module(mod, label):
     """Unit, pentagon and equivariance for a left (co)module.
 
     For comodules the checks run on transposed matrices over the dual
-    sequences, where they are literally the module identities.
+    sequences, where they are literally the module identities.  Each
+    partition's map is looked up, and transposed, once.
     """
     over = mod.over
     if mod.side == LEFT_COMODULE:
-        def act_blocks(blocks):
-            return mod.left_coaction(blocks).transpose()
+        act = cache(lambda blocks: mod.left_coaction(blocks).transpose())
     else:
-        act_blocks = mod.left_action
-    m_action, p_action, m_degree, p_degree = _accessors(mod, over)
+        act = cache(mod.left_action)
+    m_action, p_action = _accessors(mod, over)
+    arities = [n for n in range(1, mod.max_arity + 1) if mod.rank(n)]
 
-    # Unit: the trivial partition acts as the identity.
-    for n in range(1, mod.max_arity + 1):
-        if mod.rank(n) == 0:
-            continue
-        mat = act_blocks((_partition_of(n),))
-        if mat != ExactMatrix.identity(mod.rank(n), ring=mod.ring):
-            raise ValidationError(f"{label}: unit action is not the identity "
-                                  f"at arity {n}")
-
-    # Pentagon: acting after composing equals acting twice.
-    for n in range(1, mod.max_arity + 1):
-        if mod.rank(n) == 0:
-            continue
+    for n in arities:
+        _require_equal(act((_partition_of(n),)),
+                       ExactMatrix.identity(mod.rank(n), ring=mod.ring),
+                       f"{label}: unit action is not the identity "
+                       f"at arity {n}")
+    for n in arities:
         for lam in set_partitions(range(1, n + 1)):
-            r = len(lam)
-            if over.rank(r) == 0:
-                continue
-            for grouping in set_partitions(range(r)):
-                groups = sorted(grouping, key=lambda g: lam[g[0]][0])
-                _check_left_pentagon(mod, lam, groups, label, act_blocks,
-                                     p_action, m_degree, p_degree)
-
-    # Equivariance under adjacent transpositions of the labels.
-    for n in range(2, mod.max_arity + 1):
-        if mod.rank(n) == 0:
-            continue
+            if over.rank(len(lam)):
+                for grouping in set_partitions(range(len(lam))):
+                    _check_left_pentagon(mod, lam, grouping, label, act,
+                                         p_action)
+    for n in arities:
         for lam in set_partitions(range(1, n + 1)):
             for i in range(1, n):
-                _check_left_equivariance(mod, lam, _transposition(n, i), label,
-                                         act_blocks, m_action, p_action,
-                                         m_degree)
+                _check_left_equivariance(mod, lam, _transposition(n, i),
+                                         label, act, m_action, p_action)
 
 
-def _check_left_pentagon(mod, lam, groups, label, act_blocks, p_action,
-                         m_degree, p_degree):
-    """One instance of the left-module associativity identity.
+def _check_left_pentagon(mod, lam, grouping, label, act, p_action):
+    """act_lam ((rho gamma) (x) id) = act_mu (id (x) act_1 ... act_s) (id (x) S).
 
     lam partitions {1..n} into blocks B_1..B_r (least-element order);
-    groups partitions the block indices {0..r-1} into s groups (sorted by
-    the least label of their first block), defining the coarsening mu.
-    Domain factors: (p in P(s); q_1..q_s; m_1..m_r).
+    grouping partitions the block indices {0..r-1} into s groups, taken
+    in the order of their least labels, whose unions are the blocks of
+    the coarsening mu.  The domain is P(s) (x) P(k_1) ... P(k_s) (x)
+    M(B_1) ... M(B_r).  gamma composes in group order and rho puts its
+    inputs into lam's order; S shuffles each P(k_i) in front of its
+    group's blocks, on which act_i acts.
     """
-    over = mod.over
+    over, ring = mod.over, mod.ring
     r = len(lam)
+    groups = sorted(grouping, key=lambda g: lam[g[0]][0])
     s = len(groups)
-    inner = tuple(len(g) for g in groups)
-    mu_blocks = canonical_partition(
-        tuple(tuple(x for bi in g for x in lam[bi]) for g in groups))
-    p_sizes = [over.rank(s)] + [over.rank(k) for k in inner]
-    m_sizes = [mod.rank(len(b)) for b in lam]
-    sizes = p_sizes + m_sizes
-    if _prod(sizes) == 0:
-        return
-    # Grouped order of lambda-blocks vs global least-element order.
-    grouped = [bi for g in groups for bi in g]
-    rho = block_sort_perm([lam[bi][0] for bi in grouped])
-    gamma = _iterated_partials(over, inner)
-    act_lam = act_blocks(lam)
-    act_rho = p_action(r, _perm_from_zero(rho))
+    inner = [len(g) for g in groups]
+    rho = p_action(r, _perm_from_zero(
+        block_sort_perm([lam[bi][0] for g in groups for bi in g])))
+    lhs = act(lam) * (rho * _iterated_partials(over, inner)).kron(
+        ExactMatrix.identity(prod(mod.rank(len(b)) for b in lam), ring=ring))
 
-    def path_a(multi):
-        qpart, mpart = multi[:1 + s], multi[1 + s:]
-        vec = {}
-        for w, c in gamma.column(flatten_index(p_sizes, qpart)).items():
-            _acc(vec, act_rho.column(w), c)
-        out = {}
-        for w, c in vec.items():
-            col2 = flatten_index([over.rank(r)] + m_sizes, (w,) + tuple(mpart))
-            _acc(out, act_lam.column(col2), c)
-        return out
-
-    # Path B: each q_i acts on its group of m's, then p acts via mu.
-    act_mu = act_blocks(mu_blocks)
-    group_parts = []
-    for g in groups:
-        union = [x for bi in g for x in lam[bi]]
-        sub_blocks = canonical_partition(
-            tuple(_relabel_block(lam[bi], union) for bi in g))
-        group_parts.append((tuple(g), sub_blocks))
-    musizes = [over.rank(s)] + [mod.rank(sum(len(lam[bi]) for bi in g))
-                                for g, _sb in group_parts]
-
-    def path_b(multi):
-        pp = multi[0]
-        qs = multi[1:1 + s]
-        ms = multi[1 + s:]
-        degs = tuple([p_degree(inner[i], qs[i]) for i in range(s)]
-                     + [m_degree(len(lam[bi]), ms[bi]) for bi in range(r)])
-        # Interleave each q_i directly in front of its m-group.
-        seq = []
-        for i, (g, _sb) in enumerate(group_parts):
-            seq.append(("q", i))
-            seq.extend(("m", bi) for bi in g)
-        src = [("q", i) for i in range(s)] + [("m", bi) for bi in range(r)]
-        perm = tuple(seq.index(x) for x in src)
-        sgn = koszul_sign(degs, perm)
-        group_vecs = []
-        for i, (g, sub_blocks) in enumerate(group_parts):
-            act_g = act_blocks(sub_blocks)
-            csizes = [over.rank(inner[i])] + [mod.rank(len(lam[bi])) for bi in g]
-            cmulti = (qs[i],) + tuple(ms[bi] for bi in g)
-            group_vecs.append(act_g.column(flatten_index(csizes, cmulti)))
-        out = {}
-        for combo in itertools.product(*(v.items() for v in group_vecs)):
-            c = sgn
-            idxs = []
-            for w, cc in combo:
-                c *= cc
-                idxs.append(w)
-            col2 = flatten_index(musizes, (pp,) + tuple(idxs))
-            _acc(out, act_mu.column(col2), c)
-        return out
-
-    bad = _maps_equal(sizes, path_a, path_b)
-    if bad is not None:
-        raise ValidationError(
-            f"{label}: pentagon fails for partition {lam} grouped {groups} "
-            f"at column {bad}")
+    slots = [f for i, g in enumerate(groups) for f in (i, *(s + bi for bi in g))]
+    shuffle = _factor_permutation(
+        [over.component(k) for k in inner] + [mod.component(len(b)) for b in lam],
+        tuple(slots.index(f) for f in range(s + r)), ring)
+    unions = [sorted(x for bi in g for x in lam[bi]) for g in groups]
+    acts = [act(tuple(tuple(u.index(x) + 1 for x in lam[bi]) for bi in g))
+            for g, u in zip(groups, unions)]
+    outer = ExactMatrix.identity(over.rank(s), ring=ring)
+    rhs = (act(tuple(map(tuple, unions))) * reduce(ExactMatrix.kron, acts, outer)
+           * outer.kron(shuffle))
+    _require_equal(lhs, rhs, f"{label}: pentagon fails for partition {lam} "
+                             f"grouped {groups}")
 
 
 def _perm_from_zero(perm):
     return tuple(p + 1 for p in perm)
 
 
-def _relabel_block(block, universe):
-    ordered = sorted(universe)
-    pos = {x: i + 1 for i, x in enumerate(ordered)}
-    return tuple(pos[x] for x in block)
+def _check_left_equivariance(mod, lam, sigma, label, act, m_action,
+                             p_action):
+    """sigma act_lam = act_{sigma lam} (rho (x) R) (id (x) tau_1 ... tau_r).
 
-
-def _check_left_equivariance(mod, lam, sigma, label, act_blocks, m_action,
-                             p_action, m_degree):
-    over = mod.over
-    n = sum(len(b) for b in lam)
-    r = len(lam)
-    sigma_map = {i + 1: sigma[i] for i in range(n)}
-    new_blocks_raw = [tuple(sorted(sigma_map[x] for x in b)) for b in lam]
-    order = block_sort_perm([b[0] for b in new_blocks_raw])
-    new_blocks = canonical_partition(new_blocks_raw)
-    act_new = act_blocks(new_blocks)
-    base = act_blocks(lam)
-    rho = _perm_from_zero(order)
-    act_rho = p_action(r, rho)
-    within = []
-    for bi, b in enumerate(lam):
-        imgs = [sigma_map[x] for x in b]
-        tau = block_sort_perm(imgs)
-        within.append(m_action(len(b), _perm_from_zero(tau)))
-    m_sizes = [mod.rank(len(b)) for b in lam]
-    sizes = [over.rank(r)] + m_sizes
-
-    def lhs(multi):
-        # sigma . (action) = action(permuted inputs)
-        col = flatten_index(sizes, multi)
-        out = {}
-        for wrow, c in base.column(col).items():
-            _acc(out, m_action(n, sigma).column(wrow), c)
-        return out
-
-    def rhs(multi):
-        pp, ms = multi[0], multi[1:]
-        degs = [m_degree(len(lam[bi]), ms[bi]) for bi in range(r)]
-        sgn = koszul_sign(tuple(degs), order)
-        vecs = [within[bi].column(ms[bi]) for bi in range(r)]
-        pvec = act_rho.column(pp)
-        out = {}
-        for pw, pc in pvec.items():
-            for combo in itertools.product(*(v.items() for v in vecs)):
-                c = pc * sgn
-                idxs = [0] * r
-                for bi, (w, cc) in enumerate(combo):
-                    c *= cc
-                    idxs[order[bi]] = w
-                col2 = flatten_index(
-                    [over.rank(r)] + [mod.rank(len(new_blocks[j]))
-                                      for j in range(r)],
-                    (pw,) + tuple(idxs))
-                _acc(out, act_new.column(col2), c)
-        return out
-
-    bad = _maps_equal(sizes, lhs, rhs)
-    if bad is not None:
-        raise ValidationError(
-            f"{label}: equivariance fails for partition {lam}, "
-            f"transposition at {sigma}, column {bad}")
+    sigma maps each block B_i of lam onto sigma(B_i), relabelling it by
+    tau_i; R moves the factors M(B_i) into the least-element order of
+    sigma(lam), and rho permutes the inputs of P(r) alike.
+    """
+    ring = mod.ring
+    images = [[sigma[x - 1] for x in b] for b in lam]
+    order = block_sort_perm([min(im) for im in images])
+    taus = [m_action(len(im), _perm_from_zero(block_sort_perm(im)))
+            for im in images]
+    reorder = p_action(len(lam), _perm_from_zero(order)).kron(
+        _factor_permutation([mod.component(len(b)) for b in lam], order, ring))
+    outer = ExactMatrix.identity(mod.over.rank(len(lam)), ring=ring)
+    _require_equal(
+        m_action(len(sigma), sigma) * act(lam),
+        act(canonical_partition(images)) * reorder
+        * reduce(ExactMatrix.kron, taus, outer),
+        f"{label}: equivariance fails for partition {lam}, "
+        f"transposition at {sigma}")
 
 
 # ---------------------------------------------------------------------------
@@ -1062,57 +958,28 @@ def constant_comodule(module, coproduct, max_arity=DEFAULT_MAX_ARITY,
     rank = module.total_rank()
     if coproduct.nrows != rank * rank or coproduct.ncols != rank:
         raise ValidationError("coproduct must map X to X (x) X")
-    for j in range(rank):
-        dj = module.degree_of(j)
-        for row, _v in coproduct.column(j).items():
-            i1, i2 = divmod(row, rank)
-            if module.degree_of(i1) + module.degree_of(i2) != dj:
-                raise ValidationError("coproduct must preserve degree")
-    # Coassociativity: (Delta (x) 1) Delta = (1 (x) Delta) Delta.
-    left = {}
-    right = {}
-    for j in range(rank):
-        lout, rout = {}, {}
-        for row, v in coproduct.column(j).items():
-            i1, i2 = divmod(row, rank)
-            for row2, w in coproduct.column(i1).items():
-                _acc(lout, {row2 * rank + i2: v * w})
-            for row2, w in coproduct.column(i2).items():
-                _acc(rout, {i1 * rank * rank + row2: v * w})
-        left[j], right[j] = lout, rout
-    if left != right:
-        raise ValidationError("coproduct is not coassociative")
-    # Graded cocommutativity: tau Delta = Delta.
-    for j in range(rank):
-        flipped = {}
-        for row, v in coproduct.column(j).items():
-            i1, i2 = divmod(row, rank)
-            sgn = -1 if (module.degree_of(i1) % 2 and module.degree_of(i2) % 2) else 1
-            _acc(flipped, {i2 * rank + i1: sgn * v})
-        if flipped != dict(coproduct.column(j)):
-            raise ValidationError("coproduct is not graded cocommutative")
+    for (row, j), _v in coproduct.entries():
+        i1, i2 = divmod(row, rank)
+        if module.degree_of(i1) + module.degree_of(i2) != module.degree_of(j):
+            raise ValidationError("coproduct must preserve degree")
+    one = ExactMatrix.identity(rank, ring=ring)
+    _require_equal(coproduct.kron(one) * coproduct,
+                   one.kron(coproduct) * coproduct,
+                   "coproduct is not coassociative")
+    _require_equal(_factor_permutation([module, module], (1, 0), ring)
+                   * coproduct, coproduct,
+                   "coproduct is not graded cocommutative")
 
     comps = {n: module for n in range(1, max_arity + 1)}
     ss = SymSeq(ring, comps,
                 _trivial_actions({n: rank for n in comps}, ring))
-    # Iterated coproducts Delta^(r): X -> X^(x r).
-    iterated = {1: ExactMatrix.identity(rank, ring=ring)}
+    # Iterated coproducts Delta^(r) = (1 (x) Delta^(r-1)) Delta: X -> X^(x r).
+    iterated = {1: one}
     for r in range(2, max_arity + 1):
-        prev = iterated[r - 1]
-        entries = {}
-        for j in range(rank):
-            for row, v in coproduct.column(j).items():
-                i1, i2 = divmod(row, rank)
-                for row2, w in prev.column(i2).items():
-                    entries_key = (i1 * rank ** (r - 1) + row2, j)
-                    entries[entries_key] = entries.get(entries_key, 0) + v * w
-        iterated[r] = ExactMatrix(rank ** r, rank, entries, ring=ring)
-    maps = {}
-    for n in range(1, max_arity + 1):
-        for blocks in set_partitions(range(1, n + 1)):
-            r = len(blocks)
-            # Q(r) is rank one in degree zero; prepend its index 0.
-            maps[blocks] = iterated[r]
+        iterated[r] = one.kron(iterated[r - 1]) * coproduct
+    # Q(r) is rank one in degree zero, so its index 0 is implicit.
+    maps = {blocks: iterated[len(blocks)] for n in range(1, max_arity + 1)
+            for blocks in set_partitions(range(1, n + 1))}
     return SidedModule(LEFT_COMODULE, ss, over, maps, name=name)
 
 
@@ -1381,7 +1248,7 @@ def _module_map_shape(side, key, ranks, over):
         return (ranks.get(m, 0) * over.rank(n), ranks.get(m + n - 1, 0))
     blocks = key
     n = sum(len(b) for b in blocks)
-    inner = over.rank(len(blocks)) * _prod(ranks.get(len(b), 0) for b in blocks)
+    inner = over.rank(len(blocks)) * prod(ranks.get(len(b), 0) for b in blocks)
     if side == LEFT_MODULE:
         return (ranks.get(n, 0), inner)
     return (inner, ranks.get(n, 0))

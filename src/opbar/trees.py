@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .combinat import partitions_into_at_least_two, set_partitions
 from .errors import BoundsError, ParseError, ValidationError
@@ -303,16 +304,9 @@ def standard_tree_count(n):
         if len(labels) == 1:
             return 1
         return sum(
-            _prod(f(b) for b in blocks)
+            prod(f(b) for b in blocks)
             for blocks in partitions_into_at_least_two(labels))
     return f(tuple(range(1, n + 1)))
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 # -- collapse moves ---------------------------------------------------------
@@ -351,16 +345,10 @@ def _tracked(node, path):
     return ("V", kids, path)
 
 
-def _tracked_min(node):
-    while node[0] == "V":
-        node = node[1][0]
-    return node[1][0]
-
-
 def _canon_tracked(node):
     if node[0] == "L":
         return node
-    kids = tuple(sorted((_canon_tracked(c) for c in node[1]), key=_tracked_min))
+    kids = tuple(sorted((_canon_tracked(c) for c in node[1]), key=_min_label))
     return ("V", kids, node[2])
 
 
@@ -428,7 +416,7 @@ def collapse(tree, kind, path):
     else:
         new_children = _replace_at(tracked, path, lambda n: n[1])
     new_children = tuple(sorted((_canon_tracked(c) for c in new_children),
-                                key=_tracked_min))
+                                key=_min_label))
     collapsed = Tree(tuple(_strip(c) for c in new_children))
 
     old_order = tree.vertex_paths()
@@ -610,7 +598,7 @@ def relabel(tree, sigma):
 
     tracked = tuple(rl(c, (i,)) for i, c in enumerate(tree.root_children))
     new_children = tuple(sorted((_canon_tracked(c) for c in tracked),
-                                key=_tracked_min))
+                                key=_min_label))
     new_tree = Tree(tuple(_strip(c) for c in new_children))
     old_order = tree.vertex_paths()
     origin_pairs = _collect_origins(new_children)
@@ -628,7 +616,7 @@ def relabel_vertex_map(tree, sigma):
 
     tracked = tuple(rl(c, (i,)) for i, c in enumerate(tree.root_children))
     new_children = tuple(sorted((_canon_tracked(c) for c in tracked),
-                                key=_tracked_min))
+                                key=_min_label))
     return {origin: newp for origin, newp in _collect_origins(new_children)}
 
 

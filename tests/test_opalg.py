@@ -1,7 +1,9 @@
 import itertools
+import re
 
 import pytest
 
+from opbar.combinat import perm_inverse, set_partitions
 from opbar.errors import BoundsError, ParseError, ValidationError
 from opbar.exactla import INT, ExactMatrix, GradedFreeModule
 from opbar.opalg import (
@@ -174,6 +176,47 @@ class TestValidationCatchesCorruption:
         SidedModule(RIGHT_MODULE, op.symseq, op, op.comp_maps)
         SidedModule(RIGHT_COMODULE, q.symseq, q, q.cocomp_maps)
 
+    @pytest.mark.parametrize("sigma", [(1, 1, 2), (0, 1, 2), (2, 3, 4),
+                                       (1, 2)])
+    def test_action_of_a_non_permutation_rejected(self, ass3, sigma):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{sigma} is not a permutation "
+                                           "of 1..3")):
+            ass3.symseq.action(3, sigma)
+        assert (3, sigma) not in ass3.symseq._action_cache
+
+    @pytest.mark.parametrize("name", ["com", "ass"])
+    def test_structures_are_left_modules_over_themselves(self, name):
+        # act_lam = sigma_lam . gamma, where sigma_lam sends the inputs of
+        # gamma(p; q_1..q_r), taken block after block, onto the labels of
+        # lam; with sigma_lam^-1 instead, ass fails the pentagon.
+        op = builtin(name, 4)
+        q = dual(op)
+
+        def acts(inverse):
+            maps = {}
+            for n in range(1, 5):
+                for lam in set_partitions(range(1, n + 1)):
+                    sigma = tuple(x for b in lam for x in b)
+                    sigma = perm_inverse(sigma) if inverse else sigma
+                    maps[lam] = op.action(n, sigma) * op.full_composition(
+                        [len(b) for b in lam])
+            return maps
+
+        for inverse in (False, True):
+            maps = acts(inverse)
+            comaps = {k: m.transpose() for k, m in maps.items()}
+            if inverse and name == "ass":
+                for side, over, data in ((LEFT_MODULE, op, maps),
+                                         (LEFT_COMODULE, q, comaps)):
+                    with pytest.raises(ValidationError, match=re.escape(
+                            "pentagon fails for partition ((1,), (2,), "
+                            "(3, 4))")):
+                        SidedModule(side, over.symseq, over, data)
+            else:
+                SidedModule(LEFT_MODULE, op.symseq, op, maps)
+                SidedModule(LEFT_COMODULE, q.symseq, q, comaps)
+
     def test_broken_action_rejected(self):
         comps = {1: GradedFreeModule({0: ("e",)}),
                  2: GradedFreeModule({0: ("a", "b")})}
@@ -266,6 +309,82 @@ class TestConstantComodule:
         delta = ExactMatrix(9, 3, {(1, 2): 1})
         with pytest.raises(ValidationError, match="cocommutative|coassociative"):
             constant_comodule(x, delta, 3)
+
+    def test_non_coassociative_rejected(self):
+        # Delta(c) = a (x) a, Delta(d) = b (x) c + c (x) b: cocommutative,
+        # but (Delta (x) 1) Delta(d) = a a b and (1 (x) Delta) Delta(d) = b a a.
+        x = GradedFreeModule({2: ("a", "b"), 4: ("c",), 6: ("d",)})
+        delta = ExactMatrix(16, 4, {(0, 2): 1, (1 * 4 + 2, 3): 1,
+                                    (2 * 4 + 1, 3): 1})
+        with pytest.raises(ValidationError, match="not coassociative"):
+            constant_comodule(x, delta, 3)
+
+    def test_odd_flip_carries_the_koszul_sign(self):
+        # Delta(t) = x (x) y - y (x) x is graded cocommutative only because
+        # swapping two odd factors costs a sign.
+        x = GradedFreeModule({1: ("x", "y"), 2: ("t",)})
+        delta = ExactMatrix(9, 3, {(1, 2): 1, (3, 2): -1})
+        assert constant_comodule(x, delta, 3).rank(3) == 3
+
+
+def _coalgebra(spaces, coproduct_entries):
+    x = GradedFreeModule(spaces)
+    r = x.total_rank()
+    return constant_comodule(x, ExactMatrix(r * r, r, coproduct_entries), 4)
+
+
+def _rebuild(comodule, form, maps=None, symseq=None):
+    """The comodule with replaced data, validated as itself or, dualized,
+    as a left module."""
+    built = SidedModule(LEFT_COMODULE, symseq or comodule.symseq,
+                        comodule.over, maps or comodule.maps, check=False)
+    if form == "module":
+        built = dual(built)
+        return SidedModule(LEFT_MODULE, built.symseq, built.over, built.maps)
+    return SidedModule(LEFT_COMODULE, built.symseq, built.over, built.maps)
+
+
+@pytest.mark.parametrize("form", ["comodule", "module"])
+class TestLeftAxiomsCatchCorruption:
+    # X = {2: a, 4: b, 6: c} with Delta(b) = a a, Delta(c) = a b + b a.
+    abc = staticmethod(lambda: _coalgebra(
+        {2: ("a",), 4: ("b",), 6: ("c",)}, {(0, 1): 1, (1, 2): 1, (3, 2): 1}))
+    # X = {2: a, 4: t} with Delta(t) = a a.
+    at = staticmethod(lambda: _coalgebra({2: ("a",), 4: ("t",)}, {(0, 1): 1}))
+
+    def test_uncorrupted_data_validates(self, form):
+        _rebuild(self.abc(), form)
+        _rebuild(self.at(), form)
+
+    def test_pentagon(self, form):
+        c = self.abc()
+        maps = {k: m.scale(-1) if len(k) == 2 and sum(map(len, k)) == 3
+                else m for k, m in c.maps.items()}
+        with pytest.raises(ValidationError, match=re.escape(
+                "pentagon fails for partition ((1,), (2,), (3,))")):
+            _rebuild(c, form, maps=maps)
+
+    def test_equivariance(self, form):
+        c = self.at()
+        maps = dict(c.maps)
+        maps[((1, 2), (3,))] = maps[((1, 2), (3,))].scale(-1)
+        with pytest.raises(ValidationError, match="equivariance"):
+            _rebuild(c, form, maps=maps)
+
+    def test_sign_action_breaks_equivariance(self, form):
+        c = self.at()
+        actions = dict(c.symseq.actions)
+        actions[3] = tuple(m.scale(-1) for m in actions[3])
+        signed = SymSeq(INT, c.symseq.components, actions)
+        with pytest.raises(ValidationError, match="equivariance"):
+            _rebuild(c, form, symseq=signed)
+
+    def test_unit(self, form):
+        c = self.at()
+        maps = dict(c.maps)
+        maps[((1, 2),)] = maps[((1, 2),)].scale(-1)
+        with pytest.raises(ValidationError, match="unit action"):
+            _rebuild(c, form, maps=maps)
 
 
 class TestIO:
