@@ -868,7 +868,7 @@ def _ungrafting_map(bc, tensor, terms):
         dv, iv = bc.index(v_label)
         try:
             it = tensor.module.position(dv, labels)
-        except KeyError:
+        except ValidationError:
             raise InternalConsistencyError(
                 "structure map changes degree") from None
         entries.setdefault(dv, {})[(it, iv) if bc.kind == BAR else (iv, it)] \

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-    opbar verify [--max-arity N]
+    opbar verify [--max-arity N] [--criterion K]
 
-runs the acceptance criteria of ``opbar.verify``, prints each verdict
-line as its criterion finishes and exits with status 1 if any fails.
+runs the acceptance criteria of ``opbar.verify`` (only criterion K, 1..11,
+when given), prints each verdict line as its criterion finishes and exits
+with status 1 if any fails.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 
 from .errors import BoundsError
-from .verify import run_all
+from .verify import CRITERIA, run_all, run_criterion
 
 
 def main(argv=None):
@@ -20,12 +21,23 @@ def main(argv=None):
     verify = commands.add_parser("verify", help="run the acceptance criteria")
     verify.add_argument("--max-arity", type=int, default=5,
                         help="largest arity checked, 2..5 (default 5)")
+    verify.add_argument("--criterion", type=int,
+                        help=f"run only this criterion, 1..{len(CRITERIA)}")
     args = parser.parse_args(argv)
+    if args.criterion is not None and \
+            not 1 <= args.criterion <= len(CRITERIA):
+        verify.error(f"--criterion {args.criterion} outside "
+                     f"1..{len(CRITERIA)}")
     try:
-        results = run_all(args.max_arity,
-                          progress=lambda r: print(r.line(), flush=True))
+        if args.criterion is None:
+            results = run_all(args.max_arity,
+                              progress=lambda r: print(r.line(), flush=True))
+        else:
+            results = [run_criterion(args.criterion,
+                                     max_arity=args.max_arity)]
+            print(results[0].line(), flush=True)
     except BoundsError as exc:
-        parser.error(str(exc))
+        verify.error(str(exc))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -371,16 +371,32 @@ def column_space_basis(mat):
     return basis
 
 
+class _Span(list):
+    """Spanning vectors that keep the tracked echelon of their first solve.
+
+    Reducing a target copies it and writes only to a fresh tracking dict,
+    so later solves against the same list can share the echelon.
+    """
+
+    echelon = None
+
+
 def solve_in_span(vectors, target):
     """Coefficients expressing target in span(vectors), or None.
 
-    Deterministic; vectors and target are sparse dicts over Q.
+    Deterministic; vectors and target are sparse dicts over Q, where
+    explicit zero entries are ignored.  The tracked echelon of vectors is
+    built on the first solve against a _Span and reused by later ones;
+    any other list gets a fresh one.
     """
-    ech = _Echelon(track=True)
-    for k, v in enumerate(vectors):
-        ech.insert({i: Fraction(x) for i, x in v.items()}, {k: Fraction(1)})
-    red, tracking = ech.reduce({i: Fraction(x) for i, x in target.items()},
-                               tracking={})
+    span = vectors if isinstance(vectors, _Span) else _Span(vectors)
+    if span.echelon is None:
+        span.echelon = _Echelon(track=True)
+        for k, v in enumerate(span):
+            span.echelon.insert({i: Fraction(x) for i, x in v.items() if x},
+                                {k: Fraction(1)})
+    red, tracking = span.echelon.reduce(
+        {i: Fraction(x) for i, x in target.items() if x}, tracking={})
     if red:
         return None
     return {k: -c for k, c in tracking.items()}
@@ -428,11 +444,19 @@ class GradedFreeModule:
         return self._basis
 
     def index(self, degree, label):
-        return self._index[(degree, label)]
+        try:
+            return self._index[(degree, label)]
+        except KeyError:
+            raise ValidationError(
+                f"no basis label {label!r} in degree {degree}") from None
 
     def position(self, degree, label):
         """Index of a basis label within its degree."""
-        return self._index[(degree, label)] - self._offset[degree]
+        try:
+            return self._index[(degree, label)] - self._offset[degree]
+        except KeyError:
+            raise ValidationError(
+                f"no basis label {label!r} in degree {degree}") from None
 
     def degree_of(self, i):
         return self._basis[i][0]
@@ -790,24 +814,47 @@ def homology_representatives(complex_, degree):
 def homology_coordinates(complex_, basis, images):
     """Coordinates of homology classes in a homology basis, over Q.
 
-    basis and images are lists of (degree, sparse cycle) pairs; the basis
-    vectors of each degree must be independent modulo boundaries.  Column
-    j of the result holds the coordinates of images[j] and row i belongs
-    to basis[i], so basis vectors of another degree than the image get
-    coordinate 0.  The boundary span of each degree is computed once per
-    call, and each image is one solve_in_span over those boundaries and
-    the basis vectors of its degree.  An image outside that span, such as
-    a vector that is not a cycle, raises ValidationError.
+    basis and images are lists of (degree, sparse cycle) pairs.  Column j
+    of the result holds the coordinates of images[j] and row i belongs to
+    basis[i], so basis vectors of another degree than the image get
+    coordinate 0.
+
+    Per call, each degree with an image gets one spanning list: a basis
+    of its boundaries followed by its basis vectors.  The first image of
+    the degree builds the tracked echelon of that list inside
+    solve_in_span; every image, the first included, is then one
+    reduction against it.  ValidationError is raised for a vector with
+    an index outside the rank of its degree, for a basis vector that
+    depends on the boundaries and the earlier basis vectors of a degree
+    with an image, and for an image outside the span, such as a vector
+    that is not a cycle.
     """
+    for kind, vectors in (("basis vector", basis), ("image", images)):
+        for i, (d, vec) in enumerate(vectors):
+            rank = complex_.rank(d)
+            for k in vec:
+                if not 0 <= k < rank:
+                    raise ValidationError(
+                        f"{kind} {i} in degree {d} has index {k} outside "
+                        f"rank {rank}")
     spans = {}
     entries = {}
     for j, (d, img) in enumerate(images):
         if d not in spans:
             rows = [i for i, (bd, _v) in enumerate(basis) if bd == d]
             bounds = column_space_basis(complex_.differential(d + 1))
-            spans[d] = (rows, len(bounds), bounds + [basis[i][1] for i in rows])
+            spans[d] = (rows, len(bounds),
+                        _Span(bounds + [basis[i][1] for i in rows]))
         rows, nb, spanning = spans[d]
+        first = spanning.echelon is None
         coords = solve_in_span(spanning, img)
+        if first and len(spanning.echelon.pivots) < len(spanning):
+            # The tracking of inserted vector k has k as its largest key.
+            kept = {max(t) for _v, t in spanning.echelon.pivots.values()}
+            k = min(set(range(len(spanning))) - kept)
+            raise ValidationError(
+                f"basis vector {rows[k - nb]} in degree {d} depends on the "
+                f"boundaries and the earlier basis vectors")
         if coords is None:
             raise ValidationError(
                 f"image {j} in degree {d} lies outside the span of the "

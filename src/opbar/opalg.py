@@ -425,11 +425,16 @@ def _factor_permutation(modules, perm, ring):
     for k, slot in enumerate(perm):
         target[slot] = sizes[k]
     strides = [prod(target[slot + 1:]) for slot in perm]
+    parities = [[m.degree_of(i) % 2 for i in range(size)]
+                for m, size in zip(modules, sizes)]
+    signs = {}
     entries = {}
     for col, multi in enumerate(itertools.product(*map(range, sizes))):
         row = sum(i * stride for i, stride in zip(multi, strides))
-        entries[(row, col)] = koszul_sign(
-            [m.degree_of(i) for m, i in zip(modules, multi)], perm)
+        key = tuple(p[i] for p, i in zip(parities, multi))
+        if key not in signs:
+            signs[key] = koszul_sign(key, perm)
+        entries[(row, col)] = signs[key]
     return ExactMatrix(prod(sizes), prod(sizes), entries, ring=ring)
 
 
@@ -604,6 +609,10 @@ def _validate_left_module(mod, label):
     else:
         act = cache(mod.left_action)
     m_action, p_action = _accessors(mod, over)
+    # Many instances repeat a reordering: build each one once per call.
+    reorder = cache(lambda p_arities, m_arities, perm: _factor_permutation(
+        [over.component(k) for k in p_arities]
+        + [mod.component(k) for k in m_arities], perm, mod.ring))
     arities = [n for n in range(1, mod.max_arity + 1) if mod.rank(n)]
 
     for n in arities:
@@ -616,15 +625,17 @@ def _validate_left_module(mod, label):
             if over.rank(len(lam)):
                 for grouping in set_partitions(range(len(lam))):
                     _check_left_pentagon(mod, lam, grouping, label, act,
-                                         p_action)
+                                         p_action, reorder)
     for n in arities:
         for lam in set_partitions(range(1, n + 1)):
             for i in range(1, n):
                 _check_left_equivariance(mod, lam, _transposition(n, i),
-                                         label, act, m_action, p_action)
+                                         label, act, m_action, p_action,
+                                         reorder)
 
 
-def _check_left_pentagon(mod, lam, grouping, label, act, p_action):
+def _check_left_pentagon(mod, lam, grouping, label, act, p_action,
+                         reorder):
     """act_lam ((rho gamma) (x) id) = act_mu (id (x) act_1 ... act_s) (id (x) S).
 
     lam partitions {1..n} into blocks B_1..B_r (least-element order);
@@ -646,9 +657,8 @@ def _check_left_pentagon(mod, lam, grouping, label, act, p_action):
         ExactMatrix.identity(prod(mod.rank(len(b)) for b in lam), ring=ring))
 
     slots = [f for i, g in enumerate(groups) for f in (i, *(s + bi for bi in g))]
-    shuffle = _factor_permutation(
-        [over.component(k) for k in inner] + [mod.component(len(b)) for b in lam],
-        tuple(slots.index(f) for f in range(s + r)), ring)
+    shuffle = reorder(tuple(inner), tuple(len(b) for b in lam),
+                      tuple(slots.index(f) for f in range(s + r)))
     unions = [sorted(x for bi in g for x in lam[bi]) for g in groups]
     acts = [act(tuple(tuple(u.index(x) + 1 for x in lam[bi]) for bi in g))
             for g, u in zip(groups, unions)]
@@ -664,7 +674,7 @@ def _perm_from_zero(perm):
 
 
 def _check_left_equivariance(mod, lam, sigma, label, act, m_action,
-                             p_action):
+                             p_action, reorder):
     """sigma act_lam = act_{sigma lam} (rho (x) R) (id (x) tau_1 ... tau_r).
 
     sigma maps each block B_i of lam onto sigma(B_i), relabelling it by
@@ -676,12 +686,12 @@ def _check_left_equivariance(mod, lam, sigma, label, act, m_action,
     order = block_sort_perm([min(im) for im in images])
     taus = [m_action(len(im), _perm_from_zero(block_sort_perm(im)))
             for im in images]
-    reorder = p_action(len(lam), _perm_from_zero(order)).kron(
-        _factor_permutation([mod.component(len(b)) for b in lam], order, ring))
+    moves = p_action(len(lam), _perm_from_zero(order)).kron(
+        reorder((), tuple(len(b) for b in lam), order))
     outer = ExactMatrix.identity(mod.over.rank(len(lam)), ring=ring)
     _require_equal(
         m_action(len(sigma), sigma) * act(lam),
-        act(canonical_partition(images)) * reorder
+        act(canonical_partition(images)) * moves
         * reduce(ExactMatrix.kron, taus, outer),
         f"{label}: equivariance fails for partition {lam}, "
         f"transposition at {sigma}")

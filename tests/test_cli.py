@@ -2,7 +2,9 @@ import importlib
 import tomllib
 from pathlib import Path
 
-from opbar import cli
+import pytest
+
+from opbar import cli, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -12,6 +14,30 @@ def test_verify_prints_every_criterion(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 11
     assert all("[PASS]" in line for line in lines)
+
+
+def test_verify_runs_one_criterion(capsys):
+    assert cli.main(["verify", "--criterion", "6", "--max-arity", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("criterion  6 [PASS]")
+
+
+def test_verify_exit_status_follows_the_verdict(monkeypatch, capsys):
+    def failing(_ctx):
+        return verify.CriterionResult(1, "enumeration", False, "forced")
+
+    monkeypatch.setattr(verify, "CRITERIA", (failing,) + verify.CRITERIA[1:])
+    assert cli.main(["verify", "--criterion", "1", "--max-arity", "2"]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("number", ["0", "12"])
+def test_verify_rejects_a_criterion_out_of_range(number, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--criterion", number])
+    assert exc.value.code == 2
+    assert "outside 1..11" in capsys.readouterr().err
 
 
 def test_project_scripts_import():

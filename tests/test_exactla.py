@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opbar import exactla
 from opbar.errors import ValidationError
 from opbar.exactla import (
     INT,
@@ -105,6 +106,64 @@ class TestMatrixBasics:
         coeffs = solve_in_span([{0: 1, 1: 1}, {1: 1}], {0: 2, 1: 3})
         assert coeffs == {0: Fraction(2), 1: Fraction(1)}
         assert solve_in_span([{0: 1}], {1: 1}) is None
+        # Explicit zero entries neither divide by zero nor block a solve.
+        assert solve_in_span([{0: 0, 1: 1}], {0: 0, 1: 2}) == {0: 2}
+
+
+def dense_rank(rows):
+    """Rank over Q by dense Gaussian elimination (independent oracle)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col] / rows[rank][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestSolveInSpan:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_reused_span_matches_dense_elimination(self, seed):
+        rng = random.Random(seed)
+        dim, count = rng.randint(1, 6), rng.randint(0, 6)
+        # Entries may be explicit zeros, which the solver must ignore.
+        vectors = [{i: rng.randint(-3, 3) for i in range(dim)
+                    if rng.random() < 0.4} for _ in range(count)]
+        span = exactla._Span(vectors)
+
+        def dense(v):
+            return [v.get(i, 0) for i in range(dim)]
+
+        def combination(coeffs):
+            return [sum(c * dense(vectors[k])[i] for k, c in coeffs.items())
+                    for i in range(dim)]
+
+        targets = []
+        for _ in range(5):
+            if vectors and rng.random() < 0.5:
+                row = combination({k: rng.randint(-2, 2)
+                                   for k in range(count)})
+                targets.append({i: x for i, x in enumerate(row) if x})
+            else:
+                targets.append({i: rng.randint(-3, 3) for i in range(dim)
+                                if rng.random() < 0.5})
+        base = dense_rank([dense(v) for v in vectors])
+        for target in targets:
+            coeffs = solve_in_span(span, target)
+            inside = dense_rank([dense(v) for v in vectors]
+                                + [dense(target)]) == base
+            assert (coeffs is not None) == inside
+            assert coeffs == solve_in_span(list(vectors), target)
+            if coeffs is not None:
+                assert combination(coeffs) == dense(target)
 
 
 def three_term(matrix_entries):
@@ -297,6 +356,53 @@ class TestHomologyCoordinates:
         basis = [(1, {1: 1}), (0, {0: 1})]
         with pytest.raises(ValidationError, match="image 1 in degree 1"):
             homology_coordinates(c, basis, [(1, {1: 1}), (1, {0: 1})])
+
+    def test_index_outside_the_rank_is_rejected(self):
+        c = self.segment_plus_loop()
+        with pytest.raises(ValidationError,
+                           match="basis vector 1 in degree 0 has index 5"):
+            homology_coordinates(c, [(1, {1: 1}), (0, {5: 1})],
+                                 [(0, {0: 1})])
+        with pytest.raises(ValidationError,
+                           match="image 0 in degree 1 has index 2"):
+            homology_coordinates(c, [(1, {1: 1})], [(1, {2: 1})])
+
+    def test_dependent_basis_vector_is_rejected(self):
+        c = self.segment_plus_loop()
+        # a1 = a0 - d(b), so [a1] repeats [a0] modulo boundaries.
+        for basis in ([(0, {0: 1}), (0, {0: 2})], [(0, {0: 1}), (0, {1: 1})]):
+            with pytest.raises(ValidationError,
+                               match="basis vector 1 in degree 0 depends"):
+                homology_coordinates(c, basis, [(0, {0: 1})])
+
+    def test_one_echelon_per_degree(self, monkeypatch):
+        c = self.segment_plus_loop()
+        tracked = []
+        insert = exactla._Echelon.insert
+
+        def counting(self, vec, tracking=None):
+            if self.track:
+                tracked.append(vec)
+            return insert(self, vec, tracking)
+
+        monkeypatch.setattr(exactla._Echelon, "insert", counting)
+        images = [(0, {0: j + 1, 1: j}) for j in range(10)]
+        got = homology_coordinates(c, [(0, {0: 1})], images)
+        assert got == ExactMatrix(1, 10, {(0, j): 2 * j + 1
+                                          for j in range(10)}, ring=RAT)
+        # One boundary and one basis vector span degree 0.
+        assert len(tracked) == 2
+
+
+class TestGradedFreeModule:
+    def test_unknown_label_names_degree_and_label(self):
+        module = GradedFreeModule({0: ["a", "b"], 1: ["c"]})
+        assert module.position(1, "c") == 0 and module.index(1, "c") == 2
+        for lookup in (module.position, module.index):
+            with pytest.raises(ValidationError, match="'zz' in degree 0"):
+                lookup(0, "zz")
+            with pytest.raises(ValidationError, match="'c' in degree 0"):
+                lookup(0, "c")
 
 
 class TestAlternatingTrace:
