@@ -28,6 +28,7 @@ from .exactla import (
     ChainMap,
     ExactMatrix,
     GradedFreeModule,
+    HomologySummary,
     flatten_index,
     homology,
     homology_coordinates,
@@ -1075,14 +1076,18 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
     for n in range(1, max_arity + 1):
         bc = build(structure, n, cache)
         report.complexes[n] = bc
-        report.summaries[n] = bc.homology(ring=RAT)
+        # The pieces are a direct sum of bc, so their homology is bc's.
         top = _top_signed_degree(kind, n)
+        ranks = {}
         concentrated = True
         for t, sub in bc.split_by_internal_degree().items():
             h = homology(sub, ring=RAT)
             for s in h.degrees():
+                ranks[s + t] = ranks.get(s + t, 0) + h.free_rank(s)
                 if s != top:
                     concentrated = False
+        report.summaries[n] = HomologySummary(
+            RAT, {d: (r, ()) for d, r in ranks.items()})
         report.concentrated[n] = concentrated
         report.reps[n], report.modules[n] = _homology_basis(bc.complex,
                                                             f"h{n}")

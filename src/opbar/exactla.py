@@ -1,15 +1,18 @@
 """Exact sparse linear algebra over Z and Q.
 
 Matrices are sparse maps (row, col) -> value with arbitrary-precision
-entries.  Chain complexes are graded free modules with labelled bases;
-integral homology (free rank plus torsion invariant factors) is computed
-by Smith normal form, rational homology by exact echelon reduction.
+entries.  Chain complexes are graded free modules with labelled bases.
+Ranks and Smith normal forms, hence rational and integral homology (free
+rank plus torsion invariant factors), come from one sparse elimination
+whose Markowitz pivots are kept in an incrementally updated queue;
+kernels, homology representatives and solves use echelon reduction over Q.
 Induced maps on homology are offered over Q only, in deterministic
 lowest-pivot cycle bases.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from math import gcd, prod
@@ -168,85 +171,126 @@ class ExactMatrix:
 # Smith normal form and integer rank
 
 
-def _pick_pivot(rows, cols):
-    """Entry with |v| minimal, tie-broken by least fill-in, then position."""
-    best = None
-    best_key = None
-    for i, row in rows.items():
-        ri = len(row)
+def _integer_rows(mat):
+    """Rows {i: {j: int}} of mat, checked in one pass over its entries.
+
+    A Fraction with denominator 1 becomes its int; any other non-int
+    entry raises ValidationError naming its position.
+    """
+    rows = {}
+    for i, row in mat._rows.items():
+        out = rows[i] = {}
         for j, v in row.items():
-            key = (abs(v), (ri - 1) * (len(cols[j]) - 1), i, j)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (i, j, v)
-                if key[0] == 1 and key[1] == 0:
-                    return best
-    return best
+            if not isinstance(v, int):
+                if not (isinstance(v, Fraction) and v.denominator == 1):
+                    raise ValidationError(
+                        f"entry ({i},{j}) = {v!r} is not an integer")
+                v = v.numerator
+            out[j] = v
+    return rows
 
 
-def _snf_diagonal(mat):
-    """Diagonalize by unimodular row/column operations; no divisibility yet."""
-    rows = {i: dict(r) for i, r in mat._rows.items()}
+def _snf_diagonal(rows):
+    """Diagonalize integer rows {i: {j: v}} in place by unimodular row and
+    column operations; returns the |pivots|, not yet a divisor chain.
+
+    Pivot rule (Markowitz): least |v|, then least fill-in bound
+    (len(row) - 1) * (len(col) - 1), then least (i, j).  The keys sit in a
+    heap filled once and pushed again for each entry an elimination step
+    writes.  The least key is checked against its entry before use:
+    dropped if the entry is gone, replaced by the current key if the value
+    or cost changed, and left queued when accepted.  Every live entry
+    keeps a key with its current value (its last write pushed one), so the
+    pivot always has the least |v| and the Euclidean loop ends.  A cost
+    goes stale when its row or column changes elsewhere: too low is caught
+    by that check, and too high only steers fill-in, since any nonzero
+    entry is a valid pivot.
+    """
     cols = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
+    heap = [(abs(v), (len(row) - 1) * (len(cols[j]) - 1), i, j)
+            for i, row in rows.items() for j, v in row.items()]
+    heapq.heapify(heap)
+    push = heapq.heappush
     diag = []
 
+    def pick():
+        while True:
+            key = heap[0]
+            i, j = key[2], key[3]
+            row = rows.get(i)
+            v = row.get(j) if row is not None else None
+            if v is None:
+                heapq.heappop(heap)
+                continue
+            now = (abs(v), (len(row) - 1) * (len(cols[j]) - 1), i, j)
+            if now == key:
+                return i, j
+            heapq.heapreplace(heap, now)
+
     def addmul_row(dst, src, q):
-        # row[dst] += q * row[src]
-        rdst = rows.setdefault(dst, {})
-        for j, v in rows[src].items():
+        # row[dst] += q * row[src]; every column of src holds src.
+        rsrc, rdst = rows[src], rows[dst]
+        for j, v in rsrc.items():
             w = rdst.get(j, 0) + q * v
-            if w == 0:
-                if j in rdst:
-                    del rdst[j]
-                    cols[j].discard(dst)
-            else:
+            if w:
                 if j not in rdst:
-                    cols.setdefault(j, set()).add(dst)
+                    cols[j].add(dst)
                 rdst[j] = w
+            elif j in rdst:
+                del rdst[j]
+                cols[j].discard(dst)
         if not rdst:
             del rows[dst]
+            return
+        n = len(rdst) - 1
+        for j in rsrc:
+            w = rdst.get(j)
+            if w is not None:
+                push(heap, (abs(w), n * (len(cols[j]) - 1), dst, j))
 
     def addmul_col(dst, src, q):
-        for i in list(cols.get(src, ())):
-            v = rows[i][src]
+        # col[dst] += q * col[src]
+        for i in list(cols[src]):
             ri = rows[i]
-            w = ri.get(dst, 0) + q * v
-            if w == 0:
-                if dst in ri:
-                    del ri[dst]
-                    cols[dst].discard(i)
-            else:
+            w = ri.get(dst, 0) + q * ri[src]
+            if w:
                 if dst not in ri:
                     cols.setdefault(dst, set()).add(i)
                 ri[dst] = w
+                push(heap, (abs(w), (len(ri) - 1) * (len(cols[dst]) - 1),
+                            i, dst))
+            elif dst in ri:
+                del ri[dst]
+                cols[dst].discard(i)
+                if not cols[dst]:
+                    del cols[dst]
 
     while rows:
-        i, j, v = _pick_pivot(rows, cols)
+        i, j = pick()
         # Clean column j and row i; remainders shrink |pivot|, so this ends.
         while True:
             col_others = [r for r in cols[j] if r != i]
             for r in col_others:
                 q = -(rows[r][j] // rows[i][j])
-                addmul_row(r, i, q)
-            if any(r in cols.get(j, ()) and r != i for r in col_others):
-                i, j, v = _pick_pivot(rows, cols)
+                if q:
+                    addmul_row(r, i, q)
+            if any(r in cols[j] for r in col_others):
+                i, j = pick()
                 continue
             row_others = [c for c in rows[i] if c != j]
             for c in row_others:
                 q = -(rows[i][c] // rows[i][j])
-                addmul_col(c, j, q)
-            if all(c not in rows[i] or c == j for c in row_others):
+                if q:
+                    addmul_col(c, j, q)
+            if all(c not in rows[i] for c in row_others):
                 break
-            i, j, v = _pick_pivot(rows, cols)
-        diag.append(abs(rows[i][j]))
-        del rows[i]
-        cols[j].discard(i)
-        for jj in list(cols):
-            if not cols[jj]:
-                del cols[jj]
+            i, j = pick()
+        # Row i is now {j} and column j is {i}.
+        diag.append(abs(rows.pop(i)[j]))
+        del cols[j]
     return diag
 
 
@@ -254,11 +298,12 @@ def smith_normal_form(mat):
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
     The returned list has length rank(mat) and contains only positive
-    integers (including any leading 1s).
+    integers (including any leading 1s).  A non-integer entry raises
+    ValidationError.
     """
     if mat.ring != INT:
         raise ValidationError("smith_normal_form requires ring Z")
-    diag = _snf_diagonal(mat)
+    diag = _snf_diagonal(_integer_rows(mat))
     # diag(a, b) is equivalent to diag(gcd(a,b), lcm(a,b)); bubble until chained.
     changed = True
     while changed:
@@ -273,23 +318,24 @@ def smith_normal_form(mat):
 
 
 def matrix_rank(mat):
-    """Exact rank (equal over Z and Q for integer matrices)."""
+    """Exact rank (equal over Z and Q for integer matrices).
+
+    Over Z a non-integer entry raises ValidationError.
+    """
     if mat.is_zero():
         return 0
     if mat.ring == RAT:
         # Clear denominators row by row; rank is unchanged.
         rows = {}
-        for (i, j), v in mat.entries():
-            rows.setdefault(i, {})[j] = Fraction(v)
-        entries = {}
-        for i, row in rows.items():
+        for i, row in mat._rows.items():
+            row = {j: Fraction(v) for j, v in row.items()}
             mult = 1
             for v in row.values():
                 mult = mult * v.denominator // gcd(mult, v.denominator)
-            for j, v in row.items():
-                entries[(i, j)] = int(v * mult)
-        mat = ExactMatrix(mat.nrows, mat.ncols, entries, ring=INT)
-    return len(_snf_diagonal(mat))
+            rows[i] = {j: int(v * mult) for j, v in row.items()}
+    else:
+        rows = _integer_rows(mat)
+    return len(_snf_diagonal(rows))
 
 
 # ---------------------------------------------------------------------------

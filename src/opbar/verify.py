@@ -9,6 +9,7 @@ Lefschetz traces) or exact matrix identities; there are no tolerances.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 from . import trees as tr
@@ -59,6 +60,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -361,11 +363,14 @@ def run_criterion(number, ctx=None, max_arity=5):
     if ctx is None:
         ctx = VerifyContext(max_arity)
     fn = CRITERIA[number - 1]
+    start = time.perf_counter()
     try:
-        return fn(ctx)
+        result = fn(ctx)
     except Exception as exc:   # a raised check is a failed criterion
-        return _result(number, fn.__name__.split("_", 2)[-1],
-                       False, f"{type(exc).__name__}: {exc}")
+        result = _result(number, fn.__name__.split("_", 2)[-1],
+                         False, f"{type(exc).__name__}: {exc}")
+    result.seconds = time.perf_counter() - start
+    return result
 
 
 def run_all(max_arity=5, progress=None):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from opbar import barcobar
+from opbar import barcobar, exactla
 from opbar.barcobar import (
     BAR,
     COBAR,
@@ -313,6 +313,25 @@ class TestKoszul:
         assert report.is_koszul()
         for n in range(1, 5):
             assert report.dimension(n) == factorial(n)
+
+    def test_one_rank_per_nonzero_differential(self, ass, monkeypatch):
+        calls = []
+        rank = exactla.matrix_rank
+
+        def counted(mat):
+            calls.append(mat.nnz())
+            return rank(mat)
+
+        monkeypatch.setattr(exactla, "matrix_rank", counted)
+        report = koszul(ass, 4, with_structure=False)
+        monkeypatch.undo()
+        diffs = [d for bc in report.complexes.values()
+                 for d in bc.complex.diffs.values()]
+        assert diffs and len(calls) == len(diffs)
+        assert sum(calls) == sum(d.nnz() for d in diffs)
+        # The summary summed over internal degrees is the whole homology.
+        for n, bc in report.complexes.items():
+            assert report.summaries[n] == bc.homology(ring=RAT)
 
     def test_k_com_is_a_cooperad(self, com):
         report = koszul(com, 4, with_structure=True)

@@ -1,4 +1,5 @@
 import importlib
+import json
 import tomllib
 from pathlib import Path
 
@@ -21,6 +22,17 @@ def test_verify_runs_one_criterion(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("criterion  6 [PASS]")
+
+
+def test_verify_json_prints_one_object_per_criterion(capsys):
+    assert cli.main(["verify", "--json", "--criterion", "1",
+                     "--max-arity", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    result = json.loads(lines[0])
+    assert set(result) == {"number", "name", "passed", "detail", "seconds"}
+    assert result["number"] == 1 and result["passed"] is True
+    assert result["seconds"] >= 0
 
 
 def test_verify_exit_status_follows_the_verdict(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -126,6 +128,102 @@ def dense_rank(rows):
                 rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def fraction_det(rows):
+    """Determinant by Fraction Gaussian elimination (independent oracle)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return int(det)
+
+
+def determinantal_factors(rows):
+    """d_k = D_k / D_(k-1), D_k the gcd of all k x k minors, while D_k != 0."""
+    n, m = len(rows), len(rows[0])
+    factors, prev = [], 1
+    for k in range(1, min(n, m) + 1):
+        dk = 0
+        for rs in itertools.combinations(range(n), k):
+            for cs in itertools.combinations(range(m), k):
+                dk = math.gcd(dk, fraction_det(
+                    [[rows[r][c] for c in cs] for r in rs]))
+        if dk == 0:
+            break
+        factors.append(dk // prev)
+        prev = dk
+    return factors
+
+
+def random_sparse_rows(rng, n, m, bound):
+    """Sparse integer rows, some of them combinations of earlier ones."""
+    density = rng.random()
+    rows = [[rng.randint(-bound, bound) if rng.random() < density else 0
+             for _ in range(m)] for _ in range(n)]
+    for r in range(1, n):
+        if rng.random() < 0.3:
+            a, b = rng.randrange(r), rng.randrange(r)
+            x, y = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[r] = [x * u + y * v for u, v in zip(rows[a], rows[b])]
+    return rows
+
+
+class TestEliminationOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_smith_form_matches_determinantal_divisors(self, seed):
+        rng = random.Random(seed)
+        rows = random_sparse_rows(rng, rng.randint(1, 6), rng.randint(1, 6), 6)
+        assert smith_normal_form(mat(rows)) == determinantal_factors(rows)
+
+    def test_pivot_that_outlives_its_remainder_step(self):
+        # A pivot here survives its Euclidean step without being written
+        # again, so its queued key is the only one it has.
+        rows = [[7, -2, 0, 0, 0, 6, -2, 4],
+                [0, 0, -5, -2, 0, 0, 0, 0],
+                [0, 0, 6, 2, 0, 0, 4, 0],
+                [0, 0, 0, 0, 0, 0, 2, 0]]
+        assert smith_normal_form(mat(rows)) == determinantal_factors(rows)
+        assert matrix_rank(mat(rows)) == dense_rank(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_rank_matches_dense_elimination(self, seed):
+        rng = random.Random(seed)
+        rows = random_sparse_rows(rng, rng.randint(1, 30), rng.randint(1, 30),
+                                  6)
+        assert matrix_rank(mat(rows)) == dense_rank(rows)
+        scaled = [[Fraction(v, rng.randint(1, 6)) for v in row]
+                  for row in rows]
+        assert matrix_rank(mat(scaled, ring=RAT)) == dense_rank(scaled)
+
+    def test_half_integers_rejected(self):
+        m = ExactMatrix(2, 2, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 3)})
+        with pytest.raises(ValidationError, match=r"entry \(0,0\) = .*1, 2"):
+            smith_normal_form(m)
+        with pytest.raises(ValidationError, match=r"entry \(0,0\)"):
+            matrix_rank(m)
+
+    def test_float_entry_rejected(self):
+        m = ExactMatrix(1, 2, {(0, 0): 2.0, (0, 1): 3})
+        with pytest.raises(ValidationError, match=r"entry \(0,0\) = 2\.0"):
+            smith_normal_form(m)
+        with pytest.raises(ValidationError, match=r"entry \(0,0\) = 2\.0"):
+            matrix_rank(m)
+
+    def test_integral_fraction_becomes_int(self):
+        factors = smith_normal_form(ExactMatrix(1, 1, {(0, 0): Fraction(-4)}))
+        assert factors == [4] and type(factors[0]) is int
 
 
 class TestSolveInSpan:
