@@ -1089,8 +1089,8 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
         report.summaries[n] = HomologySummary(
             RAT, {d: (r, ()) for d, r in ranks.items()})
         report.concentrated[n] = concentrated
-        report.reps[n], report.modules[n] = _homology_basis(bc.complex,
-                                                            f"h{n}")
+        report.reps[n], report.modules[n] = _homology_basis(
+            bc.complex, f"h{n}", report.summaries[n])
     if with_structure and report.is_koszul():
         _koszul_structure(structure, report, cache)
         for n in range(2, max_arity + 1):
@@ -1099,17 +1099,20 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
     return report
 
 
-def _homology_basis(complex_, prefix):
+def _homology_basis(complex_, prefix, summary):
     """Homology representatives of every degree and their labelled module.
 
-    Returns the (degree, cycle) pairs in degree order and the graded
-    module whose basis labels are prefix.degree.index.
+    summary is the homology of complex_; only its degrees of nonzero free
+    rank (equal over Z and Q) have representatives.  Returns the (degree,
+    cycle) pairs in degree order and the graded module whose basis labels
+    are prefix.degree.index.
     """
     reps = []
     spaces = {}
-    for d in complex_.degrees():
-        level, _b = homology_representatives(complex_, d)
-        for z in level:
+    for d in summary.degrees():
+        if not summary.free_rank(d):
+            continue
+        for z in homology_representatives(complex_, d):
             spaces.setdefault(d, []).append(f"{prefix}.{d}.{len(reps)}")
             reps.append((d, z))
     return reps, GradedFreeModule({d: tuple(v) for d, v in spaces.items()})
@@ -1297,7 +1300,7 @@ def module_MX_homology(x_module, coproduct, max_arity=4, ring=INT,
     h_actions = {}
     for n in range(1, max_arity + 1):
         report.reps[n], report.modules[n] = _homology_basis(
-            complexes[n].complex, f"m{n}")
+            complexes[n].complex, f"m{n}", report.summaries[n])
         h_actions[n] = _homology_actions(complexes[n], report.reps[n])
     h_symseq = SymSeq(RAT, report.modules, h_actions)
     # Induced action per partition, expressed in the homology bases.

@@ -5,7 +5,8 @@ entries.  Chain complexes are graded free modules with labelled bases.
 Ranks and Smith normal forms, hence rational and integral homology (free
 rank plus torsion invariant factors), come from one sparse elimination
 whose Markowitz pivots are kept in an incrementally updated queue;
-kernels, homology representatives and solves use echelon reduction over Q.
+kernels, homology representatives and solves use echelon reduction over Q,
+in ints until a pivot other than +-1 needs a Fraction (floats are refused).
 Induced maps on homology are offered over Q only, in deterministic
 lowest-pivot cycle bases.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import ValidationError
 
@@ -328,10 +329,8 @@ def matrix_rank(mat):
         # Clear denominators row by row; rank is unchanged.
         rows = {}
         for i, row in mat._rows.items():
-            row = {j: Fraction(v) for j, v in row.items()}
-            mult = 1
-            for v in row.values():
-                mult = mult * v.denominator // gcd(mult, v.denominator)
+            mult = lcm(*(v.denominator
+                         for v in _exact(row, f"row {i}").values()))
             rows[i] = {j: int(v * mult) for j, v in row.items()}
     else:
         rows = _integer_rows(mat)
@@ -340,6 +339,15 @@ def matrix_rank(mat):
 
 # ---------------------------------------------------------------------------
 # Echelon machinery over Q (sparse dict vectors)
+
+
+def _exact(vec, name):
+    """vec, after checking that every entry is an int or a Fraction."""
+    for i, v in vec.items():
+        if not isinstance(v, (int, Fraction)):
+            raise ValidationError(
+                f"{name} has entry {v!r} at index {i}, not an int or Fraction")
+    return vec
 
 
 def _vec_addmul(dst, src, c):
@@ -355,7 +363,8 @@ class _Echelon:
     """Growing echelon basis over Q with lowest-index pivots.
 
     Optionally tracks the expression of each inserted vector in terms of
-    the original inputs (for solving / kernel computation).
+    the original inputs (for solving / kernel computation).  The only
+    Fraction it makes is the inverse of a pivot other than +-1.
     """
 
     def __init__(self, track=False):
@@ -366,13 +375,13 @@ class _Echelon:
     def reduce(self, vec, tracking=None):
         vec = dict(vec)
         if self.track and tracking is None:
-            tracking = {self.count: Fraction(1)}
+            tracking = {self.count: 1}
         while vec:
             p = min(vec)
             hit = self.pivots.get(p)
             if hit is None:
                 break
-            c = -Fraction(vec[p])
+            c = -vec[p]
             _vec_addmul(vec, hit[0], c)
             if self.track:
                 _vec_addmul(tracking, hit[1], c)
@@ -385,12 +394,20 @@ class _Echelon:
         if not vec:
             return None, tracking
         p = min(vec)
-        inv = Fraction(1, 1) / Fraction(vec[p])
-        vec = {j: Fraction(v) * inv for j, v in vec.items()}
+        v = vec[p]
+        vec = _normalized(vec, v)
         if self.track:
-            tracking = {j: v * inv for j, v in tracking.items()}
+            tracking = _normalized(tracking, v)
         self.pivots[p] = (vec, tracking)
         return p, tracking
+
+
+def _normalized(vec, v):
+    """vec / v, in ints when v is +-1 (vec itself when v is 1)."""
+    if v == 1:
+        return vec
+    inv = -1 if v == -1 else Fraction(1) / v
+    return {j: x * inv for j, x in vec.items()}
 
 
 def kernel_basis(mat):
@@ -398,11 +415,10 @@ def kernel_basis(mat):
     ech = _Echelon(track=True)
     kernel = []
     for j in range(mat.ncols):
-        col = {i: Fraction(v) for i, v in mat.column(j).items()}
-        pivot, tracking = ech.insert(col, {j: Fraction(1)})
+        col = _exact(mat.column(j), f"column {j}")
+        pivot, tracking = ech.insert(col, {j: 1})
         if pivot is None:
-            lead = Fraction(1) / tracking[min(tracking)]
-            kernel.append({k: v * lead for k, v in tracking.items()})
+            kernel.append(_normalized(tracking, tracking[min(tracking)]))
     return kernel
 
 
@@ -410,10 +426,10 @@ def column_space_basis(mat):
     basis = []
     ech = _Echelon()
     for j in range(mat.ncols):
-        col = {i: Fraction(v) for i, v in mat.column(j).items()}
+        col = _exact(mat.column(j), f"column {j}")
         pivot, _ = ech.insert(col)
         if pivot is not None:
-            basis.append({i: Fraction(v) for i, v in mat.column(j).items()})
+            basis.append(dict(col))
     return basis
 
 
@@ -439,10 +455,11 @@ def solve_in_span(vectors, target):
     if span.echelon is None:
         span.echelon = _Echelon(track=True)
         for k, v in enumerate(span):
-            span.echelon.insert({i: Fraction(x) for i, x in v.items() if x},
-                                {k: Fraction(1)})
+            span.echelon.insert(
+                {i: x for i, x in _exact(v, f"vector {k}").items() if x},
+                {k: 1})
     red, tracking = span.echelon.reduce(
-        {i: Fraction(x) for i, x in target.items() if x}, tracking={})
+        {i: x for i, x in _exact(target, "target").items() if x}, tracking={})
     if red:
         return None
     return {k: -c for k, c in tracking.items()}
@@ -838,23 +855,19 @@ def reindexing_map(factors, source_shape, target_shape):
 
 
 def homology_representatives(complex_, degree):
-    """(cycle representatives, boundary basis) over Q in a fixed degree.
+    """Cycle representatives of a basis of homology over Q in one degree.
 
     Representatives are deterministic: kernel vectors with lowest-index
     pivots, filtered to be independent modulo the boundary subspace.
     """
-    cycles = kernel_basis(complex_.differential(degree))
-    boundaries = column_space_basis(complex_.differential(degree + 1))
     ech = _Echelon()
-    for b in boundaries:
+    for b in column_space_basis(complex_.differential(degree + 1)):
         ech.insert(b)
     reps = []
-    for z in cycles:
-        red, _ = ech.reduce(z)
-        if red:
-            ech.insert(dict(z))
+    for z in kernel_basis(complex_.differential(degree)):
+        if ech.insert(z)[0] is not None:
             reps.append(z)
-    return reps, boundaries
+    return reps
 
 
 def homology_coordinates(complex_, basis, images):
@@ -915,8 +928,8 @@ def induced_map_on_homology(f, degree):
     """Matrix of H(f) in the deterministic homology bases, over Q."""
     if f.source.ring != RAT and f.source.ring != INT:
         raise ValidationError("induced maps require an exact ring")
-    src_reps, _src_b = homology_representatives(f.source, degree)
-    tgt_reps, _tgt_b = homology_representatives(f.target, degree)
+    src_reps = homology_representatives(f.source, degree)
+    tgt_reps = homology_representatives(f.target, degree)
     comp = f.component(degree)
     return homology_coordinates(f.target, [(degree, z) for z in tgt_reps],
                                 [(degree, comp.apply(z)) for z in src_reps])

@@ -199,7 +199,7 @@ def character_on_homology(n):
     """Character recomputed from the rational homology action matrices."""
     complex_ = partition_complex(n)
     top = n - 1 if n > 1 else 0
-    reps, _b = homology_representatives(complex_, top)
+    reps = homology_representatives(complex_, top)
     basis = [(top, z) for z in reps]
     values = {}
     for sigma in all_permutations(n):

@@ -34,6 +34,7 @@ from opbar.errors import ValidationError
 from opbar.exactla import (
     INT,
     RAT,
+    ChainComplex,
     ExactMatrix,
     GradedFreeModule,
     homology,
@@ -332,6 +333,42 @@ class TestKoszul:
         # The summary summed over internal degrees is the whole homology.
         for n, bc in report.complexes.items():
             assert report.summaries[n] == bc.homology(ring=RAT)
+
+    def test_representatives_only_in_the_top_degree(self, ass, monkeypatch):
+        degrees = []
+        reps = exactla.homology_representatives
+
+        def counted(complex_, degree):
+            degrees.append(degree)
+            return reps(complex_, degree)
+
+        monkeypatch.setattr(barcobar, "homology_representatives", counted)
+        report = koszul(ass, 4, with_structure=False)
+        monkeypatch.undo()
+        # ass is Koszul: each arity n has homology in degree n - 1 only.
+        assert degrees == [0, 1, 2, 3]
+        for n, bc in report.complexes.items():
+            every = [(d, z) for d in bc.complex.degrees()
+                     for z in reps(bc.complex, d)]
+            spaces = {}
+            for i, (d, _z) in enumerate(every):
+                spaces.setdefault(d, []).append(f"h{n}.{d}.{i}")
+            assert report.reps[n] == every
+            assert report.modules[n] == GradedFreeModule(spaces)
+
+    def test_torsion_only_degree_gets_no_representatives(self, monkeypatch):
+        # Cellular RP^2: d_2 = 2 and d_1 = 0, so H_1 = Z/2 and H_2 = 0.
+        rp2 = ChainComplex(GradedFreeModule({0: ["v"], 1: ["e"], 2: ["f"]}),
+                           {2: ExactMatrix(1, 1, {(0, 0): 2})})
+        summary = rp2.homology()
+        assert summary.torsion(1) == (2,) and summary.free_rank(1) == 0
+        degrees = []
+        find = exactla.homology_representatives
+        monkeypatch.setattr(barcobar, "homology_representatives",
+                            lambda c, d: degrees.append(d) or find(c, d))
+        reps, module = barcobar._homology_basis(rp2, "x", summary)
+        assert degrees == [0] and reps == [(0, {0: 1})]
+        assert module == GradedFreeModule({0: ["x.0.0"]})
 
     def test_k_com_is_a_cooperad(self, com):
         report = koszul(com, 4, with_structure=True)

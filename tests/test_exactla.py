@@ -18,8 +18,10 @@ from opbar.exactla import (
     GradedFreeModule,
     HomologySummary,
     alternating_trace,
+    column_space_basis,
     homology,
     homology_coordinates,
+    homology_representatives,
     induced_map_on_homology,
     kernel_basis,
     koszul_sign,
@@ -262,6 +264,137 @@ class TestSolveInSpan:
             assert coeffs == solve_in_span(list(vectors), target)
             if coeffs is not None:
                 assert combination(coeffs) == dense(target)
+
+
+class TestInexactEntriesRejected:
+    def test_solve_in_span(self):
+        with pytest.raises(ValidationError,
+                           match=r"vector 0 has entry 0\.1 at index 0"):
+            solve_in_span([{0: 0.1}], {0: 0.3})
+        with pytest.raises(ValidationError,
+                           match=r"target has entry 0\.3 at index 0"):
+            solve_in_span([{0: 1}], {0: 0.3})
+
+    def test_kernel_basis(self):
+        m = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): 0.5}, ring=RAT)
+        with pytest.raises(ValidationError,
+                           match=r"column 1 has entry 0\.5 at index 1"):
+            kernel_basis(m)
+
+    def test_column_space_basis(self):
+        m = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): 0.5}, ring=RAT)
+        with pytest.raises(ValidationError,
+                           match=r"column 1 has entry 0\.5 at index 1"):
+            column_space_basis(m)
+
+    def test_rational_rank(self):
+        m = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): 0.5}, ring=RAT)
+        with pytest.raises(ValidationError,
+                           match=r"row 1 has entry 0\.5 at index 1"):
+            matrix_rank(m)
+
+
+def dense_rref(rows, ncols):
+    """Reduced row echelon rows over Q and their pivot columns (oracle)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                c = a[i][col]
+                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a[:len(pivots)], pivots
+
+
+def unimodular_pair(rng, n):
+    """A random integer n x n matrix of determinant +-1 and its inverse."""
+    p = q = ExactMatrix.identity(n, ring=RAT)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        a = rng.randint(-2, 2)
+        ident = {(k, k): 1 for k in range(n)}
+        p = ExactMatrix(n, n, {**ident, (i, j): a}, ring=RAT) * p
+        q = q * ExactMatrix(n, n, {**ident, (i, j): -a}, ring=RAT)
+    if n:
+        flip = ExactMatrix(n, n, {(k, k): rng.choice((1, -1))
+                                  for k in range(n)}, ring=RAT)
+        p, q = flip * p, q * flip
+    return p, q
+
+
+def complex_with_betti(rng, top):
+    """A Q complex in degrees 0..top and its Betti numbers.
+
+    Degree k holds b_k generators with d = 0 and pairs x -> c y (x in
+    degree k, y in degree k - 1, c a nonzero integer), then every degree
+    is moved by a random unimodular basis change.
+    """
+    betti = [rng.randint(0, 2) for _ in range(top + 1)]
+    labels = [[("z", i) for i in range(b)] for b in betti]
+    entries = {k: {} for k in range(1, top + 1)}
+    for k in range(1, top + 1):
+        for pair in range(rng.randint(0, 2)):
+            labels[k].append(("x", pair))
+            labels[k - 1].append(("y", pair, k))
+            entries[k][(len(labels[k - 1]) - 1, len(labels[k]) - 1)] = \
+                rng.choice((1, -1, 2, -3, 6))
+    ranks = [len(labs) for labs in labels]
+    moves = [unimodular_pair(rng, r) for r in ranks]
+    diffs = {k: moves[k - 1][0] * ExactMatrix(
+        ranks[k - 1], ranks[k], entries[k], ring=RAT) * moves[k][1]
+        for k in range(1, top + 1)}
+    module = GradedFreeModule(dict(enumerate(labels)))
+    return ChainComplex(module, diffs, ring=RAT), betti
+
+
+class TestEchelonOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_kernel_and_column_space_match_dense_rref(self, seed):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[Fraction(v, rng.randint(1, 4)) for v in row]
+                for row in random_sparse_rows(rng, n, m, 6)]
+        # A first pivot other than +-1, so the Fraction path always runs.
+        rows[0][0] = Fraction(rng.choice((2, -3, 5)), rng.randint(1, 4))
+        matrix = mat(rows, ring=RAT)
+        rref, pivots = dense_rref(rows, m)
+        expected = []
+        for f in range(m):
+            if f not in pivots:
+                x = {f: Fraction(1)}
+                x.update((p, -rref[i][f]) for i, p in enumerate(pivots)
+                         if rref[i][f])
+                lead = x[min(x)]
+                expected.append({k: v / lead for k, v in x.items()})
+        assert kernel_basis(matrix) == expected
+        assert column_space_basis(matrix) == [
+            {i: rows[i][p] for i in range(n) if rows[i][p]} for p in pivots]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_representatives_match_known_betti_numbers(self, seed):
+        rng = random.Random(seed)
+        c, betti = complex_with_betti(rng, rng.randint(0, 3))
+
+        def dense(v, k):
+            return [v.get(i, 0) for i in range(c.rank(k))]
+
+        for k, b in enumerate(betti):
+            reps = homology_representatives(c, k)
+            assert len(reps) == b
+            assert all(not c.differential(k).apply(z) for z in reps)
+            up = c.differential(k + 1)
+            bounds = [dense(up.column(j), k) for j in range(up.ncols)]
+            assert dense_rank(bounds + [dense(z, k) for z in reps]) == \
+                dense_rank(bounds) + b
 
 
 def three_term(matrix_entries):
