@@ -9,6 +9,15 @@ trees module, the structure-map matrix entry, and the Koszul sign of the
 graded slot reordering.  Cobar complexes run the same covers backwards
 through cocomposition matrices, with tree degrees recorded negatively.
 
+One ungrafting engine builds the cooperad structure of B(P), the operad
+structure of the cobar construction and the module structure maps of a
+one-sided complex: it cuts each tree into factors F_0 (x) F_1 (x) ....
+A basis element is its vertex orientation tensored with its slot
+decorations, so each term carries the sign splitting the orientation,
+the Koszul sign of reordering the decorations, and (-1)^(s_j t_i) for
+every i < j, as factor j's orientation (degree s_j, its vertex count)
+moves past factor i's decorations (internal degree t_i).
+
 The normalized simplicial construction over strict partition chains is
 built independently and serves as a sign-free homology oracle.
 """
@@ -97,6 +106,7 @@ class BarComplex:
         self.complex = complex_
         self.provenance = provenance
         self._slots = slot_cache
+        self._sorted_trees = None
         self.r_coeff = r_coeff
         self.op = op
         self.l_coeff = l_coeff
@@ -118,7 +128,11 @@ class BarComplex:
         return self._slots[tree]
 
     def trees(self):
-        return sorted(self._slots, key=tr.Tree.serialize)
+        """The basis trees in serialization order, sorted on first use."""
+        if self._sorted_trees is None:
+            self._sorted_trees = tuple(sorted(self._slots,
+                                              key=tr.Tree.serialize))
+        return self._sorted_trees
 
     def index(self, label):
         return self._index[label]
@@ -739,98 +753,93 @@ def reduced_cobar(q, arity, cache=None):
                            _unit(q, LEFT_COMODULE), arity, cache)
 
 
-def _ungraft_terms(cplx_n, cplx_m, cplx_k, b_set):
-    """(V label, (T label, U label), coefficient) for one leaf split.
+def _split_terms(bc, skeleton, parts, blocks):
+    """(V label, (skeleton label, part labels...), coefficient) triples.
 
-    The slot label of the split is realized as min(b_set), so all
-    relabellings are order-preserving and contribute no signs beyond the
-    vertex-order permutation and the Koszul slot reordering.
+    Ungrafts every basis tree V of bc along the disjoint label sets blocks
+    (trees.ungraft_partition): each block is cut off as one part, relabelled
+    onto 1..|block| preserving order; the skeleton keeps the leaves no
+    block covers, gains one leaf per cut counted as its block's least
+    label, and is relabelled onto 1..m preserving order.  skeleton and
+    parts are the factors' complexes, in the order of the blocks; trees
+    whose factors are not among their basis trees contribute nothing.  The
+    skeleton's cut leaves and the parts' roots carry the unit.
+
+    Signs: V's vertex orientation splits into the factors' orientations
+    (the sign of V's vertex order against skeleton vertices, then each
+    part's), the slot decorations are reordered into the factors' slots
+    (Koszul sign), and each factor's orientation, of degree its vertex
+    count s_j, moves past the decorations of the factors before it, of
+    internal degrees t_i: the sign (-1)^(sum over i < j of s_j t_i).
     """
-    n = cplx_n.arity
-    b_sorted = tuple(sorted(b_set))
-    marker = b_sorted[0]
-    a_labels = tuple(sorted((set(range(1, n + 1)) - set(b_sorted)) | {marker}))
-    rel_a = {x: i + 1 for i, x in enumerate(a_labels)}
-    rel_b = {x: i + 1 for i, x in enumerate(b_sorted)}
+    blocks = [tuple(sorted(b)) for b in blocks]
+    factors = [skeleton] + list(parts)
+    heads = {(b[0],) for b in blocks}
+    kept = sorted(set(range(1, bc.arity + 1)).difference(*blocks)
+                  | {b[0] for b in blocks})
+    rels = [{x: i + 1 for i, x in enumerate(b)} for b in blocks]
     out = []
-    for v_tree in cplx_n.trees():
-        cut = tr.find_subtree_with_labels(v_tree, b_sorted)
-        if cut is None:
+    for v_tree in bc.trees():
+        res = tr.ungraft_partition(v_tree, blocks)
+        if res is None:
             continue
-        u_raw = tr.Tree((v_tree.node_at(cut),))
-        t_raw = tr.make_tree(tr._replace_at_plain(
-            v_tree.root_children, cut, ("L", (marker,))))
-        t_tree, sgn_t = tr.relabel(t_raw, rel_a)
-        u_tree, sgn_u = tr.relabel(u_raw, rel_b)
-        if sgn_t != 1 or sgn_u != 1:
-            raise InternalConsistencyError(
-                "order-preserving relabelling produced a sign")
-        if t_tree not in cplx_m._slots or u_tree not in cplx_k._slots:
+        t_tree, parts_raw, cuts = res
+        f_trees = [t_tree]
+        for u_raw, rel in zip(parts_raw, rels):
+            u_tree, sgn = tr.relabel(u_raw, rel)
+            if sgn != 1:
+                raise InternalConsistencyError(
+                    "order-preserving relabelling produced a sign")
+            f_trees.append(u_tree)
+        if any(tree not in f._slots for f, tree in zip(factors, f_trees)):
             continue
-        # Vertex split permutation: V order -> (T order, then U order).
+        # V's vertex paths per factor, each in that factor's vertex order.
         v_order = v_tree.vertex_paths()
-        under = [path for path in v_order if path[:len(cut)] == cut]
-        t_part = [path for path in v_order if path not in under]
-        split_order = t_part + under
-        perm = tuple(split_order.index(path) for path in v_order)
-        base_sign = perm_sign(perm)
+        under = [[path for path in v_order if path[:len(c)] == c]
+                 for c in cuts]
+        inside = {path for u in under for path in u}
+        groups = [[path for path in v_order if path not in inside]] + under
+        split_order = {path: i for i, path in enumerate(
+            path for g in groups for path in g)}
+        base_sign = perm_sign(tuple(split_order[path] for path in v_order))
 
-        slots_v = cplx_n.slots(v_tree)
-        slots_t = cplx_m.slots(t_tree)
-        slots_u = cplx_k.slots(u_tree)
+        slots_v = bc.slots(v_tree)
         src_pos = {(kind, key): i
                    for i, (kind, key, _m) in enumerate(slots_v)}
-
-        def v_vertex_pos(paths):
-            return [src_pos[("v", path)] for path in paths]
-
-        # Target slot sequence: T slots then U slots, matched back to V.
+        f_slots = [f.slots(tree) for f, tree in zip(factors, f_trees)]
         plan = []
-        for tkind, tkey, _m in slots_t:
-            if tkind == "root":
-                plan.append(("copy", src_pos[("root", None)]))
-            elif tkind == "v":
-                # T vertex paths are V paths outside the cut subtree.
-                orig = t_part[_vertex_index(t_tree, tkey)]
-                plan.append(("copy", src_pos[("v", orig)]))
-            else:
-                if tkey == (rel_a[marker],):
-                    plan.append(("unit",))
+        for j, (tree, slots_f) in enumerate(zip(f_trees, f_slots)):
+            vpath = dict(zip(tree.vertex_paths(), groups[j]))
+            for kind, key, _m in slots_f:
+                if kind == "v":
+                    plan.append(("copy", src_pos[("v", vpath[key])]))
+                elif kind == "root":
+                    plan.append(("unit",) if j else
+                                ("copy", src_pos[("root", None)]))
                 else:
-                    orig_labels = tuple(sorted(
-                        a_labels[x - 1] for x in tkey))
-                    plan.append(("copy", src_pos[("leaf", orig_labels)]))
-        for tkind, tkey, _m in slots_u:
-            if tkind == "root":
-                plan.append(("unit",))
-            elif tkind == "v":
-                orig = under[_vertex_index(u_tree, tkey)]
-                plan.append(("copy", src_pos[("v", orig)]))
-            else:
-                orig_labels = tuple(sorted(b_sorted[x - 1] for x in tkey))
-                plan.append(("copy", src_pos[("leaf", orig_labels)]))
+                    orig = (tuple(blocks[j - 1][x - 1] for x in key) if j
+                            else tuple(kept[x - 1] for x in key))
+                    plan.append(("unit",) if not j and orig in heads else
+                                ("copy", src_pos[("leaf", orig)]))
 
         sizes = [s[2].total_rank() for s in slots_v]
-        n_t_slots = len(slots_t)
-        s_t, s_u = t_tree.n_vertices, u_tree.n_vertices
+        s_f = [tree.n_vertices for tree in f_trees]
         for decor in itertools.product(*(range(x) for x in sizes)):
-            t_deg_v = sum(slots_v[i][2].degree_of(decor[i])
-                          for i in range(len(slots_v)))
-            v_label = BarBasisLabel(v_tree, decor, v_tree.n_vertices, t_deg_v)
+            t_v = sum(_decoration_degrees(slots_v, decor))
+            v_label = BarBasisLabel(v_tree, decor, v_tree.n_vertices, t_v)
             for tgt_dec, coeff in _merge_eval(slots_v, decor, plan, base_sign):
-                dec_t = tgt_dec[:n_t_slots]
-                dec_u = tgt_dec[n_t_slots:]
-                td_t = sum(slots_t[i][2].degree_of(dec_t[i])
-                           for i in range(n_t_slots))
-                td_u = t_deg_v - td_t
-                lab_t = BarBasisLabel(t_tree, dec_t, s_t, td_t)
-                lab_u = BarBasisLabel(u_tree, dec_u, s_u, td_u)
-                out.append((v_label, (lab_t, lab_u), coeff))
+                labels = []
+                offset = t_before = 0
+                for j, slots_f in enumerate(f_slots):
+                    dec_f = tgt_dec[offset:offset + len(slots_f)]
+                    offset += len(slots_f)
+                    t_f = sum(_decoration_degrees(slots_f, dec_f))
+                    if s_f[j] * t_before % 2:
+                        coeff = -coeff
+                    t_before += t_f
+                    labels.append(BarBasisLabel(f_trees[j], dec_f, s_f[j], t_f))
+                out.append((v_label, tuple(labels), coeff))
     return out
-
-
-def _vertex_index(tree, path):
-    return tree.vertex_paths().index(path)
 
 
 def bar_cocomposition(p, arity, a, a_side, b_side, cache=None):
@@ -856,7 +865,7 @@ def _split_map(kind, p, arity, a, a_side, b_side, cache):
                               for n in (arity, arity - k + 1, k))
     tensor = tensor_list([cplx_m.complex, cplx_k.complex])
     return _ungrafting_map(
-        cplx_n, tensor, _ungraft_terms(cplx_n, cplx_m, cplx_k, b_side))
+        cplx_n, tensor, _split_terms(cplx_n, cplx_m, [cplx_k], [b_side]))
 
 
 def _ungrafting_map(bc, tensor, terms):
@@ -889,99 +898,6 @@ def _check_split(arity, a, a_side, b_side):
         raise ValidationError("A u_a B must equal {1..arity}")
 
 
-def _partition_split_terms(one_sided, skeleton_cplxs, part_cplxs, blocks):
-    """(V label, (skeleton label, part labels...), coefficient) triples.
-
-    Decomposes each basis tree of the one-sided complex along the given
-    partition, when it is of that type.
-    """
-    blocks = canonical_partition(blocks)
-    r = len(blocks)
-    skel_cplx = skeleton_cplxs
-    out = []
-    for v_tree in one_sided.trees():
-        res = tr.ungraft_partition(v_tree, blocks)
-        if res is None:
-            continue
-        t_raw, parts_raw = res
-        rel_parts = []
-        ok = True
-        for j, u_raw in enumerate(parts_raw):
-            rel = {x: i + 1 for i, x in enumerate(blocks[j])}
-            u_tree, sgn = tr.relabel(u_raw, rel)
-            if sgn != 1:
-                raise InternalConsistencyError(
-                    "order-preserving relabelling produced a sign")
-            if u_tree not in part_cplxs[j]._slots:
-                ok = False
-                break
-            rel_parts.append(u_tree)
-        if not ok or t_raw not in skel_cplx._slots:
-            continue
-        t_tree = t_raw
-
-        cuts = [tr.find_subtree_with_labels(v_tree, b) for b in blocks]
-        v_order = v_tree.vertex_paths()
-        under = [[path for path in v_order if path[:len(c)] == c]
-                 for c in cuts]
-        flat_under = [path for u in under for path in u]
-        t_part = [path for path in v_order if path not in flat_under]
-        split_order = t_part + flat_under
-        perm = tuple(split_order.index(path) for path in v_order)
-        base_sign = perm_sign(perm)
-
-        slots_v = one_sided.slots(v_tree)
-        src_pos = {(kind, key): i
-                   for i, (kind, key, _m) in enumerate(slots_v)}
-        slot_groups = [skel_cplx.slots(t_tree)] + [
-            part_cplxs[j].slots(rel_parts[j]) for j in range(r)]
-
-        plan = []
-        group_sizes = []
-        for g, slots_g in enumerate(slot_groups):
-            group_sizes.append(len(slots_g))
-            for tkind, tkey, _m in slots_g:
-                if g == 0:
-                    if tkind == "root":
-                        plan.append(("copy", src_pos[("root", None)]))
-                    elif tkind == "v":
-                        orig = t_part[_vertex_index(t_tree, tkey)]
-                        plan.append(("copy", src_pos[("v", orig)]))
-                    else:
-                        plan.append(("unit",))
-                else:
-                    j = g - 1
-                    if tkind == "root":
-                        plan.append(("unit",))
-                    elif tkind == "v":
-                        orig = under[j][_vertex_index(rel_parts[j], tkey)]
-                        plan.append(("copy", src_pos[("v", orig)]))
-                    else:
-                        orig_labels = tuple(sorted(
-                            blocks[j][x - 1] for x in tkey))
-                        plan.append(("copy", src_pos[("leaf", orig_labels)]))
-
-        sizes = [s[2].total_rank() for s in slots_v]
-        s_parts = [t_tree.n_vertices] + [u.n_vertices for u in rel_parts]
-        for decor in itertools.product(*(range(x) for x in sizes)):
-            t_deg_v = sum(slots_v[i][2].degree_of(decor[i])
-                          for i in range(len(slots_v)))
-            v_label = BarBasisLabel(v_tree, decor, v_tree.n_vertices, t_deg_v)
-            for tgt_dec, coeff in _merge_eval(slots_v, decor, plan, base_sign):
-                labels = []
-                offset = 0
-                for g, slots_g in enumerate(slot_groups):
-                    dec_g = tgt_dec[offset:offset + group_sizes[g]]
-                    offset += group_sizes[g]
-                    td = sum(slots_g[i][2].degree_of(dec_g[i])
-                             for i in range(len(slots_g)))
-                    tree_g = t_tree if g == 0 else rel_parts[g - 1]
-                    labels.append(BarBasisLabel(tree_g, dec_g,
-                                                s_parts[g], td))
-                out.append((v_label, tuple(labels), coeff))
-    return out
-
-
 def module_structure_maps(bc, blocks, cache=None):
     """Ungrafting structure map of a one-sided bar or cobar complex.
 
@@ -1002,7 +918,7 @@ def module_structure_maps(bc, blocks, cache=None):
     parts = [_one_sided(bc, len(b), cache) for b in blocks]
     tensor = tensor_list([skel.complex] + [pt.complex for pt in parts])
     return _ungrafting_map(
-        bc, tensor, _partition_split_terms(bc, skel, parts, blocks))
+        bc, tensor, _split_terms(bc, skel, parts, blocks))
 
 
 def _one_sided(bc, arity, cache=None):

@@ -7,8 +7,12 @@ split, the degree and the first column that differs.  Splittings are
 ordered disjoint triples (X, Y, Z) covering {1..n}, with x = |X| and so
 on, and B(k) is B(P) at arity k.  phi_S : B(n) -> B(n-|S|+1) (x) B(|S|)
 ungrafts the leaves S, the slot left behind labelled min(S); psi_S is
-the cobar composition running the other way; R is a signed reindexing of
-tensor factors (exactla.reindexing_map).
+the cobar composition running the other way, and act_lambda the module
+structure map of a partition lambda.  All three come from one ungrafting
+engine (barcobar._split_terms), whose sign moves each factor's vertex
+orientation past the decorations of the factors before it, so the checks
+hold for odd-degree decorations too.  R is a signed reindexing of tensor
+factors (exactla.reindexing_map).
 
 - coassociativity, into (B(x+1) (x) B(y+1)) (x) B(z), R re-bracketing:
   (phi_{Y+min Z} (x) id) o phi_Z = R o (id (x) phi_Z) o phi_{Y u Z};

@@ -523,59 +523,44 @@ def _cut_candidates(tree, block):
     return out
 
 
-def find_subtree_with_labels(tree, labels):
-    """Path of the unique node whose subtree labels equal the set, if any."""
-    cuts = _cut_candidates(tree, labels)
-    if len(cuts) > 1:
-        raise ValidationError("subtree with the given labels is not unique")
-    return cuts[0] if cuts else None
-
-
-def ungraft(v, a_side, b_side, a):
-    """The unique (t, u) with v = graft(t, a, u), if v is of type (A, B).
-
-    The slot label a is bound inside a_side; it may coincide with an
-    element of b_side (the canonical choice downstream is min(b_side)).
-    """
-    a_rest = frozenset(a_side) - {a}
-    b_set = frozenset(b_side)
-    if a not in set(a_side) or (a_rest & b_set) or (a_rest | b_set) != v.labels:
-        raise ValidationError("ungraft: label sets do not match the tree")
-    cuts = _cut_candidates(v, b_side)
-    if not cuts:
-        return None
-    if len(cuts) > 1:
-        raise ValidationError("ungraft: decomposition is not unique")
-    path = cuts[0]
-    u = Tree((v.node_at(path),))
-    t = make_tree(_replace_at_plain(v.root_children, path, _leaf((a,))))
-    return t, u
-
-
 def ungraft_partition(v, blocks):
-    """Decompose v as a leaf-species tree grafted with one tree per block.
+    """Cut v along disjoint label blocks into a skeleton and one part each.
 
-    Blocks are indexed 1..r in order of least element; the first factor is
-    labelled by these indices.  Returns None when v is not of this type.
+    Each block is cut off at the node whose subtree carries exactly its
+    labels; that subtree, with v's labels, is the block's part.  The
+    skeleton keeps the leaves no block covers and gains one leaf per cut,
+    counted as its block's least label, and is relabelled onto 1..m
+    preserving order, so blocks that cover v become leaves 1..r in
+    least-label order.  Returns (skeleton, parts, cut paths), parts and
+    cuts in the order of the blocks, or None when some block is not the
+    label set of a subtree of v.
     """
-    blocks = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-    if not blocks or frozenset(x for b in blocks for x in b) != v.labels:
-        raise ValidationError("ungraft_partition: blocks must partition the labels")
+    blocks = [tuple(sorted(b)) for b in blocks]
+    covered = [x for b in blocks for x in b]
+    if not blocks or not all(blocks) or len(set(covered)) != len(covered) \
+            or not v.labels >= set(covered):
+        raise ValidationError(
+            "ungraft_partition: blocks must be disjoint label sets of the tree")
     cuts = []
     for block in blocks:
         found = _cut_candidates(v, block)
         if not found:
             return None
         cuts.append(found[0])
-    # Every leaf must sit inside one of the cut subtrees.
-    for leaf_path, _labs in v.leaves():
-        if not any(leaf_path[:len(c)] == c for c in cuts):
-            return None
-    parts = [Tree((v.node_at(c),)) for c in cuts]
-    children = v.root_children
-    for j, cut in enumerate(cuts):
-        children = _replace_at_plain(children, cut, _leaf((j + 1,)))
-    return make_tree(children), parts
+    heads = {cut: block[0] for cut, block in zip(cuts, blocks)}
+    kept = sorted((v.labels - set(covered)) | set(heads.values()))
+    rank = {x: i + 1 for i, x in enumerate(kept)}
+
+    def skeleton(node, path):
+        if path in heads:
+            return ("L", (rank[heads[path]],))
+        if node[0] == "L":
+            return ("L", tuple(rank[x] for x in node[1]))
+        return ("V", tuple(skeleton(c, path + (i,))
+                           for i, c in enumerate(node[1])))
+
+    return (make_tree(skeleton(c, (i,)) for i, c in enumerate(v.root_children)),
+            [Tree((v.node_at(c),)) for c in cuts], cuts)
 
 
 # -- relabelling ------------------------------------------------------------

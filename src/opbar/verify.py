@@ -248,36 +248,40 @@ def criterion_7_duality_shadow(ctx):
 
 def criterion_8_module_mx(ctx):
     cap = min(4, ctx.max_arity)
-    x = GradedFreeModule({2: ("x",)})
-    delta = ExactMatrix.zero(1, 1)
     deriv = ctx.deriv(max(cap, 3))
-    report = module_MX_homology(x, delta, cap, deriv_report=deriv,
-                                with_action=True, cache=ctx.cache)
-    sphere_seq = builtin_sphere_comodule(2, cap).symseq
     hdi = _koszul_symseq(deriv)
-    for n in range(2, cap + 1):
-        got = report.summaries[n].groups
-        want = {}
-        for k in range(1, n + 1):
-            rank = stirling2(n, k) * math.factorial(k - 1)
-            if rank:
-                want[2 * k + 1 - k] = (rank, ())
-        if got != want:
-            return _result(8, "module of the 2-sphere", False,
-                           f"arity {n}: {got} != Stirling oracle {want}")
-        prod = compose_product(hdi, sphere_seq, n)
-        prod_ranks = {d: prod.rank(d) for d in prod.degrees()}
-        if prod_ranks != {d: r for d, (r, _t) in want.items()}:
-            return _result(8, "module of the 2-sphere", False,
-                           f"arity {n}: compose_product {prod_ranks}")
-    if report.homology_module is None:
-        return _result(8, "module of the 2-sphere", False,
-                       "no induced action computed")
+    for r in (1, 2, 3):
+        x = GradedFreeModule({r: ("x",)})
+        report = module_MX_homology(x, ExactMatrix.zero(1, 1), cap,
+                                    deriv_report=deriv, with_action=True,
+                                    cache=ctx.cache)
+        sphere_seq = builtin_sphere_comodule(r, cap).symseq
+        for n in range(2, cap + 1):
+            got = report.summaries[n].groups
+            ranks = {}
+            for k in range(1, n + 1):
+                d = k * (r - 1) + 1
+                ranks[d] = ranks.get(d, 0) + stirling2(n, k) * math.factorial(
+                    k - 1)
+            want = {d: (rank, ()) for d, rank in ranks.items()}
+            if got != want:
+                return _result(8, "module of the spheres", False,
+                               f"S^{r} arity {n}: {got} != Stirling oracle "
+                               f"{want}")
+            prod = compose_product(hdi, sphere_seq, n)
+            prod_ranks = {d: prod.rank(d) for d in prod.degrees()}
+            if prod_ranks != {d: rank for d, (rank, _t) in want.items()}:
+                return _result(8, "module of the spheres", False,
+                               f"S^{r} arity {n}: compose_product "
+                               f"{prod_ranks}")
+        if report.homology_module is None:
+            return _result(8, "module of the spheres", False,
+                           f"S^{r}: no induced action computed")
     return _result(
-        8, "module of the 2-sphere", True,
-        f"cobar homology equals the composition-product expansion "
-        f"(ranks S(n,k)(k-1)!), arities 2..{cap}; induced action passes "
-        "unit, pentagon and equivariance")
+        8, "module of the spheres", True,
+        f"cobar homology of S^1, S^2, S^3 equals the composition-product "
+        f"expansion (rank S(n,k)(k-1)! in degree k(r-1)+1), arities "
+        f"2..{cap}; induced actions pass unit, pentagon and equivariance")
 
 
 def criterion_9_characters(ctx):
@@ -338,10 +342,19 @@ def criterion_11_odd_degree_stress(ctx):
         cobar_complex(runit_c, qcom, sphere_c, n)   # validates d^2 = 0
         bar_complex(runit_m, ctx.com, sphere_m, n)
         built += 2
+    # The module action on the odd sphere, chain level.
+    cc = cobar_complex(runit_c, qcom, sphere_c, min(3, cap))
+    check_unary_action_is_identity(cc, ctx.cache)
+    pentagons = 0
+    for lam in set_partitions(range(1, min(3, cap) + 1)):
+        for grouping in set_partitions(range(len(lam))):
+            check_module_pentagon_chain(cc, lam, grouping, ctx.cache)
+            pentagons += 1
     return _result(
         11, "odd-degree sign stress", True,
         f"{built} sphere complexes at r = 1 built with d^2 = 0, "
-        f"arity <= {cap}")
+        f"arity <= {cap}; unary action and {pentagons} pentagons of the "
+        f"r = 1 cobar module at arity {min(3, cap)}")
 
 
 CRITERIA = (

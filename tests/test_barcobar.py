@@ -30,6 +30,7 @@ from opbar.checks import (
     check_module_pentagon_chain,
     check_unary_action_is_identity,
 )
+from opbar.combinat import set_partitions
 from opbar.errors import ValidationError
 from opbar.exactla import (
     INT,
@@ -51,6 +52,7 @@ from opbar.opalg import (
     dual,
     unit_module,
 )
+from opbar.verify import stirling2
 from test_partition import cycle_types, sgn_lie_character
 
 
@@ -452,6 +454,48 @@ class TestModuleMX:
         assert report.homology_module.side == LEFT_MODULE
 
 
+class TestOddDegreeSigns:
+    """Ungrafting moves each factor's orientation past the decorations of
+    the factors before it; with odd decorations that sign shows."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_odd_sphere_module_and_action(self, deriv, r, n):
+        x = GradedFreeModule({r: ("x",)})
+        # with_action validates the unit, pentagon and equivariance.
+        report = module_MX_homology(x, ExactMatrix.zero(1, 1), n,
+                                    deriv_report=deriv, with_action=True)
+        assert report.homology_module is not None
+        for m in range(2, n + 1):
+            want = {}
+            for k in range(1, m + 1):
+                d = k * (r - 1) + 1
+                want[d] = want.get(d, 0) + stirling2(m, k) * factorial(k - 1)
+            assert report.summaries[m].groups == \
+                {d: (rank, ()) for d, rank in want.items()}
+
+    def test_odd_sphere_pentagon_chain(self, qcom):
+        sphere = builtin_sphere_comodule(1, 4)
+        cc = cobar_complex(unit_module(qcom, RIGHT_COMODULE), qcom, sphere, 3)
+        cache = {}
+        check_unary_action_is_identity(cc, cache)
+        for lam in set_partitions(range(1, 4)):
+            for grouping in set_partitions(range(len(lam))):
+                check_module_pentagon_chain(cc, lam, grouping, cache)
+
+    def test_odd_sphere_bar_comodule_map(self):
+        com4 = builtin("com", 4)
+        bc = bar_complex(unit_module(com4, RIGHT_MODULE), com4,
+                         builtin_sphere_module(1, 4), 4)
+        cm = module_structure_maps(bc, ((1,), (2, 3, 4)))
+        cm.verify()
+
+    def test_derivatives_structure_maps(self, deriv):
+        k_op = operad_from_koszul(deriv)   # degrees 1 - n
+        assert check_coassociativity(k_op, 4) > 0
+        assert check_cobar_associativity(dual(k_op), 4) > 0
+
+
 class TestComplexCache:
     def test_equal_structures_share_a_complex(self):
         cache = {}
@@ -475,22 +519,22 @@ class TestComplexCache:
         assert ass_bar.complex.module.total_rank() == 264
 
 
-def _negated_terms(monkeypatch, name, match):
-    """Negate the (un)grafting terms that barcobar.<name> returns whenever
-    match(args) holds; the negated map is still a chain map."""
-    original = getattr(barcobar, name)
+def _negated_terms(monkeypatch, match):
+    """Negate the (un)grafting terms that barcobar._split_terms returns
+    whenever match(bc, blocks) holds; the negated map is still a chain
+    map."""
+    original = barcobar._split_terms
 
-    def negated(*args):
-        terms = original(*args)
-        if match(*args):
-            return [(label, parts, -c) for label, parts, c in terms]
+    def negated(bc, skeleton, parts, blocks):
+        terms = original(bc, skeleton, parts, blocks)
+        if match(bc, tuple(tuple(sorted(b)) for b in blocks)):
+            return [(label, factors, -c) for label, factors, c in terms]
         return terms
-    monkeypatch.setattr(barcobar, name, negated)
+    monkeypatch.setattr(barcobar, "_split_terms", negated)
 
 
 def _split_at(arity, b_set):
-    return lambda cplx_n, _m, _k, b: (cplx_n.arity, tuple(sorted(b))) == \
-        (arity, b_set)
+    return lambda bc, blocks: (bc.arity, blocks) == (arity, (b_set,))
 
 
 class TestChecksRejectCorruptedMaps:
@@ -500,19 +544,19 @@ class TestChecksRejectCorruptedMaps:
     @pytest.mark.parametrize("arity,b_set", [(4, (3, 4)), (3, (2, 3)),
                                              (2, (2,))])
     def test_coassociativity(self, monkeypatch, name, arity, b_set):
-        _negated_terms(monkeypatch, "_ungraft_terms", _split_at(arity, b_set))
+        _negated_terms(monkeypatch, _split_at(arity, b_set))
         with pytest.raises(ValidationError, match="arity 4"):
             check_coassociativity(builtin(name, 4), 4)
 
     @pytest.mark.parametrize("arity,b_set", [(4, (2,)), (3, (2,))])
     def test_disjoint_cocompositions(self, monkeypatch, com, arity, b_set):
-        _negated_terms(monkeypatch, "_ungraft_terms", _split_at(arity, b_set))
+        _negated_terms(monkeypatch, _split_at(arity, b_set))
         with pytest.raises(ValidationError, match="arity 4"):
             check_disjoint_cocompositions(com, 4)
 
     @pytest.mark.parametrize("arity,b_set", [(3, (2,)), (4, (2, 3))])
     def test_cobar_associativity(self, monkeypatch, qcom, arity, b_set):
-        _negated_terms(monkeypatch, "_ungraft_terms", _split_at(arity, b_set))
+        _negated_terms(monkeypatch, _split_at(arity, b_set))
         with pytest.raises(ValidationError, match=f"arity {arity}"):
             check_cobar_associativity(qcom, arity)
 
@@ -524,18 +568,16 @@ class TestChecksRejectCorruptedMaps:
     def test_unary_action(self, monkeypatch, qcom):
         cc, sphere = self._sphere_cobar(qcom)
         _negated_terms(
-            monkeypatch, "_partition_split_terms",
-            lambda bc, _s, _p, blocks: bc.l_coeff is sphere and
-            tuple(blocks) == ((1, 2, 3),))
+            monkeypatch, lambda bc, blocks: bc.l_coeff is sphere and
+            blocks == ((1, 2, 3),))
         with pytest.raises(ValidationError, match="degree"):
             check_unary_action_is_identity(cc, {})
 
     def test_module_pentagon(self, monkeypatch, qcom):
         cc, sphere = self._sphere_cobar(qcom)
         _negated_terms(
-            monkeypatch, "_partition_split_terms",
-            lambda bc, _s, _p, blocks: bc.l_coeff is sphere and
-            tuple(blocks) == ((1, 2), (3,)))
+            monkeypatch, lambda bc, blocks: bc.l_coeff is sphere and
+            blocks == ((1, 2), (3,)))
         check_module_pentagon_chain(cc, [(1,), (2,), (3,)], [(0,), (1,), (2,)],
                                     {})
         with pytest.raises(ValidationError, match="lam="):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opbar.combinat import set_partitions
 from opbar.errors import BoundsError, ParseError, ValidationError
 from opbar.trees import (
     BUD,
@@ -24,7 +25,6 @@ from opbar.trees import (
     relabel,
     single_edge_tree,
     standard_tree_count,
-    ungraft,
     ungraft_partition,
     w_cell_complex,
 )
@@ -185,17 +185,19 @@ class TestGrafting:
         outer = make_tree((("V", (("L", (0,)), ("L", (3,)))),))
         inner = t("(([1],[2]))")
         grafted = graft(outer, 0, inner)
-        back = ungraft(grafted, (0, 3), (1, 2), 0)
-        assert back == (outer, inner)
+        res = ungraft_partition(grafted, [(1, 2)])
+        # The cut leaf counts as 1 and the skeleton {1, 3} becomes {1, 2}.
+        assert res == (t("(([1],[2]))"), [inner], [(0, 0)])
+        assert _regraft(grafted, [(1, 2)], res) == grafted
 
     def test_ungraft_absent(self):
         star = t("(([1],[2],[3]))")
-        assert ungraft(star, (0, 3), (1, 2), 0) is None
+        assert ungraft_partition(star, [(1, 2)]) is None
 
     def test_ungraft_single_edge(self):
         v = single_edge_tree((5,))
-        res = ungraft(v, (0,), (5,), 0)
-        assert res == (single_edge_tree((0,)), single_edge_tree((5,)))
+        res = ungraft_partition(v, [(5,)])
+        assert res == (single_edge_tree((1,)), [v], [(0,)])
 
     def test_graft_requires_single_root_edge(self):
         with pytest.raises(ValidationError, match="single root edge"):
@@ -209,25 +211,44 @@ class TestGrafting:
         for tree in enumerate_trees(4, GENERALIZED, max_labels=4):
             for b_size in (1, 2, 3):
                 for b_side in itertools.combinations((1, 2, 3, 4), b_size):
-                    a = min(b_side)
-                    a_side = tuple(sorted(set((1, 2, 3, 4)) - set(b_side))) + (a,)
-                    res = ungraft(tree, a_side, b_side, a)
+                    res = ungraft_partition(tree, [b_side])
                     if res is not None:
-                        back = graft(res[0], a, res[1])
-                        assert back == tree
+                        assert _regraft(tree, [b_side], res) == tree
+            for blocks in set_partitions((1, 2, 3, 4)):
+                res = ungraft_partition(tree, blocks)
+                if res is not None:
+                    assert _regraft(tree, blocks, res) == tree
+
+    def test_blocks_must_be_disjoint_labels_of_the_tree(self):
+        tree = t("((([1],[2]),[3]))")
+        for blocks in ([(1, 2), (2, 3)], [(4,)], [()], []):
+            with pytest.raises(ValidationError, match="disjoint label sets"):
+                ungraft_partition(tree, blocks)
+
+
+def _regraft(tree, blocks, res):
+    """Graft the parts of res back into its skeleton, relabelled back onto
+    tree's labels with each cut leaf labelled by its block's least label."""
+    skeleton, parts, _cuts = res
+    heads = [min(b) for b in blocks]
+    kept = sorted(tree.labels.difference(*blocks) | set(heads))
+    back, _sign = relabel(skeleton, {i + 1: x for i, x in enumerate(kept)})
+    for head, part in zip(heads, parts):
+        back = graft(back, head, part)
+    return back
 
 
 class TestUngraftPartition:
     def test_trivial_partition(self):
         tree = t("((([1],[2]),[3]))")
         res = ungraft_partition(tree, [(1, 2, 3)])
-        assert res == (single_edge_tree((1,)), [tree])
+        assert res[:2] == (single_edge_tree((1,)), [tree])
 
     def test_singleton_partition(self):
         tree = t("(([1],[2]))")
         res = ungraft_partition(tree, [(1,), (2,)])
         assert res is not None
-        skeleton, parts = res
+        skeleton, parts, _cuts = res
         assert skeleton == tree
         assert parts == [single_edge_tree((1,)), single_edge_tree((2,))]
 
@@ -235,10 +256,11 @@ class TestUngraftPartition:
         tree = t("((([1],[2]),[3]))")
         res = ungraft_partition(tree, [(1, 2), (3,)])
         assert res is not None
-        skeleton, parts = res
+        skeleton, parts, cuts = res
         assert skeleton == t("(([1],[2]))")
         assert parts[0] == t("(([1],[2]))")
         assert parts[1] == single_edge_tree((3,))
+        assert cuts == [(0, 0), (0, 1)]
 
     def test_not_of_type(self):
         star = t("(([1],[2],[3]))")
