@@ -3,11 +3,18 @@
 A basis element is a generalized labelled tree together with one basis
 index per decoration slot: the root slot (right-module factor), one slot
 per internal vertex in the canonical VertexOrder (operad factors), and
-one slot per leaf in least-label order (left-module factors).  The tree
-differential sums signed collapse moves: the orientation sign from the
-trees module, the structure-map matrix entry, and the Koszul sign of the
-graded slot reordering.  Cobar complexes run the same covers backwards
-through cocomposition matrices, with tree degrees recorded negatively.
+one slot per leaf in least-label order (left-module factors).
+
+The differential, the symmetric action and the ungrafting maps below all
+carry a tree's slot decorations along a map of trees (a collapse, a
+relabelling or a cut) given as a plan: one item per target slot, naming
+the source slots it copies or sends through a structure matrix.  One
+evaluator, _plan_terms, expands a plan over every decoration; a term's
+coefficient is the tree map's orientation sign, times the Koszul sign of
+reordering the graded decorations into the target's slot order, times
+the matrix entries.  The differential sums the collapse moves; cobar
+complexes run the same covers backwards through cocomposition matrices,
+with tree degrees recorded negatively.
 
 One ungrafting engine builds the cooperad structure of B(P), the operad
 structure of the cobar construction and the module structure maps of a
@@ -18,8 +25,9 @@ the Koszul sign of reordering the decorations, and (-1)^(s_j t_i) for
 every i < j, as factor j's orientation (degree s_j, its vertex count)
 moves past factor i's decorations (internal degree t_i).
 
-The normalized simplicial construction over strict partition chains is
-built independently and serves as a sign-free homology oracle.
+The normalized simplicial construction over strict partition chains has
+its own chains and face plans, sharing only the plan evaluator, and
+serves as a sign-free homology oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from .exactla import (
     homology_coordinates,
     homology_representatives,
     kernel_basis,
-    koszul_sign,
     perm_sign,
     solve_in_span,  # noqa: F401  (perfbench's tracer test reads this name)
     tensor_list,
@@ -99,23 +106,16 @@ def _slot_plan(tree, r_mod, p, l_mod):
 class BarComplex:
     """A bar or cobar chain complex with bigrading metadata."""
 
-    def __init__(self, kind, arity, complex_, provenance, slot_cache,
-                 r_coeff=None, op=None, l_coeff=None, index=None):
+    def __init__(self, kind, arity, complex_, slot_cache,
+                 r_coeff=None, op=None, l_coeff=None):
         self.kind = kind
         self.arity = arity
         self.complex = complex_
-        self.provenance = provenance
         self._slots = slot_cache
         self._sorted_trees = None
         self.r_coeff = r_coeff
         self.op = op
         self.l_coeff = l_coeff
-        if index is None:
-            index = {}
-            for d in complex_.degrees():
-                for i, lab in enumerate(complex_.labels(d)):
-                    index[lab] = (d, i)
-        self._index = index
 
     @property
     def ring(self):
@@ -135,42 +135,32 @@ class BarComplex:
         return self._sorted_trees
 
     def index(self, label):
-        return self._index[label]
+        """(total degree, position in that degree) of a basis label."""
+        d = _total_degree(self.kind, label.tree_degree, label.internal_degree)
+        return d, self.complex.module.position(d, label)
 
     def split_by_internal_degree(self):
         """Sub-complexes per internal degree, graded by signed tree degree."""
-        out = {}
+        spaces = {}
+        pos = {}
         for d in self.complex.degrees():
             for i, lab in enumerate(self.complex.labels(d)):
                 t = lab.internal_degree
-                s_signed = d - t
-                out.setdefault(t, {}).setdefault(s_signed, []).append((d, i, lab))
-        complexes = {}
-        for t, by_s in out.items():
-            module = GradedFreeModule(
-                {s: tuple(lab for _d, _i, lab in v) for s, v in by_s.items()})
-            pos = {}
-            for s, v in by_s.items():
-                for new_i, (d, i, _lab) in enumerate(v):
-                    pos[(d, i)] = (s, new_i)
-            entries = {}
-            for d in sorted(self.complex.diffs):
-                for (i, j), val in self.complex.diffs[d].entries():
-                    src = pos.get((d, j))
-                    tgt = pos.get((d - 1, i))
-                    if src is None or tgt is None:
-                        continue
-                    s, jj = src
-                    s2, ii = tgt
-                    if s2 != s - 1:
-                        raise InternalConsistencyError(
-                            "differential does not preserve internal degree")
-                    entries.setdefault(s, {})[(ii, jj)] = val
-            mats = {s: ExactMatrix(module.rank(s - 1), module.rank(s), e,
-                                   ring=self.ring)
-                    for s, e in entries.items()}
-            complexes[t] = ChainComplex(module, mats, ring=self.ring)
-        return complexes
+                bucket = spaces.setdefault(t, {}).setdefault(d - t, [])
+                pos[(d, i)] = (t, len(bucket))
+                bucket.append(lab)
+        entries = {t: {} for t in spaces}
+        for d in sorted(self.complex.diffs):
+            for (i, j), val in self.complex.diffs[d].entries():
+                t, jj = pos[(d, j)]
+                t_tgt, ii = pos[(d - 1, i)]
+                if t_tgt != t:
+                    raise InternalConsistencyError(
+                        "differential does not preserve internal degree")
+                entries[t].setdefault(d - t, {})[(ii, jj)] = val
+        return {t: ChainComplex.from_entries(GradedFreeModule(by_s),
+                                             entries[t], self.ring)
+                for t, by_s in spaces.items()}
 
     def export_text(self):
         lines = [f"barcomplex kind {self.kind} arity {self.arity} "
@@ -188,50 +178,56 @@ class BarComplex:
         return "\n".join(lines)
 
 
+def _total_degree(kind, tree_degree, internal_degree):
+    """Total degree s + t of a bar label, -s + t of a cobar label."""
+    return (tree_degree if kind == BAR else -tree_degree) + internal_degree
+
+
 def _decoration_degrees(slots, decor):
     return tuple(slots[i][2].degree_of(decor[i]) for i in range(len(slots)))
 
 
-def _merge_eval(slots_src, decor, plan, base_sign):
-    """Evaluate a merge-style move on one decorated basis element.
+def _plan_terms(slots, plan, sign):
+    """Carry every decoration of slots along a plan; the one expansion loop.
 
-    plan: per target slot, ("copy", src_pos) or ("unit",) or
-    ("apply", (src positions), matrix, src position sizes).
-    Yields (target decoration tuple, coefficient).
+    plan has one item per target slot: ("copy", p) takes source slot p's
+    basis index, ("unit",) the index 0 of a unit slot, and ("apply",
+    positions, matrix, sizes) the column of matrix at the source slots'
+    indices flattened row-major over sizes.  Read in target order, the
+    plan lists every source slot once; this slot permutation is computed
+    once per plan.  Its Koszul sign on a decoration is (-1) to the number
+    of pairs of odd-degree decorations that trade places.  Yields
+    (decoration, internal degree, target decoration, coefficient) for
+    each decoration of slots in lexicographic order, the coefficient
+    being sign times the Koszul sign times the matrix entries.
     """
-    degrees = _decoration_degrees(slots_src, decor)
-    seq = []
-    for item in plan:
-        if item[0] == "copy":
-            seq.append(item[1])
-        elif item[0] == "apply":
-            seq.extend(item[1])
-    perm = [0] * len(seq)
-    for pos_in_seq, src_pos in enumerate(seq):
-        perm[src_pos] = pos_in_seq
-    sign = base_sign * koszul_sign(degrees, tuple(perm))
-    if sign == 0:
-        return
-    factors = []
-    for item in plan:
-        if item[0] == "copy":
-            factors.append(((decor[item[1]], 1),))
-        elif item[0] == "unit":
-            factors.append(((0, 1),))
-        else:
-            _tag, positions, matrix, sizes = item
-            col = flatten_index(sizes, tuple(decor[p] for p in positions))
-            column = matrix.column(col)
-            if not column:
-                return
-            factors.append(tuple(column.items()))
-    for combo in itertools.product(*factors):
-        coeff = sign
-        out = []
-        for idx, c in combo:
-            coeff *= c
-            out.append(idx)
-        yield tuple(out), coeff
+    order = [q for item in plan if item[0] != "unit"
+             for q in (item[1] if item[0] == "apply" else (item[1],))]
+    perm = [0] * len(order)
+    for target, q in enumerate(order):
+        perm[q] = target
+    for decor in itertools.product(*(range(s[2].total_rank())
+                                     for s in slots)):
+        degs = _decoration_degrees(slots, decor)
+        # The odd slots' target positions, in source order.
+        koszul = sign * perm_sign([perm[q] for q, d in enumerate(degs)
+                                   if d % 2])
+        factors = []
+        for item in plan:
+            if item[0] == "copy":
+                factors.append(((decor[item[1]], 1),))
+            elif item[0] == "unit":
+                factors.append(((0, 1),))
+            else:
+                _tag, positions, matrix, sizes = item
+                factors.append(tuple(matrix.column(flatten_index(
+                    sizes, [decor[q] for q in positions])).items()))
+        t = sum(degs)
+        for combo in itertools.product(*factors):
+            coeff = koszul
+            for _idx, c in combo:
+                coeff *= c
+            yield decor, t, tuple(idx for idx, _c in combo), coeff
 
 
 def bar_complex(r_mod, p, l_mod, arity, ring=None):
@@ -262,65 +258,58 @@ def _check_inputs(kind, r_mod, p, l_mod):
 
 
 def _tree_complex(kind, r_mod, p, l_mod, arity, ring=None):
+    """The bar or cobar complex: signed collapse moves on decorated trees.
+
+    For cobar complexes the differential runs from the collapsed tree to
+    the uncollapsed one, so the roles of the labels swap while the
+    coefficient (orientation sign, Koszul reorder, matrix entry) is the
+    bar direction's.
+    """
     _check_inputs(kind, r_mod, p, l_mod)
     ring = ring or p.ring
     if arity > p.max_arity:
         raise ValidationError(f"arity {arity} exceeds max_arity {p.max_arity}")
     slot_cache = {}
-    basis_by_degree = {}
-    index = {}
+    spaces = {}
     for tree in tr.enumerate_trees(arity, tr.GENERALIZED):
         slots = _slot_plan(tree, r_mod, p, l_mod)
         if any(s[2].total_rank() == 0 for s in slots):
             continue
         slot_cache[tree] = slots
-        sizes = [s[2].total_rank() for s in slots]
         s_deg = tree.n_vertices
-        for decor in itertools.product(*(range(k) for k in sizes)):
-            t_deg = sum(slots[i][2].degree_of(decor[i])
-                        for i in range(len(slots)))
-            label = BarBasisLabel(tree, decor, s_deg, t_deg)
-            total = (s_deg if kind == BAR else -s_deg) + t_deg
-            bucket = basis_by_degree.setdefault(total, [])
-            index[label] = (total, len(bucket))
-            bucket.append(label)
-    module = GradedFreeModule(
-        {d: tuple(v) for d, v in basis_by_degree.items()})
+        for decor in itertools.product(
+                *(range(s[2].total_rank()) for s in slots)):
+            t_deg = sum(_decoration_degrees(slots, decor))
+            spaces.setdefault(_total_degree(kind, s_deg, t_deg), []).append(
+                BarBasisLabel(tree, decor, s_deg, t_deg))
+    module = GradedFreeModule(spaces)
 
     entries = {}
-    for tree in slot_cache:
+    for tree, slots in slot_cache.items():
         for move_kind, path in tr.collapse_moves(tree):
             res = tr.collapse(tree, move_kind, path)
             if res.tree not in slot_cache:
                 # All decorations map into a zero slot module.
                 continue
-            contributions = _move_contributions(
-                kind, tree, res, move_kind, path, r_mod, p, l_mod,
-                slot_cache)
-            for src_label, tgt_label, coeff in contributions:
-                d_src, j = index[src_label]
-                d_tgt, i = index[tgt_label]
-                if d_tgt != d_src - 1:
-                    raise InternalConsistencyError(
-                        "differential does not lower total degree by one")
-                key = (d_src, i, j)
-                entries[key] = entries.get(key, 0) + coeff
-    diffs = {}
-    for (d, i, j), v in entries.items():
-        if v != 0:
-            diffs.setdefault(d, {})[(i, j)] = v
-    mats = {d: ExactMatrix(module.rank(d - 1), module.rank(d), e, ring=ring)
-            for d, e in diffs.items()}
-    complex_ = ChainComplex(module, mats, ring=ring)
-    provenance = (kind, getattr(r_mod, "name", "R"), getattr(p, "name", "P"),
-                  getattr(l_mod, "name", "L"), arity)
-    return BarComplex(kind, arity, complex_, provenance, slot_cache,
-                      r_coeff=r_mod, op=p, l_coeff=l_mod, index=index)
+            plan = _move_slot_plan(kind, tree, res, move_kind, path, r_mod,
+                                   p, l_mod, slot_cache)
+            s_big, s_small = tree.n_vertices, res.tree.n_vertices
+            for decor, t, small_dec, coeff in _plan_terms(slots, plan,
+                                                          res.move.sign):
+                big = BarBasisLabel(tree, decor, s_big, t)
+                small = BarBasisLabel(res.tree, small_dec, s_small, t)
+                src, tgt = (big, small) if kind == BAR else (small, big)
+                d = _total_degree(kind, src.tree_degree, t)
+                key = (module.position(d - 1, tgt), module.position(d, src))
+                row = entries.setdefault(d, {})
+                row[key] = row.get(key, 0) + coeff
+    return BarComplex(kind, arity, ChainComplex.from_entries(
+        module, entries, ring), slot_cache, r_coeff=r_mod, op=p, l_coeff=l_mod)
 
 
 def _move_slot_plan(kind, tree, res, move_kind, path, r_mod, p, l_mod,
                     slot_cache):
-    """Merge-evaluator plan for one collapse move, uncollapsed to collapsed.
+    """The _plan_terms plan of one collapse move, uncollapsed to collapsed.
 
     In bar mode the apply matrix is the structure map followed by the
     child-reorder action at the merged slot; in cobar mode its role is
@@ -331,6 +320,7 @@ def _move_slot_plan(kind, tree, res, move_kind, path, r_mod, p, l_mod,
     slots_tgt = slot_cache[res.tree]
     src_pos = {(skind, skey): i
                for i, (skind, skey, _m) in enumerate(slots_src)}
+    old_path = {new: old for old, new in res.vertex_map.items()}
 
     if move_kind == tr.BUD:
         node = tree.node_at(path)
@@ -396,45 +386,14 @@ def _move_slot_plan(kind, tree, res, move_kind, path, r_mod, p, l_mod,
             plan.append(("copy", src_pos[("root", None)]))
             used.add(src_pos[("root", None)])
         elif tkind == "v":
-            old = next(op for op, np_ in res.vertex_map.items() if np_ == tkey)
-            plan.append(("copy", src_pos[("v", old)]))
-            used.add(src_pos[("v", old)])
+            plan.append(("copy", src_pos[("v", old_path[tkey])]))
+            used.add(src_pos[("v", old_path[tkey])])
         else:
             plan.append(("copy", src_pos[("leaf", tkey)]))
             used.add(src_pos[("leaf", tkey)])
     if used != set(range(len(slots_src))):
         raise InternalConsistencyError("collapse plan does not cover all slots")
     return plan
-
-
-def _move_contributions(kind, tree, res, move_kind, path, r_mod, p, l_mod,
-                        slot_cache):
-    """(source label, target label, coefficient) triples of one move.
-
-    For cobar complexes the differential runs from the collapsed tree to
-    the uncollapsed one, so the roles of the labels swap while the
-    coefficient pattern (orientation sign, Koszul reorder, matrix entry)
-    is shared with the bar direction.
-    """
-    slots_src = slot_cache[tree]
-    sizes_src = [s[2].total_rank() for s in slots_src]
-    plan = _move_slot_plan(kind, tree, res, move_kind, path, r_mod, p, l_mod,
-                           slot_cache)
-    s_src = tree.n_vertices
-    s_tgt = res.tree.n_vertices
-    out = []
-    for decor in itertools.product(*(range(k) for k in sizes_src)):
-        t_deg = sum(slots_src[i][2].degree_of(decor[i])
-                    for i in range(len(slots_src)))
-        big = BarBasisLabel(tree, decor, s_src, t_deg)
-        for tgt_dec, coeff in _merge_eval(slots_src, decor, plan,
-                                          res.move.sign):
-            small = BarBasisLabel(res.tree, tgt_dec, s_tgt, t_deg)
-            if kind == BAR:
-                out.append((big, small, coeff))
-            else:
-                out.append((small, big, coeff))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -510,59 +469,38 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity, ring=None):
     _check_inputs(BAR, r_mod, p, l_mod)
     ring = ring or p.ring
     slot_cache = {}
-    basis_by_degree = {}
-    index = {}
+    spaces = {}
     for chain in _strict_chains(arity):
         slots = _chain_slots(chain, r_mod, p, l_mod)
         if any(s[2].total_rank() == 0 for s in slots):
             continue
         slot_cache[chain] = slots
-        sizes = [s[2].total_rank() for s in slots]
-        k = len(chain) - 1
-        for decor in itertools.product(*(range(x) for x in sizes)):
-            t_deg = sum(slots[i][2].degree_of(decor[i])
-                        for i in range(len(slots)))
-            label = SimplicialBarLabel(chain, decor)
-            total = k + t_deg
-            bucket = basis_by_degree.setdefault(total, [])
-            index[label] = (total, len(bucket))
-            bucket.append(label)
-    module = GradedFreeModule({d: tuple(v) for d, v in basis_by_degree.items()})
+        for decor in itertools.product(
+                *(range(s[2].total_rank()) for s in slots)):
+            spaces.setdefault(
+                len(chain) - 1 + sum(_decoration_degrees(slots, decor)),
+                []).append(SimplicialBarLabel(chain, decor))
+    module = GradedFreeModule(spaces)
 
     entries = {}
     for chain, slots in slot_cache.items():
         k = len(chain) - 1
-        if k == 0:
-            continue
-        sizes = [s[2].total_rank() for s in slots]
         for i_face in range(k + 1):
             j_del = k - i_face
             tgt_chain = chain[:j_del] + chain[j_del + 1:]
             if tgt_chain not in slot_cache:
                 continue
-            plan = _face_plan(chain, j_del, slot_cache[chain],
-                              slot_cache[tgt_chain], r_mod, p, l_mod)
-            if plan is None:
-                continue
-            face_sign = (-1) ** i_face
-            for decor in itertools.product(*(range(x) for x in sizes)):
-                t_deg = sum(slots[s][2].degree_of(decor[s])
-                            for s in range(len(slots)))
+            plan = _face_plan(chain, j_del, slots, slot_cache[tgt_chain],
+                              r_mod, p, l_mod)
+            for decor, t, tgt_dec, coeff in _plan_terms(slots, plan,
+                                                        (-1) ** i_face):
                 src = SimplicialBarLabel(chain, decor)
-                d_src, j = index[src]
-                for tgt_dec, coeff in _merge_eval(slots, decor, plan,
-                                                  face_sign):
-                    tgt = SimplicialBarLabel(tgt_chain, tgt_dec)
-                    d_tgt, i = index[tgt]
-                    key = (d_src, i, j)
-                    entries[key] = entries.get(key, 0) + coeff
-    diffs = {}
-    for (d, i, j), v in entries.items():
-        if v != 0:
-            diffs.setdefault(d, {})[(i, j)] = v
-    mats = {d: ExactMatrix(module.rank(d - 1), module.rank(d), e, ring=ring)
-            for d, e in diffs.items()}
-    return ChainComplex(module, mats, ring=ring)
+                tgt = SimplicialBarLabel(tgt_chain, tgt_dec)
+                key = (module.position(k - 1 + t, tgt),
+                       module.position(k + t, src))
+                row = entries.setdefault(k + t, {})
+                row[key] = row.get(key, 0) + coeff
+    return ChainComplex.from_entries(module, entries, ring)
 
 
 def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
@@ -654,17 +592,16 @@ def symmetric_action(bc, sigma):
     r_mod, p, l_mod = bc.r_coeff, bc.op, bc.l_coeff
     entries = {}
     for tree in bc.trees():
-        new_tree, tree_sign = tr.relabel(tree, smap)
-        vmap = tr.relabel_vertex_map(tree, smap)
+        new_tree, tree_sign, vmap = tr._relabel(tree, smap)
+        old_path = {new: old for old, new in vmap.items()}
         slots_src = bc.slots(tree)
-        slots_tgt = bc.slots(new_tree)
         src_pos = {(k, key): i for i, (k, key, _m) in enumerate(slots_src)}
 
         def subtree_min_keys(children):
             return [min(smap[x] for x in tr._node_labels(c)) for c in children]
 
         plan = []
-        for tkind, tkey, _tmod in slots_tgt:
+        for tkind, tkey, _tmod in bc.slots(new_tree):
             if tkind == "root":
                 tau = block_sort_perm(subtree_min_keys(tree.root_children))
                 matrix = r_mod.action(len(tree.root_children),
@@ -672,7 +609,7 @@ def symmetric_action(bc, sigma):
                 plan.append(("apply", (src_pos[("root", None)],), matrix,
                              (matrix.ncols,)))
             elif tkind == "v":
-                old = next(op for op, np_ in vmap.items() if np_ == tkey)
+                old = old_path[tkey]
                 node = tree.node_at(old)
                 tau = block_sort_perm(subtree_min_keys(node[1]))
                 matrix = p.action(len(node[1]), tuple(t + 1 for t in tau))
@@ -684,28 +621,16 @@ def symmetric_action(bc, sigma):
                 matrix = l_mod.action(len(tkey), tuple(t + 1 for t in pi))
                 plan.append(("apply", (src_pos[("leaf", old_labels)],),
                              matrix, (matrix.ncols,)))
-        sizes = [s[2].total_rank() for s in slots_src]
-        for decor in itertools.product(*(range(x) for x in sizes)):
-            t_deg = sum(slots_src[i][2].degree_of(decor[i])
-                        for i in range(len(slots_src)))
-            src = BarBasisLabel(tree, decor, tree.n_vertices, t_deg)
-            d_src, j = bc.index(src)
-            for tgt_dec, coeff in _merge_eval(slots_src, decor, plan,
-                                              tree_sign):
-                tgt = BarBasisLabel(new_tree, tgt_dec, new_tree.n_vertices,
-                                    t_deg)
-                _d, i = bc.index(tgt)
-                key = (d_src, i, j)
-                entries[key] = entries.get(key, 0) + coeff
-    mats = {}
-    for (d, i, j), v in entries.items():
-        if v != 0:
-            mats.setdefault(d, {})[(i, j)] = v
-    out = {}
-    for d in bc.complex.degrees():
-        out[d] = ExactMatrix(bc.complex.rank(d), bc.complex.rank(d),
-                             mats.get(d, {}), ring=bc.ring)
-    return out
+        for decor, t, tgt_dec, coeff in _plan_terms(slots_src, plan,
+                                                    tree_sign):
+            d, j = bc.index(BarBasisLabel(tree, decor, tree.n_vertices, t))
+            _d, i = bc.index(BarBasisLabel(new_tree, tgt_dec,
+                                           new_tree.n_vertices, t))
+            row = entries.setdefault(d, {})
+            row[(i, j)] = row.get((i, j), 0) + coeff
+    return {d: ExactMatrix(bc.complex.rank(d), bc.complex.rank(d),
+                           entries.get(d), ring=bc.ring)
+            for d in bc.complex.degrees()}
 
 
 # ---------------------------------------------------------------------------
@@ -822,23 +747,21 @@ def _split_terms(bc, skeleton, parts, blocks):
                     plan.append(("unit",) if not j and orig in heads else
                                 ("copy", src_pos[("leaf", orig)]))
 
-        sizes = [s[2].total_rank() for s in slots_v]
         s_f = [tree.n_vertices for tree in f_trees]
-        for decor in itertools.product(*(range(x) for x in sizes)):
-            t_v = sum(_decoration_degrees(slots_v, decor))
+        for decor, t_v, tgt_dec, coeff in _plan_terms(slots_v, plan,
+                                                      base_sign):
             v_label = BarBasisLabel(v_tree, decor, v_tree.n_vertices, t_v)
-            for tgt_dec, coeff in _merge_eval(slots_v, decor, plan, base_sign):
-                labels = []
-                offset = t_before = 0
-                for j, slots_f in enumerate(f_slots):
-                    dec_f = tgt_dec[offset:offset + len(slots_f)]
-                    offset += len(slots_f)
-                    t_f = sum(_decoration_degrees(slots_f, dec_f))
-                    if s_f[j] * t_before % 2:
-                        coeff = -coeff
-                    t_before += t_f
-                    labels.append(BarBasisLabel(f_trees[j], dec_f, s_f[j], t_f))
-                out.append((v_label, tuple(labels), coeff))
+            labels = []
+            offset = t_before = 0
+            for j, slots_f in enumerate(f_slots):
+                dec_f = tgt_dec[offset:offset + len(slots_f)]
+                offset += len(slots_f)
+                t_f = sum(_decoration_degrees(slots_f, dec_f))
+                if s_f[j] * t_before % 2:
+                    coeff = -coeff
+                t_before += t_f
+                labels.append(BarBasisLabel(f_trees[j], dec_f, s_f[j], t_f))
+            out.append((v_label, tuple(labels), coeff))
     return out
 
 

@@ -33,6 +33,8 @@ class ExactMatrix:
     def __init__(self, nrows, ncols, entries=None, ring=INT):
         if ring not in RINGS:
             raise ValidationError(f"unknown ring {ring!r}")
+        if nrows < 0 or ncols < 0:
+            raise ValidationError(f"matrix shape {nrows}x{ncols} is negative")
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
@@ -116,9 +118,7 @@ class ExactMatrix:
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValidationError(
-                f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
+        self._check_shape(other)
         entries = {}
         for i, row in self._rows.items():
             acc = {}
@@ -164,8 +164,19 @@ class ExactMatrix:
         return "\n".join(lines)
 
     def _check_shape(self, other, same=False):
-        if same and (self.nrows != other.nrows or self.ncols != other.ncols):
-            raise ValidationError("shape mismatch")
+        """Refuse operands over different rings or of unfit shapes: the
+        same shape for a sum (same), chained shapes for a product."""
+        if self.ring != other.ring:
+            raise ValidationError(
+                f"ring mismatch: a {self.ring} matrix with a {other.ring} one")
+        if same:
+            fits = (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        else:
+            fits = self.ncols == other.nrows
+        if not fits:
+            raise ValidationError(
+                f"shape mismatch {self.nrows}x{self.ncols} "
+                f"{'+' if same else '*'} {other.nrows}x{other.ncols}")
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +627,16 @@ class ChainComplex:
                 if up is not None and not (m * up).is_zero():
                     raise ValidationError(f"d_{k} o d_{k+1} != 0")
 
+    @classmethod
+    def from_entries(cls, module, entries, ring=INT):
+        """Chain complex on module whose d_k has the sparse entries
+        entries[k] = {(i, j): v}: row i indexes degree k - 1 of module and
+        column j degree k.  Zero values are dropped, and the shapes and
+        d^2 = 0 are checked as for any complex."""
+        return cls(module, {
+            k: ExactMatrix(module.rank(k - 1), module.rank(k), e, ring=ring)
+            for k, e in entries.items()}, ring=ring)
+
     def degrees(self):
         return self.module.degrees()
 
@@ -697,11 +718,12 @@ def tensor_list(complexes):
         spaces.setdefault(deg, []).append(tuple(lab for _, lab in combo))
     module = GradedFreeModule({d: tuple(v) for d, v in spaces.items()})
 
-    diffs_entries = {}
+    entries = {}
     for combo in itertools.product(*factor_bases):
         deg = sum(d for d, _ in combo)
         labs = tuple(lab for _, lab in combo)
         col = module.position(deg, labs)
+        row = entries.setdefault(deg, {})
         sign = 1
         for pos, (fd, flab) in enumerate(combo):
             c = complexes[pos]
@@ -711,17 +733,10 @@ def tensor_list(complexes):
                 for i, v in dmat.column(j).items():
                     tlab = c.module.labels(fd - 1)[i]
                     new = labs[:pos] + (tlab,) + labs[pos + 1:]
-                    trow = module.position(deg - 1, new)
-                    key = (deg, trow, col)
-                    diffs_entries[key] = diffs_entries.get(key, 0) + sign * v
+                    key = (module.position(deg - 1, new), col)
+                    row[key] = row.get(key, 0) + sign * v
             sign *= (-1) ** fd
-    diffs = {}
-    for (deg, i, j), v in diffs_entries.items():
-        if v != 0:
-            diffs.setdefault(deg, {})[(i, j)] = v
-    dmats = {deg: ExactMatrix(module.rank(deg - 1), module.rank(deg), e, ring=ring)
-             for deg, e in diffs.items()}
-    return ChainComplex(module, dmats, ring=ring)
+    return ChainComplex.from_entries(module, entries, ring)
 
 
 def tensor(c, d):
@@ -795,8 +810,15 @@ def tensor_vector(product, factors, vectors):
     and take no Koszul sign.
     """
     d = sum(dv for dv, _v in vectors)
-    items = [[(f.labels(dv)[i], c) for i, c in v.items()]
-             for f, (dv, v) in zip(factors, vectors)]
+    try:
+        items = [[(f.labels(dv)[i], c) for i, c in v.items()]
+                 for f, (dv, v) in zip(factors, vectors)]
+    except IndexError:
+        k, dv, i = next((k, dv, i) for k, (f, (dv, v)) in enumerate(
+            zip(factors, vectors)) for i in v if not 0 <= i < f.rank(dv))
+        raise ValidationError(
+            f"tensor_vector: index {i} outside degree {dv} of factor {k}, "
+            f"which has rank {factors[k].rank(dv)} there") from None
     return d, {product.module.position(d, tuple(lab for lab, _c in combo)):
                prod(c for _lab, c in combo)
                for combo in itertools.product(*items)}

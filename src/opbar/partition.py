@@ -113,18 +113,11 @@ def partition_complex(n):
     entries = {}
     for flag in flags:
         k, j = index[flag]
+        row = entries.setdefault(k, {})
         for i_del in range(1, k):
-            sub = flag[:i_del] + flag[i_del + 1:]
-            _k2, i = index[sub]
-            key = (k, i, j)
-            entries[key] = entries.get(key, 0) + (-1) ** i_del
-    diffs = {}
-    for (k, i, j), v in entries.items():
-        if v != 0:
-            diffs.setdefault(k, {})[(i, j)] = v
-    mats = {k: ExactMatrix(module.rank(k - 1), module.rank(k), e)
-            for k, e in diffs.items()}
-    return ChainComplex(module, mats)
+            key = (index[flag[:i_del] + flag[i_del + 1:]][1], j)
+            row[key] = row.get(key, 0) + (-1) ** i_del
+    return ChainComplex.from_entries(module, entries)
 
 
 def _flag_label(flag):

@@ -33,7 +33,7 @@ from math import prod
 
 from .combinat import partitions_into_at_least_two, set_partitions
 from .errors import BoundsError, ParseError, ValidationError
-from .exactla import ChainComplex, ExactMatrix, GradedFreeModule, perm_sign
+from .exactla import ChainComplex, GradedFreeModule, perm_sign
 
 STANDARD = "standard"
 GENERALIZED = "generalized"
@@ -571,6 +571,12 @@ def relabel(tree, sigma):
     Returns (tree, orientation sign): the sign of the permutation
     carrying the transported VertexOrder to the canonical one.
     """
+    new_tree, sign, _vertex_map = _relabel(tree, sigma)
+    return new_tree, sign
+
+
+def _relabel(tree, sigma):
+    """relabel's (tree, sign) and the map old vertex path -> new path."""
     labs = tree.labels
     if set(sigma) != set(labs) or len(set(sigma.values())) != len(labs):
         raise ValidationError("relabel: not a bijection on the label universe")
@@ -588,21 +594,7 @@ def relabel(tree, sigma):
     old_order = tree.vertex_paths()
     origin_pairs = _collect_origins(new_children)
     perm = tuple(old_order.index(origin) for origin, _ in origin_pairs)
-    return new_tree, perm_sign(perm)
-
-
-def relabel_vertex_map(tree, sigma):
-    """Old vertex path -> new vertex path under a relabelling."""
-    def rl(node, path):
-        if node[0] == "L":
-            return ("L", tuple(sorted(sigma[x] for x in node[1])))
-        kids = tuple(rl(c, path + (i,)) for i, c in enumerate(node[1]))
-        return ("V", kids, path)
-
-    tracked = tuple(rl(c, (i,)) for i, c in enumerate(tree.root_children))
-    new_children = tuple(sorted((_canon_tracked(c) for c in tracked),
-                                key=_min_label))
-    return {origin: newp for origin, newp in _collect_origins(new_children)}
+    return new_tree, perm_sign(perm), dict(origin_pairs)
 
 
 # -- the weighting-space chain complex --------------------------------------
@@ -626,20 +618,12 @@ def w_cell_complex(tree, max_vertices=DEFAULT_MAX_CELL_VERTICES):
         by_degree.setdefault(u.n_vertices, []).append(u)
     module = GradedFreeModule(
         {k: tuple(u.serialize() for u in v) for k, v in by_degree.items()})
-    index = {u.serialize(): (u.n_vertices, i)
-             for k, v in by_degree.items() for i, u in enumerate(v)}
     entries = {}
     for u in cells:
         k = u.n_vertices
-        j = index[u.serialize()][1]
+        row = entries.setdefault(k, {})
+        j = module.position(k, u.serialize())
         for sub, move in covers(u):
-            i = index[sub.serialize()][1]
-            key = (k, i, j)
-            entries[key] = entries.get(key, 0) + move.sign
-    diffs = {}
-    for (k, i, j), v in entries.items():
-        if v != 0:
-            diffs.setdefault(k, {})[(i, j)] = v
-    mats = {k: ExactMatrix(module.rank(k - 1), module.rank(k), e)
-            for k, e in diffs.items()}
-    return ChainComplex(module, mats)
+            key = (module.position(k - 1, sub.serialize()), j)
+            row[key] = row.get(key, 0) + move.sign
+    return ChainComplex.from_entries(module, entries)

@@ -182,6 +182,36 @@ class TestSimplicialOracle:
             simplicial_bar_complex(runit, com, sphere, n)
 
 
+ACTION_CASES = ("com-bar-3", "com-cobar-4", "ass-bar-4", "sphere1-cobar-4",
+                "sphere3-cobar-4")
+
+
+@pytest.fixture(scope="module")
+def actions(com, ass, qcom):
+    """case -> (complex, {sigma: action matrices} over all of S_n), each
+    built on first use."""
+    runit = unit_module(qcom, RIGHT_COMODULE)
+    build = {
+        "com-bar-3": lambda: reduced_bar(com, 3),
+        "com-cobar-4": lambda: reduced_cobar(qcom, 4),
+        "ass-bar-4": lambda: reduced_bar(ass, 4),
+        "sphere1-cobar-4": lambda: cobar_complex(
+            runit, qcom, builtin_sphere_comodule(1, 4), 4),
+        "sphere3-cobar-4": lambda: cobar_complex(
+            runit, qcom, builtin_sphere_comodule(3, 4), 4),
+    }
+    built = {}
+
+    def get(case):
+        if case not in built:
+            bc = build[case]()
+            built[case] = bc, {
+                sigma: symmetric_action(bc, sigma)
+                for sigma in itertools.permutations(range(1, bc.arity + 1))}
+        return built[case]
+    return get
+
+
 class TestSymmetricAction:
     def test_action_is_chain_equivariance(self, ass):
         # Conjugating the differential reproduces the differential.
@@ -193,20 +223,42 @@ class TestSymmetricAction:
                 rhs = bc.complex.differential(d) * act[d]
                 assert lhs == rhs, (sigma, d)
 
-    def test_action_composes(self, com):
-        bc = reduced_bar(com, 3)
-        s12 = symmetric_action(bc, (2, 1, 3))
-        s23 = symmetric_action(bc, (1, 3, 2))
-        cyc = symmetric_action(bc, (2, 3, 1))  # (1 2) o (2 3)
-        for d in bc.complex.degrees():
-            assert s12[d] * s23[d] == cyc[d]
+    @pytest.mark.parametrize("case", ACTION_CASES)
+    def test_action_composes(self, actions, case):
+        # sigma o tau acts as act(sigma) * act(tau) for every sigma and
+        # each adjacent transposition tau.  Vertex orientations carry
+        # signs at arity 4, and so do the odd leaf decorations of S^1, S^3.
+        bc, act = actions(case)
+        n = bc.arity
+        for sigma in act:
+            for i in range(1, n):
+                tau = list(range(1, n + 1))
+                tau[i - 1], tau[i] = i + 1, i
+                both = tuple(sigma[t - 1] for t in tau)
+                for d in bc.complex.degrees():
+                    assert act[sigma][d] * act[tuple(tau)][d] == \
+                        act[both][d], (sigma, i, d)
 
-    def test_cobar_action_equivariance(self, qcom):
-        cc = reduced_cobar(qcom, 4)
-        act = symmetric_action(cc, (2, 1, 3, 4))
-        for d in sorted(cc.complex.diffs):
-            assert act[d - 1] * cc.complex.differential(d) == \
-                cc.complex.differential(d) * act[d]
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_swapped_sphere_leaves_carry_the_koszul_sign(self, qcom, r):
+        # (1 2) fixes both trees of the arity-2 sphere cobar complex; it
+        # swaps the two leaf decorations of degree r under the vertex.
+        cc = cobar_complex(unit_module(qcom, RIGHT_COMODULE), qcom,
+                           builtin_sphere_comodule(r, 2), 2)
+        act = symmetric_action(cc, (2, 1))
+        diagonal = {lab.tree_degree: act[d].entry(i, i)
+                    for d in cc.complex.degrees()
+                    for i, lab in enumerate(cc.complex.labels(d))}
+        assert diagonal == {0: 1, 1: (-1) ** r}
+        assert all(m.nnz() == m.nrows for m in act.values())
+
+    @pytest.mark.parametrize("case", ACTION_CASES)
+    def test_cobar_action_equivariance(self, actions, case):
+        bc, act = actions(case)
+        for sigma, mats in act.items():
+            for d in sorted(bc.complex.diffs):
+                assert mats[d - 1] * bc.complex.differential(d) == \
+                    bc.complex.differential(d) * mats[d], (sigma, d)
 
 
 class TestCocomposition:

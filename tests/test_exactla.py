@@ -32,6 +32,7 @@ from opbar.exactla import (
     tensor,
     tensor_chain_maps,
     tensor_list,
+    tensor_vector,
 )
 
 
@@ -97,6 +98,18 @@ class TestMatrixBasics:
         b = mat([[1, 0], [3, 1]])
         assert (a * b) == mat([[7, 2], [3, 1]])
         assert a.transpose() == mat([[1, 0], [2, 1]])
+
+    def test_mixed_rings_rejected(self):
+        z = ExactMatrix(2, 2, {(0, 0): 1})
+        q = ExactMatrix(2, 2, {(0, 0): Fraction(1, 2)}, ring=RAT)
+        for combine in (lambda a, b: a * b, lambda a, b: a + b,
+                        lambda a, b: a - b):
+            with pytest.raises(ValidationError, match="a Z matrix with a Q"):
+                combine(z, q)
+
+    def test_negative_shape_rejected(self):
+        with pytest.raises(ValidationError, match="shape -1x3"):
+            ExactMatrix(-1, 3)
 
     def test_rank_rational(self):
         m = mat([[Fraction(1, 2), 1], [1, 2]], ring=RAT)
@@ -471,6 +484,33 @@ class TestTensor:
         t = tensor_list([c, u])
         assert dict(t.differential(1).entries()) == {(1, 0): 1}
         assert homology(t).groups == {0: (1, ())}
+
+    def test_tensor_vector_names_the_bad_index(self):
+        c = ChainComplex(GradedFreeModule({0: ("a",), 1: ("b", "c")}), {})
+        t = tensor_list([c, c])
+        assert tensor_vector(t, [c, c], [(0, {0: 2}), (1, {1: 3})]) == \
+            (1, {t.module.position(1, ("a", "c")): 6})
+        with pytest.raises(ValidationError,
+                           match="index 2 outside degree 1 of factor 1"):
+            tensor_vector(t, [c, c], [(0, {0: 1}), (1, {2: 1})])
+        with pytest.raises(ValidationError,
+                           match="index 0 outside degree 5 of factor 0"):
+            tensor_vector(t, [c, c], [(5, {0: 1}), (0, {0: 1})])
+
+
+class TestFromEntries:
+    def test_matches_the_direct_construction(self):
+        module = GradedFreeModule({0: ("a", "b"), 1: ("x",), 2: ("y",)})
+        c = ChainComplex.from_entries(
+            module, {1: {(0, 0): 1, (1, 0): -1}, 2: {(0, 0): 0}})
+        assert c.diffs == {1: mat([[1], [-1]])}
+        assert homology(c).groups == {0: (1, ()), 2: (1, ())}
+
+    def test_d_squared_checked(self):
+        module = GradedFreeModule({0: ("a",), 1: ("x",), 2: ("y",)})
+        with pytest.raises(ValidationError, match="d_1 o d_2"):
+            ChainComplex.from_entries(module, {1: {(0, 0): 1},
+                                               2: {(0, 0): 1}})
 
 
 def odd_pair():
