@@ -592,27 +592,22 @@ def symmetric_action(bc, sigma):
     r_mod, p, l_mod = bc.r_coeff, bc.op, bc.l_coeff
     entries = {}
     for tree in bc.trees():
-        new_tree, tree_sign, vmap = tr._relabel(tree, smap)
-        old_path = {new: old for old, new in vmap.items()}
+        new_tree, tree_sign, moves = tr._relabel(tree, smap)
+        old_path = {new: old for old, (new, _tau) in moves.items()}
         slots_src = bc.slots(tree)
         src_pos = {(k, key): i for i, (k, key, _m) in enumerate(slots_src)}
-
-        def subtree_min_keys(children):
-            return [min(smap[x] for x in tr._node_labels(c)) for c in children]
 
         plan = []
         for tkind, tkey, _tmod in bc.slots(new_tree):
             if tkind == "root":
-                tau = block_sort_perm(subtree_min_keys(tree.root_children))
-                matrix = r_mod.action(len(tree.root_children),
-                                      tuple(t + 1 for t in tau))
+                tau = moves[()][1]
+                matrix = r_mod.action(len(tau), tuple(t + 1 for t in tau))
                 plan.append(("apply", (src_pos[("root", None)],), matrix,
                              (matrix.ncols,)))
             elif tkind == "v":
                 old = old_path[tkey]
-                node = tree.node_at(old)
-                tau = block_sort_perm(subtree_min_keys(node[1]))
-                matrix = p.action(len(node[1]), tuple(t + 1 for t in tau))
+                tau = moves[old][1]
+                matrix = p.action(len(tau), tuple(t + 1 for t in tau))
                 plan.append(("apply", (src_pos[("v", old)],), matrix,
                              (matrix.ncols,)))
             else:
@@ -682,10 +677,12 @@ def _split_terms(bc, skeleton, parts, blocks):
     """(V label, (skeleton label, part labels...), coefficient) triples.
 
     Ungrafts every basis tree V of bc along the disjoint label sets blocks
-    (trees.ungraft_partition): each block is cut off as one part, relabelled
-    onto 1..|block| preserving order; the skeleton keeps the leaves no
-    block covers, gains one leaf per cut counted as its block's least
-    label, and is relabelled onto 1..m preserving order.  skeleton and
+    (trees.ungraft_partition): each block is cut off as one part, renumbered
+    onto 1..|block| preserving order (trees.renumber); the skeleton keeps
+    the leaves no block covers, gains one leaf per cut counted as its
+    block's least label, and is renumbered onto 1..m preserving order.
+    An order-preserving renumbering keeps canonical form, every vertex
+    path and the orientation, so it contributes no sign.  skeleton and
     parts are the factors' complexes, in the order of the blocks; trees
     whose factors are not among their basis trees contribute nothing.  The
     skeleton's cut leaves and the parts' roots carry the unit.
@@ -702,20 +699,13 @@ def _split_terms(bc, skeleton, parts, blocks):
     heads = {(b[0],) for b in blocks}
     kept = sorted(set(range(1, bc.arity + 1)).difference(*blocks)
                   | {b[0] for b in blocks})
-    rels = [{x: i + 1 for i, x in enumerate(b)} for b in blocks]
     out = []
     for v_tree in bc.trees():
         res = tr.ungraft_partition(v_tree, blocks)
         if res is None:
             continue
         t_tree, parts_raw, cuts = res
-        f_trees = [t_tree]
-        for u_raw, rel in zip(parts_raw, rels):
-            u_tree, sgn = tr.relabel(u_raw, rel)
-            if sgn != 1:
-                raise InternalConsistencyError(
-                    "order-preserving relabelling produced a sign")
-            f_trees.append(u_tree)
+        f_trees = [t_tree] + [tr.renumber(u) for u in parts_raw]
         if any(tree not in f._slots for f, tree in zip(factors, f_trees)):
             continue
         # V's vertex paths per factor, each in that factor's vertex order.

@@ -810,15 +810,15 @@ def tensor_vector(product, factors, vectors):
     and take no Koszul sign.
     """
     d = sum(dv for dv, _v in vectors)
-    try:
-        items = [[(f.labels(dv)[i], c) for i, c in v.items()]
-                 for f, (dv, v) in zip(factors, vectors)]
-    except IndexError:
-        k, dv, i = next((k, dv, i) for k, (f, (dv, v)) in enumerate(
-            zip(factors, vectors)) for i in v if not 0 <= i < f.rank(dv))
-        raise ValidationError(
-            f"tensor_vector: index {i} outside degree {dv} of factor {k}, "
-            f"which has rank {factors[k].rank(dv)} there") from None
+    items = []
+    for k, (f, (dv, v)) in enumerate(zip(factors, vectors)):
+        labels = f.labels(dv)
+        for i in v:
+            if not 0 <= i < len(labels):
+                raise ValidationError(
+                    f"tensor_vector: index {i} outside degree {dv} of factor "
+                    f"{k}, which has rank {len(labels)} there")
+        items.append([(labels[i], c) for i, c in v.items()])
     return d, {product.module.position(d, tuple(lab for lab, _c in combo)):
                prod(c for _lab, c in combo)
                for combo in itertools.product(*items)}

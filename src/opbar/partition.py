@@ -203,25 +203,3 @@ def character_on_homology(n):
                 complex_, basis, [(top, auto.apply(z)) for z in reps]).trace()
     return values
 
-
-def compare_with_bar(n, cache=None):
-    """Triple-oracle agreement for the one-dimensional operad.
-
-    Returns a dict with the three homology summaries (partition flags,
-    tree bar construction, normalized simplicial bar) and a match flag.
-    """
-    from .barcobar import reduced_bar, simplicial_bar_complex
-    from .opalg import LEFT_MODULE, RIGHT_MODULE, builtin, unit_module
-    if not 1 <= n <= 5:
-        raise BoundsError("compare_with_bar is a desk-scale check (n <= 5)")
-    part = homology(partition_complex(n))
-    op = builtin("com", max(n, 1))
-    bar = reduced_bar(op, n, cache).homology()
-    simp = homology(simplicial_bar_complex(
-        unit_module(op, RIGHT_MODULE), op, unit_module(op, LEFT_MODULE), n))
-    return {
-        "partition": part,
-        "bar": bar,
-        "simplicial": simp,
-        "match": part == bar == simp,
-    }

@@ -8,10 +8,24 @@ their subtree (label sets are disjoint, so least labels are distinct and
 the sort is unambiguous); equality of canonical forms is isomorphism of
 labelled trees.
 
+Trees are validated once, where they enter: ``Tree(...)`` rejects
+malformed or non-canonical input, and ``make_tree`` (behind
+``parse_tree``) checks its input, then canonicalizes it.  Trees derived
+from valid trees are not validated again.  Every collapse, relabelling
+and graft goes through one canonicalizing walk, ``_canonical``: given a
+forest whose vertices may carry their source path, it returns the
+canonical root children and, for the root (source ``()``) and each tagged
+vertex, ``source -> (new path, tau)`` in the new depth-first order, with
+``tau[i]`` the new position of the node's i-th child.  An order-preserving
+renumbering onto 1..k (``renumber``, the ungrafting skeleton) needs no
+sorting: an increasing map keeps every leaf sorted and every node's child
+order, so each vertex keeps its path and the orientation sign is +1.
+
 Species are membership predicates on one underlying object, nested as
 standard = root-species intersect leaf-species inside the generalized
-trees.  Orientation data is the depth-first order of internal vertices;
-every collapse move carries the sign of the induced map of orientations.
+trees.  Orientation data is the depth-first order of internal vertices,
+which is the order of their paths; every collapse move carries the sign
+of the induced map of orientations.
 
 Canonical serialization (stable; used in basis labels and cache keys):
 
@@ -60,62 +74,122 @@ def _min_label(node):
     return node[1][0]
 
 
-def _vertex(children):
-    kids = tuple(sorted(children, key=_min_label))
-    if len(kids) < 2:
-        raise ValidationError("internal vertices need at least two children")
-    return ("V", kids)
-
-
 def _node_labels(node):
     if node[0] == "L":
         return set(node[1])
-    out = set()
-    for child in node[1]:
-        out |= _node_labels(child)
-    return out
+    return set().union(*map(_node_labels, node[1]))
 
 
-def _canon_node(node):
+def _check_forest(children):
+    """Raise ValidationError unless children are well-formed root children:
+    leaves and vertices with at least two children, with nonempty and
+    disjoint leaf label sets.  Order is not checked."""
+    if not isinstance(children, tuple) or not children:
+        raise ValidationError("a tree has a nonempty tuple of root children")
+    seen = set()
+
+    def walk(node, path):
+        if not (isinstance(node, tuple) and len(node) == 2
+                and node[0] in ("L", "V") and isinstance(node[1], tuple)):
+            raise ValidationError(f"malformed node {node!r} at path {path}")
+        kind, body = node
+        if kind == "V":
+            if len(body) < 2:
+                raise ValidationError(
+                    f"internal vertex with fewer than two children at path {path}")
+            for i, child in enumerate(body):
+                walk(child, path + (i,))
+        elif not body or len(set(body)) != len(body) or not seen.isdisjoint(body):
+            raise ValidationError(
+                f"leaf label sets must be nonempty and disjoint (path {path})")
+        else:
+            seen.update(body)
+
+    for i, child in enumerate(children):
+        walk(child, (i,))
+
+
+def _canonical(forest):
+    """The one canonicalizing walk (see the module docstring); a vertex of
+    forest is ``('V', children)`` or ``('V', children, source)``."""
+    (_v, children), records = _canon(("V", forest, ()))
+    return children, {source: (path, tau) for source, path, tau in records}
+
+
+def _canon(node):
+    """(canonical node, [(source, path below node, tau), ...])."""
     if node[0] == "L":
-        return _leaf(node[1])
-    return _vertex(_canon_node(c) for c in node[1])
+        return ("L", tuple(sorted(node[1]))), ()
+    walked = [_canon(child) for child in node[1]]
+    keys = [_min_label(canon) for canon, _records in walked]
+    order = sorted(range(len(walked)), key=keys.__getitem__)
+    tau = [0] * len(order)
+    for r, i in enumerate(order):
+        tau[i] = r
+    records = [(node[2], (), tuple(tau))] if len(node) == 3 else []
+    for r, i in enumerate(order):
+        records.extend((source, (r,) + path, t)
+                       for source, path, t in walked[i][1])
+    return ("V", tuple(walked[i][0] for i in order)), records
 
 
-def _validate_node(node):
+def _tracked(node, path):
+    """node with every vertex tagged by its path (its source for _canonical)."""
     if node[0] == "L":
-        if not node[1]:
-            raise ValidationError("leaf with empty label set")
-        return
-    if len(node[1]) < 2:
-        raise ValidationError("internal vertex with fewer than two children")
-    for child in node[1]:
-        _validate_node(child)
+        return node
+    return ("V", tuple(_tracked(c, path + (i,)) for i, c in enumerate(node[1])),
+            path)
+
+
+def _replace_at(children, path, nodes):
+    """children with the node at path replaced by the tuple nodes; the
+    vertices on the way keep their source tags, if any."""
+    i = path[0]
+    if len(path) > 1:
+        node = children[i]
+        nodes = (("V", _replace_at(node[1], path[1:], nodes)) + node[2:],)
+    return children[:i] + nodes + children[i + 1:]
+
+
+def _order_sign(sources):
+    """Sign of the vertex order sources (old paths in their new order)
+    against the old depth-first order, which is the order of the paths."""
+    rank = {s: r for r, s in enumerate(sorted(sources))}
+    return perm_sign(tuple(rank[s] for s in sources))
+
+
+def _mapped(node, sigma):
+    """node with every label x replaced by sigma[x], in the same order."""
+    if node[0] == "L":
+        return ("L", tuple(sigma[x] for x in node[1]))
+    return ("V", tuple(_mapped(c, sigma) for c in node[1]))
+
+
+def _tree(children):
+    """A Tree on root children already in canonical form, not validated."""
+    tree = object.__new__(Tree)
+    object.__setattr__(tree, "root_children", children)
+    return tree
 
 
 @dataclass(frozen=True)
 class Tree:
-    """Canonical-form rooted labelled tree (see module docstring)."""
+    """Canonical-form rooted labelled tree (see module docstring); the
+    root children must already be canonical (make_tree canonicalizes)."""
 
     root_children: tuple
 
     def __post_init__(self):
-        if not self.root_children:
-            raise ValidationError("a tree has at least one root child")
-        seen = set()
-        for child in self.root_children:
-            _validate_node(child)
-            labs = _node_labels(child)
-            if seen & labs:
-                raise ValidationError("leaf label sets must be disjoint")
-            seen |= labs
+        _check_forest(self.root_children)
+        canonical = _canonical(self.root_children)[0]
+        if canonical != self.root_children:
+            raise ValidationError(
+                "tree is not in canonical form; its canonical form is "
+                + _serialize_forest(canonical))
 
     @property
     def labels(self):
-        out = set()
-        for child in self.root_children:
-            out |= _node_labels(child)
-        return frozenset(out)
+        return frozenset(_node_labels(("V", self.root_children)))
 
     @property
     def n_vertices(self):
@@ -185,10 +259,14 @@ class Tree:
         return sorted(out, key=lambda pl: pl[1][0])
 
     def serialize(self):
-        return "(" + ",".join(_serialize_node(c) for c in self.root_children) + ")"
+        return _serialize_forest(self.root_children)
 
     def __repr__(self):
         return f"Tree({self.serialize()})"
+
+
+def _serialize_forest(children):
+    return "(" + ",".join(_serialize_node(c) for c in children) + ")"
 
 
 def _serialize_node(node):
@@ -198,9 +276,20 @@ def _serialize_node(node):
 
 
 def make_tree(root_children):
-    """Canonicalize and wrap a tuple of subtree nodes."""
-    kids = tuple(sorted((_canon_node(c) for c in root_children), key=_min_label))
-    return Tree(kids)
+    """Check, canonicalize and wrap a tuple of subtree nodes."""
+    children = tuple(root_children)
+    _check_forest(children)
+    return _tree(_canonical(children)[0])
+
+
+def renumber(tree):
+    """The tree relabelled onto 1..k by the increasing bijection.
+
+    Canonical form and every vertex path are kept, and the orientation
+    sign is +1 (see the module docstring).
+    """
+    rank = {x: i + 1 for i, x in enumerate(sorted(tree.labels))}
+    return _tree(tuple(_mapped(c, rank) for c in tree.root_children))
 
 
 def single_edge_tree(labels):
@@ -263,13 +352,16 @@ def parse_tree(text):
 
 @lru_cache(maxsize=None)
 def _subtrees(labels, singleton_leaves):
+    """Canonical subtrees on the sorted labels.  Blocks come sorted by least
+    label, which is the least label of every subtree on the block, so each
+    combination is already in canonical child order."""
     out = []
     if not singleton_leaves or len(labels) == 1:
-        out.append(_leaf(labels))
+        out.append(("L", labels))
     for blocks in partitions_into_at_least_two(labels):
         pools = [_subtrees(b, singleton_leaves) for b in blocks]
         for combo in itertools.product(*pools):
-            out.append(_vertex(combo))
+            out.append(("V", combo))
     return tuple(out)
 
 
@@ -287,12 +379,12 @@ def enumerate_trees(n, species=STANDARD, max_labels=DEFAULT_MAX_LABELS):
     trees = []
     if species in (STANDARD, ROOT):
         for node in _subtrees(labels, singleton):
-            trees.append(Tree((node,)))
+            trees.append(_tree((node,)))
     else:
         for blocks in set_partitions(labels):
             pools = [_subtrees(b, singleton) for b in blocks]
             for combo in itertools.product(*pools):
-                trees.append(make_tree(combo))
+                trees.append(_tree(combo))
     trees.sort(key=Tree.serialize)
     return trees
 
@@ -328,7 +420,8 @@ class CollapseResult:
     in the collapsed tree (the merged vertex maps from the survivor slot).
     For edge collapses, insert_pos is the 1-based position of the removed
     vertex among its parent's children and child_perm sends the spliced
-    child order to the canonical child order at the merged node.
+    child order (the parent's children with the removed vertex's children
+    in its place) to the canonical child order at the merged node.
     """
 
     tree: Tree
@@ -336,51 +429,6 @@ class CollapseResult:
     vertex_map: dict
     insert_pos: int | None
     child_perm: tuple | None
-
-
-def _tracked(node, path):
-    if node[0] == "L":
-        return node
-    kids = tuple(_tracked(c, path + (i,)) for i, c in enumerate(node[1]))
-    return ("V", kids, path)
-
-
-def _canon_tracked(node):
-    if node[0] == "L":
-        return node
-    kids = tuple(sorted((_canon_tracked(c) for c in node[1]), key=_min_label))
-    return ("V", kids, node[2])
-
-
-def _strip(node):
-    if node[0] == "L":
-        return node
-    return ("V", tuple(_strip(c) for c in node[1]))
-
-
-def _collect_origins(children):
-    """(origin, new_path) pairs for vertices, in depth-first order."""
-    out = []
-
-    def walk(node, path):
-        if node[0] == "L":
-            return
-        out.append((node[2], path))
-        for i, child in enumerate(node[1]):
-            walk(child, path + (i,))
-
-    for i, child in enumerate(children):
-        walk(child, (i,))
-    return out
-
-
-def _replace_at(children, path, replacer):
-    i = path[0]
-    if len(path) == 1:
-        return children[:i] + tuple(replacer(children[i])) + children[i + 1:]
-    node = children[i]
-    new = ("V", _replace_at(node[1], path[1:], replacer), node[2])
-    return children[:i] + (new,) + children[i + 1:]
 
 
 def collapse_moves(tree):
@@ -409,44 +457,26 @@ def collapse(tree, kind, path):
     if kind == INTERNAL_EDGE and len(path) < 2:
         raise ValidationError("internal-edge collapse needs an internal edge")
 
-    tracked = tuple(_tracked(c, (i,)) for i, c in enumerate(tree.root_children))
+    forest = tuple(_tracked(c, (i,)) for i, c in enumerate(tree.root_children))
     if kind == BUD:
-        merged = _leaf(tuple(sorted(x for c in node[1] for x in c[1])))
-        new_children = _replace_at(tracked, path, lambda _n: [merged])
+        spliced = (_leaf(x for c in node[1] for x in c[1]),)
     else:
-        new_children = _replace_at(tracked, path, lambda n: n[1])
-    new_children = tuple(sorted((_canon_tracked(c) for c in new_children),
-                                key=_min_label))
-    collapsed = Tree(tuple(_strip(c) for c in new_children))
-
-    old_order = tree.vertex_paths()
-    i = old_order.index(path) + 1
-    survivors = [p for p in old_order if p != path]
-    origin_pairs = _collect_origins(new_children)
-    vertex_map = {origin: newp for origin, newp in origin_pairs}
-    perm = tuple(survivors.index(origin) for origin, _ in origin_pairs)
+        spliced = _tracked(node, path)[1]
+    children, moves = _canonical(_replace_at(forest, path, spliced))
+    vertex_map = {source: new for source, (new, _tau) in moves.items()
+                  if source}
     # Boundary-orientation sign in height coordinates (one per vertex,
     # ordered by the canonical VertexOrder).  A bud face {h_v = 1} has
-    # outward normal +dh_v, giving (-1)^(i-1); root faces {h_v = 0} and
-    # merge faces {h_u = h_v} both contract to (-1)^i.  A uniform
-    # (-1)^(i-1) already breaks d^2 = 0 on two-vertex trees.
-    sign = ((-1) ** (i - 1)) * perm_sign(perm)
-    if kind != BUD:
-        sign = -sign
-
-    insert_pos = None
-    child_perm = None
-    if kind in (INTERNAL_EDGE, ROOT_EDGE):
-        insert_pos = path[-1] + 1
-        parent_children = (tree.root_children if len(path) == 1
-                           else tree.node_at(path[:-1])[1])
-        c0 = path[-1]
-        spliced = parent_children[:c0] + node[1] + parent_children[c0 + 1:]
-        keys = [_min_label(ch) for ch in spliced]
-        ranks = {k: r for r, k in enumerate(sorted(keys))}
-        child_perm = tuple(ranks[k] for k in keys)
-    return CollapseResult(collapsed, CollapseMove(kind, path, sign),
-                          vertex_map, insert_pos, child_perm)
+    # outward normal +dh_v, giving (-1)^(i-1) for the i-th vertex; root
+    # faces {h_v = 0} and merge faces {h_u = h_v} both contract to (-1)^i.
+    # A uniform (-1)^(i-1) already breaks d^2 = 0 on two-vertex trees.
+    before = sum(1 for source in vertex_map if source < path)
+    sign = (-1) ** before * _order_sign(vertex_map)
+    if kind == BUD:
+        return CollapseResult(_tree(children), CollapseMove(kind, path, sign),
+                              vertex_map, None, None)
+    return CollapseResult(_tree(children), CollapseMove(kind, path, -sign),
+                          vertex_map, path[-1] + 1, moves[path[:-1]][1])
 
 
 def covers(tree):
@@ -492,35 +522,8 @@ def graft(t, a, u):
     overlap = (t.labels - {a}) & u.labels
     if overlap:
         raise ValidationError(f"graft: label sets overlap on {sorted(overlap)}")
-    children = _replace_at_plain(t.root_children, leaf_path, u.root_children[0])
-    return make_tree(children)
-
-
-def _replace_at_plain(children, path, new_node):
-    i = path[0]
-    if len(path) == 1:
-        return children[:i] + (new_node,) + children[i + 1:]
-    node = children[i]
-    return children[:i] + (("V", _replace_at_plain(node[1], path[1:], new_node)),) \
-        + children[i + 1:]
-
-
-def _cut_candidates(tree, block):
-    """Paths of nodes whose subtree labels equal the given set."""
-    target = frozenset(block)
-    out = []
-
-    def walk(node, path):
-        labs = _node_labels(node)
-        if frozenset(labs) == target:
-            out.append(path)
-        if node[0] == "V" and target < labs:
-            for i, child in enumerate(node[1]):
-                walk(child, path + (i,))
-
-    for i, child in enumerate(tree.root_children):
-        walk(child, (i,))
-    return out
+    return _tree(_canonical(
+        _replace_at(t.root_children, leaf_path, u.root_children))[0])
 
 
 def ungraft_partition(v, blocks):
@@ -541,26 +544,27 @@ def ungraft_partition(v, blocks):
             or not v.labels >= set(covered):
         raise ValidationError(
             "ungraft_partition: blocks must be disjoint label sets of the tree")
-    cuts = []
-    for block in blocks:
-        found = _cut_candidates(v, block)
-        if not found:
-            return None
-        cuts.append(found[0])
-    heads = {cut: block[0] for cut, block in zip(cuts, blocks)}
-    kept = sorted((v.labels - set(covered)) | set(heads.values()))
-    rank = {x: i + 1 for i, x in enumerate(kept)}
+    at = {}
 
-    def skeleton(node, path):
-        if path in heads:
-            return ("L", (rank[heads[path]],))
-        if node[0] == "L":
-            return ("L", tuple(rank[x] for x in node[1]))
-        return ("V", tuple(skeleton(c, path + (i,))
-                           for i, c in enumerate(node[1])))
+    def index(node, path):
+        # A vertex's label set strictly contains each child's, so distinct
+        # nodes have distinct label sets.
+        labs = frozenset(node[1]) if node[0] == "L" else frozenset().union(
+            *(index(c, path + (i,)) for i, c in enumerate(node[1])))
+        at[labs] = path
+        return labs
 
-    return (make_tree(skeleton(c, (i,)) for i, c in enumerate(v.root_children)),
-            [Tree((v.node_at(c),)) for c in cuts], cuts)
+    for i, child in enumerate(v.root_children):
+        index(child, (i,))
+    cuts = [at.get(frozenset(block)) for block in blocks]
+    if None in cuts:
+        return None
+    children = v.root_children
+    for cut, block in zip(cuts, blocks):
+        # The cut leaf has the cut subtree's least label: order is kept.
+        children = _replace_at(children, cut, (("L", (block[0],)),))
+    return (renumber(_tree(children)),
+            [_tree((v.node_at(c),)) for c in cuts], cuts)
 
 
 # -- relabelling ------------------------------------------------------------
@@ -571,30 +575,19 @@ def relabel(tree, sigma):
     Returns (tree, orientation sign): the sign of the permutation
     carrying the transported VertexOrder to the canonical one.
     """
-    new_tree, sign, _vertex_map = _relabel(tree, sigma)
+    new_tree, sign, _moves = _relabel(tree, sigma)
     return new_tree, sign
 
 
 def _relabel(tree, sigma):
-    """relabel's (tree, sign) and the map old vertex path -> new path."""
+    """relabel's (tree, sign) and the canonicalizing walk's map old path ->
+    (new path, tau) for the root, under (), and every vertex."""
     labs = tree.labels
     if set(sigma) != set(labs) or len(set(sigma.values())) != len(labs):
         raise ValidationError("relabel: not a bijection on the label universe")
-
-    def rl(node, path):
-        if node[0] == "L":
-            return ("L", tuple(sorted(sigma[x] for x in node[1])))
-        kids = tuple(rl(c, path + (i,)) for i, c in enumerate(node[1]))
-        return ("V", kids, path)
-
-    tracked = tuple(rl(c, (i,)) for i, c in enumerate(tree.root_children))
-    new_children = tuple(sorted((_canon_tracked(c) for c in tracked),
-                                key=_min_label))
-    new_tree = Tree(tuple(_strip(c) for c in new_children))
-    old_order = tree.vertex_paths()
-    origin_pairs = _collect_origins(new_children)
-    perm = tuple(old_order.index(origin) for origin, _ in origin_pairs)
-    return new_tree, perm_sign(perm), dict(origin_pairs)
+    children, moves = _canonical(tuple(
+        _tracked(_mapped(c, sigma), (i,)) for i, c in enumerate(tree.root_children)))
+    return _tree(children), _order_sign([s for s in moves if s]), moves
 
 
 # -- the weighting-space chain complex --------------------------------------

@@ -52,6 +52,7 @@ from opbar.opalg import (
     dual,
     unit_module,
 )
+from opbar.trees import Tree
 from opbar.verify import stirling2
 from test_partition import cycle_types, sgn_lie_character
 
@@ -110,6 +111,23 @@ class TestBarHomology:
                 tgt = bc.complex.labels(d - 1)[i]
                 assert src.tree_degree - tgt.tree_degree == 1
                 assert src.internal_degree == tgt.internal_degree
+
+
+def test_derived_trees_are_never_revalidated(monkeypatch):
+    # Trees are validated where they enter (Tree(...), make_tree,
+    # parse_tree); enumeration, collapses, relabellings and cuts derive
+    # every tree these builds use from valid trees.
+    validate = Tree.__post_init__
+    calls = []
+
+    def counted(tree):
+        calls.append(tree)
+        validate(tree)
+
+    monkeypatch.setattr(Tree, "__post_init__", counted)
+    reduced_bar(builtin("com", 5), 5)
+    koszul(builtin("com", 4), 4, with_structure=True)
+    assert calls == []
 
 
 class TestCobarHomology:

@@ -496,6 +496,10 @@ class TestTensor:
         with pytest.raises(ValidationError,
                            match="index 0 outside degree 5 of factor 0"):
             tensor_vector(t, [c, c], [(5, {0: 1}), (0, {0: 1})])
+        # A negative index does not count from the end.
+        with pytest.raises(ValidationError,
+                           match="index -1 outside degree 1 of factor 1"):
+            tensor_vector(t, [c, c], [(1, {0: 1}), (1, {-1: 1})])
 
 
 class TestFromEntries:

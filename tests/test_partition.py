@@ -7,7 +7,6 @@ from opbar.exactla import homology
 from opbar.partition import (
     character_is_class_function,
     character_on_homology,
-    compare_with_bar,
     flag_count_oracle,
     partition_character,
     partition_complex,
@@ -105,9 +104,3 @@ class TestCharacter:
         assert partition_character(n) == want
         assert character_on_homology(n) == want
 
-
-class TestCompareWithBar:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_triple_agreement(self, n):
-        report = compare_with_bar(n, cache={})
-        assert report["match"], report

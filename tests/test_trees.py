@@ -15,6 +15,9 @@ from opbar.trees import (
     ROOT_EDGE,
     STANDARD,
     Tree,
+    _relabel,
+    collapse,
+    collapse_moves,
     covers,
     down_set,
     enumerate_trees,
@@ -98,9 +101,21 @@ class TestCanonicalForm:
         with pytest.raises(ParseError, match="position"):
             parse_tree(text)
 
-    def test_vertex_needs_two_children(self):
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: Tree((("V", (("L", (1,)),)),)),
+                     id="one-child-vertex"),
+        pytest.param(lambda: make_tree(
+            (("V", (("L", (1,)), ("L", (1, 2)))),)), id="repeated-label"),
+        pytest.param(lambda: make_tree((("L", ()),)), id="empty-leaf"),
+        pytest.param(lambda: Tree((("V", (("L", (2,)), ("L", (1,)))),)),
+                     id="unsorted-children"),
+        pytest.param(lambda: Tree((("L", (2, 1)),)), id="unsorted-leaf"),
+    ])
+    def test_vertex_needs_two_children(self, build):
+        # Malformed or non-canonical input is refused where it enters;
+        # make_tree canonicalizes first, Tree(...) does not.
         with pytest.raises(ValidationError):
-            Tree((("V", (("L", (1,)),)),))
+            build()
 
     def test_species_property(self):
         assert t("(([1],[2]))").species == STANDARD
@@ -134,6 +149,60 @@ class TestCovers:
             for u, _move in covers(tree):
                 assert u.n_vertices == tree.n_vertices - 1
                 assert u.labels == tree.labels
+
+
+def _label_set(node):
+    if node[0] == "L":
+        return set(node[1])
+    return set().union(*(_label_set(c) for c in node[1]))
+
+
+def _ranks(keys):
+    return tuple(sorted(keys).index(k) for k in keys)
+
+
+class TestWalkAgainstLabelSets:
+    """The canonicalizing walk's bookkeeping, checked on label sets alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_collapse_vertex_map_and_child_perm(self, n):
+        for tree in enumerate_trees(n, GENERALIZED, max_labels=4):
+            for kind, path in collapse_moves(tree):
+                res = collapse(tree, kind, path)
+                new_paths = res.tree.vertex_paths()
+                assert sorted(res.vertex_map.values()) == sorted(new_paths)
+                assert sorted(res.vertex_map) == sorted(
+                    p for p in tree.vertex_paths() if p != path)
+                for old, new in res.vertex_map.items():
+                    assert _label_set(tree.node_at(old)) == \
+                        _label_set(res.tree.node_at(new))
+                if kind == BUD:
+                    assert res.child_perm is None
+                    continue
+                parent = path[:-1]
+                kids = tree.node_at(parent)[1]
+                c = res.insert_pos - 1
+                spliced = kids[:c] + tree.node_at(path)[1] + kids[c + 1:]
+                merged = res.tree.node_at(res.vertex_map.get(parent, ()))
+                for i, child in enumerate(spliced):
+                    assert min(_label_set(child)) == min(
+                        _label_set(merged[1][res.child_perm[i]]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_relabel_paths_and_child_ranks(self, n):
+        for tree in enumerate_trees(n, GENERALIZED, max_labels=4):
+            for perm in itertools.permutations(range(1, n + 1)):
+                sigma = dict(zip(range(1, n + 1), perm))
+                new_tree, _sign, moves = _relabel(tree, sigma)
+                assert sorted(moves) == [()] + tree.vertex_paths()
+                assert sorted(new for new, _tau in moves.values()) == \
+                    [()] + new_tree.vertex_paths()
+                for old, (new, tau) in moves.items():
+                    assert _label_set(new_tree.node_at(new)) == {
+                        sigma[x] for x in _label_set(tree.node_at(old))}
+                    assert tau == _ranks([
+                        min(sigma[x] for x in _label_set(child))
+                        for child in tree.node_at(old)[1]])
 
 
 class TestPosetOrder:
