@@ -1,9 +1,12 @@
 """Algebraic bar and cobar complexes over decorated trees.
 
-A basis element is a generalized labelled tree together with one basis
-index per decoration slot: the root slot (right-module factor), one slot
-per internal vertex in the canonical VertexOrder (operad factors), and
-one slot per leaf in least-label order (left-module factors).
+A basis element is a labelled tree together with one basis index per
+decoration slot: the root slot (right-module factor), one slot per
+internal vertex in the canonical VertexOrder (operad factors), and one
+slot per leaf in least-label order (left-module factors).  The basis
+trees are those within the supports of the coefficients and the operad:
+root arity, vertex arities and leaf sizes of nonzero rank, so for a
+reduced operad with unit coefficients they are the standard trees.
 
 The differential, the symmetric action and the ungrafting maps below all
 carry a tree's slot decorations along a map of trees (a collapse, a
@@ -12,9 +15,11 @@ the source slots it copies or sends through a structure matrix.  One
 evaluator, _plan_terms, expands a plan over every decoration; a term's
 coefficient is the tree map's orientation sign, times the Koszul sign of
 reordering the graded decorations into the target's slot order, times
-the matrix entries.  The differential sums the collapse moves; cobar
-complexes run the same covers backwards through cocomposition matrices,
-with tree degrees recorded negatively.
+the matrix entries.  The differential sums the collapse moves whose merged
+slot stays in its support.  Every move reads its matrix from the operad
+form of the structure (opalg.operad_form), so bar and cobar complexes
+share one plan; cobar complexes run the covers backwards, with tree
+degrees recorded negatively.
 
 One ungrafting engine builds the cooperad structure of B(P), the operad
 structure of the cobar construction and the module structure maps of a
@@ -36,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import trees as tr
-from .combinat import perm_inverse, set_partitions
+from .combinat import set_partitions
 from .errors import InternalConsistencyError, ValidationError
 from .exactla import (
     INT,
@@ -71,6 +76,7 @@ from .opalg import (
     dual,
     builtin,
     fingerprint,
+    operad_form,
     unit_module,
 )
 
@@ -112,7 +118,6 @@ class BarComplex:
         self.arity = arity
         self.complex = complex_
         self._slots = slot_cache
-        self._sorted_trees = None
         self.r_coeff = r_coeff
         self.op = op
         self.l_coeff = l_coeff
@@ -128,11 +133,8 @@ class BarComplex:
         return self._slots[tree]
 
     def trees(self):
-        """The basis trees in serialization order, sorted on first use."""
-        if self._sorted_trees is None:
-            self._sorted_trees = tuple(sorted(self._slots,
-                                              key=tr.Tree.serialize))
-        return self._sorted_trees
+        """The basis trees in serialization order."""
+        return tuple(self._slots)
 
     def index(self, label):
         """(total degree, position in that degree) of a basis label."""
@@ -260,22 +262,23 @@ def _check_inputs(kind, r_mod, p, l_mod):
 def _tree_complex(kind, r_mod, p, l_mod, arity, ring=None):
     """The bar or cobar complex: signed collapse moves on decorated trees.
 
-    For cobar complexes the differential runs from the collapsed tree to
-    the uncollapsed one, so the roles of the labels swap while the
-    coefficient (orientation sign, Koszul reorder, matrix entry) is the
-    bar direction's.
+    The trees and the moves are those within the supports of r_mod, p and
+    l_mod.  For cobar complexes the differential runs from the collapsed
+    tree to the uncollapsed one, so the roles of the labels swap while
+    the coefficient (orientation sign, Koszul reorder, matrix entry) is
+    the bar direction's.
     """
     _check_inputs(kind, r_mod, p, l_mod)
     ring = ring or p.ring
     if arity > p.max_arity:
         raise ValidationError(f"arity {arity} exceeds max_arity {p.max_arity}")
+    supports = {slot: {n for n in range(1, arity + 1) if seq.rank(n)}
+                for slot, seq in (("root", r_mod), ("v", p), ("leaf", l_mod))}
     slot_cache = {}
     spaces = {}
-    for tree in tr.enumerate_trees(arity, tr.GENERALIZED):
-        slots = _slot_plan(tree, r_mod, p, l_mod)
-        if any(s[2].total_rank() == 0 for s in slots):
-            continue
-        slot_cache[tree] = slots
+    for tree in tr.supported_trees(arity, supports["root"], supports["v"],
+                                   supports["leaf"]):
+        slots = slot_cache[tree] = _slot_plan(tree, r_mod, p, l_mod)
         s_deg = tree.n_vertices
         for decor in itertools.product(
                 *(range(s[2].total_rank()) for s in slots)):
@@ -286,18 +289,18 @@ def _tree_complex(kind, r_mod, p, l_mod, arity, ring=None):
 
     entries = {}
     for tree, slots in slot_cache.items():
+        s_big = tree.n_vertices
         for move_kind, path in tr.collapse_moves(tree):
-            res = tr.collapse(tree, move_kind, path)
-            if res.tree not in slot_cache:
-                # All decorations map into a zero slot module.
+            slot, merged_arity = _merged_slot(tree, move_kind, path)
+            if merged_arity not in supports[slot]:
                 continue
-            plan = _move_slot_plan(kind, tree, res, move_kind, path, r_mod,
-                                   p, l_mod, slot_cache)
-            s_big, s_small = tree.n_vertices, res.tree.n_vertices
+            res = tr.collapse(tree, move_kind, path)
+            plan = _move_slot_plan(tree, res, move_kind, path, r_mod, p,
+                                   l_mod, slot_cache)
             for decor, t, small_dec, coeff in _plan_terms(slots, plan,
                                                           res.move.sign):
                 big = BarBasisLabel(tree, decor, s_big, t)
-                small = BarBasisLabel(res.tree, small_dec, s_small, t)
+                small = BarBasisLabel(res.tree, small_dec, s_big - 1, t)
                 src, tgt = (big, small) if kind == BAR else (small, big)
                 d = _total_degree(kind, src.tree_degree, t)
                 key = (module.position(d - 1, tgt), module.position(d, src))
@@ -307,74 +310,61 @@ def _tree_complex(kind, r_mod, p, l_mod, arity, ring=None):
         module, entries, ring), slot_cache, r_coeff=r_mod, op=p, l_coeff=l_mod)
 
 
-def _move_slot_plan(kind, tree, res, move_kind, path, r_mod, p, l_mod,
+def _merged_slot(tree, move_kind, path):
+    """(slot kind, arity) of the slot a collapse move merges into: the
+    leaf of a bud, the root of a root edge, the parent of an inner edge."""
+    node = tree.node_at(path)
+    if move_kind == tr.BUD:
+        return "leaf", sum(len(c[1]) for c in node[1])
+    if move_kind == tr.ROOT_EDGE:
+        return "root", len(tree.root_children) + len(node[1]) - 1
+    return "v", len(tree.node_at(path[:-1])[1]) + len(node[1]) - 1
+
+
+def _move_slot_plan(tree, res, move_kind, path, r_mod, p, l_mod,
                     slot_cache):
     """The _plan_terms plan of one collapse move, uncollapsed to collapsed.
 
-    In bar mode the apply matrix is the structure map followed by the
-    child-reorder action at the merged slot; in cobar mode its role is
-    played by the transpose of (cocomposition after the inverse reorder),
-    which has the same shape and supplies the cocomposition coefficients.
+    The apply matrix is the structure map in operad form followed by the
+    child-reorder action at the merged slot; for cobar complexes the
+    operad form is the transposed cocomposition, which supplies the
+    cocomposition coefficients.
     """
     slots_src = slot_cache[tree]
     slots_tgt = slot_cache[res.tree]
     src_pos = {(skind, skey): i
                for i, (skind, skey, _m) in enumerate(slots_src)}
     old_path = {new: old for old, new in res.vertex_map.items()}
+    node = tree.node_at(path)
 
     if move_kind == tr.BUD:
-        node = tree.node_at(path)
         blocks = [c[1] for c in node[1]]
         union = tuple(sorted(x for b in blocks for x in b))
         rel = canonical_partition(
             [tuple(sorted(union.index(x) + 1 for x in b)) for b in blocks])
-        if kind == BAR:
-            matrix = l_mod.left_action(rel)
-        else:
-            matrix = l_mod.left_coaction(rel).transpose()
+        matrix = operad_form(l_mod).left_action(rel)
         consumed = [src_pos[("v", path)]] + [src_pos[("leaf", b)]
                                              for b in blocks]
-        sizes = [p.component(len(blocks)).total_rank()] + [
-            l_mod.component(len(b)).total_rank() for b in blocks]
+        sizes = [p.rank(len(blocks))] + [l_mod.rank(len(b)) for b in blocks]
         merged_key = ("leaf", union)
     else:
-        node = tree.node_at(path)
         k_inner = len(node[1])
-        c = res.insert_pos
-        tau = res.child_perm
-        tau_nontrivial = any(tau[i] != i for i in range(len(tau)))
         if move_kind == tr.ROOT_EDGE:
+            outer, outer_key = r_mod, ("root", None)
             m_out = len(tree.root_children)
-            act_seq = r_mod
-            consumed = [src_pos[("root", None)], src_pos[("v", path)]]
-            sizes = [r_mod.component(m_out).total_rank(),
-                     p.component(k_inner).total_rank()]
-            merged_key = ("root", None)
-            raw = (r_mod.right_partial(m_out, c, k_inner) if kind == BAR
-                   else r_mod.right_copartial(m_out, c, k_inner))
+            merged_key = outer_key
         else:
-            parent = path[:-1]
-            m_out = len(tree.node_at(parent)[1])
-            act_seq = p
-            consumed = [src_pos[("v", parent)], src_pos[("v", path)]]
-            sizes = [p.component(m_out).total_rank(),
-                     p.component(k_inner).total_rank()]
-            merged_key = ("v", res.vertex_map[parent])
-            raw = (p.comp(m_out, c, k_inner) if kind == BAR
-                   else p.cocomp(m_out, c, k_inner))
-        merged_arity = m_out + k_inner - 1
-        if kind == BAR:
-            matrix = raw
-            if tau_nontrivial:
-                perm_1 = tuple(t + 1 for t in tau)
-                matrix = act_seq.action(merged_arity, perm_1) * matrix
-        else:
-            # Re-express the merged decoration in spliced order, then split.
-            matrix = raw
-            if tau_nontrivial:
-                inv = perm_inverse(tuple(t + 1 for t in tau))
-                matrix = matrix * act_seq.action(merged_arity, inv)
-            matrix = matrix.transpose()
+            outer, outer_key = p, ("v", path[:-1])
+            m_out = len(tree.node_at(path[:-1])[1])
+            merged_key = ("v", res.vertex_map[path[:-1]])
+        form = operad_form(outer)
+        matrix = form.partial(m_out, res.insert_pos, k_inner)
+        tau = res.child_perm
+        if any(tau[i] != i for i in range(len(tau))):
+            matrix = form.action(m_out + k_inner - 1,
+                                 tuple(t + 1 for t in tau)) * matrix
+        consumed = [src_pos[outer_key], src_pos[("v", path)]]
+        sizes = [outer.rank(m_out), p.rank(k_inner)]
 
     plan = []
     used = set()
@@ -521,7 +511,7 @@ def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
                 inner = tuple(len(_sub_blocks(fine, b)) for b in chain[k])
                 grouped = [c for b in chain[k] for c in _sub_blocks(fine, b)]
                 rho = block_sort_perm([c[0] for c in grouped])
-                matrix = r_mod.right_full_action(inner)
+                matrix = operad_form(r_mod).full(inner)
                 if any(rho[x] != x for x in range(len(rho))):
                     matrix = r_mod.action(
                         len(fine), tuple(t + 1 for t in rho)) * matrix
@@ -541,7 +531,7 @@ def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
                 rel = canonical_partition(
                     [tuple(sorted(ordered.index(x) + 1 for x in c))
                      for c in subs])
-                matrix = l_mod.left_action(rel)
+                matrix = operad_form(l_mod).left_action(rel)
                 consumed = [p_slot(1, block)] + [
                     src_pos[("L", c)] for c in subs]
                 sizes = [slots_src[p_slot(1, block)][2].total_rank()] + [

@@ -7,13 +7,18 @@ left-module actions per set partition, right-module actions as partials.
 General instances are derived through the symmetric action.  Every axiom
 (Coxeter relations, associativity, equivariance, units, pentagons) is an
 executable matrix identity checked on construction: each instance is one
-comparison of two ExactMatrix products.  One checker,
+comparison of two ExactMatrix products.
+
+Every reader of structure matrices goes through one view per structure,
+``operad_form``: it gives the partials M(m) (x) P(n) -> M(m+n-1), the left
+actions and the symmetric actions in operad form, and derives every full
+composition and full right action from the partials.  Cooperad and
+comodule matrices are transposed once, and sigma acts on a dual sequence
+by the transpose of sigma^-1, so the axiom checks and the bar and cobar
+differentials read the same data either way.  One checker,
 ``_check_partials``, covers all partial-composition data: a right module
 over P is P's data with one more colour, so an operad is checked as a
-right module over itself (plus reducedness and the left unit), and
-cooperads and right comodules are checked transposed, on the dual
-sequences.  One routine, ``_iterated_partials``, derives every full
-composition and full right action from the partials.
+right module over itself (plus reducedness and the left unit).
 
 A left module (a left comodule, transposed) satisfies, for lam with
 blocks B_1..B_r grouped into the blocks of mu, and for sigma in Sigma_n,
@@ -236,17 +241,11 @@ class Operad:
         return self.symseq.action(n, sigma)
 
     def comp(self, m, a, n):
-        mat = self.comp_maps.get((m, a, n))
-        if mat is None:
-            raise ValidationError(f"no composition matrix for ({m},{a},{n})")
-        expected = (self.rank(m + n - 1), self.rank(m) * self.rank(n))
-        if (mat.nrows, mat.ncols) != expected:
-            raise ValidationError(f"composition ({m},{a},{n}) misshapen")
-        return mat
+        return operad_form(self).partial(m, a, n)
 
     def full_composition(self, inner_arities):
         """Matrix of P(s) (x) P(n_1) (x) ... (x) P(n_s) -> P(sum n_i)."""
-        return _iterated_partials(self, inner_arities)
+        return operad_form(self).full(inner_arities)
 
     def __eq__(self, other):
         if not isinstance(other, Operad):
@@ -283,15 +282,6 @@ class Cooperad:
     def action(self, n, sigma):
         return self.symseq.action(n, sigma)
 
-    def cocomp(self, m, a, n):
-        mat = self.cocomp_maps.get((m, a, n))
-        if mat is None:
-            raise ValidationError(f"no cocomposition matrix for ({m},{a},{n})")
-        expected = (self.rank(m) * self.rank(n), self.rank(m + n - 1))
-        if (mat.nrows, mat.ncols) != expected:
-            raise ValidationError(f"cocomposition ({m},{a},{n}) misshapen")
-        return mat
-
     def __eq__(self, other):
         if not isinstance(other, Cooperad):
             return NotImplemented
@@ -315,7 +305,7 @@ class SidedModule:
 
     Left-sided structure maps are stored per canonical set partition of
     {1..n}; right-sided ones as partials keyed (m, a, n).  Missing keys
-    are zero maps.
+    are zero maps.  They are read through ``operad_form``.
     """
 
     def __init__(self, side, symseq, over, maps, name="module", check=True):
@@ -339,47 +329,6 @@ class SidedModule:
 
     def action(self, n, sigma):
         return self.symseq.action(n, sigma)
-
-    # -- raw accessors (zero when absent) --
-
-    def right_partial(self, m, a, n):
-        """M(m) (x) P(n) -> M(m+n-1) for right modules."""
-        shape = (self.rank(m + n - 1), self.rank(m) * self.over.rank(n))
-        return self._get((m, a, n), shape)
-
-    def right_copartial(self, m, a, n):
-        """M(m+n-1) -> M(m) (x) Q(n) for right comodules."""
-        shape = (self.rank(m) * self.over.rank(n), self.rank(m + n - 1))
-        return self._get((m, a, n), shape)
-
-    def left_action(self, blocks):
-        """P(r) (x) M(B_1) (x) ... (x) M(B_r) -> M(n) for left modules."""
-        blocks = canonical_partition(blocks)
-        n = sum(len(b) for b in blocks)
-        cols = self.over.rank(len(blocks)) * prod(
-            self.rank(len(b)) for b in blocks)
-        return self._get(blocks, (self.rank(n), cols))
-
-    def left_coaction(self, blocks):
-        """M(n) -> Q(r) (x) M(B_1) (x) ... (x) M(B_r) for left comodules."""
-        blocks = canonical_partition(blocks)
-        n = sum(len(b) for b in blocks)
-        rows = self.over.rank(len(blocks)) * prod(
-            self.rank(len(b)) for b in blocks)
-        return self._get(blocks, (rows, self.rank(n)))
-
-    def _get(self, key, shape):
-        mat = self.maps.get(key)
-        if mat is None:
-            return ExactMatrix.zero(*shape, ring=self.ring)
-        if (mat.nrows, mat.ncols) != shape:
-            raise ValidationError(f"structure map {key} misshapen: "
-                                  f"{(mat.nrows, mat.ncols)} != {shape}")
-        return mat
-
-    def right_full_action(self, inner_arities):
-        """M(r) (x) P(n_1) (x) ... (x) P(n_r) -> M(sum n_i), via partials."""
-        return _iterated_partials(self, inner_arities)
 
     # -- validation --
 
@@ -438,37 +387,6 @@ def _factor_permutation(modules, perm, ring):
     return ExactMatrix(prod(sizes), prod(sizes), entries, ring=ring)
 
 
-def _operad_form(structure):
-    """Partials (m, a, n) -> matrix of M(m) (x) P(n) -> M(m+n-1).
-
-    M = P for an operad or a cooperad; M is a right (co)module over P
-    otherwise.  Cooperad and comodule data are transposed, each partial
-    once per returned function.
-    """
-    if isinstance(structure, Operad):
-        return structure.comp
-    if isinstance(structure, Cooperad):
-        return cache(lambda m, a, n: structure.cocomp(m, a, n).transpose())
-    if structure.side == RIGHT_MODULE:
-        return structure.right_partial
-    return cache(
-        lambda m, a, n: structure.right_copartial(m, a, n).transpose())
-
-
-def _accessors(mod, over):
-    """The symmetric actions (m_action, p_action) of mod and over.
-
-    Over a cooperad the sequences are read dually: sigma acts by the
-    transpose of sigma^-1, transposed once per (n, sigma) here.
-    """
-    if not isinstance(over, Cooperad):
-        return mod.symseq.action, over.symseq.action
-    return tuple(
-        cache(lambda n, sigma, ss=ss:
-              ss.action(n, perm_inverse(sigma)).transpose())
-        for ss in (mod.symseq, over.symseq))
-
-
 def _transposition(n, i):
     """The adjacent transposition s_i in Sigma_n."""
     sigma = list(perm_identity(n))
@@ -476,33 +394,91 @@ def _transposition(n, i):
     return tuple(sigma)
 
 
-def _iterated_partials(structure, inner_arities):
-    """M(r) (x) P(n_1) (x) ... (x) P(n_r) -> M(sum n_i), in operad form.
+class OperadForm:
+    """A structure read as operad data: one view per structure.
 
-    Composes the partials of _operad_form left to right; the consumed
-    factors are always adjacent, so no Koszul signs arise.  Cached on the
-    structure.
+    It gives the partials M(m) (x) P(n) -> M(m+n-1) (M = P for an operad
+    or a cooperad, M a right (co)module over P otherwise), the left
+    actions P(r) (x) M(B_1) (x) ... (x) M(B_r) -> M(n), the symmetric
+    actions and the full compositions.  Cooperads and comodules are read
+    dually: their matrices are transposed, once each, and sigma acts by
+    the transpose of sigma^-1.  Every matrix is memoized on the view.
     """
-    key = tuple(inner_arities)
-    memo = vars(structure).setdefault("_full_cache", {})
-    if key in memo:
-        return memo[key]
-    over = getattr(structure, "over", structure)
-    ring = structure.ring
-    ranks = [over.rank(n) for n in key]
-    mat = ExactMatrix.identity(structure.rank(len(key)) * prod(ranks),
-                               ring=ring)
-    if mat.nrows:
-        comp = _operad_form(structure)
-        arity, pos = len(key), 1
-        for i, n in enumerate(key):
-            rest = ExactMatrix.identity(prod(ranks[i + 1:]), ring=ring)
-            mat = comp(arity, pos, n).kron(rest) * mat
-            arity, pos = arity + n - 1, pos + n
-    else:
-        mat = ExactMatrix.zero(structure.rank(sum(key)), 0, ring=ring)
-    memo[key] = mat
-    return mat
+
+    def __init__(self, structure):
+        self.structure = structure
+        self.over = getattr(structure, "over", structure)
+        self.kind = _kind(structure)
+        self.dual = self.kind in ("cooperad", RIGHT_COMODULE, LEFT_COMODULE)
+        self._memo = {}
+
+    def _read(self, key):
+        """The stored map at key, checked against its shape, in operad
+        form; absent module maps are zero, absent (co)compositions an
+        error."""
+        mat = self._memo.get(key)
+        if mat is None:
+            s = self.structure
+            shape = _map_shape(self.kind, key, s.rank, self.over.rank)
+            mat = _stored_maps(s)[1].get(key)
+            if mat is None and not isinstance(s, SidedModule):
+                raise ValidationError(f"no structure matrix for {key}")
+            if mat is None:
+                mat = ExactMatrix.zero(*shape, ring=s.ring)
+            if (mat.nrows, mat.ncols) != shape:
+                raise ValidationError(f"structure map {key} misshapen: "
+                                      f"{(mat.nrows, mat.ncols)} != {shape}")
+            mat = self._memo[key] = mat.transpose() if self.dual else mat
+        return mat
+
+    def partial(self, m, a, n):
+        return self._read((m, a, n))
+
+    def left_action(self, blocks):
+        return self._read(canonical_partition(blocks))
+
+    def action(self, n, sigma):
+        symseq = self.structure.symseq
+        if not self.dual:
+            return symseq.action(n, sigma)
+        key = ("action", n, tuple(sigma))
+        if key not in self._memo:
+            self._memo[key] = symseq.action(n, perm_inverse(sigma)).transpose()
+        return self._memo[key]
+
+    def full(self, inner_arities):
+        """M(r) (x) P(n_1) (x) ... (x) P(n_r) -> M(sum n_i).
+
+        Composes the partials left to right; the consumed factors are
+        always adjacent, so no Koszul signs arise.
+        """
+        key = ("full", tuple(inner_arities))
+        if key in self._memo:
+            return self._memo[key]
+        structure = self.structure
+        ring = structure.ring
+        ranks = [self.over.rank(n) for n in key[1]]
+        mat = ExactMatrix.identity(structure.rank(len(ranks)) * prod(ranks),
+                                   ring=ring)
+        if mat.nrows:
+            arity, pos = len(ranks), 1
+            for i, n in enumerate(key[1]):
+                rest = ExactMatrix.identity(prod(ranks[i + 1:]), ring=ring)
+                mat = self.partial(arity, pos, n).kron(rest) * mat
+                arity, pos = arity + n - 1, pos + n
+        else:
+            mat = ExactMatrix.zero(structure.rank(sum(key[1])), 0, ring=ring)
+        self._memo[key] = mat
+        return mat
+
+
+def operad_form(structure):
+    """The OperadForm view of an operad, a cooperad or a sided module,
+    built once per structure."""
+    form = vars(structure).get("_form_view")
+    if form is None:
+        form = structure._form_view = OperadForm(structure)
+    return form
 
 
 def _check_partials(label, mod, over):
@@ -512,9 +488,9 @@ def _check_partials(label, mod, over):
     operad over's partials, both in operad form; an operad or a cooperad
     is checked as a right module over itself.
     """
-    m_comp = _operad_form(mod)
-    p_comp = m_comp if over is mod else _operad_form(over)
-    m_action, p_action = _accessors(mod, over)
+    m_form, p_form = operad_form(mod), operad_form(over)
+    m_comp, p_comp = m_form.partial, p_form.partial
+    m_action, p_action = m_form.action, p_form.action
     rk_m, rk_p = mod.rank, over.rank
     max_arity = mod.max_arity
 
@@ -585,7 +561,7 @@ def _check_operad(structure, label):
     if structure.rank(1) != 1 or structure.component(1).degrees() != [0]:
         raise ValidationError(
             f"{label} is not reduced: arity 1 is not the unit")
-    comp = _operad_form(structure)
+    comp = operad_form(structure).partial
     for n in range(1, structure.max_arity + 1):
         r = structure.rank(n)
         if r:
@@ -599,16 +575,12 @@ def _check_operad(structure, label):
 def _validate_left_module(mod, label):
     """Unit, pentagon and equivariance for a left (co)module.
 
-    For comodules the checks run on transposed matrices over the dual
-    sequences, where they are literally the module identities.  Each
-    partition's map is looked up, and transposed, once.
+    For comodules the checks run in operad form, on transposed matrices
+    over the dual sequences, where they are literally the module
+    identities.
     """
     over = mod.over
-    if mod.side == LEFT_COMODULE:
-        act = cache(lambda blocks: mod.left_coaction(blocks).transpose())
-    else:
-        act = cache(mod.left_action)
-    m_action, p_action = _accessors(mod, over)
+    act = operad_form(mod).left_action
     # Many instances repeat a reordering: build each one once per call.
     reorder = cache(lambda p_arities, m_arities, perm: _factor_permutation(
         [over.component(k) for k in p_arities]
@@ -624,18 +596,15 @@ def _validate_left_module(mod, label):
         for lam in set_partitions(range(1, n + 1)):
             if over.rank(len(lam)):
                 for grouping in set_partitions(range(len(lam))):
-                    _check_left_pentagon(mod, lam, grouping, label, act,
-                                         p_action, reorder)
+                    _check_left_pentagon(mod, lam, grouping, label, reorder)
     for n in arities:
         for lam in set_partitions(range(1, n + 1)):
             for i in range(1, n):
                 _check_left_equivariance(mod, lam, _transposition(n, i),
-                                         label, act, m_action, p_action,
-                                         reorder)
+                                         label, reorder)
 
 
-def _check_left_pentagon(mod, lam, grouping, label, act, p_action,
-                         reorder):
+def _check_left_pentagon(mod, lam, grouping, label, reorder):
     """act_lam ((rho gamma) (x) id) = act_mu (id (x) act_1 ... act_s) (id (x) S).
 
     lam partitions {1..n} into blocks B_1..B_r (least-element order);
@@ -647,13 +616,14 @@ def _check_left_pentagon(mod, lam, grouping, label, act, p_action,
     group's blocks, on which act_i acts.
     """
     over, ring = mod.over, mod.ring
+    act, p_form = operad_form(mod).left_action, operad_form(over)
     r = len(lam)
     groups = sorted(grouping, key=lambda g: lam[g[0]][0])
     s = len(groups)
     inner = [len(g) for g in groups]
-    rho = p_action(r, _perm_from_zero(
+    rho = p_form.action(r, _perm_from_zero(
         block_sort_perm([lam[bi][0] for g in groups for bi in g])))
-    lhs = act(lam) * (rho * _iterated_partials(over, inner)).kron(
+    lhs = act(lam) * (rho * p_form.full(inner)).kron(
         ExactMatrix.identity(prod(mod.rank(len(b)) for b in lam), ring=ring))
 
     slots = [f for i, g in enumerate(groups) for f in (i, *(s + bi for bi in g))]
@@ -673,8 +643,7 @@ def _perm_from_zero(perm):
     return tuple(p + 1 for p in perm)
 
 
-def _check_left_equivariance(mod, lam, sigma, label, act, m_action,
-                             p_action, reorder):
+def _check_left_equivariance(mod, lam, sigma, label, reorder):
     """sigma act_lam = act_{sigma lam} (rho (x) R) (id (x) tau_1 ... tau_r).
 
     sigma maps each block B_i of lam onto sigma(B_i), relabelling it by
@@ -682,6 +651,9 @@ def _check_left_equivariance(mod, lam, sigma, label, act, m_action,
     sigma(lam), and rho permutes the inputs of P(r) alike.
     """
     ring = mod.ring
+    m_form = operad_form(mod)
+    act, m_action = m_form.left_action, m_form.action
+    p_action = operad_form(mod.over).action
     images = [[sigma[x - 1] for x in b] for b in lam]
     order = block_sort_perm([min(im) for im in images])
     taus = [m_action(len(im), _perm_from_zero(block_sort_perm(im)))
@@ -1004,10 +976,6 @@ def _q(label):
     return urllib.parse.quote(str(label), safe="")
 
 
-def _format_value(v):
-    return str(v)
-
-
 def dumps(structure):
     """Serialize a structure (plus any base operad) to the text format."""
     chunks = [FORMAT_HEADER]
@@ -1062,24 +1030,25 @@ def _content_lines(structure):
     for n in sorted(ss.actions):
         for i, m in enumerate(ss.actions[n], start=1):
             lines.append(f"begin action {n} {i}")
-            lines.extend(f"{r} {c} {_format_value(v)}"
-                         for (r, c), v in sorted(m.entries()))
+            lines.extend(f"{r} {c} {v}" for (r, c), v in sorted(m.entries()))
             lines.append("end")
-    if isinstance(structure, Operad):
-        items = [("comp", k, v) for k, v in sorted(structure.comp_maps.items())]
-    elif isinstance(structure, Cooperad):
-        items = [("cocomp", k, v) for k, v in sorted(structure.cocomp_maps.items())]
-    elif isinstance(structure, SidedModule):
-        items = [("smap", k, v) for k, v in sorted(structure.maps.items())]
-    else:
-        items = []
-    for tag, key, m in items:
-        key_str = _encode_key(key)
-        lines.append(f"begin map {tag} {key_str}")
-        lines.extend(f"{r} {c} {_format_value(v)}"
-                     for (r, c), v in sorted(m.entries()))
+    tag, stored = _stored_maps(structure)
+    for key, m in sorted(stored.items()):
+        lines.append(f"begin map {tag} {_encode_key(key)}")
+        lines.extend(f"{r} {c} {v}" for (r, c), v in sorted(m.entries()))
         lines.append("end")
     return lines
+
+
+def _stored_maps(structure):
+    """(file tag, stored structure matrices by key) of a structure."""
+    if isinstance(structure, Operad):
+        return "comp", structure.comp_maps
+    if isinstance(structure, Cooperad):
+        return "cocomp", structure.cocomp_maps
+    if isinstance(structure, SidedModule):
+        return "smap", structure.maps
+    return None, {}
 
 
 def fingerprint(structure):
@@ -1103,17 +1072,6 @@ def _encode_key(key):
     if key and isinstance(key[0], tuple):
         return "|".join(".".join(str(x) for x in b) for b in key)
     return " ".join(str(x) for x in key)
-
-
-def _decode_key(tag, text):
-    if tag == "smap" and "|" in text or (tag == "smap" and "." in text):
-        return tuple(tuple(int(x) for x in b.split(".")) for b in text.split("|"))
-    parts = text.split()
-    if tag == "smap" and len(parts) == 3:
-        return tuple(int(x) for x in parts)
-    if tag == "smap":
-        return tuple(tuple(int(x) for x in b.split(".")) for b in text.split("|"))
-    return tuple(int(x) for x in parts)
 
 
 def save(structure, path):
@@ -1141,14 +1099,25 @@ def loads(text):
     return structures
 
 
+def _fail(lineno, msg):
+    raise ParseError(f"line {lineno + 1}: {msg}")
+
+
+def _ints(tokens, count, lineno, what):
+    """count integers from tokens, or a ParseError naming the line."""
+    try:
+        if len(tokens) == count:
+            return [int(t) for t in tokens]
+    except ValueError:
+        pass
+    _fail(lineno, f"{what} needs {count} integer(s), got {' '.join(tokens)!r}")
+
+
 def _parse_structure(lines, i, by_name):
     header = {}
     components = {}
     actions = {}
-    maps = {}
-
-    def err(msg, lineno):
-        raise ParseError(f"line {lineno + 1}: {msg}")
+    maps = []           # (line, tag, key tokens, entries)
 
     while i < len(lines):
         line = lines[i].strip()
@@ -1161,107 +1130,120 @@ def _parse_structure(lines, i, by_name):
         parts = line.split()
         if parts[0] in ("kind", "name", "ring", "over"):
             header[parts[0]] = parts[1] if len(parts) > 1 else ""
+            if parts[0] == "ring" and header["ring"] not in (INT, RAT):
+                _fail(i, f"unknown ring {header['ring']!r}")
             i += 1
         elif parts[0] == "max_arity":
-            header["max_arity"] = int(parts[1])
+            header["max_arity"], = _ints(parts[1:], 1, i, "max_arity")
             i += 1
-        elif parts[0] == "begin":
-            section = parts[1]
+        elif parts[0] == "begin" and len(parts) > 2:
+            section, start = parts[1], i
             if section == "component":
-                n = int(parts[2])
+                n, = _ints(parts[2:], 1, i, "a component header")
                 spaces = {}
                 i += 1
                 while i < len(lines) and lines[i].strip() != "end":
                     toks = lines[i].split()
                     if not toks or toks[0] != "degree":
-                        err("expected 'degree' line", i)
-                    spaces[int(toks[1])] = tuple(
-                        urllib.parse.unquote(t) for t in toks[2:])
+                        _fail(i, "expected 'degree' line")
+                    d, = _ints(toks[1:2], 1, i, "a degree line")
+                    spaces[d] = tuple(urllib.parse.unquote(t) for t in toks[2:])
                     i += 1
                 if i == len(lines):
-                    err("unterminated component section", i - 1)
+                    _fail(i - 1, "unterminated component section")
                 components[n] = GradedFreeModule(spaces)
                 i += 1
             elif section == "action":
-                n, gen = int(parts[2]), int(parts[3])
+                n, gen = _ints(parts[2:], 2, i, "an action header")
+                if not 1 <= gen < n:
+                    _fail(i, f"no transposition s_{gen} at arity {n}")
                 entries, i = _parse_entries(lines, i + 1, header.get("ring", INT))
-                actions.setdefault(n, {})[gen] = entries
+                actions.setdefault(n, {})[gen] = (start, entries)
             elif section == "map":
-                tag = parts[2]
-                key = _decode_key(tag, " ".join(parts[3:]))
                 entries, i = _parse_entries(lines, i + 1, header.get("ring", INT))
-                maps[(tag, key)] = entries
+                maps.append((start, parts[2], parts[3:], entries))
             else:
-                err(f"unknown section {section!r}", i)
+                _fail(i, f"unknown section {section!r}")
         else:
-            err(f"unrecognized line {line!r}", i)
+            _fail(i, f"unrecognized line {line!r}")
     else:
-        err("structure ends without 'endstructure'", len(lines) - 1)
+        _fail(len(lines) - 1, "structure ends without 'endstructure'")
     kind = header.get("kind")
     ring = header.get("ring", INT)
     if kind is None:
         raise ParseError("structure without kind")
-    ranks = {n: c.total_rank() for n, c in components.items()}
 
     def act_tuple(n):
-        got = actions.get(n, {})
-        return tuple(
-            ExactMatrix(ranks[n], ranks[n], got.get(g, {}), ring=ring)
-            for g in range(1, n))
+        got = actions[n]
+        for g in range(1, n):
+            if g not in got:
+                _fail(min(start for start, _e in got.values()),
+                      f"arity {n} has no action s_{g}")
+        rank = components[n].total_rank() if n in components else 0
+        return tuple(_matrix((rank, rank), *got[g], ring) for g in range(1, n))
 
-    ss = SymSeq(ring, components, {n: act_tuple(n) for n in components})
+    # Only arities with action sections get actions, as dumps writes them.
+    ss = SymSeq(ring, components, {n: act_tuple(n) for n in actions},
+                max_arity=header.get("max_arity"))
     name = header.get("name", kind)
     if kind == "symseq":
         ss.name = name
         return ss, i
+    over = by_name.get(header.get("over")) if kind in SIDES else None
+    if kind in SIDES and over is None:
+        raise ParseError(
+            f"module is over unknown structure {header.get('over')!r}")
+    if kind not in SIDES and kind not in ("operad", "cooperad"):
+        raise ParseError(f"unknown kind {kind!r}")
+    tag = {"operad": "comp", "cooperad": "cocomp"}.get(kind, "smap")
+    data = {}
+    for start, got, key_tokens, entries in maps:
+        if got != tag:
+            _fail(start, f"unexpected map tag {got!r} in {kind}")
+        if kind in (LEFT_MODULE, LEFT_COMODULE):
+            key = _decode_blocks(key_tokens, start)
+        else:
+            key = tuple(_ints(key_tokens, 3, start, "a partial key"))
+        shape = _map_shape(kind, key, ss.rank, (over or ss).rank)
+        data[key] = _matrix(shape, start, entries, ring)
     if kind == "operad":
-        comp = {}
-        for (tag, key), entries in maps.items():
-            if tag != "comp":
-                raise ParseError(f"unexpected map tag {tag!r} in operad")
-            m, a, n = key
-            comp[key] = ExactMatrix(ranks.get(m + n - 1, 0),
-                                    ranks.get(m, 0) * ranks.get(n, 0),
-                                    entries, ring=ring)
-        return Operad(ss, comp, name=name), i
+        return Operad(ss, data, name=name), i
     if kind == "cooperad":
-        cocomp = {}
-        for (tag, key), entries in maps.items():
-            if tag != "cocomp":
-                raise ParseError(f"unexpected map tag {tag!r} in cooperad")
-            m, a, n = key
-            cocomp[key] = ExactMatrix(ranks.get(m, 0) * ranks.get(n, 0),
-                                      ranks.get(m + n - 1, 0),
-                                      entries, ring=ring)
-        return Cooperad(ss, cocomp, name=name), i
-    if kind in SIDES:
-        over_name = header.get("over")
-        over = by_name.get(over_name)
-        if over is None:
-            raise ParseError(f"module is over unknown structure {over_name!r}")
-        smaps = {}
-        for (tag, key), entries in maps.items():
-            if tag != "smap":
-                raise ParseError(f"unexpected map tag {tag!r} in module")
-            shape = _module_map_shape(kind, key, ranks, over)
-            smaps[key] = ExactMatrix(*shape, entries, ring=ring)
-        return SidedModule(kind, ss, over, smaps, name=name), i
-    raise ParseError(f"unknown kind {kind!r}")
+        return Cooperad(ss, data, name=name), i
+    return SidedModule(kind, ss, over, data, name=name), i
 
 
-def _module_map_shape(side, key, ranks, over):
-    if side == RIGHT_MODULE:
+def _decode_blocks(tokens, lineno):
+    """The blocks of a left map key '1.2|3'."""
+    try:
+        if len(tokens) == 1:
+            return tuple(tuple(int(x) for x in b.split("."))
+                         for b in tokens[0].split("|"))
+    except ValueError:
+        pass
+    _fail(lineno, f"a left map key needs blocks like 1.2|3, got "
+                  f"{' '.join(tokens)!r}")
+
+
+def _matrix(shape, lineno, entries, ring):
+    """The section's matrix, or a ParseError naming its first line."""
+    try:
+        return ExactMatrix(*shape, entries, ring=ring)
+    except ValidationError as exc:
+        _fail(lineno, str(exc))
+
+
+def _map_shape(kind, key, rank, over_rank):
+    """Stored shape of the structure map at key: a partial (m, a, n) or
+    the blocks of a left action, transposed for the dual kinds."""
+    if kind in (LEFT_MODULE, LEFT_COMODULE):
+        shape = (rank(sum(len(b) for b in key)),
+                 over_rank(len(key)) * prod(rank(len(b)) for b in key))
+    else:
         m, _a, n = key
-        return (ranks.get(m + n - 1, 0), ranks.get(m, 0) * over.rank(n))
-    if side == RIGHT_COMODULE:
-        m, _a, n = key
-        return (ranks.get(m, 0) * over.rank(n), ranks.get(m + n - 1, 0))
-    blocks = key
-    n = sum(len(b) for b in blocks)
-    inner = over.rank(len(blocks)) * prod(ranks.get(len(b), 0) for b in blocks)
-    if side == LEFT_MODULE:
-        return (ranks.get(n, 0), inner)
-    return (inner, ranks.get(n, 0))
+        shape = (rank(m + n - 1), rank(m) * over_rank(n))
+    return shape[::-1] if kind in ("cooperad", RIGHT_COMODULE,
+                                   LEFT_COMODULE) else shape
 
 
 def _parse_entries(lines, i, ring):
@@ -1269,13 +1251,15 @@ def _parse_entries(lines, i, ring):
     while i < len(lines) and lines[i].strip() != "end":
         toks = lines[i].split()
         if len(toks) != 3:
-            raise ParseError(f"line {i + 1}: expected 'row col value'")
-        r, c = int(toks[0]), int(toks[1])
-        v = Fraction(toks[2]) if ring == RAT else int(toks[2])
-        entries[(r, c)] = v
+            _fail(i, "expected 'row col value'")
+        r, c = _ints(toks[:2], 2, i, "an entry's row and column")
+        try:
+            entries[(r, c)] = Fraction(toks[2]) if ring == RAT else int(toks[2])
+        except (ValueError, ZeroDivisionError):
+            _fail(i, f"bad {ring} entry {toks[2]!r}")
         i += 1
     if i >= len(lines):
-        raise ParseError(f"line {i}: unterminated section")
+        _fail(i - 1, "unterminated section")
     return entries, i + 1
 
 

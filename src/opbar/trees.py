@@ -21,11 +21,15 @@ renumbering onto 1..k (``renumber``, the ungrafting skeleton) needs no
 sorting: an increasing map keeps every leaf sorted and every node's child
 order, so each vertex keeps its path and the orientation sign is +1.
 
-Species are membership predicates on one underlying object, nested as
-standard = root-species intersect leaf-species inside the generalized
-trees.  Orientation data is the depth-first order of internal vertices,
-which is the order of their paths; every collapse move carries the sign
-of the induced map of orientations.
+Trees are enumerated by supports: the allowed root arities, vertex
+arities and leaf sizes (``supported_trees``).  A bar or cobar complex
+passes its coefficients' and operad's supports, the arities of nonzero
+rank.  The species are supports too: standard trees have root arity 1 and
+leaf size 1, root trees root arity 1, leaf trees leaf size 1, and
+generalized trees any; so standard = root intersect leaf inside the
+generalized trees.  Orientation data is the depth-first order of internal
+vertices, which is the order of their paths; every collapse move carries
+the sign of the induced map of orientations.
 
 Canonical serialization (stable; used in basis labels and cache keys):
 
@@ -211,17 +215,6 @@ class Tree:
             return LEAF
         return GENERALIZED
 
-    def in_species(self, species):
-        if species == GENERALIZED:
-            return True
-        if species == ROOT:
-            return len(self.root_children) == 1
-        if species == LEAF:
-            return all(len(labs) == 1 for _p, labs in self.leaves())
-        if species == STANDARD:
-            return self.in_species(ROOT) and self.in_species(LEAF)
-        raise ValidationError(f"unknown species {species!r}")
-
     def node_at(self, path):
         node = ("V", self.root_children)
         for i in path:
@@ -350,43 +343,64 @@ def parse_tree(text):
 
 # -- enumeration ------------------------------------------------------------
 
+def _clip(support, low, high):
+    """The support's arities in low..high, as a hashable key."""
+    return frozenset(range(low, high + 1)).intersection(support)
+
+
+def _forests(blocks, vertices, leaves):
+    """Every choice of one subtree within the supports per block."""
+    return itertools.product(*(
+        _subtrees(b, _clip(vertices, 2, len(b)), _clip(leaves, 1, len(b)))
+        for b in blocks))
+
+
 @lru_cache(maxsize=None)
-def _subtrees(labels, singleton_leaves):
-    """Canonical subtrees on the sorted labels.  Blocks come sorted by least
-    label, which is the least label of every subtree on the block, so each
-    combination is already in canonical child order."""
+def _subtrees(labels, vertices, leaves):
+    """Canonical subtrees on the sorted labels within the supports, which
+    are clipped to the label count so that arities share their subtrees.
+    Blocks come sorted by least label, which is the least label of every
+    subtree on the block, so each combination is already in canonical
+    child order."""
     out = []
-    if not singleton_leaves or len(labels) == 1:
+    if len(labels) in leaves:
         out.append(("L", labels))
     for blocks in partitions_into_at_least_two(labels):
-        pools = [_subtrees(b, singleton_leaves) for b in blocks]
-        for combo in itertools.product(*pools):
-            out.append(("V", combo))
+        if len(blocks) in vertices:
+            out.extend(("V", c) for c in _forests(blocks, vertices, leaves))
     return tuple(out)
+
+
+def supported_trees(n, roots, vertices, leaves,
+                    max_labels=DEFAULT_MAX_LABELS):
+    """All canonical trees on {1..n} within the supports, sorted.
+
+    roots, vertices and leaves are the allowed root arities, vertex
+    arities and leaf sizes; the trees come in serialization order.
+    """
+    if not 1 <= n <= max_labels:
+        raise BoundsError(f"label count {n} outside 1..{max_labels}")
+    labels = tuple(range(1, n + 1))
+    trees = []
+    for blocks in set_partitions(labels):
+        if len(blocks) in roots:
+            trees.extend(map(_tree, _forests(blocks, vertices, leaves)))
+    trees.sort(key=Tree.serialize)
+    return trees
 
 
 def enumerate_trees(n, species=STANDARD, max_labels=DEFAULT_MAX_LABELS):
     """All canonical trees of the species on labels {1..n}, sorted.
 
-    Species are nested: every standard tree appears in all four listings.
+    A species is a pair of supports (see the module docstring), so the
+    species are nested: every standard tree appears in all four listings.
     """
     if species not in SPECIES:
         raise ValidationError(f"unknown species {species!r}")
-    if not 1 <= n <= max_labels:
-        raise BoundsError(f"label count {n} outside 1..{max_labels}")
-    labels = tuple(range(1, n + 1))
-    singleton = species in (STANDARD, LEAF)
-    trees = []
-    if species in (STANDARD, ROOT):
-        for node in _subtrees(labels, singleton):
-            trees.append(_tree((node,)))
-    else:
-        for blocks in set_partitions(labels):
-            pools = [_subtrees(b, singleton) for b in blocks]
-            for combo in itertools.product(*pools):
-                trees.append(_tree(combo))
-    trees.sort(key=Tree.serialize)
-    return trees
+    every = range(1, n + 1)
+    roots = (1,) if species in (STANDARD, ROOT) else every
+    leaves = (1,) if species in (STANDARD, LEAF) else every
+    return supported_trees(n, roots, every, leaves, max_labels)
 
 
 def standard_tree_count(n):

@@ -46,6 +46,8 @@ from opbar.opalg import (
     LEFT_MODULE,
     RIGHT_COMODULE,
     RIGHT_MODULE,
+    Operad,
+    SymSeq,
     builtin,
     builtin_sphere_comodule,
     builtin_sphere_module,
@@ -128,6 +130,68 @@ def test_derived_trees_are_never_revalidated(monkeypatch):
     reduced_bar(builtin("com", 5), 5)
     koszul(builtin("com", 4), 4, with_structure=True)
     assert calls == []
+
+
+def _binary_only(max_arity):
+    """com truncated to arities 1 and 2: P(n) = 0 for n >= 3, with zero
+    composition matrices into those arities."""
+    com = builtin("com", max_arity)
+    components = {n: com.component(n) if n <= 2 else GradedFreeModule({})
+                  for n in range(1, max_arity + 1)}
+    symseq = SymSeq(INT, components, {2: com.symseq.actions[2]})
+    comp = {(m, a, n): ExactMatrix(
+        symseq.rank(m + n - 1), symseq.rank(m) * symseq.rank(n),
+        dict(mat.entries()) if m + n - 1 <= 2 else None)
+        for (m, a, n), mat in com.comp_maps.items()}
+    return Operad(symseq, comp, name="binary")
+
+
+@pytest.fixture
+def collapses(monkeypatch):
+    """(tree, result) of every trees.collapse call while the fixture is
+    live."""
+    from opbar import trees
+    out = []
+    collapse = trees.collapse
+
+    def recorded(tree, kind, path):
+        out.append((tree, collapse(tree, kind, path)))
+        return out[-1][1]
+
+    monkeypatch.setattr(trees, "collapse", recorded)
+    return out
+
+
+class TestSupports:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_operad_with_a_gap_has_binary_trees_and_no_differential(
+            self, n, collapses):
+        bc = reduced_bar(_binary_only(5), n)
+        double_factorial = 1
+        for k in range(1, 2 * n - 2, 2):
+            double_factorial *= k
+        assert {d: bc.complex.rank(d) for d in bc.complex.degrees()} == \
+            {n - 1: double_factorial}
+        assert all(m.nnz() == 0 for m in bc.complex.diffs.values())
+        assert collapses == []
+
+    def test_com_collapses_only_into_the_basis(self, collapses):
+        bc = reduced_bar(builtin("com", 6), 6)
+        basis = set(bc.trees())
+        assert len(collapses) == 8596
+        for tree, res in collapses:
+            assert res.tree in basis
+            assert res.tree.n_vertices == tree.n_vertices - 1
+
+    def test_sphere_cobar_collapses_only_into_the_basis(self, collapses):
+        sphere = builtin_sphere_comodule(2, 4)
+        cc = cobar_complex(unit_module(sphere.over, RIGHT_COMODULE),
+                           sphere.over, sphere, 4)
+        basis = set(cc.trees())
+        assert collapses
+        for tree, res in collapses:
+            assert res.tree in basis
+            assert res.tree.n_vertices == tree.n_vertices - 1
 
 
 class TestCobarHomology:

@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -58,3 +61,15 @@ def test_project_scripts_import():
     for target in scripts.values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_module_entry_point_runs_verify():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opbar", "verify", "--criterion", "1",
+         "--json"], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["number"] == 1

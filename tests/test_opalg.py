@@ -23,8 +23,10 @@ from opbar.opalg import (
     constant_comodule,
     dual,
     dumps,
+    fingerprint,
     loads,
     load_operad,
+    operad_form,
     save,
     unit_module,
     unit_symseq,
@@ -431,6 +433,87 @@ class TestIO:
         broken = text.replace("endstructure", "", 1)
         with pytest.raises(ParseError):
             loads(broken[:broken.rindex("end")])
+
+
+def _round_trip_cases():
+    com = builtin("com", 4)
+    x = GradedFreeModule({2: ("a",), 4: ("t",)})
+    return {
+        "com": com, "ass": builtin("ass", 3), "unit": unit_symseq(),
+        "unit-left": unit_module(com, LEFT_MODULE),
+        "unit-right": unit_module(com, RIGHT_MODULE),
+        "sphere-module": builtin_sphere_module(2, 3),
+        "sphere-comodule": builtin_sphere_comodule(1, 3),
+        "constant-comodule": constant_comodule(
+            x, ExactMatrix(4, 2, {(0, 1): 1}), 3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_round_trip_cases()))
+def test_loads_inverts_dumps(name):
+    structure = _round_trip_cases()[name]
+    loaded = loads(dumps(structure))[-1]
+    assert loaded == structure
+    assert fingerprint(loaded) == fingerprint(structure)
+    assert loaded.max_arity == structure.max_arity
+
+
+# (line number in dumps(com at arity 2), replacement, reported line)
+MALFORMED = {
+    "component-arity": (6, "begin component x", 6),
+    "degree": (7, "degree z e", 7),
+    "entry-value": (13, "0 0 one", 13),
+    "bare-max-arity": (5, "max_arity", 5),
+    "short-key": (15, "begin map comp 1 1", 15),
+    "bare-begin": (6, "begin component", 6),
+    "ring": (4, "ring R", 4),
+    "generator": (12, "begin action 2 5", 12),
+    "entry-outside-shape": (16, "3 0 1", 15),
+    "entry-index": (16, "0 a 1", 16),
+    "wrong-tag": (15, "begin map smap 1 1 1", 15),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_every_malformed_line_names_its_line(case):
+    lineno, text, reported = MALFORMED[case]
+    lines = dumps(builtin("com", 2)).splitlines()
+    lines[lineno - 1] = text
+    with pytest.raises(ParseError, match=f"^line {reported}: "):
+        loads("\n".join(lines))
+
+
+def test_malformed_left_map_key_names_its_line():
+    lines = dumps(unit_module(builtin("com", 2), LEFT_MODULE)).splitlines()
+    at = lines.index("begin map smap 1")
+    lines[at] = "begin map smap 1.x"
+    with pytest.raises(ParseError, match=f"^line {at + 1}: "):
+        loads("\n".join(lines))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: builtin("com", 4), id="com"),
+    pytest.param(lambda: builtin("ass", 4), id="ass"),
+    pytest.param(lambda: builtin_sphere_module(1, 4), id="sphere-module"),
+])
+def test_operad_form_of_the_dual_is_the_original(build):
+    # The dual stores transposes and the dual action; read in operad form
+    # it must give back the original matrices entrywise.
+    x = build()
+    view, dual_view = operad_form(x), operad_form(dual(x))
+    for n in range(1, 5):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            assert dual_view.action(n, sigma) == x.action(n, sigma)
+    if isinstance(x, Operad):
+        assert x.comp_maps
+        for (m, a, n), mat in x.comp_maps.items():
+            assert dual_view.partial(m, a, n) == mat == view.partial(m, a, n)
+    else:
+        for n in range(1, 5):
+            for lam in set_partitions(range(1, n + 1)):
+                got = dual_view.left_action(lam)
+                assert got == view.left_action(lam)
+                assert got == x.maps[lam] if lam in x.maps else got.is_zero()
 
 
 class TestFullComposition:

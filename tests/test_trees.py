@@ -1,4 +1,5 @@
 import itertools
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from opbar.trees import (
     relabel,
     single_edge_tree,
     standard_tree_count,
+    supported_trees,
     ungraft_partition,
     w_cell_complex,
 )
@@ -80,6 +82,39 @@ class TestEnumeration:
             enumerate_trees(0, STANDARD)
         with pytest.raises(BoundsError):
             enumerate_trees(9, STANDARD)
+        with pytest.raises(BoundsError):
+            supported_trees(9, {1}, {2}, {1})
+
+    def test_generalized_counts_against_a_recurrence(self):
+        # g(S) counts subtrees on S (a leaf, or a vertex over >= 2 blocks);
+        # a generalized tree is a set partition into such subtrees.
+        def g(k):
+            return 1 + sum(prod(g(len(b)) for b in blocks)
+                           for blocks in set_partitions(range(k))
+                           if len(blocks) >= 2)
+
+        for n in range(1, 6):
+            want = sum(prod(g(len(b)) for b in blocks)
+                       for blocks in set_partitions(range(n)))
+            assert len(enumerate_trees(n, GENERALIZED)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(st.just(n),
+                            st.sets(st.integers(1, n)),
+                            st.sets(st.integers(2, max(n, 2))),
+                            st.sets(st.integers(1, n)))))
+    def test_supports_filter_the_generalized_trees(self, drawn):
+        n, roots, vertices, leaves = drawn
+
+        def within(tree):
+            return (len(tree.root_children) in roots
+                    and all(len(tree.node_at(p)[1]) in vertices
+                            for p in tree.vertex_paths())
+                    and all(len(labs) in leaves for _p, labs in tree.leaves()))
+
+        want = [x for x in enumerate_trees(n, GENERALIZED) if within(x)]
+        assert supported_trees(n, roots, vertices, leaves) == want
 
 
 class TestCanonicalForm:
