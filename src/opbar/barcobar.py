@@ -984,8 +984,7 @@ def _induced_on_homology_pairs(report, total, m, k, chain_map, direction):
     """
     tensor_cplx = (chain_map.target if direction == "split"
                    else chain_map.source)
-    factors = [report.complexes[m].complex, report.complexes[k].complex]
-    pairs = [tensor_vector(tensor_cplx, factors, (rep_m, rep_k))
+    pairs = [tensor_vector(tensor_cplx, (rep_m, rep_k))
              for rep_m in report.reps[m] for rep_k in report.reps[k]]
     if direction == "split":
         return homology_coordinates(
@@ -1128,13 +1127,11 @@ def module_MX_homology(x_module, coproduct, max_arity=4, ring=INT,
         for blocks in set_partitions(range(1, n + 1)):
             r = len(blocks)
             cm = module_structure_maps(complexes[n], blocks, cache=cache)
-            factors = [deriv_report.complexes[r].complex] + [
-                complexes[len(b)].complex for b in blocks]
             images = []
             for rep_list in itertools.product(
                     deriv_report.reps[r], *(report.reps[len(b)]
                                             for b in blocks)):
-                d, vec = tensor_vector(cm.source, factors, rep_list)
+                d, vec = tensor_vector(cm.source, rep_list)
                 images.append((d, cm.component(d).apply(vec)))
             maps[blocks] = homology_coordinates(
                 complexes[n].complex, report.reps[n], images)

@@ -28,7 +28,8 @@ factors (exactla.reindexing_map).
   from (Omega(s) (x) Omega(r_1) ... Omega(r_s)) (x) M(B_1) ... M(B_r),
   where R shuffles each Omega(r_i) in front of its group of blocks.
 
-Each distinct split map is built once per check call.
+Each distinct split map is built once per check call, and tensor
+products are shared while alive (exactla.tensor_list).
 """
 
 from __future__ import annotations

@@ -7,14 +7,14 @@ rank plus torsion invariant factors), come from one sparse elimination
 whose Markowitz pivots are kept in an incrementally updated queue;
 kernels, homology representatives and solves use echelon reduction over Q,
 in ints until a pivot other than +-1 needs a Fraction (floats are refused).
-Induced maps on homology are offered over Q only, in deterministic
-lowest-pivot cycle bases.
+Homology coordinates are over Q, in deterministic lowest-pivot cycle bases.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -64,9 +64,6 @@ class ExactMatrix:
 
     def entry(self, i, j):
         return self._rows.get(i, {}).get(j, 0)
-
-    def row(self, i):
-        return dict(self._rows.get(i, {}))
 
     def column(self, j):
         if self._cols is None:
@@ -156,12 +153,6 @@ class ExactMatrix:
 
     def trace(self):
         return sum(row.get(i, 0) for i, row in self._rows.items())
-
-    def export_text(self):
-        lines = [f"matrix {self.nrows} {self.ncols} {self.ring}"]
-        for (i, j), v in sorted(self.entries()):
-            lines.append(f"{i} {j} {v}")
-        return "\n".join(lines)
 
     def _check_shape(self, other, same=False):
         """Refuse operands over different rings or of unfit shapes: the
@@ -655,17 +646,6 @@ class ChainComplex:
     def homology(self, ring=None):
         return homology(self, ring=ring)
 
-    def export_text(self):
-        lines = [f"complex ring {self.ring}"]
-        for d in self.degrees():
-            labels = " ".join(str(lab) for lab in self.labels(d))
-            lines.append(f"degree {d} rank {self.rank(d)}: {labels}")
-        for k in sorted(self.diffs):
-            lines.append(f"differential {k}")
-            for (i, j), v in sorted(self.diffs[k].entries()):
-                lines.append(f"{i} {j} {v}")
-        return "\n".join(lines)
-
 
 def homology(complex_, ring=None):
     """Homology summary of a chain complex.
@@ -699,49 +679,65 @@ def homology(complex_, ring=None):
     return HomologySummary(ring, groups)
 
 
+_PRODUCTS = weakref.WeakValueDictionary()
+
+
+def _global_columns(mats, source, target, shift):
+    """Per global basis index of the module source: its column in mats as
+    (global index in the module target, coefficient) pairs, the column of
+    a degree-d element lying in degree d - shift of target."""
+    return [[(target._offset[d - shift] + i, v)
+             for i, v in mats[d].column(j).items()] if d in mats else []
+            for d in source.degrees() for j in range(source.rank(d))]
+
+
 def tensor_list(complexes):
     """Tensor product of chain complexes with Koszul-signed differential.
 
     Basis labels are k-tuples of factor labels; the ordering is row-major
-    over the factors' (degree, index) global orders.
+    over the factors' (degree, index) global orders.  The product keeps
+    its `factors` and a dict `tensor_index` from tuples of factor global
+    basis indices to (degree, position).  Products are shared while alive:
+    a call on the same factor objects returns the product an earlier call
+    built while some caller still holds it.  The table holds products
+    weakly and a product holds its factors, so no id in a live key can be
+    reused.
     """
     if not complexes:
         raise ValidationError("tensor_list needs at least one complex")
+    key = tuple(id(c) for c in complexes)
+    product = _PRODUCTS.get(key)
+    if product is not None:
+        return product
     ring = complexes[0].ring
     if any(c.ring != ring for c in complexes):
         raise ValidationError("tensor factors must share a ring")
-    factor_bases = [c.module.basis() for c in complexes]
-    # Global tuples in row-major order, then bucketed by total degree.
-    spaces = {}
-    for combo in itertools.product(*factor_bases):
-        deg = sum(d for d, _ in combo)
-        spaces.setdefault(deg, []).append(tuple(lab for _, lab in combo))
-    module = GradedFreeModule({d: tuple(v) for d, v in spaces.items()})
-
+    bases = [c.module.basis() for c in complexes]
+    # Global index tuples in row-major order, then bucketed by total degree.
+    spaces, index = {}, {}
+    for combo in itertools.product(*(range(len(b)) for b in bases)):
+        deg = sum(b[g][0] for b, g in zip(bases, combo))
+        space = spaces.setdefault(deg, [])
+        index[combo] = (deg, len(space))
+        space.append(tuple(b[g][1] for b, g in zip(bases, combo)))
+    module = GradedFreeModule(spaces)
+    boundaries = [_global_columns(c.diffs, c.module, c.module, 1)
+                  for c in complexes]
     entries = {}
-    for combo in itertools.product(*factor_bases):
-        deg = sum(d for d, _ in combo)
-        labs = tuple(lab for _, lab in combo)
-        col = module.position(deg, labs)
+    for combo, (deg, col) in index.items():
         row = entries.setdefault(deg, {})
         sign = 1
-        for pos, (fd, flab) in enumerate(combo):
-            c = complexes[pos]
-            dmat = c.diffs.get(fd)
-            if dmat is not None:
-                j = c.module.position(fd, flab)
-                for i, v in dmat.column(j).items():
-                    tlab = c.module.labels(fd - 1)[i]
-                    new = labs[:pos] + (tlab,) + labs[pos + 1:]
-                    key = (module.position(deg - 1, new), col)
-                    row[key] = row.get(key, 0) + sign * v
-            sign *= (-1) ** fd
-    return ChainComplex.from_entries(module, entries, ring)
-
-
-def tensor(c, d):
-    """Binary tensor product; basis labels are ordered pairs."""
-    return tensor_list([c, d])
+        for pos, g in enumerate(combo):
+            for i, v in boundaries[pos][g]:
+                at = (index[combo[:pos] + (i,) + combo[pos + 1:]][1], col)
+                row[at] = row.get(at, 0) + sign * v
+            if bases[pos][g][0] % 2:
+                sign = -sign
+    product = ChainComplex.from_entries(module, entries, ring)
+    product.factors = tuple(complexes)
+    product.tensor_index = index
+    _PRODUCTS[key] = product
+    return product
 
 
 class ChainMap:
@@ -791,8 +787,7 @@ class ChainMap:
                 raise ValidationError(f"not a chain map in degree {k}")
 
     def compose(self, other):
-        """self o other; the middle complexes may be equal copies, such as
-        two tensor_list calls on the same factors."""
+        """self o other; the middle complexes may be equal copies."""
         mid, src = other.target, self.source
         if mid is not src and (mid.ring, mid.module, mid.diffs) != \
                 (src.ring, src.module, src.diffs):
@@ -802,26 +797,32 @@ class ChainMap:
         return ChainMap(other.source, self.target, mats, check=False)
 
 
-def tensor_vector(product, factors, vectors):
+def _tensor_terms(product, items):
+    """{position in product: coefficient} of the products of one (global
+    basis index, coefficient) pair of items[k] per factor k."""
+    index = product.tensor_index
+    return {index[tuple(g for g, _c in combo)][1]: prod(c for _g, c in combo)
+            for combo in itertools.product(*items)}
+
+
+def tensor_vector(product, vectors):
     """(degree, coordinates in product) of v_1 (x) ... (x) v_k.
 
-    product is tensor_list(factors) and vectors[i] = (degree, sparse
-    vector) lies in one degree of factors[i]; the coefficients multiply
-    and take no Koszul sign.
+    product is a tensor_list product and vectors[i] = (degree, sparse
+    vector) lies in one degree of product.factors[i]; the coefficients
+    multiply and take no Koszul sign.
     """
-    d = sum(dv for dv, _v in vectors)
     items = []
-    for k, (f, (dv, v)) in enumerate(zip(factors, vectors)):
-        labels = f.labels(dv)
+    for k, (f, (dv, v)) in enumerate(zip(product.factors, vectors)):
+        rank = f.rank(dv)
         for i in v:
-            if not 0 <= i < len(labels):
+            if not 0 <= i < rank:
                 raise ValidationError(
                     f"tensor_vector: index {i} outside degree {dv} of factor "
-                    f"{k}, which has rank {len(labels)} there")
-        items.append([(labels[i], c) for i, c in v.items()])
-    return d, {product.module.position(d, tuple(lab for lab, _c in combo)):
-               prod(c for _lab, c in combo)
-               for combo in itertools.product(*items)}
+                    f"{k}, which has rank {rank} there")
+        off = f.module._offset.get(dv, 0)
+        items.append([(off + i, c) for i, c in v.items()])
+    return sum(dv for dv, _v in vectors), _tensor_terms(product, items)
 
 
 def tensor_chain_maps(maps):
@@ -829,23 +830,31 @@ def tensor_chain_maps(maps):
     the targets.  The maps have degree 0, so no Koszul sign arises."""
     source = tensor_list([f.source for f in maps])
     target = tensor_list([f.target for f in maps])
+    images = [_global_columns(f.mats, f.source.module, f.target.module, 0)
+              for f in maps]
     entries = {}
-    for combo in itertools.product(*(f.source.module.basis() for f in maps)):
-        d = sum(fd for fd, _lab in combo)
-        j = source.module.position(d, tuple(lab for _d, lab in combo))
-        _d, col = tensor_vector(target, [f.target for f in maps], [
-            (fd, f.component(fd).column(f.source.module.position(fd, lab)))
-            for f, (fd, lab) in zip(maps, combo)])
+    for combo, (d, j) in source.tensor_index.items():
+        col = _tensor_terms(target, [im[g] for im, g in zip(images, combo)])
         entries.setdefault(d, {}).update(((i, j), c) for i, c in col.items())
     return ChainMap.from_entries(source, target, entries, check=False)
 
 
-def _bracket(shape, items, join=tuple):
+def _bracket(shape, items, join):
     """items nested as shape, a nested tuple of positions into items,
     with join applied to the parts of each bracket."""
     if isinstance(shape, int):
         return items[shape]
     return join([_bracket(part, items, join) for part in shape])
+
+
+def _global_index(cplx, shape, combo):
+    """Global basis index in cplx, the tensor_list bracketing of shape, of
+    the element whose factor k has global basis index combo[k]."""
+    if isinstance(shape, int):
+        return combo[shape]
+    d, pos = cplx.tensor_index[tuple(_global_index(f, part, combo)
+                                     for f, part in zip(cplx.factors, shape))]
+    return cplx.module._offset[d] + pos
 
 
 def reindexing_map(factors, source_shape, target_shape):
@@ -864,15 +873,16 @@ def reindexing_map(factors, source_shape, target_shape):
     src_order, tgt_order = (_bracket(shape, singletons, lambda p: sum(p, ()))
                             for shape in (source_shape, target_shape))
     perm = tuple(tgt_order.index(k) for k in src_order)
+    bases = [f.module.basis() for f in factors]
     entries = {}
-    for combo in itertools.product(*(f.module.basis() for f in factors)):
-        labels = [lab for _d, lab in combo]
-        degrees = [combo[k][0] for k in src_order]
+    for combo in itertools.product(*(range(len(b)) for b in bases)):
+        degrees = [bases[k][combo[k]][0] for k in src_order]
         d = sum(degrees)
         entries.setdefault(d, {})[(
-            target.module.position(d, _bracket(target_shape, labels)),
-            source.module.position(d, _bracket(source_shape, labels)))] = \
-            koszul_sign(degrees, perm)
+            _global_index(target, target_shape, combo)
+            - target.module._offset[d],
+            _global_index(source, source_shape, combo)
+            - source.module._offset[d])] = koszul_sign(degrees, perm)
     return ChainMap.from_entries(source, target, entries)
 
 
@@ -944,17 +954,6 @@ def homology_coordinates(complex_, basis, images):
             if k >= nb:
                 entries[(rows[k - nb], j)] = c
     return ExactMatrix(len(basis), len(images), entries, ring=RAT)
-
-
-def induced_map_on_homology(f, degree):
-    """Matrix of H(f) in the deterministic homology bases, over Q."""
-    if f.source.ring != RAT and f.source.ring != INT:
-        raise ValidationError("induced maps require an exact ring")
-    src_reps = homology_representatives(f.source, degree)
-    tgt_reps = homology_representatives(f.target, degree)
-    comp = f.component(degree)
-    return homology_coordinates(f.target, [(degree, z) for z in tgt_reps],
-                                [(degree, comp.apply(z)) for z in src_reps])
 
 
 def alternating_trace(complex_, automorphism):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbar import exactla
+from opbar.barcobar import (
+    bar_cocomposition,
+    cobar_complex,
+    cobar_composition,
+    module_structure_maps,
+    reduced_bar,
+    reduced_cobar,
+)
 from opbar.errors import ValidationError
 from opbar.exactla import (
     INT,
@@ -22,17 +31,22 @@ from opbar.exactla import (
     homology,
     homology_coordinates,
     homology_representatives,
-    induced_map_on_homology,
     kernel_basis,
     koszul_sign,
     matrix_rank,
     reindexing_map,
     smith_normal_form,
     solve_in_span,
-    tensor,
     tensor_chain_maps,
     tensor_list,
     tensor_vector,
+)
+from opbar.opalg import (
+    RIGHT_COMODULE,
+    builtin,
+    builtin_sphere_comodule,
+    dual,
+    unit_module,
 )
 
 
@@ -453,12 +467,12 @@ class TestTensor:
     def test_unit_complex(self):
         unit = ChainComplex(GradedFreeModule({0: ["e"]}), {})
         c = three_term(ExactMatrix(1, 1, {(0, 0): 2}))
-        t = tensor(c, unit)
+        t = tensor_list([c, unit])
         assert homology(t).groups == homology(c).groups
 
     def test_degree_shift(self):
         line = ChainComplex(GradedFreeModule({1: ["s"]}), {})
-        t = tensor(line, line)
+        t = tensor_list([line, line])
         assert t.rank(2) == 1
         assert homology(t).groups == {2: (1, ())}
 
@@ -473,7 +487,7 @@ class TestTensor:
         circle = ChainComplex(
             GradedFreeModule({0: ["v"], 1: ["e"]}),
             {1: ExactMatrix.zero(1, 1)})
-        t = tensor(circle, circle)
+        t = tensor_list([circle, circle])
         assert homology(t).groups == {0: (1, ()), 1: (2, ()), 2: (1, ())}
 
     def test_label_in_two_degrees(self):
@@ -488,18 +502,18 @@ class TestTensor:
     def test_tensor_vector_names_the_bad_index(self):
         c = ChainComplex(GradedFreeModule({0: ("a",), 1: ("b", "c")}), {})
         t = tensor_list([c, c])
-        assert tensor_vector(t, [c, c], [(0, {0: 2}), (1, {1: 3})]) == \
+        assert tensor_vector(t, [(0, {0: 2}), (1, {1: 3})]) == \
             (1, {t.module.position(1, ("a", "c")): 6})
         with pytest.raises(ValidationError,
                            match="index 2 outside degree 1 of factor 1"):
-            tensor_vector(t, [c, c], [(0, {0: 1}), (1, {2: 1})])
+            tensor_vector(t, [(0, {0: 1}), (1, {2: 1})])
         with pytest.raises(ValidationError,
                            match="index 0 outside degree 5 of factor 0"):
-            tensor_vector(t, [c, c], [(5, {0: 1}), (0, {0: 1})])
+            tensor_vector(t, [(5, {0: 1}), (0, {0: 1})])
         # A negative index does not count from the end.
         with pytest.raises(ValidationError,
                            match="index -1 outside degree 1 of factor 1"):
-            tensor_vector(t, [c, c], [(1, {0: 1}), (1, {-1: 1})])
+            tensor_vector(t, [(1, {0: 1}), (1, {-1: 1})])
 
 
 class TestFromEntries:
@@ -539,7 +553,8 @@ class TestTensorOfChainMaps:
     def test_compose_accepts_equal_copies_only(self):
         c = odd_pair()
         ident = tensor_chain_maps([ChainMap.identity(c)] * 2)
-        copy = ChainMap.identity(tensor_list([c, c]))
+        copy = ChainMap.identity(tensor_list([c, odd_pair()]))
+        assert copy.source is not ident.target
         assert copy.compose(ident).mats == ident.mats
         with pytest.raises(ValidationError, match="composable"):
             ChainMap.identity(tensor_list([c, c, c])).compose(ident)
@@ -569,6 +584,174 @@ class TestReindexingMap:
         r = reindexing_map([odd, odd, even, odd], (0, 1, 2, 3),
                            (0, (2, 3), 1))
         assert r.component(3) == mat([[-1]])
+
+
+class TestSharedProducts:
+    def test_same_factor_objects_share_one_product(self):
+        c = odd_pair()
+        u = ChainComplex(GradedFreeModule({0: ("u",)}), {})
+        t = tensor_list([c, u, c])
+        assert tensor_list((c, u, c)) is t
+        assert len(t.factors) == 3
+        assert all(f is g for f, g in zip(t.factors, [c, u, c]))
+
+    def test_equal_copies_give_distinct_products(self):
+        c, d = odd_pair(), odd_pair()
+        t = tensor_list([c, c])
+        s = tensor_list([c, d])
+        assert s is not t and s.factors[1] is d
+        assert s.module == t.module and s.diffs == t.diffs
+
+    def test_a_dropped_product_leaves_the_table(self):
+        c = odd_pair()
+        t = tensor_list([c, c])
+        alive = weakref.ref(t)
+        assert (id(c), id(c)) in exactla._PRODUCTS
+        del t
+        assert alive() is None
+        assert (id(c), id(c)) not in exactla._PRODUCTS
+
+
+def label_product(factors):
+    """The tensor product built by walking factor labels, as a reference
+    for tensor_list: row-major basis, Koszul-signed differential."""
+    spaces = {}
+    for combo in itertools.product(*(f.module.basis() for f in factors)):
+        spaces.setdefault(sum(d for d, _lab in combo), []).append(
+            tuple(lab for _d, lab in combo))
+    module = GradedFreeModule(spaces)
+    entries = {}
+    for combo in itertools.product(*(f.module.basis() for f in factors)):
+        deg = sum(d for d, _lab in combo)
+        labs = tuple(lab for _d, lab in combo)
+        row = entries.setdefault(deg, {})
+        sign = 1
+        for pos, (fd, flab) in enumerate(combo):
+            f = factors[pos]
+            col = f.differential(fd).column(f.module.position(fd, flab))
+            for i, v in col.items():
+                new = labs[:pos] + (f.labels(fd - 1)[i],) + labs[pos + 1:]
+                key = (module.position(deg - 1, new),
+                       module.position(deg, labs))
+                row[key] = row.get(key, 0) + sign * v
+            if fd % 2:
+                sign = -sign
+    return ChainComplex.from_entries(module, entries, factors[0].ring)
+
+
+def label_tensor_chain_maps(maps):
+    """f_1 (x) ... (x) f_k by walking labels, between label_products."""
+    source = label_product([f.source for f in maps])
+    target = label_product([f.target for f in maps])
+    entries = {}
+    for combo in itertools.product(*(f.source.module.basis() for f in maps)):
+        d = sum(fd for fd, _lab in combo)
+        j = source.module.position(d, tuple(lab for _d, lab in combo))
+        images = [[(f.target.labels(fd)[i], c) for i, c in f.component(
+            fd).column(f.source.module.position(fd, lab)).items()]
+            for f, (fd, lab) in zip(maps, combo)]
+        for parts in itertools.product(*images):
+            i = target.module.position(d, tuple(lab for lab, _c in parts))
+            entries.setdefault(d, {})[(i, j)] = math.prod(
+                c for _lab, c in parts)
+    return ChainMap.from_entries(source, target, entries, check=False)
+
+
+def label_reindexing_map(factors, source_shape, target_shape):
+    """reindexing_map by walking labels, between nested label_products."""
+    def nest(shape, items, join):
+        if isinstance(shape, int):
+            return items[shape]
+        return join([nest(part, items, join) for part in shape])
+
+    source, target = (nest(shape, factors, label_product)
+                      for shape in (source_shape, target_shape))
+    singletons = [(k,) for k in range(len(factors))]
+    src_order, tgt_order = (nest(shape, singletons, lambda p: sum(p, ()))
+                            for shape in (source_shape, target_shape))
+    perm = tuple(tgt_order.index(k) for k in src_order)
+    entries = {}
+    for combo in itertools.product(*(f.module.basis() for f in factors)):
+        labels = [lab for _d, lab in combo]
+        degrees = [combo[k][0] for k in src_order]
+        d = sum(degrees)
+        entries.setdefault(d, {})[(
+            target.module.position(d, nest(target_shape, labels, tuple)),
+            source.module.position(d, nest(source_shape, labels, tuple)))] = \
+            koszul_sign(degrees, perm)
+    return ChainMap.from_entries(source, target, entries)
+
+
+def same_map(new, old):
+    for side in ("source", "target"):
+        a, b = getattr(new, side), getattr(old, side)
+        assert a.module == b.module and a.diffs == b.diffs, side
+    assert new.mats == old.mats
+
+
+class TestIntegerIndexAgainstLabels:
+    """tensor_list, tensor_chain_maps and reindexing_map equal the label
+    walks entrywise on bar and cobar structure maps, identities and the
+    odd-degree S^1 comodule."""
+
+    com = builtin("com", 4)
+    qcom = dual(com)
+    s1 = builtin_sphere_comodule(1, 4, over=qcom)
+
+    def s1_cobar(self, arity):
+        """The cobar complex of the S^1 comodule, in degrees 1..arity-1."""
+        return cobar_complex(unit_module(self.qcom, RIGHT_COMODULE),
+                             self.qcom, self.s1, arity)
+
+    def test_tensored_maps(self):
+        com, qcom, cache = self.com, self.qcom, {}
+        bar = bar_cocomposition(com, 4, 2, (1, 4, 2), (2, 3), cache)
+        inner = bar_cocomposition(com, 3, 1, (3, 1), (1, 2), cache)
+        cobar = cobar_composition(qcom, 3, 1, (3, 1), (1, 2), cache)
+        s1 = self.s1_cobar(4)
+        act = module_structure_maps(s1, [(1, 3), (2,), (4,)], cache)
+        ident = ChainMap.identity(reduced_bar(com, 2, cache).complex)
+        cases = [
+            [inner, ident],
+            [ident, bar, ident],
+            [ChainMap.identity(reduced_cobar(qcom, 2, cache).complex), cobar],
+            [act, ChainMap.identity(s1.complex)],
+            [cobar, act],
+        ]
+        for maps in cases:
+            new = tensor_chain_maps(maps)
+            same_map(new, label_tensor_chain_maps(maps))
+            new.verify()
+            # Negative odd degrees give int signs, not (-1) ** -1 == -1.0.
+            assert all(type(v) is int for side in (new.source, new.target)
+                       for m in side.diffs.values() for _ij, v in m.entries())
+        # The source of (inner (x) id) is the product that bar hits.
+        assert tensor_chain_maps([inner, ident]).source is bar.target
+
+    def test_reindexings(self):
+        com, qcom, cache = self.com, self.qcom, {}
+        b2, b3 = (reduced_bar(com, n, cache).complex for n in (2, 3))
+        o2 = reduced_cobar(qcom, 2, cache).complex
+        odd = [self.s1_cobar(n).complex for n in (2, 2, 3)]
+        cases = [
+            ([b3, b2, b2], ((0, 1), 2), (0, (1, 2))),
+            ([b3, b2, b2], ((0, 2), 1), ((0, 1), 2)),
+            ([o2, b2, o2], (0, (1, 2)), ((0, 1), 2)),
+            (odd, (0, 1, 2), (2, (0, 1))),
+            ([o2] + odd, ((0, 1), 2, 3), (0, (2, 3), 1)),
+        ]
+        for factors, src, tgt in cases:
+            same_map(reindexing_map(factors, src, tgt),
+                     label_reindexing_map(factors, src, tgt))
+
+
+def induced_map_on_homology(f, degree):
+    """Matrix of H(f) in the deterministic homology bases, over Q."""
+    src_reps = homology_representatives(f.source, degree)
+    tgt_reps = homology_representatives(f.target, degree)
+    comp = f.component(degree)
+    return homology_coordinates(f.target, [(degree, z) for z in tgt_reps],
+                                [(degree, comp.apply(z)) for z in src_reps])
 
 
 class TestInducedMap:
