@@ -19,7 +19,10 @@ the matrix entries.  The differential sums the collapse moves whose merged
 slot stays in its support.  Every move reads its matrix from the operad
 form of the structure (opalg.operad_form), so bar and cobar complexes
 share one plan; cobar complexes run the covers backwards, with tree
-degrees recorded negatively.
+degrees recorded negatively.  Each tree's slots, decorations and the
+position of each decorated tree in its degree are recorded once, with the
+basis, so the differential looks up no label; a tree's slot positions by
+key live only while its moves are assembled.
 
 One ungrafting engine builds the cooperad structure of B(P), the operad
 structure of the cobar construction and the module structure maps of a
@@ -185,12 +188,20 @@ def _total_degree(kind, tree_degree, internal_degree):
     return (tree_degree if kind == BAR else -tree_degree) + internal_degree
 
 
-def _decoration_degrees(slots, decor):
-    return tuple(slots[i][2].degree_of(decor[i]) for i in range(len(slots)))
+def _decorations(slots):
+    """(decoration, slot degrees, internal degree) for every decoration of
+    slots, in lexicographic order; equal degree tuples are one object."""
+    out = []
+    shared = {}
+    for decor in itertools.product(*(range(s[2].total_rank()) for s in slots)):
+        degs = tuple(s[2].degree_of(i) for s, i in zip(slots, decor))
+        degs = shared.setdefault(degs, degs)
+        out.append((decor, degs, sum(degs)))
+    return out
 
 
-def _plan_terms(slots, plan, sign):
-    """Carry every decoration of slots along a plan; the one expansion loop.
+def _plan_terms(decorations, plan, sign):
+    """Carry every decoration of a tree along a plan; the one expansion loop.
 
     plan has one item per target slot: ("copy", p) takes source slot p's
     basis index, ("unit",) the index 0 of a unit slot, and ("apply",
@@ -200,17 +211,15 @@ def _plan_terms(slots, plan, sign):
     once per plan.  Its Koszul sign on a decoration is (-1) to the number
     of pairs of odd-degree decorations that trade places.  Yields
     (decoration, internal degree, target decoration, coefficient) for
-    each decoration of slots in lexicographic order, the coefficient
-    being sign times the Koszul sign times the matrix entries.
+    each entry of decorations (_decorations of the source slots), the
+    coefficient being sign times the Koszul sign times the matrix entries.
     """
     order = [q for item in plan if item[0] != "unit"
              for q in (item[1] if item[0] == "apply" else (item[1],))]
     perm = [0] * len(order)
     for target, q in enumerate(order):
         perm[q] = target
-    for decor in itertools.product(*(range(s[2].total_rank())
-                                     for s in slots)):
-        degs = _decoration_degrees(slots, decor)
+    for decor, degs, t in decorations:
         # The odd slots' target positions, in source order.
         koszul = sign * perm_sign([perm[q] for q, d in enumerate(degs)
                                    if d % 2])
@@ -224,7 +233,6 @@ def _plan_terms(slots, plan, sign):
                 _tag, positions, matrix, sizes = item
                 factors.append(tuple(matrix.column(flatten_index(
                     sizes, [decor[q] for q in positions])).items()))
-        t = sum(degs)
         for combo in itertools.product(*factors):
             coeff = koszul
             for _idx, c in combo:
@@ -274,38 +282,49 @@ def _tree_complex(kind, r_mod, p, l_mod, arity, ring=None):
         raise ValidationError(f"arity {arity} exceeds max_arity {p.max_arity}")
     supports = {slot: {n for n in range(1, arity + 1) if seq.rank(n)}
                 for slot, seq in (("root", r_mod), ("v", p), ("leaf", l_mod))}
-    slot_cache = {}
+    # Per tree, keyed by its root children: (tree, vertex count, slots,
+    # decorations, each decoration's position within its degree).
+    table = {}
     spaces = {}
     for tree in tr.supported_trees(arity, supports["root"], supports["v"],
                                    supports["leaf"]):
-        slots = slot_cache[tree] = _slot_plan(tree, r_mod, p, l_mod)
+        slots = _slot_plan(tree, r_mod, p, l_mod)
+        decs = _decorations(slots)
         s_deg = tree.n_vertices
-        for decor in itertools.product(
-                *(range(s[2].total_rank()) for s in slots)):
-            t_deg = sum(_decoration_degrees(slots, decor))
-            spaces.setdefault(_total_degree(kind, s_deg, t_deg), []).append(
-                BarBasisLabel(tree, decor, s_deg, t_deg))
+        positions = []
+        for decor, _degs, t_deg in decs:
+            labels = spaces.setdefault(_total_degree(kind, s_deg, t_deg), [])
+            positions.append(len(labels))
+            labels.append(BarBasisLabel(tree, decor, s_deg, t_deg))
+        table[tree.root_children] = (tree, s_deg, slots, decs, positions)
     module = GradedFreeModule(spaces)
 
     entries = {}
-    for tree, slots in slot_cache.items():
-        s_big = tree.n_vertices
+    for tree, s_big, slots, decs, pos_big in table.values():
+        src_pos = {(skind, skey): i
+                   for i, (skind, skey, _m) in enumerate(slots)}
+        sizes = [s[2].total_rank() for s in slots]
+        # Total degree, less t, of a differential's source: the tree for a
+        # bar complex, the collapsed tree for a cobar complex.
+        d_src = _total_degree(kind, s_big if kind == BAR else s_big - 1, 0)
         for move_kind, path in tr.collapse_moves(tree):
             slot, merged_arity = _merged_slot(tree, move_kind, path)
             if merged_arity not in supports[slot]:
                 continue
             res = tr.collapse(tree, move_kind, path)
+            _t, _s, slots_small, _d, pos_small = table[res.tree.root_children]
+            sizes_small = [s[2].total_rank() for s in slots_small]
             plan = _move_slot_plan(tree, res, move_kind, path, r_mod, p,
-                                   l_mod, slot_cache)
-            for decor, t, small_dec, coeff in _plan_terms(slots, plan,
+                                   l_mod, src_pos, slots_small)
+            for decor, t, small_dec, coeff in _plan_terms(decs, plan,
                                                           res.move.sign):
-                big = BarBasisLabel(tree, decor, s_big, t)
-                small = BarBasisLabel(res.tree, small_dec, s_big - 1, t)
-                src, tgt = (big, small) if kind == BAR else (small, big)
-                d = _total_degree(kind, src.tree_degree, t)
-                key = (module.position(d - 1, tgt), module.position(d, src))
-                row = entries.setdefault(d, {})
+                big = pos_big[flatten_index(sizes, decor)]
+                small = pos_small[flatten_index(sizes_small, small_dec)]
+                key = (small, big) if kind == BAR else (big, small)
+                row = entries.setdefault(d_src + t, {})
                 row[key] = row.get(key, 0) + coeff
+    slot_cache = {tree: slots for tree, _s, slots, _d, _p in table.values()}
+    del table  # The matrices below are built without it.
     return BarComplex(kind, arity, ChainComplex.from_entries(
         module, entries, ring), slot_cache, r_coeff=r_mod, op=p, l_coeff=l_mod)
 
@@ -322,18 +341,15 @@ def _merged_slot(tree, move_kind, path):
 
 
 def _move_slot_plan(tree, res, move_kind, path, r_mod, p, l_mod,
-                    slot_cache):
-    """The _plan_terms plan of one collapse move, uncollapsed to collapsed.
+                    src_pos, slots_tgt):
+    """The _plan_terms plan of one collapse move, uncollapsed to collapsed,
+    from the source's slot positions by key and the target's slots.
 
     The apply matrix is the structure map in operad form followed by the
     child-reorder action at the merged slot; for cobar complexes the
     operad form is the transposed cocomposition, which supplies the
     cocomposition coefficients.
     """
-    slots_src = slot_cache[tree]
-    slots_tgt = slot_cache[res.tree]
-    src_pos = {(skind, skey): i
-               for i, (skind, skey, _m) in enumerate(slots_src)}
     old_path = {new: old for old, new in res.vertex_map.items()}
     node = tree.node_at(path)
 
@@ -381,7 +397,7 @@ def _move_slot_plan(tree, res, move_kind, path, r_mod, p, l_mod,
         else:
             plan.append(("copy", src_pos[("leaf", tkey)]))
             used.add(src_pos[("leaf", tkey)])
-    if used != set(range(len(slots_src))):
+    if used != set(range(len(src_pos))):
         raise InternalConsistencyError("collapse plan does not cover all slots")
     return plan
 
@@ -459,17 +475,17 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity, ring=None):
     _check_inputs(BAR, r_mod, p, l_mod)
     ring = ring or p.ring
     slot_cache = {}
+    decorations = {}
     spaces = {}
     for chain in _strict_chains(arity):
         slots = _chain_slots(chain, r_mod, p, l_mod)
         if any(s[2].total_rank() == 0 for s in slots):
             continue
         slot_cache[chain] = slots
-        for decor in itertools.product(
-                *(range(s[2].total_rank()) for s in slots)):
-            spaces.setdefault(
-                len(chain) - 1 + sum(_decoration_degrees(slots, decor)),
-                []).append(SimplicialBarLabel(chain, decor))
+        decorations[chain] = _decorations(slots)
+        for decor, _degs, t in decorations[chain]:
+            spaces.setdefault(len(chain) - 1 + t, []).append(
+                SimplicialBarLabel(chain, decor))
     module = GradedFreeModule(spaces)
 
     entries = {}
@@ -482,8 +498,8 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity, ring=None):
                 continue
             plan = _face_plan(chain, j_del, slots, slot_cache[tgt_chain],
                               r_mod, p, l_mod)
-            for decor, t, tgt_dec, coeff in _plan_terms(slots, plan,
-                                                        (-1) ** i_face):
+            for decor, t, tgt_dec, coeff in _plan_terms(
+                    decorations[chain], plan, -1 if i_face % 2 else 1):
                 src = SimplicialBarLabel(chain, decor)
                 tgt = SimplicialBarLabel(tgt_chain, tgt_dec)
                 key = (module.position(k - 1 + t, tgt),
@@ -606,8 +622,8 @@ def symmetric_action(bc, sigma):
                 matrix = l_mod.action(len(tkey), tuple(t + 1 for t in pi))
                 plan.append(("apply", (src_pos[("leaf", old_labels)],),
                              matrix, (matrix.ncols,)))
-        for decor, t, tgt_dec, coeff in _plan_terms(slots_src, plan,
-                                                    tree_sign):
+        for decor, t, tgt_dec, coeff in _plan_terms(_decorations(slots_src),
+                                                    plan, tree_sign):
             d, j = bc.index(BarBasisLabel(tree, decor, tree.n_vertices, t))
             _d, i = bc.index(BarBasisLabel(new_tree, tgt_dec,
                                            new_tree.n_vertices, t))
@@ -728,15 +744,15 @@ def _split_terms(bc, skeleton, parts, blocks):
                                 ("copy", src_pos[("leaf", orig)]))
 
         s_f = [tree.n_vertices for tree in f_trees]
-        for decor, t_v, tgt_dec, coeff in _plan_terms(slots_v, plan,
-                                                      base_sign):
+        for decor, t_v, tgt_dec, coeff in _plan_terms(_decorations(slots_v),
+                                                      plan, base_sign):
             v_label = BarBasisLabel(v_tree, decor, v_tree.n_vertices, t_v)
             labels = []
             offset = t_before = 0
             for j, slots_f in enumerate(f_slots):
                 dec_f = tgt_dec[offset:offset + len(slots_f)]
                 offset += len(slots_f)
-                t_f = sum(_decoration_degrees(slots_f, dec_f))
+                t_f = sum(s[2].degree_of(i) for s, i in zip(slots_f, dec_f))
                 if s_f[j] * t_before % 2:
                     coeff = -coeff
                 t_before += t_f

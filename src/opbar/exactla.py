@@ -568,7 +568,7 @@ class HomologySummary:
         return sorted(self.groups)
 
     def euler_characteristic(self):
-        return sum((-1) ** d * r for d, (r, _t) in self.groups.items())
+        return sum(-r if d % 2 else r for d, (r, _t) in self.groups.items())
 
     def degree_negated(self):
         return HomologySummary(self.ring,
@@ -973,7 +973,8 @@ def alternating_trace(complex_, automorphism):
             raise ValidationError(f"automorphism missing in degree {k-1}")
         if lhs != d * automorphism[k]:
             raise ValidationError(f"automorphism does not commute with d_{k}")
-    return sum((-1) ** k * automorphism[k].trace() for k in complex_.degrees())
+    return sum(-automorphism[k].trace() if k % 2 else automorphism[k].trace()
+               for k in complex_.degrees())
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,19 @@ labelled trees.
 Trees are validated once, where they enter: ``Tree(...)`` rejects
 malformed or non-canonical input, and ``make_tree`` (behind
 ``parse_tree``) checks its input, then canonicalizes it.  Trees derived
-from valid trees are not validated again.  Every collapse, relabelling
-and graft goes through one canonicalizing walk, ``_canonical``: given a
-forest whose vertices may carry their source path, it returns the
-canonical root children and, for the root (source ``()``) and each tagged
-vertex, ``source -> (new path, tau)`` in the new depth-first order, with
-``tau[i]`` the new position of the node's i-th child.  An order-preserving
-renumbering onto 1..k (``renumber``, the ungrafting skeleton) needs no
-sorting: an increasing map keeps every leaf sorted and every node's child
-order, so each vertex keeps its path and the orientation sign is +1.
+from valid trees are not validated again.  Relabellings and grafts go
+through one canonicalizing walk, ``_canonical``: given a forest whose
+vertices may carry their source path, it returns the canonical root
+children and, for the root (source ``()``) and each tagged vertex,
+``source -> (new path, tau)`` in the new depth-first order, with
+``tau[i]`` the new position of the node's i-th child.  A collapse needs
+no walk: the merged node keeps its label set, hence its place among its
+siblings and every ancestor's child order.  A bud becomes the leaf of its
+labels and moves no vertex; an edge collapse splices the vertex's
+children into its parent's and re-sorts only those (tau), so only paths
+below the parent change.  Nor does an order-preserving renumbering onto
+1..k (``renumber``, the ungrafting skeleton): it keeps every leaf sorted
+and every child order, so each path stays and the orientation sign is +1.
 
 Trees are enumerated by supports: the allowed root arities, vertex
 arities and leaf sizes (``supported_trees``).  A bar or cobar complex
@@ -197,11 +201,7 @@ class Tree:
 
     @property
     def n_vertices(self):
-        def count(node):
-            if node[0] == "L":
-                return 0
-            return 1 + sum(count(c) for c in node[1])
-        return sum(count(c) for c in self.root_children)
+        return len(self.vertex_paths())
 
     @property
     def species(self):
@@ -225,15 +225,13 @@ class Tree:
         """Internal vertices in depth-first order (the canonical VertexOrder)."""
         out = []
 
-        def walk(node, path):
-            if node[0] == "L":
-                return
-            out.append(path)
-            for i, child in enumerate(node[1]):
-                walk(child, path + (i,))
+        def walk(children, path):
+            for i, child in enumerate(children):
+                if child[0] == "V":
+                    out.append(path + (i,))
+                    walk(child[1], out[-1])
 
-        for i, child in enumerate(self.root_children):
-            walk(child, (i,))
+        walk(self.root_children, ())
         return out
 
     def leaves(self):
@@ -460,7 +458,8 @@ def collapse_moves(tree):
 
 
 def collapse(tree, kind, path):
-    """Apply one collapse move; returns a CollapseResult with the sign."""
+    """Apply one collapse move, locally (see the module docstring);
+    returns a CollapseResult with the sign."""
     node = tree.node_at(path)
     if node[0] != "V":
         raise ValidationError("collapse target is not a vertex")
@@ -471,26 +470,50 @@ def collapse(tree, kind, path):
     if kind == INTERNAL_EDGE and len(path) < 2:
         raise ValidationError("internal-edge collapse needs an internal edge")
 
-    forest = tuple(_tracked(c, (i,)) for i, c in enumerate(tree.root_children))
-    if kind == BUD:
-        spliced = (_leaf(x for c in node[1] for x in c[1]),)
-    else:
-        spliced = _tracked(node, path)[1]
-    children, moves = _canonical(_replace_at(forest, path, spliced))
-    vertex_map = {source: new for source, (new, _tau) in moves.items()
-                  if source}
     # Boundary-orientation sign in height coordinates (one per vertex,
     # ordered by the canonical VertexOrder).  A bud face {h_v = 1} has
     # outward normal +dh_v, giving (-1)^(i-1) for the i-th vertex; root
     # faces {h_v = 0} and merge faces {h_u = h_v} both contract to (-1)^i.
     # A uniform (-1)^(i-1) already breaks d^2 = 0 on two-vertex trees.
-    before = sum(1 for source in vertex_map if source < path)
-    sign = (-1) ** before * _order_sign(vertex_map)
+    # Paths sort in depth-first order: index() counts the vertices before.
+    paths = tree.vertex_paths()
+    sign = -1 if paths.index(path) % 2 else 1
     if kind == BUD:
+        children = _replace_at(tree.root_children, path,
+                               (_leaf(x for c in node[1] for x in c[1]),))
+        vertex_map = {q: q for q in paths if q != path}
         return CollapseResult(_tree(children), CollapseMove(kind, path, sign),
                               vertex_map, None, None)
+    parent, i = path[:-1], path[-1]
+    kids = tree.node_at(parent)[1]
+    k = len(node[1])
+    spliced = kids[:i] + node[1] + kids[i + 1:]
+    order = sorted(range(len(spliced)), key=lambda s: _min_label(spliced[s]))
+    tau = [0] * len(order)
+    for r, s in enumerate(order):
+        tau[s] = r
+    merged = tuple(spliced[s] for s in order)
+    children = (_replace_at(tree.root_children, parent, (("V", merged),))
+                if parent else merged)
+    depth = len(parent)
+    vertex_map = {}
+    moved = []
+    for q in paths:
+        if len(q) <= depth or q[:depth] != parent:
+            vertex_map[q] = q
+        elif q != path:
+            j, rest = q[depth], q[depth + 1:]
+            if j == i:
+                j, rest = i + rest[0], rest[1:]
+            elif j > i:
+                j += k - 1
+            vertex_map[q] = parent + (tau[j],) + rest
+            moved.append(vertex_map[q])
+    # The parent's subtree keeps its place in the depth-first order, so
+    # the new order's sign is that of the moved vertices' new paths.
+    sign *= _order_sign(moved)
     return CollapseResult(_tree(children), CollapseMove(kind, path, -sign),
-                          vertex_map, path[-1] + 1, moves[path[:-1]][1])
+                          vertex_map, i + 1, tuple(tau))
 
 
 def covers(tree):
@@ -619,18 +642,18 @@ def w_cell_complex(tree, max_vertices=DEFAULT_MAX_CELL_VERTICES):
     if tree.n_vertices > max_vertices:
         raise BoundsError(
             f"tree has {tree.n_vertices} vertices, bound is {max_vertices}")
-    cells = sorted(down_set(tree), key=Tree.serialize)
+    names = {u: u.serialize() for u in down_set(tree)}
+    cells = sorted(names, key=names.__getitem__)
     by_degree = {}
     for u in cells:
         by_degree.setdefault(u.n_vertices, []).append(u)
     module = GradedFreeModule(
-        {k: tuple(u.serialize() for u in v) for k, v in by_degree.items()})
+        {k: tuple(names[u] for u in v) for k, v in by_degree.items()})
     entries = {}
-    for u in cells:
-        k = u.n_vertices
+    for k, degree_cells in by_degree.items():
         row = entries.setdefault(k, {})
-        j = module.position(k, u.serialize())
-        for sub, move in covers(u):
-            key = (module.position(k - 1, sub.serialize()), j)
-            row[key] = row.get(key, 0) + move.sign
+        for j, u in enumerate(degree_cells):
+            for sub, move in covers(u):
+                key = (module.position(k - 1, names[sub]), j)
+                row[key] = row.get(key, 0) + move.sign
     return ChainComplex.from_entries(module, entries)

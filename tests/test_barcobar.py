@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -130,6 +131,65 @@ def test_derived_trees_are_never_revalidated(monkeypatch):
     reduced_bar(builtin("com", 5), 5)
     koszul(builtin("com", 4), 4, with_structure=True)
     assert calls == []
+
+
+def test_assembly_makes_no_label_lookups_and_no_full_tree_walks(
+        monkeypatch):
+    # The differential reads positions recorded with the basis, and
+    # collapses splice locally; neither hashes labels nor re-sorts a tree.
+    from opbar import trees
+    com = builtin("com", 5)
+    calls = {"position": 0, "_canonical": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(GradedFreeModule, "position",
+                        counted("position", GradedFreeModule.position))
+    monkeypatch.setattr(trees, "_canonical",
+                        counted("_canonical", trees._canonical))
+    reduced_bar(com, 5)
+    assert calls == {"position": 0, "_canonical": 0}
+
+
+def _complex_digest(complex_):
+    """sha256 of the label reprs per degree and the sorted differential
+    entries, each value written as str(Fraction(v))."""
+    h = hashlib.sha256()
+    for d in complex_.degrees():
+        h.update(f"degree {d}\n".encode())
+        for lab in complex_.labels(d):
+            h.update(f"{lab!r}\n".encode())
+    for k in sorted(complex_.diffs):
+        h.update(f"d {k}\n".encode())
+        for (i, j), v in sorted(complex_.diffs[k].entries()):
+            h.update(f"{i} {j} {Fraction(v)}\n".encode())
+    return h.hexdigest()
+
+
+def _sphere_cobar(arity):
+    sphere = builtin_sphere_comodule(2, 4)
+    return cobar_complex(unit_module(sphere.over, RIGHT_COMODULE),
+                         sphere.over, sphere, arity)
+
+
+# Digests computed with the code of commit d4debb1, before collapses were
+# made local and the differential read positions from per-tree tables.
+@pytest.mark.parametrize("build,digest", [
+    (lambda: reduced_bar(builtin("com", 5), 5),
+     "582d6cb40ef78f7d7ff351c32ecf301b1c371e93421f55de1bd23ad569c05e28"),
+    (lambda: reduced_bar(builtin("ass", 4), 4),
+     "aa0e8de7d7bfaf724c719d9a77fa32bab54609619282ae5cec080ff73ec1cfc8"),
+    (lambda: reduced_cobar(dual(builtin("com", 5)), 4),
+     "da381a7b74f8ad788ee9f253fc62aa0f1a043313453d2cca4afd939c8967cf76"),
+    (lambda: _sphere_cobar(4),
+     "8a7a9a9010a527fd8a2fc6f3b1b1b7a5c50e782fcc4cb0f4b9fe4ce2c9729b15"),
+], ids=["bar-com-5", "bar-ass-4", "cobar-dual-com-4", "cobar-sphere2-4"])
+def test_complexes_match_pinned_digests(build, digest):
+    assert _complex_digest(build().complex) == digest
 
 
 def _binary_only(max_arity):

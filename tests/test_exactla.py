@@ -16,6 +16,7 @@ from opbar.barcobar import (
     module_structure_maps,
     reduced_bar,
     reduced_cobar,
+    symmetric_action,
 )
 from opbar.errors import ValidationError
 from opbar.exactla import (
@@ -462,6 +463,13 @@ class TestHomology:
         chi = c.rank(0) - c.rank(1)
         assert summary.euler_characteristic() == chi
 
+    def test_euler_characteristic_is_an_int_in_negative_degrees(self):
+        # Homology Z^2 in degree -2: (-1) ** d would make it the float 2.0.
+        chi = reduced_cobar(dual(builtin("com", 3)), 3).homology() \
+            .euler_characteristic()
+        assert chi == 2
+        assert type(chi) is int
+
 
 class TestTensor:
     def test_unit_complex(self):
@@ -881,6 +889,15 @@ class TestAlternatingTrace:
         c = three_term(ExactMatrix.identity(2))
         g = {0: mat([[0, 1], [1, 0]]), 1: mat([[0, 1], [1, 0]])}
         assert alternating_trace(c, g) == 0
+
+    def test_trace_over_a_cobar_complex_is_an_int(self):
+        # Chains in degrees -1 and -2; the identity gives chi = -1 + 3.
+        cc = reduced_cobar(dual(builtin("com", 3)), 3)
+        for sigma in itertools.permutations((1, 2, 3)):
+            trace = alternating_trace(cc.complex, symmetric_action(cc, sigma))
+            assert type(trace) is int
+            if sigma == (1, 2, 3):
+                assert trace == 2
 
     def test_non_equivariant_rejected(self):
         c = three_term(ExactMatrix.identity(2))

@@ -15,8 +15,16 @@ from opbar.trees import (
     ROOT,
     ROOT_EDGE,
     STANDARD,
+    CollapseMove,
+    CollapseResult,
     Tree,
+    _canonical,
+    _leaf,
+    _order_sign,
     _relabel,
+    _replace_at,
+    _tracked,
+    _tree,
     collapse,
     collapse_moves,
     covers,
@@ -238,6 +246,42 @@ class TestWalkAgainstLabelSets:
                     assert tau == _ranks([
                         min(sigma[x] for x in _label_set(child))
                         for child in tree.node_at(old)[1]])
+
+
+def _walk_collapse(tree, kind, path):
+    """Reference collapse: tag every vertex with its path, splice, run the
+    full canonicalizing walk and read the vertex order's sign off it."""
+    node = tree.node_at(path)
+    forest = tuple(_tracked(c, (i,)) for i, c in enumerate(tree.root_children))
+    if kind == BUD:
+        spliced = (_leaf(x for c in node[1] for x in c[1]),)
+    else:
+        spliced = _tracked(node, path)[1]
+    children, moves = _canonical(_replace_at(forest, path, spliced))
+    vertex_map = {source: new for source, (new, _tau) in moves.items()
+                  if source}
+    before = sum(1 for source in vertex_map if source < path)
+    sign = (-1) ** before * _order_sign(vertex_map)
+    if kind == BUD:
+        return CollapseResult(_tree(children), CollapseMove(kind, path, sign),
+                              vertex_map, None, None)
+    return CollapseResult(_tree(children), CollapseMove(kind, path, -sign),
+                          vertex_map, path[-1] + 1, moves[path[:-1]][1])
+
+
+class TestLocalCollapseAgainstTheWalk:
+    @pytest.mark.parametrize("arities,species,n_trees,n_moves", [
+        ((1, 2, 3, 4, 5), GENERALIZED, 1357, 4336),
+        ((6,), STANDARD, 2752, 15475),
+    ])
+    def test_every_move(self, arities, species, n_trees, n_moves):
+        trees = [x for n in arities for x in enumerate_trees(n, species)]
+        moves = [(x, kind, path) for x in trees
+                 for kind, path in collapse_moves(x)]
+        assert (len(trees), len(moves)) == (n_trees, n_moves)
+        for tree, kind, path in moves:
+            assert collapse(tree, kind, path) == \
+                _walk_collapse(tree, kind, path), (tree, kind, path)
 
 
 class TestPosetOrder:
