@@ -19,19 +19,36 @@ the matrix entries.  The differential sums the collapse moves whose merged
 slot stays in its support.  Every move reads its matrix from the operad
 form of the structure (opalg.operad_form), so bar and cobar complexes
 share one plan; cobar complexes run the covers backwards, with tree
-degrees recorded negatively.  Each tree's slots, decorations and the
-position of each decorated tree in its degree are recorded once, with the
-basis, so the differential looks up no label; a tree's slot positions by
-key live only while its moves are assembled.
+degrees recorded negatively.  Assembly records each tree's slots,
+decorations and the position of each decorated tree in its degree with
+the basis, so the differential looks up no label; the complex keeps only
+the slots, and a tree's slot positions by key live only while its moves
+are assembled.
+
+The structure maps and the symmetric action read one record per basis
+tree (_TreeRecord), built the first time one of them asks for the tree
+and then kept by its complex; assembly and reduction build none.  A
+record holds the tree's vertex paths, the path of the node carrying each
+label set (trees.subtree_index), the slot positions by vertex path and
+by leaf labels, the slot sizes, the _decorations list, and the (degree,
+position) of the tree with each decoration by flat decoration index,
+looked up in the complex's module once, when the record is built.  The
+maps then read positions and look up no label.  The records belong to
+the complex, so no cache can hand one structure's records to another.
 
 One ungrafting engine builds the cooperad structure of B(P), the operad
 structure of the cobar construction and the module structure maps of a
 one-sided complex: it cuts each tree into factors F_0 (x) F_1 (x) ....
-A basis element is its vertex orientation tensored with its slot
-decorations, so each term carries the sign splitting the orientation,
-the Koszul sign of reordering the decorations, and (-1)^(s_j t_i) for
-every i < j, as factor j's orientation (degree s_j, its vertex count)
-moves past factor i's decorations (internal degree t_i).
+A tree with no subtree on some block is dropped at that block's lookup
+in its record; the others are cut at the recorded paths
+(trees.ungraft_at).  Each term is the source's (degree, position), the
+tuple of the factors' global basis indices, which the tensor product's
+tensor_index turns into a position, and the coefficient.  A basis
+element is its vertex orientation tensored with its slot decorations,
+so each term carries the sign splitting the orientation, the Koszul sign
+of reordering the decorations, and (-1)^(s_j t_i) for every i < j, as
+factor j's orientation (degree s_j, its vertex count) moves past factor
+i's decorations (internal degree t_i).
 
 The normalized simplicial construction over strict partition chains has
 its own chains and face plans, sharing only the plan evaluator, and
@@ -112,8 +129,44 @@ def _slot_plan(tree, r_mod, p, l_mod):
     return slots
 
 
+class _TreeRecord:
+    """One basis tree of a complex as its structure maps read it.
+
+    paths are the vertex paths in the canonical VertexOrder, subtrees maps
+    the sorted labels of every node to its path (trees.subtree_index),
+    vertex_slot and leaf_slot map a vertex path and a leaf's labels to
+    their slot's position (the root slot is 0), sizes are the slots'
+    ranks, decorations is the _decorations list, and at[k] is the (total
+    degree, position in that degree) of the tree with its k-th
+    decoration, k the flat index (flatten_index over sizes).
+    """
+
+    __slots__ = ("paths", "subtrees", "slots", "vertex_slot", "leaf_slot",
+                 "sizes", "decorations", "at")
+
+    def __init__(self, bc, tree):
+        slots = self.slots = bc._slots[tree]
+        self.paths = [key for kind, key, _m in slots if kind == "v"]
+        self.subtrees = tr.subtree_index(tree)
+        self.vertex_slot = {path: i + 1 for i, path in enumerate(self.paths)}
+        self.leaf_slot = {key: i for i, (kind, key, _m) in enumerate(slots)
+                          if kind == "leaf"}
+        self.sizes = [s[2].total_rank() for s in slots]
+        self.decorations = _decorations(slots)
+        s_deg, module = len(self.paths), bc.complex.module
+        self.at = []
+        for decor, _degs, t in self.decorations:
+            d = _total_degree(bc.kind, s_deg, t)
+            self.at.append((d, module.position(
+                d, BarBasisLabel(tree, decor, s_deg, t))))
+
+
 class BarComplex:
-    """A bar or cobar chain complex with bigrading metadata."""
+    """A bar or cobar chain complex with bigrading metadata.
+
+    slot_cache maps each basis tree, in serialization order, to its slots.
+    A tree's _TreeRecord is built on first use and kept.
+    """
 
     def __init__(self, kind, arity, complex_, slot_cache,
                  r_coeff=None, op=None, l_coeff=None):
@@ -121,6 +174,7 @@ class BarComplex:
         self.arity = arity
         self.complex = complex_
         self._slots = slot_cache
+        self._records = {}
         self.r_coeff = r_coeff
         self.op = op
         self.l_coeff = l_coeff
@@ -132,17 +186,16 @@ class BarComplex:
     def homology(self, ring=None):
         return self.complex.homology(ring=ring)
 
-    def slots(self, tree):
-        return self._slots[tree]
-
     def trees(self):
         """The basis trees in serialization order."""
         return tuple(self._slots)
 
-    def index(self, label):
-        """(total degree, position in that degree) of a basis label."""
-        d = _total_degree(self.kind, label.tree_degree, label.internal_degree)
-        return d, self.complex.module.position(d, label)
+    def record(self, tree):
+        """The _TreeRecord of a basis tree, or None for any other tree."""
+        rec = self._records.get(tree)
+        if rec is None and tree in self._slots:
+            rec = self._records[tree] = _TreeRecord(self, tree)
+        return rec
 
     def split_by_internal_degree(self):
         """Sub-complexes per internal degree, graded by signed tree degree."""
@@ -591,42 +644,50 @@ def symmetric_action(bc, sigma):
     sigma is a 1-based image tuple on {1..arity}.  The action relabels
     the underlying trees (orientation sign), re-identifies every slot
     through its child reordering, and reorders the graded slots (Koszul
-    signs).
+    signs).  Source and target positions come from the tree records.
     """
-    smap = {i + 1: sigma[i] for i in range(bc.arity)}
+    n = bc.arity
+    try:
+        sigma = tuple(sigma)
+        valid = sorted(sigma) == list(range(1, n + 1))
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValidationError(
+            f"symmetric_action: {sigma!r} is not a permutation of 1..{n} "
+            f"(the complex has arity {n})")
+    smap = {i + 1: sigma[i] for i in range(n)}
     inv = {v: k for k, v in smap.items()}
     r_mod, p, l_mod = bc.r_coeff, bc.op, bc.l_coeff
     entries = {}
     for tree in bc.trees():
+        src = bc.record(tree)
         new_tree, tree_sign, moves = tr._relabel(tree, smap)
+        tgt = bc.record(new_tree)
         old_path = {new: old for old, (new, _tau) in moves.items()}
-        slots_src = bc.slots(tree)
-        src_pos = {(k, key): i for i, (k, key, _m) in enumerate(slots_src)}
 
         plan = []
-        for tkind, tkey, _tmod in bc.slots(new_tree):
+        for tkind, tkey, _tmod in tgt.slots:
             if tkind == "root":
                 tau = moves[()][1]
                 matrix = r_mod.action(len(tau), tuple(t + 1 for t in tau))
-                plan.append(("apply", (src_pos[("root", None)],), matrix,
-                             (matrix.ncols,)))
+                plan.append(("apply", (0,), matrix, (matrix.ncols,)))
             elif tkind == "v":
                 old = old_path[tkey]
                 tau = moves[old][1]
                 matrix = p.action(len(tau), tuple(t + 1 for t in tau))
-                plan.append(("apply", (src_pos[("v", old)],), matrix,
+                plan.append(("apply", (src.vertex_slot[old],), matrix,
                              (matrix.ncols,)))
             else:
                 old_labels = tuple(sorted(inv[x] for x in tkey))
                 pi = block_sort_perm([smap[x] for x in old_labels])
                 matrix = l_mod.action(len(tkey), tuple(t + 1 for t in pi))
-                plan.append(("apply", (src_pos[("leaf", old_labels)],),
+                plan.append(("apply", (src.leaf_slot[old_labels],),
                              matrix, (matrix.ncols,)))
-        for decor, t, tgt_dec, coeff in _plan_terms(_decorations(slots_src),
-                                                    plan, tree_sign):
-            d, j = bc.index(BarBasisLabel(tree, decor, tree.n_vertices, t))
-            _d, i = bc.index(BarBasisLabel(new_tree, tgt_dec,
-                                           new_tree.n_vertices, t))
+        for decor, _t, tgt_dec, coeff in _plan_terms(src.decorations, plan,
+                                                     tree_sign):
+            d, j = src.at[flatten_index(src.sizes, decor)]
+            _d, i = tgt.at[flatten_index(tgt.sizes, tgt_dec)]
             row = entries.setdefault(d, {})
             row[(i, j)] = row.get((i, j), 0) + coeff
     return {d: ExactMatrix(bc.complex.rank(d), bc.complex.rank(d),
@@ -680,18 +741,22 @@ def reduced_cobar(q, arity, cache=None):
 
 
 def _split_terms(bc, skeleton, parts, blocks):
-    """(V label, (skeleton label, part labels...), coefficient) triples.
+    """((degree, position) in bc, factor global indices, coefficient)
+    triples of the ungrafting map, read from the tree records.
 
     Ungrafts every basis tree V of bc along the disjoint label sets blocks
-    (trees.ungraft_partition): each block is cut off as one part, renumbered
-    onto 1..|block| preserving order (trees.renumber); the skeleton keeps
-    the leaves no block covers, gains one leaf per cut counted as its
-    block's least label, and is renumbered onto 1..m preserving order.
-    An order-preserving renumbering keeps canonical form, every vertex
-    path and the orientation, so it contributes no sign.  skeleton and
-    parts are the factors' complexes, in the order of the blocks; trees
-    whose factors are not among their basis trees contribute nothing.  The
-    skeleton's cut leaves and the parts' roots carry the unit.
+    (trees.ungraft_at at the paths of V's subtree index; a tree with no
+    subtree on some block is skipped at that block's lookup): each block
+    is cut off as one part, renumbered onto 1..|block| preserving order
+    (trees.renumber); the skeleton keeps the leaves no block covers, gains
+    one leaf per cut counted as its block's least label, and is
+    renumbered onto 1..m preserving order.  An order-preserving
+    renumbering keeps canonical form, every vertex path and the
+    orientation, so it contributes no sign.  skeleton and parts are the
+    factors' complexes, in the order of the blocks; trees whose factors
+    are not among their basis trees contribute nothing.  The skeleton's
+    cut leaves and the parts' roots carry the unit.  A factor's global
+    index is its position in the tensor_list factor's global basis.
 
     Signs: V's vertex orientation splits into the factors' orientations
     (the sign of V's vertex order against skeleton vertices, then each
@@ -702,62 +767,58 @@ def _split_terms(bc, skeleton, parts, blocks):
     """
     blocks = [tuple(sorted(b)) for b in blocks]
     factors = [skeleton] + list(parts)
+    offsets = [f.complex.module.offset for f in factors]
     heads = {(b[0],) for b in blocks}
     kept = sorted(set(range(1, bc.arity + 1)).difference(*blocks)
                   | {b[0] for b in blocks})
     out = []
     for v_tree in bc.trees():
-        res = tr.ungraft_partition(v_tree, blocks)
-        if res is None:
+        rec = bc.record(v_tree)
+        if not all(b in rec.subtrees for b in blocks):
             continue
-        t_tree, parts_raw, cuts = res
-        f_trees = [t_tree] + [tr.renumber(u) for u in parts_raw]
-        if any(tree not in f._slots for f, tree in zip(factors, f_trees)):
+        cuts = [rec.subtrees[b] for b in blocks]
+        t_tree, parts_raw = tr.ungraft_at(v_tree, cuts)
+        f_recs = [f.record(tree) for f, tree in zip(factors, [t_tree] + [
+            tr.renumber(u) for u in parts_raw])]
+        if None in f_recs:
             continue
         # V's vertex paths per factor, each in that factor's vertex order.
-        v_order = v_tree.vertex_paths()
-        under = [[path for path in v_order if path[:len(c)] == c]
+        under = [[path for path in rec.paths if path[:len(c)] == c]
                  for c in cuts]
         inside = {path for u in under for path in u}
-        groups = [[path for path in v_order if path not in inside]] + under
+        groups = [[path for path in rec.paths if path not in inside]] + under
         split_order = {path: i for i, path in enumerate(
             path for g in groups for path in g)}
-        base_sign = perm_sign(tuple(split_order[path] for path in v_order))
+        base_sign = perm_sign(tuple(split_order[path] for path in rec.paths))
 
-        slots_v = bc.slots(v_tree)
-        src_pos = {(kind, key): i
-                   for i, (kind, key, _m) in enumerate(slots_v)}
-        f_slots = [f.slots(tree) for f, tree in zip(factors, f_trees)]
         plan = []
-        for j, (tree, slots_f) in enumerate(zip(f_trees, f_slots)):
-            vpath = dict(zip(tree.vertex_paths(), groups[j]))
-            for kind, key, _m in slots_f:
+        for j, f_rec in enumerate(f_recs):
+            vpath = dict(zip(f_rec.paths, groups[j]))
+            for kind, key, _m in f_rec.slots:
                 if kind == "v":
-                    plan.append(("copy", src_pos[("v", vpath[key])]))
+                    plan.append(("copy", rec.vertex_slot[vpath[key]]))
                 elif kind == "root":
-                    plan.append(("unit",) if j else
-                                ("copy", src_pos[("root", None)]))
+                    plan.append(("unit",) if j else ("copy", 0))
                 else:
                     orig = (tuple(blocks[j - 1][x - 1] for x in key) if j
                             else tuple(kept[x - 1] for x in key))
                     plan.append(("unit",) if not j and orig in heads else
-                                ("copy", src_pos[("leaf", orig)]))
+                                ("copy", rec.leaf_slot[orig]))
 
-        s_f = [tree.n_vertices for tree in f_trees]
-        for decor, t_v, tgt_dec, coeff in _plan_terms(_decorations(slots_v),
-                                                      plan, base_sign):
-            v_label = BarBasisLabel(v_tree, decor, v_tree.n_vertices, t_v)
-            labels = []
+        for decor, _t, tgt_dec, coeff in _plan_terms(rec.decorations, plan,
+                                                     base_sign):
+            combo = []
             offset = t_before = 0
-            for j, slots_f in enumerate(f_slots):
-                dec_f = tgt_dec[offset:offset + len(slots_f)]
-                offset += len(slots_f)
-                t_f = sum(s[2].degree_of(i) for s, i in zip(slots_f, dec_f))
-                if s_f[j] * t_before % 2:
+            for f_rec, off in zip(f_recs, offsets):
+                k = flatten_index(f_rec.sizes, tgt_dec[offset:])
+                offset += len(f_rec.sizes)
+                d_f, p_f = f_rec.at[k]
+                combo.append(off(d_f) + p_f)
+                if len(f_rec.paths) * t_before % 2:
                     coeff = -coeff
-                t_before += t_f
-                labels.append(BarBasisLabel(f_trees[j], dec_f, s_f[j], t_f))
-            out.append((v_label, tuple(labels), coeff))
+                t_before += f_rec.decorations[k][2]
+            out.append((rec.at[flatten_index(rec.sizes, decor)],
+                        tuple(combo), coeff))
     return out
 
 
@@ -790,16 +851,14 @@ def _split_map(kind, p, arity, a, a_side, b_side, cache):
 def _ungrafting_map(bc, tensor, terms):
     """Chain map bc -> tensor on the bar side, tensor -> bc on the cobar side.
 
-    terms: (basis label of bc, labels of the tensor factors, coefficient).
+    terms: ((degree, position) in bc, the factors' global basis indices,
+    coefficient), as _split_terms returns them.
     """
     entries = {}
-    for v_label, labels, coeff in terms:
-        dv, iv = bc.index(v_label)
-        try:
-            it = tensor.module.position(dv, labels)
-        except ValidationError:
-            raise InternalConsistencyError(
-                "structure map changes degree") from None
+    for (dv, iv), combo, coeff in terms:
+        dt, it = tensor.tensor_index[combo]
+        if dt != dv:
+            raise InternalConsistencyError("structure map changes degree")
         entries.setdefault(dv, {})[(it, iv) if bc.kind == BAR else (iv, it)] \
             = coeff
     if bc.kind == BAR:
@@ -825,10 +884,13 @@ def module_structure_maps(bc, blocks, cache=None):
     complex of a left comodule it is the module action running the other
     way.  The right coefficient must be the unit.
     """
+    blocks = [tuple(b) for b in blocks]
+    covered = [x for b in blocks for x in b]
+    if not all(blocks) or len(covered) != len(set(covered)) or \
+            set(covered) != set(range(1, bc.arity + 1)):
+        raise ValidationError(
+            "blocks must partition {1..arity} into disjoint nonempty sets")
     blocks = canonical_partition(blocks)
-    if frozenset(x for b in blocks for x in b) != \
-            frozenset(range(1, bc.arity + 1)):
-        raise ValidationError("blocks must partition {1..arity}")
     if bc.r_coeff.rank(1) != 1 or any(
             bc.r_coeff.rank(n) for n in range(2, bc.arity + 1)):
         raise ValidationError("structure maps need a one-sided complex")

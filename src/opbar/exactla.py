@@ -526,6 +526,10 @@ class GradedFreeModule:
     def degree_of(self, i):
         return self._basis[i][0]
 
+    def offset(self, degree):
+        """Global index of the first basis label of a nonzero degree."""
+        return self._offset[degree]
+
     def negated(self):
         return GradedFreeModule({-d: labs for d, labs in self.spaces.items()})
 

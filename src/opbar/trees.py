@@ -24,6 +24,9 @@ children into its parent's and re-sorts only those (tau), so only paths
 below the parent change.  Nor does an order-preserving renumbering onto
 1..k (``renumber``, the ungrafting skeleton): it keeps every leaf sorted
 and every child order, so each path stays and the orientation sign is +1.
+Ungrafting is an index and a cut: ``subtree_index`` maps the label set
+of every node to its path, and ``ungraft_at`` cuts at such paths;
+``ungraft_partition`` validates its blocks and runs the two.
 
 Trees are enumerated by supports: the allowed root arities, vertex
 arities and leaf sizes (``supported_trees``).  A bar or cobar complex
@@ -82,10 +85,17 @@ def _min_label(node):
     return node[1][0]
 
 
-def _node_labels(node):
-    if node[0] == "L":
-        return set(node[1])
-    return set().union(*map(_node_labels, node[1]))
+def _label_list(children):
+    """Every leaf label below the nodes children, in no particular order."""
+    out = []
+    stack = list(children)
+    while stack:
+        node = stack.pop()
+        if node[0] == "L":
+            out.extend(node[1])
+        else:
+            stack.extend(node[1])
+    return out
 
 
 def _check_forest(children):
@@ -197,7 +207,7 @@ class Tree:
 
     @property
     def labels(self):
-        return frozenset(_node_labels(("V", self.root_children)))
+        return frozenset(_label_list(self.root_children))
 
     @property
     def n_vertices(self):
@@ -279,7 +289,8 @@ def renumber(tree):
     Canonical form and every vertex path are kept, and the orientation
     sign is +1 (see the module docstring).
     """
-    rank = {x: i + 1 for i, x in enumerate(sorted(tree.labels))}
+    rank = {x: i + 1 for i, x in enumerate(sorted(_label_list(
+        tree.root_children)))}
     return _tree(tuple(_mapped(c, rank) for c in tree.root_children))
 
 
@@ -516,13 +527,13 @@ def collapse(tree, kind, path):
                           vertex_map, i + 1, tuple(tau))
 
 
+@lru_cache(maxsize=None)
 def covers(tree):
-    """All codimension-one predecessors with their signed moves."""
-    out = []
-    for kind, path in collapse_moves(tree):
-        res = collapse(tree, kind, path)
-        out.append((res.tree, res.move))
-    return out
+    """All codimension-one predecessors with their signed moves, as a
+    tuple; computed once per tree, so down_set and w_cell_complex share
+    every cover."""
+    return tuple((res.tree, res.move) for res in (
+        collapse(tree, kind, path) for kind, path in collapse_moves(tree)))
 
 
 @lru_cache(maxsize=None)
@@ -581,27 +592,41 @@ def ungraft_partition(v, blocks):
             or not v.labels >= set(covered):
         raise ValidationError(
             "ungraft_partition: blocks must be disjoint label sets of the tree")
+    at = subtree_index(v)
+    cuts = [at.get(block) for block in blocks]
+    if None in cuts:
+        return None
+    return (*ungraft_at(v, cuts), cuts)
+
+
+def subtree_index(tree):
+    """{sorted label tuple: path} of every node of tree below the root,
+    leaves and vertices.  A vertex's label set strictly contains each
+    child's, so distinct nodes have distinct label sets."""
     at = {}
 
     def index(node, path):
-        # A vertex's label set strictly contains each child's, so distinct
-        # nodes have distinct label sets.
-        labs = frozenset(node[1]) if node[0] == "L" else frozenset().union(
-            *(index(c, path + (i,)) for i, c in enumerate(node[1])))
+        labs = node[1] if node[0] == "L" else tuple(sorted(
+            x for i, c in enumerate(node[1]) for x in index(c, path + (i,))))
         at[labs] = path
         return labs
 
-    for i, child in enumerate(v.root_children):
+    for i, child in enumerate(tree.root_children):
         index(child, (i,))
-    cuts = [at.get(frozenset(block)) for block in blocks]
-    if None in cuts:
-        return None
+    return at
+
+
+def ungraft_at(v, cuts):
+    """ungraft_partition's cut of v at the node paths cuts, which
+    subtree_index gives for disjoint blocks: (skeleton, parts)."""
     children = v.root_children
-    for cut, block in zip(cuts, blocks):
+    parts = []
+    for cut in cuts:
+        node = v.node_at(cut)
         # The cut leaf has the cut subtree's least label: order is kept.
-        children = _replace_at(children, cut, (("L", (block[0],)),))
-    return (renumber(_tree(children)),
-            [_tree((v.node_at(c),)) for c in cuts], cuts)
+        children = _replace_at(children, cut, (("L", (_min_label(node),)),))
+        parts.append(_tree((node,)))
+    return renumber(_tree(children)), parts
 
 
 # -- relabelling ------------------------------------------------------------
@@ -612,16 +637,17 @@ def relabel(tree, sigma):
     Returns (tree, orientation sign): the sign of the permutation
     carrying the transported VertexOrder to the canonical one.
     """
+    labs = tree.labels
+    if set(sigma) != set(labs) or len(set(sigma.values())) != len(labs):
+        raise ValidationError("relabel: not a bijection on the label universe")
     new_tree, sign, _moves = _relabel(tree, sigma)
     return new_tree, sign
 
 
 def _relabel(tree, sigma):
     """relabel's (tree, sign) and the canonicalizing walk's map old path ->
-    (new path, tau) for the root, under (), and every vertex."""
-    labs = tree.labels
-    if set(sigma) != set(labs) or len(set(sigma.values())) != len(labs):
-        raise ValidationError("relabel: not a bijection on the label universe")
+    (new path, tau) for the root, under (), and every vertex; sigma is not
+    checked."""
     children, moves = _canonical(tuple(
         _tracked(_mapped(c, sigma), (i,)) for i, c in enumerate(tree.root_children)))
     return _tree(children), _order_sign([s for s in moves if s]), moves

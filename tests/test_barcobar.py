@@ -52,6 +52,7 @@ from opbar.opalg import (
     builtin,
     builtin_sphere_comodule,
     builtin_sphere_module,
+    constant_comodule,
     dual,
     unit_module,
 )
@@ -176,6 +177,15 @@ def _sphere_cobar(arity):
                          sphere.over, sphere, arity)
 
 
+def _mixed_degree_cobar(arity):
+    """One-sided cobar complex on the comodule of X = <a, b>, |a| = 1 and
+    |b| = 2, with zero coproduct: a tree's decorations span degrees."""
+    x = GradedFreeModule({1: ("a",), 2: ("b",)})
+    comodule = constant_comodule(x, ExactMatrix.zero(4, 2), arity)
+    q = comodule.over
+    return cobar_complex(unit_module(q, RIGHT_COMODULE), q, comodule, arity)
+
+
 # Digests computed with the code of commit d4debb1, before collapses were
 # made local and the differential read positions from per-tree tables.
 @pytest.mark.parametrize("build,digest", [
@@ -190,6 +200,199 @@ def _sphere_cobar(arity):
 ], ids=["bar-com-5", "bar-ass-4", "cobar-dual-com-4", "cobar-sphere2-4"])
 def test_complexes_match_pinned_digests(build, digest):
     assert _complex_digest(build().complex) == digest
+
+
+def _maps_digest(maps):
+    """sha256 of a sequence of {degree: matrix} dicts: each matrix's
+    degree, shape and sorted entries, each value as str(Fraction(v))."""
+    h = hashlib.sha256()
+    for mats in maps:
+        h.update(b"map\n")
+        for d in sorted(mats):
+            m = mats[d]
+            h.update(f"m {d} {m.nrows} {m.ncols}\n".encode())
+            for (i, j), v in sorted(m.entries()):
+                h.update(f"{i} {j} {Fraction(v)}\n".encode())
+    return h.hexdigest()
+
+
+def _canonical_splits(total):
+    """(a, a_side, b_side) of every canonical split, as koszul takes them."""
+    for k in range(1, total + 1):
+        for a in range(1, total - k + 2):
+            b_side = tuple(range(a, a + k))
+            a_side = tuple(x for x in range(1, total + 1)
+                           if x < a or x >= a + k) + (a,)
+            yield a, a_side, b_side
+
+
+def _split_maps(split, structure, arity):
+    cache = {}
+    return [split(structure, arity, a, a_side, b_side, cache).mats
+            for a, a_side, b_side in _canonical_splits(arity)]
+
+
+def _adjacent_actions(bc):
+    out = []
+    for i in range(1, bc.arity):
+        sigma = list(range(1, bc.arity + 1))
+        sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
+        out.append(symmetric_action(bc, tuple(sigma)))
+    return out
+
+
+def _module_maps(cc):
+    return [module_structure_maps(cc, blocks, {}).mats
+            for blocks in set_partitions(range(1, cc.arity + 1))]
+
+
+def _pinned_map_builds():
+    """case -> build of the maps it pins: the canonical splits at one
+    arity, the adjacent transpositions on one complex, or the module maps
+    of a one-sided cobar complex at arity 3 for every partition."""
+    builds = {"module-sphere2-3": lambda: _module_maps(_sphere_cobar(3)),
+              "action-sphere2-3": lambda: _adjacent_actions(_sphere_cobar(3)),
+              "module-mixed-3": lambda: _module_maps(_mixed_degree_cobar(3)),
+              "action-mixed-3": lambda: _adjacent_actions(
+                  _mixed_degree_cobar(3))}
+    for name in ("com", "ass"):
+        for n in range(1, 6):
+            builds[f"cocomp-{name}-{n}"] = lambda name=name, n=n: _split_maps(
+                bar_cocomposition, builtin(name, 5), n)
+            if n > 1:
+                builds[f"action-{name}-{n}"] = lambda name=name, n=n: \
+                    _adjacent_actions(reduced_bar(builtin(name, 5), n))
+    for n in range(1, 5):
+        builds[f"comp-dual-com-{n}"] = lambda n=n: _split_maps(
+            cobar_composition, dual(builtin("com", 5)), n)
+        if n > 1:
+            builds[f"action-dual-com-{n}"] = lambda n=n: _adjacent_actions(
+                reduced_cobar(dual(builtin("com", 5)), n))
+    return builds
+
+
+_PINNED_MAP_BUILDS = _pinned_map_builds()
+
+# Digests computed with the code of commit befc79c, before ungrafting and
+# the symmetric action read per-tree records.
+PINNED_MAP_DIGESTS = {
+    "action-ass-2":
+        "3a09032435467142450a7875becd2204d234ebf54c4d34294e481c2f84c114bc",
+    "action-ass-3":
+        "282f66d4cf34a72f9fddd3755bf8d578b719c70b6c0eb0a1dbbb3cf2af00bace",
+    "action-ass-4":
+        "60d49ee1afba2c9ba9e2e36d81cbab83912bce8c56d0c59dba4d2f05a617fd60",
+    "action-ass-5":
+        "c047cc5d3d932b1750097b3477cd527b5f8d0926fb5351c31f59f5f7abdb4976",
+    "action-com-2":
+        "53aa7fbd677919c35cd6388d170a45e3abc4d1f2b095b5ac2df32fa418213aca",
+    "action-com-3":
+        "bcc35cfc3438e95cc1414d48d3c988e3513f70c7942c388da7ee26ff3344e746",
+    "action-com-4":
+        "eac688011c09fc1bd3a3f74fec87d90f7f80fb828b48e698ece0da4b188f7902",
+    "action-com-5":
+        "6a2e7a8ba5c86552c1ae1a57c959d35395ad2f6039a5f113ccafe4939da8edf6",
+    "action-dual-com-2":
+        "28b262fed7e1374d7aa419f8fd41bc931595ce03eea053d676d3ab6c67a58b37",
+    "action-dual-com-3":
+        "290a7b97ba0bd2fbae5b1539537a7bc0033c2c6fe1a55576422ddd4d829e8078",
+    "action-dual-com-4":
+        "634f40544b4a2d7f525c838dc37ab6e2a88b4311b547886b31f3d5d9ca2618ed",
+    "action-mixed-3":
+        "25082af335532128dcb1dfd3b7d5ca13c4b87b740b11e382e5eb050006064218",
+    "action-sphere2-3":
+        "3e973eac72fe8bf0e9d7460974d2c20d018cf76ca857eadc8f02a7d18fa512d6",
+    "cocomp-ass-1":
+        "b2320d791190f005b6ae52bf67626e7c24b76cc3447bcaf7f69f5d4169123bd3",
+    "cocomp-ass-2":
+        "cee6b8739f49720bf7193c76f46048bee4a52bd62b512d71034c807fe71e3515",
+    "cocomp-ass-3":
+        "cb521c6110a159fda2f6e005ef7e9a327630ffbe9362f5dce530a4ea0d8abb8f",
+    "cocomp-ass-4":
+        "d74a340184f36328c99c9fee0405071b4941450d0cb1dd294520078f2dac0b21",
+    "cocomp-ass-5":
+        "2ba3b08e340779fd9e11d3d8b8be4605ae2471a56a418ed4f595eb906854c364",
+    "cocomp-com-1":
+        "b2320d791190f005b6ae52bf67626e7c24b76cc3447bcaf7f69f5d4169123bd3",
+    "cocomp-com-2":
+        "b4c48c9fa115ccfbb7adab18592e780b44aa4648fea1fbaa976228bf94a5bc84",
+    "cocomp-com-3":
+        "88a19676393710f6bb0e1f13a654b32f4f29a1e04a210ac0f1154eb8639092c4",
+    "cocomp-com-4":
+        "96cc9e67673f2c32c39a06873e220296aead96e312445494f54e73b3d8750499",
+    "cocomp-com-5":
+        "0783d24d37bceeb5217b0ce3cf0f783dea2a1c728edb1939374c84ec4c3f0713",
+    "comp-dual-com-1":
+        "b2320d791190f005b6ae52bf67626e7c24b76cc3447bcaf7f69f5d4169123bd3",
+    "comp-dual-com-2":
+        "19e7476654decf56bd0656ffabbd2b3d034ac7b598de3ce768a5d8eaa97ee31b",
+    "comp-dual-com-3":
+        "ecac4a629670de608406f25c33d9b927b7b7a773ef42e1e32643eafdb2ff4b65",
+    "comp-dual-com-4":
+        "9ab36f0763f9fba8d4cfd229139d2ccea3aab5acb370a837fdc9e12e5142086b",
+    "module-mixed-3":
+        "aeaa94702cd2155803bca43ec8fdec019e7f5fd56e35cc305e21267498a1e63f",
+    "module-sphere2-3":
+        "1bdcd7f797cc26cb52241a6717ad419883a72cdf1e290fbe9b00dd16e6783230",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_MAP_BUILDS))
+def test_structure_maps_match_pinned_digests(case):
+    assert _maps_digest(_PINNED_MAP_BUILDS[case]()) == \
+        PINNED_MAP_DIGESTS[case]
+
+
+def test_tree_records_are_built_once_per_complex_and_tree(monkeypatch):
+    built = []
+    record = barcobar._TreeRecord
+
+    def counted(bc, tree):
+        built.append((bc, tree))
+        return record(bc, tree)
+
+    monkeypatch.setattr(barcobar, "_TreeRecord", counted)
+    # Assembly and reduction read no record.
+    reduced_bar(builtin("com", 5), 5).homology()
+    assert built == []
+    koszul(builtin("com", 4), 4, with_structure=True)
+    cache = {}
+    cc = _sphere_cobar(3)
+    for blocks in set_partitions((1, 2, 3)):
+        module_structure_maps(cc, blocks, cache)
+    symmetric_action(cc, (2, 3, 1))
+    keys = [(id(bc), tree) for bc, tree in built]
+    assert built and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("build,spread", [
+    (lambda: reduced_bar(builtin("ass", 4), 4), False),
+    (lambda: _sphere_cobar(4), False),
+    (lambda: _mixed_degree_cobar(3), True),
+], ids=["bar-ass-4", "cobar-sphere2-4", "cobar-mixed-3"])
+def test_records_hold_the_module_positions(build, spread):
+    # spread: some tree has decorations in more than one degree.
+    bc = build()
+    degrees = 1
+    for tree in bc.trees():
+        rec = bc.record(tree)
+        assert rec.paths == tree.vertex_paths()
+        for k, (decor, _degs, t) in enumerate(rec.decorations):
+            assert exactla.flatten_index(rec.sizes, decor) == k
+            d, pos = rec.at[k]
+            assert bc.complex.module.position(d, barcobar.BarBasisLabel(
+                tree, decor, tree.n_vertices, t)) == pos
+        degrees = max(degrees, len({d for d, _pos in rec.at}))
+    assert (degrees > 1) == spread
+    assert bc.record(Tree((("L", (1,)),))) is None
+
+
+@pytest.mark.parametrize("sigma", [(2, 1), (1, 2, 3, 5), (2, 1, 3, 4, 5),
+                                   (1, 1, 2, 3), "1234", None])
+def test_symmetric_action_takes_only_permutations_of_the_arity(sigma):
+    bc = reduced_bar(builtin("com", 4), 4)
+    with pytest.raises(ValidationError, match="arity 4"):
+        symmetric_action(bc, sigma)
 
 
 def _binary_only(max_arity):
@@ -486,6 +689,13 @@ class TestModuleStructureMaps:
         runit = unit_module(qcom, RIGHT_COMODULE)
         cc = cobar_complex(runit, qcom, sphere, 3)
         assert check_unary_action_is_identity(cc, {})
+
+    @pytest.mark.parametrize("blocks", [
+        [(1, 2), (2, 3)], [(1, 2), (1, 2, 3)], [(1, 2), (1, 2), (3,)],
+        [(1, 2, 3), ()], [(1, 2)], [(1, 2), (3, 4)]])
+    def test_blocks_must_partition_the_arity(self, blocks):
+        with pytest.raises(ValidationError, match="partition"):
+            module_structure_maps(_sphere_cobar(3), blocks, {})
 
     def test_bar_side_comodule_maps_verify(self, com):
         sphere = builtin_sphere_module(2, 4)

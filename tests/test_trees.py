@@ -36,8 +36,11 @@ from opbar.trees import (
     parse_tree,
     relabel,
     single_edge_tree,
+    renumber,
     standard_tree_count,
+    subtree_index,
     supported_trees,
+    ungraft_at,
     ungraft_partition,
     w_cell_complex,
 )
@@ -184,8 +187,8 @@ class TestCovers:
         assert kinds == sorted([INTERNAL_EDGE, ROOT_EDGE, BUD])
 
     def test_zero_vertex_tree_has_no_covers(self):
-        assert covers(t("([1],[2],[3])")) == []
-        assert covers(t("([1,2,3])")) == []
+        assert covers(t("([1],[2],[3])")) == ()
+        assert covers(t("([1,2,3])")) == ()
 
     def test_covers_drop_exactly_one_vertex(self):
         for tree in enumerate_trees(4, GENERALIZED, max_labels=4):
@@ -374,6 +377,70 @@ class TestGrafting:
                 ungraft_partition(tree, blocks)
 
 
+def _full_walk_ungraft(v, blocks):
+    """Reference for ungraft_partition on valid blocks: the single walk it
+    made before it was split into subtree_index and ungraft_at."""
+    blocks = [tuple(sorted(b)) for b in blocks]
+    at = {}
+
+    def index(node, path):
+        labs = frozenset(node[1]) if node[0] == "L" else frozenset().union(
+            *(index(c, path + (i,)) for i, c in enumerate(node[1])))
+        at[labs] = path
+        return labs
+
+    for i, child in enumerate(v.root_children):
+        index(child, (i,))
+    cuts = [at.get(frozenset(block)) for block in blocks]
+    if None in cuts:
+        return None
+    children = v.root_children
+    for cut, block in zip(cuts, blocks):
+        children = _replace_at(children, cut, (("L", (block[0],)),))
+    return (renumber(_tree(children)),
+            [_tree((v.node_at(c),)) for c in cuts], cuts)
+
+
+def _disjoint_families(labels):
+    """Every family of disjoint nonempty blocks of labels, blocks in
+    least-label order."""
+    for r in range(1, len(labels) + 1):
+        for subset in itertools.combinations(labels, r):
+            yield from set_partitions(subset)
+
+
+def _index_and_cut(v, blocks):
+    at = subtree_index(v)
+    keys = [tuple(sorted(b)) for b in blocks]
+    if not all(key in at for key in keys):
+        return None
+    cuts = [at[key] for key in keys]
+    return (*ungraft_at(v, cuts), cuts)
+
+
+class TestSubtreeIndexAndCut:
+    @pytest.mark.parametrize("species,n", [
+        (STANDARD, 1), (STANDARD, 2), (STANDARD, 3), (STANDARD, 4),
+        (STANDARD, 5), (GENERALIZED, 3), (GENERALIZED, 4)])
+    def test_matches_the_full_walk(self, species, n):
+        # Each family in least-label order, and reversed for
+        # ungraft_partition: the blocks' order only orders the parts.
+        families = list(_disjoint_families(tuple(range(1, n + 1))))
+        for tree in enumerate_trees(n, species):
+            for blocks in families:
+                want = _full_walk_ungraft(tree, blocks)
+                assert _index_and_cut(tree, blocks) == want, (tree, blocks)
+                back = ungraft_partition(tree, blocks[::-1])
+                assert back == (want and (want[0], want[1][::-1],
+                                          want[2][::-1])), (tree, blocks)
+
+    def test_index_covers_every_node_below_the_root(self):
+        tree = t("((([1],[2]),[3]),[4,5])")
+        assert subtree_index(tree) == {
+            (1, 2, 3): (0,), (1, 2): (0, 0), (1,): (0, 0, 0),
+            (2,): (0, 0, 1), (3,): (0, 1), (4, 5): (1,)}
+
+
 def _regraft(tree, blocks, res):
     """Graft the parts of res back into its skeleton, relabelled back onto
     tree's labels with each cut leaf labelled by its block's least label."""
@@ -480,3 +547,23 @@ class TestWeightingComplex:
     def test_bound(self):
         with pytest.raises(BoundsError):
             w_cell_complex(t("(([1],[2]))"), max_vertices=0)
+
+    def test_down_set_and_cells_share_one_collapse_per_move(
+            self, monkeypatch):
+        from opbar import trees
+        calls = []
+        collapse_once = trees.collapse
+
+        def counted(tree, kind, path):
+            calls.append((tree, kind, path))
+            return collapse_once(tree, kind, path)
+
+        monkeypatch.setattr(trees, "collapse", counted)
+        covers.cache_clear()
+        down_set.cache_clear()
+        tree = t("(((([1],[2]),[3]),[4]),[5])")
+        w_cell_complex(tree)
+        moves = [(u, kind, path) for u in down_set(tree)
+                 for kind, path in collapse_moves(u)]
+        assert sorted(calls, key=repr) == sorted(moves, key=repr)
+        assert isinstance(covers(tree), tuple)
