@@ -12,29 +12,42 @@ The differential, the symmetric action and the ungrafting maps below all
 carry a tree's slot decorations along a map of trees (a collapse, a
 relabelling or a cut) given as a plan: one item per target slot, naming
 the source slots it copies or sends through a structure matrix.  One
-evaluator, _plan_terms, expands a plan over every decoration; a term's
-coefficient is the tree map's orientation sign, times the Koszul sign of
-reordering the graded decorations into the target's slot order, times
-the matrix entries.  The differential sums the collapse moves whose merged
-slot stays in its support.  Every move reads its matrix from the operad
-form of the structure (opalg.operad_form), so bar and cobar complexes
-share one plan; cobar complexes run the covers backwards, with tree
-degrees recorded negatively.  Assembly records each tree's slots,
-decorations and the position of each decorated tree in its degree with
-the basis, so the differential looks up no label; the complex keeps only
-the slots, and a tree's slot positions by key live only while its moves
-are assembled.
+evaluator, _plan_terms, expands a plan over every decoration.
+_decorations lists a tree's decorations in row-major order, so a
+decoration's flat index is its position in the list, and the evaluator
+yields (source flat index, t, target flat index, coefficient): copies fill
+the target index through its strides, and only the apply items are
+expanded.  A term's coefficient is the tree map's orientation sign, times
+the Koszul sign of reordering the graded decorations into the target's
+slot order (once per degree tuple), times the matrix entries.
+
+Assembly walks each basis tree once (trees.slot_walk) and records its
+vertex paths and nodes, its leaves, its slot sizes, its decorations and
+the position of the tree with each decoration in its degree.  The
+differential sums the collapse moves whose merged slot stays in its
+support, and each move is integer work on these records: the engine
+trees._collapse gives the target's root children (the key of its record),
+the sign and the target's vertices as source vertex indices, from which
+the plan's copies are read, with no Tree, label or path lookup.  The
+merged slot's matrix, the structure's partial in operad form
+(opalg.operad_form) times the child-reorder action, is built once per
+(outer slot, m_out, insert_pos, k_inner, tau) in a dict local to one
+complex.  Bar and cobar complexes share one plan: cobar complexes run the
+covers backwards, with tree degrees recorded negatively.  The complex
+keeps only its basis trees; the records live while its differential is
+assembled.
 
 The structure maps and the symmetric action read one record per basis
 tree (_TreeRecord), built the first time one of them asks for the tree
 and then kept by its complex; assembly and reduction build none.  A
-record holds the tree's vertex paths, the path of the node carrying each
-label set (trees.subtree_index), the slot positions by vertex path and
-by leaf labels, the slot sizes, the _decorations list, and the (degree,
-position) of the tree with each decoration by flat decoration index,
-looked up in the complex's module once, when the record is built.  The
-maps then read positions and look up no label.  The records belong to
-the complex, so no cache can hand one structure's records to another.
+record holds the tree's vertex paths and leaves (trees.slot_walk), the
+path of the node carrying each label set (trees.subtree_index), the slot
+positions by vertex path and by leaf labels, the slot sizes, the
+_decorations list, and the (degree, position) of the tree with each
+decoration by flat decoration index, looked up in the complex's module
+once, when the record is built.  The maps then read positions and look up
+no label.  The records belong to the complex, so no cache can hand one
+structure's records to another.
 
 One ungrafting engine builds the cooperad structure of B(P), the operad
 structure of the cobar construction and the module structure maps of a
@@ -43,7 +56,8 @@ A tree with no subtree on some block is dropped at that block's lookup
 in its record; the others are cut at the recorded paths
 (trees.ungraft_at).  Each term is the source's (degree, position), the
 tuple of the factors' global basis indices, which the tensor product's
-tensor_index turns into a position, and the coefficient.  A basis
+tensor_index turns into a position (each factor's flat index comes from
+the target flat index by divmod), and the coefficient.  A basis
 element is its vertex orientation tensored with its slot decorations,
 so each term carries the sign splitting the orientation, the Koszul sign
 of reordering the decorations, and (-1)^(s_j t_i) for every i < j, as
@@ -71,7 +85,6 @@ from .exactla import (
     ExactMatrix,
     GradedFreeModule,
     HomologySummary,
-    flatten_index,
     homology,
     homology_coordinates,
     homology_representatives,
@@ -118,42 +131,49 @@ class BarBasisLabel:
         return f"<{self.tree.serialize()}|{dec}|s={self.tree_degree},t={self.internal_degree}>"
 
 
-def _slot_plan(tree, r_mod, p, l_mod):
-    """Ordered slots of a tree: root, vertices (DFS), leaves (min label)."""
-    slots = [("root", None, r_mod.component(len(tree.root_children)))]
-    for path in tree.vertex_paths():
-        arity = len(tree.node_at(path)[1])
-        slots.append(("v", path, p.component(arity)))
-    for _path, labels in tree.leaves():
-        slots.append(("leaf", labels, l_mod.component(len(labels))))
-    return slots
+def _components(r_mod, p, l_mod, arity):
+    """The components of r_mod, p and l_mod by arity 0..arity, read once."""
+    return tuple([seq.component(n) for n in range(arity + 1)]
+                 for seq in (r_mod, p, l_mod))
+
+
+def _slot_modules(tree, nodes, leaves, components):
+    """The modules of a tree's slots, root, vertices (depth-first), leaves
+    (least label), from trees.slot_walk's nodes and leaves."""
+    root, vertex, leaf = components
+    return ([root[len(tree.root_children)]]
+            + [vertex[len(node[1])] for node in nodes]
+            + [leaf[len(labels)] for labels in leaves])
 
 
 class _TreeRecord:
     """One basis tree of a complex as its structure maps read it.
 
-    paths are the vertex paths in the canonical VertexOrder, subtrees maps
-    the sorted labels of every node to its path (trees.subtree_index),
+    paths and leaves are trees.slot_walk's vertex paths (the canonical
+    VertexOrder) and leaf labels (by least label), subtrees maps the
+    sorted labels of every node to its path (trees.subtree_index),
     vertex_slot and leaf_slot map a vertex path and a leaf's labels to
     their slot's position (the root slot is 0), sizes are the slots'
     ranks, decorations is the _decorations list, and at[k] is the (total
     degree, position in that degree) of the tree with its k-th
-    decoration, k the flat index (flatten_index over sizes).
+    decoration, k the flat (row-major) index.
     """
 
-    __slots__ = ("paths", "subtrees", "slots", "vertex_slot", "leaf_slot",
+    __slots__ = ("paths", "leaves", "subtrees", "vertex_slot", "leaf_slot",
                  "sizes", "decorations", "at")
 
     def __init__(self, bc, tree):
-        slots = self.slots = bc._slots[tree]
-        self.paths = [key for kind, key, _m in slots if kind == "v"]
+        paths, nodes, leaves = tr.slot_walk(tree)
+        modules = _slot_modules(tree, nodes, leaves, _components(
+            bc.r_coeff, bc.op, bc.l_coeff, bc.arity))
+        self.paths, self.leaves = paths, leaves
         self.subtrees = tr.subtree_index(tree)
-        self.vertex_slot = {path: i + 1 for i, path in enumerate(self.paths)}
-        self.leaf_slot = {key: i for i, (kind, key, _m) in enumerate(slots)
-                          if kind == "leaf"}
-        self.sizes = [s[2].total_rank() for s in slots]
-        self.decorations = _decorations(slots)
-        s_deg, module = len(self.paths), bc.complex.module
+        self.vertex_slot = {path: i + 1 for i, path in enumerate(paths)}
+        self.leaf_slot = {labels: i for i, labels in enumerate(
+            leaves, start=len(paths) + 1)}
+        self.sizes = tuple(m.total_rank() for m in modules)
+        self.decorations = _decorations(modules)
+        s_deg, module = len(paths), bc.complex.module
         self.at = []
         for decor, _degs, t in self.decorations:
             d = _total_degree(bc.kind, s_deg, t)
@@ -164,16 +184,16 @@ class _TreeRecord:
 class BarComplex:
     """A bar or cobar chain complex with bigrading metadata.
 
-    slot_cache maps each basis tree, in serialization order, to its slots.
-    A tree's _TreeRecord is built on first use and kept.
+    trees are the basis trees in serialization order.  A tree's
+    _TreeRecord is built on first use and kept.
     """
 
-    def __init__(self, kind, arity, complex_, slot_cache,
+    def __init__(self, kind, arity, complex_, trees,
                  r_coeff=None, op=None, l_coeff=None):
         self.kind = kind
         self.arity = arity
         self.complex = complex_
-        self._slots = slot_cache
+        self._trees = dict.fromkeys(trees)
         self._records = {}
         self.r_coeff = r_coeff
         self.op = op
@@ -188,12 +208,12 @@ class BarComplex:
 
     def trees(self):
         """The basis trees in serialization order."""
-        return tuple(self._slots)
+        return tuple(self._trees)
 
     def record(self, tree):
         """The _TreeRecord of a basis tree, or None for any other tree."""
         rec = self._records.get(tree)
-        if rec is None and tree in self._slots:
+        if rec is None and tree in self._trees:
             rec = self._records[tree] = _TreeRecord(self, tree)
         return rec
 
@@ -241,56 +261,89 @@ def _total_degree(kind, tree_degree, internal_degree):
     return (tree_degree if kind == BAR else -tree_degree) + internal_degree
 
 
-def _decorations(slots):
+def _decorations(modules):
     """(decoration, slot degrees, internal degree) for every decoration of
-    slots, in lexicographic order; equal degree tuples are one object."""
+    slots with these modules, in row-major order, so a decoration's flat
+    index is its position in the list; equal degree tuples are one
+    object."""
     out = []
     shared = {}
-    for decor in itertools.product(*(range(s[2].total_rank()) for s in slots)):
-        degs = tuple(s[2].degree_of(i) for s, i in zip(slots, decor))
+    for decor in itertools.product(*(range(m.total_rank()) for m in modules)):
+        degs = tuple(m.degree_of(i) for m, i in zip(modules, decor))
         degs = shared.setdefault(degs, degs)
         out.append((decor, degs, sum(degs)))
     return out
 
 
-def _plan_terms(decorations, plan, sign):
+def _strides(sizes):
+    """Row-major strides of a sequence of ranks: a multi-index's flat
+    index is its dot product with them."""
+    out = [1] * len(sizes)
+    for j in range(len(sizes) - 1, 0, -1):
+        out[j - 1] = out[j] * sizes[j]
+    return out
+
+
+def _plan_terms(decorations, plan, sign, sizes):
     """Carry every decoration of a tree along a plan; the one expansion loop.
 
-    plan has one item per target slot: ("copy", p) takes source slot p's
-    basis index, ("unit",) the index 0 of a unit slot, and ("apply",
-    positions, matrix, sizes) the column of matrix at the source slots'
-    indices flattened row-major over sizes.  Read in target order, the
-    plan lists every source slot once; this slot permutation is computed
-    once per plan.  Its Koszul sign on a decoration is (-1) to the number
-    of pairs of odd-degree decorations that trade places.  Yields
-    (decoration, internal degree, target decoration, coefficient) for
-    each entry of decorations (_decorations of the source slots), the
-    coefficient being sign times the Koszul sign times the matrix entries.
+    plan has one item per target slot, whose ranks are sizes: ("copy", p)
+    takes source slot p's basis index, ("unit",) the index 0 of a unit
+    slot, and ("apply", positions, matrix, in_sizes) the column of matrix
+    at the source slots' indices flattened row-major over in_sizes.  Read
+    in target order, the plan must list every source slot once.  Its
+    Koszul sign on a decoration is (-1) to the number of pairs of
+    odd-degree decorations that trade places, computed once per degree
+    tuple.  Yields (k, internal degree, target flat index, coefficient)
+    for the k-th entry of decorations (_decorations of the source slots,
+    so k is its flat index), the target flat index row-major over sizes
+    and the coefficient sign times the Koszul sign times the matrix
+    entries.  The copies fill a template through the target strides, and
+    only the apply items are expanded; slots of rank one add nothing.
     """
-    order = [q for item in plan if item[0] != "unit"
-             for q in (item[1] if item[0] == "apply" else (item[1],))]
+    if not decorations:
+        return
+    order, copies, applies = [], [], []
+    for item, size, stride in zip(plan, sizes, _strides(sizes)):
+        if item[0] == "copy":
+            order.append(item[1])
+            if size > 1:
+                copies.append((item[1], stride))
+        elif item[0] == "apply":
+            _tag, positions, matrix, in_sizes = item
+            order.extend(positions)
+            applies.append((tuple(
+                (q, s) for q, s, n in zip(positions, _strides(in_sizes),
+                                          in_sizes) if n > 1),
+                matrix.column, stride))
+    if sorted(order) != list(range(len(decorations[0][0]))):
+        raise InternalConsistencyError("plan does not cover all slots")
     perm = [0] * len(order)
     for target, q in enumerate(order):
         perm[q] = target
-    for decor, degs, t in decorations:
-        # The odd slots' target positions, in source order.
-        koszul = sign * perm_sign([perm[q] for q, d in enumerate(degs)
-                                   if d % 2])
+    signs = {}
+    for k, (decor, degs, t) in enumerate(decorations):
+        koszul = signs.get(degs)
+        if koszul is None:
+            # The odd slots' target positions, in source order.
+            koszul = signs[degs] = sign * perm_sign(
+                [perm[q] for q, d in enumerate(degs) if d % 2])
+        base = 0
+        for q, stride in copies:
+            base += decor[q] * stride
         factors = []
-        for item in plan:
-            if item[0] == "copy":
-                factors.append(((decor[item[1]], 1),))
-            elif item[0] == "unit":
-                factors.append(((0, 1),))
-            else:
-                _tag, positions, matrix, sizes = item
-                factors.append(tuple(matrix.column(flatten_index(
-                    sizes, [decor[q] for q in positions])).items()))
+        for inputs, column, stride in applies:
+            at = 0
+            for q, s in inputs:
+                at += decor[q] * s
+            factors.append([(idx * stride, c) for idx, c in
+                            column(at).items()])
         for combo in itertools.product(*factors):
-            coeff = koszul
-            for _idx, c in combo:
+            coeff, flat = koszul, base
+            for idx, c in combo:
                 coeff *= c
-            yield decor, t, tuple(idx for idx, _c in combo), coeff
+                flat += idx
+            yield k, t, flat, coeff
 
 
 def bar_complex(r_mod, p, l_mod, arity, ring=None):
@@ -335,123 +388,113 @@ def _tree_complex(kind, r_mod, p, l_mod, arity, ring=None):
         raise ValidationError(f"arity {arity} exceeds max_arity {p.max_arity}")
     supports = {slot: {n for n in range(1, arity + 1) if seq.rank(n)}
                 for slot, seq in (("root", r_mod), ("v", p), ("leaf", l_mod))}
-    # Per tree, keyed by its root children: (tree, vertex count, slots,
-    # decorations, each decoration's position within its degree).
+    components = _components(r_mod, p, l_mod, arity)
+    # Per tree, keyed by its root children: (tree, vertex paths, vertex
+    # nodes, leaf labels, slot sizes, decorations, each decoration's
+    # position within its degree).
     table = {}
     spaces = {}
     for tree in tr.supported_trees(arity, supports["root"], supports["v"],
                                    supports["leaf"]):
-        slots = _slot_plan(tree, r_mod, p, l_mod)
-        decs = _decorations(slots)
-        s_deg = tree.n_vertices
+        paths, nodes, leaves = tr.slot_walk(tree)
+        modules = _slot_modules(tree, nodes, leaves, components)
+        decs = _decorations(modules)
+        s_deg = len(paths)
         positions = []
         for decor, _degs, t_deg in decs:
             labels = spaces.setdefault(_total_degree(kind, s_deg, t_deg), [])
             positions.append(len(labels))
             labels.append(BarBasisLabel(tree, decor, s_deg, t_deg))
-        table[tree.root_children] = (tree, s_deg, slots, decs, positions)
+        table[tree.root_children] = (tree, paths, nodes, leaves, tuple(
+            m.total_rank() for m in modules), decs, positions)
     module = GradedFreeModule(spaces)
 
+    collapse = tr._collapse
+    # Merged-slot matrices of edge collapses, by (outer slot kind, m_out,
+    # insert_pos, k_inner, tau); local to this complex.
+    merged = {}
     entries = {}
-    for tree, s_big, slots, decs, pos_big in table.values():
-        src_pos = {(skind, skey): i
-                   for i, (skind, skey, _m) in enumerate(slots)}
-        sizes = [s[2].total_rank() for s in slots]
+    for tree, paths, nodes, leaves, sizes, decs, pos_big in table.values():
+        s_big = len(paths)
+        leaf_copies = [("copy", q) for q in range(s_big + 1, len(sizes))]
         # Total degree, less t, of a differential's source: the tree for a
         # bar complex, the collapsed tree for a cobar complex.
         d_src = _total_degree(kind, s_big if kind == BAR else s_big - 1, 0)
-        for move_kind, path in tr.collapse_moves(tree):
-            slot, merged_arity = _merged_slot(tree, move_kind, path)
-            if merged_arity not in supports[slot]:
-                continue
-            res = tr.collapse(tree, move_kind, path)
-            _t, _s, slots_small, _d, pos_small = table[res.tree.root_children]
-            sizes_small = [s[2].total_rank() for s in slots_small]
-            plan = _move_slot_plan(tree, res, move_kind, path, r_mod, p,
-                                   l_mod, src_pos, slots_small)
-            for decor, t, small_dec, coeff in _plan_terms(decs, plan,
-                                                          res.move.sign):
-                big = pos_big[flatten_index(sizes, decor)]
-                small = pos_small[flatten_index(sizes_small, small_dec)]
-                key = (small, big) if kind == BAR else (big, small)
-                row = entries.setdefault(d_src + t, {})
-                row[key] = row.get(key, 0) + coeff
-    slot_cache = {tree: slots for tree, _s, slots, _d, _p in table.values()}
+        for at, (path, node) in enumerate(zip(paths, nodes)):
+            moves = []
+            k_inner = len(node[1])
+            if len(path) == 1:
+                outer, m_out, host = "root", len(tree.root_children), -1
+            else:
+                outer, host = "v", paths.index(path[:-1])
+                m_out = len(nodes[host][1])
+            if m_out + k_inner - 1 in supports[outer]:
+                moves.append(tr.ROOT_EDGE if outer == "root"
+                             else tr.INTERNAL_EDGE)
+            if all(c[0] == "L" for c in node[1]) and sum(
+                    len(c[1]) for c in node[1]) in supports["leaf"]:
+                moves.append(tr.BUD)
+            for move_kind in moves:
+                children, sign, order, ins, tau = collapse(
+                    tree, move_kind, path, paths)
+                *_entry, sizes_small, _d, pos_small = table[children]
+                if move_kind == tr.BUD:
+                    plan = _bud_plan(node, leaves, at, order, l_mod, p)
+                else:
+                    merge = (outer, m_out, ins, k_inner, tau)
+                    apply = merged.get(merge)
+                    if apply is None:
+                        apply = merged[merge] = _merged_matrix(
+                            r_mod if outer == "root" else p, p, m_out, ins,
+                            k_inner, tau)
+                    item = ("apply", (host + 1, at + 1)) + apply
+                    plan = [item if host == -1 else ("copy", 0)]
+                    plan.extend(item if j == host else ("copy", j + 1)
+                                for j in order)
+                    plan.extend(leaf_copies)
+                for k, t, flat, coeff in _plan_terms(decs, plan, sign,
+                                                     sizes_small):
+                    key = ((pos_small[flat], pos_big[k]) if kind == BAR
+                           else (pos_big[k], pos_small[flat]))
+                    row = entries.setdefault(d_src + t, {})
+                    row[key] = row.get(key, 0) + coeff
+    trees = [entry[0] for entry in table.values()]
     del table  # The matrices below are built without it.
     return BarComplex(kind, arity, ChainComplex.from_entries(
-        module, entries, ring), slot_cache, r_coeff=r_mod, op=p, l_coeff=l_mod)
+        module, entries, ring), trees, r_coeff=r_mod, op=p, l_coeff=l_mod)
 
 
-def _merged_slot(tree, move_kind, path):
-    """(slot kind, arity) of the slot a collapse move merges into: the
-    leaf of a bud, the root of a root edge, the parent of an inner edge."""
-    node = tree.node_at(path)
-    if move_kind == tr.BUD:
-        return "leaf", sum(len(c[1]) for c in node[1])
-    if move_kind == tr.ROOT_EDGE:
-        return "root", len(tree.root_children) + len(node[1]) - 1
-    return "v", len(tree.node_at(path[:-1])[1]) + len(node[1]) - 1
+def _merged_matrix(outer, p, m_out, insert_pos, k_inner, tau):
+    """(matrix, input sizes) of an edge collapse's merged slot: the partial
+    composition in operad form followed by the child-reorder action tau;
+    for cobar complexes the operad form is the transposed cocomposition,
+    which supplies the cocomposition coefficients."""
+    form = operad_form(outer)
+    matrix = form.partial(m_out, insert_pos, k_inner)
+    if any(tau[i] != i for i in range(len(tau))):
+        matrix = form.action(m_out + k_inner - 1,
+                             tuple(t + 1 for t in tau)) * matrix
+    return matrix, (outer.rank(m_out), p.rank(k_inner))
 
 
-def _move_slot_plan(tree, res, move_kind, path, r_mod, p, l_mod,
-                    src_pos, slots_tgt):
-    """The _plan_terms plan of one collapse move, uncollapsed to collapsed,
-    from the source's slot positions by key and the target's slots.
-
-    The apply matrix is the structure map in operad form followed by the
-    child-reorder action at the merged slot; for cobar complexes the
-    operad form is the transposed cocomposition, which supplies the
-    cocomposition coefficients.
-    """
-    old_path = {new: old for old, new in res.vertex_map.items()}
-    node = tree.node_at(path)
-
-    if move_kind == tr.BUD:
-        blocks = [c[1] for c in node[1]]
-        union = tuple(sorted(x for b in blocks for x in b))
-        rel = canonical_partition(
-            [tuple(sorted(union.index(x) + 1 for x in b)) for b in blocks])
-        matrix = operad_form(l_mod).left_action(rel)
-        consumed = [src_pos[("v", path)]] + [src_pos[("leaf", b)]
-                                             for b in blocks]
-        sizes = [p.rank(len(blocks))] + [l_mod.rank(len(b)) for b in blocks]
-        merged_key = ("leaf", union)
-    else:
-        k_inner = len(node[1])
-        if move_kind == tr.ROOT_EDGE:
-            outer, outer_key = r_mod, ("root", None)
-            m_out = len(tree.root_children)
-            merged_key = outer_key
-        else:
-            outer, outer_key = p, ("v", path[:-1])
-            m_out = len(tree.node_at(path[:-1])[1])
-            merged_key = ("v", res.vertex_map[path[:-1]])
-        form = operad_form(outer)
-        matrix = form.partial(m_out, res.insert_pos, k_inner)
-        tau = res.child_perm
-        if any(tau[i] != i for i in range(len(tau))):
-            matrix = form.action(m_out + k_inner - 1,
-                                 tuple(t + 1 for t in tau)) * matrix
-        consumed = [src_pos[outer_key], src_pos[("v", path)]]
-        sizes = [outer.rank(m_out), p.rank(k_inner)]
-
-    plan = []
-    used = set()
-    for tkind, tkey, _m in slots_tgt:
-        if (tkind, tkey) == merged_key:
-            plan.append(("apply", tuple(consumed), matrix, tuple(sizes)))
-            used.update(consumed)
-        elif tkind == "root":
-            plan.append(("copy", src_pos[("root", None)]))
-            used.add(src_pos[("root", None)])
-        elif tkind == "v":
-            plan.append(("copy", src_pos[("v", old_path[tkey])]))
-            used.add(src_pos[("v", old_path[tkey])])
-        else:
-            plan.append(("copy", src_pos[("leaf", tkey)]))
-            used.add(src_pos[("leaf", tkey)])
-    if used != set(range(len(src_pos))):
-        raise InternalConsistencyError("collapse plan does not cover all slots")
+def _bud_plan(node, leaves, at, order, l_mod, p):
+    """The plan of a bud collapse at the at-th vertex, node: the left
+    action merges the vertex and its leaves, in the place of its least
+    leaf; every other slot is copied (order is _collapse's vertex order)."""
+    blocks = [c[1] for c in node[1]]
+    union = tuple(sorted(x for b in blocks for x in b))
+    rel = canonical_partition(
+        [tuple(sorted(union.index(x) + 1 for x in b)) for b in blocks])
+    first = len(order) + 2
+    inputs = [at + 1] + [first + leaves.index(b) for b in blocks]
+    item = ("apply", tuple(inputs), operad_form(l_mod).left_action(rel),
+            (p.rank(len(blocks)),) + tuple(l_mod.rank(len(b)) for b in blocks))
+    plan = [("copy", 0)] + [("copy", j + 1) for j in order]
+    for q, labels in enumerate(leaves, start=first):
+        if labels == blocks[0]:
+            plan.append(item)
+        elif q not in inputs:
+            plan.append(("copy", q))
     return plan
 
 
@@ -527,36 +570,37 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity, ring=None):
     """
     _check_inputs(BAR, r_mod, p, l_mod)
     ring = ring or p.ring
-    slot_cache = {}
-    decorations = {}
+    # Per chain: (slots, slot sizes, decorations, each decoration's
+    # position within its degree).
+    table = {}
     spaces = {}
     for chain in _strict_chains(arity):
         slots = _chain_slots(chain, r_mod, p, l_mod)
-        if any(s[2].total_rank() == 0 for s in slots):
+        sizes = tuple(s[2].total_rank() for s in slots)
+        if 0 in sizes:
             continue
-        slot_cache[chain] = slots
-        decorations[chain] = _decorations(slots)
-        for decor, _degs, t in decorations[chain]:
-            spaces.setdefault(len(chain) - 1 + t, []).append(
-                SimplicialBarLabel(chain, decor))
+        decs = _decorations([s[2] for s in slots])
+        positions = []
+        for decor, _degs, t in decs:
+            labels = spaces.setdefault(len(chain) - 1 + t, [])
+            positions.append(len(labels))
+            labels.append(SimplicialBarLabel(chain, decor))
+        table[chain] = (slots, sizes, decs, positions)
     module = GradedFreeModule(spaces)
 
     entries = {}
-    for chain, slots in slot_cache.items():
+    for chain, (slots, _sizes, decs, pos_src) in table.items():
         k = len(chain) - 1
         for i_face in range(k + 1):
             j_del = k - i_face
             tgt_chain = chain[:j_del] + chain[j_del + 1:]
-            if tgt_chain not in slot_cache:
+            if tgt_chain not in table:
                 continue
-            plan = _face_plan(chain, j_del, slots, slot_cache[tgt_chain],
-                              r_mod, p, l_mod)
-            for decor, t, tgt_dec, coeff in _plan_terms(
-                    decorations[chain], plan, -1 if i_face % 2 else 1):
-                src = SimplicialBarLabel(chain, decor)
-                tgt = SimplicialBarLabel(tgt_chain, tgt_dec)
-                key = (module.position(k - 1 + t, tgt),
-                       module.position(k + t, src))
+            slots_tgt, sizes_tgt, _d, pos_tgt = table[tgt_chain]
+            plan = _face_plan(chain, j_del, slots, slots_tgt, r_mod, p, l_mod)
+            for k_src, t, flat, coeff in _plan_terms(
+                    decs, plan, -1 if i_face % 2 else 1, sizes_tgt):
+                key = (pos_tgt[flat], pos_src[k_src])
                 row = entries.setdefault(k + t, {})
                 row[key] = row.get(key, 0) + coeff
     return ChainComplex.from_entries(module, entries, ring)
@@ -666,28 +710,25 @@ def symmetric_action(bc, sigma):
         tgt = bc.record(new_tree)
         old_path = {new: old for old, (new, _tau) in moves.items()}
 
-        plan = []
-        for tkind, tkey, _tmod in tgt.slots:
-            if tkind == "root":
-                tau = moves[()][1]
-                matrix = r_mod.action(len(tau), tuple(t + 1 for t in tau))
-                plan.append(("apply", (0,), matrix, (matrix.ncols,)))
-            elif tkind == "v":
-                old = old_path[tkey]
-                tau = moves[old][1]
-                matrix = p.action(len(tau), tuple(t + 1 for t in tau))
-                plan.append(("apply", (src.vertex_slot[old],), matrix,
-                             (matrix.ncols,)))
-            else:
-                old_labels = tuple(sorted(inv[x] for x in tkey))
-                pi = block_sort_perm([smap[x] for x in old_labels])
-                matrix = l_mod.action(len(tkey), tuple(t + 1 for t in pi))
-                plan.append(("apply", (src.leaf_slot[old_labels],),
-                             matrix, (matrix.ncols,)))
-        for decor, _t, tgt_dec, coeff in _plan_terms(src.decorations, plan,
-                                                     tree_sign):
-            d, j = src.at[flatten_index(src.sizes, decor)]
-            _d, i = tgt.at[flatten_index(tgt.sizes, tgt_dec)]
+        tau = moves[()][1]
+        matrix = r_mod.action(len(tau), tuple(t + 1 for t in tau))
+        plan = [("apply", (0,), matrix, (matrix.ncols,))]
+        for path in tgt.paths:
+            old = old_path[path]
+            tau = moves[old][1]
+            matrix = p.action(len(tau), tuple(t + 1 for t in tau))
+            plan.append(("apply", (src.vertex_slot[old],), matrix,
+                         (matrix.ncols,)))
+        for labels in tgt.leaves:
+            old_labels = tuple(sorted(inv[x] for x in labels))
+            pi = block_sort_perm([smap[x] for x in old_labels])
+            matrix = l_mod.action(len(labels), tuple(t + 1 for t in pi))
+            plan.append(("apply", (src.leaf_slot[old_labels],), matrix,
+                         (matrix.ncols,)))
+        for k, _t, flat, coeff in _plan_terms(src.decorations, plan,
+                                              tree_sign, tgt.sizes):
+            d, j = src.at[k]
+            _d, i = tgt.at[flat]
             row = entries.setdefault(d, {})
             row[(i, j)] = row.get((i, j), 0) + coeff
     return {d: ExactMatrix(bc.complex.rank(d), bc.complex.rank(d),
@@ -793,32 +834,30 @@ def _split_terms(bc, skeleton, parts, blocks):
 
         plan = []
         for j, f_rec in enumerate(f_recs):
-            vpath = dict(zip(f_rec.paths, groups[j]))
-            for kind, key, _m in f_rec.slots:
-                if kind == "v":
-                    plan.append(("copy", rec.vertex_slot[vpath[key]]))
-                elif kind == "root":
-                    plan.append(("unit",) if j else ("copy", 0))
-                else:
-                    orig = (tuple(blocks[j - 1][x - 1] for x in key) if j
-                            else tuple(kept[x - 1] for x in key))
-                    plan.append(("unit",) if not j and orig in heads else
-                                ("copy", rec.leaf_slot[orig]))
-
-        for decor, _t, tgt_dec, coeff in _plan_terms(rec.decorations, plan,
-                                                     base_sign):
+            # Each factor's vertices are V's, in the factor's vertex order.
+            plan.append(("unit",) if j else ("copy", 0))
+            plan.extend(("copy", rec.vertex_slot[path]) for path in groups[j])
+            for key in f_rec.leaves:
+                orig = (tuple(blocks[j - 1][x - 1] for x in key) if j
+                        else tuple(kept[x - 1] for x in key))
+                plan.append(("unit",) if not j and orig in heads else
+                            ("copy", rec.leaf_slot[orig]))
+        totals = [len(f_rec.decorations) for f_rec in f_recs]
+        sizes = [size for f_rec in f_recs for size in f_rec.sizes]
+        index = [0] * len(f_recs)
+        for k, _t, flat, coeff in _plan_terms(rec.decorations, plan,
+                                              base_sign, sizes):
+            for j in range(len(f_recs) - 1, -1, -1):
+                flat, index[j] = divmod(flat, totals[j])
             combo = []
-            offset = t_before = 0
-            for f_rec, off in zip(f_recs, offsets):
-                k = flatten_index(f_rec.sizes, tgt_dec[offset:])
-                offset += len(f_rec.sizes)
-                d_f, p_f = f_rec.at[k]
+            t_before = 0
+            for f_rec, off, f_k in zip(f_recs, offsets, index):
+                d_f, p_f = f_rec.at[f_k]
                 combo.append(off(d_f) + p_f)
                 if len(f_rec.paths) * t_before % 2:
                     coeff = -coeff
-                t_before += f_rec.decorations[k][2]
-            out.append((rec.at[flatten_index(rec.sizes, decor)],
-                        tuple(combo), coeff))
+                t_before += f_rec.decorations[f_k][2]
+            out.append((rec.at[k], tuple(combo), coeff))
     return out
 
 

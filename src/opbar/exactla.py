@@ -307,17 +307,20 @@ def smith_normal_form(mat):
     if mat.ring != INT:
         raise ValidationError("smith_normal_form requires ring Z")
     diag = _snf_diagonal(_integer_rows(mat))
-    # diag(a, b) is equivalent to diag(gcd(a,b), lcm(a,b)); bubble until chained.
+    # A unit divides every entry, so only the entries > 1 need chaining:
+    # diag(a, b) is equivalent to diag(gcd(a,b), lcm(a,b)); bubble until
+    # chained.
+    chain = [v for v in diag if v != 1]
     changed = True
     while changed:
         changed = False
-        for a in range(len(diag)):
-            for b in range(a + 1, len(diag)):
-                if diag[b] % diag[a] != 0:
-                    g = gcd(diag[a], diag[b])
-                    diag[a], diag[b] = g, diag[a] * diag[b] // g
+        for a in range(len(chain)):
+            for b in range(a + 1, len(chain)):
+                if chain[b] % chain[a] != 0:
+                    g = gcd(chain[a], chain[b])
+                    chain[a], chain[b] = g, chain[a] * chain[b] // g
                     changed = True
-    return sorted(diag)
+    return [1] * (len(diag) - len(chain)) + sorted(chain)
 
 
 def matrix_rank(mat):
@@ -1009,11 +1012,3 @@ def perm_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
-
-
-def flatten_index(sizes, multi):
-    idx = 0
-    for s, m in zip(sizes, multi):
-        idx = idx * s + m
-    return idx
-

@@ -39,7 +39,8 @@ coalgebra Delta: X -> X (x) X behind ``constant_comodule`` satisfies
 and its iterated coproducts are Delta^(r) = (1 (x) Delta^(r-1)) Delta.
 
 Tensor bases are ordered row-major over the factors' (degree, index)
-global orders.  All structure maps preserve degree, so tensor products of
+global orders.  All structure maps preserve degree (checked on every
+construction, also without the axiom checks), so tensor products of
 maps are plain Kronecker products; Koszul signs enter only through
 explicit factor reorderings.  In the axiom checks these (S, R, the swap
 T and the slot-commutation swap) all come from ``_factor_permutation``.
@@ -204,7 +205,8 @@ class SymSeq:
 
     def dual_symseq(self):
         comps = {n: c.negated() for n, c in self.components.items()}
-        acts = {n: tuple(m.transpose() for m in mats)
+        acts = {n: tuple(_dual_matrix(m, [self.component(n)],
+                                      [self.component(n)]) for m in mats)
                 for n, mats in self.actions.items()}
         return SymSeq(self.ring, comps, acts, check=False)
 
@@ -224,6 +226,7 @@ class Operad:
         self.ring = symseq.ring
         self.max_arity = symseq.max_arity
         self.comp_maps = {tuple(k): v for k, v in comp.items()}
+        _check_homogeneous(self, f"operad {name}")
         if check:
             _check_operad(self, f"operad {name}")
 
@@ -266,6 +269,7 @@ class Cooperad:
         self.ring = symseq.ring
         self.max_arity = symseq.max_arity
         self.cocomp_maps = {tuple(k): v for k, v in cocomp.items()}
+        _check_homogeneous(self, f"cooperad {name}")
         if check:
             _check_operad(self, f"cooperad {name}")
 
@@ -320,6 +324,8 @@ class SidedModule:
         self.maps = dict(maps)
         if check:
             self._validate()
+        else:
+            _check_homogeneous(self, f"{side} {name}")
 
     def component(self, n):
         return self.symseq.component(n)
@@ -339,6 +345,7 @@ class SidedModule:
         if not isinstance(self.over, over_kind):
             raise ValidationError(
                 f"{label} must be over a {over_kind.__name__.lower()}")
+        _check_homogeneous(self, label)
         if self.side in (LEFT_MODULE, LEFT_COMODULE):
             _validate_left_module(self, label)
         else:
@@ -771,26 +778,99 @@ def _label_degree(module, label):
 
 
 def dual(structure):
-    """Linear dual: degrees negated, matrices transposed, variance flipped."""
+    """Linear dual: degrees negated, matrices transposed, variance flipped.
+
+    Negating the degrees reverses the order of the degree blocks of every
+    component (GradedFreeModule.negated), so each transposed matrix is
+    reindexed factor by factor into the new orders.
+    """
     if isinstance(structure, SymSeq):
         return structure.dual_symseq()
+    if not isinstance(structure, (Operad, Cooperad, SidedModule)):
+        raise ValidationError(f"cannot dualize {type(structure).__name__}")
+    kind = _kind(structure)
+    over = getattr(structure, "over", structure)
+    maps = {key: _dual_matrix(mat, *_map_factors(
+                kind, key, structure.component, over.component))
+            for key, mat in _stored_maps(structure)[1].items()}
+    symseq = structure.symseq.dual_symseq()
+    name = f"dual({structure.name})"
     if isinstance(structure, Operad):
-        return Cooperad(structure.symseq.dual_symseq(),
-                        {k: m.transpose() for k, m in structure.comp_maps.items()},
-                        name=f"dual({structure.name})", check=False)
+        return Cooperad(symseq, maps, name=name, check=False)
     if isinstance(structure, Cooperad):
-        return Operad(structure.symseq.dual_symseq(),
-                      {k: m.transpose() for k, m in structure.cocomp_maps.items()},
-                      name=f"dual({structure.name})", check=False)
-    if isinstance(structure, SidedModule):
-        flip = {LEFT_MODULE: LEFT_COMODULE, LEFT_COMODULE: LEFT_MODULE,
-                RIGHT_MODULE: RIGHT_COMODULE, RIGHT_COMODULE: RIGHT_MODULE}
-        return SidedModule(flip[structure.side],
-                           structure.symseq.dual_symseq(),
-                           dual(structure.over),
-                           {k: m.transpose() for k, m in structure.maps.items()},
-                           name=f"dual({structure.name})", check=False)
-    raise ValidationError(f"cannot dualize {type(structure).__name__}")
+        return Operad(symseq, maps, name=name, check=False)
+    flip = {LEFT_MODULE: LEFT_COMODULE, LEFT_COMODULE: LEFT_MODULE,
+            RIGHT_MODULE: RIGHT_COMODULE, RIGHT_COMODULE: RIGHT_MODULE}
+    return SidedModule(flip[structure.side], symseq, dual(structure.over),
+                       maps, name=name, check=False)
+
+
+def _negation_index(module):
+    """The index in module.negated() of each basis index of module: the
+    degree blocks come in reverse order, each keeping its own order."""
+    degrees = module.degrees()
+    start = dict(zip(reversed(degrees), itertools.accumulate(
+        (module.rank(d) for d in reversed(degrees)), initial=0)))
+    return [i for d in degrees
+            for i in range(start[d], start[d] + module.rank(d))]
+
+
+def _dual_matrix(mat, rows, cols):
+    """The transpose of mat, whose rows and columns are the tensor
+    products of the modules rows and cols (row-major), reindexed into the
+    negated modules' orders."""
+    if all(len(m.degrees()) < 2 for m in rows + cols):
+        return mat.transpose()
+    index = []
+    for factors in (rows, cols):
+        flat = [0]
+        for m in factors:
+            step = _negation_index(m)
+            flat = [x * len(step) + y for x in flat for y in step]
+        index.append(flat)
+    row_index, col_index = index
+    return ExactMatrix(mat.ncols, mat.nrows, {
+        (col_index[j], row_index[i]): v for (i, j), v in mat.entries()},
+        ring=mat.ring)
+
+
+def _tensor_degree(modules, flat):
+    """Total degree of the basis element at a row-major flat index of the
+    tensor product of modules."""
+    degree = 0
+    for m in reversed(modules):
+        flat, i = divmod(flat, m.total_rank())
+        degree += m.degree_of(i)
+    return degree
+
+
+def _check_homogeneous(structure, label):
+    """Every stored structure map has its factors' shape and is
+    homogeneous of degree 0: each entry joins basis elements of equal
+    total degree.  When every factor has one degree this is one
+    comparison per map."""
+    kind = _kind(structure)
+    over = getattr(structure, "over", structure)
+    # arity -> the degree of the component, for components of one degree.
+    own, other = ({n: c.degrees()[0] for n, c in seq.symseq.components.items()
+                   if len(c.degrees()) == 1} for seq in (structure, over))
+    for key, mat in _stored_maps(structure)[1].items():
+        shape = _map_shape(kind, key, structure.rank, over.rank)
+        if (mat.nrows, mat.ncols) != shape:
+            raise ValidationError(f"{label}: structure map {key} misshapen: "
+                                  f"{(mat.nrows, mat.ncols)} != {shape}")
+        if mat.is_zero():
+            continue
+        rows, cols = _map_factors(kind, key, own.get, other.get)
+        if None not in rows and None not in cols and sum(rows) == sum(cols):
+            continue
+        rows, cols = _map_factors(kind, key, structure.component,
+                                  over.component)
+        for (i, j), _v in mat.entries():
+            if _tensor_degree(rows, i) != _tensor_degree(cols, j):
+                raise ValidationError(
+                    f"{label}: structure map {key} is not of degree 0 at "
+                    f"entry ({i},{j})")
 
 
 # ---------------------------------------------------------------------------
@@ -1233,17 +1313,25 @@ def _matrix(shape, lineno, entries, ring):
         _fail(lineno, str(exc))
 
 
-def _map_shape(kind, key, rank, over_rank):
-    """Stored shape of the structure map at key: a partial (m, a, n) or
-    the blocks of a left action, transposed for the dual kinds."""
+def _map_factors(kind, key, read, over_read):
+    """(row factors, column factors) of the stored structure map at key,
+    a partial (m, a, n) or the blocks of a left action: read (over_read
+    for the structure it is over) applied to the arities of the modules
+    whose row-major tensor products index its rows and columns,
+    transposed for the dual kinds."""
     if kind in (LEFT_MODULE, LEFT_COMODULE):
-        shape = (rank(sum(len(b) for b in key)),
-                 over_rank(len(key)) * prod(rank(len(b)) for b in key))
+        factors = ([read(sum(len(b) for b in key))],
+                   [over_read(len(key))] + [read(len(b)) for b in key])
     else:
         m, _a, n = key
-        shape = (rank(m + n - 1), rank(m) * over_rank(n))
-    return shape[::-1] if kind in ("cooperad", RIGHT_COMODULE,
-                                   LEFT_COMODULE) else shape
+        factors = [read(m + n - 1)], [read(m), over_read(n)]
+    return factors[::-1] if kind in ("cooperad", RIGHT_COMODULE,
+                                     LEFT_COMODULE) else factors
+
+
+def _map_shape(kind, key, rank, over_rank):
+    """Stored shape of the structure map at key (see _map_factors)."""
+    return tuple(map(prod, _map_factors(kind, key, rank, over_rank)))
 
 
 def _parse_entries(lines, i, ring):

@@ -16,12 +16,19 @@ through one canonicalizing walk, ``_canonical``: given a forest whose
 vertices may carry their source path, it returns the canonical root
 children and, for the root (source ``()``) and each tagged vertex,
 ``source -> (new path, tau)`` in the new depth-first order, with
-``tau[i]`` the new position of the node's i-th child.  A collapse needs
-no walk: the merged node keeps its label set, hence its place among its
-siblings and every ancestor's child order.  A bud becomes the leaf of its
-labels and moves no vertex; an edge collapse splices the vertex's
-children into its parent's and re-sorts only those (tau), so only paths
-below the parent change.  Nor does an order-preserving renumbering onto
+``tau[i]`` the new position of the node's i-th child.  A tree's slots
+come from one walk, ``slot_walk``: the vertex paths and nodes in
+depth-first order and the leaves by least label.  A collapse needs no
+further walk: the merged node keeps its label set, hence its place among
+its siblings and every ancestor's child order.  A bud becomes the leaf of
+its labels and moves no vertex; an edge collapse splices the vertex's
+children into its parent's and re-sorts only those (tau), so only the
+vertices below the parent move, and they stay one block of the
+depth-first order.  One engine, ``_collapse``, does this on the tree's
+vertex paths and returns plain values: the target's root children, the
+sign, the target's vertices in order as indices into the source's paths,
+the insert position and tau.  ``collapse`` checks the move and wraps
+these in a CollapseResult.  Nor does an order-preserving renumbering onto
 1..k (``renumber``, the ungrafting skeleton): it keeps every leaf sorted
 and every child order, so each path stays and the orientation sign is +1.
 Ungrafting is an index and a cut: ``subtree_index`` maps the label set
@@ -211,7 +218,7 @@ class Tree:
 
     @property
     def n_vertices(self):
-        return len(self.vertex_paths())
+        return len(slot_walk(self)[0])
 
     @property
     def species(self):
@@ -233,16 +240,7 @@ class Tree:
 
     def vertex_paths(self):
         """Internal vertices in depth-first order (the canonical VertexOrder)."""
-        out = []
-
-        def walk(children, path):
-            for i, child in enumerate(children):
-                if child[0] == "V":
-                    out.append(path + (i,))
-                    walk(child[1], out[-1])
-
-        walk(self.root_children, ())
-        return out
+        return slot_walk(self)[0]
 
     def leaves(self):
         """(path, labels) pairs ordered by least label."""
@@ -264,6 +262,29 @@ class Tree:
 
     def __repr__(self):
         return f"Tree({self.serialize()})"
+
+
+def slot_walk(tree):
+    """The one walk of a tree's slots: (vertex paths, vertex nodes, leaf
+    label tuples), the vertices in depth-first order (the canonical
+    VertexOrder) and the leaves by least label.  The vertex count is the
+    number of paths."""
+    paths, nodes, leaves = [], [], []
+
+    def walk(children, path):
+        for i, child in enumerate(children):
+            if child[0] == "V":
+                at = path + (i,)
+                paths.append(at)
+                nodes.append(child)
+                walk(child[1], at)
+            else:
+                leaves.append(child[1])
+
+    walk(tree.root_children, ())
+    # Label sets are disjoint, so the tuples sort by their least labels.
+    leaves.sort()
+    return paths, nodes, leaves
 
 
 def _serialize_forest(children):
@@ -480,51 +501,72 @@ def collapse(tree, kind, path):
         raise ValidationError("root-edge collapse targets a root child")
     if kind == INTERNAL_EDGE and len(path) < 2:
         raise ValidationError("internal-edge collapse needs an internal edge")
+    paths = tree.vertex_paths()
+    children, sign, order, insert_pos, child_perm = _collapse(
+        tree, kind, path, paths)
+    target = _tree(children)
+    vertex_map = dict(zip((paths[j] for j in order), target.vertex_paths()))
+    return CollapseResult(target, CollapseMove(kind, path, sign), vertex_map,
+                          insert_pos, child_perm)
 
+
+def _collapse(tree, kind, path, paths):
+    """The collapse engine behind collapse, on a valid move of tree with
+    vertex paths paths; nothing is checked.
+
+    Returns (the target's root children, the move's sign, the target's
+    vertices in their depth-first order as indices into paths, insert_pos,
+    child_perm), the last two as in CollapseResult.  The merged vertex of
+    an inner edge collapse is the parent's index.
+    """
     # Boundary-orientation sign in height coordinates (one per vertex,
     # ordered by the canonical VertexOrder).  A bud face {h_v = 1} has
     # outward normal +dh_v, giving (-1)^(i-1) for the i-th vertex; root
     # faces {h_v = 0} and merge faces {h_u = h_v} both contract to (-1)^i.
     # A uniform (-1)^(i-1) already breaks d^2 = 0 on two-vertex trees.
-    # Paths sort in depth-first order: index() counts the vertices before.
-    paths = tree.vertex_paths()
-    sign = -1 if paths.index(path) % 2 else 1
+    at = paths.index(path)
+    sign = -1 if at % 2 else 1
+    node = tree.node_at(path)
     if kind == BUD:
         children = _replace_at(tree.root_children, path,
                                (_leaf(x for c in node[1] for x in c[1]),))
-        vertex_map = {q: q for q in paths if q != path}
-        return CollapseResult(_tree(children), CollapseMove(kind, path, sign),
-                              vertex_map, None, None)
+        return (children, sign, tuple(j for j in range(len(paths)) if j != at),
+                None, None)
     parent, i = path[:-1], path[-1]
-    kids = tree.node_at(parent)[1]
+    depth = len(parent)
+    kids = tree.node_at(parent)[1] if depth else tree.root_children
     k = len(node[1])
     spliced = kids[:i] + node[1] + kids[i + 1:]
-    order = sorted(range(len(spliced)), key=lambda s: _min_label(spliced[s]))
+    keys = [_min_label(c) for c in spliced]
+    order = sorted(range(len(spliced)), key=keys.__getitem__)
     tau = [0] * len(order)
     for r, s in enumerate(order):
         tau[s] = r
     merged = tuple(spliced[s] for s in order)
     children = (_replace_at(tree.root_children, parent, (("V", merged),))
-                if parent else merged)
-    depth = len(parent)
-    vertex_map = {}
-    moved = []
-    for q in paths:
-        if len(q) <= depth or q[:depth] != parent:
-            vertex_map[q] = q
-        elif q != path:
-            j, rest = q[depth], q[depth + 1:]
-            if j == i:
-                j, rest = i + rest[0], rest[1:]
-            elif j > i:
-                j += k - 1
-            vertex_map[q] = parent + (tau[j],) + rest
-            moved.append(vertex_map[q])
-    # The parent's subtree keeps its place in the depth-first order, so
-    # the new order's sign is that of the moved vertices' new paths.
-    sign *= _order_sign(moved)
-    return CollapseResult(_tree(children), CollapseMove(kind, path, -sign),
-                          vertex_map, i + 1, tuple(tau))
+                if depth else merged)
+    # The vertices below the parent follow it in depth-first order, and
+    # only their paths change; the block keeps its place in the order.
+    low = paths.index(parent) + 1 if depth else 0
+    high = low
+    while high < len(paths) and paths[high][:depth] == parent:
+        high += 1
+    moved = {}
+    for j in range(low, high):
+        if j == at:
+            continue
+        q = paths[j]
+        c, rest = q[depth], q[depth + 1:]
+        if c == i:
+            c, rest = i + rest[0], rest[1:]
+        elif c > i:
+            c += k - 1
+        moved[j] = (tau[c],) + rest
+    block = sorted(moved, key=moved.__getitem__)
+    # The new order's sign is that of the moved vertices' new order.
+    sign *= perm_sign(tuple(j - low - (j > at) for j in block))
+    return (children, -sign, (*range(low), *block, *range(high, len(paths))),
+            i + 1, tuple(tau))
 
 
 @lru_cache(maxsize=None)

@@ -134,13 +134,39 @@ def test_derived_trees_are_never_revalidated(monkeypatch):
     assert calls == []
 
 
+def _reordered_merges(structure, arity):
+    """The distinct (m_out, insert_pos, k_inner, child_perm) of the inner
+    edge collapses of the standard trees whose merged vertex arity has
+    nonzero rank and whose child order changes, read through the public
+    collapse."""
+    from opbar import trees
+    out = set()
+    for tree in trees.enumerate_trees(arity):
+        for kind, path in trees.collapse_moves(tree):
+            if kind != trees.INTERNAL_EDGE:
+                continue
+            m_out = len(tree.node_at(path[:-1])[1])
+            k_inner = len(tree.node_at(path)[1])
+            res = trees.collapse(tree, kind, path)
+            if structure.rank(m_out + k_inner - 1) and \
+                    res.child_perm != tuple(range(len(res.child_perm))):
+                out.add((m_out, res.insert_pos, k_inner, res.child_perm))
+    return out
+
+
 def test_assembly_makes_no_label_lookups_and_no_full_tree_walks(
         monkeypatch):
-    # The differential reads positions recorded with the basis, and
-    # collapses splice locally; neither hashes labels nor re-sorts a tree.
+    # The differential reads positions recorded with the basis, collapses
+    # splice locally on the vertex paths of one walk per tree, and the
+    # matrix of each reordered merge is multiplied once per complex; none
+    # hashes labels, re-sorts a tree or walks it again.
     from opbar import trees
     com = builtin("com", 5)
-    calls = {"position": 0, "_canonical": 0}
+    merges = _reordered_merges(com, 5)
+    # A first build fills the structure's own action and partial caches.
+    reduced_bar(com, 5)
+    calls = {"position": 0, "_canonical": 0, "vertex_paths": 0, "leaves": 0,
+             "__mul__": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -152,8 +178,18 @@ def test_assembly_makes_no_label_lookups_and_no_full_tree_walks(
                         counted("position", GradedFreeModule.position))
     monkeypatch.setattr(trees, "_canonical",
                         counted("_canonical", trees._canonical))
-    reduced_bar(com, 5)
-    assert calls == {"position": 0, "_canonical": 0}
+    monkeypatch.setattr(Tree, "vertex_paths",
+                        counted("vertex_paths", Tree.vertex_paths))
+    monkeypatch.setattr(Tree, "leaves", counted("leaves", Tree.leaves))
+    monkeypatch.setattr(ExactMatrix, "__mul__",
+                        counted("__mul__", ExactMatrix.__mul__))
+    bc = reduced_bar(com, 5)
+    # Besides the merges, the d^2 = 0 check multiplies consecutive
+    # differentials.
+    d_squared = sum(1 for k in bc.complex.diffs if k + 1 in bc.complex.diffs)
+    assert len(merges) > 1
+    assert calls == {"position": 0, "_canonical": 0, "vertex_paths": 0,
+                     "leaves": 0, "__mul__": len(merges) + d_squared}
 
 
 def _complex_digest(complex_):
@@ -200,6 +236,42 @@ def _mixed_degree_cobar(arity):
 ], ids=["bar-com-5", "bar-ass-4", "cobar-dual-com-4", "cobar-sphere2-4"])
 def test_complexes_match_pinned_digests(build, digest):
     assert _complex_digest(build().complex) == digest
+
+
+def _sphere3_cobar(arity):
+    sphere = builtin_sphere_comodule(3, 4)
+    return cobar_complex(unit_module(sphere.over, RIGHT_COMODULE),
+                         sphere.over, sphere, arity)
+
+
+def _simplicial(op, l_mod, arity):
+    return simplicial_bar_complex(unit_module(op, RIGHT_MODULE), op, l_mod,
+                                  arity)
+
+
+# Digests computed with the code of commit 28107a0, before collapse moves
+# became integer work and the plan evaluator read flat indices: the larger
+# bar complexes, decorations of odd degree (where the Koszul sign of a
+# degree tuple matters) and the simplicial complexes, which share the
+# evaluator.
+@pytest.mark.parametrize("build,digest", [
+    (lambda: reduced_bar(builtin("com", 6), 6).complex,
+     "559253e994a231f276a1f891bced238e4d3882f5858a28676b85730a129b27be"),
+    (lambda: reduced_bar(builtin("ass", 5), 5).complex,
+     "2fe1a8ee84b63c20e73ae3a4b8c84dd874d263b9b659c18a55cdf0ed85e15023"),
+    (lambda: _mixed_degree_cobar(4).complex,
+     "cfaae615a01bd7f1533d1daf09dfa5d235e943e390438633151d9ad958b9de3a"),
+    (lambda: _sphere3_cobar(4).complex,
+     "a3a03d5b38d80a41a94c79a1596853cf593a0ead57110fce242e424ed0fbc6ed"),
+    (lambda: _simplicial(builtin("com", 4), unit_module(
+        builtin("com", 4), LEFT_MODULE), 4),
+     "cad18618f2c398ccc6c49cf513056d4a950df5fe74760dd369fb5af073cfceb1"),
+    (lambda: _simplicial(builtin("com", 4), builtin_sphere_module(1, 4), 3),
+     "335f10ba090ba3bfe88098b9e16f1ec38f4d7f8a889df6ba64604b66c354d637"),
+], ids=["bar-com-6", "bar-ass-5", "cobar-mixed-4", "cobar-sphere3-4",
+        "simplicial-com-4", "simplicial-sphere1-3"])
+def test_larger_complexes_match_pinned_digests(build, digest):
+    assert _complex_digest(build()) == digest
 
 
 def _maps_digest(maps):
@@ -378,7 +450,10 @@ def test_records_hold_the_module_positions(build, spread):
         rec = bc.record(tree)
         assert rec.paths == tree.vertex_paths()
         for k, (decor, _degs, t) in enumerate(rec.decorations):
-            assert exactla.flatten_index(rec.sizes, decor) == k
+            flat = 0
+            for size, i in zip(rec.sizes, decor):
+                flat = flat * size + i
+            assert flat == k
             d, pos = rec.at[k]
             assert bc.complex.module.position(d, barcobar.BarBasisLabel(
                 tree, decor, tree.n_vertices, t)) == pos
@@ -411,17 +486,19 @@ def _binary_only(max_arity):
 
 @pytest.fixture
 def collapses(monkeypatch):
-    """(tree, result) of every trees.collapse call while the fixture is
+    """(tree, target tree, target vertex order) of every call of
+    trees._collapse, the engine assembly calls, while the fixture is
     live."""
     from opbar import trees
     out = []
-    collapse = trees.collapse
+    engine = trees._collapse
 
-    def recorded(tree, kind, path):
-        out.append((tree, collapse(tree, kind, path)))
-        return out[-1][1]
+    def recorded(tree, kind, path, paths):
+        result = engine(tree, kind, path, paths)
+        out.append((tree, trees._tree(result[0]), result[2]))
+        return result
 
-    monkeypatch.setattr(trees, "collapse", recorded)
+    monkeypatch.setattr(trees, "_collapse", recorded)
     return out
 
 
@@ -442,9 +519,9 @@ class TestSupports:
         bc = reduced_bar(builtin("com", 6), 6)
         basis = set(bc.trees())
         assert len(collapses) == 8596
-        for tree, res in collapses:
-            assert res.tree in basis
-            assert res.tree.n_vertices == tree.n_vertices - 1
+        for tree, target, order in collapses:
+            assert target in basis
+            assert target.n_vertices == len(order) == tree.n_vertices - 1
 
     def test_sphere_cobar_collapses_only_into_the_basis(self, collapses):
         sphere = builtin_sphere_comodule(2, 4)
@@ -452,9 +529,9 @@ class TestSupports:
                            sphere.over, sphere, 4)
         basis = set(cc.trees())
         assert collapses
-        for tree, res in collapses:
-            assert res.tree in basis
-            assert res.tree.n_vertices == tree.n_vertices - 1
+        for tree, target, order in collapses:
+            assert target in basis
+            assert target.n_vertices == len(order) == tree.n_vertices - 1
 
 
 class TestCobarHomology:
@@ -856,6 +933,43 @@ class TestModuleMX:
         report = module_MX_homology(x, delta, 3, with_action=True)
         assert report.homology_module is not None
         assert report.homology_module.side == LEFT_MODULE
+
+
+class TestDualOfASpreadComodule:
+    # Coalgebras whose components have basis elements in several degrees:
+    # X = <a_2, t_4> with Delta(t) = a (x) a, and S^2 x S^3 = <x_2, y_3, z_5>
+    # with Delta(z) = x (x) y + y (x) x.
+    CASES = {"a2-t4": ({2: ("a",), 4: ("t",)}, {(0, 1): 1}),
+             "s2-times-s3": ({2: ("x",), 3: ("y",), 5: ("z",)},
+                             {(1, 2): 1, (3, 2): 1})}
+
+    @staticmethod
+    def comodule(case):
+        spaces, entries = TestDualOfASpreadComodule.CASES[case]
+        x = GradedFreeModule(spaces)
+        r = x.total_rank()
+        return constant_comodule(x, ExactMatrix(r * r, r, entries), 3)
+
+    def test_bar_complex_of_the_dual_builds(self):
+        # This raised "entry (0,0) outside 0x1" while dual misindexed.
+        module = dual(self.comodule("a2-t4"))
+        bc = bar_complex(unit_module(module.over, RIGHT_MODULE), module.over,
+                         module, 2)
+        assert bc.homology().groups == {-7: (1, ()), -5: (2, ()),
+                                        -2: (1, ())}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_simplicial_bar_of_the_dual_is_the_negated_cobar(self, case, n):
+        # A second construction: chains of partitions on the dual module,
+        # no trees, against the cobar complex of the comodule itself.
+        comodule = self.comodule(case)
+        module = dual(comodule)
+        simplicial = simplicial_bar_complex(
+            unit_module(module.over, RIGHT_MODULE), module.over, module, n)
+        cobar = cobar_complex(unit_module(comodule.over, RIGHT_COMODULE),
+                              comodule.over, comodule, n)
+        assert homology(simplicial) == cobar.homology().degree_negated()
 
 
 class TestOddDegreeSigns:

@@ -216,6 +216,35 @@ class TestEliminationOracles:
         rows = random_sparse_rows(rng, rng.randint(1, 6), rng.randint(1, 6), 6)
         assert smith_normal_form(mat(rows)) == determinantal_factors(rows)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_smith_form_of_units_non_units_and_torsion(self, seed):
+        # U D V with unimodular U and V and a diagonal D that mixes units,
+        # zeros and entries > 1 whose chain makes new units and torsion.
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[0] * m for _ in range(n)]
+        for i in range(min(n, m)):
+            rows[i][i] = rng.choice([1, 1, 1, 0, 2, 3, 4, 6, 9, -1, -2])
+        for _ in range(rng.randint(0, 12)):
+            a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            c, d = rng.sample(range(m), 2) if m > 1 else (0, 0)
+            q = rng.randint(-2, 2)
+            if a != b:
+                rows[a] = [x + q * y for x, y in zip(rows[a], rows[b])]
+            if c != d:
+                for row in rows:
+                    row[c] += q * row[d]
+        assert smith_normal_form(mat(rows)) == determinantal_factors(rows)
+
+    def test_units_are_set_aside_from_the_divisor_chain(self):
+        # diag(1, 2, 1, 3, 4): the entries > 1 chain to 1 | 2 | 12.
+        rows = [[0] * 5 for _ in range(5)]
+        for i, v in enumerate([1, 2, 1, 3, 4]):
+            rows[i][i] = v
+        assert smith_normal_form(mat(rows)) == [1, 1, 1, 2, 12] == \
+            determinantal_factors(rows)
+
     def test_pivot_that_outlives_its_remainder_step(self):
         # A pivot here survives its Euclidean step without being written
         # again, so its queued key is the only one it has.

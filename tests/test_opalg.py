@@ -290,6 +290,73 @@ class TestDual:
         assert m.component(2).degrees() == [-2]
 
 
+def _dual_cases():
+    """Every kind of structure these tests build, with components in one
+    degree per arity and in several."""
+    com = builtin("com", 4)
+
+    def coalgebra(spaces, entries):
+        x = GradedFreeModule(spaces)
+        r = x.total_rank()
+        return constant_comodule(x, ExactMatrix(r * r, r, entries), 4)
+
+    return {
+        "com": lambda: com, "ass": lambda: builtin("ass", 3),
+        "dual-com": lambda: dual(com), "unit-symseq": unit_symseq,
+        **{f"unit-{side}": lambda side=side: unit_module(
+            com if side in (LEFT_MODULE, RIGHT_MODULE) else dual(com), side)
+           for side in (LEFT_MODULE, RIGHT_MODULE, LEFT_COMODULE,
+                        RIGHT_COMODULE)},
+        **{f"sphere{r}-module": lambda r=r: builtin_sphere_module(r, 4)
+           for r in (1, 2, 3)},
+        **{f"sphere{r}-comodule": lambda r=r: builtin_sphere_comodule(r, 4)
+           for r in (1, 2, 3)},
+        "a2-t4": lambda: coalgebra({2: ("a",), 4: ("t",)}, {(0, 1): 1}),
+        "a2-b4-c6": lambda: coalgebra({2: ("a",), 4: ("b",), 6: ("c",)},
+                                      {(0, 1): 1, (1, 2): 1, (3, 2): 1}),
+        "s2-times-s3": lambda: coalgebra({2: ("x",), 3: ("y",), 5: ("z",)},
+                                         {(1, 2): 1, (3, 2): 1}),
+        "s2-wedge-s3": lambda: coalgebra({2: ("x",), 3: ("y",)}, {}),
+        "odd-flip": lambda: coalgebra({1: ("x", "y"), 2: ("t",)},
+                                      {(1, 2): 1, (3, 2): -1}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_dual_cases()))
+def test_dual_is_an_involution(name):
+    structure = _dual_cases()[name]()
+    twice = dual(dual(structure))
+    assert type(twice) is type(structure)
+    assert twice == structure
+
+
+@pytest.mark.parametrize("name", ["a2-t4", "a2-b4-c6", "s2-times-s3"])
+def test_dual_of_a_spread_comodule_is_a_checked_module(name):
+    # Components with several degrees: the dual's maps are reindexed into
+    # the negated blocks' order, so the dual validates as a left module.
+    c = _dual_cases()[name]()
+    d = dual(c)
+    assert SidedModule(LEFT_MODULE, d.symseq, d.over, d.maps) == d
+
+
+def test_structure_maps_must_have_degree_zero():
+    # Transposing without reindexing, as dual once did, sends t (x) t in
+    # degree -8 to a in degree -2.
+    c = _dual_cases()["a2-t4"]()
+    transposed = {k: m.transpose() for k, m in c.maps.items()}
+    for check in (True, False):
+        with pytest.raises(ValidationError, match="not of degree 0"):
+            SidedModule(LEFT_MODULE, c.symseq.dual_symseq(), dual(c.over),
+                        transposed, check=check)
+    com = builtin("com", 3)
+    shifted = SymSeq(INT, {1: com.component(1), 2: com.component(2),
+                           3: GradedFreeModule({1: ("x",)})},
+                     com.symseq.actions)
+    with pytest.raises(ValidationError, match=r"operad bad: structure map "
+                                              r"\(2, 1, 2\) is not of degree 0"):
+        Operad(shifted, com.comp_maps, name="bad", check=False)
+
+
 class TestConstantComodule:
     def test_sphere_like_coalgebra(self):
         x = GradedFreeModule({2: ("x",)})

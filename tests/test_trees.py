@@ -19,6 +19,7 @@ from opbar.trees import (
     CollapseResult,
     Tree,
     _canonical,
+    _collapse,
     _leaf,
     _order_sign,
     _relabel,
@@ -37,6 +38,7 @@ from opbar.trees import (
     relabel,
     single_edge_tree,
     renumber,
+    slot_walk,
     standard_tree_count,
     subtree_index,
     supported_trees,
@@ -272,7 +274,26 @@ def _walk_collapse(tree, kind, path):
                           vertex_map, path[-1] + 1, moves[path[:-1]][1])
 
 
+def _engine_result(tree, kind, path):
+    """trees._collapse's plain values for one move, in the form of the
+    reference: (root children, sign, target vertex order as source
+    indices, insert_pos, child_perm)."""
+    paths, _nodes, _leaves = slot_walk(tree)
+    return _collapse(tree, kind, path, paths)
+
+
+def _as_engine_values(tree, res):
+    """A CollapseResult in the engine's form."""
+    paths = tree.vertex_paths()
+    order = sorted(res.vertex_map, key=res.vertex_map.__getitem__)
+    return (res.tree.root_children, res.move.sign,
+            tuple(paths.index(q) for q in order), res.insert_pos,
+            res.child_perm)
+
+
 class TestLocalCollapseAgainstTheWalk:
+    # The engine assembly calls, the public collapse and the full-walk
+    # reference agree on every move.
     @pytest.mark.parametrize("arities,species,n_trees,n_moves", [
         ((1, 2, 3, 4, 5), GENERALIZED, 1357, 4336),
         ((6,), STANDARD, 2752, 15475),
@@ -283,8 +304,20 @@ class TestLocalCollapseAgainstTheWalk:
                  for kind, path in collapse_moves(x)]
         assert (len(trees), len(moves)) == (n_trees, n_moves)
         for tree, kind, path in moves:
-            assert collapse(tree, kind, path) == \
-                _walk_collapse(tree, kind, path), (tree, kind, path)
+            reference = _walk_collapse(tree, kind, path)
+            assert collapse(tree, kind, path) == reference, (tree, kind, path)
+            assert _engine_result(tree, kind, path) == \
+                _as_engine_values(tree, reference), (tree, kind, path)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_slot_walk(self, n):
+        # Vertex paths in depth-first order, their nodes, and the leaves'
+        # labels by least label, against the public readers.
+        for tree in enumerate_trees(n, GENERALIZED):
+            paths, nodes, leaves = slot_walk(tree)
+            assert paths == sorted(paths) == tree.vertex_paths()
+            assert nodes == [tree.node_at(q) for q in paths]
+            assert leaves == [labels for _path, labels in tree.leaves()]
 
 
 class TestPosetOrder:
