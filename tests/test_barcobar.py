@@ -415,6 +415,64 @@ def test_structure_maps_match_pinned_digests(case):
         PINNED_MAP_DIGESTS[case]
 
 
+def _every_action(bc):
+    return [symmetric_action(bc, sigma)
+            for sigma in itertools.permutations(range(1, bc.arity + 1))]
+
+
+def _report_maps(report):
+    """The homology action matrices, keyed (arity, generator), then the
+    induced structure matrices of a Koszul report, as two maps."""
+    return [{(n, i): m for n, mats in report.actions.items()
+             for i, m in enumerate(mats)}, dict(report.structure)]
+
+
+_PINNED_ACTION_BUILDS = {
+    "every-action-com-4": lambda: _every_action(
+        reduced_bar(builtin("com", 4), 4)),
+    "every-action-ass-4": lambda: _every_action(
+        reduced_bar(builtin("ass", 4), 4)),
+    "every-action-dual-com-4": lambda: _every_action(
+        reduced_cobar(dual(builtin("com", 4)), 4)),
+    "every-action-sphere2-3": lambda: _every_action(_sphere_cobar(3)),
+    "every-action-mixed-3": lambda: _every_action(_mixed_degree_cobar(3)),
+    "koszul-com-5": lambda: _report_maps(koszul(builtin("com", 5), 5)),
+    "koszul-ass-4": lambda: _report_maps(koszul(builtin("ass", 4), 4)),
+    "koszul-dual-com-4": lambda: _report_maps(
+        koszul(dual(builtin("com", 4)), 4)),
+}
+
+# Digests computed with the code of commit e230303, before the symmetric
+# action and ungrafting read bitmask tree keys: every permutation of the
+# arity on five complexes (leaves with several labels, decorations of odd
+# degree), and the actions and structure maps on homology of three Koszul
+# reports.
+PINNED_ACTION_DIGESTS = {
+    "every-action-ass-4":
+        "53139bb2b0113fa37dcd403380f28286839d14c851f74199eba24f7858dc9a55",
+    "every-action-com-4":
+        "ef181ecaa19eeb8fd58e22af199817f99439c6e4a8b4e5bfc3f8036ea4500e16",
+    "every-action-dual-com-4":
+        "d798ff7b7ba615cd446ea0092e6319a5c78b49af2972e2a0ba8ec92ca9a72447",
+    "every-action-mixed-3":
+        "f9569b375f83cd4c5f54ab7cfdc90ca3fedc373d94597156201e6ff4d0a32f93",
+    "every-action-sphere2-3":
+        "bd59bf453e32832f5bc8b0bf341710404ff63163754edfab6cd0953e7729fd1a",
+    "koszul-ass-4":
+        "1fbc7bfaef100d91cdaa3e8cfa474bf25c3e7925b93677463618f736e04fedd0",
+    "koszul-com-5":
+        "8ed50b10d6a2b39b9ef6f6a5dc1e5f963a480b8b06cb6913d0c50ed5eb762cf9",
+    "koszul-dual-com-4":
+        "2e3b19912b2c7b6c5d01976511ae7bfd9aeffde813d6ad65c085bae7c0fa353b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_ACTION_BUILDS))
+def test_every_action_and_koszul_maps_match_pinned_digests(case):
+    assert _maps_digest(_PINNED_ACTION_BUILDS[case]()) == \
+        PINNED_ACTION_DIGESTS[case]
+
+
 def test_tree_records_are_built_once_per_complex_and_tree(monkeypatch):
     built = []
     record = barcobar._TreeRecord
