@@ -37,32 +37,37 @@ covers backwards, with tree degrees recorded negatively.  The complex
 keeps only its basis trees; the records live while its differential is
 assembled.
 
-The structure maps and the symmetric action read one record per basis
-tree (_TreeRecord), built the first time one of them asks for the tree
-and then kept by its complex; assembly and reduction build none.  A
-record holds the tree's vertex paths and leaves (trees.slot_walk), the
-path of the node carrying each label set (trees.subtree_index), the slot
-positions by vertex path and by leaf labels, the slot sizes, the
-_decorations list, and the (degree, position) of the tree with each
-decoration by flat decoration index, looked up in the complex's module
-once, when the record is built.  The maps then read positions and look up
-no label.  The records belong to the complex, so no cache can hand one
-structure's records to another.
+The structure maps and the symmetric action work on integer tree keys.
+A canonical tree is determined by the label sets of its nodes below the
+root, a laminar family; with bit x for label x, its key is the sorted
+tuple of these masks (_tree_key).  Each complex builds one key -> tree
+index on first use, and one record per basis tree (_TreeRecord) the
+first time a map asks for it; assembly and reduction build neither.  A
+record holds the node masks in slot order (vertices depth-first, then
+leaves by least label), the masks of every slot's children, mask -> slot,
+the slot sizes, the _decorations list, and the (degree, position) of the
+tree with each decoration by flat decoration index, looked up in the
+complex's module once, when the record is built.  The records belong to
+the complex, so no cache can hand one structure's records to another.
 
-One ungrafting engine builds the cooperad structure of B(P), the operad
-structure of the cobar construction and the module structure maps of a
-one-sided complex: it cuts each tree into factors F_0 (x) F_1 (x) ....
-A tree with no subtree on some block is dropped at that block's lookup
-in its record; the others are cut at the recorded paths
-(trees.ungraft_at).  Each term is the source's (degree, position), the
-tuple of the factors' global basis indices, which the tensor product's
-tensor_index turns into a position (each factor's flat index comes from
-the target flat index by divmod), and the coefficient.  A basis
-element is its vertex orientation tensored with its slot decorations,
-so each term carries the sign splitting the orientation, the Koszul sign
-of reordering the decorations, and (-1)^(s_j t_i) for every i < j, as
-factor j's orientation (degree s_j, its vertex count) moves past factor
-i's decorations (internal degree t_i).
+A permutation acts on masks through a bit table (_mask_image); the
+target's record is the one keyed by the sorted images, the orientation
+sign is that of the vertices' target slots, and each slot's child
+reordering is the rank order of its children's least labels after the
+action (_relabel_slots).  One ungrafting engine builds the cooperad
+structure of B(P), the operad structure of the cobar construction and
+the module structure maps of a one-sided complex: it cuts each tree into
+factors F_0 (x) F_1 (x) ... on masks (_cutter), and finds the factors'
+records by their keys, so neither map builds a Tree.  Each term is the
+source's (degree, position), the tuple of the factors' global basis
+indices, which the tensor product's tensor_index turns into a position
+(each factor's flat index comes from the target flat index by divmod),
+and the coefficient.  A basis element is its vertex orientation tensored
+with its slot decorations, so each term carries the sign splitting the
+orientation, the Koszul sign of reordering the decorations, and
+(-1)^(s_j t_i) for every i < j, as factor j's orientation (degree s_j,
+its vertex count) moves past factor i's decorations (internal degree
+t_i).
 
 The normalized simplicial construction over strict partition chains has
 its own chains and face plans, sharing only the plan evaluator, and
@@ -76,7 +81,7 @@ from dataclasses import dataclass
 
 from . import trees as tr
 from .combinat import set_partitions
-from .errors import InternalConsistencyError, ValidationError
+from .errors import BoundsError, InternalConsistencyError, ValidationError
 from .exactla import (
     INT,
     RAT,
@@ -146,34 +151,92 @@ def _slot_modules(tree, nodes, leaves, components):
             + [leaf[len(labels)] for labels in leaves])
 
 
-class _TreeRecord:
-    """One basis tree of a complex as its structure maps read it.
+def _mask(labels):
+    """The bitmask of a label set: bit x for label x."""
+    out = 0
+    for x in labels:
+        out |= 1 << x
+    return out
 
-    paths and leaves are trees.slot_walk's vertex paths (the canonical
-    VertexOrder) and leaf labels (by least label), subtrees maps the
-    sorted labels of every node to its path (trees.subtree_index),
-    vertex_slot and leaf_slot map a vertex path and a leaf's labels to
-    their slot's position (the root slot is 0), sizes are the slots'
-    ranks, decorations is the _decorations list, and at[k] is the (total
-    degree, position in that degree) of the tree with its k-th
-    decoration, k the flat (row-major) index.
-    """
 
-    __slots__ = ("paths", "leaves", "subtrees", "vertex_slot", "leaf_slot",
-                 "sizes", "decorations", "at")
+def _compress(mask, labels):
+    """mask renumbered onto 1..len(labels) by the increasing bijection
+    from the sorted labels, which must contain its bits."""
+    out = 0
+    for new, x in enumerate(labels, start=1):
+        if mask >> x & 1:
+            out |= 1 << new
+    return out
+
+
+def _mask_walk(tree):
+    """(masks, vertex count, kids) of a tree.  masks are the label masks of
+    the slots after the root's, the vertices in depth-first order, then the
+    leaves by least label; kids[q] are the masks of slot q's children in
+    canonical order (slot 0 is the root, and a leaf's children are its
+    labels' bits)."""
+    vertices, kids, leaves = [], [], []
+
+    def walk(children):
+        out = []
+        for child in children:
+            if child[0] == "L":
+                bits = tuple(1 << x for x in child[1])
+                mask = sum(bits)
+                leaves.append((mask & -mask, mask, bits))
+            else:
+                at = len(vertices)
+                vertices.append(None)
+                kids.append(None)
+                kids[at] = walk(child[1])
+                mask = vertices[at] = sum(kids[at])
+            out.append(mask)
+        return tuple(out)
+
+    root = walk(tree.root_children)
+    leaves.sort()
+    return (tuple(vertices) + tuple(m for _low, m, _bits in leaves),
+            len(vertices), (root, *kids, *(bits for *_m, bits in leaves)))
+
+
+def _tree_key(tree):
+    """The key of a canonical tree: the sorted masks of its nodes below the
+    root.  They form a laminar family whose Hasse diagram is the tree, so
+    the key determines it."""
+    return tuple(sorted(_mask_walk(tree)[0]))
+
+
+class _TreeShape:
+    """A tree's nodes as label masks: masks, nv and kids as _mask_walk
+    gives them, and slot[mask] the slot of the node with that mask (the
+    vertices are slots 1..nv, then the leaves)."""
+
+    __slots__ = ("masks", "nv", "kids", "slot")
+
+    def __init__(self, tree):
+        self.masks, self.nv, self.kids = _mask_walk(tree)
+        self.slot = {m: q for q, m in enumerate(self.masks, start=1)}
+
+
+class _TreeRecord(_TreeShape):
+    """One basis tree of a complex as its structure maps read it: its
+    shape, sizes the slots' ranks, decorations the _decorations list, and
+    at[k] the (total degree, position in that degree) of the tree with its
+    k-th decoration, k the flat (row-major) index."""
+
+    __slots__ = ("sizes", "decorations", "at")
 
     def __init__(self, bc, tree):
-        paths, nodes, leaves = tr.slot_walk(tree)
-        modules = _slot_modules(tree, nodes, leaves, _components(
-            bc.r_coeff, bc.op, bc.l_coeff, bc.arity))
-        self.paths, self.leaves = paths, leaves
-        self.subtrees = tr.subtree_index(tree)
-        self.vertex_slot = {path: i + 1 for i, path in enumerate(paths)}
-        self.leaf_slot = {labels: i for i, labels in enumerate(
-            leaves, start=len(paths) + 1)}
+        super().__init__(tree)
+        root, vertex, leaf = _components(bc.r_coeff, bc.op, bc.l_coeff,
+                                         bc.arity)
+        # A slot's arity is its number of children.
+        modules = ([root[len(self.kids[0])]]
+                   + [vertex[len(k)] for k in self.kids[1:self.nv + 1]]
+                   + [leaf[len(k)] for k in self.kids[self.nv + 1:]])
         self.sizes = tuple(m.total_rank() for m in modules)
         self.decorations = _decorations(modules)
-        s_deg, module = len(paths), bc.complex.module
+        s_deg, module = self.nv, bc.complex.module
         self.at = []
         for decor, _degs, t in self.decorations:
             d = _total_degree(bc.kind, s_deg, t)
@@ -184,8 +247,9 @@ class _TreeRecord:
 class BarComplex:
     """A bar or cobar chain complex with bigrading metadata.
 
-    trees are the basis trees in serialization order.  A tree's
-    _TreeRecord is built on first use and kept.
+    trees are the basis trees in serialization order.  The index from
+    tree keys (_tree_key) to trees is built on first use, and a tree's
+    _TreeRecord on first use of the tree; both are kept.
     """
 
     def __init__(self, kind, arity, complex_, trees,
@@ -193,7 +257,8 @@ class BarComplex:
         self.kind = kind
         self.arity = arity
         self.complex = complex_
-        self._trees = dict.fromkeys(trees)
+        self._trees = tuple(trees)
+        self._index = None
         self._records = {}
         self.r_coeff = r_coeff
         self.op = op
@@ -208,14 +273,31 @@ class BarComplex:
 
     def trees(self):
         """The basis trees in serialization order."""
-        return tuple(self._trees)
+        return self._trees
 
     def record(self, tree):
         """The _TreeRecord of a basis tree, or None for any other tree."""
-        rec = self._records.get(tree)
-        if rec is None and tree in self._trees:
-            rec = self._records[tree] = _TreeRecord(self, tree)
+        if tree.labels != frozenset(range(1, self.arity + 1)):
+            return None
+        return self.keyed(_tree_key(tree))
+
+    def keyed(self, key):
+        """The _TreeRecord of the basis tree with this key, or None."""
+        rec = self._records.get(key)
+        if rec is None:
+            tree = self._keys().get(key)
+            if tree is not None:
+                rec = self._records[key] = _TreeRecord(self, tree)
         return rec
+
+    def records(self):
+        """The records of every basis tree, in serialization order."""
+        return [self.keyed(key) for key in self._keys()]
+
+    def _keys(self):
+        if self._index is None:
+            self._index = {_tree_key(t): t for t in self._trees}
+        return self._index
 
     def split_by_internal_degree(self):
         """Sub-complexes per internal degree, graded by signed tree degree."""
@@ -688,7 +770,10 @@ def symmetric_action(bc, sigma):
     sigma is a 1-based image tuple on {1..arity}.  The action relabels
     the underlying trees (orientation sign), re-identifies every slot
     through its child reordering, and reorders the graded slots (Koszul
-    signs).  Source and target positions come from the tree records.
+    signs).  It works on the trees' keys (_relabel_slots): sigma maps
+    each node's label mask to the mask of the target's node, the target's
+    record is the one with the sorted images as its key, and no Tree is
+    built.
     """
     n = bc.arity
     try:
@@ -700,40 +785,79 @@ def symmetric_action(bc, sigma):
         raise ValidationError(
             f"symmetric_action: {sigma!r} is not a permutation of 1..{n} "
             f"(the complex has arity {n})")
-    smap = {i + 1: sigma[i] for i in range(n)}
-    inv = {v: k for k, v in smap.items()}
-    r_mod, p, l_mod = bc.r_coeff, bc.op, bc.l_coeff
-    entries = {}
-    for tree in bc.trees():
-        src = bc.record(tree)
-        new_tree, tree_sign, moves = tr._relabel(tree, smap)
-        tgt = bc.record(new_tree)
-        old_path = {new: old for old, (new, _tau) in moves.items()}
+    return _action_matrices(bc, sigma, bc.complex.degrees())
 
-        tau = moves[()][1]
-        matrix = r_mod.action(len(tau), tuple(t + 1 for t in tau))
-        plan = [("apply", (0,), matrix, (matrix.ncols,))]
-        for path in tgt.paths:
-            old = old_path[path]
-            tau = moves[old][1]
-            matrix = p.action(len(tau), tuple(t + 1 for t in tau))
-            plan.append(("apply", (src.vertex_slot[old],), matrix,
-                         (matrix.ncols,)))
-        for labels in tgt.leaves:
-            old_labels = tuple(sorted(inv[x] for x in labels))
-            pi = block_sort_perm([smap[x] for x in old_labels])
-            matrix = l_mod.action(len(labels), tuple(t + 1 for t in pi))
-            plan.append(("apply", (src.leaf_slot[old_labels],), matrix,
-                         (matrix.ncols,)))
-        for k, _t, flat, coeff in _plan_terms(src.decorations, plan,
-                                              tree_sign, tgt.sizes):
+
+def _mask_image(sigma):
+    """The image of a label mask under sigma (1-based images), through a
+    bit table; memoized for the life of the returned function."""
+    bits = [(x, 1 << s) for x, s in enumerate(sigma, start=1)]
+    images = {}
+
+    def image(mask):
+        out = images.get(mask)
+        if out is None:
+            out = 0
+            for x, bit in bits:
+                if mask >> x & 1:
+                    out |= bit
+            images[mask] = out
+        return out
+    return image
+
+
+def _relabel_slots(src, tgt, images, image):
+    """The relabelling of shape src onto shape tgt, where images are the
+    images of src's masks under image.  Returns (orientation sign, moves):
+    the sign is that of the permutation sending src's i-th vertex to the
+    slot of its image in tgt, and moves[q'] = (q, tau) for the target
+    slot q' of each source slot q, tau[i] the new position of q's i-th
+    child (the rank of the least label of its image)."""
+    slot = tgt.slot
+    sign = perm_sign(tuple(slot[m] - 1 for m in images[:src.nv]))
+    moves = [None] * len(src.kids)
+    for q, kids in enumerate(src.kids):
+        lows = [m & -m for m in map(image, kids)]
+        moves[slot[images[q - 1]] if q else 0] = (q, block_sort_perm(lows))
+    return sign, moves
+
+
+def _action_matrices(bc, sigma, degrees):
+    """The matrices of a valid sigma in the total degrees degrees: the one
+    path behind symmetric_action (every degree) and _homology_actions
+    (the degrees of the homology representatives).  A tree with no
+    decoration in those degrees is not relabelled."""
+    wanted = set(degrees)
+    degrees = [d for d in bc.complex.degrees() if d in wanted]
+    image = _mask_image(sigma)
+    seqs = (bc.r_coeff, bc.op, bc.l_coeff)
+    matrices = {}
+    entries = {}
+    for src in bc.records():
+        if wanted.isdisjoint(d for d, _j in src.at):
+            continue
+        images = [image(m) for m in src.masks]
+        tgt = bc.keyed(tuple(sorted(images)))
+        sign, moves = _relabel_slots(src, tgt, images, image)
+        plan = []
+        for q, tau in moves:
+            # The root, a vertex or a leaf: sigma's action on its module.
+            seq = 0 if q == 0 else 1 if q <= src.nv else 2
+            matrix = matrices.get((seq, tau))
+            if matrix is None:
+                matrix = matrices[seq, tau] = seqs[seq].action(
+                    len(tau), tuple(t + 1 for t in tau))
+            plan.append(("apply", (q,), matrix, (matrix.ncols,)))
+        for k, _t, flat, coeff in _plan_terms(src.decorations, plan, sign,
+                                              tgt.sizes):
             d, j = src.at[k]
-            _d, i = tgt.at[flat]
-            row = entries.setdefault(d, {})
-            row[(i, j)] = row.get((i, j), 0) + coeff
+            if d in wanted:
+                _d, i = tgt.at[flat]
+                row = entries.setdefault(d, {})
+                row[(i, j)] = row.get((i, j), 0) + coeff
     return {d: ExactMatrix(bc.complex.rank(d), bc.complex.rank(d),
                            entries.get(d), ring=bc.ring)
-            for d in bc.complex.degrees()}
+            for d in degrees}
 
 
 # ---------------------------------------------------------------------------
@@ -781,23 +905,68 @@ def reduced_cobar(q, arity, cache=None):
                            _unit(q, LEFT_COMODULE), arity, cache)
 
 
+def _cutter(arity, blocks):
+    """The ungrafting of trees on {1..arity} along disjoint sorted label
+    blocks, on masks.  Returns cut(shape): None when some block is not
+    the label set of a node of the shape, else (factor keys, placed), the
+    keys of the skeleton and of each block's part, and placed[q - 1] =
+    (factor, mask in that factor) for each slot q > 0 of the shape.
+
+    A mask inside a block B goes to B's part, compressed onto 1..|B|
+    (_compress); B itself becomes the part's root child, and the skeleton
+    leaf lowbit(B).  Every other mask goes to the skeleton, with each
+    block it contains replaced by that block's least bit, compressed onto
+    the kept labels: those no block covers and the blocks' least labels.
+    Compression keeps the order of least labels, hence canonical form,
+    every child order and the depth-first order of the vertices.
+    """
+    block_masks = [_mask(b) for b in blocks]
+    kept = sorted(set(range(1, arity + 1)).difference(*blocks)
+                  | {b[0] for b in blocks})
+    heads = [_compress(b & -b, kept) for b in block_masks]
+    placed = {}
+
+    def place(mask):
+        for j, (block, labels) in enumerate(zip(block_masks, blocks), 1):
+            if mask & block == mask:
+                return j, _compress(mask, labels)
+        for block in block_masks:
+            if mask & block == block:
+                mask = mask & ~block | block & -block
+        return 0, _compress(mask, kept)
+
+    def cut(shape):
+        if not all(b in shape.slot for b in block_masks):
+            return None
+        out = []
+        for mask in shape.masks:
+            at = placed.get(mask)
+            if at is None:
+                at = placed[mask] = place(mask)
+            out.append(at)
+        keys = [list(heads)] + [[] for _b in blocks]
+        for j, mask in out:
+            keys[j].append(mask)
+        return [tuple(sorted(k)) for k in keys], out
+    return cut
+
+
 def _split_terms(bc, skeleton, parts, blocks):
     """((degree, position) in bc, factor global indices, coefficient)
     triples of the ungrafting map, read from the tree records.
 
     Ungrafts every basis tree V of bc along the disjoint label sets blocks
-    (trees.ungraft_at at the paths of V's subtree index; a tree with no
-    subtree on some block is skipped at that block's lookup): each block
-    is cut off as one part, renumbered onto 1..|block| preserving order
-    (trees.renumber); the skeleton keeps the leaves no block covers, gains
+    on its masks (_cutter; a tree with no node on some block is skipped):
+    each block is cut off as one part, renumbered onto 1..|block|
+    preserving order; the skeleton keeps the leaves no block covers, gains
     one leaf per cut counted as its block's least label, and is
-    renumbered onto 1..m preserving order.  An order-preserving
-    renumbering keeps canonical form, every vertex path and the
-    orientation, so it contributes no sign.  skeleton and parts are the
-    factors' complexes, in the order of the blocks; trees whose factors
-    are not among their basis trees contribute nothing.  The skeleton's
-    cut leaves and the parts' roots carry the unit.  A factor's global
-    index is its position in the tensor_list factor's global basis.
+    renumbered onto 1..m preserving order.  The factors' records are
+    looked up by their keys, so no Tree is built.  skeleton and parts are
+    the factors' complexes, in the order of the blocks; trees whose
+    factors are not among their basis trees contribute nothing.  The
+    skeleton's cut leaves and the parts' roots carry the unit.  A
+    factor's global index is its position in the tensor_list factor's
+    global basis.
 
     Signs: V's vertex orientation splits into the factors' orientations
     (the sign of V's vertex order against skeleton vertices, then each
@@ -809,39 +978,32 @@ def _split_terms(bc, skeleton, parts, blocks):
     blocks = [tuple(sorted(b)) for b in blocks]
     factors = [skeleton] + list(parts)
     offsets = [f.complex.module.offset for f in factors]
-    heads = {(b[0],) for b in blocks}
-    kept = sorted(set(range(1, bc.arity + 1)).difference(*blocks)
-                  | {b[0] for b in blocks})
+    cut = _cutter(bc.arity, blocks)
     out = []
-    for v_tree in bc.trees():
-        rec = bc.record(v_tree)
-        if not all(b in rec.subtrees for b in blocks):
+    for rec in bc.records():
+        split = cut(rec)
+        if split is None:
             continue
-        cuts = [rec.subtrees[b] for b in blocks]
-        t_tree, parts_raw = tr.ungraft_at(v_tree, cuts)
-        f_recs = [f.record(tree) for f, tree in zip(factors, [t_tree] + [
-            tr.renumber(u) for u in parts_raw])]
+        keys, placed = split
+        f_recs = [f.keyed(key) for f, key in zip(factors, keys)]
         if None in f_recs:
             continue
-        # V's vertex paths per factor, each in that factor's vertex order.
-        under = [[path for path in rec.paths if path[:len(c)] == c]
-                 for c in cuts]
-        inside = {path for u in under for path in u}
-        groups = [[path for path in rec.paths if path not in inside]] + under
-        split_order = {path: i for i, path in enumerate(
-            path for g in groups for path in g)}
-        base_sign = perm_sign(tuple(split_order[path] for path in rec.paths))
-
-        plan = []
-        for j, f_rec in enumerate(f_recs):
-            # Each factor's vertices are V's, in the factor's vertex order.
-            plan.append(("unit",) if j else ("copy", 0))
-            plan.extend(("copy", rec.vertex_slot[path]) for path in groups[j])
-            for key in f_rec.leaves:
-                orig = (tuple(blocks[j - 1][x - 1] for x in key) if j
-                        else tuple(kept[x - 1] for x in key))
-                plan.append(("unit",) if not j and orig in heads else
-                            ("copy", rec.leaf_slot[orig]))
+        # Each factor's slots, in its order: the skeleton's root and every
+        # slot that is one of V's are copied; the rest carry the unit.
+        plans = [[("unit",)] * len(f_rec.sizes) for f_rec in f_recs]
+        plans[0][0] = ("copy", 0)
+        # V's vertices in the split order: the skeleton's, then each part's.
+        v_first = [0]
+        for f_rec in f_recs:
+            v_first.append(v_first[-1] + f_rec.nv)
+        split_order = []
+        for q, (j, mask) in enumerate(placed, start=1):
+            at = f_recs[j].slot[mask]
+            plans[j][at] = ("copy", q)
+            if q <= rec.nv:
+                split_order.append(v_first[j] + at - 1)
+        base_sign = perm_sign(split_order)
+        plan = [item for items in plans for item in items]
         totals = [len(f_rec.decorations) for f_rec in f_recs]
         sizes = [size for f_rec in f_recs for size in f_rec.sizes]
         index = [0] * len(f_recs)
@@ -854,7 +1016,7 @@ def _split_terms(bc, skeleton, parts, blocks):
             for f_rec, off, f_k in zip(f_recs, offsets, index):
                 d_f, p_f = f_rec.at[f_k]
                 combo.append(off(d_f) + p_f)
-                if len(f_rec.paths) * t_before % 2:
+                if f_rec.nv * t_before % 2:
                     coeff = -coeff
                 t_before += f_rec.decorations[f_k][2]
             out.append((rec.at[k], tuple(combo), coeff))
@@ -997,14 +1159,26 @@ def _top_signed_degree(kind, arity):
 
 
 def koszul(structure, max_arity=None, with_structure=True, cache=None):
-    """Koszulness report for a reduced operad or cooperad, over Q."""
+    """Koszulness report for a reduced operad or cooperad, over Q.
+
+    max_arity is None for the structure's own max_arity, or an int in
+    1..structure.max_arity.
+    """
     if isinstance(structure, Operad):
         kind = BAR
     elif isinstance(structure, Cooperad):
         kind = COBAR
     else:
         raise ValidationError("koszul expects an operad or a cooperad")
-    max_arity = max_arity or structure.max_arity
+    if max_arity is None:
+        max_arity = structure.max_arity
+    elif not isinstance(max_arity, int) or isinstance(max_arity, bool):
+        raise ValidationError(
+            f"koszul: max_arity {max_arity!r} is not an int")
+    elif not 1 <= max_arity <= structure.max_arity:
+        raise BoundsError(
+            f"koszul: max_arity {max_arity} outside "
+            f"1..{structure.max_arity}")
     if cache is None:
         cache = {}
     report = KoszulReport(kind, getattr(structure, "name", "?"), max_arity)
@@ -1055,12 +1229,14 @@ def _homology_basis(complex_, prefix, summary):
 
 
 def _homology_actions(bc, reps):
-    """Matrices of the adjacent transpositions on the homology basis reps."""
+    """Matrices of the adjacent transpositions on the homology basis reps;
+    the action is built only in the reps' degrees."""
+    degrees = {d for d, _z in reps}
     mats = []
     for i in range(1, bc.arity):
         sigma = list(range(1, bc.arity + 1))
         sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-        act = symmetric_action(bc, tuple(sigma))
+        act = _action_matrices(bc, sigma, degrees)
         mats.append(homology_coordinates(
             bc.complex, reps, [(d, act[d].apply(z)) for d, z in reps]))
     return tuple(mats)

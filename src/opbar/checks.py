@@ -28,8 +28,9 @@ factors (exactla.reindexing_map).
   from (Omega(s) (x) Omega(r_1) ... Omega(r_s)) (x) M(B_1) ... M(B_r),
   where R shuffles each Omega(r_i) in front of its group of blocks.
 
-Each distinct split map is built once per check call, and tensor
-products are shared while alive (exactla.tensor_list).
+Each distinct split map is built once per cache (with the complexes it
+maps between), and tensor products are shared while alive
+(exactla.tensor_list).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .barcobar import (
 )
 from .errors import ValidationError
 from .exactla import ChainMap, reindexing_map, tensor_chain_maps
-from .opalg import canonical_partition
+from .opalg import canonical_partition, fingerprint
 
 
 def _triples(n, allow_empty_x=True):
@@ -69,8 +70,10 @@ def _positions(universe, subset):
 
 
 class _Maps:
-    """Split maps, identities and reindexings of one structure, each built
-    once per check call and dropped with it."""
+    """Split maps, identities and reindexings of one structure.  Split maps
+    are kept in the shared complex cache under their kind, the structure's
+    fingerprint, the arity and the split positions, so no structure can
+    receive another's map; the rest are built once per check call."""
 
     def __init__(self, structure, kind, cache):
         self.structure, self.kind = structure, kind
@@ -90,9 +93,13 @@ class _Maps:
         """The split of b_side off universe, relabelled to 1..len(universe)."""
         n, b = len(universe), _positions(universe, b_side)
         a_rest = tuple(x for x in range(1, n + 1) if x not in b)
-        build = bar_cocomposition if self.kind == BAR else cobar_composition
-        return self.once(("split", n, b), lambda: build(
-            self.structure, n, b[0], a_rest + (b[0],), b, self.cache))
+        key = ("split", self.kind, fingerprint(self.structure), n, b)
+        if key not in self.cache:
+            build = (bar_cocomposition if self.kind == BAR
+                     else cobar_composition)
+            self.cache[key] = build(self.structure, n, b[0],
+                                    a_rest + (b[0],), b, self.cache)
+        return self.cache[key]
 
     def tensor(self, *maps):
         """Tensor product of split maps and identities (arities)."""

@@ -35,6 +35,15 @@ Ungrafting is an index and a cut: ``subtree_index`` maps the label set
 of every node to its path, and ``ungraft_at`` cuts at such paths;
 ``ungraft_partition`` validates its blocks and runs the two.
 
+``relabel`` (through ``_relabel``) and ``ungraft_partition`` build new
+trees; they serve callers that hold Trees, and they are the reference
+for the bar and cobar complexes, whose symmetric action and ungrafting
+maps never build a Tree.  Those work on each tree's key, the sorted
+bitmasks of the label sets of its nodes below the root, which determine
+the tree: a permutation maps the masks (``barcobar._relabel_slots``),
+and a cut sorts them into the factors and renumbers each factor's masks
+as ``renumber`` does (``barcobar._cutter``).
+
 Trees are enumerated by supports: the allowed root arities, vertex
 arities and leaf sizes (``supported_trees``).  A bar or cobar complex
 passes its coefficients' and operad's supports, the arities of nonzero

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from opbar import barcobar, exactla
+from opbar import barcobar, exactla, trees
 from opbar.barcobar import (
     BAR,
     COBAR,
@@ -32,7 +32,7 @@ from opbar.checks import (
     check_unary_action_is_identity,
 )
 from opbar.combinat import set_partitions
-from opbar.errors import ValidationError
+from opbar.errors import BoundsError, ValidationError
 from opbar.exactla import (
     INT,
     RAT,
@@ -56,7 +56,7 @@ from opbar.opalg import (
     dual,
     unit_module,
 )
-from opbar.trees import Tree
+from opbar.trees import Tree, subtree_index
 from opbar.verify import stirling2
 from test_partition import cycle_types, sgn_lie_character
 
@@ -139,7 +139,6 @@ def _reordered_merges(structure, arity):
     edge collapses of the standard trees whose merged vertex arity has
     nonzero rank and whose child order changes, read through the public
     collapse."""
-    from opbar import trees
     out = set()
     for tree in trees.enumerate_trees(arity):
         for kind, path in trees.collapse_moves(tree):
@@ -160,7 +159,6 @@ def test_assembly_makes_no_label_lookups_and_no_full_tree_walks(
     # splice locally on the vertex paths of one walk per tree, and the
     # matrix of each reordered merge is multiplied once per complex; none
     # hashes labels, re-sorts a tree or walks it again.
-    from opbar import trees
     com = builtin("com", 5)
     merges = _reordered_merges(com, 5)
     # A first build fills the structure's own action and partial caches.
@@ -473,6 +471,163 @@ def test_every_action_and_koszul_maps_match_pinned_digests(case):
         PINNED_ACTION_DIGESTS[case]
 
 
+def _generalized(max_arity):
+    return [t for n in range(1, max_arity + 1)
+            for t in trees.enumerate_trees(n, trees.GENERALIZED)]
+
+
+def _tree_from_key(key):
+    """The tree whose nodes below the root have the label masks key: each
+    node's children are the largest masks properly inside it."""
+    def children(inside):
+        below = [m for m in key if m & inside == m and m != inside]
+        tops = [m for m in below if not any(
+            m & o == m and m != o for o in below)]
+        return tuple(node(m) for m in tops)
+
+    def node(mask):
+        kids = children(mask)
+        return ("V", kids) if kids else ("L", _labels(mask))
+    # Every bit up to the largest label: a mask above every node.
+    return trees.make_tree(children((1 << max(key).bit_length()) - 1))
+
+
+def test_tree_keys_determine_the_tree():
+    basis = _generalized(5)
+    assert len(basis) == 1357
+    keys = {barcobar._tree_key(t): t for t in basis}
+    assert len(keys) == len(basis)
+    for key, tree in keys.items():
+        assert _tree_from_key(key) == tree
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mask_relabelling_is_the_canonicalizing_walk(n):
+    basis = trees.enumerate_trees(n, trees.GENERALIZED)
+    for tree, sigma in itertools.product(
+            basis, itertools.permutations(range(1, n + 1))):
+        smap = dict(enumerate(sigma, start=1))
+        new_tree, sign, moves = trees._relabel(tree, smap)
+        src, tgt = barcobar._TreeShape(tree), barcobar._TreeShape(new_tree)
+        image = barcobar._mask_image(sigma)
+        images = [image(m) for m in src.masks]
+        assert tuple(sorted(images)) == barcobar._tree_key(new_tree)
+        # The walk's moves per slot: the root, the vertices, the leaves.
+        old_paths, new_paths = tree.vertex_paths(), new_tree.vertex_paths()
+        want = [(0, moves[()][1])] + [None] * (len(src.kids) - 1)
+        for old, (new, tau) in moves.items():
+            if old:
+                want[new_paths.index(new) + 1] = (old_paths.index(old) + 1,
+                                                  tau)
+        new_leaves = [labels for _p, labels in new_tree.leaves()]
+        for q, (_p, labels) in enumerate(tree.leaves(), start=src.nv + 1):
+            images_of = [smap[x] for x in labels]
+            want[src.nv + 1 + new_leaves.index(tuple(sorted(images_of)))] = (
+                q, tuple(sorted(images_of).index(y) for y in images_of))
+        assert barcobar._relabel_slots(src, tgt, images, image) == (sign,
+                                                                     want)
+
+
+def _block_sets(n):
+    """Every nonempty list of disjoint nonempty label sets in 1..n, in
+    least-label order and reversed."""
+    labels = range(1, n + 1)
+    for size in range(1, n + 1):
+        for covered in itertools.combinations(labels, size):
+            for blocks in set_partitions(covered):
+                yield list(blocks)
+                if len(blocks) > 1:
+                    yield list(blocks)[::-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mask_cut_is_ungrafting_and_renumbering(n):
+    cuts = [(blocks, barcobar._cutter(n, [tuple(b) for b in blocks]))
+            for blocks in _block_sets(n)]
+    for tree in trees.enumerate_trees(n, trees.GENERALIZED):
+        src = barcobar._TreeShape(tree)
+        for blocks, cut in cuts:
+            want = trees.ungraft_partition(tree, blocks)
+            got = cut(src)
+            if want is None:
+                assert got is None
+                continue
+            skeleton, parts, _paths = want
+            factors = [skeleton] + [trees.renumber(p) for p in parts]
+            keys, placed = got
+            assert keys == [barcobar._tree_key(f) for f in factors]
+            # Every slot of the tree is one node of one factor, with as many
+            # children; only the skeleton's cut leaves are left over.
+            shapes = [barcobar._TreeShape(f) for f in factors]
+            assert len(set(placed)) == len(placed) == sum(
+                len(s.masks) for s in shapes) - len(blocks)
+            for q, (j, mask) in enumerate(placed, start=1):
+                at = shapes[j].slot[mask]
+                assert len(shapes[j].kids[at]) == len(src.kids[q])
+
+
+def test_actions_and_cuts_build_no_tree(monkeypatch):
+    com = builtin("com", 4)
+    qcom = dual(com)
+    cc = _sphere_cobar(3)
+    cache = {}
+
+    def run():
+        bc = reduced_bar(com, 4, cache)
+        for sigma in itertools.permutations((1, 2, 3, 4)):
+            symmetric_action(bc, sigma)
+        for a, a_side, b_side in _canonical_splits(4):
+            bar_cocomposition(com, 4, a, a_side, b_side, cache)
+            cobar_composition(qcom, 4, a, a_side, b_side, cache)
+        for blocks in set_partitions((1, 2, 3)):
+            module_structure_maps(cc, blocks, cache)
+        symmetric_action(cc, (2, 3, 1))
+
+    # The first run builds the complexes, which enumerates their trees.
+    run()
+    calls = dict.fromkeys(("_tree", "_canonical", "renumber", "ungraft_at"), 0)
+    for name in calls:
+        def counted(*args, name=name, function=getattr(trees, name)):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(trees, name, counted)
+    run()
+    assert calls == dict.fromkeys(calls, 0)
+
+
+def _structure_checks(cache):
+    """The (co)associativity checks of the structure-checks benchmark set."""
+    for op in (builtin("com", 4), builtin("ass", 4)):
+        check_coassociativity(op, 3, cache)
+        check_coassociativity(op, 4, cache)
+        check_disjoint_cocompositions(op, 4, cache)
+    qcom = dual(builtin("com", 4))
+    check_cobar_associativity(qcom, 3, cache)
+    check_cobar_associativity(qcom, 4, cache)
+
+
+def test_split_maps_are_kept_with_the_complex_cache(monkeypatch):
+    from opbar.opalg import fingerprint
+    builds = []
+    split_map = barcobar._split_map
+
+    def counted(kind, p, arity, a, a_side, b_side, cache):
+        builds.append((kind, fingerprint(p), arity, tuple(b_side)))
+        return split_map(kind, p, arity, a, a_side, b_side, cache)
+
+    monkeypatch.setattr(barcobar, "_split_map", counted)
+    cache = {}
+    # 131 builds when each check call kept its own maps.
+    _structure_checks(cache)
+    assert len(builds) == len(set(builds)) == 75
+    # Equal structures built again find their maps in the cache.
+    _structure_checks(cache)
+    assert len(builds) == 75
+    # A structure with other data gets its own maps.
+    check_coassociativity(builtin("com", 4, ring=RAT), 3, cache)
+    assert len(builds) > 75
+
+
 def test_tree_records_are_built_once_per_complex_and_tree(monkeypatch):
     built = []
     record = barcobar._TreeRecord
@@ -495,6 +650,11 @@ def test_tree_records_are_built_once_per_complex_and_tree(monkeypatch):
     assert built and len(set(keys)) == len(keys)
 
 
+def _labels(mask):
+    """The sorted labels of a bitmask (bit x for label x)."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
 @pytest.mark.parametrize("build,spread", [
     (lambda: reduced_bar(builtin("ass", 4), 4), False),
     (lambda: _sphere_cobar(4), False),
@@ -506,7 +666,12 @@ def test_records_hold_the_module_positions(build, spread):
     degrees = 1
     for tree in bc.trees():
         rec = bc.record(tree)
-        assert rec.paths == tree.vertex_paths()
+        # The masks are the vertices in depth-first order, then the leaves
+        # by least label.
+        index = subtree_index(tree)
+        assert rec.nv == tree.n_vertices
+        assert [index[_labels(m)] for m in rec.masks] == \
+            tree.vertex_paths() + [path for path, _l in tree.leaves()]
         for k, (decor, _degs, t) in enumerate(rec.decorations):
             flat = 0
             for size, i in zip(rec.sizes, decor):
@@ -547,7 +712,6 @@ def collapses(monkeypatch):
     """(tree, target tree, target vertex order) of every call of
     trees._collapse, the engine assembly calls, while the fixture is
     live."""
-    from opbar import trees
     out = []
     engine = trees._collapse
 
@@ -938,6 +1102,20 @@ class TestKoszul:
                         act = act * gens[i - 1]
                     start += length
                 assert act.trace() == sgn_lie_character(ct), (n, ct)
+
+    @pytest.mark.parametrize("bound,error", [
+        (0, BoundsError), (-1, BoundsError), (4, BoundsError),
+        (2.5, ValidationError), ("3", ValidationError),
+        (True, ValidationError)])
+    def test_max_arity_is_none_or_an_int_in_range(self, bound, error):
+        with pytest.raises(error, match=f"max_arity {bound!r}"
+                           if error is ValidationError
+                           else f"max_arity {bound} outside 1..3"):
+            koszul(builtin("com", 3), bound)
+
+    def test_max_arity_none_is_the_structures(self):
+        report = koszul(builtin("com", 3), None, with_structure=False)
+        assert report.max_arity == 3 and sorted(report.summaries) == [1, 2, 3]
 
     def test_non_koszul_is_reported_not_raised(self):
         # An operad with homology spread across tree degrees would set
