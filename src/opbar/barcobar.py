@@ -151,14 +151,6 @@ def _slot_modules(tree, nodes, leaves, components):
             + [leaf[len(labels)] for labels in leaves])
 
 
-def _mask(labels):
-    """The bitmask of a label set: bit x for label x."""
-    out = 0
-    for x in labels:
-        out |= 1 << x
-    return out
-
-
 def _compress(mask, labels):
     """mask renumbered onto 1..len(labels) by the increasing bijection
     from the sorted labels, which must contain its bits."""
@@ -920,7 +912,7 @@ def _cutter(arity, blocks):
     Compression keeps the order of least labels, hence canonical form,
     every child order and the depth-first order of the vertices.
     """
-    block_masks = [_mask(b) for b in blocks]
+    block_masks = [sum(1 << x for x in b) for b in blocks]
     kept = sorted(set(range(1, arity + 1)).difference(*blocks)
                   | {b[0] for b in blocks})
     heads = [_compress(b & -b, kept) for b in block_masks]
