@@ -10,45 +10,58 @@ reduced operad with unit coefficients they are the standard trees.
 
 The differential, the symmetric action and the ungrafting maps below all
 carry a tree's slot decorations along a map of trees (a collapse, a
-relabelling or a cut) given as a plan: one item per target slot, naming
-the source slots it copies or sends through a structure matrix.  One
-evaluator, _plan_terms, expands a plan over every decoration.
-_decorations lists a tree's decorations in row-major order, so a
+relabelling or a cut) given as a plan: one item per target slot, the
+source slot it copies (an int), a unit (None), or the source slots it
+sends through a structure matrix ((positions, matrix)).  One evaluator,
+_plan_terms, expands a plan over every decoration.  A slot's module is
+fixed by its arity, so the trees with equal slot arities share one
+_Slots, built once per complex (_slot_table): the ranks, their
+row-major strides, the _decorations list and whether some slot has odd
+degree.  _decorations lists the decorations in row-major order, so a
 decoration's flat index is its position in the list, and the evaluator
-yields (source flat index, t, target flat index, coefficient): copies fill
-the target index through its strides, and only the apply items are
-expanded.  A term's coefficient is the tree map's orientation sign, times
-the Koszul sign of reordering the graded decorations into the target's
-slot order (once per degree tuple), times the matrix entries.
+yields (source flat index, t, target flat index, coefficient): copies of
+slots of rank > 1 fill the target index through its strides, and only
+the apply items are expanded.  A term's coefficient is the tree map's
+orientation sign, times the Koszul sign of reordering the graded
+decorations into the target's slot order (once per degree tuple, and
+only when some slot has odd degree), times the matrix entries.
 
-Assembly walks each basis tree once (trees.slot_walk) and records its
-vertex paths and nodes, its leaves, its slot sizes, its decorations and
-the position of the tree with each decoration in its degree.  The
-differential sums the collapse moves whose merged slot stays in its
-support, and each move is integer work on these records: the engine
-trees._collapse gives the target's root children (the key of its record),
-the sign and the target's vertices as source vertex indices, from which
-the plan's copies are read, with no Tree, label or path lookup.  The
-merged slot's matrix, the structure's partial in operad form
+Every map works on integer tree keys.  A canonical tree is determined by
+the label sets of its nodes below the root, a laminar family; with bit x
+for label x, its key is the sorted tuple of these masks (_tree_key), and
+its masks in slot order are the vertices depth-first, then the leaves by
+least label.
+
+Assembly walks each basis tree once (_mask_walk) for its masks and slot
+arities, and keeps per tree, by key, only the masks in slot order, the
+vertex count, the position of the tree with each decoration in its
+degree and its _Slots.  The differential sums the collapse moves whose
+merged slot stays in its support, each made on keys (_key_collapse): an
+edge collapse deletes the vertex's mask, a bud collapse the masks of the
+vertex's leaves, and the target is the tree with the remaining key.
+Each target slot copies the source slot with its mask, and the merged
+slot applies the structure matrix.  The sign is that of the surviving
+vertices' order in the target, times (-1)^(i-1) for the i-th vertex,
+negated for an edge; tau, the reordering of the merged node's children,
+is the rank order of their least labels.  The children and parents the
+moves need are read off the masks (_shape) while that tree's moves are
+made, so no Tree is walked again and no per-tree table outlives its
+moves; the entries are dropped before the matrices are built.  The
+merged slot's matrix of an edge, the structure's partial in operad form
 (opalg.operad_form) times the child-reorder action, is built once per
 (outer slot, m_out, insert_pos, k_inner, tau) in a dict local to one
 complex.  Bar and cobar complexes share one plan: cobar complexes run the
 covers backwards, with tree degrees recorded negatively.  The complex
-keeps only its basis trees; the records live while its differential is
-assembled.
+keeps its basis trees and its _slot_table.
 
-The structure maps and the symmetric action work on integer tree keys.
-A canonical tree is determined by the label sets of its nodes below the
-root, a laminar family; with bit x for label x, its key is the sorted
-tuple of these masks (_tree_key).  Each complex builds one key -> tree
-index on first use, and one record per basis tree (_TreeRecord) the
-first time a map asks for it; assembly and reduction build neither.  A
-record holds the node masks in slot order (vertices depth-first, then
-leaves by least label), the masks of every slot's children, mask -> slot,
-the slot sizes, the _decorations list, and the (degree, position) of the
-tree with each decoration by flat decoration index, looked up in the
-complex's module once, when the record is built.  The records belong to
-the complex, so no cache can hand one structure's records to another.
+Each complex builds one key -> tree index on first use, and one record
+per basis tree (_TreeRecord) the first time a map asks for it; assembly
+and reduction build neither.  A record holds the node masks in slot
+order, the masks of every slot's children, mask -> slot, the _Slots of
+its slot arities (the object assembly used), and the (degree, position)
+of the tree with each decoration by flat decoration index, looked up in
+the complex's module once, when the record is built.  The records belong
+to the complex, so no cache can hand one structure's records to another.
 
 A permutation acts on masks through a bit table (_mask_image); the
 target's record is the one keyed by the sorted images, the orientation
@@ -136,21 +149,6 @@ class BarBasisLabel:
         return f"<{self.tree.serialize()}|{dec}|s={self.tree_degree},t={self.internal_degree}>"
 
 
-def _components(r_mod, p, l_mod, arity):
-    """The components of r_mod, p and l_mod by arity 0..arity, read once."""
-    return tuple([seq.component(n) for n in range(arity + 1)]
-                 for seq in (r_mod, p, l_mod))
-
-
-def _slot_modules(tree, nodes, leaves, components):
-    """The modules of a tree's slots, root, vertices (depth-first), leaves
-    (least label), from trees.slot_walk's nodes and leaves."""
-    root, vertex, leaf = components
-    return ([root[len(tree.root_children)]]
-            + [vertex[len(node[1])] for node in nodes]
-            + [leaf[len(labels)] for labels in leaves])
-
-
 def _compress(mask, labels):
     """mask renumbered onto 1..len(labels) by the increasing bijection
     from the sorted labels, which must contain its bits."""
@@ -212,25 +210,20 @@ class _TreeShape:
 
 class _TreeRecord(_TreeShape):
     """One basis tree of a complex as its structure maps read it: its
-    shape, sizes the slots' ranks, decorations the _decorations list, and
-    at[k] the (total degree, position in that degree) of the tree with its
-    k-th decoration, k the flat (row-major) index."""
+    shape, slots the _Slots of its signature, shared with assembly and
+    every other tree of the complex with the same slot arities, and at[k]
+    the (total degree, position in that degree) of the tree with its k-th
+    decoration, k the flat (row-major) index."""
 
-    __slots__ = ("sizes", "decorations", "at")
+    __slots__ = ("slots", "at")
 
     def __init__(self, bc, tree):
         super().__init__(tree)
-        root, vertex, leaf = _components(bc.r_coeff, bc.op, bc.l_coeff,
-                                         bc.arity)
         # A slot's arity is its number of children.
-        modules = ([root[len(self.kids[0])]]
-                   + [vertex[len(k)] for k in self.kids[1:self.nv + 1]]
-                   + [leaf[len(k)] for k in self.kids[self.nv + 1:]])
-        self.sizes = tuple(m.total_rank() for m in modules)
-        self.decorations = _decorations(modules)
+        self.slots = bc.slots_of(self.nv, tuple(map(len, self.kids)))
         s_deg, module = self.nv, bc.complex.module
         self.at = []
-        for decor, _degs, t in self.decorations:
+        for decor, _degs, t in self.slots.decorations:
             d = _total_degree(bc.kind, s_deg, t)
             self.at.append((d, module.position(
                 d, BarBasisLabel(tree, decor, s_deg, t))))
@@ -239,17 +232,19 @@ class _TreeRecord(_TreeShape):
 class BarComplex:
     """A bar or cobar chain complex with bigrading metadata.
 
-    trees are the basis trees in serialization order.  The index from
-    tree keys (_tree_key) to trees is built on first use, and a tree's
-    _TreeRecord on first use of the tree; both are kept.
+    trees are the basis trees in serialization order, and slots_of is
+    the _slot_table assembly read them through.  The index from tree keys
+    (_tree_key) to trees is built on first use, and a tree's _TreeRecord
+    on first use of the tree; both are kept.
     """
 
-    def __init__(self, kind, arity, complex_, trees,
+    def __init__(self, kind, arity, complex_, trees, slots_of,
                  r_coeff=None, op=None, l_coeff=None):
         self.kind = kind
         self.arity = arity
         self.complex = complex_
         self._trees = tuple(trees)
+        self.slots_of = slots_of
         self._index = None
         self._records = {}
         self.r_coeff = r_coeff
@@ -358,50 +353,94 @@ def _strides(sizes):
     return out
 
 
-def _plan_terms(decorations, plan, sign, sizes):
-    """Carry every decoration of a tree along a plan; the one expansion loop.
+class _Slots:
+    """The slots of one slot-module signature, shared by every tree or
+    chain with it: sizes their ranks, strides the row-major strides of
+    sizes, decorations the _decorations list, odd whether some slot has a
+    basis element of odd degree, and span the slot indices in order."""
 
-    plan has one item per target slot, whose ranks are sizes: ("copy", p)
-    takes source slot p's basis index, ("unit",) the index 0 of a unit
-    slot, and ("apply", positions, matrix, in_sizes) the column of matrix
-    at the source slots' indices flattened row-major over in_sizes.  Read
-    in target order, the plan must list every source slot once.  Its
-    Koszul sign on a decoration is (-1) to the number of pairs of
-    odd-degree decorations that trade places, computed once per degree
-    tuple.  Yields (k, internal degree, target flat index, coefficient)
-    for the k-th entry of decorations (_decorations of the source slots,
-    so k is its flat index), the target flat index row-major over sizes
-    and the coefficient sign times the Koszul sign times the matrix
-    entries.  The copies fill a template through the target strides, and
-    only the apply items are expanded; slots of rank one add nothing.
+    __slots__ = ("sizes", "strides", "decorations", "odd", "span")
+
+    def __init__(self, modules):
+        self.sizes = tuple(m.total_rank() for m in modules)
+        self.strides = _strides(self.sizes)
+        self.decorations = _decorations(modules)
+        self.odd = any(d % 2 for m in modules for d in m.degrees())
+        self.span = list(range(len(modules)))
+
+
+def _slot_table(r_mod, p, l_mod, arity):
+    """slots_of(nv, arities): the _Slots of the trees whose slots, the
+    root, nv vertices in depth-first order and the leaves by least label,
+    have these arities; the components are read once, and each signature's
+    _Slots is built once."""
+    root, vertex, leaf = ([seq.component(n) for n in range(arity + 1)]
+                          for seq in (r_mod, p, l_mod))
+    table = {}
+
+    def slots_of(nv, arities):
+        slots = table.get((nv, arities))
+        if slots is None:
+            slots = table[nv, arities] = _Slots(
+                [root[arities[0]]] + [vertex[a] for a in arities[1:nv + 1]]
+                + [leaf[a] for a in arities[nv + 1:]])
+        return slots
+    return slots_of
+
+
+def _plan_terms(src, plan, sign, strides):
+    """Carry every decoration of a source along a plan; the one expansion loop.
+
+    src is the source's _Slots.  plan has one item per target slot, whose
+    row-major strides are strides: an int q takes source slot q's basis
+    index, None the index 0 of a unit slot, and (positions, matrix) the
+    column of matrix at the source slots' indices flattened row-major over
+    their ranks.  Read in target order, the plan must list every source
+    slot once.  Its Koszul sign on a decoration is (-1) to the number of
+    pairs of odd-degree decorations that trade places, computed once per
+    degree tuple, and only when some source slot has odd degree.  Yields
+    (k, internal degree, target flat index, coefficient) for the k-th
+    decoration of src (k is its flat index), the coefficient being sign
+    times the Koszul sign times the matrix entries.  The copies fill a
+    template through the target strides, and only the apply items are
+    expanded; slots of rank one add nothing to an index.
     """
+    decorations = src.decorations
     if not decorations:
         return
+    sizes = src.sizes
     order, copies, applies = [], [], []
-    for item, size, stride in zip(plan, sizes, _strides(sizes)):
-        if item[0] == "copy":
-            order.append(item[1])
-            if size > 1:
-                copies.append((item[1], stride))
-        elif item[0] == "apply":
-            _tag, positions, matrix, in_sizes = item
-            order.extend(positions)
-            applies.append((tuple(
-                (q, s) for q, s, n in zip(positions, _strides(in_sizes),
-                                          in_sizes) if n > 1),
-                matrix.column, stride))
-    if sorted(order) != list(range(len(decorations[0][0]))):
+    for item, stride in zip(plan, strides):
+        if item.__class__ is int:
+            order.append(item)
+            if sizes[item] > 1:
+                copies.append((item, stride))
+            continue
+        if item is None:
+            continue
+        positions, matrix = item
+        order.extend(positions)
+        inputs, step = [], 1
+        for q in reversed(positions):
+            if sizes[q] > 1:
+                inputs.append((q, step))
+                step *= sizes[q]
+        applies.append((inputs, matrix.column, stride))
+    if sorted(order) != src.span:
         raise InternalConsistencyError("plan does not cover all slots")
-    perm = [0] * len(order)
-    for target, q in enumerate(order):
-        perm[q] = target
-    signs = {}
+    koszul = sign
+    if src.odd:
+        perm = [0] * len(order)
+        for target, q in enumerate(order):
+            perm[q] = target
+        signs = {}
     for k, (decor, degs, t) in enumerate(decorations):
-        koszul = signs.get(degs)
-        if koszul is None:
-            # The odd slots' target positions, in source order.
-            koszul = signs[degs] = sign * perm_sign(
-                [perm[q] for q, d in enumerate(degs) if d % 2])
+        if src.odd:
+            koszul = signs.get(degs)
+            if koszul is None:
+                # The odd slots' target positions, in source order.
+                koszul = signs[degs] = sign * perm_sign(
+                    [perm[q] for q, d in enumerate(degs) if d % 2])
         base = 0
         for q, stride in copies:
             base += decor[q] * stride
@@ -462,84 +501,157 @@ def _tree_complex(kind, r_mod, p, l_mod, arity, ring=None):
         raise ValidationError(f"arity {arity} exceeds max_arity {p.max_arity}")
     supports = {slot: {n for n in range(1, arity + 1) if seq.rank(n)}
                 for slot, seq in (("root", r_mod), ("v", p), ("leaf", l_mod))}
-    components = _components(r_mod, p, l_mod, arity)
-    # Per tree, keyed by its root children: (tree, vertex paths, vertex
-    # nodes, leaf labels, slot sizes, decorations, each decoration's
-    # position within its degree).
-    table = {}
+    slots_of = _slot_table(r_mod, p, l_mod, arity)
+    trees = tr.supported_trees(arity, supports["root"], supports["v"],
+                               supports["leaf"])
+    # Per tree, by its key: (masks in slot order, vertex count, each
+    # decoration's position within its degree, the signature's _Slots).
+    index = {}
     spaces = {}
-    for tree in tr.supported_trees(arity, supports["root"], supports["v"],
-                                   supports["leaf"]):
-        paths, nodes, leaves = tr.slot_walk(tree)
-        modules = _slot_modules(tree, nodes, leaves, components)
-        decs = _decorations(modules)
-        s_deg = len(paths)
+    for tree in trees:
+        masks, nv, kids = _mask_walk(tree)
+        slots = slots_of(nv, tuple(map(len, kids)))
         positions = []
-        for decor, _degs, t_deg in decs:
-            labels = spaces.setdefault(_total_degree(kind, s_deg, t_deg), [])
+        for decor, _degs, t_deg in slots.decorations:
+            labels = spaces.setdefault(_total_degree(kind, nv, t_deg), [])
             positions.append(len(labels))
-            labels.append(BarBasisLabel(tree, decor, s_deg, t_deg))
-        table[tree.root_children] = (tree, paths, nodes, leaves, tuple(
-            m.total_rank() for m in modules), decs, positions)
+            labels.append(BarBasisLabel(tree, decor, nv, t_deg))
+        index[tuple(sorted(masks))] = (masks, nv, positions, slots)
     module = GradedFreeModule(spaces)
 
-    collapse = tr._collapse
     # Merged-slot matrices of edge collapses, by (outer slot kind, m_out,
     # insert_pos, k_inner, tau); local to this complex.
     merged = {}
     entries = {}
-    for tree, paths, nodes, leaves, sizes, decs, pos_big in table.values():
-        s_big = len(paths)
-        leaf_copies = [("copy", q) for q in range(s_big + 1, len(sizes))]
+    for key, (masks, nv, pos_big, src) in index.items():
+        shape = _shape(key, masks, nv)
+        kids, parent = shape[2], shape[3]
         # Total degree, less t, of a differential's source: the tree for a
         # bar complex, the collapsed tree for a cobar complex.
-        d_src = _total_degree(kind, s_big if kind == BAR else s_big - 1, 0)
-        for at, (path, node) in enumerate(zip(paths, nodes)):
+        d_src = _total_degree(kind, nv if kind == BAR else nv - 1, 0)
+        for q in range(1, nv + 1):
+            up = parent[q]
+            outer = "v" if up else "root"
+            m_out, k_inner = len(kids[up]), len(kids[q])
             moves = []
-            k_inner = len(node[1])
-            if len(path) == 1:
-                outer, m_out, host = "root", len(tree.root_children), -1
-            else:
-                outer, host = "v", paths.index(path[:-1])
-                m_out = len(nodes[host][1])
             if m_out + k_inner - 1 in supports[outer]:
-                moves.append(tr.ROOT_EDGE if outer == "root"
-                             else tr.INTERNAL_EDGE)
-            if all(c[0] == "L" for c in node[1]) and sum(
-                    len(c[1]) for c in node[1]) in supports["leaf"]:
-                moves.append(tr.BUD)
-            for move_kind in moves:
-                children, sign, order, ins, tau = collapse(
-                    tree, move_kind, path, paths)
-                *_entry, sizes_small, _d, pos_small = table[children]
-                if move_kind == tr.BUD:
-                    plan = _bud_plan(node, leaves, at, order, l_mod, p)
+                moves.append(False)
+            if min(kids[q]) > nv and masks[q - 1].bit_count() in \
+                    supports["leaf"]:
+                # The leaves are the slots after the vertices.
+                moves.append(True)
+            for bud in moves:
+                tkey, plan, sign, ins, tau = _key_collapse(shape, q, bud,
+                                                           index)
+                _m, _nv, pos_small, tgt = index[tkey]
+                # The merged slot applies its matrix; the others copy.
+                if bud:
+                    plan[plan.index(q)] = ((q, *kids[q]), operad_form(
+                        l_mod).left_action(_bud_blocks(masks, kids[q], q)))
                 else:
                     merge = (outer, m_out, ins, k_inner, tau)
                     apply = merged.get(merge)
                     if apply is None:
                         apply = merged[merge] = _merged_matrix(
-                            r_mod if outer == "root" else p, p, m_out, ins,
-                            k_inner, tau)
-                    item = ("apply", (host + 1, at + 1)) + apply
-                    plan = [item if host == -1 else ("copy", 0)]
-                    plan.extend(item if j == host else ("copy", j + 1)
-                                for j in order)
-                    plan.extend(leaf_copies)
-                for k, t, flat, coeff in _plan_terms(decs, plan, sign,
-                                                     sizes_small):
-                    key = ((pos_small[flat], pos_big[k]) if kind == BAR
-                           else (pos_big[k], pos_small[flat]))
+                            r_mod if up == 0 else p, m_out, ins, k_inner,
+                            tau)
+                    plan[plan.index(up)] = ((up, q), apply)
+                for k, t, flat, coeff in _plan_terms(src, plan, sign,
+                                                     tgt.strides):
+                    key_ij = ((pos_small[flat], pos_big[k]) if kind == BAR
+                              else (pos_big[k], pos_small[flat]))
                     row = entries.setdefault(d_src + t, {})
-                    row[key] = row.get(key, 0) + coeff
-    trees = [entry[0] for entry in table.values()]
-    del table  # The matrices below are built without it.
+                    row[key_ij] = row.get(key_ij, 0) + coeff
+    del index  # The matrices below are built without it.
     return BarComplex(kind, arity, ChainComplex.from_entries(
-        module, entries, ring), trees, r_coeff=r_mod, op=p, l_coeff=l_mod)
+        module, entries, ring), trees, slots_of, r_coeff=r_mod, op=p,
+        l_coeff=l_mod)
 
 
-def _merged_matrix(outer, p, m_out, insert_pos, k_inner, tau):
-    """(matrix, input sizes) of an edge collapse's merged slot: the partial
+def _shape(key, masks, nv):
+    """(key, masks, kids, parent, lows, slot) of the tree with this key
+    and these masks in slot order, read off the masks alone: kids[s] are
+    the slots of slot s's children in canonical order, s the root (0) or
+    a vertex (1..nv), parent[q] the slot of q's parent, lows[q] the least
+    label's bit of slot q, and slot[mask] the slot with that mask.
+
+    A vertex's parent is the last vertex on the depth-first path above it
+    that contains its mask, and a leaf's the deepest vertex containing it,
+    the last in depth-first order."""
+    lows = [0] + [m & -m for m in masks]
+    kids = [[] for _v in range(nv + 1)]
+    parent = [0] * len(lows)
+    above = []
+    for q, mask in enumerate(masks, start=1):
+        if q <= nv:
+            while above and masks[above[-1] - 1] & mask != mask:
+                above.pop()
+            up = above[-1] if above else 0
+            above.append(q)
+        else:
+            up = 0
+            for v in range(nv, 0, -1):
+                if masks[v - 1] & mask == mask:
+                    up = v
+                    break
+        parent[q] = up
+        kids[up].append(q)
+    for children in kids:
+        children.sort(key=lows.__getitem__)
+    return key, masks, kids, parent, lows, {
+        m: q for q, m in enumerate(masks, start=1)}
+
+
+def _key_collapse(shape, q, bud, index):
+    """The collapse of vertex slot q of a tree on its key: its bud when
+    bud is true, else the edge above it.  shape is _shape's, and
+    index[target key][0] the target's masks in slot order.
+
+    An edge collapse deletes q's mask (q's children join its parent's); a
+    bud collapse deletes the masks of q's leaves, and q becomes a leaf.
+    Returns (target key, sources, sign, insert_pos, tau).  sources[t] is
+    the source slot of target slot t: the slot with t's mask, so the
+    merged slot's source is q's parent for an edge and q for a bud.  sign
+    is (-1)^(q-1), negated for an edge, times the sign of the surviving
+    vertices' order in the target, as in trees.collapse.  For an edge,
+    insert_pos is q's 1-based position among its parent's children and
+    tau[i] the new position of the i-th spliced child (the parent's
+    children with q's in q's place): the rank order of their least
+    labels.  Both are None for a bud.
+    """
+    key, masks, kids, parent, lows, slot = shape
+    if bud:
+        gone = {masks[r - 1] for r in kids[q]}
+        tkey = tuple([m for m in key if m not in gone])
+    else:
+        at = key.index(masks[q - 1])
+        tkey = key[:at] + key[at + 1:]
+    sources = [0, *map(slot.__getitem__, index[tkey][0])]
+    # The target's vertices, as source slots, are sources[1:nv].
+    sign = perm_sign(sources[1:len(kids) - 1])
+    if q % 2 == 0:
+        sign = -sign
+    if bud:
+        return tkey, sources, sign, None, None
+    siblings = kids[parent[q]]
+    i = siblings.index(q)
+    spliced = siblings[:i] + kids[q] + siblings[i + 1:]
+    return tkey, sources, -sign, i + 1, block_sort_perm(
+        [lows[r] for r in spliced])
+
+
+def _bud_blocks(masks, leaves, q):
+    """The blocks of a bud collapse's left action: the labels of the
+    leaves (slots) of vertex q, renumbered onto 1..|q's labels| in
+    order."""
+    mask = masks[q - 1]
+    labels = [x for x in range(mask.bit_length()) if mask >> x & 1]
+    return [tuple(i for i, x in enumerate(labels, start=1)
+                  if masks[r - 1] >> x & 1) for r in leaves]
+
+
+def _merged_matrix(outer, m_out, insert_pos, k_inner, tau):
+    """The matrix of an edge collapse's merged slot: the partial
     composition in operad form followed by the child-reorder action tau;
     for cobar complexes the operad form is the transposed cocomposition,
     which supplies the cocomposition coefficients."""
@@ -548,28 +660,7 @@ def _merged_matrix(outer, p, m_out, insert_pos, k_inner, tau):
     if any(tau[i] != i for i in range(len(tau))):
         matrix = form.action(m_out + k_inner - 1,
                              tuple(t + 1 for t in tau)) * matrix
-    return matrix, (outer.rank(m_out), p.rank(k_inner))
-
-
-def _bud_plan(node, leaves, at, order, l_mod, p):
-    """The plan of a bud collapse at the at-th vertex, node: the left
-    action merges the vertex and its leaves, in the place of its least
-    leaf; every other slot is copied (order is _collapse's vertex order)."""
-    blocks = [c[1] for c in node[1]]
-    union = tuple(sorted(x for b in blocks for x in b))
-    rel = canonical_partition(
-        [tuple(sorted(union.index(x) + 1 for x in b)) for b in blocks])
-    first = len(order) + 2
-    inputs = [at + 1] + [first + leaves.index(b) for b in blocks]
-    item = ("apply", tuple(inputs), operad_form(l_mod).left_action(rel),
-            (p.rank(len(blocks)),) + tuple(l_mod.rank(len(b)) for b in blocks))
-    plan = [("copy", 0)] + [("copy", j + 1) for j in order]
-    for q, labels in enumerate(leaves, start=first):
-        if labels == blocks[0]:
-            plan.append(item)
-        elif q not in inputs:
-            plan.append(("copy", q))
-    return plan
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -644,36 +735,36 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity, ring=None):
     """
     _check_inputs(BAR, r_mod, p, l_mod)
     ring = ring or p.ring
-    # Per chain: (slots, slot sizes, decorations, each decoration's
-    # position within its degree).
+    # Per chain: (slots, their _Slots, each decoration's position within
+    # its degree).
     table = {}
     spaces = {}
     for chain in _strict_chains(arity):
         slots = _chain_slots(chain, r_mod, p, l_mod)
-        sizes = tuple(s[2].total_rank() for s in slots)
-        if 0 in sizes:
+        if any(s[2].total_rank() == 0 for s in slots):
             continue
-        decs = _decorations([s[2] for s in slots])
+        shared = _Slots([s[2] for s in slots])
         positions = []
-        for decor, _degs, t in decs:
+        for decor, _degs, t in shared.decorations:
             labels = spaces.setdefault(len(chain) - 1 + t, [])
             positions.append(len(labels))
             labels.append(SimplicialBarLabel(chain, decor))
-        table[chain] = (slots, sizes, decs, positions)
+        table[chain] = (slots, shared, positions)
     module = GradedFreeModule(spaces)
 
     entries = {}
-    for chain, (slots, _sizes, decs, pos_src) in table.items():
+    for chain, (slots, shared, pos_src) in table.items():
         k = len(chain) - 1
         for i_face in range(k + 1):
             j_del = k - i_face
             tgt_chain = chain[:j_del] + chain[j_del + 1:]
             if tgt_chain not in table:
                 continue
-            slots_tgt, sizes_tgt, _d, pos_tgt = table[tgt_chain]
+            slots_tgt, shared_tgt, pos_tgt = table[tgt_chain]
             plan = _face_plan(chain, j_del, slots, slots_tgt, r_mod, p, l_mod)
             for k_src, t, flat, coeff in _plan_terms(
-                    decs, plan, -1 if i_face % 2 else 1, sizes_tgt):
+                    shared, plan, -1 if i_face % 2 else 1,
+                    shared_tgt.strides):
                 key = (pos_tgt[flat], pos_src[k_src])
                 row = entries.setdefault(k + t, {})
                 row[key] = row.get(key, 0) + coeff
@@ -693,7 +784,6 @@ def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
         if tkind == "R":
             if j_del == k:
                 # Right action absorbs the coarsest layer.
-                r = len(chain[k])
                 fine = chain[k - 1]
                 inner = tuple(len(_sub_blocks(fine, b)) for b in chain[k])
                 grouped = [c for b in chain[k] for c in _sub_blocks(fine, b)]
@@ -704,11 +794,9 @@ def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
                         len(fine), tuple(t + 1 for t in rho)) * matrix
                 consumed = [src_pos[("R", None)]] + [
                     p_slot(k, b) for b in chain[k]]
-                sizes = [r_mod.component(r).total_rank()] + [
-                    slots_src[p_slot(k, b)][2].total_rank() for b in chain[k]]
-                plan.append(("apply", tuple(consumed), matrix, tuple(sizes)))
+                plan.append((tuple(consumed), matrix))
             else:
-                plan.append(("copy", src_pos[("R", None)]))
+                plan.append(src_pos[("R", None)])
         elif tkind == "L":
             if j_del == 0:
                 block = tkey
@@ -721,11 +809,9 @@ def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
                 matrix = operad_form(l_mod).left_action(rel)
                 consumed = [p_slot(1, block)] + [
                     src_pos[("L", c)] for c in subs]
-                sizes = [slots_src[p_slot(1, block)][2].total_rank()] + [
-                    l_mod.component(len(c)).total_rank() for c in subs]
-                plan.append(("apply", tuple(consumed), matrix, tuple(sizes)))
+                plan.append((tuple(consumed), matrix))
             else:
-                plan.append(("copy", src_pos[("L", tkey)]))
+                plan.append(src_pos[("L", tkey)])
         else:
             jt, block = tkey
             j_old = jt if jt < j_del else jt + 1
@@ -743,12 +829,9 @@ def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
                         sum(inner), tuple(t + 1 for t in rho)) * matrix
                 consumed = [p_slot(j_del + 1, block)] + [
                     p_slot(j_del, c) for c in subs]
-                sizes = [slots_src[p_slot(j_del + 1, block)][2].total_rank()] \
-                    + [slots_src[p_slot(j_del, c)][2].total_rank()
-                       for c in subs]
-                plan.append(("apply", tuple(consumed), matrix, tuple(sizes)))
+                plan.append((tuple(consumed), matrix))
             else:
-                plan.append(("copy", p_slot(j_old, block)))
+                plan.append(p_slot(j_old, block))
     return plan
 
 
@@ -839,9 +922,9 @@ def _action_matrices(bc, sigma, degrees):
             if matrix is None:
                 matrix = matrices[seq, tau] = seqs[seq].action(
                     len(tau), tuple(t + 1 for t in tau))
-            plan.append(("apply", (q,), matrix, (matrix.ncols,)))
-        for k, _t, flat, coeff in _plan_terms(src.decorations, plan, sign,
-                                              tgt.sizes):
+            plan.append(((q,), matrix))
+        for k, _t, flat, coeff in _plan_terms(src.slots, plan, sign,
+                                              tgt.slots.strides):
             d, j = src.at[k]
             if d in wanted:
                 _d, i = tgt.at[flat]
@@ -982,8 +1065,8 @@ def _split_terms(bc, skeleton, parts, blocks):
             continue
         # Each factor's slots, in its order: the skeleton's root and every
         # slot that is one of V's are copied; the rest carry the unit.
-        plans = [[("unit",)] * len(f_rec.sizes) for f_rec in f_recs]
-        plans[0][0] = ("copy", 0)
+        plans = [[None] * len(f_rec.slots.sizes) for f_rec in f_recs]
+        plans[0][0] = 0
         # V's vertices in the split order: the skeleton's, then each part's.
         v_first = [0]
         for f_rec in f_recs:
@@ -991,16 +1074,17 @@ def _split_terms(bc, skeleton, parts, blocks):
         split_order = []
         for q, (j, mask) in enumerate(placed, start=1):
             at = f_recs[j].slot[mask]
-            plans[j][at] = ("copy", q)
+            plans[j][at] = q
             if q <= rec.nv:
                 split_order.append(v_first[j] + at - 1)
         base_sign = perm_sign(split_order)
         plan = [item for items in plans for item in items]
-        totals = [len(f_rec.decorations) for f_rec in f_recs]
-        sizes = [size for f_rec in f_recs for size in f_rec.sizes]
+        totals = [len(f_rec.slots.decorations) for f_rec in f_recs]
+        strides = _strides([size for f_rec in f_recs
+                            for size in f_rec.slots.sizes])
         index = [0] * len(f_recs)
-        for k, _t, flat, coeff in _plan_terms(rec.decorations, plan,
-                                              base_sign, sizes):
+        for k, _t, flat, coeff in _plan_terms(rec.slots, plan, base_sign,
+                                              strides):
             for j in range(len(f_recs) - 1, -1, -1):
                 flat, index[j] = divmod(flat, totals[j])
             combo = []
@@ -1010,7 +1094,7 @@ def _split_terms(bc, skeleton, parts, blocks):
                 combo.append(off(d_f) + p_f)
                 if f_rec.nv * t_before % 2:
                     coeff = -coeff
-                t_before += f_rec.decorations[f_k][2]
+                t_before += f_rec.slots.decorations[f_k][2]
             out.append((rec.at[k], tuple(combo), coeff))
     return out
 

@@ -112,9 +112,11 @@ def inner_insertion_perm(m, a, tau):
 
 
 def block_sort_perm(keys):
-    """tau with tau[i] = sorted position of keys[i] (0-based); keys distinct."""
-    ranks = {k: r for r, k in enumerate(sorted(keys))}
-    return tuple(ranks[k] for k in keys)
+    """tau with tau[i] = sorted position of keys[i] (0-based); keys distinct.
+    The keys are a node's children or a partition's blocks, a handful, so
+    a scan of the sorted keys beats building a rank table."""
+    ranks = sorted(keys)
+    return tuple([ranks.index(k) for k in keys])
 
 
 # ---------------------------------------------------------------------------

@@ -35,19 +35,23 @@ Ungrafting is an index and a cut: ``subtree_index`` maps the label set
 of every node to its path, and ``ungraft_at`` cuts at such paths;
 ``ungraft_partition`` validates its blocks and runs the two.
 
-``relabel`` (through ``_relabel``) and ``ungraft_partition`` build new
-trees; they serve callers that hold Trees, and they are the reference
-for the bar and cobar complexes, whose symmetric action and ungrafting
-maps never build a Tree.  Those work on each tree's key, the sorted
-bitmasks of the label sets of its nodes below the root, which determine
-the tree: a permutation maps the masks (``barcobar._relabel_slots``),
-and a cut sorts them into the factors and renumbers each factor's masks
-as ``renumber`` does (``barcobar._cutter``).
+``collapse`` (through ``_collapse``), ``relabel`` (through ``_relabel``)
+and ``ungraft_partition`` build new trees; they serve callers that hold
+Trees, such as ``covers`` and the weighting complexes, and they are the
+reference for the bar and cobar complexes, whose differential, symmetric
+action and ungrafting maps never build or walk a Tree.  Those work on
+each tree's key, the sorted bitmasks of the label sets of its nodes
+below the root, which determine the tree: a collapse deletes masks
+(``barcobar._key_collapse``), a permutation maps them
+(``barcobar._relabel_slots``), and a cut sorts them into the factors and
+renumbers each factor's masks as ``renumber`` does
+(``barcobar._cutter``).
 
 Trees are enumerated by supports: the allowed root arities, vertex
 arities and leaf sizes (``supported_trees``).  A bar or cobar complex
 passes its coefficients' and operad's supports, the arities of nonzero
-rank.  The species are supports too: standard trees have root arity 1 and
+rank.  The trees come in serialization order: each memoized subtree
+keeps its string, so a tree's sort key is one join.  The species are supports too: standard trees have root arity 1 and
 leaf size 1, root trees root arity 1, leaf trees leaf size 1, and
 generalized trees any; so standard = root intersect leaf inside the
 generalized trees.  Orientation data is the depth-first order of internal
@@ -71,6 +75,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from operator import itemgetter
 
 from .combinat import partitions_into_at_least_two, set_partitions
 from .errors import BoundsError, ParseError, ValidationError
@@ -388,7 +393,8 @@ def _clip(support, low, high):
 
 
 def _forests(blocks, vertices, leaves):
-    """Every choice of one subtree within the supports per block."""
+    """Every choice of one (subtree, serialization) pair of _subtrees
+    within the supports per block."""
     return itertools.product(*(
         _subtrees(b, _clip(vertices, 2, len(b)), _clip(leaves, 1, len(b)))
         for b in blocks))
@@ -396,18 +402,26 @@ def _forests(blocks, vertices, leaves):
 
 @lru_cache(maxsize=None)
 def _subtrees(labels, vertices, leaves):
-    """Canonical subtrees on the sorted labels within the supports, which
-    are clipped to the label count so that arities share their subtrees.
-    Blocks come sorted by least label, which is the least label of every
-    subtree on the block, so each combination is already in canonical
-    child order."""
+    """(node, serialization) of every canonical subtree on the sorted
+    labels within the supports, which are clipped to the label count so
+    that arities share their subtrees.  Blocks come sorted by least label,
+    which is the least label of every subtree on the block, so each
+    combination is already in canonical child order."""
     out = []
     if len(labels) in leaves:
-        out.append(("L", labels))
+        out.append((("L", labels), _serialize_node(("L", labels))))
     for blocks in partitions_into_at_least_two(labels):
         if len(blocks) in vertices:
-            out.extend(("V", c) for c in _forests(blocks, vertices, leaves))
+            out.extend(_joined("V", c)
+                       for c in _forests(blocks, vertices, leaves))
     return tuple(out)
+
+
+def _joined(kind, combo):
+    """(node, serialization) of a node whose children are the (node,
+    serialization) pairs combo."""
+    return (kind, tuple(node for node, _s in combo)), \
+        "(" + ",".join(s for _node, s in combo) + ")"
 
 
 def supported_trees(n, roots, vertices, leaves,
@@ -420,12 +434,14 @@ def supported_trees(n, roots, vertices, leaves,
     if not 1 <= n <= max_labels:
         raise BoundsError(f"label count {n} outside 1..{max_labels}")
     labels = tuple(range(1, n + 1))
-    trees = []
+    # Each tree with its serialization, joined from its subtrees'.
+    keyed = []
     for blocks in set_partitions(labels):
         if len(blocks) in roots:
-            trees.extend(map(_tree, _forests(blocks, vertices, leaves)))
-    trees.sort(key=Tree.serialize)
-    return trees
+            keyed.extend(_joined("V", c)
+                         for c in _forests(blocks, vertices, leaves))
+    keyed.sort(key=itemgetter(1))
+    return [_tree(children) for (_v, children), _s in keyed]
 
 
 def enumerate_trees(n, species=STANDARD, max_labels=DEFAULT_MAX_LABELS):

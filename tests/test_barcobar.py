@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from math import comb
 
 import pytest
 from fractions import Fraction
@@ -164,7 +165,7 @@ def test_assembly_makes_no_label_lookups_and_no_full_tree_walks(
     # A first build fills the structure's own action and partial caches.
     reduced_bar(com, 5)
     calls = {"position": 0, "_canonical": 0, "vertex_paths": 0, "leaves": 0,
-             "__mul__": 0}
+             "_collapse": 0, "slot_walk": 0, "__mul__": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -179,6 +180,12 @@ def test_assembly_makes_no_label_lookups_and_no_full_tree_walks(
     monkeypatch.setattr(Tree, "vertex_paths",
                         counted("vertex_paths", Tree.vertex_paths))
     monkeypatch.setattr(Tree, "leaves", counted("leaves", Tree.leaves))
+    # Collapse moves are made on tree keys, not by the engine of
+    # trees.collapse, and no tree's slots are walked again.
+    monkeypatch.setattr(trees, "_collapse",
+                        counted("_collapse", trees._collapse))
+    monkeypatch.setattr(trees, "slot_walk",
+                        counted("slot_walk", trees.slot_walk))
     monkeypatch.setattr(ExactMatrix, "__mul__",
                         counted("__mul__", ExactMatrix.__mul__))
     bc = reduced_bar(com, 5)
@@ -187,7 +194,8 @@ def test_assembly_makes_no_label_lookups_and_no_full_tree_walks(
     d_squared = sum(1 for k in bc.complex.diffs if k + 1 in bc.complex.diffs)
     assert len(merges) > 1
     assert calls == {"position": 0, "_canonical": 0, "vertex_paths": 0,
-                     "leaves": 0, "__mul__": len(merges) + d_squared}
+                     "leaves": 0, "_collapse": 0, "slot_walk": 0,
+                     "__mul__": len(merges) + d_squared}
 
 
 def _complex_digest(complex_):
@@ -528,6 +536,93 @@ def test_mask_relabelling_is_the_canonicalizing_walk(n):
                                                                      want)
 
 
+def test_key_moves_are_the_collapses():
+    # Every move of every generalized tree at arity <= 5, made on keys,
+    # against trees.collapse: the target's key, the sign, the target's
+    # vertex order, insert_pos and tau.
+    basis = _generalized(5)
+    moves = 0
+    for n in range(1, 6):
+        level = [t for t in basis if t.labels == frozenset(range(1, n + 1))]
+        walks = {barcobar._tree_key(t): barcobar._mask_walk(t)
+                 for t in level}
+        index = {key: (masks,) for key, (masks, _nv, _k) in walks.items()}
+        for tree in level:
+            key = barcobar._tree_key(tree)
+            masks, nv, kids = walks[key]
+            shape = barcobar._shape(key, masks, nv)
+            # _shape reads the children off the masks alone.
+            assert [tuple(masks[r - 1] for r in shape[2][s])
+                    for s in range(nv + 1)] == list(kids[:nv + 1])
+            paths = tree.vertex_paths()
+            for kind, path in trees.collapse_moves(tree):
+                res = trees.collapse(tree, kind, path)
+                q = paths.index(path) + 1
+                tkey, sources, sign, ins, tau = barcobar._key_collapse(
+                    shape, q, kind == trees.BUD, index)
+                # The target's vertices in order, as source vertex slots.
+                want = sorted(res.vertex_map, key=res.vertex_map.get)
+                assert (tkey, sign, sources[1:nv], ins, tau) == (
+                    barcobar._tree_key(res.tree), res.move.sign,
+                    [paths.index(p) + 1 for p in want], res.insert_pos,
+                    res.child_perm), (tree, kind, path)
+                # Each source slot but the deleted ones is one target slot.
+                gone = shape[2][q] if kind == trees.BUD else [q]
+                assert sorted(sources) == [
+                    r for r in range(len(masks) + 1) if r not in gone]
+                moves += 1
+    assert (len(basis), moves) == (1357, 4336)
+
+
+def _standard_trees_by_vertices(n):
+    """[number of standard trees on n labels with v vertices, v = 0, 1,
+    ...], by a recurrence on polynomials in x (x counts vertices): F_1 = 1
+    (a leaf), F_k = x * sum over 1 <= j < k of C(k-1, j-1) F_j P_(k-j),
+    with P_m = sum over 1 <= j <= m of C(m-1, j-1) F_j P_(m-j) and P_0 = 1
+    the sum over set partitions of m labels of the product of F over the
+    blocks, the block of the least label taken first.  A standard tree's
+    root edge carries one subtree on all the labels."""
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def add(a, b):
+        out = [0] * max(len(a), len(b))
+        for i, x in enumerate(a):
+            out[i] += x
+        for i, y in enumerate(b):
+            out[i] += y
+        return out
+
+    f, p = {1: [1]}, {0: [1]}
+    for k in range(1, n + 1):
+        if k > 1:
+            inner = [0]
+            for j in range(1, k):
+                inner = add(inner, [comb(k - 1, j - 1) * c
+                                    for c in mul(f[j], p[k - j])])
+            f[k] = [0] + inner
+        p[k] = [0]
+        for j in range(1, k + 1):
+            p[k] = add(p[k], [comb(k - 1, j - 1) * c
+                              for c in mul(f[j], p[k - j])])
+    return f[n]
+
+
+@pytest.mark.slow
+def test_reduced_bar_of_com_at_arity_seven():
+    by_vertices = _standard_trees_by_vertices(7)
+    want = {v: c for v, c in enumerate(by_vertices) if c}
+    assert want == {1: 1, 2: 119, 3: 1918, 4: 9450, 5: 17325, 6: 10395}
+    assert sum(want.values()) == trees.standard_tree_count(7)
+    assert _standard_trees_by_vertices(4) == [0, 1, 10, 15]
+    bc = reduced_bar(builtin("com", 7), 7)
+    assert {d: bc.complex.rank(d) for d in bc.complex.degrees()} == want
+
+
 def _block_sets(n):
     """Every nonempty list of disjoint nonempty label sets in 1..n, in
     least-label order and reversed."""
@@ -672,9 +767,9 @@ def test_records_hold_the_module_positions(build, spread):
         assert rec.nv == tree.n_vertices
         assert [index[_labels(m)] for m in rec.masks] == \
             tree.vertex_paths() + [path for path, _l in tree.leaves()]
-        for k, (decor, _degs, t) in enumerate(rec.decorations):
+        for k, (decor, _degs, t) in enumerate(rec.slots.decorations):
             flat = 0
-            for size, i in zip(rec.sizes, decor):
+            for size, i in zip(rec.slots.sizes, decor):
                 flat = flat * size + i
             assert flat == k
             d, pos = rec.at[k]
@@ -709,19 +804,25 @@ def _binary_only(max_arity):
 
 @pytest.fixture
 def collapses(monkeypatch):
-    """(tree, target tree, target vertex order) of every call of
-    trees._collapse, the engine assembly calls, while the fixture is
-    live."""
+    """(source key, target key, target vertex order) of every collapse move
+    barcobar._key_collapse, the move assembly makes, makes while the
+    fixture is live; the order lists the target's vertices as source
+    vertex slots."""
     out = []
-    engine = trees._collapse
+    move = barcobar._key_collapse
 
-    def recorded(tree, kind, path, paths):
-        result = engine(tree, kind, path, paths)
-        out.append((tree, trees._tree(result[0]), result[2]))
+    def recorded(shape, q, bud, index):
+        result = move(shape, q, bud, index)
+        # The target's vertex slots are 1..nv - 1; nv + 1 = len(kids).
+        out.append((shape[0], result[0], result[1][1:len(shape[2]) - 1]))
         return result
 
-    monkeypatch.setattr(trees, "_collapse", recorded)
+    monkeypatch.setattr(barcobar, "_key_collapse", recorded)
     return out
+
+
+def _keyed_basis(bc):
+    return {barcobar._tree_key(t): t for t in bc.trees()}
 
 
 class TestSupports:
@@ -739,21 +840,23 @@ class TestSupports:
 
     def test_com_collapses_only_into_the_basis(self, collapses):
         bc = reduced_bar(builtin("com", 6), 6)
-        basis = set(bc.trees())
+        basis = _keyed_basis(bc)
         assert len(collapses) == 8596
-        for tree, target, order in collapses:
+        for key, target, order in collapses:
             assert target in basis
-            assert target.n_vertices == len(order) == tree.n_vertices - 1
+            assert basis[target].n_vertices == len(order) == \
+                basis[key].n_vertices - 1
 
     def test_sphere_cobar_collapses_only_into_the_basis(self, collapses):
         sphere = builtin_sphere_comodule(2, 4)
         cc = cobar_complex(unit_module(sphere.over, RIGHT_COMODULE),
                            sphere.over, sphere, 4)
-        basis = set(cc.trees())
+        basis = _keyed_basis(cc)
         assert collapses
-        for tree, target, order in collapses:
+        for key, target, order in collapses:
             assert target in basis
-            assert target.n_vertices == len(order) == tree.n_vertices - 1
+            assert basis[target].n_vertices == len(order) == \
+                basis[key].n_vertices - 1
 
 
 class TestCobarHomology:

@@ -111,6 +111,18 @@ class TestEnumeration:
                        for blocks in set_partitions(range(n)))
             assert len(enumerate_trees(n, GENERALIZED)) == want
 
+    @pytest.mark.parametrize("species", [STANDARD, GENERALIZED, ROOT, LEAF])
+    def test_supported_trees_come_in_serialization_order(self, species):
+        # The sort key is joined from the subtrees' strings as they are
+        # enumerated; the order must be Tree.serialize's, byte for byte.
+        for n in range(1, 7):
+            every = range(1, n + 1)
+            roots = (1,) if species in (STANDARD, ROOT) else every
+            leaves = (1,) if species in (STANDARD, LEAF) else every
+            got = supported_trees(n, roots, every, leaves)
+            assert got == sorted(got, key=Tree.serialize)
+            assert len({x.serialize() for x in got}) == len(got)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=5).flatmap(
         lambda n: st.tuples(st.just(n),
