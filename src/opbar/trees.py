@@ -51,12 +51,13 @@ Trees are enumerated by supports: the allowed root arities, vertex
 arities and leaf sizes (``supported_trees``).  A bar or cobar complex
 passes its coefficients' and operad's supports, the arities of nonzero
 rank.  The trees come in serialization order: each memoized subtree
-keeps its string, so a tree's sort key is one join.  The species are supports too: standard trees have root arity 1 and
-leaf size 1, root trees root arity 1, leaf trees leaf size 1, and
-generalized trees any; so standard = root intersect leaf inside the
-generalized trees.  Orientation data is the depth-first order of internal
-vertices, which is the order of their paths; every collapse move carries
-the sign of the induced map of orientations.
+keeps its string, so a tree's sort key is one join.  The species are
+supports too: standard trees have root arity 1 and leaf size 1, root
+trees root arity 1, leaf trees leaf size 1, and generalized trees any;
+so standard = root intersect leaf inside the generalized trees.
+Orientation data is the depth-first order of internal vertices, which is
+the order of their paths; every collapse move carries the sign of the
+induced map of orientations.
 
 Canonical serialization (stable; used in basis labels and cache keys):
 
@@ -412,15 +413,14 @@ def _subtrees(labels, vertices, leaves):
         out.append((("L", labels), _serialize_node(("L", labels))))
     for blocks in partitions_into_at_least_two(labels):
         if len(blocks) in vertices:
-            out.extend(_joined("V", c)
-                       for c in _forests(blocks, vertices, leaves))
+            out.extend(map(_joined, _forests(blocks, vertices, leaves)))
     return tuple(out)
 
 
-def _joined(kind, combo):
-    """(node, serialization) of a node whose children are the (node,
-    serialization) pairs combo."""
-    return (kind, tuple(node for node, _s in combo)), \
+def _joined(combo):
+    """(vertex, serialization) of the vertex whose children are the (node,
+    serialization) pairs combo; the root's children serialize alike."""
+    return ("V", tuple(node for node, _s in combo)), \
         "(" + ",".join(s for _node, s in combo) + ")"
 
 
@@ -438,8 +438,7 @@ def supported_trees(n, roots, vertices, leaves,
     keyed = []
     for blocks in set_partitions(labels):
         if len(blocks) in roots:
-            keyed.extend(_joined("V", c)
-                         for c in _forests(blocks, vertices, leaves))
+            keyed.extend(map(_joined, _forests(blocks, vertices, leaves)))
     keyed.sort(key=itemgetter(1))
     return [_tree(children) for (_v, children), _s in keyed]
 
