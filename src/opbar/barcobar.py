@@ -90,6 +90,7 @@ serves as a sign-free homology oracle.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import trees as tr
@@ -103,7 +104,6 @@ from .exactla import (
     ExactMatrix,
     GradedFreeModule,
     HomologySummary,
-    homology,
     homology_coordinates,
     homology_representatives,
     kernel_basis,
@@ -285,29 +285,6 @@ class BarComplex:
         if self._index is None:
             self._index = {_tree_key(t): t for t in self._trees}
         return self._index
-
-    def split_by_internal_degree(self):
-        """Sub-complexes per internal degree, graded by signed tree degree."""
-        spaces = {}
-        pos = {}
-        for d in self.complex.degrees():
-            for i, lab in enumerate(self.complex.labels(d)):
-                t = lab.internal_degree
-                bucket = spaces.setdefault(t, {}).setdefault(d - t, [])
-                pos[(d, i)] = (t, len(bucket))
-                bucket.append(lab)
-        entries = {t: {} for t in spaces}
-        for d in sorted(self.complex.diffs):
-            for (i, j), val in self.complex.diffs[d].entries():
-                t, jj = pos[(d, j)]
-                t_tgt, ii = pos[(d - 1, i)]
-                if t_tgt != t:
-                    raise InternalConsistencyError(
-                        "differential does not preserve internal degree")
-                entries[t].setdefault(d - t, {})[(ii, jj)] = val
-        return {t: ChainComplex.from_entries(GradedFreeModule(by_s),
-                                             entries[t], self.ring)
-                for t, by_s in spaces.items()}
 
     def export_text(self):
         lines = [f"barcomplex kind {self.kind} arity {self.arity} "
@@ -1238,7 +1215,8 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
     """Koszulness report for a reduced operad or cooperad, over Q.
 
     max_arity is None for the structure's own max_arity, or an int in
-    1..structure.max_arity.
+    1..structure.max_arity.  Ranks, representatives and homology
+    coordinates all read each differential's one ChainComplex.reduction.
     """
     if isinstance(structure, Operad):
         kind = BAR
@@ -1262,19 +1240,7 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
     for n in range(1, max_arity + 1):
         bc = build(structure, n, cache)
         report.complexes[n] = bc
-        # The pieces are a direct sum of bc, so their homology is bc's.
-        top = _top_signed_degree(kind, n)
-        ranks = {}
-        concentrated = True
-        for t, sub in bc.split_by_internal_degree().items():
-            h = homology(sub, ring=RAT)
-            for s in h.degrees():
-                ranks[s + t] = ranks.get(s + t, 0) + h.free_rank(s)
-                if s != top:
-                    concentrated = False
-        report.summaries[n] = HomologySummary(
-            RAT, {d: (r, ()) for d, r in ranks.items()})
-        report.concentrated[n] = concentrated
+        report.summaries[n], report.concentrated[n] = _bigraded_homology(bc)
         report.reps[n], report.modules[n] = _homology_basis(
             bc.complex, f"h{n}", report.summaries[n])
     if with_structure and report.is_koszul():
@@ -1283,6 +1249,36 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
             report.actions[n] = _homology_actions(report.complexes[n],
                                                   report.reps[n])
     return report
+
+
+def _bigraded_homology(bc):
+    """(rational homology of bc, whether each class has the top tree
+    degree), from the pivot columns of bc.complex.reduction.
+
+    d keeps the internal degree t (checked here), so it is block diagonal
+    and a column is a pivot exactly when it is one inside its block.  The
+    free rank in degree d and internal degree t is the number of degree-d
+    labels of degree t less the pivot columns of degree t of reduction(d)
+    and reduction(d + 1); its signed tree degree is d - t.
+    """
+    cplx = bc.complex
+    free = Counter((d, lab.internal_degree) for d in cplx.degrees()
+                   for lab in cplx.labels(d))
+    for k, mat in cplx.diffs.items():
+        rows, cols = cplx.labels(k - 1), cplx.labels(k)
+        if any(rows[i].internal_degree != cols[j].internal_degree
+               for (i, j), _v in mat.entries()):
+            raise InternalConsistencyError(
+                f"d_{k} does not preserve internal degree")
+        for j in cplx.reduction(k)[0]:
+            free[k, cols[j].internal_degree] -= 1
+            free[k - 1, cols[j].internal_degree] -= 1
+    ranks = Counter()
+    for (d, _t), r in free.items():
+        ranks[d] += r
+    top = _top_signed_degree(bc.kind, bc.arity)
+    return (HomologySummary(RAT, {d: (r, ()) for d, r in ranks.items()}),
+            all(d - t == top for (d, t), r in free.items() if r))
 
 
 def _homology_basis(complex_, prefix, summary):

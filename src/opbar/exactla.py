@@ -4,10 +4,12 @@ Matrices are sparse maps (row, col) -> value with arbitrary-precision
 entries.  Chain complexes are graded free modules with labelled bases.
 Ranks and Smith normal forms, hence rational and integral homology (free
 rank plus torsion invariant factors), come from one sparse elimination
-whose Markowitz pivots are kept in an incrementally updated queue;
-kernels, homology representatives and solves use echelon reduction over Q,
-in ints until a pivot other than +-1 needs a Fraction (floats are refused).
-Homology coordinates are over Q, in deterministic lowest-pivot cycle bases.
+whose Markowitz pivots are kept in an incrementally updated queue.
+Kernels and solves use echelon reduction over Q, in ints until a pivot
+other than +-1 needs a Fraction (floats are refused).  A complex keeps one
+column echelon per differential (ChainComplex.reduction), whose pivot
+columns and kernel give ranks, boundaries and cycles; homology
+representatives and coordinates read it, in lowest-pivot cycle bases.
 """
 
 from __future__ import annotations
@@ -415,27 +417,30 @@ def _normalized(vec, v):
     return {j: x * inv for j, x in vec.items()}
 
 
-def kernel_basis(mat):
-    """Deterministic basis of the right kernel over Q (sparse dict vectors)."""
+def _column_echelon(mat):
+    """(pivot columns, kernel basis) of mat over Q from one tracked echelon
+    of its columns in order: the columns independent of the earlier ones,
+    and per other column the relation it closes, lowest coefficient 1."""
     ech = _Echelon(track=True)
-    kernel = []
+    pivots, kernel = [], []
     for j in range(mat.ncols):
         col = _exact(mat.column(j), f"column {j}")
         pivot, tracking = ech.insert(col, {j: 1})
         if pivot is None:
             kernel.append(_normalized(tracking, tracking[min(tracking)]))
-    return kernel
+        else:
+            pivots.append(j)
+    return tuple(pivots), kernel
+
+
+def kernel_basis(mat):
+    """Deterministic basis of the right kernel over Q (sparse dict vectors)."""
+    return _column_echelon(mat)[1]
 
 
 def column_space_basis(mat):
-    basis = []
-    ech = _Echelon()
-    for j in range(mat.ncols):
-        col = _exact(mat.column(j), f"column {j}")
-        pivot, _ = ech.insert(col)
-        if pivot is not None:
-            basis.append(dict(col))
-    return basis
+    """The columns of mat independent of the columns before them."""
+    return [dict(mat.column(j)) for j in _column_echelon(mat)[0]]
 
 
 class _Span(list):
@@ -604,7 +609,8 @@ class HomologySummary:
 class ChainComplex:
     """Graded free module with differentials d_k : C_k -> C_{k-1}.
 
-    d^2 = 0 and all matrix shapes are verified on construction.
+    d^2 = 0 and all matrix shapes are verified on construction.  The
+    column echelon of each d_k over Q is made once and kept (reduction).
     """
 
     def __init__(self, module, diffs, ring=INT, check=True):
@@ -619,6 +625,7 @@ class ChainComplex:
             if not m.is_zero():
                 clean[int(k)] = m
         self.diffs = clean
+        self._reductions = {}
         if check:
             for k, m in clean.items():
                 up = clean.get(k + 1)
@@ -650,6 +657,14 @@ class ChainComplex:
             d = ExactMatrix.zero(self.rank(k - 1), self.rank(k), ring=self.ring)
         return d
 
+    def reduction(self, k):
+        """_column_echelon of d_k, built on first use and kept; callers
+        share its kernel vectors and must not change them."""
+        red = self._reductions.get(k)
+        if red is None:
+            red = self._reductions[k] = _column_echelon(self.differential(k))
+        return red
+
     def homology(self, ring=None):
         return homology(self, ring=ring)
 
@@ -661,28 +676,13 @@ def homology(complex_, ring=None):
     factors of d_{k+1} exceeding 1.  Over Q: ranks only.
     """
     ring = ring or complex_.ring
+    factors = {k: smith_normal_form(d) if ring == INT else [1] * matrix_rank(d)
+               for k, d in sorted(complex_.diffs.items())}
     groups = {}
-    rank_cache = {}
-    snf_cache = {}
-
-    def rk(k):
-        if k not in rank_cache:
-            d = complex_.diffs.get(k)
-            if d is None:
-                rank_cache[k] = 0
-            elif ring == INT:
-                snf_cache[k] = smith_normal_form(d)
-                rank_cache[k] = len(snf_cache[k])
-            else:
-                rank_cache[k] = matrix_rank(d)
-        return rank_cache[k]
-
     for k in complex_.degrees():
-        free = complex_.rank(k) - rk(k) - rk(k + 1)
-        torsion = ()
-        if ring == INT:
-            torsion = tuple(t for t in snf_cache.get(k + 1, ()) if t > 1)
-        groups[k] = (free, torsion)
+        up = factors.get(k + 1, ())
+        groups[k] = (complex_.rank(k) - len(factors.get(k, ())) - len(up),
+                     tuple(t for t in up if t > 1))
     return HomologySummary(ring, groups)
 
 
@@ -896,17 +896,15 @@ def reindexing_map(factors, source_shape, target_shape):
 def homology_representatives(complex_, degree):
     """Cycle representatives of a basis of homology over Q in one degree.
 
-    Representatives are deterministic: kernel vectors with lowest-index
-    pivots, filtered to be independent modulo the boundary subspace.
+    Representatives are deterministic: the kernel vectors of
+    reduction(degree) independent modulo the boundaries, which are
+    spanned by the pivot columns of reduction(degree + 1).
     """
-    ech = _Echelon()
-    for b in column_space_basis(complex_.differential(degree + 1)):
-        ech.insert(b)
-    reps = []
-    for z in kernel_basis(complex_.differential(degree)):
-        if ech.insert(z)[0] is not None:
-            reps.append(z)
-    return reps
+    up, ech = complex_.differential(degree + 1), _Echelon()
+    for j in complex_.reduction(degree + 1)[0]:
+        ech.insert(up.column(j))
+    return [z for z in complex_.reduction(degree)[1]
+            if ech.insert(z)[0] is not None]
 
 
 def homology_coordinates(complex_, basis, images):
@@ -918,14 +916,14 @@ def homology_coordinates(complex_, basis, images):
     coordinate 0.
 
     Per call, each degree with an image gets one spanning list: a basis
-    of its boundaries followed by its basis vectors.  The first image of
-    the degree builds the tracked echelon of that list inside
-    solve_in_span; every image, the first included, is then one
-    reduction against it.  ValidationError is raised for a vector with
-    an index outside the rank of its degree, for a basis vector that
-    depends on the boundaries and the earlier basis vectors of a degree
-    with an image, and for an image outside the span, such as a vector
-    that is not a cycle.
+    of its boundaries (the pivot columns of reduction(d + 1)) followed by
+    its basis vectors.  The first image of the degree builds the tracked
+    echelon of that list inside solve_in_span; every image, the first
+    included, is then one reduction against it.  ValidationError is
+    raised for a vector with an index outside the rank of its degree, for
+    a basis vector that depends on the boundaries and the earlier basis
+    vectors of a degree with an image, and for an image outside the span,
+    such as a vector that is not a cycle.
     """
     for kind, vectors in (("basis vector", basis), ("image", images)):
         for i, (d, vec) in enumerate(vectors):
@@ -940,7 +938,8 @@ def homology_coordinates(complex_, basis, images):
     for j, (d, img) in enumerate(images):
         if d not in spans:
             rows = [i for i, (bd, _v) in enumerate(basis) if bd == d]
-            bounds = column_space_basis(complex_.differential(d + 1))
+            up = complex_.differential(d + 1)
+            bounds = [up.column(j) for j in complex_.reduction(d + 1)[0]]
             spans[d] = (rows, len(bounds),
                         _Span(bounds + [basis[i][1] for i in rows]))
         rows, nb, spanning = spans[d]

@@ -597,9 +597,15 @@ def _collapse(tree, kind, path, paths):
 def covers(tree):
     """All codimension-one predecessors with their signed moves, as a
     tuple; computed once per tree, so down_set and w_cell_complex share
-    every cover."""
-    return tuple((res.tree, res.move) for res in (
-        collapse(tree, kind, path) for kind, path in collapse_moves(tree)))
+    every cover.  The tree is walked once: each vertex has one edge move,
+    in vertex order, and the engine _collapse builds only the targets."""
+    moves = collapse_moves(tree)
+    paths = [path for kind, path in moves if kind != BUD]
+    out = []
+    for kind, path in moves:
+        children, sign = _collapse(tree, kind, path, paths)[:2]
+        out.append((_tree(children), CollapseMove(kind, path, sign)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

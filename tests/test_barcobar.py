@@ -40,6 +40,7 @@ from opbar.exactla import (
     ChainComplex,
     ExactMatrix,
     GradedFreeModule,
+    HomologySummary,
     homology,
     tensor_list,
 )
@@ -1124,21 +1125,27 @@ class TestKoszul:
             assert report.dimension(n) == factorial(n)
 
     def test_one_rank_per_nonzero_differential(self, ass, monkeypatch):
-        calls = []
-        rank = exactla.matrix_rank
+        # Each rank is read off the differential's one column echelon.
+        reduced, ranks = [], []
+        echelon = exactla._column_echelon
 
         def counted(mat):
-            calls.append(mat.nnz())
-            return rank(mat)
+            reduced.append(mat)
+            return echelon(mat)
 
-        monkeypatch.setattr(exactla, "matrix_rank", counted)
+        monkeypatch.setattr(exactla, "_column_echelon", counted)
+        monkeypatch.setattr(exactla, "matrix_rank",
+                            lambda mat: ranks.append(mat))
         report = koszul(ass, 4, with_structure=False)
         monkeypatch.undo()
         diffs = [d for bc in report.complexes.values()
                  for d in bc.complex.diffs.values()]
-        assert diffs and len(calls) == len(diffs)
-        assert sum(calls) == sum(d.nnz() for d in diffs)
-        # The summary summed over internal degrees is the whole homology.
+        nonzero = [m for m in reduced if not m.is_zero()]
+        assert diffs and sorted(map(id, nonzero)) == sorted(map(id, diffs))
+        assert sum(m.nnz() for m in reduced) == sum(d.nnz() for d in diffs)
+        assert ranks == []
+        # The summary summed over internal degrees is the whole homology,
+        # against Markowitz matrix_rank, an independent elimination.
         for n, bc in report.complexes.items():
             assert report.summaries[n] == bc.homology(ring=RAT)
 
@@ -1221,10 +1228,86 @@ class TestKoszul:
         assert report.max_arity == 3 and sorted(report.summaries) == [1, 2, 3]
 
     def test_non_koszul_is_reported_not_raised(self):
-        # An operad with homology spread across tree degrees would set
-        # the flag false; com stays true, exercising the accessor.
-        report = koszul(builtin("com", 3), 3, with_structure=False)
-        assert report.concentrated[3] is True
+        # Square zero: d = 0, so the homology is the decorated trees.
+        report = koszul(square_zero({0: 1}), 3)
+        assert report.summaries[3].groups == {1: (1, ()), 2: (3, ())}
+        assert report.concentrated[3] is False and not report.is_koszul()
+        assert report.structure == {} and report.actions == {}
+
+    def test_concentration_reads_the_tree_degree(self):
+        # Arity 2 has degrees 1 (a) and 2 (b), both in tree degree 1.
+        report = koszul(square_zero({0: 1, 1: 1}), 3,
+                        with_structure=False)
+        assert report.summaries[2].groups == {1: (1, ()), 2: (1, ())}
+        assert report.concentrated[2] is True
+        assert report.summaries[3].groups == {
+            1: (1, ()), 2: (3, ()), 3: (6, ()), 4: (3, ())}
+        assert report.concentrated[3] is False
+
+    @pytest.mark.parametrize("make,n", [
+        (lambda: builtin("com", 5), 5), (lambda: builtin("ass", 4), 4),
+        (lambda: dual(builtin("com", 4)), 4),
+        (lambda: square_zero({0: 1}), 3),
+        (lambda: square_zero({0: 1, 1: 1}), 3)],
+        ids=["com5", "ass4", "dual_com4", "square_zero", "square_zero_mixed"])
+    def test_ranks_per_internal_degree_match_the_split(self, make, n):
+        report = koszul(make(), n, with_structure=False)
+        for arity, bc in report.complexes.items():
+            summary, concentrated = split_homology(bc)
+            assert report.summaries[arity] == summary, arity
+            assert report.concentrated[arity] is concentrated, arity
+
+
+def square_zero(arity_two):
+    """com's components to arity 3, but with the arity-two component of
+    ranks {degree: rank}; trivial actions and only the unit compositions,
+    so every composite of two non-unit operations is zero and so is the
+    bar differential."""
+    comps = {1: GradedFreeModule({0: ("e",)}),
+             2: GradedFreeModule({d: tuple(f"g{d}.{i}" for i in range(r))
+                                  for d, r in arity_two.items()}),
+             3: GradedFreeModule({0: ("e",)})}
+    ranks = {n: c.total_rank() for n, c in comps.items()}
+    actions = {n: (ExactMatrix.identity(ranks[n]),) * (n - 1) for n in comps}
+    comp = {}
+    for m, n in itertools.product(comps, repeat=2):
+        if m + n - 1 <= 3:
+            unit = ({(i, i): 1 for i in range(ranks[m + n - 1])}
+                    if 1 in (m, n) else {})
+            for a in range(1, m + 1):
+                comp[(m, a, n)] = ExactMatrix(
+                    ranks[m + n - 1], ranks[m] * ranks[n], unit)
+    return Operad(SymSeq(INT, comps, actions), comp, name="square-zero")
+
+
+def split_homology(bc):
+    """(rational homology, concentration) of bc by the reference route:
+    copy bc into one sub-complex per internal degree t, graded by signed
+    tree degree s = d - t, and take each one's homology by matrix_rank."""
+    spaces, pos = {}, {}
+    cplx = bc.complex
+    for d in cplx.degrees():
+        for i, lab in enumerate(cplx.labels(d)):
+            t = lab.internal_degree
+            bucket = spaces.setdefault(t, {}).setdefault(d - t, [])
+            pos[(d, i)] = (t, len(bucket))
+            bucket.append(lab)
+    entries = {t: {} for t in spaces}
+    for d, mat in cplx.diffs.items():
+        for (i, j), val in mat.entries():
+            t, jj = pos[(d, j)]
+            assert pos[(d - 1, i)][0] == t
+            entries[t].setdefault(d - t, {})[(pos[(d - 1, i)][1], jj)] = val
+    top = barcobar._top_signed_degree(bc.kind, bc.arity)
+    ranks, concentrated = {}, True
+    for t, by_s in spaces.items():
+        h = ChainComplex.from_entries(GradedFreeModule(by_s), entries[t],
+                                      bc.ring).homology(ring=RAT)
+        for s in h.degrees():
+            ranks[s + t] = ranks.get(s + t, 0) + h.free_rank(s)
+            concentrated = concentrated and s == top
+    return HomologySummary(RAT, {d: (r, ()) for d, r in ranks.items()}), \
+        concentrated
 
 
 @pytest.fixture(scope="module")

@@ -872,6 +872,9 @@ class TestHomologyCoordinates:
 
     def test_one_echelon_per_degree(self, monkeypatch):
         c = self.segment_plus_loop()
+        # The boundaries come from the complex's own reduction of d_1,
+        # made here first so that only the spanning echelon is counted.
+        c.reduction(1)
         tracked = []
         insert = exactla._Echelon.insert
 
@@ -887,6 +890,25 @@ class TestHomologyCoordinates:
                                           for j in range(10)}, ring=RAT)
         # One boundary and one basis vector span degree 0.
         assert len(tracked) == 2
+
+
+class TestReduction:
+    def test_each_differential_is_reduced_once(self, monkeypatch):
+        c = TestHomologyCoordinates.segment_plus_loop()
+        d1 = c.differential(1)
+        assert c.reduction(1) == ((0,), kernel_basis(d1))
+        assert [d1.column(j) for j in c.reduction(1)[0]] == \
+            column_space_basis(d1)
+        reduced = []
+        echelon = exactla._column_echelon
+        monkeypatch.setattr(exactla, "_column_echelon",
+                            lambda m: reduced.append(m) or echelon(m))
+        reps = {k: homology_representatives(c, k) for k in (0, 1)}
+        homology_coordinates(c, [(0, reps[0][0]), (1, reps[1][0])],
+                             [(0, {1: 1}), (1, {1: 2})])
+        assert reps == {0: [{0: 1}], 1: [{1: 1}]}
+        # d_1 was reduced above; d_0 and d_2 are zero, reduced once each.
+        assert [m.is_zero() for m in reduced] == [True, True]
 
 
 class TestGradedFreeModule:

@@ -321,6 +321,25 @@ class TestLocalCollapseAgainstTheWalk:
             assert _engine_result(tree, kind, path) == \
                 _as_engine_values(tree, reference), (tree, kind, path)
 
+    def test_covers_walk_each_tree_once(self, monkeypatch):
+        from opbar import trees
+        generalized = [x for n in range(1, 6)
+                       for x in enumerate_trees(n, GENERALIZED)]
+        walks = []
+        walk = trees.slot_walk
+        monkeypatch.setattr(trees, "slot_walk",
+                            lambda tree: walks.append(tree) or walk(tree))
+        covers.cache_clear()
+        found = [covers(x) for x in generalized]
+        monkeypatch.undo()
+        covers.cache_clear()
+        assert len(walks) == len(generalized) == 1357
+        for tree, got in zip(generalized, found):
+            assert got == tuple(
+                (res.tree, res.move) for res in (
+                    collapse(tree, kind, path)
+                    for kind, path in collapse_moves(tree))), tree
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_slot_walk(self, n):
         # Vertex paths in depth-first order, their nodes, and the leaves'
@@ -597,13 +616,13 @@ class TestWeightingComplex:
             self, monkeypatch):
         from opbar import trees
         calls = []
-        collapse_once = trees.collapse
+        collapse_once = trees._collapse
 
-        def counted(tree, kind, path):
+        def counted(tree, kind, path, paths):
             calls.append((tree, kind, path))
-            return collapse_once(tree, kind, path)
+            return collapse_once(tree, kind, path, paths)
 
-        monkeypatch.setattr(trees, "collapse", counted)
+        monkeypatch.setattr(trees, "_collapse", counted)
         covers.cache_clear()
         down_set.cache_clear()
         tree = t("(((([1],[2]),[3]),[4]),[5])")
