@@ -238,8 +238,8 @@ class BarComplex:
     on first use of the tree; both are kept.
     """
 
-    def __init__(self, kind, arity, complex_, trees, slots_of,
-                 r_coeff=None, op=None, l_coeff=None):
+    def __init__(self, kind, arity, complex_, trees, slots_of, r_coeff, op,
+                 l_coeff):
         self.kind = kind
         self.arity = arity
         self.complex = complex_
@@ -285,21 +285,6 @@ class BarComplex:
         if self._index is None:
             self._index = {_tree_key(t): t for t in self._trees}
         return self._index
-
-    def export_text(self):
-        lines = [f"barcomplex kind {self.kind} arity {self.arity} "
-                 f"ring {self.ring}"]
-        for d in self.complex.degrees():
-            for lab in self.complex.labels(d):
-                dec = ",".join(str(i) for i in lab.decoration)
-                lines.append(
-                    f"basis {d} {lab.tree.serialize()} [{dec}] "
-                    f"s={lab.tree_degree} t={lab.internal_degree}")
-        for k in sorted(self.complex.diffs):
-            lines.append(f"differential {k}")
-            for (i, j), v in sorted(self.complex.diffs[k].entries()):
-                lines.append(f"{i} {j} {v}")
-        return "\n".join(lines)
 
 
 def _total_degree(kind, tree_degree, internal_degree):
@@ -436,14 +421,14 @@ def _plan_terms(src, plan, sign, strides):
             yield k, t, flat, coeff
 
 
-def bar_complex(r_mod, p, l_mod, arity, ring=None):
-    """Two-sided algebraic bar construction at one arity."""
-    return _tree_complex(BAR, r_mod, p, l_mod, arity, ring=ring)
+def bar_complex(r_mod, p, l_mod, arity):
+    """Two-sided algebraic bar construction at one arity, over p's ring."""
+    return _tree_complex(BAR, r_mod, p, l_mod, arity)
 
 
-def cobar_complex(r_comod, q, l_comod, arity, ring=None):
-    """Two-sided algebraic cobar construction at one arity."""
-    return _tree_complex(COBAR, r_comod, q, l_comod, arity, ring=ring)
+def cobar_complex(r_comod, q, l_comod, arity):
+    """Two-sided algebraic cobar construction at one arity, over q's ring."""
+    return _tree_complex(COBAR, r_comod, q, l_comod, arity)
 
 
 def _check_inputs(kind, r_mod, p, l_mod):
@@ -463,7 +448,7 @@ def _check_inputs(kind, r_mod, p, l_mod):
         raise ValidationError("bar/cobar inputs must share a ring")
 
 
-def _tree_complex(kind, r_mod, p, l_mod, arity, ring=None):
+def _tree_complex(kind, r_mod, p, l_mod, arity):
     """The bar or cobar complex: signed collapse moves on decorated trees.
 
     The trees and the moves are those within the supports of r_mod, p and
@@ -473,7 +458,6 @@ def _tree_complex(kind, r_mod, p, l_mod, arity, ring=None):
     the bar direction's.
     """
     _check_inputs(kind, r_mod, p, l_mod)
-    ring = ring or p.ring
     if arity > p.max_arity:
         raise ValidationError(f"arity {arity} exceeds max_arity {p.max_arity}")
     supports = {slot: {n for n in range(1, arity + 1) if seq.rank(n)}
@@ -541,8 +525,7 @@ def _tree_complex(kind, r_mod, p, l_mod, arity, ring=None):
                     row[key_ij] = row.get(key_ij, 0) + coeff
     del index  # The matrices below are built without it.
     return BarComplex(kind, arity, ChainComplex.from_entries(
-        module, entries, ring), trees, slots_of, r_coeff=r_mod, op=p,
-        l_coeff=l_mod)
+        module, entries, p.ring), trees, slots_of, r_mod, p, l_mod)
 
 
 def _shape(key, masks, nv):
@@ -703,15 +686,15 @@ def _sub_blocks(fine, block):
     return [c for c in fine if set(c) <= bset]
 
 
-def simplicial_bar_complex(r_mod, p, l_mod, arity, ring=None):
-    """Normalized chains of the simplicial two-sided bar construction.
+def simplicial_bar_complex(r_mod, p, l_mod, arity):
+    """Normalized chains of the simplicial two-sided bar construction, over
+    p's ring.
 
     Degree-k basis: strict chains of k+1 partitions with decorations; the
     differential is the alternating sum of the partition deletions, via
     the augmentation (endpoint) and structure-map (inner) faces.
     """
     _check_inputs(BAR, r_mod, p, l_mod)
-    ring = ring or p.ring
     # Per chain: (slots, their _Slots, each decoration's position within
     # its degree).
     table = {}
@@ -745,7 +728,7 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity, ring=None):
                 key = (pos_tgt[flat], pos_src[k_src])
                 row = entries.setdefault(k + t, {})
                 row[key] = row.get(key, 0) + coeff
-    return ChainComplex.from_entries(module, entries, ring)
+    return ChainComplex.from_entries(module, entries, p.ring)
 
 
 def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
@@ -1195,16 +1178,6 @@ class KoszulReport:
     def is_koszul(self):
         return all(self.concentrated.values())
 
-    def export_text(self):
-        lines = [f"koszul kind {self.kind} name {self.name} "
-                 f"max_arity {self.max_arity}"]
-        for n in sorted(self.summaries):
-            flag = "concentrated" if self.concentrated[n] else "spread"
-            dims = {d: self.modules[n].rank(d)
-                    for d in self.modules[n].degrees()}
-            lines.append(f"arity {n}: {flag} dims {dims}")
-        return "\n".join(lines)
-
 
 def _top_signed_degree(kind, arity):
     top = max(arity - 1, 0)
@@ -1309,56 +1282,51 @@ def _homology_actions(bc, reps):
         sigma = list(range(1, bc.arity + 1))
         sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
         act = _action_matrices(bc, sigma, degrees)
-        mats.append(homology_coordinates(
-            bc.complex, reps, [(d, act[d].apply(z)) for d, z in reps]))
+        mats.append(_induced(act.__getitem__, reps, bc.complex, reps))
     return tuple(mats)
 
 
+def _tensor_reps(product, rep_lists):
+    """v_1 (x) ... (x) v_k for every choice of one (degree, cycle) pair
+    per list in rep_lists, row-major, as (degree, vector) pairs of the
+    tensor_list product."""
+    return [tensor_vector(product, combo)
+            for combo in itertools.product(*rep_lists)]
+
+
+def _induced(component, cycles, target, basis):
+    """The map on homology of a chain map with these components (degree
+    -> matrix): column j holds the coordinates of the image of the
+    (degree, cycle) pair cycles[j] in basis, a homology basis of the
+    complex target, and row i belongs to basis[i]."""
+    return homology_coordinates(
+        target, basis, [(d, component(d).apply(z)) for d, z in cycles])
+
+
 def _koszul_structure(structure, report, cache):
-    """Induced (co)composition matrices on homology for canonical splits."""
-    kind = report.kind
+    """Induced (co)composition matrices on homology for canonical splits:
+    K(total) -> K(m) (x) K(k), rows row-major over the pairs, on the bar
+    side, and the transposed layout, as for an operad composition, on the
+    cobar side."""
+    split = bar_cocomposition if report.kind == BAR else cobar_composition
     for total in range(1, report.max_arity + 1):
         for k in range(1, total + 1):
             m = total - k + 1
-            if m < 1:
-                continue
             for a in range(1, m + 1):
                 b_side = tuple(range(a, a + k))
                 a_side = tuple(x for x in range(1, total + 1)
                                if x < a or x >= a + k) + (a,)
-                key = (m, a, k)
-                if kind == BAR:
-                    cm = bar_cocomposition(structure, total, a,
-                                           a_side, b_side, cache)
-                    report.structure[key] = _induced_on_homology_pairs(
-                        report, total, m, k, cm, direction="split")
+                cm = split(structure, total, a, a_side, b_side, cache)
+                tensor = cm.target if report.kind == BAR else cm.source
+                pairs = _tensor_reps(tensor, [report.reps[m], report.reps[k]])
+                if report.kind == BAR:
+                    cycles, target, basis = report.reps[total], tensor, pairs
                 else:
-                    cm = cobar_composition(structure, total, a,
-                                           a_side, b_side, cache)
-                    report.structure[key] = _induced_on_homology_pairs(
-                        report, total, m, k, cm, direction="merge")
-
-
-def _induced_on_homology_pairs(report, total, m, k, chain_map, direction):
-    """Express a chain map through homology in the Kunneth pair basis.
-
-    direction "split": map from the total complex to the tensor; the
-    result has rows indexed by pairs (row-major over K(m), K(k)) and
-    columns by K(total).  direction "merge": the transposed layout, as
-    for an operad composition.
-    """
-    tensor_cplx = (chain_map.target if direction == "split"
-                   else chain_map.source)
-    pairs = [tensor_vector(tensor_cplx, (rep_m, rep_k))
-             for rep_m in report.reps[m] for rep_k in report.reps[k]]
-    if direction == "split":
-        return homology_coordinates(
-            tensor_cplx, pairs,
-            [(d, chain_map.component(d).apply(z))
-             for d, z in report.reps[total]])
-    return homology_coordinates(
-        report.complexes[total].complex, report.reps[total],
-        [(d, chain_map.component(d).apply(v)) for d, v in pairs])
+                    cycles, target, basis = (
+                        pairs, report.complexes[total].complex,
+                        report.reps[total])
+                report.structure[(m, a, k)] = _induced(
+                    cm.component, cycles, target, basis)
 
 
 def cooperad_from_koszul(report):
@@ -1436,8 +1404,7 @@ class ModuleMXReport:
     """Per-arity homology of the one-sided cobar over the sphere cooperad,
     plus the induced homology-level module over the derivatives operad."""
 
-    def __init__(self, name, max_arity):
-        self.name = name
+    def __init__(self, max_arity):
         self.max_arity = max_arity
         self.summaries = {}
         self.complexes = {}
@@ -1445,36 +1412,28 @@ class ModuleMXReport:
         self.modules = {}
         self.homology_module = None
 
-    def export_text(self):
-        lines = [f"module-mx name {self.name} max_arity {self.max_arity}"]
-        for n in sorted(self.summaries):
-            lines.append(f"arity {n}:")
-            for row in self.summaries[n].export_text().splitlines()[1:]:
-                lines.append("  " + row)
-        return "\n".join(lines)
 
+def module_MX_homology(x_module, coproduct, max_arity=4, deriv_report=None,
+                       with_action=True, cache=None):
+    """Integral homology of the cobar construction on a coalgebra comodule.
 
-def module_MX_homology(x_module, coproduct, max_arity=4, ring=INT,
-                       deriv_report=None, with_action=True, cache=None):
-    """Homology of the cobar construction on a coalgebra comodule.
-
-    The comodule is the constant symmetric sequence of the coalgebra;
-    coassociativity and graded cocommutativity are checked on entry.
+    The comodule is the constant symmetric sequence of the coalgebra, over
+    Z (constant_comodule); coassociativity and graded cocommutativity are
+    checked on entry.
     When with_action is set, the induced left action of the derivatives
     homology operad is computed and validated (unit, pentagon,
     equivariance) by constructing the homology-level module.
     """
-    comodule = constant_comodule(x_module, coproduct, max_arity, ring=ring,
-                                 name="mx")
+    comodule = constant_comodule(x_module, coproduct, max_arity, name="mx")
     q = comodule.over
-    report = ModuleMXReport("mx", max_arity)
+    report = ModuleMXReport(max_arity)
     if cache is None:
         cache = {}
     complexes = report.complexes
     for n in range(1, max_arity + 1):
         complexes[n] = _cached_complex(COBAR, _unit(q, RIGHT_COMODULE), q,
                                        comodule, n, cache)
-        report.summaries[n] = complexes[n].homology(ring=ring)
+        report.summaries[n] = complexes[n].homology()
     if not with_action:
         return report
     if deriv_report is None:
@@ -1490,16 +1449,11 @@ def module_MX_homology(x_module, coproduct, max_arity=4, ring=INT,
     maps = {}
     for n in range(1, max_arity + 1):
         for blocks in set_partitions(range(1, n + 1)):
-            r = len(blocks)
             cm = module_structure_maps(complexes[n], blocks, cache=cache)
-            images = []
-            for rep_list in itertools.product(
-                    deriv_report.reps[r], *(report.reps[len(b)]
-                                            for b in blocks)):
-                d, vec = tensor_vector(cm.source, rep_list)
-                images.append((d, cm.component(d).apply(vec)))
-            maps[blocks] = homology_coordinates(
-                complexes[n].complex, report.reps[n], images)
+            products = _tensor_reps(cm.source, [deriv_report.reps[len(blocks)]]
+                                    + [report.reps[len(b)] for b in blocks])
+            maps[blocks] = _induced(cm.component, products,
+                                    complexes[n].complex, report.reps[n])
     report.homology_module = SidedModule(
         LEFT_MODULE, h_symseq, k_op, maps, name="H(mx)")
     return report

@@ -35,6 +35,9 @@ class ExactMatrix:
     def __init__(self, nrows, ncols, entries=None, ring=INT):
         if ring not in RINGS:
             raise ValidationError(f"unknown ring {ring!r}")
+        if nrows.__class__ is not int or ncols.__class__ is not int:
+            raise ValidationError(
+                f"matrix shape {nrows!r}x{ncols!r} is not a pair of ints")
         if nrows < 0 or ncols < 0:
             raise ValidationError(f"matrix shape {nrows}x{ncols} is negative")
         self.ring = ring
@@ -487,12 +490,14 @@ class GradedFreeModule:
     def __init__(self, spaces):
         clean = {}
         for d, labels in spaces.items():
+            if d.__class__ is not int:
+                raise ValidationError(f"degree {d!r} is not an int")
             labels = tuple(labels)
             if not labels:
                 continue
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"duplicate basis labels in degree {d}")
-            clean[int(d)] = labels
+            clean[d] = labels
         self.spaces = clean
         self._basis = tuple((d, lab) for d in sorted(clean)
                             for lab in clean[d])
@@ -597,23 +602,15 @@ class HomologySummary:
     def __repr__(self):
         return f"HomologySummary({self.ring}, {self.groups})"
 
-    def export_text(self):
-        lines = [f"homology ring {self.ring}"]
-        for d in self.degrees():
-            r, tor = self.groups[d]
-            tor_str = ",".join(str(t) for t in tor) if tor else "-"
-            lines.append(f"degree {d}: free {r} torsion {tor_str}")
-        return "\n".join(lines)
-
 
 class ChainComplex:
     """Graded free module with differentials d_k : C_k -> C_{k-1}.
 
-    d^2 = 0 and all matrix shapes are verified on construction.  The
+    d^2 = 0 and all matrix shapes are always verified on construction.  The
     column echelon of each d_k over Q is made once and kept (reduction).
     """
 
-    def __init__(self, module, diffs, ring=INT, check=True):
+    def __init__(self, module, diffs, ring=INT):
         self.ring = ring
         self.module = module
         clean = {}
@@ -626,11 +623,10 @@ class ChainComplex:
                 clean[int(k)] = m
         self.diffs = clean
         self._reductions = {}
-        if check:
-            for k, m in clean.items():
-                up = clean.get(k + 1)
-                if up is not None and not (m * up).is_zero():
-                    raise ValidationError(f"d_{k} o d_{k+1} != 0")
+        for k, m in clean.items():
+            up = clean.get(k + 1)
+            if up is not None and not (m * up).is_zero():
+                raise ValidationError(f"d_{k} o d_{k+1} != 0")
 
     @classmethod
     def from_entries(cls, module, entries, ring=INT):

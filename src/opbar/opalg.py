@@ -232,10 +232,6 @@ class Operad:
         if check:
             _check_operad(self, f"operad {name}")
 
-    @property
-    def reduced(self):
-        return True
-
     def component(self, n):
         return self.symseq.component(n)
 
@@ -274,10 +270,6 @@ class Cooperad:
         _check_homogeneous(self, f"cooperad {name}")
         if check:
             _check_operad(self, f"cooperad {name}")
-
-    @property
-    def reduced(self):
-        return True
 
     def component(self, n):
         return self.symseq.component(n)
@@ -704,77 +696,6 @@ def compose_product(m_seq, n_seq, arity):
     return GradedFreeModule({d: tuple(v) for d, v in spaces.items()})
 
 
-def compose_product_symseq(m_seq, n_seq, max_arity):
-    """Composition product with its symmetric actions, as a SymSeq.
-
-    A permutation relabels the partition; the outer factor is acted on by
-    the induced block permutation, each inner factor by its within-block
-    permutation, and reordering the inner factors contributes Koszul signs.
-    """
-    ring = m_seq.ring
-    components = {n: compose_product(m_seq, n_seq, n)
-                  for n in range(1, max_arity + 1)}
-    actions = {}
-    for n in range(2, max_arity + 1):
-        module = components[n]
-        mats = []
-        for i in range(1, n):
-            sigma = {x: x for x in range(1, n + 1)}
-            sigma[i], sigma[i + 1] = i + 1, i
-            entries = {}
-            for col, (deg, lab) in enumerate(module.basis()):
-                blocks, olab, inner_labs = lab
-                r = len(blocks)
-                new_raw = [tuple(sorted(sigma[x] for x in b)) for b in blocks]
-                order = block_sort_perm([b[0] for b in new_raw])
-                new_blocks = canonical_partition(new_raw)
-                outer_mod = m_seq.component(r)
-                odeg = deg - sum(
-                    _label_degree(n_seq.component(len(b)), inner_labs[j])
-                    for j, b in enumerate(blocks))
-                ovec = m_seq.action(r, _perm_from_zero(order)).column(
-                    outer_mod.index(odeg, olab))
-                inner_vecs = []
-                inner_degs = []
-                for j, b in enumerate(blocks):
-                    comp_b = n_seq.component(len(b))
-                    dj = _label_degree(comp_b, inner_labs[j])
-                    inner_degs.append(dj)
-                    tau = block_sort_perm([sigma[x] for x in b])
-                    inner_vecs.append(
-                        n_seq.action(len(b), _perm_from_zero(tau)).column(
-                            comp_b.index(dj, inner_labs[j])))
-                sgn = koszul_sign(tuple(inner_degs), order)
-                for ow, oc in ovec.items():
-                    onew_deg, onew_lab = m_seq.component(r).basis()[ow]
-                    for combo in itertools.product(
-                            *(v.items() for v in inner_vecs)):
-                        c = oc * sgn
-                        placed = [None] * r
-                        for j, (w, cc) in enumerate(combo):
-                            c *= cc
-                            comp_b = n_seq.component(len(blocks[j]))
-                            placed[order[j]] = comp_b.basis()[w][1]
-                        new_lab = (new_blocks, onew_lab, tuple(placed))
-                        tdeg = onew_deg + sum(
-                            _label_degree(n_seq.component(len(new_blocks[k])),
-                                          placed[k]) for k in range(r))
-                        row = module.index(tdeg, new_lab)
-                        key = (row, col)
-                        entries[key] = entries.get(key, 0) + c
-            size = module.total_rank()
-            mats.append(ExactMatrix(size, size, entries, ring=ring))
-        actions[n] = tuple(mats)
-    return SymSeq(ring, components, actions)
-
-
-def _label_degree(module, label):
-    for d in module.degrees():
-        if label in module.labels(d):
-            return d
-    raise ValidationError(f"label {label!r} not in module")
-
-
 # ---------------------------------------------------------------------------
 # duality
 
@@ -960,10 +881,10 @@ def _builtin_ass(max_arity, ring):
     return Operad(ss, comp, name="ass")
 
 
-def unit_symseq(ring=INT, max_arity=MAX_BUILTIN_ARITY):
+def unit_symseq(ring=INT):
     """The unit symmetric sequence: rank one in arity 1, degree 0."""
     return SymSeq(ring, {1: GradedFreeModule({0: ("e",)})}, {},
-                  max_arity=max_arity)
+                  max_arity=MAX_BUILTIN_ARITY)
 
 
 def unit_module(over, side):
@@ -981,44 +902,44 @@ def unit_module(over, side):
     return SidedModule(side, ss, over, maps, name="unit")
 
 
-def builtin_sphere_comodule(r, max_arity=DEFAULT_MAX_ARITY, ring=INT,
-                            over=None):
-    """Left comodule of a sphere: rank one in degree r at every arity.
+def builtin_sphere_comodule(r, max_arity=DEFAULT_MAX_ARITY):
+    """Left comodule of a sphere over dual(com), over Z: rank one in
+    degree r at every arity.
 
     The reduced diagonal vanishes on homology, so all cocompositions are
     zero except the unary component.
     """
-    if over is None:
-        over = dual(builtin("com", max_arity, ring=ring))
+    over = dual(builtin("com", max_arity))
     comps = {n: GradedFreeModule({r: ("x",)}) for n in range(1, max_arity + 1)}
-    ss = SymSeq(ring, comps, _trivial_actions({n: 1 for n in comps}, ring))
+    ss = SymSeq(INT, comps, _trivial_actions({n: 1 for n in comps}, INT))
     maps = {}
     for n in range(1, max_arity + 1):
-        maps[(_partition_of(n),)] = ExactMatrix(1, 1, {(0, 0): 1}, ring=ring)
+        maps[(_partition_of(n),)] = ExactMatrix(1, 1, {(0, 0): 1})
     return SidedModule(LEFT_COMODULE, ss, over, maps, name=f"sphere{r}")
 
 
-def builtin_sphere_module(r, max_arity=DEFAULT_MAX_ARITY, ring=INT, over=None):
-    """Left module counterpart of the sphere: only the unary action acts."""
-    if over is None:
-        over = builtin("com", max_arity, ring=ring)
+def builtin_sphere_module(r, max_arity=DEFAULT_MAX_ARITY):
+    """Left module counterpart of the sphere over com, over Z: only the
+    unary action acts."""
+    over = builtin("com", max_arity)
     comps = {n: GradedFreeModule({r: ("x",)}) for n in range(1, max_arity + 1)}
-    ss = SymSeq(ring, comps, _trivial_actions({n: 1 for n in comps}, ring))
+    ss = SymSeq(INT, comps, _trivial_actions({n: 1 for n in comps}, INT))
     maps = {}
     for n in range(1, max_arity + 1):
-        maps[(_partition_of(n),)] = ExactMatrix(1, 1, {(0, 0): 1}, ring=ring)
+        maps[(_partition_of(n),)] = ExactMatrix(1, 1, {(0, 0): 1})
     return SidedModule(LEFT_MODULE, ss, over, maps, name=f"sphere{r}-module")
 
 
 def constant_comodule(module, coproduct, max_arity=DEFAULT_MAX_ARITY,
-                      ring=INT, name="coalgebra"):
-    """Left comodule over the cocommutative cooperad built from a coalgebra.
+                      name="coalgebra"):
+    """Left comodule over the cocommutative cooperad dual(com), over Z,
+    built from a coalgebra.
 
     module: GradedFreeModule X; coproduct: matrix X -> X (x) X (reduced,
     degree 0).  Coassociativity and graded cocommutativity are checked;
     the partition components are the iterated reduced coproducts.
     """
-    over = dual(builtin("com", max_arity, ring=ring))
+    over = dual(builtin("com", max_arity))
     rank = module.total_rank()
     if coproduct.nrows != rank * rank or coproduct.ncols != rank:
         raise ValidationError("coproduct must map X to X (x) X")
@@ -1026,17 +947,16 @@ def constant_comodule(module, coproduct, max_arity=DEFAULT_MAX_ARITY,
         i1, i2 = divmod(row, rank)
         if module.degree_of(i1) + module.degree_of(i2) != module.degree_of(j):
             raise ValidationError("coproduct must preserve degree")
-    one = ExactMatrix.identity(rank, ring=ring)
+    one = ExactMatrix.identity(rank)
     _require_equal(coproduct.kron(one) * coproduct,
                    one.kron(coproduct) * coproduct,
                    "coproduct is not coassociative")
-    _require_equal(_factor_permutation([module, module], (1, 0), ring)
+    _require_equal(_factor_permutation([module, module], (1, 0), INT)
                    * coproduct, coproduct,
                    "coproduct is not graded cocommutative")
 
     comps = {n: module for n in range(1, max_arity + 1)}
-    ss = SymSeq(ring, comps,
-                _trivial_actions({n: rank for n in comps}, ring))
+    ss = SymSeq(INT, comps, _trivial_actions({n: rank for n in comps}, INT))
     # Iterated coproducts Delta^(r) = (1 (x) Delta^(r-1)) Delta: X -> X^(x r).
     iterated = {1: one}
     for r in range(2, max_arity + 1):

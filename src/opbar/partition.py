@@ -10,6 +10,7 @@ homologies is the cross-certification.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .combinat import all_permutations, cycle_type, set_partitions
@@ -100,24 +101,32 @@ def partition_complex(n):
     if n == 1:
         module = GradedFreeModule({0: ("(1)",)})
         return ChainComplex(module, {})
-    flags = _flags(n)
+    index = _flag_index(n)
     by_degree = {}
-    index = {}
-    for flag in flags:
-        k = len(flag) - 1
-        bucket = by_degree.setdefault(k, [])
-        index[flag] = (k, len(bucket))
-        bucket.append(flag)
+    for flag, (k, _j) in index.items():
+        by_degree.setdefault(k, []).append(_flag_label(flag))
     module = GradedFreeModule(
-        {k: tuple(_flag_label(f) for f in v) for k, v in by_degree.items()})
+        {k: tuple(labels) for k, labels in by_degree.items()})
     entries = {}
-    for flag in flags:
-        k, j = index[flag]
+    for flag, (k, j) in index.items():
         row = entries.setdefault(k, {})
         for i_del in range(1, k):
             key = (index[flag[:i_del] + flag[i_del + 1:]][1], j)
             row[key] = row.get(key, 0) + (-1) ** i_del
     return ChainComplex.from_entries(module, entries)
+
+
+@lru_cache(maxsize=None)
+def _flag_index(n):
+    """flag -> (degree, position in that degree) for every strict flag of
+    {1..n}, n >= 2, the degree being its length less one; the one index
+    of the complex's basis, shared by partition_complex and flag_action."""
+    index, sizes = {}, Counter()
+    for flag in _flags(n):
+        k = len(flag) - 1
+        index[flag] = (k, sizes[k])
+        sizes[k] += 1
+    return index
 
 
 def _flag_label(flag):
@@ -131,13 +140,7 @@ def flag_action(n, sigma):
     if n == 1:
         return {0: ExactMatrix.identity(1)}
     smap = {i + 1: sigma[i] for i in range(n)}
-    index = {}
-    by_degree = {}
-    for flag in _flags(n):
-        k = len(flag) - 1
-        bucket = by_degree.setdefault(k, [])
-        index[flag] = (k, len(bucket))
-        bucket.append(flag)
+    index = _flag_index(n)
     mats = {}
     for flag, (k, j) in index.items():
         moved = tuple(

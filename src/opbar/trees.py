@@ -92,7 +92,7 @@ INTERNAL_EDGE = "internal_edge"
 ROOT_EDGE = "root_edge"
 BUD = "bud"
 
-DEFAULT_MAX_LABELS = 8
+MAX_LABELS = 8
 
 
 # -- node helpers -----------------------------------------------------------
@@ -424,15 +424,15 @@ def _joined(combo):
         "(" + ",".join(s for _node, s in combo) + ")"
 
 
-def supported_trees(n, roots, vertices, leaves,
-                    max_labels=DEFAULT_MAX_LABELS):
+def supported_trees(n, roots, vertices, leaves):
     """All canonical trees on {1..n} within the supports, sorted.
 
     roots, vertices and leaves are the allowed root arities, vertex
-    arities and leaf sizes; the trees come in serialization order.
+    arities and leaf sizes; the trees come in serialization order.  n
+    must lie in 1..MAX_LABELS (BoundsError otherwise).
     """
-    if not 1 <= n <= max_labels:
-        raise BoundsError(f"label count {n} outside 1..{max_labels}")
+    if not 1 <= n <= MAX_LABELS:
+        raise BoundsError(f"label count {n} outside 1..{MAX_LABELS}")
     labels = tuple(range(1, n + 1))
     # Each tree with its serialization, joined from its subtrees'.
     keyed = []
@@ -443,18 +443,19 @@ def supported_trees(n, roots, vertices, leaves,
     return [_tree(children) for (_v, children), _s in keyed]
 
 
-def enumerate_trees(n, species=STANDARD, max_labels=DEFAULT_MAX_LABELS):
+def enumerate_trees(n, species=STANDARD):
     """All canonical trees of the species on labels {1..n}, sorted.
 
     A species is a pair of supports (see the module docstring), so the
     species are nested: every standard tree appears in all four listings.
+    n is bounded as in supported_trees.
     """
     if species not in SPECIES:
         raise ValidationError(f"unknown species {species!r}")
     every = range(1, n + 1)
     roots = (1,) if species in (STANDARD, ROOT) else every
     leaves = (1,) if species in (STANDARD, LEAF) else every
-    return supported_trees(n, roots, every, leaves, max_labels)
+    return supported_trees(n, roots, every, leaves)
 
 
 def standard_tree_count(n):
@@ -727,19 +728,20 @@ def _relabel(tree, sigma):
 
 # -- the weighting-space chain complex --------------------------------------
 
-DEFAULT_MAX_CELL_VERTICES = 8
+MAX_CELL_VERTICES = 8
 
 
-def w_cell_complex(tree, max_vertices=DEFAULT_MAX_CELL_VERTICES):
+def w_cell_complex(tree):
     """Cellular chains of the weighting disc of a tree.
 
     Basis in degree k: trees u <= tree with k vertices; differential sums
     signed collapse moves.  Used to certify the sign convention: d^2 = 0
-    and the homology is that of a point.
+    and the homology is that of a point.  Trees with more than
+    MAX_CELL_VERTICES vertices raise BoundsError.
     """
-    if tree.n_vertices > max_vertices:
-        raise BoundsError(
-            f"tree has {tree.n_vertices} vertices, bound is {max_vertices}")
+    if tree.n_vertices > MAX_CELL_VERTICES:
+        raise BoundsError(f"tree has {tree.n_vertices} vertices, bound is "
+                          f"{MAX_CELL_VERTICES}")
     names = {u: u.serialize() for u in down_set(tree)}
     cells = sorted(names, key=names.__getitem__)
     by_degree = {}

@@ -1356,6 +1356,27 @@ class TestModuleMX:
         assert report.homology_module is not None
         assert report.homology_module.side == LEFT_MODULE
 
+    # Digests computed with the code of commit 8fc8c86, where the induced
+    # maps had their own loop: the homology-level module maps of
+    # module_MX_homology(X, 0, 4), one per partition of each arity.
+    PINNED_MODULE_MAPS = {
+        "S2": (
+            {2: ("x",)},
+            "1ce39b364359fd4d23c435db58b9a2d4b4b7f2e60ea343a1b20a832a4dfa886a"),
+        "S2-wedge-S3": (
+            {2: ("a",), 3: ("b",)},
+            "b75912faa4daf363d6a045600453c41b068a87c3e8c008db1522e476200bc2de"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_MODULE_MAPS))
+    def test_homology_module_maps_match_pinned_digests(self, deriv, case):
+        spaces, digest = self.PINNED_MODULE_MAPS[case]
+        x = GradedFreeModule(spaces)
+        r = x.total_rank()
+        report = module_MX_homology(x, ExactMatrix.zero(r * r, r), 4,
+                                    deriv_report=deriv)
+        assert _maps_digest([report.homology_module.maps]) == digest
+
 
 class TestDualOfASpreadComodule:
     # Coalgebras whose components have basis elements in several degrees:

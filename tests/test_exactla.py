@@ -126,6 +126,14 @@ class TestMatrixBasics:
         with pytest.raises(ValidationError, match="shape -1x3"):
             ExactMatrix(-1, 3)
 
+    @pytest.mark.parametrize("shape", [(2.5, 1), (2, True)])
+    def test_non_integer_shape_rejected(self, shape):
+        # 2.5 rows once built a matrix with an entry in row 2.
+        nrows, ncols = shape
+        with pytest.raises(ValidationError,
+                           match=f"shape {nrows!r}x{ncols!r} is not"):
+            ExactMatrix(nrows, ncols, {(2, 0): 1})
+
     def test_rank_rational(self):
         m = mat([[Fraction(1, 2), 1], [1, 2]], ring=RAT)
         assert matrix_rank(m) == 1
@@ -733,7 +741,7 @@ class TestIntegerIndexAgainstLabels:
 
     com = builtin("com", 4)
     qcom = dual(com)
-    s1 = builtin_sphere_comodule(1, 4, over=qcom)
+    s1 = builtin_sphere_comodule(1, 4)
 
     def s1_cobar(self, arity):
         """The cobar complex of the S^1 comodule, in degrees 1..arity-1."""
@@ -912,6 +920,13 @@ class TestReduction:
 
 
 class TestGradedFreeModule:
+    @pytest.mark.parametrize("degree", [1.5, True, "1"])
+    def test_non_integer_degree_rejected(self, degree):
+        # int() once made 1.5 and True silently into degree 1.
+        with pytest.raises(ValidationError,
+                           match=f"degree {degree!r} is not an int"):
+            GradedFreeModule({degree: ("x",)})
+
     def test_unknown_label_names_degree_and_label(self):
         module = GradedFreeModule({0: ["a", "b"], 1: ["c"]})
         assert module.position(1, "c") == 0 and module.index(1, "c") == 2
@@ -977,7 +992,3 @@ class TestSummary:
     def test_rat_with_torsion_rejected(self):
         with pytest.raises(ValidationError):
             HomologySummary(RAT, {0: (1, (2,))})
-
-    def test_export(self):
-        s = HomologySummary(INT, {1: (2, (3,))})
-        assert s.export_text() == "homology ring Z\ndegree 1: free 2 torsion 3"

@@ -19,7 +19,6 @@ from opbar.opalg import (
     builtin_sphere_comodule,
     builtin_sphere_module,
     compose_product,
-    compose_product_symseq,
     constant_comodule,
     dual,
     dumps,
@@ -256,10 +255,6 @@ class TestComposeProduct:
             expected += term
         prod = compose_product(ass3.symseq, ass3.symseq, n)
         assert prod.total_rank() == expected
-
-    def test_symseq_actions_satisfy_coxeter(self, ass3):
-        # SymSeq construction re-checks the Coxeter relations.
-        compose_product_symseq(ass3.symseq, ass3.symseq, 3)
 
     def test_bounds(self, com4):
         with pytest.raises(BoundsError):

@@ -66,8 +66,8 @@ class TestEnumeration:
     def test_standard_counts_against_oracle_up_to_seven(self):
         for n, count in STANDARD_COUNTS.items():
             assert standard_tree_count(n) == count
-        assert len(enumerate_trees(6, STANDARD, max_labels=8)) == 2752
-        assert len(enumerate_trees(7, STANDARD, max_labels=8)) == 39208
+        assert len(enumerate_trees(6, STANDARD)) == 2752
+        assert len(enumerate_trees(7, STANDARD)) == 39208
 
     def test_generalized_two(self):
         assert len(enumerate_trees(2, GENERALIZED)) == 3
@@ -144,7 +144,7 @@ class TestEnumeration:
 
 class TestCanonicalForm:
     def test_canonicalization_idempotent(self):
-        for tree in enumerate_trees(4, GENERALIZED, max_labels=4):
+        for tree in enumerate_trees(4, GENERALIZED):
             assert make_tree(tree.root_children) == tree
 
     def test_children_sorted_by_min_label(self):
@@ -152,7 +152,7 @@ class TestCanonicalForm:
         assert tree.serialize() == "((([1],[2]),[3]))"
 
     def test_serialization_round_trip(self):
-        for tree in enumerate_trees(4, GENERALIZED, max_labels=4):
+        for tree in enumerate_trees(4, GENERALIZED):
             assert parse_tree(tree.serialize()) == tree
 
     @pytest.mark.parametrize("text", ["([1],[1])", "(([1],[2]),[2])",
@@ -205,7 +205,7 @@ class TestCovers:
         assert covers(t("([1,2,3])")) == ()
 
     def test_covers_drop_exactly_one_vertex(self):
-        for tree in enumerate_trees(4, GENERALIZED, max_labels=4):
+        for tree in enumerate_trees(4, GENERALIZED):
             for u, _move in covers(tree):
                 assert u.n_vertices == tree.n_vertices - 1
                 assert u.labels == tree.labels
@@ -226,7 +226,7 @@ class TestWalkAgainstLabelSets:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_collapse_vertex_map_and_child_perm(self, n):
-        for tree in enumerate_trees(n, GENERALIZED, max_labels=4):
+        for tree in enumerate_trees(n, GENERALIZED):
             for kind, path in collapse_moves(tree):
                 res = collapse(tree, kind, path)
                 new_paths = res.tree.vertex_paths()
@@ -250,7 +250,7 @@ class TestWalkAgainstLabelSets:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_relabel_paths_and_child_ranks(self, n):
-        for tree in enumerate_trees(n, GENERALIZED, max_labels=4):
+        for tree in enumerate_trees(n, GENERALIZED):
             for perm in itertools.permutations(range(1, n + 1)):
                 sigma = dict(zip(range(1, n + 1), perm))
                 new_tree, _sign, moves = _relabel(tree, sigma)
@@ -423,7 +423,7 @@ class TestGrafting:
             graft(t("([1,2])"), 1, single_edge_tree((3,)))
 
     def test_all_ungrafts_invert_graft(self):
-        for tree in enumerate_trees(4, GENERALIZED, max_labels=4):
+        for tree in enumerate_trees(4, GENERALIZED):
             for b_size in (1, 2, 3):
                 for b_side in itertools.combinations((1, 2, 3, 4), b_size):
                     res = ungraft_partition(tree, [b_side])
@@ -580,7 +580,7 @@ class TestRelabel:
     @given(st.permutations([1, 2, 3, 4]), st.permutations([1, 2, 3, 4]),
            st.integers(min_value=0, max_value=114))
     def test_sign_is_multiplicative(self, p1, p2, index):
-        trees = enumerate_trees(4, GENERALIZED, max_labels=4)
+        trees = enumerate_trees(4, GENERALIZED)
         tree = trees[index % len(trees)]
         s1 = dict(zip((1, 2, 3, 4), p1))
         s2 = dict(zip((1, 2, 3, 4), p2))
@@ -599,7 +599,7 @@ class TestWeightingComplex:
         assert c.homology().groups == {0: (1, ())}
 
     def test_disc_contractibility_arity_four(self):
-        for tree in enumerate_trees(4, GENERALIZED, max_labels=4):
+        for tree in enumerate_trees(4, GENERALIZED):
             c = w_cell_complex(tree)
             assert c.homology().groups == {0: (1, ())}, tree.serialize()
 
@@ -609,8 +609,14 @@ class TestWeightingComplex:
         assert c.rank(tree.n_vertices) == 1
 
     def test_bound(self):
-        with pytest.raises(BoundsError):
-            w_cell_complex(t("(([1],[2]))"), max_vertices=0)
+        # A comb on ten labels has nine vertices, one over the bound.
+        comb = "[1]"
+        for x in range(2, 11):
+            comb = f"({comb},[{x}])"
+        tree = t(f"({comb})")
+        assert tree.n_vertices == 9
+        with pytest.raises(BoundsError, match="9 vertices, bound is 8"):
+            w_cell_complex(tree)
 
     def test_down_set_and_cells_share_one_collapse_per_move(
             self, monkeypatch):
