@@ -128,11 +128,14 @@ class SymSeq:
 
     def __init__(self, ring, components, actions, check=True, max_arity=None):
         self.ring = ring
-        self.components = {int(n): c for n, c in components.items()}
+        for n in itertools.chain(components, actions):
+            if n.__class__ is not int:
+                raise ValidationError(f"arity {n!r} is not an int")
+        self.components = dict(components)
         if max_arity is None:
             max_arity = max(self.components) if self.components else 0
         self.max_arity = max_arity
-        self.actions = {int(n): tuple(mats) for n, mats in actions.items()
+        self.actions = {n: tuple(mats) for n, mats in actions.items()
                         if mats}
         self._action_cache = {}
         if check:

@@ -34,7 +34,7 @@ from .checks import (
     check_unary_action_is_identity,
 )
 from .combinat import set_partitions
-from .errors import BoundsError
+from .errors import BoundsError, ValidationError
 from .exactla import GradedFreeModule, ExactMatrix, homology
 from .opalg import (
     LEFT_MODULE,
@@ -84,9 +84,11 @@ class VerifyContext:
     """Shared builds across criteria (operads, complexes, reports)."""
 
     def __init__(self, max_arity=5):
-        if not 2 <= int(max_arity) <= 5:
+        if max_arity.__class__ is not int:
+            raise ValidationError(f"max_arity {max_arity!r} is not an int")
+        if not 2 <= max_arity <= 5:
             raise BoundsError(f"max_arity {max_arity} outside 2..5")
-        self.max_arity = int(max_arity)
+        self.max_arity = max_arity
         self.cache = {}
         self._com = None
         self._ass = None

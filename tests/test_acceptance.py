@@ -6,7 +6,7 @@ the expensive builds (operads, complexes, the derivatives report).
 
 import pytest
 
-from opbar.errors import BoundsError
+from opbar.errors import BoundsError, ValidationError
 from opbar.verify import CRITERIA, VerifyContext, run_all, run_criterion
 
 MAX_ARITY = 5
@@ -27,6 +27,13 @@ def test_criterion(ctx, number):
 @pytest.mark.parametrize("max_arity", [1, 6, 7])
 def test_context_rejects_arity_outside_bounds(max_arity):
     with pytest.raises(BoundsError):
+        VerifyContext(max_arity)
+
+
+@pytest.mark.parametrize("max_arity", [4.9, True, "4"])
+def test_context_rejects_a_non_int_arity(max_arity):
+    # int() used to turn 4.9 into 4.
+    with pytest.raises(ValidationError, match=f"max_arity {max_arity!r} is"):
         VerifyContext(max_arity)
 
 

@@ -622,6 +622,7 @@ def test_reduced_bar_of_com_at_arity_seven():
     assert _standard_trees_by_vertices(4) == [0, 1, 10, 15]
     bc = reduced_bar(builtin("com", 7), 7)
     assert {d: bc.complex.rank(d) for d in bc.complex.degrees()} == want
+    assert bc.complex.homology().groups == {6: (720, ())}
 
 
 def _block_sets(n):

@@ -225,6 +225,15 @@ class TestValidationCatchesCorruption:
         with pytest.raises(ValidationError, match="Coxeter"):
             SymSeq(INT, comps, {2: (bad,)})
 
+    @pytest.mark.parametrize("arity", [2.5, True, "2"])
+    def test_non_int_arity_rejected(self, arity):
+        # int() used to store the arity 2.5 as 2.
+        comps = {arity: GradedFreeModule({0: ("a",)})}
+        with pytest.raises(ValidationError, match=f"arity {arity!r} is not"):
+            SymSeq(INT, comps, {}, check=False)
+        with pytest.raises(ValidationError, match=f"arity {arity!r} is not"):
+            SymSeq(INT, {}, {arity: (ExactMatrix.identity(1),)}, check=False)
+
 
 class TestComposeProduct:
     def test_unit_laws(self, com4):

@@ -71,6 +71,10 @@ class TestComplex:
         c = partition_complex(n)
         assert homology(c).groups == {n - 1: (math.factorial(n - 1), ())}
 
+    @pytest.mark.slow
+    def test_homology_at_seven(self):
+        assert homology(partition_complex(7)).groups == {6: (720, ())}
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_top_flag_count_matches_chain_counter(self, n):
         c = partition_complex(n)
