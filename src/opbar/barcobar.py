@@ -26,61 +26,50 @@ orientation sign, times the Koszul sign of reordering the graded
 decorations into the target's slot order (once per degree tuple, and
 only when some slot has odd degree), times the matrix entries.
 
-Every map works on integer tree keys.  A canonical tree is determined by
-the label sets of its nodes below the root, a laminar family; with bit x
-for label x, its key is the sorted tuple of these masks (_tree_key), and
-its masks in slot order are the vertices depth-first, then the leaves by
-least label.
+Every map works on tree keys (trees): the sorted label masks of a tree's
+nodes below the root.  Assembly reads each basis tree's masks in slot
+order, vertex count and slot arities off the enumeration
+(trees.supported_trees), and keeps per tree, by key, only the masks in
+slot order, the vertex count, the position of the tree with each
+decoration in its degree and its _Slots.  The differential sums the
+collapse moves whose merged slot stays in its support, each made by
+trees.collapse on the tree's trees._TreeShape: each target slot copies
+the source slot with its mask, and the merged slot applies the structure
+matrix.  A tree's shape lives while its moves are made, so no per-tree
+table outlives them; the entries are dropped before the matrices are
+built.  The merged slot's matrix of an edge, the structure's partial in
+operad form (opalg.operad_form) times the child-reorder action, is built
+once per (outer slot, m_out, insert_pos, k_inner, tau) in a dict local
+to one complex.  Bar and cobar complexes share one plan: cobar complexes
+run the covers backwards, with tree degrees recorded negatively.  The
+complex keeps its basis keys and its _slot_table.
 
-Assembly walks each basis tree once (_mask_walk) for its masks and slot
-arities, and keeps per tree, by key, only the masks in slot order, the
-vertex count, the position of the tree with each decoration in its
-degree and its _Slots.  The differential sums the collapse moves whose
-merged slot stays in its support, each made on keys (_key_collapse): an
-edge collapse deletes the vertex's mask, a bud collapse the masks of the
-vertex's leaves, and the target is the tree with the remaining key.
-Each target slot copies the source slot with its mask, and the merged
-slot applies the structure matrix.  The sign is that of the surviving
-vertices' order in the target, times (-1)^(i-1) for the i-th vertex,
-negated for an edge; tau, the reordering of the merged node's children,
-is the rank order of their least labels.  The children and parents the
-moves need are read off the masks (_shape) while that tree's moves are
-made, so no Tree is walked again and no per-tree table outlives its
-moves; the entries are dropped before the matrices are built.  The
-merged slot's matrix of an edge, the structure's partial in operad form
-(opalg.operad_form) times the child-reorder action, is built once per
-(outer slot, m_out, insert_pos, k_inner, tau) in a dict local to one
-complex.  Bar and cobar complexes share one plan: cobar complexes run the
-covers backwards, with tree degrees recorded negatively.  The complex
-keeps its basis trees and its _slot_table.
+Each complex builds one record per basis tree (_TreeRecord) the first
+time a map asks for it; assembly and reduction build none.  A record is
+the tree's shape (walked from its key), the _Slots of its slot arities
+(the object assembly used), and the (degree, position) of the tree with
+each decoration by flat decoration index, looked up in the complex's
+module once, when the record is built.  The records belong to the
+complex, so no cache can hand one structure's records to another.
 
-Each complex builds one key -> tree index on first use, and one record
-per basis tree (_TreeRecord) the first time a map asks for it; assembly
-and reduction build neither.  A record holds the node masks in slot
-order, the masks of every slot's children, mask -> slot, the _Slots of
-its slot arities (the object assembly used), and the (degree, position)
-of the tree with each decoration by flat decoration index, looked up in
-the complex's module once, when the record is built.  The records belong
-to the complex, so no cache can hand one structure's records to another.
+A permutation acts on masks through a bit table (trees._mask_image); the
+target's record is the one keyed by the sorted images, and
+trees._relabel_slots gives the orientation sign and each slot's child
+reordering.  One ungrafting engine builds the cooperad structure of
+B(P), the operad structure of the cobar construction and the module
+structure maps of a one-sided complex: it cuts each tree into factors
+F_0 (x) F_1 (x) ... on masks (trees._cutter), and finds the factors'
+records by their keys.  Each term is the source's (degree, position),
+the tuple of the factors' global basis indices, which the tensor
+product's tensor_index turns into a position (each factor's flat index
+comes from the target flat index by divmod), and the coefficient.  A
+basis element is its vertex orientation tensored with its slot
+decorations, so each term carries the sign splitting the orientation,
+the Koszul sign of reordering the decorations, and (-1)^(s_j t_i) for
+every i < j, as factor j's orientation (degree s_j, its vertex count)
+moves past factor i's decorations (internal degree t_i).
 
-A permutation acts on masks through a bit table (_mask_image); the
-target's record is the one keyed by the sorted images, the orientation
-sign is that of the vertices' target slots, and each slot's child
-reordering is the rank order of its children's least labels after the
-action (_relabel_slots).  One ungrafting engine builds the cooperad
-structure of B(P), the operad structure of the cobar construction and
-the module structure maps of a one-sided complex: it cuts each tree into
-factors F_0 (x) F_1 (x) ... on masks (_cutter), and finds the factors'
-records by their keys, so neither map builds a Tree.  Each term is the
-source's (degree, position), the tuple of the factors' global basis
-indices, which the tensor product's tensor_index turns into a position
-(each factor's flat index comes from the target flat index by divmod),
-and the coefficient.  A basis element is its vertex orientation tensored
-with its slot decorations, so each term carries the sign splitting the
-orientation, the Koszul sign of reordering the decorations, and
-(-1)^(s_j t_i) for every i < j, as factor j's orientation (degree s_j,
-its vertex count) moves past factor i's decorations (internal degree
-t_i).
+Text appears only in a label's repr, which serializes its key.
 
 The normalized simplicial construction over strict partition chains has
 its own chains and face plans, sharing only the plan evaluator, and
@@ -94,8 +83,18 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import trees as tr
-from .combinat import set_partitions
-from .errors import BoundsError, InternalConsistencyError, ValidationError
+from .combinat import (
+    block_sort_perm,
+    canonical_partition,
+    permutation,
+    set_partitions,
+)
+from .errors import (
+    BoundsError,
+    InternalConsistencyError,
+    ValidationError,
+    require_int,
+)
 from .exactla import (
     INT,
     RAT,
@@ -121,8 +120,6 @@ from .opalg import (
     Operad,
     SidedModule,
     SymSeq,
-    block_sort_perm,
-    canonical_partition,
     constant_comodule,
     dual,
     builtin,
@@ -137,78 +134,21 @@ COBAR = "cobar"
 
 @dataclass(frozen=True)
 class BarBasisLabel:
-    """Decorated tree: one basis index per slot, with its bigrading."""
+    """Decorated tree: the tree's key, one basis index per slot, and the
+    bigrading."""
 
-    tree: tr.Tree
+    tree: tuple
     decoration: tuple
     tree_degree: int
     internal_degree: int
 
     def __repr__(self):
         dec = ",".join(str(i) for i in self.decoration)
-        return f"<{self.tree.serialize()}|{dec}|s={self.tree_degree},t={self.internal_degree}>"
+        return (f"<{tr.serialize(self.tree)}|{dec}|s={self.tree_degree},"
+                f"t={self.internal_degree}>")
 
 
-def _compress(mask, labels):
-    """mask renumbered onto 1..len(labels) by the increasing bijection
-    from the sorted labels, which must contain its bits."""
-    out = 0
-    for new, x in enumerate(labels, start=1):
-        if mask >> x & 1:
-            out |= 1 << new
-    return out
-
-
-def _mask_walk(tree):
-    """(masks, vertex count, kids) of a tree.  masks are the label masks of
-    the slots after the root's, the vertices in depth-first order, then the
-    leaves by least label; kids[q] are the masks of slot q's children in
-    canonical order (slot 0 is the root, and a leaf's children are its
-    labels' bits)."""
-    vertices, kids, leaves = [], [], []
-
-    def walk(children):
-        out = []
-        for child in children:
-            if child[0] == "L":
-                bits = tuple(1 << x for x in child[1])
-                mask = sum(bits)
-                leaves.append((mask & -mask, mask, bits))
-            else:
-                at = len(vertices)
-                vertices.append(None)
-                kids.append(None)
-                kids[at] = walk(child[1])
-                mask = vertices[at] = sum(kids[at])
-            out.append(mask)
-        return tuple(out)
-
-    root = walk(tree.root_children)
-    leaves.sort()
-    return (tuple(vertices) + tuple(m for _low, m, _bits in leaves),
-            len(vertices), (root, *kids, *(bits for *_m, bits in leaves)))
-
-
-def _tree_key(tree):
-    """The key of a canonical tree: the sorted masks of its nodes below the
-    root.  They form a laminar family whose Hasse diagram is the tree, so
-    the key determines it."""
-    return tuple(sorted(_mask_walk(tree)[0]))
-
-
-class _TreeShape:
-    """A tree's nodes as label masks: masks, nv and kids as _mask_walk
-    gives them, and slot[mask] the slot of the node with that mask (the
-    vertices are slots 1..nv, then the leaves)."""
-
-    __slots__ = ("masks", "nv", "kids", "slot")
-
-    def __init__(self, tree):
-        self.masks, self.nv, self.kids = _mask_walk(tree)
-        self.slot = {m: q for q, m in enumerate(self.masks, start=1)}
-
-
-class _TreeRecord(_TreeShape):
+class _TreeRecord(tr._TreeShape):
     """One basis tree of a complex as its structure maps read it: its
     shape, slots the _Slots of its signature, shared with assembly and
     every other tree of the complex with the same slot arities, and at[k]
@@ -217,25 +157,26 @@ class _TreeRecord(_TreeShape):
 
     __slots__ = ("slots", "at")
 
-    def __init__(self, bc, tree):
-        super().__init__(tree)
-        # A slot's arity is its number of children.
-        self.slots = bc.slots_of(self.nv, tuple(map(len, self.kids)))
+    def __init__(self, bc, key):
+        super().__init__(key)
+        # A slot's arity is its number of children, a leaf's its labels.
+        self.slots = bc.slots_of(self.nv, (
+            *map(len, self.kids),
+            *(m.bit_count() for m in self.masks[self.nv:])))
         s_deg, module = self.nv, bc.complex.module
         self.at = []
         for decor, _degs, t in self.slots.decorations:
             d = _total_degree(bc.kind, s_deg, t)
             self.at.append((d, module.position(
-                d, BarBasisLabel(tree, decor, s_deg, t))))
+                d, BarBasisLabel(key, decor, s_deg, t))))
 
 
 class BarComplex:
     """A bar or cobar chain complex with bigrading metadata.
 
-    trees are the basis trees in serialization order, and slots_of is
-    the _slot_table assembly read them through.  The index from tree keys
-    (_tree_key) to trees is built on first use, and a tree's _TreeRecord
-    on first use of the tree; both are kept.
+    trees are the basis trees' keys in serialization order, and slots_of
+    is the _slot_table assembly read them through.  A tree's _TreeRecord
+    is built on first use and kept.
     """
 
     def __init__(self, kind, arity, complex_, trees, slots_of, r_coeff, op,
@@ -245,7 +186,7 @@ class BarComplex:
         self.complex = complex_
         self._trees = tuple(trees)
         self.slots_of = slots_of
-        self._index = None
+        self._basis = None
         self._records = {}
         self.r_coeff = r_coeff
         self.op = op
@@ -259,32 +200,22 @@ class BarComplex:
         return self.complex.homology(ring=ring)
 
     def trees(self):
-        """The basis trees in serialization order."""
+        """The basis trees' keys in serialization order."""
         return self._trees
 
-    def record(self, tree):
-        """The _TreeRecord of a basis tree, or None for any other tree."""
-        if tree.labels != frozenset(range(1, self.arity + 1)):
-            return None
-        return self.keyed(_tree_key(tree))
-
-    def keyed(self, key):
+    def record(self, key):
         """The _TreeRecord of the basis tree with this key, or None."""
         rec = self._records.get(key)
         if rec is None:
-            tree = self._keys().get(key)
-            if tree is not None:
-                rec = self._records[key] = _TreeRecord(self, tree)
+            if self._basis is None:
+                self._basis = frozenset(self._trees)
+            if key in self._basis:
+                rec = self._records[key] = _TreeRecord(self, key)
         return rec
 
     def records(self):
         """The records of every basis tree, in serialization order."""
-        return [self.keyed(key) for key in self._keys()]
-
-    def _keys(self):
-        if self._index is None:
-            self._index = {_tree_key(t): t for t in self._trees}
-        return self._index
+        return [self.record(key) for key in self._trees]
 
 
 def _total_degree(kind, tree_degree, internal_degree):
@@ -458,35 +389,38 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
     the bar direction's.
     """
     _check_inputs(kind, r_mod, p, l_mod)
+    require_int(arity, "arity")
     if arity > p.max_arity:
         raise ValidationError(f"arity {arity} exceeds max_arity {p.max_arity}")
     supports = {slot: {n for n in range(1, arity + 1) if seq.rank(n)}
                 for slot, seq in (("root", r_mod), ("v", p), ("leaf", l_mod))}
     slots_of = _slot_table(r_mod, p, l_mod, arity)
-    trees = tr.supported_trees(arity, supports["root"], supports["v"],
-                               supports["leaf"])
     # Per tree, by its key: (masks in slot order, vertex count, each
     # decoration's position within its degree, the signature's _Slots).
     index = {}
     spaces = {}
-    for tree in trees:
-        masks, nv, kids = _mask_walk(tree)
-        slots = slots_of(nv, tuple(map(len, kids)))
+    for key, masks, nv, arities in tr.supported_trees(
+            arity, supports["root"], supports["v"], supports["leaf"]):
+        slots = slots_of(nv, arities)
         positions = []
         for decor, _degs, t_deg in slots.decorations:
             labels = spaces.setdefault(_total_degree(kind, nv, t_deg), [])
             positions.append(len(labels))
-            labels.append(BarBasisLabel(tree, decor, nv, t_deg))
-        index[tuple(sorted(masks))] = (masks, nv, positions, slots)
+            labels.append(BarBasisLabel(key, decor, nv, t_deg))
+        index[key] = (masks, nv, positions, slots)
     module = GradedFreeModule(spaces)
+    keys = tuple(index)
+
+    def slot_masks(key):
+        return index[key][0]
 
     # Merged-slot matrices of edge collapses, by (outer slot kind, m_out,
     # insert_pos, k_inner, tau); local to this complex.
     merged = {}
     entries = {}
     for key, (masks, nv, pos_big, src) in index.items():
-        shape = _shape(key, masks, nv)
-        kids, parent = shape[2], shape[3]
+        shape = tr._TreeShape(key, masks, nv)
+        kids, parent = shape.kids, shape.parent
         # Total degree, less t, of a differential's source: the tree for a
         # bar complex, the collapsed tree for a cobar complex.
         d_src = _total_degree(kind, nv if kind == BAR else nv - 1, 0)
@@ -502,8 +436,10 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
                 # The leaves are the slots after the vertices.
                 moves.append(True)
             for bud in moves:
-                tkey, plan, sign, ins, tau = _key_collapse(shape, q, bud,
-                                                           index)
+                # Through the module attribute, so that a wrapper of
+                # trees.collapse sees every move.
+                tkey, plan, sign, ins, tau = tr.collapse(shape, q, bud,
+                                                         slot_masks)
                 _m, _nv, pos_small, tgt = index[tkey]
                 # The merged slot applies its matrix; the others copy.
                 if bud:
@@ -525,79 +461,7 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
                     row[key_ij] = row.get(key_ij, 0) + coeff
     del index  # The matrices below are built without it.
     return BarComplex(kind, arity, ChainComplex.from_entries(
-        module, entries, p.ring), trees, slots_of, r_mod, p, l_mod)
-
-
-def _shape(key, masks, nv):
-    """(key, masks, kids, parent, lows, slot) of the tree with this key
-    and these masks in slot order, read off the masks alone: kids[s] are
-    the slots of slot s's children in canonical order, s the root (0) or
-    a vertex (1..nv), parent[q] the slot of q's parent, lows[q] the least
-    label's bit of slot q, and slot[mask] the slot with that mask.
-
-    A vertex's parent is the last vertex on the depth-first path above it
-    that contains its mask, and a leaf's the deepest vertex containing it,
-    the last in depth-first order."""
-    lows = [0] + [m & -m for m in masks]
-    kids = [[] for _v in range(nv + 1)]
-    parent = [0] * len(lows)
-    above = []
-    for q, mask in enumerate(masks, start=1):
-        if q <= nv:
-            while above and masks[above[-1] - 1] & mask != mask:
-                above.pop()
-            up = above[-1] if above else 0
-            above.append(q)
-        else:
-            up = 0
-            for v in range(nv, 0, -1):
-                if masks[v - 1] & mask == mask:
-                    up = v
-                    break
-        parent[q] = up
-        kids[up].append(q)
-    for children in kids:
-        children.sort(key=lows.__getitem__)
-    return key, masks, kids, parent, lows, {
-        m: q for q, m in enumerate(masks, start=1)}
-
-
-def _key_collapse(shape, q, bud, index):
-    """The collapse of vertex slot q of a tree on its key: its bud when
-    bud is true, else the edge above it.  shape is _shape's, and
-    index[target key][0] the target's masks in slot order.
-
-    An edge collapse deletes q's mask (q's children join its parent's); a
-    bud collapse deletes the masks of q's leaves, and q becomes a leaf.
-    Returns (target key, sources, sign, insert_pos, tau).  sources[t] is
-    the source slot of target slot t: the slot with t's mask, so the
-    merged slot's source is q's parent for an edge and q for a bud.  sign
-    is (-1)^(q-1), negated for an edge, times the sign of the surviving
-    vertices' order in the target, as in trees.collapse.  For an edge,
-    insert_pos is q's 1-based position among its parent's children and
-    tau[i] the new position of the i-th spliced child (the parent's
-    children with q's in q's place): the rank order of their least
-    labels.  Both are None for a bud.
-    """
-    key, masks, kids, parent, lows, slot = shape
-    if bud:
-        gone = {masks[r - 1] for r in kids[q]}
-        tkey = tuple([m for m in key if m not in gone])
-    else:
-        at = key.index(masks[q - 1])
-        tkey = key[:at] + key[at + 1:]
-    sources = [0, *map(slot.__getitem__, index[tkey][0])]
-    # The target's vertices, as source slots, are sources[1:nv].
-    sign = perm_sign(sources[1:len(kids) - 1])
-    if q % 2 == 0:
-        sign = -sign
-    if bud:
-        return tkey, sources, sign, None, None
-    siblings = kids[parent[q]]
-    i = siblings.index(q)
-    spliced = siblings[:i] + kids[q] + siblings[i + 1:]
-    return tkey, sources, -sign, i + 1, block_sort_perm(
-        [lows[r] for r in spliced])
+        module, entries, p.ring), keys, slots_of, r_mod, p, l_mod)
 
 
 def _bud_blocks(masks, leaves, q):
@@ -810,51 +674,9 @@ def symmetric_action(bc, sigma):
     record is the one with the sorted images as its key, and no Tree is
     built.
     """
-    n = bc.arity
-    try:
-        sigma = tuple(sigma)
-        valid = sorted(sigma) == list(range(1, n + 1))
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValidationError(
-            f"symmetric_action: {sigma!r} is not a permutation of 1..{n} "
-            f"(the complex has arity {n})")
+    sigma = permutation(sigma, bc.arity,
+                        f"symmetric_action on a complex of arity {bc.arity}")
     return _action_matrices(bc, sigma, bc.complex.degrees())
-
-
-def _mask_image(sigma):
-    """The image of a label mask under sigma (1-based images), through a
-    bit table; memoized for the life of the returned function."""
-    bits = [(x, 1 << s) for x, s in enumerate(sigma, start=1)]
-    images = {}
-
-    def image(mask):
-        out = images.get(mask)
-        if out is None:
-            out = 0
-            for x, bit in bits:
-                if mask >> x & 1:
-                    out |= bit
-            images[mask] = out
-        return out
-    return image
-
-
-def _relabel_slots(src, tgt, images, image):
-    """The relabelling of shape src onto shape tgt, where images are the
-    images of src's masks under image.  Returns (orientation sign, moves):
-    the sign is that of the permutation sending src's i-th vertex to the
-    slot of its image in tgt, and moves[q'] = (q, tau) for the target
-    slot q' of each source slot q, tau[i] the new position of q's i-th
-    child (the rank of the least label of its image)."""
-    slot = tgt.slot
-    sign = perm_sign(tuple(slot[m] - 1 for m in images[:src.nv]))
-    moves = [None] * len(src.kids)
-    for q, kids in enumerate(src.kids):
-        lows = [m & -m for m in map(image, kids)]
-        moves[slot[images[q - 1]] if q else 0] = (q, block_sort_perm(lows))
-    return sign, moves
 
 
 def _action_matrices(bc, sigma, degrees):
@@ -864,7 +686,7 @@ def _action_matrices(bc, sigma, degrees):
     decoration in those degrees is not relabelled."""
     wanted = set(degrees)
     degrees = [d for d in bc.complex.degrees() if d in wanted]
-    image = _mask_image(sigma)
+    image = tr._mask_image(sigma)
     seqs = (bc.r_coeff, bc.op, bc.l_coeff)
     matrices = {}
     entries = {}
@@ -872,8 +694,8 @@ def _action_matrices(bc, sigma, degrees):
         if wanted.isdisjoint(d for d, _j in src.at):
             continue
         images = [image(m) for m in src.masks]
-        tgt = bc.keyed(tuple(sorted(images)))
-        sign, moves = _relabel_slots(src, tgt, images, image)
+        tgt = bc.record(tuple(sorted(images)))
+        sign, moves = tr._relabel_slots(src, tgt, images, image)
         plan = []
         for q, tau in moves:
             # The root, a vertex or a leaf: sigma's action on its module.
@@ -940,52 +762,6 @@ def reduced_cobar(q, arity, cache=None):
                            _unit(q, LEFT_COMODULE), arity, cache)
 
 
-def _cutter(arity, blocks):
-    """The ungrafting of trees on {1..arity} along disjoint sorted label
-    blocks, on masks.  Returns cut(shape): None when some block is not
-    the label set of a node of the shape, else (factor keys, placed), the
-    keys of the skeleton and of each block's part, and placed[q - 1] =
-    (factor, mask in that factor) for each slot q > 0 of the shape.
-
-    A mask inside a block B goes to B's part, compressed onto 1..|B|
-    (_compress); B itself becomes the part's root child, and the skeleton
-    leaf lowbit(B).  Every other mask goes to the skeleton, with each
-    block it contains replaced by that block's least bit, compressed onto
-    the kept labels: those no block covers and the blocks' least labels.
-    Compression keeps the order of least labels, hence canonical form,
-    every child order and the depth-first order of the vertices.
-    """
-    block_masks = [sum(1 << x for x in b) for b in blocks]
-    kept = sorted(set(range(1, arity + 1)).difference(*blocks)
-                  | {b[0] for b in blocks})
-    heads = [_compress(b & -b, kept) for b in block_masks]
-    placed = {}
-
-    def place(mask):
-        for j, (block, labels) in enumerate(zip(block_masks, blocks), 1):
-            if mask & block == mask:
-                return j, _compress(mask, labels)
-        for block in block_masks:
-            if mask & block == block:
-                mask = mask & ~block | block & -block
-        return 0, _compress(mask, kept)
-
-    def cut(shape):
-        if not all(b in shape.slot for b in block_masks):
-            return None
-        out = []
-        for mask in shape.masks:
-            at = placed.get(mask)
-            if at is None:
-                at = placed[mask] = place(mask)
-            out.append(at)
-        keys = [list(heads)] + [[] for _b in blocks]
-        for j, mask in out:
-            keys[j].append(mask)
-        return [tuple(sorted(k)) for k in keys], out
-    return cut
-
-
 def _split_terms(bc, skeleton, parts, blocks):
     """((degree, position) in bc, factor global indices, coefficient)
     triples of the ungrafting map, read from the tree records.
@@ -1013,14 +789,14 @@ def _split_terms(bc, skeleton, parts, blocks):
     blocks = [tuple(sorted(b)) for b in blocks]
     factors = [skeleton] + list(parts)
     offsets = [f.complex.module.offset for f in factors]
-    cut = _cutter(bc.arity, blocks)
+    cut = tr._cutter(bc.arity, blocks)
     out = []
     for rec in bc.records():
         split = cut(rec)
         if split is None:
             continue
         keys, placed = split
-        f_recs = [f.keyed(key) for f, key in zip(factors, keys)]
+        f_recs = [f.record(key) for f, key in zip(factors, keys)]
         if None in f_recs:
             continue
         # Each factor's slots, in its order: the skeleton's root and every
@@ -1199,10 +975,9 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
         raise ValidationError("koszul expects an operad or a cooperad")
     if max_arity is None:
         max_arity = structure.max_arity
-    elif not isinstance(max_arity, int) or isinstance(max_arity, bool):
-        raise ValidationError(
-            f"koszul: max_arity {max_arity!r} is not an int")
-    elif not 1 <= max_arity <= structure.max_arity:
+    else:
+        require_int(max_arity, "koszul: max_arity")
+    if not 1 <= max_arity <= structure.max_arity:
         raise BoundsError(
             f"koszul: max_arity {max_arity} outside "
             f"1..{structure.max_arity}")

@@ -46,9 +46,10 @@ from .barcobar import (
     reduced_bar,
     reduced_cobar,
 )
+from .combinat import canonical_partition
 from .errors import ValidationError
 from .exactla import ChainMap, reindexing_map, tensor_chain_maps
-from .opalg import canonical_partition, fingerprint
+from .opalg import fingerprint
 
 
 def _triples(n, allow_empty_x=True):

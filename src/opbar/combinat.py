@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import ValidationError
+
 
 def set_partitions(items):
     """All partitions of a sequence into nonempty blocks, canonicalized.
@@ -20,11 +22,12 @@ def set_partitions(items):
     for part in set_partitions(rest):
         for i, block in enumerate(part):
             merged = tuple(sorted(block + (first,)))
-            yield _canon_partition(part[:i] + (merged,) + part[i + 1:])
-        yield _canon_partition(((first,),) + part)
+            yield canonical_partition(part[:i] + (merged,) + part[i + 1:])
+        yield canonical_partition(((first,),) + part)
 
 
-def _canon_partition(blocks):
+def canonical_partition(blocks):
+    """The blocks as sorted tuples, listed by least element."""
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
@@ -32,6 +35,28 @@ def partitions_into_at_least_two(items):
     for part in set_partitions(items):
         if len(part) >= 2:
             yield part
+
+
+def block_sort_perm(keys):
+    """tau with tau[i] = sorted position of keys[i] (0-based); keys distinct.
+    The keys are a node's children or a partition's blocks, a handful, so
+    a scan of the sorted keys beats building a rank table."""
+    ranks = sorted(keys)
+    return tuple([ranks.index(k) for k in keys])
+
+
+def permutation(sigma, n, caller):
+    """sigma as a tuple of images, or ValidationError naming the caller
+    unless it is a permutation of 1..n."""
+    try:
+        sigma = tuple(sigma)
+        valid = sorted(sigma) == list(range(1, n + 1))
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValidationError(
+            f"{caller}: {sigma!r} is not a permutation of 1..{n}")
+    return sigma
 
 
 def perm_inverse(sigma):

@@ -15,3 +15,10 @@ class ValidationError(ValueError):
 
 class InternalConsistencyError(AssertionError):
     """A certified internal property (chain map, d^2 = 0) failed; a bug."""
+
+
+def require_int(value, name):
+    """Raise ValidationError, naming the value, unless it is an int (a bool
+    is not)."""
+    if value.__class__ is not int:
+        raise ValidationError(f"{name} {value!r} is not an int")

@@ -23,7 +23,7 @@ import weakref
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 INT = "Z"
 RAT = "Q"
@@ -493,8 +493,7 @@ class GradedFreeModule:
     def __init__(self, spaces):
         clean = {}
         for d, labels in spaces.items():
-            if d.__class__ is not int:
-                raise ValidationError(f"degree {d!r} is not an int")
+            require_int(d, "degree")
             labels = tuple(labels)
             if not labels:
                 continue
@@ -571,8 +570,7 @@ class HomologySummary:
             torsion = tuple(torsion)
             for name, v in (("degree", d), ("rank", rank),
                             *(("torsion factor", t) for t in torsion)):
-                if v.__class__ is not int:
-                    raise ValidationError(f"{name} {v!r} is not an int")
+                require_int(v, name)
             if ring == RAT and torsion:
                 raise ValidationError("torsion is empty over Q")
             for a, b in zip(torsion, torsion[1:]):

@@ -56,11 +56,14 @@ from math import prod
 
 from .combinat import (
     adjacent_word,
+    block_sort_perm,
+    canonical_partition,
     perm_identity,
     perm_inverse,
+    permutation,
     set_partitions,
 )
-from .errors import BoundsError, ParseError, ValidationError
+from .errors import BoundsError, ParseError, ValidationError, require_int
 from .exactla import (
     INT,
     RAT,
@@ -111,14 +114,6 @@ def inner_insertion_perm(m, a, tau):
     return tuple(rho)
 
 
-def block_sort_perm(keys):
-    """tau with tau[i] = sorted position of keys[i] (0-based); keys distinct.
-    The keys are a node's children or a partition's blocks, a handful, so
-    a scan of the sorted keys beats building a rank table."""
-    ranks = sorted(keys)
-    return tuple([ranks.index(k) for k in keys])
-
-
 # ---------------------------------------------------------------------------
 # symmetric sequences
 
@@ -129,8 +124,7 @@ class SymSeq:
     def __init__(self, ring, components, actions, check=True, max_arity=None):
         self.ring = ring
         for n in itertools.chain(components, actions):
-            if n.__class__ is not int:
-                raise ValidationError(f"arity {n!r} is not an int")
+            require_int(n, "arity")
         self.components = dict(components)
         if max_arity is None:
             max_arity = max(self.components) if self.components else 0
@@ -167,8 +161,7 @@ class SymSeq:
         cached = self._action_cache.get(key)
         if cached is not None:
             return cached
-        if sorted(sigma) != list(range(1, n + 1)):
-            raise ValidationError(f"{sigma} is not a permutation of 1..{n}")
+        permutation(sigma, n, "action")
         mat = ExactMatrix.identity(self.rank(n), ring=self.ring)
         if self.rank(n):
             for i in adjacent_word(sigma):
@@ -291,10 +284,6 @@ class Cooperad:
 
 # ---------------------------------------------------------------------------
 # one-sided modules and comodules
-
-
-def canonical_partition(blocks):
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
 def _partition_of(n):

@@ -13,8 +13,14 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .combinat import all_permutations, cycle_type, set_partitions
-from .errors import BoundsError, ValidationError
+from .combinat import (
+    all_permutations,
+    canonical_partition,
+    cycle_type,
+    permutation,
+    set_partitions,
+)
+from .errors import BoundsError, ValidationError, require_int
 from .exactla import (
     ChainComplex,
     ExactMatrix,
@@ -92,9 +98,11 @@ def flag_count_oracle(n):
     return counts[indiscrete_partition(n)]
 
 
-@lru_cache(maxsize=None)
+# typed, so that True is not served from the entry of 1.
+@lru_cache(maxsize=None, typed=True)
 def partition_complex(n):
     """Normalized chains of the partition flag complex over Z."""
+    require_int(n, "partition size")
     if not 1 <= n <= MAX_PARTITION_SIZE:
         raise BoundsError(f"partition complex needs 1 <= n <= "
                           f"{MAX_PARTITION_SIZE}")
@@ -135,19 +143,26 @@ def _flag_label(flag):
 
 
 def flag_action(n, sigma):
-    """Permutation matrices of a label permutation on the flag basis."""
+    """Permutation matrices of a label permutation on the flag basis.
+
+    sigma is a 1-based image tuple on {1..n}; each partition's image is
+    computed once per call."""
     complex_ = partition_complex(n)
+    sigma = permutation(sigma, n, "flag_action")
     if n == 1:
         return {0: ExactMatrix.identity(1)}
-    smap = {i + 1: sigma[i] for i in range(n)}
     index = _flag_index(n)
+    images = {}
     mats = {}
     for flag, (k, j) in index.items():
-        moved = tuple(
-            tuple(sorted((tuple(sorted(smap[x] for x in b)) for b in mu),
-                         key=lambda b: b[0]))
-            for mu in flag)
-        _k2, i = index[moved]
+        moved = []
+        for mu in flag:
+            image = images.get(mu)
+            if image is None:
+                image = images[mu] = canonical_partition(
+                    [sigma[x - 1] for x in b] for b in mu)
+            moved.append(image)
+        _k2, i = index[tuple(moved)]
         mats.setdefault(k, {})[(i, j)] = 1
     return {k: ExactMatrix(complex_.rank(k), complex_.rank(k),
                            mats.get(k, {}))

@@ -34,7 +34,7 @@ from .checks import (
     check_unary_action_is_identity,
 )
 from .combinat import set_partitions
-from .errors import BoundsError, ValidationError
+from .errors import BoundsError, require_int
 from .exactla import GradedFreeModule, ExactMatrix, homology
 from .opalg import (
     LEFT_MODULE,
@@ -84,8 +84,7 @@ class VerifyContext:
     """Shared builds across criteria (operads, complexes, reports)."""
 
     def __init__(self, max_arity=5):
-        if max_arity.__class__ is not int:
-            raise ValidationError(f"max_arity {max_arity!r} is not an int")
+        require_int(max_arity, "max_arity")
         if not 2 <= max_arity <= 5:
             raise BoundsError(f"max_arity {max_arity} outside 2..5")
         self.max_arity = max_arity
@@ -140,7 +139,7 @@ def criterion_2_signs(ctx):
             if h.groups != {0: (1, ())}:
                 return _result(
                     2, "orientation signs", False,
-                    f"weighting complex of {tree.serialize()} has "
+                    f"weighting complex of {tr.serialize(tree)} has "
                     f"homology {h.groups}")
             count += 1
     return _result(2, "orientation signs", True,

@@ -58,9 +58,9 @@ from opbar.opalg import (
     dual,
     unit_module,
 )
-from opbar.trees import Tree, subtree_index
 from opbar.verify import stirling2
 from test_partition import cycle_types, sgn_lie_character
+from test_trees import _nested, _nv, _slots
 
 
 def factorial(n):
@@ -119,54 +119,36 @@ class TestBarHomology:
                 assert src.internal_degree == tgt.internal_degree
 
 
-def test_derived_trees_are_never_revalidated(monkeypatch):
-    # Trees are validated where they enter (Tree(...), make_tree,
-    # parse_tree); enumeration, collapses, relabellings and cuts derive
-    # every tree these builds use from valid trees.
-    validate = Tree.__post_init__
-    calls = []
-
-    def counted(tree):
-        calls.append(tree)
-        validate(tree)
-
-    monkeypatch.setattr(Tree, "__post_init__", counted)
-    reduced_bar(builtin("com", 5), 5)
-    koszul(builtin("com", 4), 4, with_structure=True)
-    assert calls == []
-
-
 def _reordered_merges(structure, arity):
-    """The distinct (m_out, insert_pos, k_inner, child_perm) of the inner
-    edge collapses of the standard trees whose merged vertex arity has
-    nonzero rank and whose child order changes, read through the public
-    collapse."""
+    """The distinct (m_out, insert_pos, k_inner, tau) of the inner edge
+    collapses of the standard trees whose merged vertex arity has nonzero
+    rank and whose child order changes."""
     out = set()
-    for tree in trees.enumerate_trees(arity):
-        for kind, path in trees.collapse_moves(tree):
-            if kind != trees.INTERNAL_EDGE:
+    for key in trees.enumerate_trees(arity):
+        shape = trees._TreeShape(key)
+        for q in range(1, shape.nv + 1):
+            up = shape.parent[q]
+            if not up:
                 continue
-            m_out = len(tree.node_at(path[:-1])[1])
-            k_inner = len(tree.node_at(path)[1])
-            res = trees.collapse(tree, kind, path)
+            m_out, k_inner = len(shape.kids[up]), len(shape.kids[q])
+            _k, _s, _sign, ins, tau = trees.collapse(
+                shape, q, False, lambda k: trees._TreeShape(k).masks)
             if structure.rank(m_out + k_inner - 1) and \
-                    res.child_perm != tuple(range(len(res.child_perm))):
-                out.add((m_out, res.insert_pos, k_inner, res.child_perm))
+                    tau != tuple(range(len(tau))):
+                out.add((m_out, ins, k_inner, tau))
     return out
 
 
-def test_assembly_makes_no_label_lookups_and_no_full_tree_walks(
-        monkeypatch):
-    # The differential reads positions recorded with the basis, collapses
-    # splice locally on the vertex paths of one walk per tree, and the
+def test_assembly_makes_no_label_lookups_and_no_tree_walks(monkeypatch):
+    # The differential reads positions recorded with the basis, every
+    # tree's masks in slot order come with the enumeration, and the
     # matrix of each reordered merge is multiplied once per complex; none
-    # hashes labels, re-sorts a tree or walks it again.
+    # hashes labels or walks a key.
     com = builtin("com", 5)
     merges = _reordered_merges(com, 5)
     # A first build fills the structure's own action and partial caches.
     reduced_bar(com, 5)
-    calls = {"position": 0, "_canonical": 0, "vertex_paths": 0, "leaves": 0,
-             "_collapse": 0, "slot_walk": 0, "__mul__": 0}
+    calls = {"position": 0, "_mask_walk": 0, "_children": 0, "__mul__": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -176,17 +158,8 @@ def test_assembly_makes_no_label_lookups_and_no_full_tree_walks(
 
     monkeypatch.setattr(GradedFreeModule, "position",
                         counted("position", GradedFreeModule.position))
-    monkeypatch.setattr(trees, "_canonical",
-                        counted("_canonical", trees._canonical))
-    monkeypatch.setattr(Tree, "vertex_paths",
-                        counted("vertex_paths", Tree.vertex_paths))
-    monkeypatch.setattr(Tree, "leaves", counted("leaves", Tree.leaves))
-    # Collapse moves are made on tree keys, not by the engine of
-    # trees.collapse, and no tree's slots are walked again.
-    monkeypatch.setattr(trees, "_collapse",
-                        counted("_collapse", trees._collapse))
-    monkeypatch.setattr(trees, "slot_walk",
-                        counted("slot_walk", trees.slot_walk))
+    for name in ("_mask_walk", "_children"):
+        monkeypatch.setattr(trees, name, counted(name, getattr(trees, name)))
     monkeypatch.setattr(ExactMatrix, "__mul__",
                         counted("__mul__", ExactMatrix.__mul__))
     bc = reduced_bar(com, 5)
@@ -194,8 +167,7 @@ def test_assembly_makes_no_label_lookups_and_no_full_tree_walks(
     # differentials.
     d_squared = sum(1 for k in bc.complex.diffs if k + 1 in bc.complex.diffs)
     assert len(merges) > 1
-    assert calls == {"position": 0, "_canonical": 0, "vertex_paths": 0,
-                     "leaves": 0, "_collapse": 0, "slot_walk": 0,
+    assert calls == {"position": 0, "_mask_walk": 0, "_children": 0,
                      "__mul__": len(merges) + d_squared}
 
 
@@ -480,101 +452,6 @@ def test_every_action_and_koszul_maps_match_pinned_digests(case):
         PINNED_ACTION_DIGESTS[case]
 
 
-def _generalized(max_arity):
-    return [t for n in range(1, max_arity + 1)
-            for t in trees.enumerate_trees(n, trees.GENERALIZED)]
-
-
-def _tree_from_key(key):
-    """The tree whose nodes below the root have the label masks key: each
-    node's children are the largest masks properly inside it."""
-    def children(inside):
-        below = [m for m in key if m & inside == m and m != inside]
-        tops = [m for m in below if not any(
-            m & o == m and m != o for o in below)]
-        return tuple(node(m) for m in tops)
-
-    def node(mask):
-        kids = children(mask)
-        return ("V", kids) if kids else ("L", _labels(mask))
-    # Every bit up to the largest label: a mask above every node.
-    return trees.make_tree(children((1 << max(key).bit_length()) - 1))
-
-
-def test_tree_keys_determine_the_tree():
-    basis = _generalized(5)
-    assert len(basis) == 1357
-    keys = {barcobar._tree_key(t): t for t in basis}
-    assert len(keys) == len(basis)
-    for key, tree in keys.items():
-        assert _tree_from_key(key) == tree
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_mask_relabelling_is_the_canonicalizing_walk(n):
-    basis = trees.enumerate_trees(n, trees.GENERALIZED)
-    for tree, sigma in itertools.product(
-            basis, itertools.permutations(range(1, n + 1))):
-        smap = dict(enumerate(sigma, start=1))
-        new_tree, sign, moves = trees._relabel(tree, smap)
-        src, tgt = barcobar._TreeShape(tree), barcobar._TreeShape(new_tree)
-        image = barcobar._mask_image(sigma)
-        images = [image(m) for m in src.masks]
-        assert tuple(sorted(images)) == barcobar._tree_key(new_tree)
-        # The walk's moves per slot: the root, the vertices, the leaves.
-        old_paths, new_paths = tree.vertex_paths(), new_tree.vertex_paths()
-        want = [(0, moves[()][1])] + [None] * (len(src.kids) - 1)
-        for old, (new, tau) in moves.items():
-            if old:
-                want[new_paths.index(new) + 1] = (old_paths.index(old) + 1,
-                                                  tau)
-        new_leaves = [labels for _p, labels in new_tree.leaves()]
-        for q, (_p, labels) in enumerate(tree.leaves(), start=src.nv + 1):
-            images_of = [smap[x] for x in labels]
-            want[src.nv + 1 + new_leaves.index(tuple(sorted(images_of)))] = (
-                q, tuple(sorted(images_of).index(y) for y in images_of))
-        assert barcobar._relabel_slots(src, tgt, images, image) == (sign,
-                                                                     want)
-
-
-def test_key_moves_are_the_collapses():
-    # Every move of every generalized tree at arity <= 5, made on keys,
-    # against trees.collapse: the target's key, the sign, the target's
-    # vertex order, insert_pos and tau.
-    basis = _generalized(5)
-    moves = 0
-    for n in range(1, 6):
-        level = [t for t in basis if t.labels == frozenset(range(1, n + 1))]
-        walks = {barcobar._tree_key(t): barcobar._mask_walk(t)
-                 for t in level}
-        index = {key: (masks,) for key, (masks, _nv, _k) in walks.items()}
-        for tree in level:
-            key = barcobar._tree_key(tree)
-            masks, nv, kids = walks[key]
-            shape = barcobar._shape(key, masks, nv)
-            # _shape reads the children off the masks alone.
-            assert [tuple(masks[r - 1] for r in shape[2][s])
-                    for s in range(nv + 1)] == list(kids[:nv + 1])
-            paths = tree.vertex_paths()
-            for kind, path in trees.collapse_moves(tree):
-                res = trees.collapse(tree, kind, path)
-                q = paths.index(path) + 1
-                tkey, sources, sign, ins, tau = barcobar._key_collapse(
-                    shape, q, kind == trees.BUD, index)
-                # The target's vertices in order, as source vertex slots.
-                want = sorted(res.vertex_map, key=res.vertex_map.get)
-                assert (tkey, sign, sources[1:nv], ins, tau) == (
-                    barcobar._tree_key(res.tree), res.move.sign,
-                    [paths.index(p) + 1 for p in want], res.insert_pos,
-                    res.child_perm), (tree, kind, path)
-                # Each source slot but the deleted ones is one target slot.
-                gone = shape[2][q] if kind == trees.BUD else [q]
-                assert sorted(sources) == [
-                    r for r in range(len(masks) + 1) if r not in gone]
-                moves += 1
-    assert (len(basis), moves) == (1357, 4336)
-
-
 def _standard_trees_by_vertices(n):
     """[number of standard trees on n labels with v vertices, v = 0, 1,
     ...], by a recurrence on polynomials in x (x counts vertices): F_1 = 1
@@ -625,45 +502,7 @@ def test_reduced_bar_of_com_at_arity_seven():
     assert bc.complex.homology().groups == {6: (720, ())}
 
 
-def _block_sets(n):
-    """Every nonempty list of disjoint nonempty label sets in 1..n, in
-    least-label order and reversed."""
-    labels = range(1, n + 1)
-    for size in range(1, n + 1):
-        for covered in itertools.combinations(labels, size):
-            for blocks in set_partitions(covered):
-                yield list(blocks)
-                if len(blocks) > 1:
-                    yield list(blocks)[::-1]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_mask_cut_is_ungrafting_and_renumbering(n):
-    cuts = [(blocks, barcobar._cutter(n, [tuple(b) for b in blocks]))
-            for blocks in _block_sets(n)]
-    for tree in trees.enumerate_trees(n, trees.GENERALIZED):
-        src = barcobar._TreeShape(tree)
-        for blocks, cut in cuts:
-            want = trees.ungraft_partition(tree, blocks)
-            got = cut(src)
-            if want is None:
-                assert got is None
-                continue
-            skeleton, parts, _paths = want
-            factors = [skeleton] + [trees.renumber(p) for p in parts]
-            keys, placed = got
-            assert keys == [barcobar._tree_key(f) for f in factors]
-            # Every slot of the tree is one node of one factor, with as many
-            # children; only the skeleton's cut leaves are left over.
-            shapes = [barcobar._TreeShape(f) for f in factors]
-            assert len(set(placed)) == len(placed) == sum(
-                len(s.masks) for s in shapes) - len(blocks)
-            for q, (j, mask) in enumerate(placed, start=1):
-                at = shapes[j].slot[mask]
-                assert len(shapes[j].kids[at]) == len(src.kids[q])
-
-
-def test_actions_and_cuts_build_no_tree(monkeypatch):
+def test_actions_and_cuts_walk_no_tree_twice(monkeypatch):
     com = builtin("com", 4)
     qcom = dual(com)
     cc = _sphere_cobar(3)
@@ -680,16 +519,14 @@ def test_actions_and_cuts_build_no_tree(monkeypatch):
             module_structure_maps(cc, blocks, cache)
         symmetric_action(cc, (2, 3, 1))
 
-    # The first run builds the complexes, which enumerates their trees.
+    # The first run builds the complexes and walks each record's key once.
     run()
-    calls = dict.fromkeys(("_tree", "_canonical", "renumber", "ungraft_at"), 0)
-    for name in calls:
-        def counted(*args, name=name, function=getattr(trees, name)):
-            calls[name] += 1
-            return function(*args)
-        monkeypatch.setattr(trees, name, counted)
+    walks = []
+    walk = trees._mask_walk
+    monkeypatch.setattr(trees, "_mask_walk",
+                        lambda key: walks.append(key) or walk(key))
     run()
-    assert calls == dict.fromkeys(calls, 0)
+    assert walks == []
 
 
 def _structure_checks(cache):
@@ -747,11 +584,6 @@ def test_tree_records_are_built_once_per_complex_and_tree(monkeypatch):
     assert built and len(set(keys)) == len(keys)
 
 
-def _labels(mask):
-    """The sorted labels of a bitmask (bit x for label x)."""
-    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
-
-
 @pytest.mark.parametrize("build,spread", [
     (lambda: reduced_bar(builtin("ass", 4), 4), False),
     (lambda: _sphere_cobar(4), False),
@@ -761,14 +593,12 @@ def test_records_hold_the_module_positions(build, spread):
     # spread: some tree has decorations in more than one degree.
     bc = build()
     degrees = 1
-    for tree in bc.trees():
-        rec = bc.record(tree)
+    for key in bc.trees():
+        rec = bc.record(key)
         # The masks are the vertices in depth-first order, then the leaves
-        # by least label.
-        index = subtree_index(tree)
-        assert rec.nv == tree.n_vertices
-        assert [index[_labels(m)] for m in rec.masks] == \
-            tree.vertex_paths() + [path for path, _l in tree.leaves()]
+        # by least label, as the nested reference walk reads them.
+        masks, nv, _arities = _slots(_nested(key))
+        assert (rec.masks, rec.nv) == (masks, nv)
         for k, (decor, _degs, t) in enumerate(rec.slots.decorations):
             flat = 0
             for size, i in zip(rec.slots.sizes, decor):
@@ -776,10 +606,17 @@ def test_records_hold_the_module_positions(build, spread):
             assert flat == k
             d, pos = rec.at[k]
             assert bc.complex.module.position(d, barcobar.BarBasisLabel(
-                tree, decor, tree.n_vertices, t)) == pos
+                key, decor, nv, t)) == pos
         degrees = max(degrees, len({d for d, _pos in rec.at}))
     assert (degrees > 1) == spread
-    assert bc.record(Tree((("L", (1,)),))) is None
+    assert bc.record(trees.parse_tree("([1])")) is None
+
+
+@pytest.mark.parametrize("arity", [2.5, True])
+def test_arity_is_an_int(arity):
+    with pytest.raises(ValidationError,
+                       match=f"arity {arity!r} is not an int"):
+        reduced_bar(builtin("com", 4), arity)
 
 
 @pytest.mark.parametrize("sigma", [(2, 1), (1, 2, 3, 5), (2, 1, 3, 4, 5),
@@ -807,24 +644,19 @@ def _binary_only(max_arity):
 @pytest.fixture
 def collapses(monkeypatch):
     """(source key, target key, target vertex order) of every collapse move
-    barcobar._key_collapse, the move assembly makes, makes while the
-    fixture is live; the order lists the target's vertices as source
-    vertex slots."""
+    trees.collapse makes while the fixture is live; the order lists the
+    target's vertices as source vertex slots."""
     out = []
-    move = barcobar._key_collapse
+    move = trees.collapse
 
-    def recorded(shape, q, bud, index):
-        result = move(shape, q, bud, index)
-        # The target's vertex slots are 1..nv - 1; nv + 1 = len(kids).
-        out.append((shape[0], result[0], result[1][1:len(shape[2]) - 1]))
+    def recorded(shape, q, bud, slot_masks):
+        result = move(shape, q, bud, slot_masks)
+        # The target's vertex slots are 1..nv - 1.
+        out.append((shape.key, result[0], result[1][1:shape.nv]))
         return result
 
-    monkeypatch.setattr(barcobar, "_key_collapse", recorded)
+    monkeypatch.setattr(trees, "collapse", recorded)
     return out
-
-
-def _keyed_basis(bc):
-    return {barcobar._tree_key(t): t for t in bc.trees()}
 
 
 class TestSupports:
@@ -842,23 +674,21 @@ class TestSupports:
 
     def test_com_collapses_only_into_the_basis(self, collapses):
         bc = reduced_bar(builtin("com", 6), 6)
-        basis = _keyed_basis(bc)
+        basis = set(bc.trees())
         assert len(collapses) == 8596
         for key, target, order in collapses:
             assert target in basis
-            assert basis[target].n_vertices == len(order) == \
-                basis[key].n_vertices - 1
+            assert _nv(target) == len(order) == _nv(key) - 1
 
     def test_sphere_cobar_collapses_only_into_the_basis(self, collapses):
         sphere = builtin_sphere_comodule(2, 4)
         cc = cobar_complex(unit_module(sphere.over, RIGHT_COMODULE),
                            sphere.over, sphere, 4)
-        basis = _keyed_basis(cc)
+        basis = set(cc.trees())
         assert collapses
         for key, target, order in collapses:
             assert target in basis
-            assert basis[target].n_vertices == len(order) == \
-                basis[key].n_vertices - 1
+            assert _nv(target) == len(order) == _nv(key) - 1
 
 
 class TestCobarHomology:

@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import pytest
 
-from opbar.errors import BoundsError
+from opbar.errors import BoundsError, ValidationError
 from opbar.exactla import homology
 from opbar.partition import (
+    _flag_index,
     character_is_class_function,
     character_on_homology,
+    flag_action,
     flag_count_oracle,
     partition_character,
     partition_complex,
@@ -86,6 +89,13 @@ class TestComplex:
         with pytest.raises(BoundsError):
             partition_complex(9)
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_size_is_an_int(self, n):
+        partition_complex(1)
+        with pytest.raises(ValidationError,
+                           match=f"partition size {n!r} is not an int"):
+            partition_complex(n)
+
 
 class TestCharacter:
     def test_n_two_trivial_representation(self):
@@ -108,3 +118,27 @@ class TestCharacter:
         assert partition_character(n) == want
         assert character_on_homology(n) == want
 
+
+
+class TestFlagAction:
+    @pytest.mark.parametrize("sigma", [(1, 1, 3), (1, 2), (1, 2, 3, 4)])
+    def test_rejects_what_is_not_a_permutation_of_the_labels(self, sigma):
+        with pytest.raises(ValidationError,
+                           match=r"is not a permutation of 1\.\.3"):
+            flag_action(3, sigma)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_each_flag_mapped_on_its_own(self, n):
+        # Every block of every partition of every flag mapped and sorted
+        # again, as the action did before it kept each partition's image.
+        index = _flag_index(n)
+        for sigma in itertools.permutations(range(1, n + 1)):
+            want = {}
+            for flag, (k, j) in index.items():
+                moved = tuple(
+                    tuple(sorted((tuple(sorted(sigma[x - 1] for x in b))
+                                  for b in mu), key=lambda b: b[0]))
+                    for mu in flag)
+                want.setdefault(k, {})[(index[moved][1], j)] = 1
+            got = flag_action(n, sigma)
+            assert {k: dict(m.entries()) for k, m in got.items()} == want

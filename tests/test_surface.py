@@ -1,4 +1,5 @@
-"""Every option of the public surface has a caller.
+"""Every option of the public surface has a caller, and every definition
+has a use.
 
 The source of ``opbar`` is parsed with ``ast``.  A defaulted parameter of a
 public function, method or class constructor must be passed, by keyword or
@@ -7,9 +8,17 @@ benchmark harness; otherwise it is a choice nobody makes and should be a
 constant.  Calls are matched by the called name only (``f(...)`` or
 ``x.f(...)``), so two definitions that share a name share their callers,
 and a call through another name (``build = f; build(...)``) is not seen.
+
+Every top-level definition of ``opbar`` must be reachable from the entry
+points: the command line (``verify``, ``cli``, ``__main__``), the
+benchmark's workloads and the functions its tracer wraps.  A definition
+reaches the names it uses: its own module's definitions, the names it
+imports from ``opbar`` and ``module.name`` through an imported module.
+What only tests reach is listed in ``UNREACHED`` with its reason, or goes.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,3 +132,119 @@ def test_the_scan_sees_positional_and_keyword_calls():
     first, second = (node.value for node in tree.body)
     assert _passes(first, "entries", 2) and not _passes(first, "ring", 3)
     assert _passes(second, "ring", 3) and not _passes(second, "entries", 2)
+
+
+ENTRY_MODULES = ("verify", "cli", "__main__")
+
+# Definitions no entry point reaches, kept on purpose, with the reason.
+UNREACHED = {
+    ("opalg", "dumps"): "the on-disk structure format (ROADMAP item 5)",
+    ("opalg", "save"): "the on-disk structure format (ROADMAP item 5)",
+    ("opalg", "load_structures"):
+        "the on-disk structure format (ROADMAP item 5)",
+    ("opalg", "load_operad"): "the on-disk structure format (ROADMAP item 5)",
+    ("partition", "character_on_homology"):
+        "the homology-side character oracle of ROADMAP item 2",
+    ("partition", "flag_count_oracle"):
+        "the flag-count oracle of ROADMAP item 2",
+    ("trees", "parse_tree"):
+        "the text side of the tree serialization, read where trees come in",
+}
+
+
+def _opbar_imports(tree):
+    """({local name: (module, name)}, {alias: module}) of the tree's
+    imports from opbar, relative or absolute."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = node.module or ""
+        if not node.level:
+            if source.split(".")[0] != "opbar":
+                continue
+            source = source[len("opbar"):].lstrip(".")
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if source:
+                names[local] = (source, alias.name)
+            else:
+                modules[local] = alias.name
+    return names, modules
+
+
+def _definitions():
+    """{(module, name): ast node} of every top-level function, class and
+    assigned name of opbar but dunders, and each module's imports."""
+    found, imports = {}, {}
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = _parse(path)
+        imports[path.stem] = _opbar_imports(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in targets:
+                if not name.startswith("__"):
+                    found[(path.stem, name)] = node
+    return found, imports
+
+
+def _uses(node, module, definitions, imports):
+    """The definitions the node's names refer to, seen from module."""
+    names, modules = imports
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            if (module, sub.id) in definitions:
+                out.add((module, sub.id))
+            elif sub.id in names:
+                out.add(names[sub.id])
+        elif isinstance(sub, ast.Attribute) and \
+                isinstance(sub.value, ast.Name) and sub.value.id in modules:
+            out.add((modules[sub.value.id], sub.attr))
+    return out & definitions.keys()
+
+
+def _reached(roots, definitions, imports):
+    seen, stack = set(), list(roots)
+    while stack:
+        key = stack.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        stack.extend(_uses(definitions[key], key[0], definitions,
+                           imports[key[0]]))
+    return seen
+
+
+def _entry_points(definitions):
+    roots = {key for key in definitions if key[0] in ENTRY_MODULES}
+    workloads = _parse(ROOT / "perfbench" / "workloads.py")
+    roots |= _uses(workloads, None, definitions, _opbar_imports(workloads))
+    tracer = (ROOT / "perfbench" / "tracer.py").read_text()
+    for module, path in re.findall(r'"opbar\.(\w+):([\w.]+)"', tracer):
+        roots.add((module, path.split(".")[0]))
+    return roots & definitions.keys()
+
+
+def test_every_definition_is_reached_from_an_entry_point():
+    definitions, imports = _definitions()
+    reached = _reached(_entry_points(definitions), definitions, imports)
+    kept = _reached(reached | UNREACHED.keys(), definitions, imports)
+    assert sorted(definitions.keys() - kept) == []
+    # An entry that an entry point reaches is no longer an exception.
+    assert sorted(reached & UNREACHED.keys()) == []
+
+
+def test_the_reachability_scan_follows_module_attributes():
+    definitions, imports = _definitions()
+    reached = _reached(_entry_points(definitions), definitions, imports)
+    # verify calls tr.w_cell_complex, which reaches covers and collapse.
+    assert {("trees", "w_cell_complex"), ("trees", "covers"),
+            ("trees", "collapse")} <= reached
+    assert ("partition", "flag_count_oracle") not in reached

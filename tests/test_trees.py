@@ -5,45 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opbar import trees
 from opbar.combinat import set_partitions
 from opbar.errors import BoundsError, ParseError, ValidationError
+from opbar.exactla import perm_sign
 from opbar.trees import (
-    BUD,
     GENERALIZED,
-    INTERNAL_EDGE,
     LEAF,
     ROOT,
-    ROOT_EDGE,
     STANDARD,
-    CollapseMove,
-    CollapseResult,
-    Tree,
-    _canonical,
-    _collapse,
-    _leaf,
-    _order_sign,
-    _relabel,
-    _replace_at,
-    _tracked,
-    _tree,
+    _TreeShape,
+    _cutter,
+    _mask_image,
+    _mask_walk,
+    _relabel_slots,
     collapse,
-    collapse_moves,
     covers,
     down_set,
     enumerate_trees,
-    graft,
-    leq,
-    make_tree,
     parse_tree,
-    relabel,
-    single_edge_tree,
-    renumber,
-    slot_walk,
+    serialize,
     standard_tree_count,
-    subtree_index,
     supported_trees,
-    ungraft_at,
-    ungraft_partition,
     w_cell_complex,
 )
 
@@ -56,12 +39,235 @@ def t(serial):
     return parse_tree(serial)
 
 
+def _generalized(max_arity):
+    return [key for n in range(1, max_arity + 1)
+            for key in enumerate_trees(n, GENERALIZED)]
+
+
+# -- the nested reference ---------------------------------------------------
+# A tree as nested tuples: a leaf is ("L", sorted labels), a vertex
+# ("V", children) with at least two children, the root the tuple of its
+# children, every node's children by least label.  Its moves below run
+# one canonicalizing walk and read paths off it; they are the oracles of
+# the key moves in trees.
+
+
+def _labels(mask):
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def _nested(key):
+    """The root children of the tree with this key: each node's children
+    are the largest masks strictly inside it."""
+    def tops(masks):
+        top = [m for m in masks
+               if not any(m & o == m and m != o for o in masks)]
+        return tuple(node(m) for m in sorted(top, key=lambda m: m & -m))
+
+    def node(mask):
+        kids = tops([m for m in key if m & mask == m and m != mask])
+        return ("V", kids) if kids else ("L", _labels(mask))
+    return tops(list(key))
+
+
+def _mask(node):
+    if node[0] == "L":
+        return sum(1 << x for x in node[1])
+    return sum(map(_mask, node[1]))
+
+
+def _key_of(children):
+    out = []
+
+    def walk(node):
+        out.append(_mask(node))
+        if node[0] == "V":
+            for child in node[1]:
+                walk(child)
+    for child in children:
+        walk(child)
+    return tuple(sorted(out))
+
+
+def _text(children):
+    def node(n):
+        if n[0] == "L":
+            return "[" + ",".join(map(str, n[1])) + "]"
+        return "(" + ",".join(map(node, n[1])) + ")"
+    return "(" + ",".join(map(node, children)) + ")"
+
+
+def _node_at(children, path):
+    node = ("V", children)
+    for i in path:
+        node = node[1][i]
+    return node
+
+
+def _vertex_paths(children, path=()):
+    """The vertices' paths in depth-first order."""
+    out = []
+    for i, child in enumerate(children):
+        if child[0] == "V":
+            out.append(path + (i,))
+            out.extend(_vertex_paths(child[1], path + (i,)))
+    return out
+
+
+def _leaves(children, path=()):
+    """(path, labels) of every leaf, by least label."""
+    out = []
+    for i, child in enumerate(children):
+        if child[0] == "L":
+            out.append((path + (i,), child[1]))
+        else:
+            out.extend(_leaves(child[1], path + (i,)))
+    return sorted(out, key=lambda pl: pl[1][0])
+
+
+def _slots(children):
+    """(masks in slot order, vertex count, slot arities)."""
+    paths = _vertex_paths(children)
+    vertices = [_node_at(children, p) for p in paths]
+    leaves = [labels for _p, labels in _leaves(children)]
+    masks = tuple(map(_mask, vertices)) + tuple(
+        sum(1 << x for x in labels) for labels in leaves)
+    arities = (len(children), *(len(v[1]) for v in vertices),
+               *map(len, leaves))
+    return masks, len(paths), arities
+
+
+def _min_label(node):
+    while node[0] == "V":
+        node = node[1][0]
+    return node[1][0]
+
+
+def _canon(node):
+    """(canonical node, [(source, path below node, tau), ...]) of a node
+    whose vertices may carry a source tag as a third entry."""
+    if node[0] == "L":
+        return ("L", tuple(sorted(node[1]))), ()
+    walked = [_canon(child) for child in node[1]]
+    keys = [_min_label(canon) for canon, _records in walked]
+    order = sorted(range(len(walked)), key=keys.__getitem__)
+    tau = [0] * len(order)
+    for r, i in enumerate(order):
+        tau[i] = r
+    records = [(node[2], (), tuple(tau))] if len(node) == 3 else []
+    for r, i in enumerate(order):
+        records.extend((source, (r,) + path, x)
+                       for source, path, x in walked[i][1])
+    return ("V", tuple(walked[i][0] for i in order)), records
+
+
+def _canonical(forest):
+    (_v, children), records = _canon(("V", forest, ()))
+    return children, {source: (path, tau) for source, path, tau in records}
+
+
+def _tracked(node, path):
+    """node with every vertex tagged by its path."""
+    if node[0] == "L":
+        return node
+    return ("V", tuple(_tracked(c, path + (i,))
+                       for i, c in enumerate(node[1])), path)
+
+
+def _replace_at(children, path, nodes):
+    i = path[0]
+    if len(path) > 1:
+        node = children[i]
+        nodes = (("V", _replace_at(node[1], path[1:], nodes)) + node[2:],)
+    return children[:i] + nodes + children[i + 1:]
+
+
+def _order_sign(sources):
+    rank = {s: r for r, s in enumerate(sorted(sources))}
+    return perm_sign(tuple(rank[s] for s in sources))
+
+
+def _mapped(node, sigma):
+    if node[0] == "L":
+        return ("L", tuple(sigma[x] for x in node[1]))
+    return ("V", tuple(_mapped(c, sigma) for c in node[1]))
+
+
+def _walk_collapse(children, path, bud):
+    """Reference collapse: tag every vertex with its path, splice, run the
+    full canonicalizing walk and read the vertex order's sign off it.
+    Returns (target children, sign, source paths of the target's vertices
+    in order, insert_pos, tau)."""
+    node = _node_at(children, path)
+    forest = tuple(_tracked(c, (i,)) for i, c in enumerate(children))
+    if bud:
+        spliced = (("L", tuple(sorted(x for c in node[1] for x in c[1]))),)
+    else:
+        spliced = _tracked(node, path)[1]
+    target, moves = _canonical(_replace_at(forest, path, spliced))
+    order = [source for source in moves if source]
+    before = sum(1 for source in order if source < path)
+    sign = (-1) ** before * _order_sign(order)
+    if bud:
+        return target, sign, order, None, None
+    return target, -sign, order, path[-1] + 1, moves[path[:-1]][1]
+
+
+def _walk_relabel(children, sigma):
+    """Reference relabelling: (target children, orientation sign, old path
+    -> (new path, tau) for the root, under (), and every vertex)."""
+    target, moves = _canonical(tuple(
+        _tracked(_mapped(c, sigma), (i,)) for i, c in enumerate(children)))
+    return target, _order_sign([s for s in moves if s]), moves
+
+
+def _renumbered(children):
+    """The tree relabelled onto 1..k by the increasing bijection."""
+    labels = sorted(x for _p, labs in _leaves(children) for x in labs)
+    rank = {x: i + 1 for i, x in enumerate(labels)}
+    return tuple(_mapped(c, rank) for c in children)
+
+
+def _walk_ungraft(children, index, blocks):
+    """Reference cut along disjoint blocks, given the tree's {label set:
+    path} index: None when a block is no node's label set, else the
+    renumbered skeleton and parts.  Each block is cut off at its node;
+    the skeleton gets a leaf with the block's least label in its place."""
+    cuts = [index.get(frozenset(block)) for block in blocks]
+    if None in cuts:
+        return None
+    skeleton = children
+    for cut, block in zip(cuts, blocks):
+        skeleton = _replace_at(skeleton, cut, (("L", (min(block),)),))
+    return [_renumbered(skeleton)] + [
+        _renumbered((_node_at(children, c),)) for c in cuts]
+
+
+def _subtree_index(children):
+    at = {}
+
+    def index(node, path):
+        labs = frozenset(node[1]) if node[0] == "L" else frozenset().union(
+            *(index(c, path + (i,)) for i, c in enumerate(node[1])))
+        at[labs] = path
+        return labs
+    for i, child in enumerate(children):
+        index(child, (i,))
+    return at
+
+
+def _reference_slot_masks(key):
+    return _slots(_nested(key))[0]
+
+
+# -- enumeration ------------------------------------------------------------
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 4), (4, 26), (5, 236)])
     def test_standard_counts(self, n, count):
-        trees = enumerate_trees(n, STANDARD)
-        assert len(trees) == count
-        assert len(trees) == standard_tree_count(n)
+        found = enumerate_trees(n, STANDARD)
+        assert len(found) == count
+        assert len(found) == standard_tree_count(n)
 
     def test_standard_counts_against_oracle_up_to_seven(self):
         for n, count in STANDARD_COUNTS.items():
@@ -77,8 +283,8 @@ class TestEnumeration:
 
     def test_sorted_and_unique(self):
         for species in (STANDARD, GENERALIZED, ROOT, LEAF):
-            trees = enumerate_trees(3, species)
-            serials = [x.serialize() for x in trees]
+            found = enumerate_trees(3, species)
+            serials = [serialize(x) for x in found]
             assert serials == sorted(serials)
             assert len(set(serials)) == len(serials)
 
@@ -98,6 +304,12 @@ class TestEnumeration:
         with pytest.raises(BoundsError):
             supported_trees(9, {1}, {2}, {1})
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_label_count_is_an_int(self, n):
+        with pytest.raises(ValidationError, match=f"label count {n!r} is "
+                                                  f"not an int"):
+            enumerate_trees(n)
+
     def test_generalized_counts_against_a_recurrence(self):
         # g(S) counts subtrees on S (a leaf, or a vertex over >= 2 blocks);
         # a generalized tree is a set partition into such subtrees.
@@ -114,14 +326,23 @@ class TestEnumeration:
     @pytest.mark.parametrize("species", [STANDARD, GENERALIZED, ROOT, LEAF])
     def test_supported_trees_come_in_serialization_order(self, species):
         # The sort key is joined from the subtrees' strings as they are
-        # enumerated; the order must be Tree.serialize's, byte for byte.
+        # enumerated; the order must be serialize's, byte for byte.
         for n in range(1, 7):
-            every = range(1, n + 1)
-            roots = (1,) if species in (STANDARD, ROOT) else every
-            leaves = (1,) if species in (STANDARD, LEAF) else every
-            got = supported_trees(n, roots, every, leaves)
-            assert got == sorted(got, key=Tree.serialize)
-            assert len({x.serialize() for x in got}) == len(got)
+            got = enumerate_trees(n, species)
+            assert got == sorted(got, key=serialize)
+            assert len({serialize(x) for x in got}) == len(got)
+
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 15), (4, 115),
+                                         (5, 1223)])
+    def test_slot_data_against_the_nested_walk(self, n, count):
+        # Each enumerated tree's masks in slot order, vertex count and slot
+        # arities against the nested reference.
+        every = range(1, n + 1)
+        found = supported_trees(n, every, every, every)
+        assert len(found) == count
+        for key, masks, nv, arities in found:
+            assert (masks, nv, arities) == _slots(_nested(key)), key
+            assert key == tuple(sorted(masks))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=5).flatmap(
@@ -132,28 +353,35 @@ class TestEnumeration:
     def test_supports_filter_the_generalized_trees(self, drawn):
         n, roots, vertices, leaves = drawn
 
-        def within(tree):
-            return (len(tree.root_children) in roots
-                    and all(len(tree.node_at(p)[1]) in vertices
-                            for p in tree.vertex_paths())
-                    and all(len(labs) in leaves for _p, labs in tree.leaves()))
+        def within(key):
+            _masks, nv, arities = _slots(_nested(key))
+            return (arities[0] in roots
+                    and all(a in vertices for a in arities[1:nv + 1])
+                    and all(a in leaves for a in arities[nv + 1:]))
 
         want = [x for x in enumerate_trees(n, GENERALIZED) if within(x)]
-        assert supported_trees(n, roots, vertices, leaves) == want
+        got = supported_trees(n, roots, vertices, leaves)
+        assert [key for key, *_slots_of in got] == want
 
+
+# -- text -------------------------------------------------------------------
 
 class TestCanonicalForm:
-    def test_canonicalization_idempotent(self):
-        for tree in enumerate_trees(4, GENERALIZED):
-            assert make_tree(tree.root_children) == tree
-
     def test_children_sorted_by_min_label(self):
-        tree = make_tree(parse_tree("(([3],([1],[2])))").root_children)
-        assert tree.serialize() == "((([1],[2]),[3]))"
+        assert serialize(t("(([3],([1],[2])))")) == "((([1],[2]),[3]))"
+        assert t("([2,1],[3])") == t("([3],[1,2])")
 
     def test_serialization_round_trip(self):
-        for tree in enumerate_trees(4, GENERALIZED):
-            assert parse_tree(tree.serialize()) == tree
+        found = _generalized(5) + enumerate_trees(6, STANDARD)
+        assert len(found) == 1357 + 2752
+        for key in found:
+            text = serialize(key)
+            assert text == _text(_nested(key))
+            assert parse_tree(text) == key
+
+    def test_keys_are_the_label_sets_of_the_nodes(self):
+        assert t("((([1],[2]),[3]),[4,5])") == tuple(sorted(
+            (0b1110, 0b110, 0b10, 0b100, 0b1000, 0b110000)))
 
     @pytest.mark.parametrize("text", ["([1],[1])", "(([1],[2]),[2])",
                                       "([1,1])", "(([1]))", "([1],([2]))"])
@@ -161,309 +389,237 @@ class TestCanonicalForm:
         with pytest.raises(ParseError, match="position"):
             parse_tree(text)
 
-    @pytest.mark.parametrize("build", [
-        pytest.param(lambda: Tree((("V", (("L", (1,)),)),)),
-                     id="one-child-vertex"),
-        pytest.param(lambda: make_tree(
-            (("V", (("L", (1,)), ("L", (1, 2)))),)), id="repeated-label"),
-        pytest.param(lambda: make_tree((("L", ()),)), id="empty-leaf"),
-        pytest.param(lambda: Tree((("V", (("L", (2,)), ("L", (1,)))),)),
-                     id="unsorted-children"),
-        pytest.param(lambda: Tree((("L", (2, 1)),)), id="unsorted-leaf"),
-    ])
-    def test_vertex_needs_two_children(self, build):
-        # Malformed or non-canonical input is refused where it enters;
-        # make_tree canonicalizes first, Tree(...) does not.
-        with pytest.raises(ValidationError):
-            build()
+    @pytest.mark.parametrize("text", ["([])", "([1],[-2])", "([1],[2]",
+                                      "([1]),", "(x)", "", "()", "([1],)",
+                                      "(([1],[2])", "([1a])"])
+    def test_malformed_text_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="position"):
+            parse_tree(text)
 
-    def test_species_property(self):
-        assert t("(([1],[2]))").species == STANDARD
-        assert t("([1,2])").species == ROOT
-        assert t("([1],[2])").species == LEAF
-        assert t("([1,2],[3])").species == GENERALIZED
+    def test_a_bare_leaf_is_not_a_tree(self):
+        with pytest.raises(ParseError, match="parenthesized"):
+            parse_tree("[1,2]")
+
+
+# -- collapse moves ---------------------------------------------------------
+
+def _moves(shape):
+    """(vertex slot, bud) of every move: each vertex's edge, and its bud
+    when all its children are leaves."""
+    return [(q, bud) for q in range(1, shape.nv + 1)
+            for bud in ((False, True) if min(shape.kids[q]) > shape.nv
+                        else (False,))]
+
+
+class TestLocalCollapseAgainstTheWalk:
+    # 1, 3, 15, 115 and 1223 generalized trees, 1357 in all, and 4336
+    # moves; then every standard tree at arity 6.
+    @pytest.mark.parametrize("n,species,n_moves", [
+        (1, GENERALIZED, 0), (2, GENERALIZED, 2), (3, GENERALIZED, 23),
+        (4, GENERALIZED, 279), (5, GENERALIZED, 4032),
+        (6, STANDARD, 15475)])
+    def test_every_move(self, n, species, n_moves):
+        # The target's key, the sign, the target's vertices in order as
+        # source slots, insert_pos and tau, against the full walk; the
+        # targets' slot order comes from the reference too.
+        moves = 0
+        for key in enumerate_trees(n, species):
+            children = _nested(key)
+            shape = _TreeShape(key)
+            paths = _vertex_paths(children)
+            for q, bud in _moves(shape):
+                target, sign, order, ins, tau = _walk_collapse(
+                    children, paths[q - 1], bud)
+                tkey, sources, got_sign, got_ins, got_tau = collapse(
+                    shape, q, bud, _reference_slot_masks)
+                assert (tkey, got_sign, sources[1:shape.nv], got_ins,
+                        got_tau) == (
+                    _key_of(target), sign,
+                    [paths.index(p) + 1 for p in order], ins, tau), \
+                    (key, q, bud)
+                # Each source slot but the deleted ones is one target slot.
+                gone = shape.kids[q] if bud else [q]
+                assert sorted(sources) == [
+                    r for r in range(len(shape.masks) + 1) if r not in gone]
+                moves += 1
+        assert moves == n_moves
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_slot_walk(self, n):
+        # The walk of a key's masks in slot order, and the children and
+        # parents read off them, against the nested reference.
+        for key in enumerate_trees(n, GENERALIZED):
+            children = _nested(key)
+            shape = _TreeShape(key)
+            masks = shape.masks
+            assert _mask_walk(key) == _slots(children)[:2]
+            for s, path in enumerate([()] + _vertex_paths(children)):
+                kids = _node_at(children, path)[1]
+                assert [masks[r - 1] for r in shape.kids[s]] == \
+                    [_mask(c) for c in kids]
+                assert all(shape.parent[r] == s for r in shape.kids[s])
+            assert shape.slot == {m: q for q, m in enumerate(masks, 1)}
+
+    def test_covers_walk_each_tree_once(self, monkeypatch):
+        generalized = _generalized(5)
+        shapes = []
+        shape = trees._TreeShape
+        monkeypatch.setattr(trees, "_TreeShape",
+                            lambda key: shapes.append(key) or shape(key))
+        trees._shaped.cache_clear()
+        covers.cache_clear()
+        found = [covers(x) for x in generalized]
+        monkeypatch.undo()
+        trees._shaped.cache_clear()
+        covers.cache_clear()
+        assert sorted(shapes) == sorted(generalized)
+        for key, got in zip(generalized, found):
+            children = _nested(key)
+            paths = _vertex_paths(children)
+            want = []
+            for q, bud in _moves(_TreeShape(key)):
+                target, sign, *_rest = _walk_collapse(children,
+                                                      paths[q - 1], bud)
+                want.append((_key_of(target), sign))
+            assert got == tuple(want), key
+
+
+def _nv(key):
+    """The vertex count: the masks that contain another mask."""
+    return sum(1 for m in key if any(o != m and o & m == o for o in key))
 
 
 class TestCovers:
     def test_one_vertex_tree_has_root_and_bud_cover(self):
-        tree = t("(([1],[2]))")
-        result = covers(tree)
-        kinds = sorted(move.kind for _u, move in result)
-        assert kinds == sorted([ROOT_EDGE, BUD])
-        collapsed = {u.serialize() for u, _ in result}
-        assert collapsed == {"([1],[2])", "([1,2])"}
+        result = covers(t("(([1],[2]))"))
+        assert {serialize(u) for u, _sign in result} == \
+            {"([1],[2])", "([1,2])"}
 
     def test_binary_standard_tree_has_three_covers(self):
-        tree = t("((([1],[2]),[3]))")
-        result = covers(tree)
-        assert len(result) == 3
-        kinds = sorted(move.kind for _u, move in result)
-        assert kinds == sorted([INTERNAL_EDGE, ROOT_EDGE, BUD])
+        result = covers(t("((([1],[2]),[3]))"))
+        # Vertex 1's root edge, then vertex 2's edge and bud.
+        assert [serialize(u) for u, _sign in result] == [
+            "(([1],[2]),[3])", "(([1],[2],[3]))", "(([1,2],[3]))"]
 
     def test_zero_vertex_tree_has_no_covers(self):
         assert covers(t("([1],[2],[3])")) == ()
         assert covers(t("([1,2,3])")) == ()
 
     def test_covers_drop_exactly_one_vertex(self):
-        for tree in enumerate_trees(4, GENERALIZED):
-            for u, _move in covers(tree):
-                assert u.n_vertices == tree.n_vertices - 1
-                assert u.labels == tree.labels
-
-
-def _label_set(node):
-    if node[0] == "L":
-        return set(node[1])
-    return set().union(*(_label_set(c) for c in node[1]))
-
-
-def _ranks(keys):
-    return tuple(sorted(keys).index(k) for k in keys)
-
-
-class TestWalkAgainstLabelSets:
-    """The canonicalizing walk's bookkeeping, checked on label sets alone."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_collapse_vertex_map_and_child_perm(self, n):
-        for tree in enumerate_trees(n, GENERALIZED):
-            for kind, path in collapse_moves(tree):
-                res = collapse(tree, kind, path)
-                new_paths = res.tree.vertex_paths()
-                assert sorted(res.vertex_map.values()) == sorted(new_paths)
-                assert sorted(res.vertex_map) == sorted(
-                    p for p in tree.vertex_paths() if p != path)
-                for old, new in res.vertex_map.items():
-                    assert _label_set(tree.node_at(old)) == \
-                        _label_set(res.tree.node_at(new))
-                if kind == BUD:
-                    assert res.child_perm is None
-                    continue
-                parent = path[:-1]
-                kids = tree.node_at(parent)[1]
-                c = res.insert_pos - 1
-                spliced = kids[:c] + tree.node_at(path)[1] + kids[c + 1:]
-                merged = res.tree.node_at(res.vertex_map.get(parent, ()))
-                for i, child in enumerate(spliced):
-                    assert min(_label_set(child)) == min(
-                        _label_set(merged[1][res.child_perm[i]]))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_relabel_paths_and_child_ranks(self, n):
-        for tree in enumerate_trees(n, GENERALIZED):
-            for perm in itertools.permutations(range(1, n + 1)):
-                sigma = dict(zip(range(1, n + 1), perm))
-                new_tree, _sign, moves = _relabel(tree, sigma)
-                assert sorted(moves) == [()] + tree.vertex_paths()
-                assert sorted(new for new, _tau in moves.values()) == \
-                    [()] + new_tree.vertex_paths()
-                for old, (new, tau) in moves.items():
-                    assert _label_set(new_tree.node_at(new)) == {
-                        sigma[x] for x in _label_set(tree.node_at(old))}
-                    assert tau == _ranks([
-                        min(sigma[x] for x in _label_set(child))
-                        for child in tree.node_at(old)[1]])
-
-
-def _walk_collapse(tree, kind, path):
-    """Reference collapse: tag every vertex with its path, splice, run the
-    full canonicalizing walk and read the vertex order's sign off it."""
-    node = tree.node_at(path)
-    forest = tuple(_tracked(c, (i,)) for i, c in enumerate(tree.root_children))
-    if kind == BUD:
-        spliced = (_leaf(x for c in node[1] for x in c[1]),)
-    else:
-        spliced = _tracked(node, path)[1]
-    children, moves = _canonical(_replace_at(forest, path, spliced))
-    vertex_map = {source: new for source, (new, _tau) in moves.items()
-                  if source}
-    before = sum(1 for source in vertex_map if source < path)
-    sign = (-1) ** before * _order_sign(vertex_map)
-    if kind == BUD:
-        return CollapseResult(_tree(children), CollapseMove(kind, path, sign),
-                              vertex_map, None, None)
-    return CollapseResult(_tree(children), CollapseMove(kind, path, -sign),
-                          vertex_map, path[-1] + 1, moves[path[:-1]][1])
-
-
-def _engine_result(tree, kind, path):
-    """trees._collapse's plain values for one move, in the form of the
-    reference: (root children, sign, target vertex order as source
-    indices, insert_pos, child_perm)."""
-    paths, _nodes, _leaves = slot_walk(tree)
-    return _collapse(tree, kind, path, paths)
-
-
-def _as_engine_values(tree, res):
-    """A CollapseResult in the engine's form."""
-    paths = tree.vertex_paths()
-    order = sorted(res.vertex_map, key=res.vertex_map.__getitem__)
-    return (res.tree.root_children, res.move.sign,
-            tuple(paths.index(q) for q in order), res.insert_pos,
-            res.child_perm)
-
-
-class TestLocalCollapseAgainstTheWalk:
-    # The engine assembly calls, the public collapse and the full-walk
-    # reference agree on every move.
-    @pytest.mark.parametrize("arities,species,n_trees,n_moves", [
-        ((1, 2, 3, 4, 5), GENERALIZED, 1357, 4336),
-        ((6,), STANDARD, 2752, 15475),
-    ])
-    def test_every_move(self, arities, species, n_trees, n_moves):
-        trees = [x for n in arities for x in enumerate_trees(n, species)]
-        moves = [(x, kind, path) for x in trees
-                 for kind, path in collapse_moves(x)]
-        assert (len(trees), len(moves)) == (n_trees, n_moves)
-        for tree, kind, path in moves:
-            reference = _walk_collapse(tree, kind, path)
-            assert collapse(tree, kind, path) == reference, (tree, kind, path)
-            assert _engine_result(tree, kind, path) == \
-                _as_engine_values(tree, reference), (tree, kind, path)
-
-    def test_covers_walk_each_tree_once(self, monkeypatch):
-        from opbar import trees
-        generalized = [x for n in range(1, 6)
-                       for x in enumerate_trees(n, GENERALIZED)]
-        walks = []
-        walk = trees.slot_walk
-        monkeypatch.setattr(trees, "slot_walk",
-                            lambda tree: walks.append(tree) or walk(tree))
-        covers.cache_clear()
-        found = [covers(x) for x in generalized]
-        monkeypatch.undo()
-        covers.cache_clear()
-        assert len(walks) == len(generalized) == 1357
-        for tree, got in zip(generalized, found):
-            assert got == tuple(
-                (res.tree, res.move) for res in (
-                    collapse(tree, kind, path)
-                    for kind, path in collapse_moves(tree))), tree
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_slot_walk(self, n):
-        # Vertex paths in depth-first order, their nodes, and the leaves'
-        # labels by least label, against the public readers.
-        for tree in enumerate_trees(n, GENERALIZED):
-            paths, nodes, leaves = slot_walk(tree)
-            assert paths == sorted(paths) == tree.vertex_paths()
-            assert nodes == [tree.node_at(q) for q in paths]
-            assert leaves == [labels for _path, labels in tree.leaves()]
+        for key in enumerate_trees(4, GENERALIZED):
+            for u, _sign in covers(key):
+                assert _nv(u) == _nv(key) - 1
+                assert sum(u) and max(u).bit_length() == \
+                    max(key).bit_length()
 
 
 class TestPosetOrder:
     def test_reflexive(self):
         tree = t("(([1],[2]))")
-        assert leq(tree, tree)
+        assert tree in down_set(tree)
 
     def test_star_below_binary(self):
         star = t("(([1],[2],[3]))")
         for binary in enumerate_trees(3, STANDARD):
-            if binary.n_vertices == 2:
-                assert leq(star, binary)
+            if _nv(binary) == 2:
+                assert star in down_set(binary)
 
     def test_distinct_binary_trees_incomparable(self):
-        binaries = [x for x in enumerate_trees(3, STANDARD) if x.n_vertices == 2]
+        binaries = [x for x in enumerate_trees(3, STANDARD) if _nv(x) == 2]
         assert len(binaries) == 3
         for a, b in itertools.permutations(binaries, 2):
-            assert not leq(a, b)
+            assert a not in down_set(b)
 
     def test_covers_subset_of_down_set(self):
         for tree in enumerate_trees(3, GENERALIZED):
-            for u, _move in covers(tree):
-                assert leq(u, tree)
+            for u, _sign in covers(tree):
+                assert u in down_set(tree) and u != tree
 
     def test_antisymmetry_on_arity_three(self):
-        trees = enumerate_trees(3, GENERALIZED)
-        for a in trees:
-            for b in trees:
-                if leq(a, b) and leq(b, a):
+        found = enumerate_trees(3, GENERALIZED)
+        for a in found:
+            for b in found:
+                if a in down_set(b) and b in down_set(a):
                     assert a == b
 
 
-class TestGrafting:
-    def test_figure_shape_graft(self):
-        # Grafting a one-vertex tree on {1,2} onto the a-leaf of a
-        # one-vertex tree on {a,3} yields the binary tree ((1,2),3).
-        outer = make_tree((("V", (("L", (0,)), ("L", (3,)))),))
-        inner = t("(([1],[2]))")
-        grafted = graft(outer, 0, inner)
-        assert grafted == t("((([1],[2]),[3]))")
+# -- relabelling ------------------------------------------------------------
 
-    def test_unit_laws(self):
+def relabel(key, sigma):
+    """(target key, orientation sign) of sigma (1-based images) on a tree."""
+    image = _mask_image(sigma)
+    src = _TreeShape(key)
+    images = [image(m) for m in src.masks]
+    target = tuple(sorted(images))
+    sign, _moves = _relabel_slots(src, _TreeShape(target), images, image)
+    return target, sign
+
+
+class TestRelabel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_permutation_against_the_walk(self, n):
+        # The target, the sign and each slot's move: the root, the
+        # vertices (the walk's paths) and the leaves.
+        for key, sigma in itertools.product(
+                enumerate_trees(n, GENERALIZED),
+                itertools.permutations(range(1, n + 1))):
+            children = _nested(key)
+            smap = dict(enumerate(sigma, start=1))
+            new, sign, moves = _walk_relabel(children, smap)
+            src, tgt = _TreeShape(key), _TreeShape(_key_of(new))
+            image = _mask_image(sigma)
+            images = [image(m) for m in src.masks]
+            assert tuple(sorted(images)) == tgt.key
+            old_paths, new_paths = _vertex_paths(children), _vertex_paths(new)
+            want = [(0, moves[()][1])] + [None] * len(src.masks)
+            for old, (path, tau) in moves.items():
+                if old:
+                    want[new_paths.index(path) + 1] = (
+                        old_paths.index(old) + 1, tau)
+            new_leaves = [labels for _p, labels in _leaves(new)]
+            for q, (_p, labels) in enumerate(_leaves(children),
+                                             start=src.nv + 1):
+                images_of = [smap[x] for x in labels]
+                want[src.nv + 1 + new_leaves.index(tuple(sorted(images_of)))] \
+                    = (q, tuple(sorted(images_of).index(y) for y in images_of))
+            assert _relabel_slots(src, tgt, images, image) == (sign, want)
+
+    def test_identity(self):
         tree = t("((([1],[2]),[3]))")
-        assert graft(tree, 3, single_edge_tree((7,))) == \
-            t("((([1],[2]),[7]))")
-        assert graft(single_edge_tree((9,)), 9, tree) == tree
+        assert relabel(tree, (1, 2, 3)) == (tree, 1)
 
-    def test_round_trip(self):
-        outer = make_tree((("V", (("L", (0,)), ("L", (3,)))),))
-        inner = t("(([1],[2]))")
-        grafted = graft(outer, 0, inner)
-        res = ungraft_partition(grafted, [(1, 2)])
-        # The cut leaf counts as 1 and the skeleton {1, 3} becomes {1, 2}.
-        assert res == (t("(([1],[2]))"), [inner], [(0, 0)])
-        assert _regraft(grafted, [(1, 2)], res) == grafted
+    def test_inverse_composes_to_identity(self):
+        sigma, inverse = (2, 3, 1), (3, 1, 2)
+        for tree in enumerate_trees(3, GENERALIZED):
+            mid, s1 = relabel(tree, sigma)
+            back, s2 = relabel(mid, inverse)
+            assert back == tree
+            assert s1 * s2 == 1
 
-    def test_ungraft_absent(self):
-        star = t("(([1],[2],[3]))")
-        assert ungraft_partition(star, [(1, 2)]) is None
+    def test_sibling_vertex_swap_flips_sign(self):
+        # Two vertex siblings under the root swap under (1 3)(2 4).
+        tree = t("(([1],[2]),([3],[4]))")
+        assert relabel(tree, (3, 4, 1, 2)) == (tree, -1)
 
-    def test_ungraft_single_edge(self):
-        v = single_edge_tree((5,))
-        res = ungraft_partition(v, [(5,)])
-        assert res == (single_edge_tree((1,)), [v], [(0,)])
+    def test_two_vertex_chains_never_flip(self):
+        # At three labels every vertex order is a chain, so signs are +1.
+        for tree in enumerate_trees(3, GENERALIZED):
+            for sigma in itertools.permutations((1, 2, 3)):
+                assert relabel(tree, sigma)[1] == 1
 
-    def test_graft_requires_single_root_edge(self):
-        with pytest.raises(ValidationError, match="single root edge"):
-            graft(single_edge_tree((1,)), 1, t("([2],[3])"))
-
-    def test_graft_requires_lone_label(self):
-        with pytest.raises(ValidationError, match="only the grafting label"):
-            graft(t("([1,2])"), 1, single_edge_tree((3,)))
-
-    def test_all_ungrafts_invert_graft(self):
-        for tree in enumerate_trees(4, GENERALIZED):
-            for b_size in (1, 2, 3):
-                for b_side in itertools.combinations((1, 2, 3, 4), b_size):
-                    res = ungraft_partition(tree, [b_side])
-                    if res is not None:
-                        assert _regraft(tree, [b_side], res) == tree
-            for blocks in set_partitions((1, 2, 3, 4)):
-                res = ungraft_partition(tree, blocks)
-                if res is not None:
-                    assert _regraft(tree, blocks, res) == tree
-
-    def test_blocks_must_be_disjoint_labels_of_the_tree(self):
-        tree = t("((([1],[2]),[3]))")
-        for blocks in ([(1, 2), (2, 3)], [(4,)], [()], []):
-            with pytest.raises(ValidationError, match="disjoint label sets"):
-                ungraft_partition(tree, blocks)
+    @settings(max_examples=40, deadline=None)
+    @given(st.permutations([1, 2, 3, 4]), st.permutations([1, 2, 3, 4]),
+           st.integers(min_value=0, max_value=114))
+    def test_sign_is_multiplicative(self, p1, p2, index):
+        found = enumerate_trees(4, GENERALIZED)
+        tree = found[index % len(found)]
+        mid, sign1 = relabel(tree, p1)
+        out, sign2 = relabel(mid, p2)
+        combined = tuple(p2[p1[k] - 1] for k in range(4))
+        assert relabel(tree, combined) == (out, sign1 * sign2)
 
 
-def _full_walk_ungraft(v, blocks):
-    """Reference for ungraft_partition on valid blocks: the single walk it
-    made before it was split into subtree_index and ungraft_at."""
-    blocks = [tuple(sorted(b)) for b in blocks]
-    at = {}
-
-    def index(node, path):
-        labs = frozenset(node[1]) if node[0] == "L" else frozenset().union(
-            *(index(c, path + (i,)) for i, c in enumerate(node[1])))
-        at[labs] = path
-        return labs
-
-    for i, child in enumerate(v.root_children):
-        index(child, (i,))
-    cuts = [at.get(frozenset(block)) for block in blocks]
-    if None in cuts:
-        return None
-    children = v.root_children
-    for cut, block in zip(cuts, blocks):
-        children = _replace_at(children, cut, (("L", (block[0],)),))
-    return (renumber(_tree(children)),
-            [_tree((v.node_at(c),)) for c in cuts], cuts)
-
+# -- cuts -------------------------------------------------------------------
 
 def _disjoint_families(labels):
     """Every family of disjoint nonempty blocks of labels, blocks in
@@ -473,124 +629,72 @@ def _disjoint_families(labels):
             yield from set_partitions(subset)
 
 
-def _index_and_cut(v, blocks):
-    at = subtree_index(v)
-    keys = [tuple(sorted(b)) for b in blocks]
-    if not all(key in at for key in keys):
-        return None
-    cuts = [at[key] for key in keys]
-    return (*ungraft_at(v, cuts), cuts)
+def _cut(key, blocks):
+    """_cutter's factor keys of a tree, or None."""
+    got = _cutter(max(key).bit_length() - 1, blocks)(_TreeShape(key))
+    return got and got[0]
 
 
 class TestSubtreeIndexAndCut:
-    @pytest.mark.parametrize("species,n", [
-        (STANDARD, 1), (STANDARD, 2), (STANDARD, 3), (STANDARD, 4),
-        (STANDARD, 5), (GENERALIZED, 3), (GENERALIZED, 4)])
-    def test_matches_the_full_walk(self, species, n):
-        # Each family in least-label order, and reversed for
-        # ungraft_partition: the blocks' order only orders the parts.
-        families = list(_disjoint_families(tuple(range(1, n + 1))))
-        for tree in enumerate_trees(n, species):
-            for blocks in families:
-                want = _full_walk_ungraft(tree, blocks)
-                assert _index_and_cut(tree, blocks) == want, (tree, blocks)
-                back = ungraft_partition(tree, blocks[::-1])
-                assert back == (want and (want[0], want[1][::-1],
-                                          want[2][::-1])), (tree, blocks)
-
-    def test_index_covers_every_node_below_the_root(self):
-        tree = t("((([1],[2]),[3]),[4,5])")
-        assert subtree_index(tree) == {
-            (1, 2, 3): (0,), (1, 2): (0, 0), (1,): (0, 0, 0),
-            (2,): (0, 0, 1), (3,): (0, 1), (4, 5): (1,)}
-
-
-def _regraft(tree, blocks, res):
-    """Graft the parts of res back into its skeleton, relabelled back onto
-    tree's labels with each cut leaf labelled by its block's least label."""
-    skeleton, parts, _cuts = res
-    heads = [min(b) for b in blocks]
-    kept = sorted(tree.labels.difference(*blocks) | set(heads))
-    back, _sign = relabel(skeleton, {i + 1: x for i, x in enumerate(kept)})
-    for head, part in zip(heads, parts):
-        back = graft(back, head, part)
-    return back
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_full_walk(self, n):
+        # Each family in least-label order, and reversed: the blocks'
+        # order only orders the parts.
+        cuts = [(blocks, _cutter(n, blocks), _cutter(n, blocks[::-1]))
+                for blocks in _disjoint_families(tuple(range(1, n + 1)))]
+        shapes = {}
+        for key in enumerate_trees(n, GENERALIZED):
+            children = _nested(key)
+            index = _subtree_index(children)
+            src = _TreeShape(key)
+            for blocks, cut, cut_reversed in cuts:
+                want = _walk_ungraft(children, index, blocks)
+                got, back = cut(src), cut_reversed(src)
+                if want is None:
+                    assert got is None and back is None, (key, blocks)
+                    continue
+                keys, placed = got
+                assert keys == [_key_of(f) for f in want], (key, blocks)
+                assert back[0] == keys[:1] + keys[:0:-1]
+                # Every slot of the tree is one node of one factor, with as
+                # many children; only the skeleton's cut leaves are left.
+                for k in keys:
+                    if k not in shapes:
+                        shapes[k] = _TreeShape(k)
+                factors = [shapes[k] for k in keys]
+                assert len(set(placed)) == len(placed) == sum(
+                    len(f.masks) for f in factors) - len(blocks)
+                for q, (j, mask) in enumerate(placed, start=1):
+                    at = factors[j].slot[mask]
+                    arity = (len(factors[j].kids[at]) if at <= factors[j].nv
+                             else mask.bit_count())
+                    assert arity == (len(src.kids[q]) if q <= src.nv
+                                     else src.masks[q - 1].bit_count())
 
 
 class TestUngraftPartition:
     def test_trivial_partition(self):
         tree = t("((([1],[2]),[3]))")
-        res = ungraft_partition(tree, [(1, 2, 3)])
-        assert res[:2] == (single_edge_tree((1,)), [tree])
+        assert _cut(tree, [(1, 2, 3)]) == [t("([1])"), tree]
 
     def test_singleton_partition(self):
         tree = t("(([1],[2]))")
-        res = ungraft_partition(tree, [(1,), (2,)])
-        assert res is not None
-        skeleton, parts, _cuts = res
-        assert skeleton == tree
-        assert parts == [single_edge_tree((1,)), single_edge_tree((2,))]
+        assert _cut(tree, [(1,), (2,)]) == [tree, t("([1])"), t("([1])")]
 
     def test_two_block_decomposition(self):
         tree = t("((([1],[2]),[3]))")
-        res = ungraft_partition(tree, [(1, 2), (3,)])
-        assert res is not None
-        skeleton, parts, cuts = res
-        assert skeleton == t("(([1],[2]))")
-        assert parts[0] == t("(([1],[2]))")
-        assert parts[1] == single_edge_tree((3,))
-        assert cuts == [(0, 0), (0, 1)]
+        assert _cut(tree, [(1, 2), (3,)]) == [
+            t("(([1],[2]))"), t("(([1],[2]))"), t("([1])")]
+        # The cut leaf counts as its block's least label.
+        assert _cut(t("(([1],[3]),[2,4])"), [(2, 4)]) == [
+            t("(([1],[3]),[2])"), t("([1,2])")]
 
     def test_not_of_type(self):
         star = t("(([1],[2],[3]))")
-        assert ungraft_partition(star, [(1, 2), (3,)]) is None
+        assert _cut(star, [(1, 2), (3,)]) is None
 
 
-class TestRelabel:
-    def test_identity(self):
-        tree = t("((([1],[2]),[3]))")
-        out, sign = relabel(tree, {1: 1, 2: 2, 3: 3})
-        assert out == tree and sign == 1
-
-    def test_inverse_composes_to_identity(self):
-        sigma = {1: 2, 2: 3, 3: 1}
-        inv = {v: k for k, v in sigma.items()}
-        for tree in enumerate_trees(3, GENERALIZED):
-            mid, s1 = relabel(tree, sigma)
-            back, s2 = relabel(mid, inv)
-            assert back == tree
-            assert s1 * s2 == 1
-
-    def test_sibling_vertex_swap_flips_sign(self):
-        # Two vertex siblings under the root swap under (1 3)(2 4).
-        tree = t("(([1],[2]),([3],[4]))")
-        out, sign = relabel(tree, {1: 3, 2: 4, 3: 1, 4: 2})
-        assert out == tree
-        assert sign == -1
-
-    def test_two_vertex_chains_never_flip(self):
-        # At three labels every vertex order is a chain, so signs are +1.
-        for tree in enumerate_trees(3, GENERALIZED):
-            for perm in itertools.permutations((1, 2, 3)):
-                sigma = dict(zip((1, 2, 3), perm))
-                _out, sign = relabel(tree, sigma)
-                assert sign == 1
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.permutations([1, 2, 3, 4]), st.permutations([1, 2, 3, 4]),
-           st.integers(min_value=0, max_value=114))
-    def test_sign_is_multiplicative(self, p1, p2, index):
-        trees = enumerate_trees(4, GENERALIZED)
-        tree = trees[index % len(trees)]
-        s1 = dict(zip((1, 2, 3, 4), p1))
-        s2 = dict(zip((1, 2, 3, 4), p2))
-        mid, sign1 = relabel(tree, s1)
-        out, sign2 = relabel(mid, s2)
-        combined = {k: s2[s1[k]] for k in s1}
-        out2, sign12 = relabel(tree, combined)
-        assert out == out2
-        assert sign12 == sign1 * sign2
-
+# -- the weighting complex --------------------------------------------------
 
 class TestWeightingComplex:
     def test_zero_vertex_tree(self):
@@ -601,12 +705,13 @@ class TestWeightingComplex:
     def test_disc_contractibility_arity_four(self):
         for tree in enumerate_trees(4, GENERALIZED):
             c = w_cell_complex(tree)
-            assert c.homology().groups == {0: (1, ())}, tree.serialize()
+            assert c.homology().groups == {0: (1, ())}, serialize(tree)
 
     def test_top_cell_is_single(self):
         tree = t("((([1],[2]),[3]))")
         c = w_cell_complex(tree)
-        assert c.rank(tree.n_vertices) == 1
+        assert c.rank(2) == 1
+        assert c.labels(2) == ("((([1],[2]),[3]))",)
 
     def test_bound(self):
         # A comb on ten labels has nine vertices, one over the bound.
@@ -614,26 +719,25 @@ class TestWeightingComplex:
         for x in range(2, 11):
             comb = f"({comb},[{x}])"
         tree = t(f"({comb})")
-        assert tree.n_vertices == 9
+        assert _nv(tree) == 9
         with pytest.raises(BoundsError, match="9 vertices, bound is 8"):
             w_cell_complex(tree)
 
     def test_down_set_and_cells_share_one_collapse_per_move(
             self, monkeypatch):
-        from opbar import trees
         calls = []
-        collapse_once = trees._collapse
+        move = trees.collapse
 
-        def counted(tree, kind, path, paths):
-            calls.append((tree, kind, path))
-            return collapse_once(tree, kind, path, paths)
+        def counted(shape, q, bud, slot_masks):
+            calls.append((shape.key, q, bud))
+            return move(shape, q, bud, slot_masks)
 
-        monkeypatch.setattr(trees, "_collapse", counted)
+        monkeypatch.setattr(trees, "collapse", counted)
         covers.cache_clear()
         down_set.cache_clear()
         tree = t("(((([1],[2]),[3]),[4]),[5])")
         w_cell_complex(tree)
-        moves = [(u, kind, path) for u in down_set(tree)
-                 for kind, path in collapse_moves(u)]
-        assert sorted(calls, key=repr) == sorted(moves, key=repr)
+        moves = [(u, q, bud) for u in down_set(tree)
+                 for q, bud in _moves(_TreeShape(u))]
+        assert sorted(calls) == sorted(moves)
         assert isinstance(covers(tree), tuple)
