@@ -79,15 +79,16 @@ serves as a sign-free homology oracle.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from . import trees as tr
 from .combinat import (
     block_sort_perm,
     canonical_partition,
+    chain_label,
     permutation,
     set_partitions,
+    strictly_refines,
 )
 from .errors import (
     BoundsError,
@@ -102,7 +103,6 @@ from .exactla import (
     ChainMap,
     ExactMatrix,
     GradedFreeModule,
-    HomologySummary,
     homology_coordinates,
     homology_representatives,
     kernel_basis,
@@ -499,23 +499,13 @@ class SimplicialBarLabel:
     decoration: tuple
 
     def __repr__(self):
-        chain = " < ".join("|".join("".join(str(x) for x in b) for b in mu)
-                           for mu in self.chain)
-        return f"<{chain}|{','.join(str(i) for i in self.decoration)}>"
-
-
-def _refines(lam, mu):
-    for block in lam:
-        bset = set(block)
-        if not any(bset <= set(c) for c in mu):
-            return False
-    return True
+        return (f"<{chain_label(self.chain)}|"
+                f"{','.join(str(i) for i in self.decoration)}>")
 
 
 def _strict_chains(n):
     partitions = list(set_partitions(range(1, n + 1)))
-    coarser = {lam: [mu for mu in partitions
-                     if mu != lam and _refines(lam, mu)]
+    coarser = {lam: [mu for mu in partitions if strictly_refines(lam, mu)]
                for lam in partitions}
     chains = []
 
@@ -964,8 +954,13 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
     """Koszulness report for a reduced operad or cooperad, over Q.
 
     max_arity is None for the structure's own max_arity, or an int in
-    1..structure.max_arity.  Ranks, representatives and homology
-    coordinates all read each differential's one ChainComplex.reduction.
+    1..structure.max_arity.  The ranks are the complex's rational
+    homology().  d keeps the internal degree t (checked), so it is block
+    diagonal in t and each kernel vector, hence each representative, lies
+    in one t; the representatives of degree t and total degree d number
+    dim H_{d,t}, and the arity is concentrated when every one of them has
+    the top signed tree degree d - t.  Representatives and homology
+    coordinates read the complex's one boundaries echelon per degree.
     """
     if isinstance(structure, Operad):
         kind = BAR
@@ -988,9 +983,14 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
     for n in range(1, max_arity + 1):
         bc = build(structure, n, cache)
         report.complexes[n] = bc
-        report.summaries[n], report.concentrated[n] = _bigraded_homology(bc)
+        _check_internal_degree(bc.complex)
+        report.summaries[n] = bc.homology(ring=RAT)
         report.reps[n], report.modules[n] = _homology_basis(
             bc.complex, f"h{n}", report.summaries[n])
+        top = _top_signed_degree(kind, n)
+        report.concentrated[n] = all(
+            d - bc.complex.labels(d)[min(z)].internal_degree == top
+            for d, z in report.reps[n])
     if with_structure and report.is_koszul():
         _koszul_structure(structure, report, cache)
         for n in range(2, max_arity + 1):
@@ -999,34 +999,15 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
     return report
 
 
-def _bigraded_homology(bc):
-    """(rational homology of bc, whether each class has the top tree
-    degree), from the pivot columns of bc.complex.reduction.
-
-    d keeps the internal degree t (checked here), so it is block diagonal
-    and a column is a pivot exactly when it is one inside its block.  The
-    free rank in degree d and internal degree t is the number of degree-d
-    labels of degree t less the pivot columns of degree t of reduction(d)
-    and reduction(d + 1); its signed tree degree is d - t.
-    """
-    cplx = bc.complex
-    free = Counter((d, lab.internal_degree) for d in cplx.degrees()
-                   for lab in cplx.labels(d))
+def _check_internal_degree(cplx):
+    """InternalConsistencyError unless every d_k keeps the internal degree
+    of the labels, which makes each kernel vector homogeneous in it."""
     for k, mat in cplx.diffs.items():
         rows, cols = cplx.labels(k - 1), cplx.labels(k)
         if any(rows[i].internal_degree != cols[j].internal_degree
                for (i, j), _v in mat.entries()):
             raise InternalConsistencyError(
                 f"d_{k} does not preserve internal degree")
-        for j in cplx.reduction(k)[0]:
-            free[k, cols[j].internal_degree] -= 1
-            free[k - 1, cols[j].internal_degree] -= 1
-    ranks = Counter()
-    for (d, _t), r in free.items():
-        ranks[d] += r
-    top = _top_signed_degree(bc.kind, bc.arity)
-    return (HomologySummary(RAT, {d: (r, ()) for d, r in ranks.items()}),
-            all(d - t == top for (d, t), r in free.items() if r))
 
 
 def _homology_basis(complex_, prefix, summary):

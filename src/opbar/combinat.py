@@ -31,6 +31,23 @@ def canonical_partition(blocks):
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
+def strictly_refines(lam, mu):
+    """lam < mu in refinement order (lam strictly finer)."""
+    if lam == mu:
+        return False
+    for block in lam:
+        bset = set(block)
+        if not any(bset <= set(c) for c in mu):
+            return False
+    return True
+
+
+def chain_label(chain):
+    """A chain of partitions as text, e.g. "1|2|3 < 12|3"."""
+    return " < ".join("|".join("".join(str(x) for x in b) for b in mu)
+                      for mu in chain)
+
+
 def partitions_into_at_least_two(items):
     for part in set_partitions(items):
         if len(part) >= 2:

@@ -7,11 +7,11 @@ Markowitz pivots are kept in an incrementally updated queue.  Rational and
 integral homology (free rank plus torsion invariant factors) first
 collapse the free unit pairs of the complex and run that elimination only
 on what survives.
-Kernels and solves use echelon reduction over Q, in ints until a pivot
+Kernels and solves use echelon elimination over Q, in ints until a pivot
 other than +-1 needs a Fraction (floats are refused).  A complex keeps one
-column echelon per differential (ChainComplex.reduction), whose pivot
-columns and kernel give ranks, boundaries and cycles; homology
-representatives and coordinates read it, in lowest-pivot cycle bases.
+echelon of the boundaries per degree (ChainComplex.boundaries); homology
+representatives (lowest-pivot kernel vectors independent of it) and
+homology coordinates both read it.
 """
 
 from __future__ import annotations
@@ -30,14 +30,18 @@ RAT = "Q"
 RINGS = (INT, RAT)
 
 
+def _require_ring(ring):
+    if ring not in RINGS:
+        raise ValidationError(f"unknown ring {ring!r}")
+
+
 class ExactMatrix:
     """Immutable sparse matrix with exact entries (int or Fraction)."""
 
     __slots__ = ("ring", "nrows", "ncols", "_rows", "_cols")
 
     def __init__(self, nrows, ncols, entries=None, ring=INT):
-        if ring not in RINGS:
-            raise ValidationError(f"unknown ring {ring!r}")
+        _require_ring(ring)
         if nrows.__class__ is not int or ncols.__class__ is not int:
             raise ValidationError(
                 f"matrix shape {nrows!r}x{ncols!r} is not a pair of ints")
@@ -375,20 +379,17 @@ def _vec_addmul(dst, src, c):
 class _Echelon:
     """Growing echelon basis over Q with lowest-index pivots.
 
-    Optionally tracks the expression of each inserted vector in terms of
-    the original inputs (for solving / kernel computation).  The only
-    Fraction it makes is the inverse of a pivot other than +-1.
+    A vector inserted with a tracking dict (its expression in the original
+    inputs, for solving / kernel computation) keeps it updated; every
+    vector of one echelon is tracked or none is.  The only Fraction it
+    makes is the inverse of a pivot other than +-1.
     """
 
-    def __init__(self, track=False):
-        self.pivots = {}        # pivot index -> (vector, tracking)
-        self.track = track
-        self.count = 0
+    def __init__(self):
+        self.pivots = {}        # pivot index -> (vector, tracking or None)
 
     def reduce(self, vec, tracking=None):
         vec = dict(vec)
-        if self.track and tracking is None:
-            tracking = {self.count: 1}
         while vec:
             p = min(vec)
             hit = self.pivots.get(p)
@@ -396,20 +397,19 @@ class _Echelon:
                 break
             c = -vec[p]
             _vec_addmul(vec, hit[0], c)
-            if self.track:
+            if tracking is not None:
                 _vec_addmul(tracking, hit[1], c)
         return vec, tracking
 
     def insert(self, vec, tracking=None):
         """Reduce and insert; returns None if vec was dependent, else pivot."""
         vec, tracking = self.reduce(vec, tracking)
-        self.count += 1
         if not vec:
             return None, tracking
         p = min(vec)
         v = vec[p]
         vec = _normalized(vec, v)
-        if self.track:
+        if tracking is not None:
             tracking = _normalized(tracking, v)
         self.pivots[p] = (vec, tracking)
         return p, tracking
@@ -427,7 +427,7 @@ def _column_echelon(mat):
     """(pivot columns, kernel basis) of mat over Q from one tracked echelon
     of its columns in order: the columns independent of the earlier ones,
     and per other column the relation it closes, lowest coefficient 1."""
-    ech = _Echelon(track=True)
+    ech = _Echelon()
     pivots, kernel = [], []
     for j in range(mat.ncols):
         col = _exact(mat.column(j), f"column {j}")
@@ -469,7 +469,7 @@ def solve_in_span(vectors, target):
     """
     span = vectors if isinstance(vectors, _Span) else _Span(vectors)
     if span.echelon is None:
-        span.echelon = _Echelon(track=True)
+        span.echelon = _Echelon()
         for k, v in enumerate(span):
             span.echelon.insert(
                 {i: x for i, x in _exact(v, f"vector {k}").items() if x},
@@ -564,6 +564,7 @@ class HomologySummary:
     __slots__ = ("ring", "groups")
 
     def __init__(self, ring, groups):
+        _require_ring(ring)
         self.ring = ring
         clean = {}
         for d, (rank, torsion) in groups.items():
@@ -612,22 +613,25 @@ class ChainComplex:
     """Graded free module with differentials d_k : C_k -> C_{k-1}.
 
     d^2 = 0 and all matrix shapes are always verified on construction.  The
-    column echelon of each d_k over Q is made once and kept (reduction).
+    echelon over Q of the boundaries in each degree is made once and kept
+    (boundaries).
     """
 
     def __init__(self, module, diffs, ring=INT):
+        _require_ring(ring)
         self.ring = ring
         self.module = module
         clean = {}
         for k, m in diffs.items():
+            require_int(k, "degree")
             if m.nrows != module.rank(k - 1) or m.ncols != module.rank(k):
                 raise ValidationError(
                     f"differential d_{k} has shape {m.nrows}x{m.ncols}, "
                     f"expected {module.rank(k-1)}x{module.rank(k)}")
             if not m.is_zero():
-                clean[int(k)] = m
+                clean[k] = m
         self.diffs = clean
-        self._reductions = {}
+        self._boundaries = {}
         for k, m in clean.items():
             up = clean.get(k + 1)
             if up is not None and not (m * up).is_zero():
@@ -658,13 +662,17 @@ class ChainComplex:
             d = ExactMatrix.zero(self.rank(k - 1), self.rank(k), ring=self.ring)
         return d
 
-    def reduction(self, k):
-        """_column_echelon of d_k, built on first use and kept; callers
-        share its kernel vectors and must not change them."""
-        red = self._reductions.get(k)
-        if red is None:
-            red = self._reductions[k] = _column_echelon(self.differential(k))
-        return red
+    def boundaries(self, k):
+        """Echelon over Q of the columns of d_{k+1}, a basis of the
+        degree-k boundaries, built on first use and kept; callers share
+        it and must not change it."""
+        ech = self._boundaries.get(k)
+        if ech is None:
+            ech = self._boundaries[k] = _Echelon()
+            up = self.differential(k + 1)
+            for j in range(up.ncols):
+                ech.insert(_exact(up.column(j), f"column {j}"))
+        return ech
 
     def homology(self, ring=None):
         return homology(self, ring=ring)
@@ -826,11 +834,12 @@ class ChainMap:
         self.target = target
         clean = {}
         for k, m in mats.items():
+            require_int(k, "degree")
             if m.nrows != target.rank(k) or m.ncols != source.rank(k):
                 raise ValidationError(
                     f"chain map component {k} has shape {m.nrows}x{m.ncols}, "
                     f"expected {target.rank(k)}x{source.rank(k)}")
-            clean[int(k)] = m
+            clean[k] = m
         self.mats = clean
         if check:
             self.verify()
@@ -967,14 +976,14 @@ def reindexing_map(factors, source_shape, target_shape):
 def homology_representatives(complex_, degree):
     """Cycle representatives of a basis of homology over Q in one degree.
 
-    Representatives are deterministic: the kernel vectors of
-    reduction(degree) independent modulo the boundaries, which are
-    spanned by the pivot columns of reduction(degree + 1).
+    Representatives are deterministic: the vectors of kernel_basis of
+    d_degree, in order, that are independent modulo the boundaries, each
+    inserted into a copy of boundaries(degree).  Which vectors are kept
+    depends only on the boundary subspace.
     """
-    up, ech = complex_.differential(degree + 1), _Echelon()
-    for j in complex_.reduction(degree + 1)[0]:
-        ech.insert(up.column(j))
-    return [z for z in complex_.reduction(degree)[1]
+    ech = _Echelon()
+    ech.pivots.update(complex_.boundaries(degree).pivots)
+    return [z for z in kernel_basis(complex_.differential(degree))
             if ech.insert(z)[0] is not None]
 
 
@@ -986,15 +995,16 @@ def homology_coordinates(complex_, basis, images):
     basis[i], so basis vectors of another degree than the image get
     coordinate 0.
 
-    Per call, each degree with an image gets one spanning list: a basis
-    of its boundaries (the pivot columns of reduction(d + 1)) followed by
-    its basis vectors.  The first image of the degree builds the tracked
-    echelon of that list inside solve_in_span; every image, the first
-    included, is then one reduction against it.  ValidationError is
-    raised for a vector with an index outside the rank of its degree, for
-    a basis vector that depends on the boundaries and the earlier basis
-    vectors of a degree with an image, and for an image outside the span,
-    such as a vector that is not a cycle.
+    Per call, each degree with an image gets one spanning list: the
+    echelon vectors of boundaries(d), already in echelon form so that
+    inserting them again eliminates nothing, followed by its basis
+    vectors.  The first image of the degree builds the tracked echelon of
+    that list inside solve_in_span; every image, the first included, is
+    then reduced against it once.  ValidationError is raised for a
+    vector with an index outside the rank of its degree, for a basis
+    vector that depends on the boundaries and the earlier basis vectors
+    of a degree with an image, and for an image outside the span, such as
+    a vector that is not a cycle.
     """
     for kind, vectors in (("basis vector", basis), ("image", images)):
         for i, (d, vec) in enumerate(vectors):
@@ -1009,8 +1019,7 @@ def homology_coordinates(complex_, basis, images):
     for j, (d, img) in enumerate(images):
         if d not in spans:
             rows = [i for i, (bd, _v) in enumerate(basis) if bd == d]
-            up = complex_.differential(d + 1)
-            bounds = [up.column(j) for j in complex_.reduction(d + 1)[0]]
+            bounds = [v for v, _t in complex_.boundaries(d).pivots.values()]
             spans[d] = (rows, len(bounds),
                         _Span(bounds + [basis[i][1] for i in rows]))
         rows, nb, spanning = spans[d]

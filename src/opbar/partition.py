@@ -16,9 +16,11 @@ from functools import lru_cache
 from .combinat import (
     all_permutations,
     canonical_partition,
+    chain_label,
     cycle_type,
     permutation,
     set_partitions,
+    strictly_refines,
 )
 from .errors import BoundsError, ValidationError, require_int
 from .exactla import (
@@ -40,17 +42,6 @@ def discrete_partition(n):
 
 def indiscrete_partition(n):
     return (tuple(range(1, n + 1)),)
-
-
-def strictly_refines(lam, mu):
-    """lam < mu in refinement order (lam strictly finer)."""
-    if lam == mu:
-        return False
-    for block in lam:
-        bset = set(block)
-        if not any(bset <= set(c) for c in mu):
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +103,7 @@ def partition_complex(n):
     index = _flag_index(n)
     by_degree = {}
     for flag, (k, _j) in index.items():
-        by_degree.setdefault(k, []).append(_flag_label(flag))
+        by_degree.setdefault(k, []).append(chain_label(flag))
     module = GradedFreeModule(
         {k: tuple(labels) for k, labels in by_degree.items()})
     entries = {}
@@ -135,11 +126,6 @@ def _flag_index(n):
         index[flag] = (k, sizes[k])
         sizes[k] += 1
     return index
-
-
-def _flag_label(flag):
-    return " < ".join("|".join("".join(str(x) for x in b) for b in mu)
-                      for mu in flag)
 
 
 def flag_action(n, sigma):

@@ -59,6 +59,7 @@ from opbar.opalg import (
     unit_module,
 )
 from opbar.verify import stirling2
+from test_exactla import dense_rank
 from test_partition import cycle_types, sgn_lie_character
 from test_trees import _nested, _nv, _slots
 
@@ -955,30 +956,54 @@ class TestKoszul:
         for n in range(1, 5):
             assert report.dimension(n) == factorial(n)
 
-    def test_one_rank_per_nonzero_differential(self, ass, monkeypatch):
-        # Each rank is read off the differential's one column echelon.
-        reduced, ranks = [], []
+    def test_only_the_top_differential_is_eliminated(self, monkeypatch):
+        # Ranks come from homology(); ass is Koszul, so only the kernel of
+        # the top differential of each arity is read, by representatives.
+        reduced, kept = [], []
         echelon = exactla._column_echelon
 
         def counted(mat):
+            out = echelon(mat)
             reduced.append(mat)
-            return echelon(mat)
+            kept.append(len(out[1]))
+            return out
 
         monkeypatch.setattr(exactla, "_column_echelon", counted)
-        monkeypatch.setattr(exactla, "matrix_rank",
-                            lambda mat: ranks.append(mat))
-        report = koszul(ass, 4, with_structure=False)
+        report = koszul(builtin("ass", 5), 5, with_structure=False)
         monkeypatch.undo()
-        diffs = [d for bc in report.complexes.values()
-                 for d in bc.complex.diffs.values()]
-        nonzero = [m for m in reduced if not m.is_zero()]
-        assert diffs and sorted(map(id, nonzero)) == sorted(map(id, diffs))
-        assert sum(m.nnz() for m in reduced) == sum(d.nnz() for d in diffs)
-        assert ranks == []
-        # The summary summed over internal degrees is the whole homology,
-        # against Markowitz matrix_rank, an independent elimination.
-        for n, bc in report.complexes.items():
-            assert report.summaries[n] == bc.homology(ring=RAT)
+        assert reduced == [bc.complex.differential(n - 1)
+                           for n, bc in report.complexes.items()]
+        # 1! + 2! + ... + 5!: the kernels of the top differentials only.
+        assert sum(kept) == 153
+
+    @pytest.mark.parametrize("make,n", [
+        (lambda: builtin("com", 5), 5), (lambda: builtin("ass", 4), 4),
+        (lambda: dual(builtin("com", 4)), 4),
+        (lambda: square_zero({0: 1}), 3),
+        (lambda: square_zero({0: 1, 1: 1}), 3)],
+        ids=["com5", "ass4", "dual_com4", "square_zero", "square_zero_mixed"])
+    def test_summaries_match_dense_ranks(self, make, n):
+        # Free rank = dim C_d - rank d_d - rank d_{d+1}, the ranks by dense
+        # Gaussian elimination, independent of homology().
+        report = koszul(make(), n, with_structure=False)
+        for arity, bc in report.complexes.items():
+            cplx = bc.complex
+            ranks = {k: dense_rank([[m.entry(i, j) for j in range(m.ncols)]
+                                    for i in range(m.nrows)])
+                     for k, m in cplx.diffs.items()}
+            expected = HomologySummary(RAT, {
+                d: (cplx.rank(d) - ranks.get(d, 0) - ranks.get(d + 1, 0), ())
+                for d in cplx.degrees()})
+            assert report.summaries[arity] == expected, arity
+
+    @pytest.mark.slow
+    def test_koszul_ass6_closed_form(self):
+        report = koszul(builtin("ass", 6), 6, with_structure=False)
+        assert report.is_koszul()
+        for n in range(1, 7):
+            assert report.summaries[n] == HomologySummary(
+                RAT, {n - 1: (factorial(n), ())})
+            assert report.dimension(n) == factorial(n)
 
     def test_representatives_only_in_the_top_degree(self, ass, monkeypatch):
         degrees = []

@@ -498,6 +498,13 @@ class TestEchelonOracles:
             bounds = [dense(up.column(j), k) for j in range(up.ncols)]
             assert dense_rank(bounds + [dense(z, k) for z in reps]) == \
                 dense_rank(bounds) + b
+            # Each class moved by a random boundary keeps its coordinates.
+            dx = up.apply({j: rng.randint(-3, 3) for j in range(up.ncols)})
+            images = [(k, {i: v for i in z.keys() | dx.keys()
+                           if (v := z.get(i, 0) + dx.get(i, 0))})
+                      for z in reps]
+            assert homology_coordinates(c, [(k, z) for z in reps], images) \
+                == ExactMatrix.identity(b, ring=RAT)
 
 
 def three_term(matrix_entries):
@@ -1006,45 +1013,38 @@ class TestHomologyCoordinates:
                                match="basis vector 1 in degree 0 depends"):
                 homology_coordinates(c, basis, [(0, {0: 1})])
 
-    def test_one_echelon_per_degree(self, monkeypatch):
-        c = self.segment_plus_loop()
-        # The boundaries come from the complex's own reduction of d_1,
-        # made here first so that only the spanning echelon is counted.
-        c.reduction(1)
-        tracked = []
+
+class TestBoundaries:
+    def test_one_boundary_echelon_per_degree(self, monkeypatch):
+        c = TestHomologyCoordinates.segment_plus_loop()
+        inserts = []
         insert = exactla._Echelon.insert
 
         def counting(self, vec, tracking=None):
-            if self.track:
-                tracked.append(vec)
+            inserts.append((self, tracking is not None))
             return insert(self, vec, tracking)
 
         monkeypatch.setattr(exactla._Echelon, "insert", counting)
         images = [(0, {0: j + 1, 1: j}) for j in range(10)]
-        got = homology_coordinates(c, [(0, {0: 1})], images)
+        bounds = c.boundaries(0)
+        for _ in range(3):
+            reps = {k: homology_representatives(c, k) for k in (0, 1)}
+        assert reps == {0: [{0: 1}], 1: [{1: 1}]}
+        built = [e for e, _t in inserts if e in c._boundaries.values()]
+        inserts.clear()
+        for _ in range(3):
+            got = homology_coordinates(c, [(0, {0: 1})], images)
         assert got == ExactMatrix(1, 10, {(0, j): 2 * j + 1
                                           for j in range(10)}, ring=RAT)
-        # One boundary and one basis vector span degree 0.
-        assert len(tracked) == 2
-
-
-class TestReduction:
-    def test_each_differential_is_reduced_once(self, monkeypatch):
-        c = TestHomologyCoordinates.segment_plus_loop()
-        d1 = c.differential(1)
-        assert c.reduction(1) == ((0,), kernel_basis(d1))
-        assert [d1.column(j) for j in c.reduction(1)[0]] == \
-            column_space_basis(d1)
-        reduced = []
-        echelon = exactla._column_echelon
-        monkeypatch.setattr(exactla, "_column_echelon",
-                            lambda m: reduced.append(m) or echelon(m))
-        reps = {k: homology_representatives(c, k) for k in (0, 1)}
-        homology_coordinates(c, [(0, reps[0][0]), (1, reps[1][0])],
-                             [(0, {1: 1}), (1, {1: 2})])
-        assert reps == {0: [{0: 1}], 1: [{1: 1}]}
-        # d_1 was reduced above; d_0 and d_2 are zero, reduced once each.
-        assert [m.is_zero() for m in reduced] == [True, True]
+        # Both columns of d_1 went into boundaries(0), once; d_2 has none.
+        assert c.boundaries(0) is bounds and len(bounds.pivots) == 1
+        assert sorted(c._boundaries) == [0, 1]
+        assert built == [bounds, bounds]
+        # Per coordinates call, the spanning echelon takes one insert for
+        # the boundary vector and one for the basis vector, and nothing
+        # else is inserted anywhere.
+        assert inserts == [(e, True) for e, _t in inserts]
+        assert len(inserts) == 3 * 2
 
 
 class TestGradedFreeModule:
@@ -1063,6 +1063,41 @@ class TestGradedFreeModule:
                 lookup(0, "zz")
             with pytest.raises(ValidationError, match="'c' in degree 0"):
                 lookup(0, "c")
+
+
+class TestDegreeKeysAndRings:
+    # int() once read the keys True and 1.0 as degree 1, and an unknown
+    # ring went through unchecked.
+    @staticmethod
+    def edge():
+        module = GradedFreeModule({0: ["a"], 1: ["b"]})
+        return module, ExactMatrix(1, 1, {(0, 0): 1})
+
+    @pytest.mark.parametrize("degree", [True, 1.0, "1"])
+    def test_non_integer_differential_degree_rejected(self, degree):
+        module, d = self.edge()
+        with pytest.raises(ValidationError,
+                           match=f"degree {degree!r} is not an int"):
+            ChainComplex(module, {degree: d})
+
+    @pytest.mark.parametrize("mats", [
+        {True: ExactMatrix.identity(1), 0: ExactMatrix.identity(1)},
+        {1.0: ExactMatrix.identity(1)}], ids=["true_and_0", "float"])
+    def test_non_integer_chain_map_degree_rejected(self, mats):
+        module, d = self.edge()
+        c = ChainComplex(module, {1: d})
+        bad = next(k for k in mats if k.__class__ is not int)
+        with pytest.raises(ValidationError,
+                           match=f"degree {bad!r} is not an int"):
+            ChainMap(c, c, mats)
+
+    def test_unknown_complex_ring_rejected(self):
+        with pytest.raises(ValidationError, match="unknown ring 'R'"):
+            ChainComplex(GradedFreeModule({0: ["a"]}), {}, ring="R")
+
+    def test_unknown_summary_ring_rejected(self):
+        with pytest.raises(ValidationError, match="unknown ring 'R'"):
+            HomologySummary("R", {0: (1, ())})
 
 
 class TestAlternatingTrace:
