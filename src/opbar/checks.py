@@ -28,9 +28,13 @@ factors (exactla.reindexing_map).
   from (Omega(s) (x) Omega(r_1) ... Omega(r_s)) (x) M(B_1) ... M(B_r),
   where R shuffles each Omega(r_i) in front of its group of blocks.
 
-Each distinct split map is built once per cache (with the complexes it
-maps between), and tensor products are shared while alive
-(exactla.tensor_list).
+Complexes and split maps are shared across check calls through the
+cache they are given, split maps keyed by the structure's fingerprint.
+Within one check call each identity of B(k), each tensor product of
+maps and each reindexing is built once and reused by every instance
+that needs it; none of them goes into the shared cache.  Every instance
+is still compared in every degree; the two sides are compared as
+matrices, and their difference is formed only to name a failing column.
 """
 
 from __future__ import annotations
@@ -47,9 +51,15 @@ from .barcobar import (
     reduced_cobar,
 )
 from .combinat import canonical_partition
-from .errors import ValidationError
+from .errors import BoundsError, ValidationError, require_int
 from .exactla import ChainMap, reindexing_map, tensor_chain_maps
 from .opalg import fingerprint
+
+
+def _require_arity(arity):
+    require_int(arity, "arity")
+    if arity < 1:
+        raise BoundsError(f"arity {arity} is below 1")
 
 
 def _triples(n, allow_empty_x=True):
@@ -71,10 +81,12 @@ def _positions(universe, subset):
 
 
 class _Maps:
-    """Split maps, identities and reindexings of one structure.  Split maps
-    are kept in the shared complex cache under their kind, the structure's
-    fingerprint, the arity and the split positions, so no structure can
-    receive another's map; the rest are built once per check call."""
+    """The maps of one check call on one structure.  Complexes and split
+    maps are kept in the shared cache (split maps under their kind, the
+    structure's fingerprint, the arity and the split positions, so no
+    structure can receive another's map) and outlive the call.  Identities,
+    tensor products of maps and reindexings are built once per check call
+    in `built`, which the call drops when it returns."""
 
     def __init__(self, structure, kind, cache):
         self.structure, self.kind = structure, kind
@@ -102,11 +114,15 @@ class _Maps:
                                     a_rest + (b[0],), b, self.cache)
         return self.cache[key]
 
+    def identity(self, n):
+        return self.once(("id", n),
+                         lambda: ChainMap.identity(self.complex(n)))
+
     def tensor(self, *maps):
-        """Tensor product of split maps and identities (arities)."""
-        return tensor_chain_maps([
-            ChainMap.identity(self.complex(f)) if isinstance(f, int) else f
-            for f in maps])
+        """Tensor product of maps and identities (given as arities).  The
+        key holds the maps, which hash by identity, so no id is reused."""
+        return self.once(("tensor",) + maps, lambda: tensor_chain_maps([
+            self.identity(f) if isinstance(f, int) else f for f in maps]))
 
     def reindex(self, arities, source_shape, target_shape):
         return self.once(
@@ -126,13 +142,14 @@ def _chain(kind, *maps):
 
 def _agree(lhs, rhs, failure):
     for d in sorted(set(lhs.mats) | set(rhs.mats)):
-        diff = lhs.component(d) - rhs.component(d)
-        if not diff.is_zero():
-            column = min(j for (_i, j), _v in diff.entries())
+        left, right = lhs.component(d), rhs.component(d)
+        if left != right:
+            column = min(j for (_i, j), _v in (left - right).entries())
             raise ValidationError(f"{failure}, degree {d}, column {column}")
 
 
 def _check_nested(structure, kind, arity, cache, name):
+    _require_arity(arity)
     maps = _Maps(structure, kind, cache)
     whole = range(1, arity + 1)
     shapes = ((0, (1, 2)), ((0, 1), 2))
@@ -164,6 +181,7 @@ def check_cobar_associativity(q, arity, cache=None):
 
 def check_disjoint_cocompositions(p, arity, cache=None):
     """Disjoint double cocompositions agree up to the Koszul swap."""
+    _require_arity(arity)
     maps = _Maps(p, BAR, cache)
     whole = range(1, arity + 1)
     count = 0
@@ -217,10 +235,11 @@ def check_module_pentagon_chain(one_sided, lam, grouping, cache=None):
         raise ValidationError("chain pentagon is implemented on the cobar side")
     lam = canonical_partition(lam)
     r = len(lam)
-    groups = sorted((tuple(sorted(g)) for g in grouping),
-                    key=lambda g: lam[g[0]][0])
-    if sorted(x for g in groups for x in g) != list(range(r)):
+    groups = [tuple(sorted(g)) for g in grouping]
+    if not all(groups) or \
+            sorted(x for g in groups for x in g) != list(range(r)):
         raise ValidationError("grouping must partition the blocks")
+    groups.sort(key=lambda g: lam[g[0]][0])
     unions = [sorted(x for bi in g for x in lam[bi]) for g in groups]
     s = len(groups)
     maps = _Maps(one_sided.op, "cobar", cache)

@@ -531,14 +531,46 @@ def test_actions_and_cuts_walk_no_tree_twice(monkeypatch):
 
 
 def _structure_checks(cache):
-    """The (co)associativity checks of the structure-checks benchmark set."""
+    """The (co)associativity checks of the structure-checks benchmark set;
+    returns the number of instances checked."""
+    instances = 0
     for op in (builtin("com", 4), builtin("ass", 4)):
-        check_coassociativity(op, 3, cache)
-        check_coassociativity(op, 4, cache)
-        check_disjoint_cocompositions(op, 4, cache)
+        instances += check_coassociativity(op, 3, cache)
+        instances += check_coassociativity(op, 4, cache)
+        instances += check_disjoint_cocompositions(op, 4, cache)
     qcom = dual(builtin("com", 4))
-    check_cobar_associativity(qcom, 3, cache)
-    check_cobar_associativity(qcom, 4, cache)
+    instances += check_cobar_associativity(qcom, 3, cache)
+    instances += check_cobar_associativity(qcom, 4, cache)
+    return instances
+
+
+def _module_checks(cache):
+    """The module checks of the structure-checks benchmark set: the unary
+    action and every pentagon of the sphere cobar module at arity 3."""
+    qcom = dual(builtin("com", 4))
+    cc = cobar_complex(unit_module(qcom, RIGHT_COMODULE), qcom,
+                       builtin_sphere_comodule(2, 4), 3)
+    return [check_unary_action_is_identity(cc, cache)] + [
+        check_module_pentagon_chain(cc, lam, grouping, cache)
+        for lam in set_partitions(range(1, 4))
+        for grouping in set_partitions(range(len(lam)))]
+
+
+def test_check_maps_are_built_once_per_check_call(monkeypatch):
+    from opbar import checks
+    tensors, identities = [], []
+    tensor = checks.tensor_chain_maps
+    identity = exactla.ChainMap.identity.__func__
+    monkeypatch.setattr(checks, "tensor_chain_maps",
+                        lambda maps: tensors.append(maps) or tensor(maps))
+    monkeypatch.setattr(exactla.ChainMap, "identity", classmethod(
+        lambda cls, c: identities.append(c) or identity(cls, c)))
+    cache = {}
+    assert _structure_checks(cache) == 222
+    module_checks = _module_checks(cache)
+    assert len(module_checks) == 13 and all(module_checks)
+    # 468 tensors and 485 identities when each instance built its own.
+    assert (len(tensors), len(identities)) == (203, 60)
 
 
 def test_split_maps_are_kept_with_the_complex_cache(monkeypatch):
@@ -1376,6 +1408,44 @@ class TestChecksRejectCorruptedMaps:
         _negated_terms(monkeypatch, _split_at(arity, b_set))
         with pytest.raises(ValidationError, match=f"arity {arity}"):
             check_cobar_associativity(qcom, arity)
+
+    @pytest.mark.parametrize("check,arity,b_set,message", [
+        (check_coassociativity, 4, (3, 4),
+         "coassociativity fails at arity 4, split X=(2,) Y=(1,) Z=(3, 4), "
+         "degree 3, column 8"),
+        (check_disjoint_cocompositions, 4, (2,),
+         "disjoint cocompositions disagree at arity 4, split X=(4,) "
+         "Y=(1, 3) Z=(2,), degree 2, column 3"),
+        (check_cobar_associativity, 3, (2,),
+         "cobar associativity fails at arity 3, split X=(3,) Y=(1,) Z=(2,), "
+         "degree -2, column 0"),
+    ], ids=["coassociativity", "disjoint", "cobar"])
+    def test_failure_names_the_split_degree_and_column(
+            self, monkeypatch, com, qcom, check, arity, b_set, message):
+        _negated_terms(monkeypatch, _split_at(arity, b_set))
+        structure = qcom if check is check_cobar_associativity else com
+        with pytest.raises(ValidationError) as failure:
+            check(structure, arity)
+        assert str(failure.value) == message
+
+    @pytest.mark.parametrize("check", [
+        check_coassociativity, check_cobar_associativity,
+        check_disjoint_cocompositions])
+    @pytest.mark.parametrize("arity,error", [
+        (2.5, ValidationError), (True, ValidationError), (0, BoundsError),
+        (-1, BoundsError)])
+    def test_arity_must_be_a_positive_int(self, com, qcom, check, arity,
+                                          error):
+        structure = qcom if check is check_cobar_associativity else com
+        with pytest.raises(error, match=f"arity {arity}"):
+            check(structure, arity)
+
+    @pytest.mark.parametrize("grouping", [[(), (0, 1)], [(0,), (5,)]],
+                             ids=["empty-group", "block-out-of-range"])
+    def test_pentagon_grouping_must_partition_the_blocks(self, grouping):
+        with pytest.raises(ValidationError, match="partition the blocks"):
+            check_module_pentagon_chain(_sphere_cobar(3), [(1, 2), (3,)],
+                                        grouping, {})
 
     def _sphere_cobar(self, qcom):
         sphere = builtin_sphere_comodule(2, 3)
