@@ -12,19 +12,30 @@ The differential, the symmetric action and the ungrafting maps below all
 carry a tree's slot decorations along a map of trees (a collapse, a
 relabelling or a cut) given as a plan: one item per target slot, the
 source slot it copies (an int), a unit (None), or the source slots it
-sends through a structure matrix ((positions, matrix)).  One evaluator,
-_plan_terms, expands a plan over every decoration.  A slot's module is
-fixed by its arity, so the trees with equal slot arities share one
+sends through a structure matrix ((positions, matrix)).  A slot's module
+is fixed by its arity, so the trees with equal slot arities share one
 _Slots, built once per complex (_slot_table): the ranks, their
 row-major strides, the _decorations list and whether some slot has odd
 degree.  _decorations lists the decorations in row-major order, so a
-decoration's flat index is its position in the list, and the evaluator
-yields (source flat index, t, target flat index, coefficient): copies of
-slots of rank > 1 fill the target index through its strides, and only
-the apply items are expanded.  A term's coefficient is the tree map's
-orientation sign, times the Koszul sign of reordering the graded
-decorations into the target's slot order (once per degree tuple, and
-only when some slot has odd degree), times the matrix entries.
+decoration's flat index is its position in the list.
+
+One compiler, _plan_table, expands a plan over every decoration into a
+term table: (source flat index, target flat index, internal degree,
+coefficient).  Copies of slots of rank > 1 fill the target index through
+its strides, and only the apply items are expanded.  The coefficient is
+the Koszul sign of reordering the graded decorations into the target's
+slot order (once per degree tuple, and only when some slot has odd
+degree) times the matrix entries; it leaves out the tree map's
+orientation sign.  A table depends only on the source and target _Slots,
+the plan and its matrices, so each map keeps its tables in a dict local
+to one complex or one map, keyed on that data, and compiles each table
+once, with its check that the plan covers every source slot.  Every move
+then replays its table, times its orientation sign.  The matrix in a key
+is named by what fixes it: an edge collapse's (outer slot kind, m_out,
+insert_pos, k_inner, tau), a bud collapse's canonical blocks (plans of
+equal slots can cut different blocks), a relabelling's source slot and
+tau per target slot, which with the source's vertex count fix each
+slot's kind.
 
 Every map works on tree keys (trees): the sorted label masks of a tree's
 nodes below the root.  Assembly reads each basis tree's masks in slot
@@ -37,10 +48,12 @@ trees.collapse on the tree's trees._TreeShape: each target slot copies
 the source slot with its mask, and the merged slot applies the structure
 matrix.  A tree's shape lives while its moves are made, so no per-tree
 table outlives them; the entries are dropped before the matrices are
-built.  The merged slot's matrix of an edge, the structure's partial in
-operad form (opalg.operad_form) times the child-reorder action, is built
-once per (outer slot, m_out, insert_pos, k_inner, tau) in a dict local
-to one complex.  Bar and cobar complexes share one plan: cobar complexes
+built.  A move's table is looked up after trees.collapse, which every
+move calls; only a new table fetches its merged slot's matrix.  An
+edge's matrix, the structure's partial in operad form
+(opalg.operad_form) times the child-reorder action, is built once per
+(outer slot, m_out, insert_pos, k_inner, tau) in a dict local to one
+complex.  Bar and cobar complexes share one plan: cobar complexes
 run the covers backwards, with tree degrees recorded negatively.  The
 complex keeps its basis keys and its _slot_table.
 
@@ -61,9 +74,10 @@ structure maps of a one-sided complex: it cuts each tree into factors
 F_0 (x) F_1 (x) ... on masks (trees._cutter), and finds the factors'
 records by their keys.  Each term is the source's (degree, position),
 the tuple of the factors' global basis indices, which the tensor
-product's tensor_index turns into a position (each factor's flat index
-comes from the target flat index by divmod), and the coefficient.  A
-basis element is its vertex orientation tensored with its slot
+product's tensor_index turns into a position, and the coefficient.  Its
+table (_split_table) holds each factor's flat index, split off the
+target flat index by divmod, and the signs below but the orientation's.
+A basis element is its vertex orientation tensored with its slot
 decorations, so each term carries the sign splitting the orientation,
 the Koszul sign of reordering the decorations, and (-1)^(s_j t_i) for
 every i < j, as factor j's orientation (degree s_j, its vertex count)
@@ -72,7 +86,7 @@ moves past factor i's decorations (internal degree t_i).
 Text appears only in a label's repr, which serializes its key.
 
 The normalized simplicial construction over strict partition chains has
-its own chains and face plans, sharing only the plan evaluator, and
+its own chains and face plans, sharing only the plan compiler, and
 serves as a sign-free homology oracle.
 """
 
@@ -281,26 +295,25 @@ def _slot_table(r_mod, p, l_mod, arity):
     return slots_of
 
 
-def _plan_terms(src, plan, sign, strides):
-    """Carry every decoration of a source along a plan; the one expansion loop.
+def _plan_table(src, plan, strides):
+    """Compile a plan into its term table; the one expansion loop.
 
     src is the source's _Slots.  plan has one item per target slot, whose
     row-major strides are strides: an int q takes source slot q's basis
     index, None the index 0 of a unit slot, and (positions, matrix) the
     column of matrix at the source slots' indices flattened row-major over
     their ranks.  Read in target order, the plan must list every source
-    slot once.  Its Koszul sign on a decoration is (-1) to the number of
-    pairs of odd-degree decorations that trade places, computed once per
-    degree tuple, and only when some source slot has odd degree.  Yields
-    (k, internal degree, target flat index, coefficient) for the k-th
-    decoration of src (k is its flat index), the coefficient being sign
-    times the Koszul sign times the matrix entries.  The copies fill a
-    template through the target strides, and only the apply items are
-    expanded; slots of rank one add nothing to an index.
+    slot once; this is checked once per table.  Its Koszul sign on a
+    decoration is (-1) to the number of pairs of odd-degree decorations
+    that trade places, computed once per degree tuple, and only when some
+    source slot has odd degree.  Returns the terms (k, target flat index,
+    internal degree, coefficient) for the k-th decoration of src (k is its
+    flat index), the coefficient being the Koszul sign times the matrix
+    entries; a caller replays the table for every move with this plan,
+    multiplying each coefficient by the move's orientation sign.  The
+    copies fill a template through the target strides, and only the apply
+    items are expanded; slots of rank one add nothing to an index.
     """
-    decorations = src.decorations
-    if not decorations:
-        return
     sizes = src.sizes
     order, copies, applies = [], [], []
     for item, stride in zip(plan, strides):
@@ -321,18 +334,19 @@ def _plan_terms(src, plan, sign, strides):
         applies.append((inputs, matrix.column, stride))
     if sorted(order) != src.span:
         raise InternalConsistencyError("plan does not cover all slots")
-    koszul = sign
+    koszul = 1
     if src.odd:
         perm = [0] * len(order)
         for target, q in enumerate(order):
             perm[q] = target
         signs = {}
-    for k, (decor, degs, t) in enumerate(decorations):
+    table = []
+    for k, (decor, degs, t) in enumerate(src.decorations):
         if src.odd:
             koszul = signs.get(degs)
             if koszul is None:
                 # The odd slots' target positions, in source order.
-                koszul = signs[degs] = sign * perm_sign(
+                koszul = signs[degs] = perm_sign(
                     [perm[q] for q, d in enumerate(degs) if d % 2])
         base = 0
         for q, stride in copies:
@@ -349,7 +363,8 @@ def _plan_terms(src, plan, sign, strides):
             for idx, c in combo:
                 coeff *= c
                 flat += idx
-            yield k, t, flat, coeff
+            table.append((k, flat, t, coeff))
+    return table
 
 
 def bar_complex(r_mod, p, l_mod, arity):
@@ -379,6 +394,16 @@ def _check_inputs(kind, r_mod, p, l_mod):
         raise ValidationError("bar/cobar inputs must share a ring")
 
 
+def _check_arity(arity, p):
+    """ValidationError unless arity is an int at most p's max_arity,
+    BoundsError if it is below 1."""
+    require_int(arity, "arity")
+    if arity < 1:
+        raise BoundsError(f"arity {arity} is below 1")
+    if arity > p.max_arity:
+        raise ValidationError(f"arity {arity} exceeds max_arity {p.max_arity}")
+
+
 def _tree_complex(kind, r_mod, p, l_mod, arity):
     """The bar or cobar complex: signed collapse moves on decorated trees.
 
@@ -389,9 +414,7 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
     the bar direction's.
     """
     _check_inputs(kind, r_mod, p, l_mod)
-    require_int(arity, "arity")
-    if arity > p.max_arity:
-        raise ValidationError(f"arity {arity} exceeds max_arity {p.max_arity}")
+    _check_arity(arity, p)
     supports = {slot: {n for n in range(1, arity + 1) if seq.rank(n)}
                 for slot, seq in (("root", r_mod), ("v", p), ("leaf", l_mod))}
     slots_of = _slot_table(r_mod, p, l_mod, arity)
@@ -414,16 +437,21 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
     def slot_masks(key):
         return index[key][0]
 
-    # Merged-slot matrices of edge collapses, by (outer slot kind, m_out,
-    # insert_pos, k_inner, tau); local to this complex.
-    merged = {}
+    # The merged slots' matrices, by matrix key: (outer slot kind, m_out,
+    # insert_pos, k_inner, tau) for an edge, the canonical blocks of the
+    # left action for a bud.  The term tables of the moves, by (source
+    # _Slots, target _Slots, plan, matrix key), which fix the table.  Both
+    # are local to this complex.
+    matrices = {}
+    tables = {}
     entries = {}
+    bar = kind == BAR
     for key, (masks, nv, pos_big, src) in index.items():
         shape = tr._TreeShape(key, masks, nv)
         kids, parent = shape.kids, shape.parent
         # Total degree, less t, of a differential's source: the tree for a
         # bar complex, the collapsed tree for a cobar complex.
-        d_src = _total_degree(kind, nv if kind == BAR else nv - 1, 0)
+        d_src = _total_degree(kind, nv if bar else nv - 1, 0)
         for q in range(1, nv + 1):
             up = parent[q]
             outer = "v" if up else "root"
@@ -441,37 +469,44 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
                 tkey, plan, sign, ins, tau = tr.collapse(shape, q, bud,
                                                          slot_masks)
                 _m, _nv, pos_small, tgt = index[tkey]
-                # The merged slot applies its matrix; the others copy.
                 if bud:
-                    plan[plan.index(q)] = ((q, *kids[q]), operad_form(
-                        l_mod).left_action(_bud_blocks(masks, kids[q], q)))
+                    merge = _bud_blocks(masks, kids[q], q)
                 else:
                     merge = (outer, m_out, ins, k_inner, tau)
-                    apply = merged.get(merge)
+                table_key = (src, tgt, tuple(plan), merge)
+                table = tables.get(table_key)
+                if table is None:
+                    apply = matrices.get(merge)
                     if apply is None:
-                        apply = merged[merge] = _merged_matrix(
-                            r_mod if up == 0 else p, m_out, ins, k_inner,
-                            tau)
-                    plan[plan.index(up)] = ((up, q), apply)
-                for k, t, flat, coeff in _plan_terms(src, plan, sign,
-                                                     tgt.strides):
-                    key_ij = ((pos_small[flat], pos_big[k]) if kind == BAR
+                        apply = matrices[merge] = (
+                            operad_form(l_mod).left_action(merge) if bud
+                            else _merged_matrix(r_mod if up == 0 else p,
+                                                m_out, ins, k_inner, tau))
+                    # The merged slot applies its matrix; the others copy.
+                    at, consumed = (q, (q, *kids[q])) if bud else \
+                        (up, (up, q))
+                    plan[plan.index(at)] = (consumed, apply)
+                    table = tables[table_key] = _plan_table(src, plan,
+                                                            tgt.strides)
+                for k, flat, t, coeff in table:
+                    key_ij = ((pos_small[flat], pos_big[k]) if bar
                               else (pos_big[k], pos_small[flat]))
                     row = entries.setdefault(d_src + t, {})
-                    row[key_ij] = row.get(key_ij, 0) + coeff
+                    row[key_ij] = row.get(key_ij, 0) + sign * coeff
     del index  # The matrices below are built without it.
     return BarComplex(kind, arity, ChainComplex.from_entries(
         module, entries, p.ring), keys, slots_of, r_mod, p, l_mod)
 
 
 def _bud_blocks(masks, leaves, q):
-    """The blocks of a bud collapse's left action: the labels of the
-    leaves (slots) of vertex q, renumbered onto 1..|q's labels| in
+    """The canonical blocks of a bud collapse's left action: the labels of
+    the leaves (slots) of vertex q, renumbered onto 1..|q's labels| in
     order."""
     mask = masks[q - 1]
     labels = [x for x in range(mask.bit_length()) if mask >> x & 1]
-    return [tuple(i for i, x in enumerate(labels, start=1)
-                  if masks[r - 1] >> x & 1) for r in leaves]
+    return canonical_partition(
+        [tuple(i for i, x in enumerate(labels, start=1)
+               if masks[r - 1] >> x & 1) for r in leaves])
 
 
 def _merged_matrix(outer, m_out, insert_pos, k_inner, tau):
@@ -549,6 +584,7 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity):
     the augmentation (endpoint) and structure-map (inner) faces.
     """
     _check_inputs(BAR, r_mod, p, l_mod)
+    _check_arity(arity, p)
     # Per chain: (slots, their _Slots, each decoration's position within
     # its degree).
     table = {}
@@ -576,12 +612,12 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity):
                 continue
             slots_tgt, shared_tgt, pos_tgt = table[tgt_chain]
             plan = _face_plan(chain, j_del, slots, slots_tgt, r_mod, p, l_mod)
-            for k_src, t, flat, coeff in _plan_terms(
-                    shared, plan, -1 if i_face % 2 else 1,
-                    shared_tgt.strides):
+            sign = -1 if i_face % 2 else 1
+            for k_src, flat, t, coeff in _plan_table(shared, plan,
+                                                     shared_tgt.strides):
                 key = (pos_tgt[flat], pos_src[k_src])
                 row = entries.setdefault(k + t, {})
-                row[key] = row.get(key, 0) + coeff
+                row[key] = row.get(key, 0) + sign * coeff
     return ChainComplex.from_entries(module, entries, p.ring)
 
 
@@ -678,7 +714,11 @@ def _action_matrices(bc, sigma, degrees):
     degrees = [d for d in bc.complex.degrees() if d in wanted]
     image = tr._mask_image(sigma)
     seqs = (bc.r_coeff, bc.op, bc.l_coeff)
+    # sigma's matrices on the slots' modules, by (slot kind, tau), and the
+    # term tables, by (source _Slots, target _Slots, moves); the moves'
+    # slot kinds follow from the source slots and its vertex count.
     matrices = {}
+    tables = {}
     entries = {}
     for src in bc.records():
         if wanted.isdisjoint(d for d, _j in src.at):
@@ -686,22 +726,27 @@ def _action_matrices(bc, sigma, degrees):
         images = [image(m) for m in src.masks]
         tgt = bc.record(tuple(sorted(images)))
         sign, moves = tr._relabel_slots(src, tgt, images, image)
-        plan = []
-        for q, tau in moves:
-            # The root, a vertex or a leaf: sigma's action on its module.
-            seq = 0 if q == 0 else 1 if q <= src.nv else 2
-            matrix = matrices.get((seq, tau))
-            if matrix is None:
-                matrix = matrices[seq, tau] = seqs[seq].action(
-                    len(tau), tuple(t + 1 for t in tau))
-            plan.append(((q,), matrix))
-        for k, _t, flat, coeff in _plan_terms(src.slots, plan, sign,
-                                              tgt.slots.strides):
+        table_key = (src.slots, tgt.slots, tuple(moves))
+        table = tables.get(table_key)
+        if table is None:
+            plan = []
+            for q, tau in moves:
+                # The root, a vertex or a leaf: sigma's action on its
+                # module.
+                seq = 0 if q == 0 else 1 if q <= src.nv else 2
+                matrix = matrices.get((seq, tau))
+                if matrix is None:
+                    matrix = matrices[seq, tau] = seqs[seq].action(
+                        len(tau), tuple(t + 1 for t in tau))
+                plan.append(((q,), matrix))
+            table = tables[table_key] = _plan_table(src.slots, plan,
+                                                    tgt.slots.strides)
+        for k, flat, _t, coeff in table:
             d, j = src.at[k]
             if d in wanted:
                 _d, i = tgt.at[flat]
                 row = entries.setdefault(d, {})
-                row[(i, j)] = row.get((i, j), 0) + coeff
+                row[(i, j)] = row.get((i, j), 0) + sign * coeff
     return {d: ExactMatrix(bc.complex.rank(d), bc.complex.rank(d),
                            entries.get(d), ring=bc.ring)
             for d in degrees}
@@ -780,6 +825,9 @@ def _split_terms(bc, skeleton, parts, blocks):
     factors = [skeleton] + list(parts)
     offsets = [f.complex.module.offset for f in factors]
     cut = tr._cutter(bc.arity, blocks)
+    # The term tables, by (source _Slots, the factors' _Slots, plan);
+    # local to this map.
+    tables = {}
     out = []
     for rec in bc.records():
         split = cut(rec)
@@ -804,25 +852,43 @@ def _split_terms(bc, skeleton, parts, blocks):
             if q <= rec.nv:
                 split_order.append(v_first[j] + at - 1)
         base_sign = perm_sign(split_order)
-        plan = [item for items in plans for item in items]
-        totals = [len(f_rec.slots.decorations) for f_rec in f_recs]
-        strides = _strides([size for f_rec in f_recs
-                            for size in f_rec.slots.sizes])
-        index = [0] * len(f_recs)
-        for k, _t, flat, coeff in _plan_terms(rec.slots, plan, base_sign,
-                                              strides):
-            for j in range(len(f_recs) - 1, -1, -1):
-                flat, index[j] = divmod(flat, totals[j])
+        plan = tuple(item for items in plans for item in items)
+        table_key = (rec.slots, tuple(f_rec.slots for f_rec in f_recs), plan)
+        table = tables.get(table_key)
+        if table is None:
+            table = tables[table_key] = _split_table(rec.slots, f_recs, plan)
+        for k, f_ks, coeff in table:
             combo = []
-            t_before = 0
-            for f_rec, off, f_k in zip(f_recs, offsets, index):
+            for f_rec, off, f_k in zip(f_recs, offsets, f_ks):
                 d_f, p_f = f_rec.at[f_k]
                 combo.append(off(d_f) + p_f)
-                if f_rec.nv * t_before % 2:
-                    coeff = -coeff
-                t_before += f_rec.slots.decorations[f_k][2]
-            out.append((rec.at[k], tuple(combo), coeff))
+            out.append((rec.at[k], tuple(combo), base_sign * coeff))
     return out
+
+
+def _split_table(src, f_recs, plan):
+    """The term table of an ungrafting plan from the source slots src into
+    the slots of the factors' records f_recs: (k, the factors' flat
+    indices, coefficient) for the k-th decoration of src, the coefficient
+    being the plan's Koszul sign and matrix entries times (-1)^(s_j t_i)
+    for every i < j, s_j factor j's vertex count and t_i the internal
+    degree of factor i's decoration.  The factors' slots and the plan fix
+    the table, and the vertex counts follow from the slots."""
+    totals = [len(f_rec.slots.decorations) for f_rec in f_recs]
+    strides = _strides([size for f_rec in f_recs
+                        for size in f_rec.slots.sizes])
+    table = []
+    for k, flat, _t, coeff in _plan_table(src, plan, strides):
+        f_ks = [0] * len(f_recs)
+        for j in range(len(f_recs) - 1, -1, -1):
+            flat, f_ks[j] = divmod(flat, totals[j])
+        t_before = 0
+        for f_rec, f_k in zip(f_recs, f_ks):
+            if f_rec.nv * t_before % 2:
+                coeff = -coeff
+            t_before += f_rec.slots.decorations[f_k][2]
+        table.append((k, tuple(f_ks), coeff))
+    return table
 
 
 def bar_cocomposition(p, arity, a, a_side, b_side, cache=None):

@@ -28,10 +28,13 @@ factors (exactla.reindexing_map).
   from (Omega(s) (x) Omega(r_1) ... Omega(r_s)) (x) M(B_1) ... M(B_r),
   where R shuffles each Omega(r_i) in front of its group of blocks.
 
-Complexes and split maps are shared across check calls through the
-cache they are given, split maps keyed by the structure's fingerprint.
-Within one check call each identity of B(k), each tensor product of
-maps and each reindexing is built once and reused by every instance
+Complexes, split maps and module structure maps are shared across
+check calls through the cache they are given: split maps keyed by the
+structure's fingerprint, module structure maps by the content key of
+their complex's inputs (barcobar.one_sided_key) and the canonical
+partition, so complexes with equal inputs share them.  Within one check
+call each identity of B(k) or of a pentagon's part, each tensor product
+of maps and each reindexing is built once and reused by every instance
 that needs it; none of them goes into the shared cache.  Every instance
 is still compared in every degree; the two sides are compared as
 matrices, and their difference is formed only to name a failing column.
@@ -47,6 +50,7 @@ from .barcobar import (
     bar_cocomposition,
     cobar_composition,
     module_structure_maps,
+    one_sided_key,
     reduced_bar,
     reduced_cobar,
 )
@@ -131,6 +135,18 @@ class _Maps:
                                    source_shape, target_shape))
 
 
+def _act(bc, blocks, cache):
+    """The module structure map of blocks on the one-sided complex bc, kept
+    in the shared cache under the content key of bc's inputs and the
+    canonical blocks, so complexes with equal inputs share it."""
+    blocks = canonical_partition(blocks)
+    key = ("act", one_sided_key(bc.kind, bc.r_coeff, bc.op, bc.l_coeff,
+                                bc.arity), blocks)
+    if key not in cache:
+        cache[key] = module_structure_maps(bc, blocks, cache)
+    return cache[key]
+
+
 def _chain(kind, *maps):
     """Compose maps listed from B(P)(n) outwards: in this order on the bar
     side, the reverse order on the cobar side."""
@@ -207,7 +223,7 @@ def check_unary_action_is_identity(one_sided, cache=None):
     """The trivial-partition structure map acts as the identity."""
     cache = {} if cache is None else cache
     trivial = canonical_partition([tuple(range(1, one_sided.arity + 1))])
-    cm = module_structure_maps(one_sided, trivial, cache)
+    cm = _act(one_sided, trivial, cache)
     bar = one_sided.kind == BAR
     units = (reduced_bar if bar else reduced_cobar)(
         one_sided.op, 1, cache).complex
@@ -243,25 +259,22 @@ def check_module_pentagon_chain(one_sided, lam, grouping, cache=None):
     unions = [sorted(x for bi in g for x in lam[bi]) for g in groups]
     s = len(groups)
     maps = _Maps(one_sided.op, "cobar", cache)
-
-    def act(bc, blocks):
-        return maps.once(("act", id(bc), canonical_partition(blocks)),
-                         lambda: module_structure_maps(bc, blocks, cache))
-
-    gamma = act(reduced_cobar(one_sided.op, r, cache),
-                [tuple(x + 1 for x in g) for g in groups])
-    sub_acts = [act(_one_sided(one_sided, len(u), cache), [
-        tuple(u.index(x) + 1 for x in lam[bi]) for bi in g])
+    gamma = _act(reduced_cobar(one_sided.op, r, cache),
+                 [tuple(x + 1 for x in g) for g in groups], cache)
+    sub_acts = [_act(_one_sided(one_sided, len(u), cache), [
+        tuple(u.index(x) + 1 for x in lam[bi]) for bi in g], cache)
         for g, u in zip(groups, unions)]
     parts = [_one_sided(one_sided, len(b), cache).complex for b in lam]
-    lhs = act(one_sided, lam).compose(tensor_chain_maps(
-        [gamma] + [ChainMap.identity(c) for c in parts]))
+    # The parts' identities, by complex; the key holds the complex.
+    lhs = _act(one_sided, lam, cache).compose(tensor_chain_maps([gamma] + [
+        maps.once(("part id", c), lambda c=c: ChainMap.identity(c))
+        for c in parts]))
     shuffle = reindexing_map(
         [maps.complex(n) for n in [s] + [len(g) for g in groups]] + parts,
         (tuple(range(s + 1)),) + tuple(range(s + 1, s + 1 + r)),
         (0,) + tuple((1 + i,) + tuple(s + 1 + bi for bi in g)
                      for i, g in enumerate(groups)))
-    rhs = act(one_sided, unions).compose(
+    rhs = _act(one_sided, unions, cache).compose(
         maps.tensor(s, *sub_acts)).compose(shuffle)
     _agree(lhs, rhs, f"module pentagon fails for lam={lam} groups={groups}")
     return True

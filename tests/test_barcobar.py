@@ -32,7 +32,7 @@ from opbar.checks import (
     check_module_pentagon_chain,
     check_unary_action_is_identity,
 )
-from opbar.combinat import set_partitions
+from opbar.combinat import canonical_partition, set_partitions
 from opbar.errors import BoundsError, ValidationError
 from opbar.exactla import (
     INT,
@@ -50,6 +50,7 @@ from opbar.opalg import (
     RIGHT_COMODULE,
     RIGHT_MODULE,
     Operad,
+    SidedModule,
     SymSeq,
     builtin,
     builtin_sphere_comodule,
@@ -170,6 +171,131 @@ def test_assembly_makes_no_label_lookups_and_no_tree_walks(monkeypatch):
     assert len(merges) > 1
     assert calls == {"position": 0, "_mask_walk": 0, "_children": 0,
                      "__mul__": len(merges) + d_squared}
+
+
+def _signature(shape):
+    """A tree's vertex count and slot arities, which fix its _Slots within
+    one complex."""
+    return shape.nv, (*map(len, shape.kids),
+                      *(m.bit_count() for m in shape.masks[shape.nv:]))
+
+
+def _collapse_table_keys(r_mod, p, l_mod, arity):
+    """(moves, distinct keys) of the differential of the complex of these
+    inputs.  A move's key is the signatures of its source and target, the
+    plan of trees.collapse, and its merged slot's matrix key: (outer slot,
+    m_out, insert_pos, k_inner, tau) for an edge, the canonical blocks of
+    the left action for a bud."""
+    supports = [{n for n in range(1, arity + 1) if seq.rank(n)}
+                for seq in (r_mod, p, l_mod)]
+    found = {key: (masks, nv) for key, masks, nv, _arities in
+             trees.supported_trees(arity, *supports)}
+    moves, keys = 0, set()
+    for key, (masks, nv) in found.items():
+        shape = trees._TreeShape(key, masks, nv)
+        for q in range(1, nv + 1):
+            up, kids = shape.parent[q], shape.kids[q]
+            m_out = len(shape.kids[up])
+            buds = []
+            if m_out + len(kids) - 1 in supports[1 if up else 0]:
+                buds.append(False)
+            if min(kids) > nv and masks[q - 1].bit_count() in supports[2]:
+                buds.append(True)
+            for bud in buds:
+                tkey, plan, _sign, ins, tau = trees.collapse(
+                    shape, q, bud, lambda k: found[k][0])
+                if bud:
+                    labels = [x for x in range(arity + 1)
+                              if masks[q - 1] >> x & 1]
+                    matrix = canonical_partition(
+                        [[i for i, x in enumerate(labels, start=1)
+                          if masks[r - 1] >> x & 1] for r in kids])
+                else:
+                    matrix = ("v" if up else "root", m_out, ins, len(kids),
+                              tau)
+                moves += 1
+                keys.add((_signature(shape),
+                          _signature(trees._TreeShape(tkey, *found[tkey])),
+                          tuple(plan), matrix))
+    return moves, len(keys)
+
+
+def _counted_compiles(monkeypatch):
+    compiled = []
+    compile_plan = barcobar._plan_table
+    monkeypatch.setattr(barcobar, "_plan_table", lambda *args: compiled.append(
+        args) or compile_plan(*args))
+    return compiled
+
+
+def _sphere2_inputs():
+    sphere = builtin_sphere_comodule(2, 4)
+    return unit_module(sphere.over, RIGHT_COMODULE), sphere.over, sphere
+
+
+# (moves, tables): 8,596 and 550 moves share 243 and 69 plans; the sphere
+# cobar complex's buds need their blocks in the key.
+@pytest.mark.parametrize("build,inputs,arity,counts", [
+    (bar_complex, lambda: (unit_module(builtin("com", 6), RIGHT_MODULE),
+                           builtin("com", 6),
+                           unit_module(builtin("com", 6), LEFT_MODULE)),
+     6, (8596, 243)),
+    (bar_complex, lambda: (unit_module(builtin("ass", 5), RIGHT_MODULE),
+                           builtin("ass", 5),
+                           unit_module(builtin("ass", 5), LEFT_MODULE)),
+     5, (550, 69)),
+    (cobar_complex, _sphere2_inputs, 4, None),
+], ids=["bar-com-6", "bar-ass-5", "cobar-sphere2-4"])
+def test_each_collapse_plan_is_compiled_once_per_complex(
+        monkeypatch, build, inputs, arity, counts):
+    r_mod, p, l_mod = inputs()
+    moves, tables = _collapse_table_keys(r_mod, p, l_mod, arity)
+    if counts is not None:
+        assert (moves, tables) == counts
+    assert tables < moves
+    collapsed = []
+    collapse = trees.collapse
+    monkeypatch.setattr(trees, "collapse", lambda *args: collapsed.append(
+        args) or collapse(*args))
+    compiled = _counted_compiles(monkeypatch)
+    build(r_mod, p, l_mod, arity)
+    assert (len(collapsed), len(compiled)) == (moves, tables)
+
+
+def test_actions_and_splits_compile_each_plan_once_per_map(monkeypatch):
+    ass = builtin("ass", 4)
+    cache = {}
+    bc, skeleton, part = (reduced_bar(ass, n, cache) for n in (4, 3, 2))
+    sigma = (2, 4, 1, 3)
+    image = trees._mask_image(sigma)
+    cut = trees._cutter(4, [(2, 3)])
+    action_keys, split_keys = set(), set()
+    for key in bc.trees():
+        src = trees._TreeShape(key)
+        images = [image(m) for m in src.masks]
+        tgt = trees._TreeShape(tuple(sorted(images)))
+        _sign, moves = trees._relabel_slots(src, tgt, images, image)
+        action_keys.add((_signature(src), _signature(tgt), tuple(moves)))
+        split = cut(src)
+        if split is None or split[0][0] not in skeleton.trees() or \
+                split[0][1] not in part.trees():
+            continue
+        factors = [trees._TreeShape(k) for k in split[0]]
+        # The skeleton's root and every source slot are copied.
+        plans = [[None] * (1 + len(f.masks)) for f in factors]
+        plans[0][0] = 0
+        for q, (j, mask) in enumerate(split[1], start=1):
+            plans[j][factors[j].slot[mask]] = q
+        split_keys.add((_signature(src), tuple(map(_signature, factors)),
+                        tuple(x for plan in plans for x in plan)))
+    assert 0 < len(action_keys) < len(bc.trees())
+    assert 0 < len(split_keys) < len(bc.trees())
+    compiled = _counted_compiles(monkeypatch)
+    symmetric_action(bc, sigma)
+    assert len(compiled) == len(action_keys)
+    del compiled[:]
+    bar_cocomposition(ass, 4, 2, (1, 4, 2), (2, 3), cache)
+    assert len(compiled) == len(split_keys)
 
 
 def _complex_digest(complex_):
@@ -569,8 +695,32 @@ def test_check_maps_are_built_once_per_check_call(monkeypatch):
     assert _structure_checks(cache) == 222
     module_checks = _module_checks(cache)
     assert len(module_checks) == 13 and all(module_checks)
-    # 468 tensors and 485 identities when each instance built its own.
-    assert (len(tensors), len(identities)) == (203, 60)
+    # 468 tensors and 485 identities when each instance built its own, 60
+    # identities when each pentagon built its parts' identities per use.
+    assert (len(tensors), len(identities)) == (203, 50)
+
+
+def test_module_maps_are_shared_across_check_calls(monkeypatch):
+    from opbar import checks
+    built = []
+    structure_maps = checks.module_structure_maps
+
+    def counted(bc, blocks, cache):
+        built.append((barcobar.one_sided_key(bc.kind, bc.r_coeff, bc.op,
+                                             bc.l_coeff, bc.arity),
+                      canonical_partition(blocks)))
+        return structure_maps(bc, blocks, cache)
+
+    monkeypatch.setattr(checks, "module_structure_maps", counted)
+    cache = {}
+    _structure_checks(cache)
+    assert all(_module_checks(cache))
+    # 50 calls for 21 pairs of a complex and a partition when each check
+    # call kept its own maps.  The sphere complex the checks are given and
+    # the cache's complex of the same inputs at arity 3 share their maps.
+    assert len(built) == len(set(built)) == 16
+    assert all(_module_checks(cache))
+    assert len(built) == 16
 
 
 def test_split_maps_are_kept_with_the_complex_cache(monkeypatch):
@@ -652,6 +802,19 @@ def test_arity_is_an_int(arity):
         reduced_bar(builtin("com", 4), arity)
 
 
+@pytest.mark.parametrize("arity,error", [
+    (0, BoundsError), (-1, BoundsError), (2.0, ValidationError),
+    (True, ValidationError), (5, ValidationError), (9, ValidationError)],
+    ids=["zero", "negative", "float", "bool", "above-max", "far-above-max"])
+def test_simplicial_arity_is_checked(arity, error):
+    # 0 and -1 gave an empty complex, 2.0 a TypeError and True arity 1;
+    # above max_arity 4 the complex was truncated (5) or ran for minutes
+    # (9).
+    com = builtin("com", 4)
+    with pytest.raises(error, match=f"arity {arity!r}"):
+        _simplicial(com, unit_module(com, LEFT_MODULE), arity)
+
+
 @pytest.mark.parametrize("sigma", [(2, 1), (1, 2, 3, 5), (2, 1, 3, 4, 5),
                                    (1, 1, 2, 3), "1234", None])
 def test_symmetric_action_takes_only_permutations_of_the_arity(sigma):
@@ -722,6 +885,35 @@ class TestSupports:
         for key, target, order in collapses:
             assert target in basis
             assert _nv(target) == len(order) == _nv(key) - 1
+
+
+def _over_itself(name):
+    """P = builtin(name, 4) as a left module over itself, and Q = dual(P)
+    as a left comodule over itself by the transposes: act_lam = sigma_lam
+    gamma, where sigma_lam sends the inputs of gamma(p; q_1..q_r), taken
+    block after block, onto the labels of lam."""
+    op = builtin(name, 4)
+    q = dual(op)
+    maps = {lam: op.action(n, tuple(x for b in lam for x in b))
+            * op.full_composition([len(b) for b in lam])
+            for n in range(1, 5) for lam in set_partitions(range(1, n + 1))}
+    return (op, SidedModule(LEFT_MODULE, op.symseq, op, maps), q,
+            SidedModule(LEFT_COMODULE, q.symseq, q,
+                        {lam: m.transpose() for lam, m in maps.items()}))
+
+
+@pytest.mark.parametrize("name", ["com", "ass"])
+def test_bar_and_cobar_over_the_structure_itself_are_the_unit(name):
+    # B(I, P, P) and Omega(I, Q, Q) are I: Z in arity 1 and degree 0, and
+    # no homology in arities 2..4.  Their buds, unlike a unit module's,
+    # need their blocks in the key of a collapse's term table.
+    op, left, q, coleft = _over_itself(name)
+    for n in range(1, 5):
+        want = {0: (1, ())} if n == 1 else {}
+        bar = bar_complex(unit_module(op, RIGHT_MODULE), op, left, n)
+        cobar = cobar_complex(unit_module(q, RIGHT_COMODULE), q, coleft, n)
+        assert (n, bar.homology().groups) == (n, want)
+        assert (n, cobar.homology().groups) == (n, want)
 
 
 class TestCobarHomology:
