@@ -58,12 +58,14 @@ run the covers backwards, with tree degrees recorded negatively.  The
 complex keeps its basis keys and its _slot_table.
 
 Each complex builds one record per basis tree (_TreeRecord) the first
-time a map asks for it; assembly and reduction build none.  A record is
-the tree's shape (walked from its key), the _Slots of its slot arities
-(the object assembly used), and the (degree, position) of the tree with
-each decoration by flat decoration index, looked up in the complex's
-module once, when the record is built.  The records belong to the
-complex, so no cache can hand one structure's records to another.
+time a map asks for it, and keeps the tuple of all of them once a map
+walks every tree (BarComplex.records); assembly and reduction build
+none.  A record is the tree's shape (walked from its key), the _Slots of
+its slot arities (the object assembly used), and the (degree, position)
+of the tree with each decoration by flat decoration index, looked up in
+the complex's module once, when the record is built.  The records
+belong to the complex, so no cache can hand one structure's records to
+another.
 
 A permutation acts on masks through a bit table (trees._mask_image); the
 target's record is the one keyed by the sorted images, and
@@ -83,7 +85,12 @@ the Koszul sign of reordering the decorations, and (-1)^(s_j t_i) for
 every i < j, as factor j's orientation (degree s_j, its vertex count)
 moves past factor i's decorations (internal degree t_i).
 
-Text appears only in a label's repr, which serializes its key.
+A basis label (BarBasisLabel, SimplicialBarLabel) is a named tuple, so
+the module index, position lookups and tensor labels hash and compare it
+as a tuple.  Text appears only in a label's repr, which serializes its
+key.  Every differential and map is assembled as rows {i: {j: v}} and
+built through from_rows (exactla), which checks each row's index range
+once.
 
 The normalized simplicial construction over strict partition chains has
 its own chains and face plans, sharing only the plan compiler, and
@@ -93,7 +100,7 @@ serves as a sign-free homology oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import trees as tr
 from .combinat import (
@@ -146,10 +153,9 @@ BAR = "bar"
 COBAR = "cobar"
 
 
-@dataclass(frozen=True)
-class BarBasisLabel:
+class BarBasisLabel(NamedTuple):
     """Decorated tree: the tree's key, one basis index per slot, and the
-    bigrading."""
+    bigrading.  A tuple, so it hashes and compares as one."""
 
     tree: tuple
     decoration: tuple
@@ -190,7 +196,8 @@ class BarComplex:
 
     trees are the basis trees' keys in serialization order, and slots_of
     is the _slot_table assembly read them through.  A tree's _TreeRecord
-    is built on first use and kept.
+    is built on first use and kept, and so is the tuple of every record
+    (records).
     """
 
     def __init__(self, kind, arity, complex_, trees, slots_of, r_coeff, op,
@@ -202,6 +209,7 @@ class BarComplex:
         self.slots_of = slots_of
         self._basis = None
         self._records = {}
+        self._all_records = None
         self.r_coeff = r_coeff
         self.op = op
         self.l_coeff = l_coeff
@@ -228,8 +236,11 @@ class BarComplex:
         return rec
 
     def records(self):
-        """The records of every basis tree, in serialization order."""
-        return [self.record(key) for key in self._trees]
+        """The records of every basis tree, in serialization order; built
+        once, on the first call."""
+        if self._all_records is None:
+            self._all_records = tuple(self.record(key) for key in self._trees)
+        return self._all_records
 
 
 def _total_degree(kind, tree_degree, internal_degree):
@@ -444,7 +455,7 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
     # are local to this complex.
     matrices = {}
     tables = {}
-    entries = {}
+    rows = {}
     bar = kind == BAR
     for key, (masks, nv, pos_big, src) in index.items():
         shape = tr._TreeShape(key, masks, nv)
@@ -489,13 +500,25 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
                     table = tables[table_key] = _plan_table(src, plan,
                                                             tgt.strides)
                 for k, flat, t, coeff in table:
-                    key_ij = ((pos_small[flat], pos_big[k]) if bar
-                              else (pos_big[k], pos_small[flat]))
-                    row = entries.setdefault(d_src + t, {})
-                    row[key_ij] = row.get(key_ij, 0) + sign * coeff
+                    i, j = ((pos_small[flat], pos_big[k]) if bar
+                            else (pos_big[k], pos_small[flat]))
+                    _add(rows, d_src + t, i, j, sign * coeff)
     del index  # The matrices below are built without it.
-    return BarComplex(kind, arity, ChainComplex.from_entries(
-        module, entries, p.ring), keys, slots_of, r_mod, p, l_mod)
+    return BarComplex(kind, arity, ChainComplex.from_rows(
+        module, rows, p.ring), keys, slots_of, r_mod, p, l_mod)
+
+
+def _add(rows, d, i, j, v):
+    """Add v at (i, j) of the rows {d: {i: {j: value}}} of degree d."""
+    out = rows.get(d)
+    if out is None:
+        rows[d] = {i: {j: v}}
+        return
+    row = out.get(i)
+    if row is None:
+        out[i] = {j: v}
+    else:
+        row[j] = row.get(j, 0) + v
 
 
 def _bud_blocks(masks, leaves, q):
@@ -526,9 +549,9 @@ def _merged_matrix(outer, m_out, insert_pos, k_inner, tau):
 # normalized simplicial bar construction (the sign-free oracle)
 
 
-@dataclass(frozen=True)
-class SimplicialBarLabel:
-    """Strict partition chain (finest first) with block-wise decorations."""
+class SimplicialBarLabel(NamedTuple):
+    """Strict partition chain (finest first) with block-wise decorations;
+    a tuple, as BarBasisLabel is."""
 
     chain: tuple
     decoration: tuple
@@ -602,7 +625,7 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity):
         table[chain] = (slots, shared, positions)
     module = GradedFreeModule(spaces)
 
-    entries = {}
+    rows = {}
     for chain, (slots, shared, pos_src) in table.items():
         k = len(chain) - 1
         for i_face in range(k + 1):
@@ -615,10 +638,8 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity):
             sign = -1 if i_face % 2 else 1
             for k_src, flat, t, coeff in _plan_table(shared, plan,
                                                      shared_tgt.strides):
-                key = (pos_tgt[flat], pos_src[k_src])
-                row = entries.setdefault(k + t, {})
-                row[key] = row.get(key, 0) + sign * coeff
-    return ChainComplex.from_entries(module, entries, p.ring)
+                _add(rows, k + t, pos_tgt[flat], pos_src[k_src], sign * coeff)
+    return ChainComplex.from_rows(module, rows, p.ring)
 
 
 def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
@@ -719,7 +740,7 @@ def _action_matrices(bc, sigma, degrees):
     # slot kinds follow from the source slots and its vertex count.
     matrices = {}
     tables = {}
-    entries = {}
+    rows = {}
     for src in bc.records():
         if wanted.isdisjoint(d for d, _j in src.at):
             continue
@@ -744,11 +765,9 @@ def _action_matrices(bc, sigma, degrees):
         for k, flat, _t, coeff in table:
             d, j = src.at[k]
             if d in wanted:
-                _d, i = tgt.at[flat]
-                row = entries.setdefault(d, {})
-                row[(i, j)] = row.get((i, j), 0) + sign * coeff
-    return {d: ExactMatrix(bc.complex.rank(d), bc.complex.rank(d),
-                           entries.get(d), ring=bc.ring)
+                _add(rows, d, tgt.at[flat][1], j, sign * coeff)
+    return {d: ExactMatrix.from_rows(bc.complex.rank(d), bc.complex.rank(d),
+                                     rows.get(d, {}), ring=bc.ring)
             for d in degrees}
 
 
@@ -923,16 +942,17 @@ def _ungrafting_map(bc, tensor, terms):
     terms: ((degree, position) in bc, the factors' global basis indices,
     coefficient), as _split_terms returns them.
     """
-    entries = {}
+    rows = {}
+    bar = bc.kind == BAR
     for (dv, iv), combo, coeff in terms:
         dt, it = tensor.tensor_index[combo]
         if dt != dv:
             raise InternalConsistencyError("structure map changes degree")
-        entries.setdefault(dv, {})[(it, iv) if bc.kind == BAR else (iv, it)] \
-            = coeff
-    if bc.kind == BAR:
-        return ChainMap.from_entries(bc.complex, tensor, entries)
-    return ChainMap.from_entries(tensor, bc.complex, entries)
+        i, j = (it, iv) if bar else (iv, it)
+        rows.setdefault(dv, {}).setdefault(i, {})[j] = coeff
+    if bar:
+        return ChainMap.from_rows(bc.complex, tensor, rows)
+    return ChainMap.from_rows(tensor, bc.complex, rows)
 
 
 def _check_split(arity, a, a_side, b_side):

@@ -35,7 +35,10 @@ their complex's inputs (barcobar.one_sided_key) and the canonical
 partition, so complexes with equal inputs share them.  Within one check
 call each identity of B(k) or of a pentagon's part, each tensor product
 of maps and each reindexing is built once and reused by every instance
-that needs it; none of them goes into the shared cache.  Every instance
+that needs it; none of them goes into the shared cache.  A tensor
+product of maps reads each factor's columns from that map, which builds
+them once (exactla.ChainMap._global_columns), so a split map shared by
+many tensors and check calls has its columns built once.  Every instance
 is still compared in every degree; the two sides are compared as
 matrices, and their difference is formed only to name a failing column.
 """
@@ -231,8 +234,8 @@ def check_unary_action_is_identity(one_sided, cache=None):
         raise ValidationError("unary pair missing")
     (unit,) = units.labels(0)
     m, pairs = one_sided.complex, (cm.target if bar else cm.source)
-    insert = ChainMap.from_entries(m, pairs, {
-        d: {(pairs.module.position(d, (unit, lab)), j): 1
+    insert = ChainMap.from_rows(m, pairs, {
+        d: {pairs.module.position(d, (unit, lab)): {j: 1}
             for j, lab in enumerate(m.labels(d))} for d in m.degrees()})
     failure = f"unary {'co' if bar else ''}action is not the identity"
     if bar:

@@ -1,7 +1,26 @@
 """Exact sparse linear algebra over Z and Q.
 
-Matrices are sparse maps (row, col) -> value with arbitrary-precision
-entries.  Chain complexes are graded free modules with labelled bases.
+A matrix is its rows {i: {j: v}} with arbitrary-precision entries (int or
+Fraction), holding no zero value and no empty row, so equal matrices have
+equal rows.  Rows go in and rows come out:
+
+- ExactMatrix(nrows, ncols, {(i, j): v}) takes outside input (built-in
+  structures, the parser, tests): every entry's type and indices are
+  checked, and zeros are dropped.
+- ExactMatrix.from_rows, ChainComplex.from_rows and ChainMap.from_rows
+  take the rows that a construction assembled: each row's indices are
+  checked once, from the min and max of its keys, its value types in one
+  pass, and zero values and empty rows are dropped.
+- The kernel's own outputs (products, sums, scalings, transposes,
+  Kronecker products, identities) check their operands' rings and shapes
+  and build their rows directly, unchecked (_matrix), since every index
+  comes from an in-range operand; they drop the zeros a sum cancels.
+
+Chain complexes are graded free modules with labelled bases; d^2 = 0 is
+checked on every complex and every checked chain map is verified.  A
+complex keeps its boundary columns and a chain map its columns, in global
+indices, for the tensor products of complexes and of maps (built on first
+use).
 Ranks and Smith normal forms come from one sparse elimination whose
 Markowitz pivots are kept in an incrementally updated queue.  Rational and
 integral homology (free rank plus torsion invariant factors) first
@@ -28,11 +47,29 @@ from .errors import ValidationError, require_int
 INT = "Z"
 RAT = "Q"
 RINGS = (INT, RAT)
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 def _require_ring(ring):
     if ring not in RINGS:
         raise ValidationError(f"unknown ring {ring!r}")
+
+
+def _require_shape(nrows, ncols, ring):
+    _require_ring(ring)
+    if nrows.__class__ is not int or ncols.__class__ is not int:
+        raise ValidationError(
+            f"matrix shape {nrows!r}x{ncols!r} is not a pair of ints")
+    if nrows < 0 or ncols < 0:
+        raise ValidationError(f"matrix shape {nrows}x{ncols} is negative")
+
+
+def _outside(keys, size):
+    """A key of keys outside 0..size-1, or None; one min and one max."""
+    low, high = min(keys), max(keys)
+    if low < 0:
+        return low
+    return high if high >= size else None
 
 
 class ExactMatrix:
@@ -41,18 +78,16 @@ class ExactMatrix:
     __slots__ = ("ring", "nrows", "ncols", "_rows", "_cols")
 
     def __init__(self, nrows, ncols, entries=None, ring=INT):
-        _require_ring(ring)
-        if nrows.__class__ is not int or ncols.__class__ is not int:
-            raise ValidationError(
-                f"matrix shape {nrows!r}x{ncols!r} is not a pair of ints")
-        if nrows < 0 or ncols < 0:
-            raise ValidationError(f"matrix shape {nrows}x{ncols} is negative")
+        _require_shape(nrows, ncols, ring)
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
         rows = {}
         if entries:
             for (i, j), v in entries.items():
+                if not isinstance(v, (int, Fraction)):
+                    raise ValidationError(
+                        f"entry ({i},{j}) = {v!r} is not an int or Fraction")
                 if v == 0:
                     continue
                 if not (0 <= i < nrows and 0 <= j < ncols):
@@ -62,12 +97,41 @@ class ExactMatrix:
         self._cols = None
 
     @classmethod
+    def from_rows(cls, nrows, ncols, rows, ring=INT):
+        """The matrix on assembled rows {i: {j: v}}, which it takes over.
+
+        Each row's indices are checked once, from the min and max of its
+        keys, and its value types in one pass; zero values and empty rows
+        are dropped.
+        """
+        _require_shape(nrows, ncols, ring)
+        if rows and (min(rows) < 0 or max(rows) >= nrows):
+            raise ValidationError(
+                f"row {_outside(rows, nrows)} outside {nrows}x{ncols}")
+        clean = {}
+        for i, row in rows.items():
+            if not row:
+                continue
+            if min(row) < 0 or max(row) >= ncols:
+                raise ValidationError(f"entry ({i},{_outside(row, ncols)}) "
+                                      f"outside {nrows}x{ncols}")
+            _exact(row, "row", i)
+            if not all(row.values()):
+                row = {j: v for j, v in row.items() if v}
+                if not row:
+                    continue
+            clean[i] = row
+        return _matrix(nrows, ncols, clean, ring)
+
+    @classmethod
     def identity(cls, n, ring=INT):
-        return cls(n, n, {(i, i): 1 for i in range(n)}, ring=ring)
+        _require_shape(n, n, ring)
+        return _matrix(n, n, {i: {i: 1} for i in range(n)}, ring)
 
     @classmethod
     def zero(cls, nrows, ncols, ring=INT):
-        return cls(nrows, ncols, {}, ring=ring)
+        _require_shape(nrows, ncols, ring)
+        return _matrix(nrows, ncols, {}, ring)
 
     def entries(self):
         for i, row in self._rows.items():
@@ -79,11 +143,7 @@ class ExactMatrix:
 
     def column(self, j):
         if self._cols is None:
-            cols = {}
-            for i, row in self._rows.items():
-                for jj, v in row.items():
-                    cols.setdefault(jj, {})[i] = v
-            self._cols = cols
+            self._cols = _transposed(self._rows)
         return self._cols.get(j, {})
 
     def nnz(self):
@@ -93,9 +153,8 @@ class ExactMatrix:
         return not self._rows
 
     def transpose(self):
-        return ExactMatrix(
-            self.ncols, self.nrows,
-            {(j, i): v for (i, j), v in self.entries()}, ring=self.ring)
+        return _matrix(self.ncols, self.nrows, _transposed(self._rows),
+                       self.ring)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -112,38 +171,67 @@ class ExactMatrix:
 
     def __add__(self, other):
         self._check_shape(other, same=True)
-        entries = {k: v for k, v in self.entries()}
-        for k, v in other.entries():
-            entries[k] = entries.get(k, 0) + v
-        return ExactMatrix(self.nrows, self.ncols, entries, ring=self.ring)
+        rows = {i: dict(row) for i, row in self._rows.items()}
+        for i, orow in other._rows.items():
+            row = rows.get(i)
+            if row is None:
+                rows[i] = dict(orow)
+                continue
+            for j, v in orow.items():
+                w = row.get(j, 0) + v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+            if not row:
+                del rows[i]
+        return _matrix(self.nrows, self.ncols, rows, self.ring)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return ExactMatrix(self.nrows, self.ncols,
-                           {k: c * v for k, v in self.entries()}, ring=self.ring)
+        if not c:
+            return _matrix(self.nrows, self.ncols, {}, self.ring)
+        return _matrix(self.nrows, self.ncols, {
+            i: {j: c * v for j, v in row.items()}
+            for i, row in self._rows.items()}, self.ring)
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check_shape(other)
-        entries = {}
+        orows = other._rows
+        rows = {}
         for i, row in self._rows.items():
+            if len(row) == 1:
+                # One term: a nonzero multiple of one row of other.
+                (k, a), = row.items()
+                orow = orows.get(k)
+                if orow:
+                    rows[i] = dict(orow) if a == 1 else {
+                        j: a * b for j, b in orow.items()}
+                continue
             acc = {}
             for k, a in row.items():
-                orow = other._rows.get(k)
-                if not orow:
-                    continue
-                for j, b in orow.items():
-                    acc[j] = acc.get(j, 0) + a * b
-            for j, v in acc.items():
-                if v != 0:
-                    entries[(i, j)] = v
-        return ExactMatrix(self.nrows, other.ncols, entries, ring=self.ring)
+                orow = orows.get(k)
+                if orow:
+                    for j, b in orow.items():
+                        acc[j] = acc.get(j, 0) + a * b
+            if acc and not all(acc.values()):
+                acc = {j: v for j, v in acc.items() if v}
+            if acc:
+                rows[i] = acc
+        return _matrix(self.nrows, other.ncols, rows, self.ring)
 
     def apply(self, vec):
         """Matrix times sparse column vector (dict col -> value)."""
+        if vec:
+            bad = _outside(vec, self.ncols)
+            if bad is not None:
+                raise ValidationError(
+                    f"apply: index {bad} outside the {self.ncols} columns of "
+                    f"a {self.nrows}x{self.ncols} matrix")
         out = {}
         for j, c in vec.items():
             for i, v in self.column(j).items():
@@ -156,22 +244,28 @@ class ExactMatrix:
 
     def kron(self, other):
         """Kronecker product, valid for degree-zero maps of graded modules."""
-        entries = {}
+        self._check_ring(other)
         on, om = other.nrows, other.ncols
-        for (i, j), v in self.entries():
-            for (k, ll), w in other.entries():
-                entries[(i * on + k, j * om + ll)] = v * w
-        return ExactMatrix(self.nrows * on, self.ncols * om, entries, ring=self.ring)
+        rows = {}
+        for i, row in self._rows.items():
+            for k, orow in other._rows.items():
+                rows[i * on + k] = {j * om + col: v * w
+                                    for j, v in row.items()
+                                    for col, w in orow.items()}
+        return _matrix(self.nrows * on, self.ncols * om, rows, self.ring)
 
     def trace(self):
         return sum(row.get(i, 0) for i, row in self._rows.items())
 
-    def _check_shape(self, other, same=False):
-        """Refuse operands over different rings or of unfit shapes: the
-        same shape for a sum (same), chained shapes for a product."""
+    def _check_ring(self, other):
         if self.ring != other.ring:
             raise ValidationError(
                 f"ring mismatch: a {self.ring} matrix with a {other.ring} one")
+
+    def _check_shape(self, other, same=False):
+        """Refuse operands over different rings or of unfit shapes: the
+        same shape for a sum (same), chained shapes for a product."""
+        self._check_ring(other)
         if same:
             fits = (self.nrows, self.ncols) == (other.nrows, other.ncols)
         else:
@@ -180,6 +274,34 @@ class ExactMatrix:
             raise ValidationError(
                 f"shape mismatch {self.nrows}x{self.ncols} "
                 f"{'+' if same else '*'} {other.nrows}x{other.ncols}")
+
+
+_new = object.__new__
+
+
+def _matrix(nrows, ncols, rows, ring):
+    """The matrix on rows, unchecked: for the kernel's own outputs, whose
+    rows hold no zero value, no empty row and only in-range indices."""
+    m = _new(ExactMatrix)
+    m.ring = ring
+    m.nrows = nrows
+    m.ncols = ncols
+    m._rows = rows
+    m._cols = None
+    return m
+
+
+def _transposed(rows):
+    """The columns {j: {i: v}} of rows {i: {j: v}}."""
+    cols = {}
+    for i, row in rows.items():
+        for j, v in row.items():
+            col = cols.get(j)
+            if col is None:
+                cols[j] = {i: v}
+            else:
+                col[i] = v
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +469,7 @@ def matrix_rank(mat):
         rows = {}
         for i, row in mat._rows.items():
             mult = lcm(*(v.denominator
-                         for v in _exact(row, f"row {i}").values()))
+                         for v in _exact(row, "row", i).values()))
             rows[i] = {j: int(v * mult) for j, v in row.items()}
     else:
         rows = _integer_rows(mat)
@@ -358,10 +480,15 @@ def matrix_rank(mat):
 # Echelon machinery over Q (sparse dict vectors)
 
 
-def _exact(vec, name):
-    """vec, after checking that every entry is an int or a Fraction."""
+def _exact(vec, kind, index=None):
+    """vec, after checking that every entry is an int or a Fraction; the
+    error names the vector as kind and index ("column 3", "target"), which
+    are formatted only then."""
+    if _EXACT_TYPES.issuperset(map(type, vec.values())):
+        return vec
     for i, v in vec.items():
         if not isinstance(v, (int, Fraction)):
+            name = kind if index is None else f"{kind} {index}"
             raise ValidationError(
                 f"{name} has entry {v!r} at index {i}, not an int or Fraction")
     return vec
@@ -430,7 +557,7 @@ def _column_echelon(mat):
     ech = _Echelon()
     pivots, kernel = [], []
     for j in range(mat.ncols):
-        col = _exact(mat.column(j), f"column {j}")
+        col = _exact(mat.column(j), "column", j)
         pivot, tracking = ech.insert(col, {j: 1})
         if pivot is None:
             kernel.append(_normalized(tracking, tracking[min(tracking)]))
@@ -472,7 +599,7 @@ def solve_in_span(vectors, target):
         span.echelon = _Echelon()
         for k, v in enumerate(span):
             span.echelon.insert(
-                {i: x for i, x in _exact(v, f"vector {k}").items() if x},
+                {i: x for i, x in _exact(v, "vector", k).items() if x},
                 {k: 1})
     red, tracking = span.echelon.reduce(
         {i: x for i, x in _exact(target, "target").items() if x}, tracking={})
@@ -632,20 +759,22 @@ class ChainComplex:
                 clean[k] = m
         self.diffs = clean
         self._boundaries = {}
+        self._columns = None
         for k, m in clean.items():
             up = clean.get(k + 1)
             if up is not None and not (m * up).is_zero():
                 raise ValidationError(f"d_{k} o d_{k+1} != 0")
 
     @classmethod
-    def from_entries(cls, module, entries, ring=INT):
-        """Chain complex on module whose d_k has the sparse entries
-        entries[k] = {(i, j): v}: row i indexes degree k - 1 of module and
-        column j degree k.  Zero values are dropped, and the shapes and
-        d^2 = 0 are checked as for any complex."""
+    def from_rows(cls, module, rows, ring=INT):
+        """Chain complex on module whose d_k has the rows rows[k] =
+        {i: {j: v}}: row i indexes degree k - 1 of module and column j
+        degree k.  The rows are checked as ExactMatrix.from_rows checks
+        them, and the shapes and d^2 = 0 as for any complex."""
         return cls(module, {
-            k: ExactMatrix(module.rank(k - 1), module.rank(k), e, ring=ring)
-            for k, e in entries.items()}, ring=ring)
+            k: ExactMatrix.from_rows(module.rank(k - 1), module.rank(k), r,
+                                     ring=ring)
+            for k, r in rows.items()}, ring=ring)
 
     def degrees(self):
         return self.module.degrees()
@@ -671,11 +800,19 @@ class ChainComplex:
             ech = self._boundaries[k] = _Echelon()
             up = self.differential(k + 1)
             for j in range(up.ncols):
-                ech.insert(_exact(up.column(j), f"column {j}"))
+                ech.insert(_exact(up.column(j), "column", j))
         return ech
 
     def homology(self, ring=None):
         return homology(self, ring=ring)
+
+    def _global_columns(self):
+        """The boundary of each basis element with one, in global indices
+        (_columns_in); built on first use and kept."""
+        if self._columns is None:
+            self._columns = _columns_in(self.diffs, self.module, self.module,
+                                        1)
+        return self._columns
 
 
 def _free_pair_residual(complex_, ring):
@@ -693,7 +830,7 @@ def _free_pair_residual(complex_, ring):
     for k, d in complex_.diffs.items():
         lo, hi = mod.offset(k - 1), mod.offset(k)
         rows = _integer_rows(d) if ring == INT else {
-            i: _exact(row, f"row {i}") for i, row in d._rows.items()}
+            i: _exact(row, "row", i) for i, row in d._rows.items()}
         for i, row in rows.items():
             a = lo + i
             for j, v in row.items():
@@ -726,10 +863,13 @@ def _free_pair_residual(complex_, ring):
             space = spaces.setdefault(d, [])
             position[g] = len(space)
             space.append(g)
-    entries = {d: {(position[a], j): v for j, b in enumerate(cells)
-                   for a, v in faces[b].items()}
-               for d, cells in spaces.items()}
-    return ChainComplex.from_entries(GradedFreeModule(spaces), entries, ring)
+    rows = {}
+    for d, cells in spaces.items():
+        out = rows[d] = {}
+        for j, b in enumerate(cells):
+            for a, v in faces[b].items():
+                out.setdefault(position[a], {})[j] = v
+    return ChainComplex.from_rows(GradedFreeModule(spaces), rows, ring)
 
 
 def homology(complex_, ring=None):
@@ -768,13 +908,21 @@ def homology(complex_, ring=None):
 _PRODUCTS = weakref.WeakValueDictionary()
 
 
-def _global_columns(mats, source, target, shift):
-    """Per global basis index of the module source: its column in mats as
-    (global index in the module target, coefficient) pairs, the column of
-    a degree-d element lying in degree d - shift of target."""
-    return [[(target._offset[d - shift] + i, v)
-             for i, v in mats[d].column(j).items()] if d in mats else []
-            for d in source.degrees() for j in range(source.rank(d))]
+def _columns_in(mats, source, target, shift):
+    """{global index in the module source: [(global index in the module
+    target, coefficient)]} of the nonzero columns of the matrices mats (by
+    degree), in ascending order; the column of a degree-d element lies in
+    degree d - shift of target."""
+    out = {}
+    for d in source.degrees():
+        m = mats.get(d)
+        if m is None or m.is_zero():
+            continue
+        lo, hi = source._offset[d], target._offset[d - shift]
+        cols = _transposed(m._rows)
+        for j in sorted(cols):
+            out[lo + j] = [(hi + i, v) for i, v in cols[j].items()]
+    return out
 
 
 def tensor_list(complexes):
@@ -783,11 +931,12 @@ def tensor_list(complexes):
     Basis labels are k-tuples of factor labels; the ordering is row-major
     over the factors' (degree, index) global orders.  The product keeps
     its `factors` and a dict `tensor_index` from tuples of factor global
-    basis indices to (degree, position).  Products are shared while alive:
-    a call on the same factor objects returns the product an earlier call
-    built while some caller still holds it.  The table holds products
-    weakly and a product holds its factors, so no id in a live key can be
-    reused.
+    basis indices to (degree, position).  Its rows are assembled from the
+    factors' boundary columns (ChainComplex._global_columns).  Products
+    are shared while alive: a call on the same factor objects returns the
+    product an earlier call built while some caller still holds it.  The
+    table holds products weakly and a product holds its factors, so no id
+    in a live key can be reused.
     """
     if not complexes:
         raise ValidationError("tensor_list needs at least one complex")
@@ -799,27 +948,31 @@ def tensor_list(complexes):
     if any(c.ring != ring for c in complexes):
         raise ValidationError("tensor factors must share a ring")
     bases = [c.module.basis() for c in complexes]
+    degrees = [[d for d, _lab in b] for b in bases]
     # Global index tuples in row-major order, then bucketed by total degree.
     spaces, index = {}, {}
     for combo in itertools.product(*(range(len(b)) for b in bases)):
-        deg = sum(b[g][0] for b, g in zip(bases, combo))
+        deg = sum(ds[g] for ds, g in zip(degrees, combo))
         space = spaces.setdefault(deg, [])
         index[combo] = (deg, len(space))
         space.append(tuple(b[g][1] for b, g in zip(bases, combo)))
     module = GradedFreeModule(spaces)
-    boundaries = [_global_columns(c.diffs, c.module, c.module, 1)
-                  for c in complexes]
-    entries = {}
+    boundaries = [c._global_columns() for c in complexes]
+    rows = {}
     for combo, (deg, col) in index.items():
-        row = entries.setdefault(deg, {})
+        out = rows.setdefault(deg, {})
         sign = 1
         for pos, g in enumerate(combo):
-            for i, v in boundaries[pos][g]:
-                at = (index[combo[:pos] + (i,) + combo[pos + 1:]][1], col)
-                row[at] = row.get(at, 0) + sign * v
-            if bases[pos][g][0] % 2:
+            faces = boundaries[pos].get(g)
+            if faces:
+                head, tail = combo[:pos], combo[pos + 1:]
+                for i, v in faces:
+                    # Each face changes one factor, so no entry repeats.
+                    out.setdefault(index[head + (i,) + tail][1], {})[col] = \
+                        sign * v
+            if degrees[pos][g] % 2:
                 sign = -sign
-    product = ChainComplex.from_entries(module, entries, ring)
+    product = ChainComplex.from_rows(module, rows, ring)
     product.factors = tuple(complexes)
     product.tensor_index = index
     _PRODUCTS[key] = product
@@ -841,6 +994,7 @@ class ChainMap:
                     f"expected {target.rank(k)}x{source.rank(k)}")
             clean[k] = m
         self.mats = clean
+        self._columns = None
         if check:
             self.verify()
 
@@ -851,12 +1005,14 @@ class ChainMap:
             for d in complex_.degrees()}, check=False)
 
     @classmethod
-    def from_entries(cls, source, target, entries, check=True):
-        """Chain map with the sparse entries {degree: {(i, j): v}}."""
+    def from_rows(cls, source, target, rows, check=True):
+        """Chain map whose degree-d component has the rows rows[d] =
+        {i: {j: v}}, checked as ExactMatrix.from_rows checks them; every
+        degree of source gets a component."""
         return cls(source, target, {
-            d: ExactMatrix(target.rank(d), source.rank(d), entries.get(d),
-                           ring=source.ring) for d in source.degrees()},
-            check=check)
+            d: ExactMatrix.from_rows(target.rank(d), source.rank(d),
+                                     rows.get(d, {}), ring=source.ring)
+            for d in set(source.degrees()).union(rows)}, check=check)
 
     def component(self, k):
         m = self.mats.get(k)
@@ -864,6 +1020,14 @@ class ChainMap:
             m = ExactMatrix.zero(self.target.rank(k), self.source.rank(k),
                                  ring=self.source.ring)
         return m
+
+    def _global_columns(self):
+        """The image of each basis element of source that has one, in
+        global indices (_columns_in); built on first use and kept."""
+        if self._columns is None:
+            self._columns = _columns_in(self.mats, self.source.module,
+                                        self.target.module, 0)
+        return self._columns
 
     def verify(self):
         degrees = set(self.source.degrees()) | set(self.mats)
@@ -881,15 +1045,29 @@ class ChainMap:
             raise ValidationError("chain maps not composable")
         degrees = set(other.mats) | set(self.mats)
         mats = {k: self.component(k) * other.component(k) for k in degrees}
-        return ChainMap(other.source, self.target, mats, check=False)
+        return _chain_map(other.source, self.target, mats)
+
+
+def _chain_map(source, target, mats):
+    """The chain map with the components mats, unchecked: for composites,
+    whose components are products of checked components."""
+    f = _new(ChainMap)
+    f.source = source
+    f.target = target
+    f.mats = mats
+    f._columns = None
+    return f
 
 
 def _tensor_terms(product, items):
     """{position in product: coefficient} of the products of one (global
     basis index, coefficient) pair of items[k] per factor k."""
     index = product.tensor_index
-    return {index[tuple(g for g, _c in combo)][1]: prod(c for _g, c in combo)
-            for combo in itertools.product(*items)}
+    out = {}
+    for combo in itertools.product(*items):
+        image, coeffs = zip(*combo)
+        out[index[image][1]] = prod(coeffs)
+    return out
 
 
 def tensor_vector(product, vectors):
@@ -914,16 +1092,21 @@ def tensor_vector(product, vectors):
 
 def tensor_chain_maps(maps):
     """f_1 (x) ... (x) f_k from the tensor_list of the sources to that of
-    the targets.  The maps have degree 0, so no Koszul sign arises."""
+    the targets.  The maps have degree 0, so no Koszul sign arises.  Each
+    factor's columns are read from that map (ChainMap._global_columns),
+    and only the sources whose every factor has a nonzero column are
+    visited."""
     source = tensor_list([f.source for f in maps])
     target = tensor_list([f.target for f in maps])
-    images = [_global_columns(f.mats, f.source.module, f.target.module, 0)
-              for f in maps]
-    entries = {}
-    for combo, (d, j) in source.tensor_index.items():
-        col = _tensor_terms(target, [im[g] for im, g in zip(images, combo)])
-        entries.setdefault(d, {}).update(((i, j), c) for i, c in col.items())
-    return ChainMap.from_entries(source, target, entries, check=False)
+    rows = {}
+    for combo in itertools.product(*(f._global_columns().items()
+                                     for f in maps)):
+        gs, columns = zip(*combo)
+        d, j = source.tensor_index[gs]
+        out = rows.setdefault(d, {})
+        for i, c in _tensor_terms(target, columns).items():
+            out.setdefault(i, {})[j] = c
+    return ChainMap.from_rows(source, target, rows, check=False)
 
 
 def _bracket(shape, items, join):
@@ -934,14 +1117,19 @@ def _bracket(shape, items, join):
     return join([_bracket(part, items, join) for part in shape])
 
 
-def _global_index(cplx, shape, combo):
-    """Global basis index in cplx, the tensor_list bracketing of shape, of
-    the element whose factor k has global basis index combo[k]."""
+def _leaf_indices(cplx, shape):
+    """Per global basis index of cplx, the tensor_list bracketing of shape:
+    the global basis indices of its factors' elements, as a tuple in the
+    order shape lists its positions."""
     if isinstance(shape, int):
-        return combo[shape]
-    d, pos = cplx.tensor_index[tuple(_global_index(f, part, combo)
-                                     for f, part in zip(cplx.factors, shape))]
-    return cplx.module._offset[d] + pos
+        return [(g,) for g in range(cplx.module.total_rank())]
+    parts = [_leaf_indices(f, part) for f, part in zip(cplx.factors, shape)]
+    out = [None] * cplx.module.total_rank()
+    offset = cplx.module._offset
+    for combo, (d, pos) in cplx.tensor_index.items():
+        out[offset[d] + pos] = sum((leaves[g] for leaves, g in
+                                    zip(parts, combo)), ())
+    return out
 
 
 def reindexing_map(factors, source_shape, target_shape):
@@ -960,17 +1148,27 @@ def reindexing_map(factors, source_shape, target_shape):
     src_order, tgt_order = (_bracket(shape, singletons, lambda p: sum(p, ()))
                             for shape in (source_shape, target_shape))
     perm = tuple(tgt_order.index(k) for k in src_order)
-    bases = [f.module.basis() for f in factors]
-    entries = {}
-    for combo in itertools.product(*(range(len(b)) for b in bases)):
-        degrees = [bases[k][combo[k]][0] for k in src_order]
-        d = sum(degrees)
-        entries.setdefault(d, {})[(
-            _global_index(target, target_shape, combo)
-            - target.module._offset[d],
-            _global_index(source, source_shape, combo)
-            - source.module._offset[d])] = koszul_sign(degrees, perm)
-    return ChainMap.from_entries(source, target, entries)
+    # Target leaf m is source leaf reorder[m]; a leaf's degree is read off
+    # its factor's basis.
+    reorder = [src_order.index(k) for k in tgt_order]
+    in_target = {leaves: g for g, leaves in
+                 enumerate(_leaf_indices(target, target_shape))}
+    leaf_degrees = [[d for d, _lab in factors[k].module.basis()]
+                    for k in src_order]
+    s_mod, t_mod = source.module, target.module
+    signs = {}
+    rows = {}
+    for g, leaves in enumerate(_leaf_indices(source, source_shape)):
+        d = s_mod.degree_of(g)
+        degrees = tuple(ds[x] % 2 for ds, x in zip(leaf_degrees, leaves))
+        sign = signs.get(degrees)
+        if sign is None:
+            sign = signs[degrees] = koszul_sign(degrees, perm)
+        t = in_target[tuple(leaves[x] for x in reorder)]
+        # A signed permutation matrix: one entry per row.
+        rows.setdefault(d, {})[t - t_mod._offset[d]] = {
+            g - s_mod._offset[d]: sign}
+    return ChainMap.from_rows(source, target, rows)
 
 
 def homology_representatives(complex_, degree):
@@ -1015,7 +1213,7 @@ def homology_coordinates(complex_, basis, images):
                         f"{kind} {i} in degree {d} has index {k} outside "
                         f"rank {rank}")
     spans = {}
-    entries = {}
+    out = {}
     for j, (d, img) in enumerate(images):
         if d not in spans:
             rows = [i for i, (bd, _v) in enumerate(basis) if bd == d]
@@ -1038,8 +1236,8 @@ def homology_coordinates(complex_, basis, images):
                 f"boundaries and the basis")
         for k, c in coords.items():
             if k >= nb:
-                entries[(rows[k - nb], j)] = c
-    return ExactMatrix(len(basis), len(images), entries, ring=RAT)
+                out.setdefault(rows[k - nb], {})[j] = c
+    return ExactMatrix.from_rows(len(basis), len(images), out, ring=RAT)
 
 
 def alternating_trace(complex_, automorphism):

@@ -106,13 +106,13 @@ def partition_complex(n):
         by_degree.setdefault(k, []).append(chain_label(flag))
     module = GradedFreeModule(
         {k: tuple(labels) for k, labels in by_degree.items()})
-    entries = {}
+    rows = {}
     for flag, (k, j) in index.items():
-        row = entries.setdefault(k, {})
+        out = rows.setdefault(k, {})
         for i_del in range(1, k):
-            key = (index[flag[:i_del] + flag[i_del + 1:]][1], j)
-            row[key] = row.get(key, 0) + (-1) ** i_del
-    return ChainComplex.from_entries(module, entries)
+            row = out.setdefault(index[flag[:i_del] + flag[i_del + 1:]][1], {})
+            row[j] = row.get(j, 0) + (-1) ** i_del
+    return ChainComplex.from_rows(module, rows)
 
 
 @lru_cache(maxsize=None)
@@ -149,9 +149,9 @@ def flag_action(n, sigma):
                     [sigma[x - 1] for x in b] for b in mu)
             moved.append(image)
         _k2, i = index[tuple(moved)]
-        mats.setdefault(k, {})[(i, j)] = 1
-    return {k: ExactMatrix(complex_.rank(k), complex_.rank(k),
-                           mats.get(k, {}))
+        mats.setdefault(k, {})[i] = {j: 1}
+    return {k: ExactMatrix.from_rows(complex_.rank(k), complex_.rank(k),
+                                     mats.get(k, {}))
             for k in complex_.degrees()}
 
 

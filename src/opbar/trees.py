@@ -532,12 +532,12 @@ def w_cell_complex(key):
         cells = by_degree.setdefault(_shaped(u).nv, [])
         position[u] = len(cells)
         cells.append(u)
-    entries = {}
+    rows = {}
     for k, cells in by_degree.items():
-        row = entries[k] = {}
+        out = rows[k] = {}
         for j, u in enumerate(cells):
             for sub, sign in covers(u):
-                at = (position[sub], j)
-                row[at] = row.get(at, 0) + sign
-    return ChainComplex.from_entries(GradedFreeModule(
-        {k: tuple(map(serialize, v)) for k, v in by_degree.items()}), entries)
+                row = out.setdefault(position[sub], {})
+                row[j] = row.get(j, 0) + sign
+    return ChainComplex.from_rows(GradedFreeModule(
+        {k: tuple(map(serialize, v)) for k, v in by_degree.items()}), rows)

@@ -700,6 +700,57 @@ def test_check_maps_are_built_once_per_check_call(monkeypatch):
     assert (len(tensors), len(identities)) == (203, 50)
 
 
+def test_factor_columns_are_built_once_per_map(monkeypatch):
+    from opbar import checks
+    passed, built = [], []
+    tensor = checks.tensor_chain_maps
+    columns = exactla._columns_in
+
+    def counted(mats, source, target, shift):
+        # shift 0: a map's columns; shift 1: a complex's boundary columns.
+        built.append((shift, mats))
+        return columns(mats, source, target, shift)
+
+    monkeypatch.setattr(checks, "tensor_chain_maps",
+                        lambda maps: passed.extend(maps) or tensor(maps))
+    monkeypatch.setattr(exactla, "_columns_in", counted)
+    cache = {}
+    assert _structure_checks(cache) == 222
+    assert all(_module_checks(cache))
+    # passed holds every map, so no id is reused while this runs.
+    distinct = {id(f) for f in passed}
+    map_builds = [id(mats) for shift, mats in built if shift == 0]
+    assert len(map_builds) == len(set(map_builds)) == len(distinct)
+    # Each complex, a product's factor, builds its boundary columns once.
+    complex_builds = [id(mats) for shift, mats in built if shift == 1]
+    assert complex_builds and len(complex_builds) == len(set(complex_builds))
+
+
+def test_records_are_listed_once_per_complex(monkeypatch):
+    built, calls = [], []
+    record, tree_record = barcobar.BarComplex.record, barcobar._TreeRecord
+    monkeypatch.setattr(barcobar, "_TreeRecord", lambda bc, key: (
+        built.append((id(bc), key)) or tree_record(bc, key)))
+    monkeypatch.setattr(barcobar.BarComplex, "record", lambda bc, key: (
+        calls.append(key) or record(bc, key)))
+    bc = _sphere_cobar(3)
+    first = symmetric_action(bc, (2, 3, 1))
+    listed = bc.records()
+    assert [rec.key for rec in listed] == list(bc.trees())
+    # Later calls return the kept tuple and look up no record.
+    calls.clear()
+    assert bc.records() is listed and calls == []
+    cache = {}
+    for blocks in set_partitions((1, 2, 3)):
+        module_structure_maps(bc, blocks, cache)
+    again = symmetric_action(bc, (2, 3, 1))
+    assert bc.records() is listed
+    # Each record of each complex is built once, and the matrices are a
+    # fresh complex's.
+    assert len(built) == len(set(built))
+    assert again == first == symmetric_action(_sphere_cobar(3), (2, 3, 1))
+
+
 def test_module_maps_are_shared_across_check_calls(monkeypatch):
     from opbar import checks
     built = []
@@ -1372,17 +1423,18 @@ def split_homology(bc):
             bucket = spaces.setdefault(t, {}).setdefault(d - t, [])
             pos[(d, i)] = (t, len(bucket))
             bucket.append(lab)
-    entries = {t: {} for t in spaces}
+    rows = {t: {} for t in spaces}
     for d, mat in cplx.diffs.items():
         for (i, j), val in mat.entries():
             t, jj = pos[(d, j)]
             assert pos[(d - 1, i)][0] == t
-            entries[t].setdefault(d - t, {})[(pos[(d - 1, i)][1], jj)] = val
+            rows[t].setdefault(d - t, {}).setdefault(
+                pos[(d - 1, i)][1], {})[jj] = val
     top = barcobar._top_signed_degree(bc.kind, bc.arity)
     ranks, concentrated = {}, True
     for t, by_s in spaces.items():
-        h = ChainComplex.from_entries(GradedFreeModule(by_s), entries[t],
-                                      bc.ring).homology(ring=RAT)
+        h = ChainComplex.from_rows(GradedFreeModule(by_s), rows[t],
+                                   bc.ring).homology(ring=RAT)
         for s in h.degrees():
             ranks[s + t] = ranks.get(s + t, 0) + h.free_rank(s)
             concentrated = concentrated and s == top

@@ -128,6 +128,23 @@ class TestMatrixBasics:
             with pytest.raises(ValidationError, match="a Z matrix with a Q"):
                 combine(z, q)
 
+    def test_kron_refuses_mixed_rings(self):
+        z = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): 1})
+        q = ExactMatrix(2, 2, {(0, 0): Fraction(1, 2)}, ring=RAT)
+        with pytest.raises(ValidationError, match="a Z matrix with a Q"):
+            z.kron(q)
+        with pytest.raises(ValidationError, match="a Q matrix with a Z"):
+            q.kron(z)
+
+    def test_apply_refuses_an_index_outside_the_columns(self):
+        m = mat([[1, 2], [3, 4]])
+        assert m.apply({0: 1, 1: -1}) == {0: -1, 1: -1}
+        assert m.apply({}) == {}
+        for vec, bad in (({5: 1, -1: 2}, -1), ({2: 1}, 2), ({0: 1, 7: 0}, 7)):
+            with pytest.raises(ValidationError,
+                               match=rf"index {bad} outside the 2 columns"):
+                m.apply(vec)
+
     def test_negative_shape_rejected(self):
         with pytest.raises(ValidationError, match="shape -1x3"):
             ExactMatrix(-1, 3)
@@ -154,6 +171,81 @@ class TestMatrixBasics:
         assert solve_in_span([{0: 1}], {1: 1}) is None
         # Explicit zero entries neither divide by zero nor block a solve.
         assert solve_in_span([{0: 0, 1: 1}], {0: 0, 1: 2}) == {0: 2}
+
+
+def dense(m):
+    """The rows of m as a dense list of lists."""
+    return [[m.entry(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+def dense_product(a, b, ncols):
+    return [[sum(x * b[k][j] for k, x in enumerate(row))
+             for j in range(ncols)] for row in a]
+
+
+def dense_kron(a, b, ncols_a, ncols_b):
+    return [[ra[j // ncols_b] * rb[j % ncols_b]
+             for j in range(ncols_a * ncols_b)] for ra in a for rb in b]
+
+
+def assert_canonical(m):
+    """No stored zero, no empty row, every index in range."""
+    for i, row in m._rows.items():
+        assert 0 <= i < m.nrows and row
+        assert all(0 <= j < m.ncols and v != 0 for j, v in row.items())
+
+
+# Few distinct values, so products and sums cancel often.
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -2, Fraction(1, 2),
+                           Fraction(-1, 2)])
+
+
+@st.composite
+def sparse_matrices(draw, nrows, ncols, ring):
+    """(matrix, dense rows) with entries from ENTRIES, ints only over Z."""
+    values = ENTRIES if ring == RAT else ENTRIES.filter(
+        lambda v: type(v) is int)
+    rows = [[draw(values) for _j in range(ncols)] for _i in range(nrows)]
+    return mat(rows, ring=ring), rows
+
+
+class TestKernelOutputs:
+    """Products, Kronecker products, transposes, sums and scalings against
+    a dense reference; no output stores a zero or an empty row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([INT, RAT]),
+           *(st.integers(min_value=1, max_value=4) for _ in range(4)))
+    def test_match_the_dense_reference(self, data, ring, n, m, k, p):
+        (a, da) = data.draw(sparse_matrices(n, m, ring))
+        (b, db) = data.draw(sparse_matrices(m, k, ring))
+        (c, dc) = data.draw(sparse_matrices(n, m, ring))
+        (e, de) = data.draw(sparse_matrices(k, p, ring))
+        scalar = data.draw(ENTRIES)
+        results = [
+            (a * b, dense_product(da, db, k)),
+            (a.kron(e), dense_kron(da, de, m, p)),
+            (a.transpose(), [list(col) for col in zip(*da)]),
+            (a + c, [[x + y for x, y in zip(r, s)] for r, s in zip(da, dc)]),
+            (a - c, [[x - y for x, y in zip(r, s)] for r, s in zip(da, dc)]),
+            (a.scale(scalar), [[scalar * x for x in r] for r in da]),
+        ]
+        for got, want in results:
+            assert_canonical(got)
+            assert got.ring == ring
+            assert dense(got) == want
+            assert got == ExactMatrix(got.nrows, got.ncols, {
+                (i, j): v for i, row in enumerate(want)
+                for j, v in enumerate(row) if v}, ring=ring)
+
+    def test_a_cancelling_product_is_the_zero_matrix(self):
+        a, b = mat([[1, 1], [2, 2]]), mat([[1, 3], [-1, -3]])
+        product = a * b
+        assert product._rows == {}
+        assert product == ExactMatrix.zero(2, 2)
+        total = a + mat([[-1, -1], [0, 0]])
+        assert total._rows == {1: {0: 2, 1: 2}}
+        assert a.kron(ExactMatrix.zero(1, 3)) == ExactMatrix.zero(2, 6)
 
 
 def dense_rank(rows):
@@ -288,7 +380,8 @@ class TestEliminationOracles:
             matrix_rank(m)
 
     def test_float_entry_rejected(self):
-        m = ExactMatrix(1, 2, {(0, 0): 2.0, (0, 1): 3})
+        # The constructor refuses a float, so it is planted unchecked.
+        m = exactla._matrix(1, 2, {0: {0: 2.0, 1: 3}}, INT)
         with pytest.raises(ValidationError, match=r"entry \(0,0\) = 2\.0"):
             smith_normal_form(m)
         with pytest.raises(ValidationError, match=r"entry \(0,0\) = 2\.0"):
@@ -337,7 +430,20 @@ class TestSolveInSpan:
                 assert combination(coeffs) == dense(target)
 
 
+def inexact_matrix():
+    """diag(1, 0.5) over Q, built unchecked as a kernel output is: the
+    constructors refuse the float."""
+    return exactla._matrix(2, 2, {0: {0: 1}, 1: {1: 0.5}}, RAT)
+
+
 class TestInexactEntriesRejected:
+    @pytest.mark.parametrize("value", [0.5, 2.0, "1", None])
+    def test_constructor(self, value):
+        with pytest.raises(ValidationError,
+                           match=r"entry \(0,1\) = .* is not an int or "
+                                 r"Fraction"):
+            ExactMatrix(1, 2, {(0, 0): 1, (0, 1): value})
+
     def test_solve_in_span(self):
         with pytest.raises(ValidationError,
                            match=r"vector 0 has entry 0\.1 at index 0"):
@@ -347,19 +453,19 @@ class TestInexactEntriesRejected:
             solve_in_span([{0: 1}], {0: 0.3})
 
     def test_kernel_basis(self):
-        m = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): 0.5}, ring=RAT)
+        m = inexact_matrix()
         with pytest.raises(ValidationError,
                            match=r"column 1 has entry 0\.5 at index 1"):
             kernel_basis(m)
 
     def test_column_space_basis(self):
-        m = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): 0.5}, ring=RAT)
+        m = inexact_matrix()
         with pytest.raises(ValidationError,
                            match=r"column 1 has entry 0\.5 at index 1"):
             column_space_basis(m)
 
     def test_rational_rank(self):
-        m = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): 0.5}, ring=RAT)
+        m = inexact_matrix()
         with pytest.raises(ValidationError,
                            match=r"row 1 has entry 0\.5 at index 1"):
             matrix_rank(m)
@@ -696,19 +802,60 @@ class TestTensor:
             tensor_vector(t, [(1, {0: 1}), (1, {-1: 1})])
 
 
-class TestFromEntries:
+def complex_of_entries(module, entries, ring=INT):
+    """The complex whose d_k has the entries {(i, j): v} entries[k], built
+    through the public ExactMatrix constructor."""
+    return ChainComplex(module, {
+        k: ExactMatrix(module.rank(k - 1), module.rank(k), e, ring=ring)
+        for k, e in entries.items()}, ring=ring)
+
+
+def map_of_entries(source, target, entries, check=True):
+    """The chain map with the entries {(i, j): v} entries[d] in degree d,
+    built through the public ExactMatrix constructor."""
+    return ChainMap(source, target, {
+        d: ExactMatrix(target.rank(d), source.rank(d), entries.get(d),
+                       ring=source.ring) for d in source.degrees()},
+        check=check)
+
+
+class TestFromRows:
     def test_matches_the_direct_construction(self):
         module = GradedFreeModule({0: ("a", "b"), 1: ("x",), 2: ("y",)})
-        c = ChainComplex.from_entries(
-            module, {1: {(0, 0): 1, (1, 0): -1}, 2: {(0, 0): 0}})
+        c = ChainComplex.from_rows(
+            module, {1: {0: {0: 1}, 1: {0: -1}}, 2: {0: {0: 0}}})
         assert c.diffs == {1: mat([[1], [-1]])}
         assert homology(c).groups == {0: (1, ()), 2: (1, ())}
 
     def test_d_squared_checked(self):
         module = GradedFreeModule({0: ("a",), 1: ("x",), 2: ("y",)})
         with pytest.raises(ValidationError, match="d_1 o d_2"):
-            ChainComplex.from_entries(module, {1: {(0, 0): 1},
-                                               2: {(0, 0): 1}})
+            ChainComplex.from_rows(module, {1: {0: {0: 1}},
+                                            2: {0: {0: 1}}})
+
+    @pytest.mark.parametrize("rows,message", [
+        ({2: {0: 1}}, r"row 2 outside 2x3"),
+        ({-1: {0: 1}}, r"row -1 outside 2x3"),
+        ({0: {0: 1, 3: 1}}, r"entry \(0,3\) outside 2x3"),
+        ({1: {-1: 1, 2: 1}}, r"entry \(1,-1\) outside 2x3"),
+        ({0: {1: 0.5}}, r"row 0 has entry 0\.5 at index 1, not an int"),
+    ])
+    def test_each_row_is_checked(self, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            ExactMatrix.from_rows(2, 3, rows)
+
+    def test_zeros_and_empty_rows_are_dropped(self):
+        m = ExactMatrix.from_rows(2, 3, {0: {0: 0, 2: Fraction(1, 2)},
+                                         1: {1: 0}}, ring=RAT)
+        assert m == ExactMatrix(2, 3, {(0, 2): Fraction(1, 2)}, ring=RAT)
+        assert m._rows == {0: {2: Fraction(1, 2)}}
+
+    def test_a_chain_map_gets_every_source_degree(self):
+        c = odd_pair()
+        f = ChainMap.from_rows(c, c, {2: {0: {0: 2}}}, check=False)
+        assert set(f.mats) == {1, 2} and f.component(1).is_zero()
+        with pytest.raises(ValidationError, match="not a chain map"):
+            f.verify()
 
 
 def odd_pair():
@@ -816,7 +963,7 @@ def label_product(factors):
                 row[key] = row.get(key, 0) + sign * v
             if fd % 2:
                 sign = -sign
-    return ChainComplex.from_entries(module, entries, factors[0].ring)
+    return complex_of_entries(module, entries, factors[0].ring)
 
 
 def label_tensor_chain_maps(maps):
@@ -834,7 +981,7 @@ def label_tensor_chain_maps(maps):
             i = target.module.position(d, tuple(lab for lab, _c in parts))
             entries.setdefault(d, {})[(i, j)] = math.prod(
                 c for _lab, c in parts)
-    return ChainMap.from_entries(source, target, entries, check=False)
+    return map_of_entries(source, target, entries, check=False)
 
 
 def label_reindexing_map(factors, source_shape, target_shape):
@@ -859,7 +1006,7 @@ def label_reindexing_map(factors, source_shape, target_shape):
             target.module.position(d, nest(target_shape, labels, tuple)),
             source.module.position(d, nest(source_shape, labels, tuple)))] = \
             koszul_sign(degrees, perm)
-    return ChainMap.from_entries(source, target, entries)
+    return map_of_entries(source, target, entries)
 
 
 def same_map(new, old):
@@ -891,12 +1038,25 @@ class TestIntegerIndexAgainstLabels:
         s1 = self.s1_cobar(4)
         act = module_structure_maps(s1, [(1, 3), (2,), (4,)], cache)
         ident = ChainMap.identity(reduced_bar(com, 2, cache).complex)
+        # Zero in degree 1, and in degree 2 onto the cycles: every column
+        # of degree 1 is empty.
+        b3 = reduced_bar(com, 3, cache).complex
+        cycles = kernel_basis(b3.differential(2))
+        onto_cycles = ChainMap(b3, b3, {
+            1: ExactMatrix.zero(b3.rank(1), b3.rank(1)),
+            2: ExactMatrix(b3.rank(2), b3.rank(2), {
+                (i, j): v for j in range(b3.rank(2))
+                for i, v in cycles[j % len(cycles)].items()})})
+        assert onto_cycles.component(1).is_zero()
+        assert not onto_cycles.component(2).is_zero()
         cases = [
             [inner, ident],
             [ident, bar, ident],
             [ChainMap.identity(reduced_cobar(qcom, 2, cache).complex), cobar],
             [act, ChainMap.identity(s1.complex)],
             [cobar, act],
+            [onto_cycles, inner],
+            [ident, onto_cycles],
         ]
         for maps in cases:
             new = tensor_chain_maps(maps)
