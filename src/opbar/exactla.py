@@ -90,6 +90,9 @@ class ExactMatrix:
                         f"entry ({i},{j}) = {v!r} is not an int or Fraction")
                 if v == 0:
                     continue
+                if i.__class__ is not int or j.__class__ is not int:
+                    raise ValidationError(
+                        f"entry ({i!r},{j!r}) has an index that is not an int")
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise ValidationError(f"entry ({i},{j}) outside {nrows}x{ncols}")
                 rows.setdefault(i, {})[j] = v
@@ -191,6 +194,8 @@ class ExactMatrix:
         return self + other.scale(-1)
 
     def scale(self, c):
+        if not isinstance(c, (int, Fraction)):
+            raise ValidationError(f"scalar {c!r} is not an int or Fraction")
         if not c:
             return _matrix(self.nrows, self.ncols, {}, self.ring)
         return _matrix(self.nrows, self.ncols, {

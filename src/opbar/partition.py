@@ -139,7 +139,7 @@ def flag_action(n, sigma):
         return {0: ExactMatrix.identity(1)}
     index = _flag_index(n)
     images = {}
-    mats = {}
+    rows = {}
     for flag, (k, j) in index.items():
         moved = []
         for mu in flag:
@@ -149,9 +149,9 @@ def flag_action(n, sigma):
                     [sigma[x - 1] for x in b] for b in mu)
             moved.append(image)
         _k2, i = index[tuple(moved)]
-        mats.setdefault(k, {})[i] = {j: 1}
+        rows.setdefault(k, {})[i] = {j: 1}
     return {k: ExactMatrix.from_rows(complex_.rank(k), complex_.rank(k),
-                                     mats.get(k, {}))
+                                     rows.get(k, {}))
             for k in complex_.degrees()}
 
 

@@ -128,6 +128,12 @@ class TestMatrixBasics:
             with pytest.raises(ValidationError, match="a Z matrix with a Q"):
                 combine(z, q)
 
+    @pytest.mark.parametrize("key", [(0.5, 0), (0, True), ("0", 1)])
+    def test_non_integer_index_rejected(self, key):
+        # (0.5, 0) once passed the bounds check and was stored as row 0.5.
+        with pytest.raises(ValidationError, match="index that is not an int"):
+            ExactMatrix(2, 2, {key: 1})
+
     def test_kron_refuses_mixed_rings(self):
         z = ExactMatrix(2, 2, {(0, 0): 1, (1, 1): 1})
         q = ExactMatrix(2, 2, {(0, 0): Fraction(1, 2)}, ring=RAT)
@@ -443,6 +449,14 @@ class TestInexactEntriesRejected:
                            match=r"entry \(0,1\) = .* is not an int or "
                                  r"Fraction"):
             ExactMatrix(1, 2, {(0, 0): 1, (0, 1): value})
+
+    def test_scale(self):
+        m = ExactMatrix(1, 2, {(0, 0): 2, (0, 1): 4})
+        assert m.scale(Fraction(1, 2)) == ExactMatrix(1, 2, {(0, 0): 1,
+                                                             (0, 1): 2})
+        with pytest.raises(ValidationError,
+                           match=r"scalar 0\.5 is not an int or Fraction"):
+            m.scale(0.5)
 
     def test_solve_in_span(self):
         with pytest.raises(ValidationError,
