@@ -109,7 +109,7 @@ from .combinat import (
     chain_label,
     permutation,
     set_partitions,
-    strictly_refines,
+    strict_chains,
 )
 from .errors import (
     BoundsError,
@@ -128,7 +128,6 @@ from .exactla import (
     homology_representatives,
     kernel_basis,
     perm_sign,
-    solve_in_span,  # noqa: F401  (perfbench's tracer test reads this name)
     tensor_list,
     tensor_vector,
 )
@@ -561,24 +560,6 @@ class SimplicialBarLabel(NamedTuple):
                 f"{','.join(str(i) for i in self.decoration)}>")
 
 
-def _strict_chains(n):
-    partitions = list(set_partitions(range(1, n + 1)))
-    coarser = {lam: [mu for mu in partitions if strictly_refines(lam, mu)]
-               for lam in partitions}
-    chains = []
-
-    def extend(chain):
-        chains.append(tuple(chain))
-        for mu in coarser[chain[-1]]:
-            chain.append(mu)
-            extend(chain)
-            chain.pop()
-
-    for lam in partitions:
-        extend([lam])
-    return chains
-
-
 def _chain_slots(chain, r_mod, p, l_mod):
     """Slots: right factor, P layers coarse to fine, left factors."""
     k = len(chain) - 1
@@ -612,7 +593,7 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity):
     # its degree).
     table = {}
     spaces = {}
-    for chain in _strict_chains(arity):
+    for chain in strict_chains(arity):
         slots = _chain_slots(chain, r_mod, p, l_mod)
         if any(s[2].total_rank() == 0 for s in slots):
             continue
@@ -1046,7 +1027,8 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
     in one t; the representatives of degree t and total degree d number
     dim H_{d,t}, and the arity is concentrated when every one of them has
     the top signed tree degree d - t.  Representatives and homology
-    coordinates read the complex's one boundaries echelon per degree.
+    coordinates both extend a copy of the complex's one boundaries
+    echelon per degree, which reduces the boundary vectors once.
     """
     if isinstance(structure, Operad):
         kind = BAR

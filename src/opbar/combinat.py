@@ -42,6 +42,29 @@ def strictly_refines(lam, mu):
     return True
 
 
+def strict_chains(n, start=None, end=None):
+    """Strict chains lam_0 < ... < lam_k of partitions of {1..n} in
+    refinement order, depth first: each chain before its extensions, and
+    partitions in set_partitions order.  start fixes lam_0 (each partition
+    in turn when None) and end fixes lam_k (any partition when None)."""
+    partitions = list(set_partitions(range(1, n + 1)))
+    coarser = {lam: [mu for mu in partitions if strictly_refines(lam, mu)]
+               for lam in partitions}
+    chains = []
+
+    def extend(chain):
+        if end is None or chain[-1] == end:
+            chains.append(tuple(chain))
+        for mu in coarser[chain[-1]]:
+            chain.append(mu)
+            extend(chain)
+            chain.pop()
+
+    for lam in partitions if start is None else (start,):
+        extend([lam])
+    return chains
+
+
 def chain_label(chain):
     """A chain of partitions as text, e.g. "1|2|3 < 12|3"."""
     return " < ".join("|".join("".join(str(x) for x in b) for b in mu)

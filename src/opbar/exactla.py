@@ -8,9 +8,9 @@ equal rows.  Rows go in and rows come out:
   structures, the parser, tests): every entry's type and indices are
   checked, and zeros are dropped.
 - ExactMatrix.from_rows, ChainComplex.from_rows and ChainMap.from_rows
-  take the rows that a construction assembled: each row's indices are
-  checked once, from the min and max of its keys, its value types in one
-  pass, and zero values and empty rows are dropped.
+  take the rows that a construction assembled: each row's index types
+  and value types are checked in one pass each and its index range from
+  the min and max of its keys, and zero values and empty rows are dropped.
 - The kernel's own outputs (products, sums, scalings, transposes,
   Kronecker products, identities) check their operands' rings and shapes
   and build their rows directly, unchecked (_matrix), since every index
@@ -21,16 +21,19 @@ checked on every complex and every checked chain map is verified.  A
 complex keeps its boundary columns and a chain map its columns, in global
 indices, for the tensor products of complexes and of maps (built on first
 use).
-Ranks and Smith normal forms come from one sparse elimination whose
-Markowitz pivots are kept in an incrementally updated queue.  Rational and
-integral homology (free rank plus torsion invariant factors) first
-collapse the free unit pairs of the complex and run that elimination only
-on what survives.
-Kernels and solves use echelon elimination over Q, in ints until a pivot
-other than +-1 needs a Fraction (floats are refused).  A complex keeps one
-echelon of the boundaries per degree (ChainComplex.boundaries); homology
-representatives (lowest-pivot kernel vectors independent of it) and
-homology coordinates both read it.
+Each ring has one elimination.  Over Z, the Smith normal form, the rank
+and the homology come from one sparse elimination whose Markowitz pivots
+are kept in an incrementally updated queue.  Over Q, ranks, kernels,
+column spaces, solves, homology representatives and homology coordinates
+come from one echelon (_Echelon) with lowest-index pivots that tracks
+every vector's expression in its inputs, in ints until a pivot other than
++-1 needs a Fraction (floats are refused).  Rational and integral
+homology (free rank plus torsion invariant factors) first collapse the
+free unit pairs of the complex and run the elimination of the ring only
+on what survives.  A complex keeps one echelon of the boundaries per
+degree (ChainComplex.boundaries); homology representatives (lowest-pivot
+kernel vectors independent of it) and homology coordinates (the basis
+vectors inserted on top of it) both extend a copy of it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import heapq
 import itertools
 import weakref
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .errors import ValidationError, require_int
 
@@ -48,6 +51,7 @@ INT = "Z"
 RAT = "Q"
 RINGS = (INT, RAT)
 _EXACT_TYPES = frozenset((int, Fraction))
+_INT_TYPE = frozenset((int,))
 
 
 def _require_ring(ring):
@@ -65,7 +69,10 @@ def _require_shape(nrows, ncols, ring):
 
 
 def _outside(keys, size):
-    """A key of keys outside 0..size-1, or None; one min and one max."""
+    """A key of keys that is not an int (a bool is not) or lies outside
+    0..size-1, or None; one type pass, one min and one max."""
+    if not _INT_TYPE.issuperset(map(type, keys)):
+        return next(k for k in keys if k.__class__ is not int)
     low, high = min(keys), max(keys)
     if low < 0:
         return low
@@ -103,20 +110,22 @@ class ExactMatrix:
     def from_rows(cls, nrows, ncols, rows, ring=INT):
         """The matrix on assembled rows {i: {j: v}}, which it takes over.
 
-        Each row's indices are checked once, from the min and max of its
-        keys, and its value types in one pass; zero values and empty rows
-        are dropped.
+        Each row's index types and value types are checked in one pass
+        each and its index range from the min and max of its keys; zero
+        values and empty rows are dropped.
         """
         _require_shape(nrows, ncols, ring)
-        if rows and (min(rows) < 0 or max(rows) >= nrows):
+        if rows and not (_INT_TYPE.issuperset(map(type, rows))
+                         and min(rows) >= 0 and max(rows) < nrows):
             raise ValidationError(
-                f"row {_outside(rows, nrows)} outside {nrows}x{ncols}")
+                f"row {_outside(rows, nrows)!r} outside {nrows}x{ncols}")
         clean = {}
         for i, row in rows.items():
             if not row:
                 continue
-            if min(row) < 0 or max(row) >= ncols:
-                raise ValidationError(f"entry ({i},{_outside(row, ncols)}) "
+            if not (_INT_TYPE.issuperset(map(type, row))
+                    and min(row) >= 0 and max(row) < ncols):
+                raise ValidationError(f"entry ({i},{_outside(row, ncols)!r}) "
                                       f"outside {nrows}x{ncols}")
             _exact(row, "row", i)
             if not all(row.values()):
@@ -235,7 +244,7 @@ class ExactMatrix:
             bad = _outside(vec, self.ncols)
             if bad is not None:
                 raise ValidationError(
-                    f"apply: index {bad} outside the {self.ncols} columns of "
+                    f"apply: index {bad!r} outside the {self.ncols} columns of "
                     f"a {self.nrows}x{self.ncols} matrix")
         out = {}
         for j, c in vec.items():
@@ -463,22 +472,12 @@ def smith_normal_form(mat):
 
 
 def matrix_rank(mat):
-    """Exact rank (equal over Z and Q for integer matrices).
-
-    Over Z a non-integer entry raises ValidationError.
-    """
-    if mat.is_zero():
-        return 0
+    """Exact rank: over Z from the Smith form's elimination, where a
+    non-integer entry raises ValidationError; over Q the pivots of the
+    echelon of the columns (_column_span)."""
     if mat.ring == RAT:
-        # Clear denominators row by row; rank is unchanged.
-        rows = {}
-        for i, row in mat._rows.items():
-            mult = lcm(*(v.denominator
-                         for v in _exact(row, "row", i).values()))
-            rows[i] = {j: int(v * mult) for j, v in row.items()}
-    else:
-        rows = _integer_rows(mat)
-    return len(_snf_diagonal(rows))
+        return len(_column_span(mat).pivots)
+    return len(_snf_diagonal(_integer_rows(mat)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +510,18 @@ def _vec_addmul(dst, src, c):
 class _Echelon:
     """Growing echelon basis over Q with lowest-index pivots.
 
-    A vector inserted with a tracking dict (its expression in the original
-    inputs, for solving / kernel computation) keeps it updated; every
-    vector of one echelon is tracked or none is.  The only Fraction it
-    makes is the inverse of a pivot other than +-1.
+    Every vector goes in with a tracking dict, its expression in the
+    caller's inputs, which reductions keep updated; a vector inserted with
+    {} adds nothing to any expression.  _Echelon(base) starts from base's
+    pivots: it shares their vectors and never changes them.  The only
+    Fraction it makes is the inverse of a pivot other than +-1.
     """
 
-    def __init__(self):
-        self.pivots = {}        # pivot index -> (vector, tracking or None)
+    def __init__(self, base=None):
+        # pivot index -> (vector, tracking)
+        self.pivots = {} if base is None else dict(base.pivots)
 
-    def reduce(self, vec, tracking=None):
+    def reduce(self, vec, tracking):
         vec = dict(vec)
         while vec:
             p = min(vec)
@@ -529,20 +530,19 @@ class _Echelon:
                 break
             c = -vec[p]
             _vec_addmul(vec, hit[0], c)
-            if tracking is not None:
-                _vec_addmul(tracking, hit[1], c)
+            _vec_addmul(tracking, hit[1], c)
         return vec, tracking
 
-    def insert(self, vec, tracking=None):
-        """Reduce and insert; returns None if vec was dependent, else pivot."""
+    def insert(self, vec, tracking):
+        """Reduce and insert: (pivot, tracking), the pivot None if vec was
+        dependent."""
         vec, tracking = self.reduce(vec, tracking)
         if not vec:
             return None, tracking
         p = min(vec)
         v = vec[p]
         vec = _normalized(vec, v)
-        if tracking is not None:
-            tracking = _normalized(tracking, v)
+        tracking = _normalized(tracking, v)
         self.pivots[p] = (vec, tracking)
         return p, tracking
 
@@ -571,6 +571,15 @@ def _column_echelon(mat):
     return tuple(pivots), kernel
 
 
+def _column_span(mat):
+    """The echelon over Q of the columns of mat in order, each inserted
+    with {}: a basis of its column space."""
+    ech = _Echelon()
+    for j in range(mat.ncols):
+        ech.insert(_exact(mat.column(j), "column", j), {})
+    return ech
+
+
 def kernel_basis(mat):
     """Deterministic basis of the right kernel over Q (sparse dict vectors)."""
     return _column_echelon(mat)[1]
@@ -581,33 +590,22 @@ def column_space_basis(mat):
     return [dict(mat.column(j)) for j in _column_echelon(mat)[0]]
 
 
-class _Span(list):
-    """Spanning vectors that keep the tracked echelon of their first solve.
-
-    Reducing a target copies it and writes only to a fresh tracking dict,
-    so later solves against the same list can share the echelon.
-    """
-
-    echelon = None
+def _nonzero(vec, kind, index=None):
+    """The nonzero entries of vec, checked by _exact."""
+    return {i: x for i, x in _exact(vec, kind, index).items() if x}
 
 
 def solve_in_span(vectors, target):
     """Coefficients expressing target in span(vectors), or None.
 
     Deterministic; vectors and target are sparse dicts over Q, where
-    explicit zero entries are ignored.  The tracked echelon of vectors is
-    built on the first solve against a _Span and reused by later ones;
-    any other list gets a fresh one.
+    explicit zero entries are ignored.  Vector k goes into a fresh echelon
+    tracked by {k: 1} and the target is reduced against it.
     """
-    span = vectors if isinstance(vectors, _Span) else _Span(vectors)
-    if span.echelon is None:
-        span.echelon = _Echelon()
-        for k, v in enumerate(span):
-            span.echelon.insert(
-                {i: x for i, x in _exact(v, "vector", k).items() if x},
-                {k: 1})
-    red, tracking = span.echelon.reduce(
-        {i: x for i, x in _exact(target, "target").items() if x}, tracking={})
+    ech = _Echelon()
+    for k, v in enumerate(vectors):
+        ech.insert(_nonzero(v, "vector", k), {k: 1})
+    red, tracking = ech.reduce(_nonzero(target, "target"), {})
     if red:
         return None
     return {k: -c for k, c in tracking.items()}
@@ -746,7 +744,7 @@ class ChainComplex:
 
     d^2 = 0 and all matrix shapes are always verified on construction.  The
     echelon over Q of the boundaries in each degree is made once and kept
-    (boundaries).
+    (boundaries); representatives and coordinates extend copies of it.
     """
 
     def __init__(self, module, diffs, ring=INT):
@@ -802,10 +800,7 @@ class ChainComplex:
         it and must not change it."""
         ech = self._boundaries.get(k)
         if ech is None:
-            ech = self._boundaries[k] = _Echelon()
-            up = self.differential(k + 1)
-            for j in range(up.ncols):
-                ech.insert(_exact(up.column(j), "column", j))
+            ech = self._boundaries[k] = _column_span(self.differential(k + 1))
         return ech
 
     def homology(self, ring=None):
@@ -1184,10 +1179,9 @@ def homology_representatives(complex_, degree):
     inserted into a copy of boundaries(degree).  Which vectors are kept
     depends only on the boundary subspace.
     """
-    ech = _Echelon()
-    ech.pivots.update(complex_.boundaries(degree).pivots)
+    ech = _Echelon(complex_.boundaries(degree))
     return [z for z in kernel_basis(complex_.differential(degree))
-            if ech.insert(z)[0] is not None]
+            if ech.insert(z, {})[0] is not None]
 
 
 def homology_coordinates(complex_, basis, images):
@@ -1198,16 +1192,15 @@ def homology_coordinates(complex_, basis, images):
     basis[i], so basis vectors of another degree than the image get
     coordinate 0.
 
-    Per call, each degree with an image gets one spanning list: the
-    echelon vectors of boundaries(d), already in echelon form so that
-    inserting them again eliminates nothing, followed by its basis
-    vectors.  The first image of the degree builds the tracked echelon of
-    that list inside solve_in_span; every image, the first included, is
-    then reduced against it once.  ValidationError is raised for a
-    vector with an index outside the rank of its degree, for a basis
-    vector that depends on the boundaries and the earlier basis vectors
-    of a degree with an image, and for an image outside the span, such as
-    a vector that is not a cycle.
+    Per call, each degree with an image extends a copy of
+    boundaries(d): its basis vectors go in, each tracked by its row {i: 1},
+    and every image is reduced against it with {}, so the negated tracking
+    holds the image's coordinates and no boundary vector is inserted
+    again.  ValidationError is raised for a vector with an index outside
+    the rank of its degree, for a basis vector that depends on the
+    boundaries and the earlier basis vectors of a degree with an image,
+    and for an image outside the span, such as a vector that is not a
+    cycle.
     """
     for kind, vectors in (("basis vector", basis), ("image", images)):
         for i, (d, vec) in enumerate(vectors):
@@ -1217,31 +1210,25 @@ def homology_coordinates(complex_, basis, images):
                     raise ValidationError(
                         f"{kind} {i} in degree {d} has index {k} outside "
                         f"rank {rank}")
-    spans = {}
+    echelons = {}
     out = {}
     for j, (d, img) in enumerate(images):
-        if d not in spans:
-            rows = [i for i, (bd, _v) in enumerate(basis) if bd == d]
-            bounds = [v for v, _t in complex_.boundaries(d).pivots.values()]
-            spans[d] = (rows, len(bounds),
-                        _Span(bounds + [basis[i][1] for i in rows]))
-        rows, nb, spanning = spans[d]
-        first = spanning.echelon is None
-        coords = solve_in_span(spanning, img)
-        if first and len(spanning.echelon.pivots) < len(spanning):
-            # The tracking of inserted vector k has k as its largest key.
-            kept = {max(t) for _v, t in spanning.echelon.pivots.values()}
-            k = min(set(range(len(spanning))) - kept)
-            raise ValidationError(
-                f"basis vector {rows[k - nb]} in degree {d} depends on the "
-                f"boundaries and the earlier basis vectors")
-        if coords is None:
+        ech = echelons.get(d)
+        if ech is None:
+            ech = echelons[d] = _Echelon(complex_.boundaries(d))
+            for i, (bd, vec) in enumerate(basis):
+                if bd == d and ech.insert(_nonzero(vec, "basis vector", i),
+                                          {i: 1})[0] is None:
+                    raise ValidationError(
+                        f"basis vector {i} in degree {d} depends on the "
+                        f"boundaries and the earlier basis vectors")
+        red, tracking = ech.reduce(_nonzero(img, "image", j), {})
+        if red:
             raise ValidationError(
                 f"image {j} in degree {d} lies outside the span of the "
                 f"boundaries and the basis")
-        for k, c in coords.items():
-            if k >= nb:
-                out.setdefault(rows[k - nb], {})[j] = c
+        for i, c in tracking.items():
+            out.setdefault(i, {})[j] = -c
     return ExactMatrix.from_rows(len(basis), len(images), out, ring=RAT)
 
 
@@ -1255,12 +1242,9 @@ def alternating_trace(complex_, automorphism):
         g = automorphism.get(k)
         if g is None or g.nrows != complex_.rank(k) or g.ncols != complex_.rank(k):
             raise ValidationError(f"automorphism missing or misshapen in degree {k}")
-    for k in sorted(complex_.diffs):
-        d = complex_.diffs[k]
-        lhs = automorphism[k - 1] * d if (k - 1) in automorphism else None
-        if lhs is None:
-            raise ValidationError(f"automorphism missing in degree {k-1}")
-        if lhs != d * automorphism[k]:
+    # A nonzero d_k joins two degrees of the complex, both checked above.
+    for k, d in sorted(complex_.diffs.items()):
+        if automorphism[k - 1] * d != d * automorphism[k]:
             raise ValidationError(f"automorphism does not commute with d_{k}")
     return sum(-automorphism[k].trace() if k % 2 else automorphism[k].trace()
                for k in complex_.degrees())
@@ -1287,10 +1271,4 @@ def koszul_sign(degrees, perm):
 
 def perm_sign(perm):
     """Sign of a permutation given as a tuple of images (0-based)."""
-    sign = 1
-    n = len(perm)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    return koszul_sign((1,) * len(perm), perm)

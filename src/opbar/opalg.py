@@ -286,10 +286,6 @@ class Cooperad:
 # one-sided modules and comodules
 
 
-def _partition_of(n):
-    return tuple(range(1, n + 1))
-
-
 class SidedModule:
     """One-sided module or comodule with explicit structure matrices.
 
@@ -581,7 +577,7 @@ def _validate_left_module(mod, label):
     arities = [n for n in range(1, mod.max_arity + 1) if mod.rank(n)]
 
     for n in arities:
-        _require_equal(act((_partition_of(n),)),
+        _require_equal(act((perm_identity(n),)),
                        ExactMatrix.identity(mod.rank(n), ring=mod.ring),
                        f"{label}: unit action is not the identity "
                        f"at arity {n}")
@@ -672,8 +668,11 @@ def compose_product(m_seq, n_seq, arity):
     Basis labels are (partition, outer label, inner labels) triples; the
     direct sum runs over unordered partitions of {1..arity}.
     """
-    if arity > m_seq.max_arity or arity > n_seq.max_arity:
-        raise BoundsError(f"arity {arity} exceeds a factor's max_arity")
+    require_int(arity, "arity")
+    top = min(m_seq.max_arity, n_seq.max_arity)
+    if not 1 <= arity <= top:
+        raise BoundsError(f"arity {arity} outside 1..{top}, the factors' "
+                          f"max_arity")
     spaces = {}
     for blocks in sorted(set_partitions(range(1, arity + 1)),
                          key=lambda b: (len(b), b)):
@@ -798,9 +797,14 @@ def _trivial_actions(ranks, ring):
 
 
 def builtin(name, max_arity=DEFAULT_MAX_ARITY, ring=INT):
-    """Built-in structures: the operads com and ass, the unit sequence."""
+    """Built-in structures: the operads com and ass, the unit sequence.
+
+    max_arity must be an int (ValidationError) in 1..MAX_BUILTIN_ARITY
+    (BoundsError)."""
+    require_int(max_arity, "max_arity")
     if not 1 <= max_arity <= MAX_BUILTIN_ARITY:
-        raise ValidationError(f"max_arity {max_arity} outside 1..{MAX_BUILTIN_ARITY}")
+        raise BoundsError(
+            f"max_arity {max_arity} outside 1..{MAX_BUILTIN_ARITY}")
     if name == "com":
         comps = {n: GradedFreeModule({0: ("e",)}) for n in range(1, max_arity + 1)}
         ss = SymSeq(ring, comps, _trivial_actions({n: 1 for n in comps}, ring))
@@ -894,6 +898,16 @@ def unit_module(over, side):
     return SidedModule(side, ss, over, maps, name="unit")
 
 
+def _sphere(side, over, r, name):
+    """Rank one in degree r at every arity of over, over Z; the structure
+    map of the one-block partition is the identity and all others vanish."""
+    comps = {n: GradedFreeModule({r: ("x",)})
+             for n in range(1, over.max_arity + 1)}
+    ss = SymSeq(INT, comps, _trivial_actions({n: 1 for n in comps}, INT))
+    maps = {(perm_identity(n),): ExactMatrix(1, 1, {(0, 0): 1}) for n in comps}
+    return SidedModule(side, ss, over, maps, name=name)
+
+
 def builtin_sphere_comodule(r, max_arity=DEFAULT_MAX_ARITY):
     """Left comodule of a sphere over dual(com), over Z: rank one in
     degree r at every arity.
@@ -901,25 +915,15 @@ def builtin_sphere_comodule(r, max_arity=DEFAULT_MAX_ARITY):
     The reduced diagonal vanishes on homology, so all cocompositions are
     zero except the unary component.
     """
-    over = dual(builtin("com", max_arity))
-    comps = {n: GradedFreeModule({r: ("x",)}) for n in range(1, max_arity + 1)}
-    ss = SymSeq(INT, comps, _trivial_actions({n: 1 for n in comps}, INT))
-    maps = {}
-    for n in range(1, max_arity + 1):
-        maps[(_partition_of(n),)] = ExactMatrix(1, 1, {(0, 0): 1})
-    return SidedModule(LEFT_COMODULE, ss, over, maps, name=f"sphere{r}")
+    return _sphere(LEFT_COMODULE, dual(builtin("com", max_arity)), r,
+                   f"sphere{r}")
 
 
 def builtin_sphere_module(r, max_arity=DEFAULT_MAX_ARITY):
     """Left module counterpart of the sphere over com, over Z: only the
     unary action acts."""
-    over = builtin("com", max_arity)
-    comps = {n: GradedFreeModule({r: ("x",)}) for n in range(1, max_arity + 1)}
-    ss = SymSeq(INT, comps, _trivial_actions({n: 1 for n in comps}, INT))
-    maps = {}
-    for n in range(1, max_arity + 1):
-        maps[(_partition_of(n),)] = ExactMatrix(1, 1, {(0, 0): 1})
-    return SidedModule(LEFT_MODULE, ss, over, maps, name=f"sphere{r}-module")
+    return _sphere(LEFT_MODULE, builtin("com", max_arity), r,
+                   f"sphere{r}-module")
 
 
 def constant_comodule(module, coproduct, max_arity=DEFAULT_MAX_ARITY,

@@ -20,6 +20,7 @@ from .combinat import (
     cycle_type,
     permutation,
     set_partitions,
+    strict_chains,
     strictly_refines,
 )
 from .errors import BoundsError, ValidationError, require_int
@@ -42,31 +43,6 @@ def discrete_partition(n):
 
 def indiscrete_partition(n):
     return (tuple(range(1, n + 1)),)
-
-
-@lru_cache(maxsize=None)
-def _flags(n):
-    """Strict flags from the discrete to the indiscrete partition."""
-    if n == 1:
-        return (((indiscrete_partition(1)),),)
-    partitions = list(set_partitions(range(1, n + 1)))
-    coarser = {lam: [mu for mu in partitions if strictly_refines(lam, mu)]
-               for lam in partitions}
-    bottom = discrete_partition(n)
-    top = indiscrete_partition(n)
-    flags = []
-
-    def extend(chain):
-        if chain[-1] == top:
-            flags.append(tuple(chain))
-            return
-        for mu in coarser[chain[-1]]:
-            chain.append(mu)
-            extend(chain)
-            chain.pop()
-
-    extend([bottom])
-    return tuple(flags)
 
 
 def flag_count_oracle(n):
@@ -121,7 +97,8 @@ def _flag_index(n):
     {1..n}, n >= 2, the degree being its length less one; the one index
     of the complex's basis, shared by partition_complex and flag_action."""
     index, sizes = {}, Counter()
-    for flag in _flags(n):
+    for flag in strict_chains(n, discrete_partition(n),
+                              indiscrete_partition(n)):
         k = len(flag) - 1
         index[flag] = (k, sizes[k])
         sizes[k] += 1

@@ -55,6 +55,7 @@ from opbar.opalg import (
     builtin,
     builtin_sphere_comodule,
     builtin_sphere_module,
+    compose_product,
     constant_comodule,
     dual,
     unit_module,
@@ -1714,3 +1715,32 @@ class TestChecksRejectCorruptedMaps:
         with pytest.raises(ValidationError, match="lam="):
             check_module_pentagon_chain(cc, [(1,), (2,), (3,)],
                                         [(0, 1), (2,)], {})
+
+
+def _point():
+    """The coalgebra of a point: rank one in degree 0, zero coproduct."""
+    return GradedFreeModule({0: ("p",)}), ExactMatrix.zero(1, 1)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda a: builtin("com", a),
+    lambda a: builtin("ass", a),
+    lambda a: derivatives_homology(a),
+    lambda a: module_MX_homology(*_point(), a),
+    lambda a: builtin_sphere_comodule(2, a),
+    lambda a: builtin_sphere_module(2, a),
+    lambda a: constant_comodule(*_point(), a),
+    lambda a: compose_product(builtin("com", 8).symseq,
+                              builtin("com", 8).symseq, a),
+], ids=["builtin-com", "builtin-ass", "derivatives", "module-mx",
+        "sphere-comodule", "sphere-module", "constant-comodule",
+        "compose-product"])
+@pytest.mark.parametrize("bound,error", [
+    (2.5, ValidationError), ("3", ValidationError), (True, ValidationError),
+    (0, BoundsError), (-1, BoundsError), (9, BoundsError)])
+def test_max_arity_is_an_int_in_range(entry, bound, error):
+    with pytest.raises(error, match=f"arity {bound!r} is not an int"
+                       if error is ValidationError
+                       else f"arity {bound} outside 1..8"):
+        entry(bound)
+

@@ -290,6 +290,23 @@ def fraction_det(rows):
     return int(det)
 
 
+def dense_inverse(rows):
+    """Inverse of an invertible square matrix by Fraction Gauss-Jordan
+    elimination (independent oracle)."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
 def determinantal_factors(rows):
     """d_k = D_k / D_(k-1), D_k the gcd of all k x k minors, while D_k != 0."""
     n, m = len(rows), len(rows[0])
@@ -401,13 +418,12 @@ class TestEliminationOracles:
 class TestSolveInSpan:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    def test_reused_span_matches_dense_elimination(self, seed):
+    def test_solves_match_dense_elimination(self, seed):
         rng = random.Random(seed)
         dim, count = rng.randint(1, 6), rng.randint(0, 6)
         # Entries may be explicit zeros, which the solver must ignore.
         vectors = [{i: rng.randint(-3, 3) for i in range(dim)
                     if rng.random() < 0.4} for _ in range(count)]
-        span = exactla._Span(vectors)
 
         def dense(v):
             return [v.get(i, 0) for i in range(dim)]
@@ -427,11 +443,10 @@ class TestSolveInSpan:
                                 if rng.random() < 0.5})
         base = dense_rank([dense(v) for v in vectors])
         for target in targets:
-            coeffs = solve_in_span(span, target)
+            coeffs = solve_in_span(vectors, target)
             inside = dense_rank([dense(v) for v in vectors]
                                 + [dense(target)]) == base
             assert (coeffs is not None) == inside
-            assert coeffs == solve_in_span(list(vectors), target)
             if coeffs is not None:
                 assert combination(coeffs) == dense(target)
 
@@ -481,7 +496,7 @@ class TestInexactEntriesRejected:
     def test_rational_rank(self):
         m = inexact_matrix()
         with pytest.raises(ValidationError,
-                           match=r"row 1 has entry 0\.5 at index 1"):
+                           match=r"column 1 has entry 0\.5 at index 1"):
             matrix_rank(m)
 
 
@@ -625,6 +640,44 @@ class TestEchelonOracles:
                       for z in reps]
             assert homology_coordinates(c, [(k, z) for z in reps], images) \
                 == ExactMatrix.identity(b, ring=RAT)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_coordinates_in_a_changed_basis_invert_the_change(self, seed):
+        # Basis B' = reps T with T invertible and not unimodular, so the
+        # basis rows go in tracked on top of the untracked boundaries and
+        # through Fraction pivots; the coordinates of the reps are T^-1.
+        rng = random.Random(seed)
+        top = rng.randint(0, 3)
+        c, _groups = complex_with_homology(rng, top)
+        basis, images, expected, row = [], [], {}, 0
+        for k in range(top + 1):
+            reps = homology_representatives(c, k)
+            b = len(reps)
+            if not b:
+                continue
+            while True:
+                t = [[rng.randint(-4, 4) for _ in range(b)] for _ in range(b)]
+                if fraction_det(t) and any(abs(v) > 1 for r in t for v in r):
+                    break
+            for j in range(b):
+                col = {}
+                for i, z in enumerate(reps):
+                    for x, v in z.items():
+                        col[x] = col.get(x, 0) + t[i][j] * v
+                basis.append((k, {x: v for x, v in col.items() if v}))
+            up = c.differential(k + 1)
+            for z in reps:
+                dx = up.apply({j: rng.randint(-3, 3) for j in range(up.ncols)})
+                images.append((k, {x: v for x in z.keys() | dx.keys()
+                                   if (v := z.get(x, 0) + dx.get(x, 0))}))
+            for i, r in enumerate(dense_inverse(t)):
+                for j, v in enumerate(r):
+                    if v:
+                        expected[(row + i, row + j)] = v
+            row += b
+        assert homology_coordinates(c, basis, images) == ExactMatrix(
+            row, row, expected, ring=RAT)
 
 
 def three_term(matrix_entries):
@@ -853,6 +906,8 @@ class TestFromRows:
         ({0: {0: 1, 3: 1}}, r"entry \(0,3\) outside 2x3"),
         ({1: {-1: 1, 2: 1}}, r"entry \(1,-1\) outside 2x3"),
         ({0: {1: 0.5}}, r"row 0 has entry 0\.5 at index 1, not an int"),
+        ({0: {0.5: 1}}, r"entry \(0,0\.5\) outside 2x3"),
+        ({True: {0: 1}}, r"row True outside 2x3"),
     ])
     def test_each_row_is_checked(self, rows, message):
         with pytest.raises(ValidationError, match=message):
@@ -1191,14 +1246,19 @@ class TestHomologyCoordinates:
 class TestBoundaries:
     def test_one_boundary_echelon_per_degree(self, monkeypatch):
         c = TestHomologyCoordinates.segment_plus_loop()
-        inserts = []
-        insert = exactla._Echelon.insert
+        inserts, spans = [], []
+        insert, column_span = exactla._Echelon.insert, exactla._column_span
 
-        def counting(self, vec, tracking=None):
-            inserts.append((self, tracking is not None))
+        def counting(self, vec, tracking):
+            inserts.append((self, dict(tracking)))
             return insert(self, vec, tracking)
 
+        def counting_span(mat):
+            spans.append(mat)
+            return column_span(mat)
+
         monkeypatch.setattr(exactla._Echelon, "insert", counting)
+        monkeypatch.setattr(exactla, "_column_span", counting_span)
         images = [(0, {0: j + 1, 1: j}) for j in range(10)]
         bounds = c.boundaries(0)
         for _ in range(3):
@@ -1212,13 +1272,15 @@ class TestBoundaries:
                                           for j in range(10)}, ring=RAT)
         # Both columns of d_1 went into boundaries(0), once; d_2 has none.
         assert c.boundaries(0) is bounds and len(bounds.pivots) == 1
-        assert sorted(c._boundaries) == [0, 1]
+        assert sorted(c._boundaries) == [0, 1] and len(spans) == 2
         assert built == [bounds, bounds]
-        # Per coordinates call, the spanning echelon takes one insert for
-        # the boundary vector and one for the basis vector, and nothing
-        # else is inserted anywhere.
-        assert inserts == [(e, True) for e, _t in inserts]
-        assert len(inserts) == 3 * 2
+        # Per coordinates call, one insert: the basis vector, tracked by
+        # its row, into a copy of boundaries(0) that shares its vectors.
+        # No boundary vector goes in again.
+        assert [t for _e, t in inserts] == [{0: 1}] * 3
+        for e, _t in inserts:
+            assert e is not bounds and all(
+                e.pivots[p] is hit for p, hit in bounds.pivots.items())
 
 
 class TestGradedFreeModule:

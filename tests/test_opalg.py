@@ -103,7 +103,7 @@ class TestBuiltins:
         unit_module(com4, RIGHT_MODULE)
 
     def test_builtin_bounds(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(BoundsError):
             builtin("com", 9)
         with pytest.raises(ValidationError):
             builtin("nosuch", 3)

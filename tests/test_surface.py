@@ -248,3 +248,32 @@ def test_the_reachability_scan_follows_module_attributes():
     assert {("trees", "w_cell_complex"), ("trees", "covers"),
             ("trees", "collapse")} <= reached
     assert ("partition", "flag_count_oracle") not in reached
+
+
+def _unused_imports(tree):
+    """The names the tree imports and never uses as a name, sorted;
+    ``from __future__`` imports are exempt."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_imported_name_is_used():
+    unused = [(path.stem, name) for path in sorted(LIBRARY.glob("*.py"))
+              for name in _unused_imports(_parse(path))]
+    assert unused == []
+
+
+def test_the_import_scan_sees_unused_names():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport re as regex\n"
+                     "from .x import a, b as c\n"
+                     "os.path.join(a)\n")
+    assert _unused_imports(tree) == ["c", "regex"]
