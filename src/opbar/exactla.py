@@ -8,9 +8,10 @@ equal rows.  Rows go in and rows come out:
   structures, the parser, tests): every entry's type and indices are
   checked, and zeros are dropped.
 - ExactMatrix.from_rows, ChainComplex.from_rows and ChainMap.from_rows
-  take the rows that a construction assembled: each row's index types
-  and value types are checked in one pass each and its index range from
-  the min and max of its keys, and zero values and empty rows are dropped.
+  take the rows that a construction assembled: the index types and the
+  value types of all rows are checked in one pass each, each row's index
+  range from the min and max of its keys, and zero values and empty rows
+  are dropped.
 - The kernel's own outputs (products, sums, scalings, transposes,
   Kronecker products, identities) check their operands' rings and shapes
   and build their rows directly, unchecked (_matrix), since every index
@@ -110,24 +111,30 @@ class ExactMatrix:
     def from_rows(cls, nrows, ncols, rows, ring=INT):
         """The matrix on assembled rows {i: {j: v}}, which it takes over.
 
-        Each row's index types and value types are checked in one pass
-        each and its index range from the min and max of its keys; zero
-        values and empty rows are dropped.
+        The index types and the value types of all rows are checked in one
+        pass each, and each row's index range from the min and max of its
+        keys; zero values and empty rows are dropped.
         """
         _require_shape(nrows, ncols, ring)
-        if rows and not (_INT_TYPE.issuperset(map(type, rows))
-                         and min(rows) >= 0 and max(rows) < nrows):
-            raise ValidationError(
-                f"row {_outside(rows, nrows)!r} outside {nrows}x{ncols}")
+        bad = _outside(rows, nrows) if rows else None
+        if bad is not None:
+            raise ValidationError(f"row {bad!r} outside {nrows}x{ncols}")
+        # One type pass over every index and one over every value; a row
+        # is checked on its own only when a pass fails, to name it.
+        chain = itertools.chain.from_iterable
+        ints = _INT_TYPE.issuperset(map(type, chain(rows.values())))
+        exact = _EXACT_TYPES.issuperset(
+            map(type, chain(map(dict.values, rows.values()))))
         clean = {}
         for i, row in rows.items():
             if not row:
                 continue
-            if not (_INT_TYPE.issuperset(map(type, row))
-                    and min(row) >= 0 and max(row) < ncols):
+            if not (ints or _INT_TYPE.issuperset(map(type, row))) \
+                    or min(row) < 0 or max(row) >= ncols:
                 raise ValidationError(f"entry ({i},{_outside(row, ncols)!r}) "
                                       f"outside {nrows}x{ncols}")
-            _exact(row, "row", i)
+            if not exact:
+                _exact(row, "row", i)
             if not all(row.values()):
                 row = {j: v for j, v in row.items() if v}
                 if not row:
@@ -456,25 +463,20 @@ def smith_normal_form(mat):
         raise ValidationError("smith_normal_form requires ring Z")
     diag = _snf_diagonal(_integer_rows(mat))
     # A unit divides every entry, so only the entries > 1 need chaining:
-    # diag(a, b) is equivalent to diag(gcd(a,b), lcm(a,b)); bubble until
-    # chained.
+    # diag(a, b) is equivalent to diag(gcd(a,b), lcm(a,b)).  One sweep of
+    # that over the pairs leaves each entry dividing every later one: an
+    # entry only shrinks to a divisor, and the later ones stay multiples.
     chain = [v for v in diag if v != 1]
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(chain)):
-            for b in range(a + 1, len(chain)):
-                if chain[b] % chain[a] != 0:
-                    g = gcd(chain[a], chain[b])
-                    chain[a], chain[b] = g, chain[a] * chain[b] // g
-                    changed = True
-    return [1] * (len(diag) - len(chain)) + sorted(chain)
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = gcd(chain[a], chain[b])
+            chain[a], chain[b] = g, chain[a] * chain[b] // g
+    return [1] * (len(diag) - len(chain)) + chain
 
 
 def matrix_rank(mat):
-    """Exact rank: over Z from the Smith form's elimination, where a
-    non-integer entry raises ValidationError; over Q the pivots of the
-    echelon of the columns (_column_span)."""
+    """Exact rank: over Z by the Smith form's elimination (a non-integer
+    entry raises ValidationError), over Q by _column_span."""
     if mat.ring == RAT:
         return len(_column_span(mat).pivots)
     return len(_snf_diagonal(_integer_rows(mat)))
@@ -572,8 +574,7 @@ def _column_echelon(mat):
 
 
 def _column_span(mat):
-    """The echelon over Q of the columns of mat in order, each inserted
-    with {}: a basis of its column space."""
+    """The echelon over Q of the columns of mat, each inserted with {}."""
     ech = _Echelon()
     for j in range(mat.ncols):
         ech.insert(_exact(mat.column(j), "column", j), {})
