@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -142,3 +144,81 @@ class TestFlagAction:
                 want.setdefault(k, {})[(index[moved][1], j)] = 1
             got = flag_action(n, sigma)
             assert {k: dict(m.entries()) for k, m in got.items()} == want
+
+
+# -- pinned digests ---------------------------------------------------------
+# Written before the flags became mask partitions; each label is rendered
+# as text through _label_text, so the same pins hold for either label type.
+
+
+def _label_text(label):
+    """A flag label as text, e.g. "1|2|3 < 12|3 < 123"."""
+    return str(label)
+
+
+def _complex_digest(complex_):
+    """sha256 of the label texts per degree and the sorted differential
+    entries, each value written as str(Fraction(v))."""
+    h = hashlib.sha256()
+    for d in complex_.degrees():
+        h.update(f"degree {d}\n".encode())
+        for lab in complex_.labels(d):
+            h.update(f"{_label_text(lab)}\n".encode())
+    for k in sorted(complex_.diffs):
+        h.update(f"d {k}\n".encode())
+        for (i, j), v in sorted(complex_.diffs[k].entries()):
+            h.update(f"{i} {j} {Fraction(v)}\n".encode())
+    return h.hexdigest()
+
+
+def _action_digest(mats):
+    """sha256 of {degree: matrix}: each degree, shape and sorted entries."""
+    h = hashlib.sha256()
+    for d in sorted(mats):
+        m = mats[d]
+        h.update(f"m {d} {m.nrows} {m.ncols}\n".encode())
+        for (i, j), v in sorted(m.entries()):
+            h.update(f"{i} {j} {Fraction(v)}\n".encode())
+    return h.hexdigest()
+
+
+PINNED_COMPLEXES = {
+    2: "cba9ca37334cbfb4d6f106464dd601f9ed5c7d632cd3eb9b0bded3ce29e28407",
+    3: "b1be2fc9e334568b6394b3b47fc817fa7f20cc6d3cff357f66697f2fe1a1383e",
+    4: "015052c8732335d0a39d3f95646b818697460ecae2e6b52f4e7350e2ae174f35",
+    5: "d6c8616fa34bf2de24593d28b9dca704dd9031b0f6e2984d1f2b9e23cde16915",
+}
+
+# (n, "transposition") acts by (1 2), (n, "cycle") by 1 -> 2 -> ... -> n -> 1.
+PINNED_ACTIONS = {
+    (2, "transposition"):
+        "003904ab84071c74f546b71ed45d5e08443bfac9668a3f4ebcd284ab28224d1e",
+    (2, "cycle"):
+        "003904ab84071c74f546b71ed45d5e08443bfac9668a3f4ebcd284ab28224d1e",
+    (3, "transposition"):
+        "b2cae22550a8736f4c6606de582f23d50386d09c6aeb3f25985ffa0072ddb3ca",
+    (3, "cycle"):
+        "2cd353197fca3cebe8726d59c56a607001520a001cb58fbcb12464d1c7309168",
+    (4, "transposition"):
+        "a3b6f07ecbbf8463744c39413c9020a014c810828ce5ad33b9c6a061128c56c5",
+    (4, "cycle"):
+        "9c4f90f5ca35f4023d37b5c2bad55027a8aae78b9ee522dab70d6838eb40d1f9",
+    (5, "transposition"):
+        "162983363a39fe4550bece2b0d940be78334db9714e79980c10a42904aa312a3",
+    (5, "cycle"):
+        "897a35d06f3b3f8042e648b2554f0f0fa2b60afb15f7f87205922f464c4eed51",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_COMPLEXES))
+def test_complex_matches_pinned_digest(n):
+    assert _complex_digest(partition_complex(n)) == PINNED_COMPLEXES[n]
+
+
+@pytest.mark.parametrize("n,kind", sorted(PINNED_ACTIONS))
+def test_flag_action_matches_pinned_digest(n, kind):
+    if kind == "transposition":
+        sigma = (2, 1, *range(3, n + 1))
+    else:
+        sigma = (*range(2, n + 1), 1)
+    assert _action_digest(flag_action(n, sigma)) == PINNED_ACTIONS[(n, kind)]
