@@ -92,9 +92,14 @@ key.  Every differential and map is assembled as rows {i: {j: v}} and
 built through from_rows (exactla), which checks each row's index range
 once.
 
-The normalized simplicial construction over strict partition chains has
-its own chains and face plans, sharing only the plan compiler, and
-serves as a sign-free homology oracle.
+The normalized simplicial construction runs over strict chains of mask
+partitions (combinat.strict_chains): a partition is the sorted tuple of
+its block masks, as a tree key is of its node masks.  Its slots and face
+plans take each partition's blocks by least label, the faces find
+sub-blocks by mask tests, and a label's repr writes its chain as text.
+It shares the plan compiler with the tree complexes, and with the bud
+collapse the renumbering of a mask's sub-blocks onto 1..k (_renumbered);
+it serves as a sign-free homology oracle.
 """
 
 from __future__ import annotations
@@ -104,6 +109,8 @@ from typing import NamedTuple
 
 from . import trees as tr
 from .combinat import (
+    _labels,
+    _low,
     block_sort_perm,
     canonical_partition,
     chain_label,
@@ -480,7 +487,8 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
                                                          slot_masks)
                 _m, _nv, pos_small, tgt = index[tkey]
                 if bud:
-                    merge = _bud_blocks(masks, kids[q], q)
+                    merge = _renumbered(masks[q - 1],
+                                        [masks[r - 1] for r in kids[q]])
                 else:
                     merge = (outer, m_out, ins, k_inner, tau)
                 table_key = (src, tgt, tuple(plan), merge)
@@ -520,15 +528,14 @@ def _add(rows, d, i, j, v):
         row[j] = row.get(j, 0) + v
 
 
-def _bud_blocks(masks, leaves, q):
-    """The canonical blocks of a bud collapse's left action: the labels of
-    the leaves (slots) of vertex q, renumbered onto 1..|q's labels| in
-    order."""
-    mask = masks[q - 1]
-    labels = [x for x in range(mask.bit_length()) if mask >> x & 1]
-    return canonical_partition(
-        [tuple(i for i, x in enumerate(labels, start=1)
-               if masks[r - 1] >> x & 1) for r in leaves])
+def _renumbered(mask, parts):
+    """The masks parts partitioning mask, renumbered onto 1..|mask| in
+    order, as a canonical_partition: the blocks of the left action of a
+    bud collapse (mask a vertex's, parts its leaves') or of a simplicial
+    L face."""
+    labels = _labels(mask)
+    return canonical_partition(_labels(tr._compress(part, labels))
+                               for part in parts)
 
 
 def _merged_matrix(outer, m_out, insert_pos, k_inner, tau):
@@ -549,8 +556,8 @@ def _merged_matrix(outer, m_out, insert_pos, k_inner, tau):
 
 
 class SimplicialBarLabel(NamedTuple):
-    """Strict partition chain (finest first) with block-wise decorations;
-    a tuple, as BarBasisLabel is."""
+    """Strict chain of mask partitions (finest first) with block-wise
+    decorations; a tuple, as BarBasisLabel is."""
 
     chain: tuple
     decoration: tuple
@@ -561,22 +568,18 @@ class SimplicialBarLabel(NamedTuple):
 
 
 def _chain_slots(chain, r_mod, p, l_mod):
-    """Slots: right factor, P layers coarse to fine, left factors."""
+    """Slots: right factor, P layers coarse to fine, left factors, each
+    layer's blocks by least label."""
     k = len(chain) - 1
     slots = [("R", None, r_mod.component(len(chain[k])))]
     for j in range(k, 0, -1):
         fine = chain[j - 1]
-        for block in chain[j]:
-            inner = sum(1 for c in fine if set(c) <= set(block))
+        for block in sorted(chain[j], key=_low):
+            inner = sum(1 for c in fine if c & block == c)
             slots.append(("P", (j, block), p.component(inner)))
-    for block in chain[0]:
-        slots.append(("L", block, l_mod.component(len(block))))
+    for block in sorted(chain[0], key=_low):
+        slots.append(("L", block, l_mod.component(block.bit_count())))
     return slots
-
-
-def _sub_blocks(fine, block):
-    bset = set(block)
-    return [c for c in fine if set(c) <= bset]
 
 
 def simplicial_bar_complex(r_mod, p, l_mod, arity):
@@ -624,41 +627,42 @@ def simplicial_bar_complex(r_mod, p, l_mod, arity):
 
 
 def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
-    """Merge plan for deleting one partition from a strict chain."""
+    """Merge plan for deleting one partition from a strict chain; blocks
+    and sub-blocks go by least label, as the slots do."""
     k = len(chain) - 1
+    ordered = [sorted(mu, key=_low) for mu in chain]
     src_pos = {(kind, key): i for i, (kind, key, _m) in enumerate(slots_src)}
 
     def p_slot(j, block):
         return src_pos[("P", (j, block))]
+
+    def grouping(fine, blocks):
+        """(sub-block counts of blocks in fine, the action rho sorting
+        the sub-blocks, grouped by block, into fine's order)."""
+        subs = [[c for c in fine if c & b == c] for b in blocks]
+        rho = block_sort_perm([_low(c) for group in subs for c in group])
+        return tuple(map(len, subs)), tuple(t + 1 for t in rho)
 
     plan = []
     for tkind, tkey, _m in slots_tgt:
         if tkind == "R":
             if j_del == k:
                 # Right action absorbs the coarsest layer.
-                fine = chain[k - 1]
-                inner = tuple(len(_sub_blocks(fine, b)) for b in chain[k])
-                grouped = [c for b in chain[k] for c in _sub_blocks(fine, b)]
-                rho = block_sort_perm([c[0] for c in grouped])
+                inner, rho = grouping(ordered[k - 1], ordered[k])
                 matrix = operad_form(r_mod).full(inner)
-                if any(rho[x] != x for x in range(len(rho))):
-                    matrix = r_mod.action(
-                        len(fine), tuple(t + 1 for t in rho)) * matrix
+                if any(rho[x] != x + 1 for x in range(len(rho))):
+                    matrix = r_mod.action(len(rho), rho) * matrix
                 consumed = [src_pos[("R", None)]] + [
-                    p_slot(k, b) for b in chain[k]]
+                    p_slot(k, b) for b in ordered[k]]
                 plan.append((tuple(consumed), matrix))
             else:
                 plan.append(src_pos[("R", None)])
         elif tkind == "L":
             if j_del == 0:
                 block = tkey
-                fine = chain[0]
-                subs = _sub_blocks(fine, block)
-                ordered = tuple(sorted(block))
-                rel = canonical_partition(
-                    [tuple(sorted(ordered.index(x) + 1 for x in c))
-                     for c in subs])
-                matrix = operad_form(l_mod).left_action(rel)
+                subs = [c for c in ordered[0] if c & block == c]
+                matrix = operad_form(l_mod).left_action(
+                    _renumbered(block, subs))
                 consumed = [p_slot(1, block)] + [
                     src_pos[("L", c)] for c in subs]
                 plan.append((tuple(consumed), matrix))
@@ -669,16 +673,11 @@ def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
             j_old = jt if jt < j_del else jt + 1
             if j_old == j_del + 1 and j_del >= 1:
                 # Merged layer: compose the block's operad factors.
-                mid = chain[j_del]
-                fine = chain[j_del - 1]
-                subs = _sub_blocks(mid, block)
-                inner = tuple(len(_sub_blocks(fine, c)) for c in subs)
-                grouped = [cc for c in subs for cc in _sub_blocks(fine, c)]
-                rho = block_sort_perm([cc[0] for cc in grouped])
+                subs = [c for c in ordered[j_del] if c & block == c]
+                inner, rho = grouping(ordered[j_del - 1], subs)
                 matrix = p.full_composition(inner)
-                if any(rho[x] != x for x in range(len(rho))):
-                    matrix = p.action(
-                        sum(inner), tuple(t + 1 for t in rho)) * matrix
+                if any(rho[x] != x + 1 for x in range(len(rho))):
+                    matrix = p.action(len(rho), rho) * matrix
                 consumed = [p_slot(j_del + 1, block)] + [
                     p_slot(j_del, c) for c in subs]
                 plan.append((tuple(consumed), matrix))

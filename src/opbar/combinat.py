@@ -1,10 +1,29 @@
-"""Small combinatorial helpers: set partitions and permutation words."""
+"""Small combinatorial helpers: set partitions, partition chains and
+permutation words.
+
+Labels are ints >= 1.  A set of labels is also a mask, bit x for label x,
+and the partitions in chains are masks: a partition is the sorted tuple of
+its block masks, as a tree key (trees) is the sorted tuple of its node
+masks.  set_partitions and canonical_partition keep the text-side form,
+blocks as sorted label tuples listed by least label.
+"""
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .errors import ValidationError
+
+
+def _low(mask):
+    """The bit of a mask's least label."""
+    return mask & -mask
+
+
+def _labels(mask):
+    """The labels of a mask, in increasing order."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
 def set_partitions(items):
@@ -31,31 +50,41 @@ def canonical_partition(blocks):
     return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
 
 
-def strictly_refines(lam, mu):
-    """lam < mu in refinement order (lam strictly finer)."""
-    if lam == mu:
-        return False
-    for block in lam:
-        bset = set(block)
-        if not any(bset <= set(c) for c in mu):
-            return False
-    return True
-
-
 def strict_chains(n, start=None, end=None):
-    """Strict chains lam_0 < ... < lam_k of partitions of {1..n} in
+    """Strict chains lam_0 < ... < lam_k of mask partitions of {1..n} in
     refinement order, depth first: each chain before its extensions, and
-    partitions in set_partitions order.  start fixes lam_0 (each partition
-    in turn when None) and end fixes lam_k (any partition when None)."""
-    partitions = list(set_partitions(range(1, n + 1)))
-    coarser = {lam: [mu for mu in partitions if strictly_refines(lam, mu)]
-               for lam in partitions}
+    the partitions coarser than one in set_partitions order.  start fixes
+    lam_0 (each partition in turn when None) and end fixes lam_k (any
+    partition when None); both are mask partitions.
+
+    The partitions strictly coarser than lam are those made by merging two
+    of its blocks and the partitions coarser than these; each partition's
+    list is built once per call, of the partitions' shared tuples."""
+    partitions = [tuple(sorted(sum(1 << x for x in b) for b in lam))
+                  for lam in set_partitions(range(1, n + 1))]
+    rank = {lam: r for r, lam in enumerate(partitions)}
+    coarser = {}
+
+    def above(lam):
+        out = coarser.get(lam)
+        if out is None:
+            found = set()
+            for i, j in itertools.combinations(range(len(lam)), 2):
+                mu = tuple(sorted((*lam[:i], *lam[i + 1:j], *lam[j + 1:],
+                                   lam[i] | lam[j])))
+                if mu not in found:
+                    found.add(mu)
+                    found.update(above(mu))
+            out = coarser[lam] = [partitions[r] for r in
+                                  sorted(map(rank.__getitem__, found))]
+        return out
+
     chains = []
 
     def extend(chain):
         if end is None or chain[-1] == end:
             chains.append(tuple(chain))
-        for mu in coarser[chain[-1]]:
+        for mu in above(chain[-1]):
             chain.append(mu)
             extend(chain)
             chain.pop()
@@ -66,8 +95,10 @@ def strict_chains(n, start=None, end=None):
 
 
 def chain_label(chain):
-    """A chain of partitions as text, e.g. "1|2|3 < 12|3"."""
-    return " < ".join("|".join("".join(str(x) for x in b) for b in mu)
+    """A chain of mask partitions as text, each partition's blocks by least
+    label, e.g. "1|2|3 < 12|3"."""
+    return " < ".join("|".join("".join(map(str, _labels(b)))
+                               for b in sorted(mu, key=_low))
                       for mu in chain)
 
 
@@ -135,7 +166,6 @@ def adjacent_word(sigma):
 
 @lru_cache(maxsize=None)
 def all_permutations(n):
-    import itertools
     return tuple(itertools.permutations(range(1, n + 1)))
 
 

@@ -93,7 +93,7 @@ class ExactMatrix:
         rows = {}
         if entries:
             for (i, j), v in entries.items():
-                if not isinstance(v, (int, Fraction)):
+                if v.__class__ not in _EXACT_TYPES:
                     raise ValidationError(
                         f"entry ({i},{j}) = {v!r} is not an int or Fraction")
                 if v == 0:
@@ -210,7 +210,7 @@ class ExactMatrix:
         return self + other.scale(-1)
 
     def scale(self, c):
-        if not isinstance(c, (int, Fraction)):
+        if c.__class__ not in _EXACT_TYPES:
             raise ValidationError(f"scalar {c!r} is not an int or Fraction")
         if not c:
             return _matrix(self.nrows, self.ncols, {}, self.ring)
@@ -493,7 +493,7 @@ def _exact(vec, kind, index=None):
     if _EXACT_TYPES.issuperset(map(type, vec.values())):
         return vec
     for i, v in vec.items():
-        if not isinstance(v, (int, Fraction)):
+        if v.__class__ not in _EXACT_TYPES:
             name = kind if index is None else f"{kind} {index}"
             raise ValidationError(
                 f"{name} has entry {v!r} at index {i}, not an int or Fraction")
@@ -1081,11 +1081,11 @@ def tensor_vector(product, vectors):
     items = []
     for k, (f, (dv, v)) in enumerate(zip(product.factors, vectors)):
         rank = f.rank(dv)
-        for i in v:
-            if not 0 <= i < rank:
-                raise ValidationError(
-                    f"tensor_vector: index {i} outside degree {dv} of factor "
-                    f"{k}, which has rank {rank} there")
+        bad = _outside(v, rank) if v else None
+        if bad is not None:
+            raise ValidationError(
+                f"tensor_vector: vector {k} has index {bad!r} outside degree "
+                f"{dv} of factor {k}, which has rank {rank} there")
         off = f.module._offset.get(dv, 0)
         items.append([(off + i, c) for i, c in v.items()])
     return sum(dv for dv, _v in vectors), _tensor_terms(product, items)
@@ -1206,11 +1206,11 @@ def homology_coordinates(complex_, basis, images):
     for kind, vectors in (("basis vector", basis), ("image", images)):
         for i, (d, vec) in enumerate(vectors):
             rank = complex_.rank(d)
-            for k in vec:
-                if not 0 <= k < rank:
-                    raise ValidationError(
-                        f"{kind} {i} in degree {d} has index {k} outside "
-                        f"rank {rank}")
+            bad = _outside(vec, rank) if vec else None
+            if bad is not None:
+                raise ValidationError(
+                    f"{kind} {i} in degree {d} has index {bad!r} outside "
+                    f"rank {rank}")
     echelons = {}
     out = {}
     for j, (d, img) in enumerate(images):

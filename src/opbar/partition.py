@@ -2,27 +2,22 @@
 
 The complex of a set {1..n} has one generator per strict flag of
 partitions from the discrete to the indiscrete one; chains missing an
-endpoint are identified with the basepoint.  The differential is the
-standard alternating sum of inner deletions, independent of the
-orientation convention used by the tree complexes: agreement of the
-homologies is the cross-certification.
+endpoint are identified with the basepoint.  A partition is the sorted
+tuple of its block masks (bit x for label x), as a tree key is the sorted
+tuple of its node masks, and a flag is the tuple of its partitions,
+finest first: the flags are the complex's basis labels, and its module
+is their one index.  The differential is the standard alternating sum of
+inner deletions, independent of the orientation convention used by the
+tree complexes: agreement of the homologies is the cross-certification.
+A permutation maps each block through a bit table (trees._mask_image).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
-from .combinat import (
-    all_permutations,
-    canonical_partition,
-    chain_label,
-    cycle_type,
-    permutation,
-    set_partitions,
-    strict_chains,
-    strictly_refines,
-)
+from .combinat import all_permutations, cycle_type, permutation, \
+    strict_chains
 from .errors import BoundsError, ValidationError, require_int
 from .exactla import (
     ChainComplex,
@@ -33,36 +28,9 @@ from .exactla import (
     homology_coordinates,
     homology_representatives,
 )
+from .trees import _mask_image
 
 MAX_PARTITION_SIZE = 8
-
-
-def discrete_partition(n):
-    return tuple((i,) for i in range(1, n + 1))
-
-
-def indiscrete_partition(n):
-    return (tuple(range(1, n + 1)),)
-
-
-def flag_count_oracle(n):
-    """Maximal-flag count by dynamic programming on the lattice.
-
-    Counts chains from the discrete to the indiscrete partition through
-    covers only, independently of the flag enumeration.
-    """
-    partitions = list(set_partitions(range(1, n + 1)))
-
-    def is_cover(lam, mu):
-        return strictly_refines(lam, mu) and len(lam) == len(mu) + 1
-
-    counts = {discrete_partition(n): 1}
-    for lam in sorted(partitions, key=len, reverse=True):
-        if lam not in counts:
-            counts[lam] = sum(counts[fine] for fine in partitions
-                              if len(fine) == len(lam) + 1
-                              and is_cover(fine, lam))
-    return counts[indiscrete_partition(n)]
 
 
 # typed, so that True is not served from the entry of 1.
@@ -73,63 +41,47 @@ def partition_complex(n):
     if not 1 <= n <= MAX_PARTITION_SIZE:
         raise BoundsError(f"partition complex needs 1 <= n <= "
                           f"{MAX_PARTITION_SIZE}")
-    if n == 1:
-        module = GradedFreeModule({0: ("(1)",)})
-        return ChainComplex(module, {})
-    index = _flag_index(n)
+    discrete = tuple(1 << x for x in range(1, n + 1))
     by_degree = {}
-    for flag, (k, _j) in index.items():
-        by_degree.setdefault(k, []).append(chain_label(flag))
-    module = GradedFreeModule(
-        {k: tuple(labels) for k, labels in by_degree.items()})
+    for flag in strict_chains(n, discrete, (sum(discrete),)):
+        by_degree.setdefault(len(flag) - 1, []).append(flag)
+    module = GradedFreeModule(by_degree)
+    position = module.position
     rows = {}
-    for flag, (k, j) in index.items():
-        out = rows.setdefault(k, {})
-        for i_del in range(1, k):
-            row = out.setdefault(index[flag[:i_del] + flag[i_del + 1:]][1], {})
-            row[j] = row.get(j, 0) + (-1) ** i_del
+    for k, flags in by_degree.items():
+        out = rows[k] = {}
+        for j, flag in enumerate(flags):
+            for i_del in range(1, k):
+                row = out.setdefault(
+                    position(k - 1, flag[:i_del] + flag[i_del + 1:]), {})
+                row[j] = row.get(j, 0) + (-1) ** i_del
     return ChainComplex.from_rows(module, rows)
-
-
-@lru_cache(maxsize=None)
-def _flag_index(n):
-    """flag -> (degree, position in that degree) for every strict flag of
-    {1..n}, n >= 2, the degree being its length less one; the one index
-    of the complex's basis, shared by partition_complex and flag_action."""
-    index, sizes = {}, Counter()
-    for flag in strict_chains(n, discrete_partition(n),
-                              indiscrete_partition(n)):
-        k = len(flag) - 1
-        index[flag] = (k, sizes[k])
-        sizes[k] += 1
-    return index
 
 
 def flag_action(n, sigma):
     """Permutation matrices of a label permutation on the flag basis.
 
-    sigma is a 1-based image tuple on {1..n}; each partition's image is
-    computed once per call."""
+    sigma is a 1-based image tuple on {1..n}; each partition's image, its
+    blocks' images sorted, is computed once per call."""
     complex_ = partition_complex(n)
     sigma = permutation(sigma, n, "flag_action")
-    if n == 1:
-        return {0: ExactMatrix.identity(1)}
-    index = _flag_index(n)
+    image = _mask_image(sigma)
+    module = complex_.module
     images = {}
-    rows = {}
-    for flag, (k, j) in index.items():
-        moved = []
-        for mu in flag:
-            image = images.get(mu)
-            if image is None:
-                image = images[mu] = canonical_partition(
-                    [sigma[x - 1] for x in b] for b in mu)
-            moved.append(image)
-        _k2, i = index[tuple(moved)]
-        rows.setdefault(k, {})[i] = {j: 1}
-    return {k: ExactMatrix.from_rows(complex_.rank(k), complex_.rank(k),
-                                     rows.get(k, {}))
-            for k in complex_.degrees()}
+    mats = {}
+    for k in complex_.degrees():
+        rows = {}
+        for j, flag in enumerate(module.labels(k)):
+            moved = []
+            for mu in flag:
+                mapped = images.get(mu)
+                if mapped is None:
+                    mapped = images[mu] = tuple(sorted(map(image, mu)))
+                moved.append(mapped)
+            rows[module.position(k, tuple(moved))] = {j: 1}
+        rank = complex_.rank(k)
+        mats[k] = ExactMatrix.from_rows(rank, rank, rows)
+    return mats
 
 
 def partition_character(n):
@@ -140,7 +92,7 @@ def partition_character(n):
     """
     complex_ = partition_complex(n)
     summary = homology(complex_)
-    top = n - 1 if n > 1 else 0
+    top = n - 1
     if not summary.is_concentrated_in(top):
         raise ValidationError(
             f"homology of the partition complex at n={n} is not "
@@ -158,7 +110,7 @@ def partition_character(n):
 def character_is_class_function(n):
     """Every permutation of a cycle type gives the same trace."""
     complex_ = partition_complex(n)
-    top = n - 1 if n > 1 else 0
+    top = n - 1
     seen = {}
     for sigma in all_permutations(n):
         ct = cycle_type(sigma)
@@ -172,7 +124,7 @@ def character_is_class_function(n):
 def character_on_homology(n):
     """Character recomputed from the rational homology action matrices."""
     complex_ = partition_complex(n)
-    top = n - 1 if n > 1 else 0
+    top = n - 1
     reps = homology_representatives(complex_, top)
     basis = [(top, z) for z in reps]
     values = {}

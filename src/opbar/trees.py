@@ -57,8 +57,8 @@ from functools import lru_cache
 from math import prod
 from operator import itemgetter
 
-from .combinat import block_sort_perm, partitions_into_at_least_two, \
-    set_partitions
+from .combinat import _labels, _low, block_sort_perm, \
+    partitions_into_at_least_two, set_partitions
 from .errors import BoundsError, ParseError, ValidationError, require_int
 from .exactla import ChainComplex, GradedFreeModule, perm_sign
 
@@ -69,16 +69,6 @@ LEAF = "leaf"
 SPECIES = (STANDARD, GENERALIZED, ROOT, LEAF)
 
 MAX_LABELS = 8
-
-
-def _low(mask):
-    """The bit of a mask's least label."""
-    return mask & -mask
-
-
-def _labels(mask):
-    """The labels of a mask, in increasing order."""
-    return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
 def _children(key):

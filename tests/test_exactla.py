@@ -458,7 +458,7 @@ def inexact_matrix():
 
 
 class TestInexactEntriesRejected:
-    @pytest.mark.parametrize("value", [0.5, 2.0, "1", None])
+    @pytest.mark.parametrize("value", [0.5, 2.0, "1", None, True])
     def test_constructor(self, value):
         with pytest.raises(ValidationError,
                            match=r"entry \(0,1\) = .* is not an int or "
@@ -467,6 +467,9 @@ class TestInexactEntriesRejected:
 
     def test_scale(self):
         m = ExactMatrix(1, 2, {(0, 0): 2, (0, 1): 4})
+        with pytest.raises(ValidationError,
+                           match=r"scalar True is not an int or Fraction"):
+            m.scale(True)
         assert m.scale(Fraction(1, 2)) == ExactMatrix(1, 2, {(0, 0): 1,
                                                              (0, 1): 2})
         with pytest.raises(ValidationError,
@@ -852,6 +855,17 @@ class TestTensor:
         assert dict(t.differential(1).entries()) == {(1, 0): 1}
         assert homology(t).groups == {0: (1, ())}
 
+    @pytest.mark.parametrize("index", [0.5, True, -1, 2])
+    def test_tensor_vector_refuses_what_is_not_a_position(self, index):
+        # Degree 1 of each factor has rank 2.
+        c = ChainComplex(GradedFreeModule({0: ("a",), 1: ("b", "c")}), {})
+        t = tensor_list([c, c])
+        with pytest.raises(ValidationError,
+                           match=rf"vector 1 has index "
+                                 rf"{re.escape(repr(index))} outside degree 1 "
+                                 rf"of factor 1, which has rank 2"):
+            tensor_vector(t, [(1, {0: 1}), (1, {index: 1})])
+
     def test_tensor_vector_names_the_bad_index(self):
         c = ChainComplex(GradedFreeModule({0: ("a",), 1: ("b", "c")}), {})
         t = tensor_list([c, c])
@@ -908,6 +922,7 @@ class TestFromRows:
         ({0: {1: 0.5}}, r"row 0 has entry 0\.5 at index 1, not an int"),
         ({0: {0.5: 1}}, r"entry \(0,0\.5\) outside 2x3"),
         ({True: {0: 1}}, r"row True outside 2x3"),
+        ({0: {0: True}}, r"row 0 has entry True at index 0, not an int"),
     ])
     def test_each_row_is_checked(self, rows, message):
         with pytest.raises(ValidationError, match=message):
@@ -1233,6 +1248,20 @@ class TestHomologyCoordinates:
         with pytest.raises(ValidationError,
                            match="image 0 in degree 1 has index 2"):
             homology_coordinates(c, [(1, {1: 1})], [(1, {2: 1})])
+
+    @pytest.mark.parametrize("index", [0.5, True, -1, 2])
+    def test_index_that_is_not_a_position_is_named(self, index):
+        # Degree 1 has rank 2; 0.5 and True are no positions either.
+        c = self.segment_plus_loop()
+        with pytest.raises(ValidationError,
+                           match=rf"basis vector 1 in degree 1 has index "
+                                 rf"{re.escape(repr(index))} outside rank 2"):
+            homology_coordinates(c, [(1, {1: 1}), (1, {index: 1})],
+                                 [(1, {1: 1})])
+        with pytest.raises(ValidationError,
+                           match=rf"image 0 in degree 1 has index "
+                                 rf"{re.escape(repr(index))} outside rank 2"):
+            homology_coordinates(c, [(1, {1: 1})], [(1, {index: 1})])
 
     def test_dependent_basis_vector_is_rejected(self):
         c = self.segment_plus_loop()

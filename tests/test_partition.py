@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from opbar.combinat import set_partitions, strict_chains
 from opbar.errors import BoundsError, ValidationError
 from opbar.exactla import homology
 from opbar.partition import (
-    _flag_index,
     character_is_class_function,
     character_on_homology,
     flag_action,
-    flag_count_oracle,
     partition_character,
     partition_complex,
 )
@@ -53,6 +52,94 @@ def sgn_lie_character(cycle_type):
     return (-1) ** (n - len(cycle_type)) * lie
 
 
+def strictly_refines(lam, mu):
+    """lam < mu in refinement order (lam strictly finer), on label
+    tuples."""
+    if lam == mu:
+        return False
+    for block in lam:
+        bset = set(block)
+        if not any(bset <= set(c) for c in mu):
+            return False
+    return True
+
+
+def reference_strict_chains(n, start=None, end=None):
+    """The all-pairs enumeration of strict chains on label-tuple
+    partitions, in the order strict_chains promises: depth first, each
+    chain before its extensions, partitions in set_partitions order."""
+    partitions = list(set_partitions(range(1, n + 1)))
+    coarser = {lam: [mu for mu in partitions if strictly_refines(lam, mu)]
+               for lam in partitions}
+    chains = []
+
+    def extend(chain):
+        if end is None or chain[-1] == end:
+            chains.append(tuple(chain))
+        for mu in coarser[chain[-1]]:
+            chain.append(mu)
+            extend(chain)
+            chain.pop()
+
+    for lam in partitions if start is None else (start,):
+        extend([lam])
+    return chains
+
+
+def discrete_partition(n):
+    return tuple((i,) for i in range(1, n + 1))
+
+
+def indiscrete_partition(n):
+    return (tuple(range(1, n + 1)),)
+
+
+def flag_count_oracle(n):
+    """Maximal-flag count by dynamic programming on the lattice.
+
+    Counts chains from the discrete to the indiscrete partition through
+    covers only, independently of the flag enumeration.
+    """
+    partitions = list(set_partitions(range(1, n + 1)))
+
+    def is_cover(lam, mu):
+        return strictly_refines(lam, mu) and len(lam) == len(mu) + 1
+
+    counts = {discrete_partition(n): 1}
+    for lam in sorted(partitions, key=len, reverse=True):
+        if lam not in counts:
+            counts[lam] = sum(counts[fine] for fine in partitions
+                              if len(fine) == len(lam) + 1
+                              and is_cover(fine, lam))
+    return counts[indiscrete_partition(n)]
+
+
+def maximal_flag_count(n):
+    """n!(n-1)!/2^(n-1): each step of a maximal flag merges one of the
+    k(k-1)/2 pairs of blocks of a k-block partition."""
+    return math.factorial(n) * math.factorial(n - 1) // 2 ** (n - 1)
+
+
+def masked(partition):
+    """A label-tuple partition as the sorted tuple of its block masks."""
+    return tuple(sorted(sum(1 << x for x in b) for b in partition))
+
+
+class TestStrictChains:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_all_starts_match_the_all_pairs_reference(self, n):
+        want = [tuple(map(masked, chain))
+                for chain in reference_strict_chains(n)]
+        assert strict_chains(n) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_flags_match_the_all_pairs_reference(self, n):
+        bottom, top = discrete_partition(n), indiscrete_partition(n)
+        want = [tuple(map(masked, chain))
+                for chain in reference_strict_chains(n, bottom, top)]
+        assert strict_chains(n, masked(bottom), masked(top)) == want
+
+
 class TestComplex:
     def test_n_one_special_case(self):
         c = partition_complex(1)
@@ -84,6 +171,20 @@ class TestComplex:
     def test_top_flag_count_matches_chain_counter(self, n):
         c = partition_complex(n)
         assert c.rank(n - 1) == flag_count_oracle(n)
+
+    @pytest.mark.parametrize("n,count", [(2, 1), (3, 3), (4, 18), (5, 180),
+                                         (6, 2700)])
+    def test_top_flag_count_has_its_closed_form(self, n, count):
+        assert maximal_flag_count(n) == count
+        assert partition_complex(n).rank(n - 1) == count
+        if n <= 5:
+            assert flag_count_oracle(n) == count
+
+    def test_labels_are_flags_of_block_masks(self):
+        assert partition_complex(1).labels(0) == (((0b10,),),)
+        assert partition_complex(3).labels(2) == (
+            ((2, 4, 8), (2, 12), (14,)), ((2, 4, 8), (6, 8), (14,)),
+            ((2, 4, 8), (4, 10), (14,)))
 
     def test_bounds(self):
         with pytest.raises(BoundsError):
@@ -133,15 +234,18 @@ class TestFlagAction:
     def test_matches_each_flag_mapped_on_its_own(self, n):
         # Every block of every partition of every flag mapped and sorted
         # again, as the action did before it kept each partition's image.
-        index = _flag_index(n)
+        c = partition_complex(n)
         for sigma in itertools.permutations(range(1, n + 1)):
             want = {}
-            for flag, (k, j) in index.items():
-                moved = tuple(
-                    tuple(sorted((tuple(sorted(sigma[x - 1] for x in b))
-                                  for b in mu), key=lambda b: b[0]))
-                    for mu in flag)
-                want.setdefault(k, {})[(index[moved][1], j)] = 1
+            for k in c.degrees():
+                for j, flag in enumerate(c.labels(k)):
+                    moved = tuple(
+                        tuple(sorted(sum(1 << sigma[x - 1]
+                                         for x in range(1, n + 1)
+                                         if b >> x & 1) for b in mu))
+                        for mu in flag)
+                    want.setdefault(k, {})[(c.module.position(k, moved),
+                                            j)] = 1
             got = flag_action(n, sigma)
             assert {k: dict(m.entries()) for k, m in got.items()} == want
 
@@ -152,8 +256,13 @@ class TestFlagAction:
 
 
 def _label_text(label):
-    """A flag label as text, e.g. "1|2|3 < 12|3 < 123"."""
-    return str(label)
+    """A flag of mask partitions as text, each partition's blocks by least
+    label, e.g. "1|2|3 < 12|3 < 123"."""
+    return " < ".join(
+        "|".join("".join(str(x) for x in range(1, b.bit_length())
+                         if b >> x & 1)
+                 for b in sorted(mu, key=lambda b: b & -b))
+        for mu in label)
 
 
 def _complex_digest(complex_):

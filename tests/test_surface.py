@@ -15,6 +15,10 @@ benchmark's workloads and the functions its tracer wraps.  A definition
 reaches the names it uses: its own module's definitions, the names it
 imports from ``opbar`` and ``module.name`` through an imported module.
 What only tests reach is listed in ``UNREACHED`` with its reason, or goes.
+
+Every module-level ``functools`` cache of ``opbar`` lives as long as the
+process; each is listed in ``CACHED`` with its reason, and a new one fails
+until it is listed.
 """
 
 import ast
@@ -145,8 +149,6 @@ UNREACHED = {
     ("opalg", "load_operad"): "the on-disk structure format (ROADMAP item 5)",
     ("partition", "character_on_homology"):
         "the homology-side character oracle of ROADMAP item 2",
-    ("partition", "flag_count_oracle"):
-        "the flag-count oracle of ROADMAP item 2",
     ("trees", "parse_tree"):
         "the text side of the tree serialization, read where trees come in",
 }
@@ -247,7 +249,7 @@ def test_the_reachability_scan_follows_module_attributes():
     # verify calls tr.w_cell_complex, which reaches covers and collapse.
     assert {("trees", "w_cell_complex"), ("trees", "covers"),
             ("trees", "collapse")} <= reached
-    assert ("partition", "flag_count_oracle") not in reached
+    assert ("partition", "character_on_homology") not in reached
 
 
 def _unused_imports(tree):
@@ -277,3 +279,72 @@ def test_the_import_scan_sees_unused_names():
                      "from .x import a, b as c\n"
                      "os.path.join(a)\n")
     assert _unused_imports(tree) == ["c", "regex"]
+
+
+# Module-level memos of opbar, which live as long as the process, with the
+# reason each is kept until one object owns them (ROADMAP item 14).
+CACHED = {
+    ("combinat", "all_permutations"):
+        "the n! permutations, walked once per character and per action test",
+    ("partition", "partition_complex"):
+        "the flag complex, shared by its homology, characters and actions",
+    ("trees", "serialize"):
+        "each tree's text, written once for labels and for sorting cells",
+    ("trees", "_subtrees"):
+        "the subtrees per label block and supports, shared by enumerations",
+    ("trees", "_shaped"):
+        "each tree's shape, walked once for covers and weighting complexes",
+    ("trees", "covers"):
+        "each tree's codimension-one collapses, shared by down sets and "
+        "weighting complexes",
+    ("trees", "down_set"):
+        "each tree's down set, built recursively from its covers' down sets",
+}
+
+_CACHE_DECORATORS = ("cache", "lru_cache")
+
+
+def _is_cache(node):
+    """Whether the decorator or call node is functools.cache or lru_cache,
+    by name, called with options or not."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr in _CACHE_DECORATORS
+    return isinstance(node, ast.Name) and node.id in _CACHE_DECORATORS
+
+
+def _module_caches(tree):
+    """The names of the module's top-level functions, and of its classes'
+    methods as Class.method, that a cache decorates, and of its top-level
+    names assigned from a cache call."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and any(map(_is_cache, item.decorator_list))]
+        elif isinstance(node, ast.FunctionDef):
+            if any(map(_is_cache, node.decorator_list)):
+                found.append(node.name)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(sub, ast.Call) and _is_cache(sub)
+                for sub in ast.walk(node.value)):
+            found += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_every_module_level_cache_is_listed():
+    found = {(path.stem, name) for path in sorted(LIBRARY.glob("*.py"))
+             for name in _module_caches(_parse(path))}
+    assert sorted(found) == sorted(CACHED)
+
+
+def test_the_cache_scan_sees_every_form():
+    tree = ast.parse("import functools\nfrom functools import cache\n"
+                     "@functools.lru_cache(maxsize=None)\ndef a(): pass\n"
+                     "@cache\ndef b(): pass\n"
+                     "def c():\n    memo = cache(len)\n"
+                     "class D:\n    @functools.cache\n    def e(self): pass\n"
+                     "f = functools.lru_cache()(len)\n")
+    assert _module_caches(tree) == ["a", "b", "D.e", "f"]
