@@ -529,10 +529,10 @@ def _add(rows, d, i, j, v):
 
 
 def _renumbered(mask, parts):
-    """The masks parts partitioning mask, renumbered onto 1..|mask| in
+    """The masks parts, which partition mask, renumbered onto 1..|mask| in
     order, as a canonical_partition: the blocks of the left action of a
     bud collapse (mask a vertex's, parts its leaves') or of a simplicial
-    L face."""
+    L face (mask a block, parts its sub-blocks)."""
     labels = _labels(mask)
     return canonical_partition(_labels(tr._compress(part, labels))
                                for part in parts)

@@ -58,8 +58,9 @@ def strict_chains(n, start=None, end=None):
     partition when None); both are mask partitions.
 
     The partitions strictly coarser than lam are those made by merging two
-    of its blocks and the partitions coarser than these; each partition's
-    list is built once per call, of the partitions' shared tuples."""
+    of its blocks and the partitions coarser than these.  Each partition's
+    list is built once per call and holds one shared tuple per partition,
+    so the chains share their partitions."""
     partitions = [tuple(sorted(sum(1 << x for x in b) for b in lam))
                   for lam in set_partitions(range(1, n + 1))]
     rank = {lam: r for r, lam in enumerate(partitions)}
