@@ -39,33 +39,39 @@ slot's kind.
 
 Every map works on tree keys (trees): the sorted label masks of a tree's
 nodes below the root.  Assembly reads each basis tree's masks in slot
-order, vertex count and slot arities off the enumeration
-(trees.supported_trees), and keeps per tree, by key, only the masks in
-slot order, the vertex count, the position of the tree with each
-decoration in its degree and its _Slots.  The differential sums the
-collapse moves whose merged slot stays in its support, each made by
-trees.collapse on the tree's trees._TreeShape: each target slot copies
-the source slot with its mask, and the merged slot applies the structure
-matrix.  A tree's shape lives while its moves are made, so no per-tree
-table outlives them; the entries are dropped before the matrices are
-built.  A move's table is looked up after trees.collapse, which every
-move calls; only a new table fetches its merged slot's matrix.  An
-edge's matrix, the structure's partial in operad form
-(opalg.operad_form) times the child-reorder action, is built once per
-(outer slot, m_out, insert_pos, k_inner, tau) in a dict local to one
-complex.  Bar and cobar complexes share one plan: cobar complexes
-run the covers backwards, with tree degrees recorded negatively.  The
-complex keeps its basis keys and its _slot_table.
+order, vertex count, links and slot arities off the enumeration
+(trees.supported_trees, through _placed_trees, which also places each
+decoration in its degree), and keeps per tree, by key, only these, the
+position of the tree with each decoration in its degree and its _Slots.
+The differential sums the collapse moves whose merged slot stays in its
+support, made on the tree's trees._TreeShape, built from its links:
+each target slot copies the source slot with its mask, and the merged
+slot applies the structure matrix.  A move's plan, sign and table depend
+only on its template: the source's _Slots, vertex parents and slot
+count, the vertex, the kind of collapse, and for an edge which spliced
+children are vertices, tau and insert_pos, for a bud its leaves and the
+blocks of its matrix.  The templates are kept for one build, so
+trees.collapse runs and a table is looked up once per template, and
+every other move costs trees._move (its target key, insert_pos and
+tau), one lookup and the replay.  A tree's shape lives while its moves
+are made, so no per-tree table outlives them; the entries are dropped
+before the matrices are built.  Only a new table fetches its merged
+slot's matrix.  An edge's matrix, the structure's partial in operad
+form (opalg.operad_form) times the child-reorder action, is built once
+per (outer slot, m_out, insert_pos, k_inner, tau) in a dict local to one
+complex.  Bar and cobar complexes share one plan: cobar complexes run
+the covers backwards, with tree degrees recorded negatively.  The
+complex keeps its basis keys, their supports and its _slot_table.
 
-Each complex builds one record per basis tree (_TreeRecord) the first
-time a map asks for it, and keeps the tuple of all of them once a map
-walks every tree (BarComplex.records); assembly and reduction build
-none.  A record is the tree's shape (walked from its key), the _Slots of
-its slot arities (the object assembly used), and the (degree, position)
-of the tree with each decoration by flat decoration index, looked up in
-the complex's module once, when the record is built.  The records
-belong to the complex, so no cache can hand one structure's records to
-another.
+Each complex builds its records (_TreeRecord), one per basis tree, the
+first time a map asks for one, and keeps them (BarComplex.records);
+assembly and reduction build none.  They are built from the enumeration
+assembly read, again in basis order: a record is the tree's shape, the
+_Slots of its slot arities (the object assembly used), and the (degree,
+position) of the tree with each decoration by flat decoration index,
+counted as assembly counted them, so no key is walked and no label is
+looked up in the module.  The records belong to the complex, so no
+cache can hand one structure's records to another.
 
 A permutation acts on masks through a bit table (trees._mask_image); the
 target's record is the one keyed by the sorted images, and
@@ -183,38 +189,30 @@ class _TreeRecord(tr._TreeShape):
 
     __slots__ = ("slots", "at")
 
-    def __init__(self, bc, key):
-        super().__init__(key)
-        # A slot's arity is its number of children, a leaf's its labels.
-        self.slots = bc.slots_of(self.nv, (
-            *map(len, self.kids),
-            *(m.bit_count() for m in self.masks[self.nv:])))
-        s_deg, module = self.nv, bc.complex.module
-        self.at = []
-        for decor, _degs, t in self.slots.decorations:
-            d = _total_degree(bc.kind, s_deg, t)
-            self.at.append((d, module.position(
-                d, BarBasisLabel(key, decor, s_deg, t))))
+    def __init__(self, key, masks, nv, links, slots, at):
+        super().__init__(key, masks, nv, links)
+        self.slots, self.at = slots, at
 
 
 class BarComplex:
     """A bar or cobar chain complex with bigrading metadata.
 
-    trees are the basis trees' keys in serialization order, and slots_of
-    is the _slot_table assembly read them through.  A tree's _TreeRecord
-    is built on first use and kept, and so is the tuple of every record
+    trees are the basis trees' keys in serialization order, supports the
+    (root, vertex, leaf) supports they were enumerated within, and
+    slots_of the _slot_table assembly read them through.  The records of
+    every tree (_TreeRecord) are built together on first use and kept
     (records).
     """
 
-    def __init__(self, kind, arity, complex_, trees, slots_of, r_coeff, op,
-                 l_coeff):
+    def __init__(self, kind, arity, complex_, trees, supports, slots_of,
+                 r_coeff, op, l_coeff):
         self.kind = kind
         self.arity = arity
         self.complex = complex_
         self._trees = tuple(trees)
+        self.supports = supports
         self.slots_of = slots_of
-        self._basis = None
-        self._records = {}
+        self._records = None
         self._all_records = None
         self.r_coeff = r_coeff
         self.op = op
@@ -233,20 +231,52 @@ class BarComplex:
 
     def record(self, key):
         """The _TreeRecord of the basis tree with this key, or None."""
-        rec = self._records.get(key)
-        if rec is None:
-            if self._basis is None:
-                self._basis = frozenset(self._trees)
-            if key in self._basis:
-                rec = self._records[key] = _TreeRecord(self, key)
-        return rec
+        if self._records is None:
+            self.records()
+        return self._records.get(key)
 
     def records(self):
         """The records of every basis tree, in serialization order; built
-        once, on the first call."""
+        once, on the first call, from the enumeration assembly read (the
+        trees' masks, vertex counts, links and _Slots, and each
+        decoration's place in its degree), so no key is walked and no
+        label is looked up."""
         if self._all_records is None:
-            self._all_records = tuple(self.record(key) for key in self._trees)
+            self._all_records = tuple(
+                _TreeRecord(key, masks, nv, links, slots,
+                            list(zip(degs, positions)))
+                for key, masks, nv, links, slots, degs, positions in
+                _placed_trees(self.kind, self.arity, self.supports,
+                              self.slots_of))
+            self._records = {rec.key: rec for rec in self._all_records}
         return self._all_records
+
+
+def _placed_trees(kind, arity, supports, slots_of):
+    """(key, masks, nv, links, slots, degrees, positions) for every basis
+    tree of a bar or cobar complex in basis order: its key, masks in slot
+    order, vertex count and links as trees.supported_trees gives them
+    within the (root, vertex, leaf) supports, slots the _Slots of its
+    signature, and degrees[k] and positions[k] the total degree of the
+    tree with its k-th decoration and its position in that degree.  A
+    degree's basis lists each tree's decorations in this order, so a
+    position is a count.  degrees is shared by the trees with equal
+    slots, which fix the vertex count."""
+    filled = {}
+    degrees = {}
+    for key, masks, nv, links, arities in tr.supported_trees(arity,
+                                                              *supports):
+        slots = slots_of(nv, arities)
+        degs = degrees.get(slots)
+        if degs is None:
+            degs = degrees[slots] = [_total_degree(kind, nv, t) for
+                                     _decor, _degs, t in slots.decorations]
+        positions = []
+        for d in degs:
+            pos = filled.get(d, 0)
+            filled[d] = pos + 1
+            positions.append(pos)
+        yield key, masks, nv, links, slots, degs, positions
 
 
 def _total_degree(kind, tree_degree, internal_degree):
@@ -412,13 +442,13 @@ def _check_inputs(kind, r_mod, p, l_mod):
 
 
 def _check_arity(arity, p):
-    """ValidationError unless arity is an int at most p's max_arity,
-    BoundsError if it is below 1."""
+    """ValidationError unless arity is an int, BoundsError if it is below
+    1 or above p's max_arity."""
     require_int(arity, "arity")
     if arity < 1:
         raise BoundsError(f"arity {arity} is below 1")
     if arity > p.max_arity:
-        raise ValidationError(f"arity {arity} exceeds max_arity {p.max_arity}")
+        raise BoundsError(f"arity {arity} exceeds max_arity {p.max_arity}")
 
 
 def _tree_complex(kind, r_mod, p, l_mod, arity):
@@ -429,90 +459,114 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
     tree to the uncollapsed one, so the roles of the labels swap while
     the coefficient (orientation sign, Koszul reorder, matrix entry) is
     the bar direction's.
+
+    Each tree's shape is built from the enumeration's masks and links.
+    A move's plan and sign (trees.collapse) depend only on the tree's
+    vertex parents and slot count, q, bud, and for an edge which spliced
+    children are vertices and tau; with the source's _Slots and the
+    matrix key they fix its table.  So the (sign, table) of each such
+    template is kept for this build, trees.collapse runs once per
+    template, and the target key, insert_pos and tau of every move come
+    from trees._move.
     """
     _check_inputs(kind, r_mod, p, l_mod)
     _check_arity(arity, p)
-    supports = {slot: {n for n in range(1, arity + 1) if seq.rank(n)}
-                for slot, seq in (("root", r_mod), ("v", p), ("leaf", l_mod))}
+    supports = tuple({n for n in range(1, arity + 1) if seq.rank(n)}
+                     for seq in (r_mod, p, l_mod))
+    root_support, v_support, leaf_support = supports
     slots_of = _slot_table(r_mod, p, l_mod, arity)
-    # Per tree, by its key: (masks in slot order, vertex count, each
-    # decoration's position within its degree, the signature's _Slots).
+    # Per tree, by its key: (masks in slot order, vertex count, links,
+    # each decoration's position within its degree, the signature's
+    # _Slots).
     index = {}
     spaces = {}
-    for key, masks, nv, arities in tr.supported_trees(
-            arity, supports["root"], supports["v"], supports["leaf"]):
-        slots = slots_of(nv, arities)
-        positions = []
-        for decor, _degs, t_deg in slots.decorations:
-            labels = spaces.setdefault(_total_degree(kind, nv, t_deg), [])
-            positions.append(len(labels))
-            labels.append(BarBasisLabel(key, decor, nv, t_deg))
-        index[key] = (masks, nv, positions, slots)
+    for key, masks, nv, links, slots, degs, positions in _placed_trees(
+            kind, arity, supports, slots_of):
+        for (decor, _degs, t), d in zip(slots.decorations, degs):
+            labels = spaces.get(d)
+            if labels is None:
+                labels = spaces[d] = []
+            labels.append(BarBasisLabel(key, decor, nv, t))
+        index[key] = (masks, nv, links, positions, slots)
     module = GradedFreeModule(spaces)
-    keys = tuple(index)
-
-    def slot_masks(key):
-        return index[key][0]
 
     # The merged slots' matrices, by matrix key: (outer slot kind, m_out,
     # insert_pos, k_inner, tau) for an edge, the canonical blocks of the
     # left action for a bud.  The term tables of the moves, by (source
-    # _Slots, target _Slots, plan, matrix key), which fix the table.  Both
-    # are local to this complex.
+    # _Slots, target _Slots, plan, matrix key), which fix the table.  The
+    # (sign, table) of the moves, by the source's _Slots, vertex parents
+    # and slot count, then (q, bud, vertex flags of the spliced children,
+    # tau, insert_pos) for an edge and (q, bud, leaves, blocks) for a bud.
+    # All are local to this complex.
     matrices = {}
     tables = {}
+    templates = {}
     rows = {}
     bar = kind == BAR
-    for key, (masks, nv, pos_big, src) in index.items():
-        shape = tr._TreeShape(key, masks, nv)
+    for key, (masks, nv, links, pos_big, src) in index.items():
+        shape = tr._TreeShape(key, masks, nv, links)
         kids, parent = shape.kids, shape.parent
+        shape_key = (src, *parent[:nv + 1], len(parent))
+        made = templates.get(shape_key)
+        if made is None:
+            made = templates[shape_key] = {}
         # Total degree, less t, of a differential's source: the tree for a
         # bar complex, the collapsed tree for a cobar complex.
         d_src = _total_degree(kind, nv if bar else nv - 1, 0)
         for q in range(1, nv + 1):
-            up = parent[q]
-            outer = "v" if up else "root"
-            m_out, k_inner = len(kids[up]), len(kids[q])
+            up, below = parent[q], kids[q]
+            m_out, k_inner = len(kids[up]), len(below)
+            # (bud, target key, template) of each move whose merged slot
+            # stays in its support.  With shape_key, a template fixes the
+            # move's plan and sign, its target's _Slots and its matrix key
+            # (the last item of a bud's; an edge's is read off it), hence
+            # its table.
             moves = []
-            if m_out + k_inner - 1 in supports[outer]:
-                moves.append(False)
-            if min(kids[q]) > nv and masks[q - 1].bit_count() in \
-                    supports["leaf"]:
-                # The leaves are the slots after the vertices.
-                moves.append(True)
-            for bud in moves:
-                # Through the module attribute, so that a wrapper of
-                # trees.collapse sees every move.
-                tkey, plan, sign, ins, tau = tr.collapse(shape, q, bud,
-                                                         slot_masks)
-                _m, _nv, pos_small, tgt = index[tkey]
-                if bud:
-                    merge = _renumbered(masks[q - 1],
-                                        [masks[r - 1] for r in kids[q]])
-                else:
-                    merge = (outer, m_out, ins, k_inner, tau)
-                table_key = (src, tgt, tuple(plan), merge)
-                table = tables.get(table_key)
-                if table is None:
-                    apply = matrices.get(merge)
-                    if apply is None:
-                        apply = matrices[merge] = (
-                            operad_form(l_mod).left_action(merge) if bud
-                            else _merged_matrix(r_mod if up == 0 else p,
-                                                m_out, ins, k_inner, tau))
-                    # The merged slot applies its matrix; the others copy.
-                    at, consumed = (q, (q, *kids[q])) if bud else \
-                        (up, (up, q))
-                    plan[plan.index(at)] = (consumed, apply)
-                    table = tables[table_key] = _plan_table(src, plan,
-                                                            tgt.strides)
+            if m_out + k_inner - 1 in (v_support if up else root_support):
+                tkey, spliced, ins, tau = tr._move(shape, q, False)
+                moves.append((False, tkey, (
+                    q, False, tuple([r <= nv for r in spliced]), tau, ins)))
+            # The leaves are the slots after the vertices.
+            if min(below) > nv and masks[q - 1].bit_count() in leaf_support:
+                moves.append((True, tr._move(shape, q, True)[0], (
+                    q, True, tuple(below), _renumbered(
+                        masks[q - 1], [masks[r - 1] for r in below]))))
+            for bud, tkey, template in moves:
+                _m, _nv, _links, pos_small, tgt = index[tkey]
+                move = made.get(template)
+                if move is None:
+                    # Through the module attribute, so that a wrapper of
+                    # trees.collapse sees every template.
+                    _tkey, plan, sign, _ins, _tau = tr.collapse(shape, q, bud)
+                    merge = template[3] if bud else (
+                        "v" if up else "root", m_out, template[4], k_inner,
+                        template[3])
+                    table_key = (src, tgt, tuple(plan), merge)
+                    table = tables.get(table_key)
+                    if table is None:
+                        apply = matrices.get(merge)
+                        if apply is None:
+                            apply = matrices[merge] = (
+                                operad_form(l_mod).left_action(merge) if bud
+                                else _merged_matrix(r_mod if up == 0 else p,
+                                                    *merge[1:]))
+                        # The merged slot applies its matrix; the others
+                        # copy.
+                        at, consumed = (q, (q, *below)) if bud else \
+                            (up, (up, q))
+                        plan[plan.index(at)] = (consumed, apply)
+                        table = tables[table_key] = _plan_table(
+                            src, plan, tgt.strides)
+                    move = made[template] = (sign, table)
+                sign, table = move
                 for k, flat, t, coeff in table:
                     i, j = ((pos_small[flat], pos_big[k]) if bar
                             else (pos_big[k], pos_small[flat]))
                     _add(rows, d_src + t, i, j, sign * coeff)
-    del index  # The matrices below are built without it.
+    keys = tuple(index)
+    del index, templates  # The matrices below are built without them.
     return BarComplex(kind, arity, ChainComplex.from_rows(
-        module, rows, p.ring), keys, slots_of, r_mod, p, l_mod)
+        module, rows, p.ring), keys, supports, slots_of, r_mod, p, l_mod)
 
 
 def _add(rows, d, i, j, v):

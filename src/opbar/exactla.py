@@ -745,7 +745,9 @@ class ChainComplex:
 
     d^2 = 0 and all matrix shapes are always verified on construction.  The
     echelon over Q of the boundaries in each degree is made once and kept
-    (boundaries); representatives and coordinates extend copies of it.
+    (boundaries); representatives and coordinates extend copies of it, and
+    coordinates keep theirs per degree and homology basis
+    (homology_coordinates).
     """
 
     def __init__(self, module, diffs, ring=INT):
@@ -763,6 +765,7 @@ class ChainComplex:
                 clean[k] = m
         self.diffs = clean
         self._boundaries = {}
+        self._coordinates = {}
         self._columns = None
         for k, m in clean.items():
             up = clean.get(k + 1)
@@ -1193,36 +1196,43 @@ def homology_coordinates(complex_, basis, images):
     basis[i], so basis vectors of another degree than the image get
     coordinate 0.
 
-    Per call, each degree with an image extends a copy of
-    boundaries(d): its basis vectors go in, each tracked by its row {i: 1},
-    and every image is reduced against it with {}, so the negated tracking
-    holds the image's coordinates and no boundary vector is inserted
-    again.  ValidationError is raised for a vector with an index outside
-    the rank of its degree, for a basis vector that depends on the
-    boundaries and the earlier basis vectors of a degree with an image,
-    and for an image outside the span, such as a vector that is not a
-    cycle.
+    Each degree with an image reduces it against a copy of
+    boundaries(d) extended by that degree's basis vectors, each tracked
+    by its row {i: 1}, so the negated tracking holds the image's
+    coordinates and no boundary vector is inserted again.  The complex
+    keeps that echelon under (d, the degree's rows and basis vectors), as
+    it keeps boundaries(d), so a later call with an equal basis in that
+    degree inserts nothing and skips its index checks; a degree whose
+    basis holds an index or value that is not an int (a bool is not) or a
+    Fraction is never kept, so such a vector is checked on every call.
+    Images are checked and reduced on every call.  ValidationError is
+    raised for a vector with an index outside the rank of its degree, for
+    a basis vector that depends on the boundaries and the earlier basis
+    vectors of a degree with an image, and for an image outside the span,
+    such as a vector that is not a cycle.
     """
-    for kind, vectors in (("basis vector", basis), ("image", images)):
-        for i, (d, vec) in enumerate(vectors):
-            rank = complex_.rank(d)
-            bad = _outside(vec, rank) if vec else None
-            if bad is not None:
-                raise ValidationError(
-                    f"{kind} {i} in degree {d} has index {bad!r} outside "
-                    f"rank {rank}")
+    rows = {}
+    for i, (d, vec) in enumerate(basis):
+        rows.setdefault(d, []).append((i, vec))
+    kept = complex_._coordinates
+    keys = {d: _basis_key(d, vectors) for d, vectors in rows.items()}
+    checks = [("basis vector", i, d, vec) for i, (d, vec) in enumerate(basis)
+              if keys[d] not in kept]
+    checks += [("image", j, d, vec) for j, (d, vec) in enumerate(images)]
+    for kind, i, d, vec in checks:
+        rank = complex_.rank(d)
+        bad = _outside(vec, rank) if vec else None
+        if bad is not None:
+            raise ValidationError(
+                f"{kind} {i} in degree {d} has index {bad!r} outside "
+                f"rank {rank}")
     echelons = {}
     out = {}
     for j, (d, img) in enumerate(images):
         ech = echelons.get(d)
         if ech is None:
-            ech = echelons[d] = _Echelon(complex_.boundaries(d))
-            for i, (bd, vec) in enumerate(basis):
-                if bd == d and ech.insert(_nonzero(vec, "basis vector", i),
-                                          {i: 1})[0] is None:
-                    raise ValidationError(
-                        f"basis vector {i} in degree {d} depends on the "
-                        f"boundaries and the earlier basis vectors")
+            ech = echelons[d] = _extended(complex_, d, rows.get(d),
+                                          keys.get(d))
         red, tracking = ech.reduce(_nonzero(img, "image", j), {})
         if red:
             raise ValidationError(
@@ -1230,7 +1240,43 @@ def homology_coordinates(complex_, basis, images):
                 f"boundaries and the basis")
         for i, c in tracking.items():
             out.setdefault(i, {})[j] = -c
+    # Every basis vector passed its index check.
+    for key in keys.values():
+        if key is not None:
+            kept.setdefault(key, None)
     return ExactMatrix.from_rows(len(basis), len(images), out, ring=RAT)
+
+
+def _extended(complex_, d, vectors, key):
+    """boundaries(d) extended by the (row, basis vector) pairs vectors of
+    degree d, each tracked by {row: 1}: the echelon the complex keeps
+    under key (_basis_key), else a new one, kept unless key is None."""
+    if not vectors:
+        return complex_.boundaries(d)
+    kept = complex_._coordinates
+    ech = None if key is None else kept.get(key)
+    if ech is None:
+        ech = _Echelon(complex_.boundaries(d))
+        for i, vec in vectors:
+            if ech.insert(_nonzero(vec, "basis vector", i),
+                          {i: 1})[0] is None:
+                raise ValidationError(
+                    f"basis vector {i} in degree {d} depends on the "
+                    f"boundaries and the earlier basis vectors")
+        if key is not None:
+            kept[key] = ech
+    return ech
+
+
+def _basis_key(d, vectors):
+    """(d, ((row, items), ...)) for the (row, vector) pairs of a degree,
+    or None unless every index is an int and every value an int or a
+    Fraction, so that equal keys are interchangeable bases."""
+    for _i, vec in vectors:
+        if not (_INT_TYPE.issuperset(map(type, vec))
+                and _EXACT_TYPES.issuperset(map(type, vec.values()))):
+            return None
+    return d, tuple((i, tuple(vec.items())) for i, vec in vectors)
 
 
 def alternating_trace(complex_, automorphism):

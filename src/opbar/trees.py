@@ -13,15 +13,27 @@ tuple of ints.
 Slot order.  A tree's slots are the root (slot 0), the internal vertices
 in depth-first order with every node's children by least label (the
 canonical VertexOrder, slots 1..nv), then the leaves by least label.
-Enumeration yields each tree's masks in slot order; _mask_walk reads
-them off any key, and _TreeShape reads the children, the parents, the
-least label bits and the slot of every mask off them.
+Enumeration yields each tree's masks in slot order and its links, the
+(node mask, parent mask) pair of every node below the root's children,
+with each vertex's children in one run by least label, concatenated from
+the memoized subtrees' links; _mask_walk reads both off any key.
+_TreeShape reads the children, the parents, the least label bits and
+the slot of every mask off them, with no walk and no search for a
+parent.
 
 Moves.  Each move of a tree is made on its key:
 - a collapse (``collapse``) deletes masks: an edge collapse the vertex's
   mask, so its children join its parent's, and a bud collapse the masks
-  of the vertex's leaves, so the vertex becomes a leaf.  The sign is that
-  of the induced map of orientations;
+  of the vertex's leaves, so the vertex becomes a leaf.  The target's
+  slot order is read off the source's shape: an edge collapse merges the
+  spliced children again by least label, which permutes the depth-first
+  blocks of their vertices, and a bud collapse puts the vertex among the
+  leaves at its least label's rank.  The sign is that of the induced map
+  of orientations, with the sign of the block permutation.  Sources and
+  sign depend only on the vertices' parents, the slot count, the vertex,
+  the kind of collapse and, for an edge, which spliced children are
+  vertices and their new order, so a complex makes one collapse per such
+  template (_move gives the rest of every move);
 - a permutation of the labels maps the masks through a bit table
   (_mask_image), and _relabel_slots carries the slots along;
 - a cut along disjoint label blocks (_cutter) sorts the masks into the
@@ -169,40 +181,61 @@ def _clip(support, low, high):
     return frozenset(range(low, high + 1)).intersection(support)
 
 
-def _forests(blocks, vertices, leaves):
-    """Every choice of one _subtrees entry within the supports per block."""
-    return itertools.product(*(
-        _subtrees(b, _clip(vertices, 2, len(b)), _clip(leaves, 1, len(b)))
-        for b in blocks))
+def _clips(vertices, leaves, n):
+    """The vertex and leaf supports clipped to each block size k in
+    1..n, at index k."""
+    return [None] + [(_clip(vertices, 2, k), _clip(leaves, 1, k))
+                     for k in range(1, n + 1)]
 
 
-def _joined(forest):
+def _forests(blocks, clips):
+    """Every choice of one _subtrees entry within the supports per block,
+    clips[k] the supports clipped to size k (_clips)."""
+    return itertools.product(*(_subtrees(b, *clips[len(b)]) for b in blocks))
+
+
+def _joined(forest, heads):
     """(serialization, vertex masks in depth-first order, their arities,
-    leaf masks) of a forest of _subtrees entries; a vertex and the root
-    join their children alike."""
-    texts, vertices, arities, leaves = zip(*forest)
+    leaf masks, links) of a forest of _subtrees entries, links the (node
+    mask, parent mask) pairs of its nodes: heads those of the forest's
+    roots (none under the tree's root), then each entry's own.  A vertex
+    and the root join their children alike."""
+    if len(forest) == 1:
+        text, vertices, arities, leaves, links = forest[0]
+        return "(" + text + ")", vertices, arities, leaves, heads + links
+    texts, vertices, arities, leaves, links = zip(*forest)
     return ("(" + ",".join(texts) + ")", sum(vertices, ()),
-            sum(arities, ()), sum(leaves, ()))
+            sum(arities, ()), sum(leaves, ()), sum(links, heads))
+
+
+def _heads(blocks, mask):
+    """The links of the roots of a forest on blocks under the node mask."""
+    return tuple([(sum(1 << x for x in b), mask) for b in blocks])
 
 
 @lru_cache(maxsize=None)
 def _subtrees(labels, vertices, leaves):
     """(serialization, vertex masks in depth-first order, their arities,
-    leaf masks) of every subtree on the sorted labels within the supports,
-    which are clipped to the label count so that arities share their
-    subtrees.  Blocks come sorted by least label, which is the least
-    label of every subtree on the block, so each forest is already in
-    canonical child order."""
+    leaf masks, links) of every subtree on the sorted labels within the
+    supports, which are clipped to the label count so that arities share
+    their subtrees.  The links pair each node below the subtree's root
+    with its parent, as masks, so joining a forest only concatenates
+    them.  Blocks come sorted by least label, which is the least label of
+    every subtree on the block, so each forest is already in canonical
+    child order."""
     mask = sum(1 << x for x in labels)
     out = []
     if len(labels) in leaves:
-        out.append(("[" + ",".join(map(str, labels)) + "]", (), (), (mask,)))
+        out.append(("[" + ",".join(map(str, labels)) + "]", (), (), (mask,),
+                    ()))
+    clips = _clips(vertices, leaves, len(labels) - 1)
     for blocks in partitions_into_at_least_two(labels):
         if len(blocks) in vertices:
-            for forest in _forests(blocks, vertices, leaves):
-                text, below, arities, ends = _joined(forest)
+            heads = _heads(blocks, mask)
+            for forest in _forests(blocks, clips):
+                text, below, arities, ends, links = _joined(forest, heads)
                 out.append((text, (mask, *below), (len(blocks), *arities),
-                            ends))
+                            ends, links))
     return tuple(out)
 
 
@@ -211,7 +244,12 @@ def supported_trees(n, roots, vertices, leaves):
 
     roots, vertices and leaves are the allowed root arities, vertex
     arities and leaf sizes.  Each tree comes as (key, masks in slot order,
-    vertex count, slot arities), an arity being a slot's number of
+    vertex count, links, slot arities).  The links are the tree's edges
+    below the root's children, a (node mask, parent mask) pair per node,
+    each vertex's children in a run by least label: the memoized
+    subtrees' links concatenated (a standard tree's are its one
+    subtree's), so no tree is walked and _TreeShape reads the slot
+    parents and children off them.  An arity is a slot's number of
     children (a leaf's labels count as its children).  n must be an int
     in 1..MAX_LABELS (ValidationError, BoundsError otherwise).
     """
@@ -219,17 +257,20 @@ def supported_trees(n, roots, vertices, leaves):
     if not 1 <= n <= MAX_LABELS:
         raise BoundsError(f"label count {n} outside 1..{MAX_LABELS}")
     forests = []
+    clips = _clips(vertices, leaves, n)
     for blocks in set_partitions(range(1, n + 1)):
         if len(blocks) in roots:
-            forests.extend((*_joined(forest), len(blocks)) for forest in
-                           _forests(blocks, vertices, leaves))
+            forests.extend((*_joined(forest, ()), len(blocks))
+                           for forest in _forests(blocks, clips))
     forests.sort(key=itemgetter(0))
+    # Leaves of one label sort by their masks, the others by least label.
+    low = None if set(leaves) <= {1} else _low
     out = []
-    for _text, below, arities, ends, root in forests:
-        ends = sorted(ends, key=_low)
+    for _text, below, arities, ends, links, root in forests:
+        ends = sorted(ends, key=low)
         masks = (*below, *ends)
-        out.append((tuple(sorted(masks)), masks, len(below),
-                    (root, *arities, *(m.bit_count() for m in ends))))
+        out.append((tuple(sorted(masks)), masks, len(below), links,
+                    (root, *arities, *map(int.bit_count, ends))))
     return out
 
 
@@ -264,59 +305,53 @@ def standard_tree_count(n):
 # -- slots ------------------------------------------------------------------
 
 def _mask_walk(key):
-    """(masks in slot order, vertex count) of the tree with this key."""
+    """(masks in slot order, vertex count, links) of the tree with this
+    key, as supported_trees gives them."""
     kids = _children(key)
     vertices = []
+    links = []
 
     def walk(mask):
         for child in kids[mask]:
+            if mask:
+                links.append((child, mask))
             if child in kids:
                 vertices.append(child)
                 walk(child)
     walk(0)
     leaves = sorted((m for m in key if m not in kids), key=_low)
-    return (*vertices, *leaves), len(vertices)
+    return (*vertices, *leaves), len(vertices), tuple(links)
 
 
 class _TreeShape:
     """The slots of the tree with key key, read off its masks in slot
-    order (walked from the key unless given): nv the vertex count, kids[s]
-    the slots of slot s's children by least label for the root (s = 0)
-    and each vertex, parent[q] the slot of q's parent, lows[q] the least
-    label's bit of slot q, and slot[mask] the slot of the node with that
-    mask.
-
-    A vertex's parent is the last vertex on the depth-first path above it
-    that contains its mask, and a leaf's the deepest vertex containing it,
-    the last in depth-first order."""
+    order, vertex count and links, as supported_trees gives them (walked
+    from the key unless given): nv the vertex count, parent[q] the slot
+    of q's parent (0 for the root's children and the root itself),
+    kids[s] the slots of slot s's children by least label for the root
+    (s = 0) and each vertex, lows[q] the least label's bit of slot q, and
+    slot[mask] the slot of the node with that mask.  A vertex's children
+    come in one run of the links, by least label, and the root's are the
+    nodes with no link, so no parent is searched for."""
 
     __slots__ = ("key", "masks", "nv", "kids", "parent", "lows", "slot")
 
-    def __init__(self, key, masks=None, nv=None):
+    def __init__(self, key, masks=None, nv=None, links=None):
         if masks is None:
-            masks, nv = _mask_walk(key)
+            masks, nv, links = _mask_walk(key)
         self.key, self.masks, self.nv = key, masks, nv
-        lows = self.lows = [0] + [m & -m for m in masks]
+        self.lows = [0, *[m & -m for m in masks]]
+        slot = self.slot = dict(zip(masks, range(1, len(masks) + 1)))
+        parent = self.parent = [0] * (len(masks) + 1)
         kids = self.kids = [[] for _v in range(nv + 1)]
-        parent = self.parent = [0] * len(lows)
-        above = []
-        for q, mask in enumerate(masks, start=1):
-            if q <= nv:
-                while above and masks[above[-1] - 1] & mask != mask:
-                    above.pop()
-                up = above[-1] if above else 0
-                above.append(q)
-            else:
-                up = 0
-                for v in range(nv, 0, -1):
-                    if masks[v - 1] & mask == mask:
-                        up = v
-                        break
+        for child, up in links:
+            q, up = slot[child], slot[up]
             parent[q] = up
             kids[up].append(q)
-        for children in kids:
-            children.sort(key=lows.__getitem__)
-        self.slot = {m: q for q, m in enumerate(masks, start=1)}
+        # The root's vertices, then its leaves, each by least label.
+        below = kids[0] = [q for q in range(1, len(parent)) if not parent[q]]
+        if len(below) > 1:
+            below.sort(key=self.lows.__getitem__)
 
 
 @lru_cache(maxsize=None)
@@ -328,18 +363,52 @@ def _shaped(key):
 
 # -- collapse moves ---------------------------------------------------------
 
-def collapse(shape, q, bud, slot_masks):
-    """The collapse of vertex slot q of the tree of shape (a _TreeShape):
-    its bud when bud is true, else the edge above it.  slot_masks(key) are
-    the masks in slot order of the tree with that key.
+def _move(shape, q, bud):
+    """(target key, spliced, insert_pos, tau) of the collapse of vertex
+    slot q of shape, its bud when bud is true, else the edge above it.
+    For an edge, spliced are the slots of q's parent's children with q's
+    children in q's place, insert_pos is q's 1-based position among its
+    parent's children and tau[i] the new position of spliced[i]: the rank
+    order of their least labels.  All three are None for a bud."""
+    key, masks, kids = shape.key, shape.masks, shape.kids
+    if bud:
+        gone = {masks[r - 1] for r in kids[q]}
+        return tuple([m for m in key if m not in gone]), None, None, None
+    at = key.index(masks[q - 1])
+    below, siblings = kids[q], kids[shape.parent[q]]
+    i = siblings.index(q)
+    later = siblings[i + 1:]
+    spliced = siblings[:i] + below + later
+    lows = shape.lows
+    # The siblings before q have smaller least labels than q's children,
+    # so the order changes only if a later sibling comes before one of
+    # them.
+    if later and lows[later[0]] < lows[below[-1]]:
+        tau = block_sort_perm(list(map(lows.__getitem__, spliced)))
+    else:
+        tau = tuple(range(len(spliced)))
+    return key[:at] + key[at + 1:], spliced, i + 1, tau
 
-    Returns (target key, sources, sign, insert_pos, tau).  sources[t] is
-    the source slot of target slot t: the slot with t's mask, so the
-    merged slot's source is q's parent for an edge and q for a bud.  For
-    an edge, insert_pos is q's 1-based position among its parent's
-    children and tau[i] the new position of the i-th spliced child (the
-    parent's children with q's in q's place): the rank order of their
-    least labels.  Both are None for a bud.
+
+def collapse(shape, q, bud):
+    """The collapse of vertex slot q of the tree of shape (a _TreeShape):
+    its bud when bud is true, else the edge above it.
+
+    Returns (target key, sources, sign, insert_pos, tau), insert_pos and
+    tau as _move gives them.  sources[t] is the source slot of target
+    slot t: the slot with t's mask, so the merged slot's source is q's
+    parent for an edge and q for a bud.
+
+    The target's slot order is read off the shape, with no walk of the
+    target.  An edge collapse deletes q, and its parent's spliced
+    children are merged again by least label (tau): in the parent's
+    subtree the vertices' depth-first blocks (a vertex and the vertices
+    below it) are permuted by that order, and every other slot keeps its
+    place.  A bud collapse deletes q's leaves, and q becomes a leaf at
+    the least-label rank of its first leaf; the vertices keep their
+    order.  So sources and sign depend only on the vertices' parents, the
+    slot count, q, bud, and for an edge which spliced children are
+    vertices and tau, or for a bud q's leaves.
 
     The sign is that of the boundary orientation in height coordinates,
     one per vertex in VertexOrder.  A bud face {h_v = 1} has outward
@@ -347,32 +416,36 @@ def collapse(shape, q, bud, slot_masks):
     {h_v = 0} and merge faces {h_u = h_v} both contract to (-1)^i (a
     uniform (-1)^(i-1) already breaks d^2 = 0 on two-vertex trees).  It
     is multiplied by the sign of the surviving vertices' order in the
-    target.
+    target: for an edge the sign of the block permutation, (-1)^(|A||B|)
+    for every two blocks A and B that trade places, and 1 for a bud.
     """
-    key, masks, kids = shape.key, shape.masks, shape.kids
+    tkey, spliced, ins, tau = _move(shape, q, bud)
+    kids, nv, end = shape.kids, shape.nv, len(shape.masks) + 1
+    sign = -1 if q % 2 == 0 else 1
     if bud:
-        gone = {masks[r - 1] for r in kids[q]}
-        tkey = tuple([m for m in key if m not in gone])
-    else:
-        at = key.index(masks[q - 1])
-        tkey = key[:at] + key[at + 1:]
-    sources = [0, *map(shape.slot.__getitem__, slot_masks(tkey))]
-    # The target's vertices, as source slots, are sources[1:nv].
-    sign = perm_sign(sources[1:shape.nv])
-    if q % 2 == 0:
-        sign = -sign
-    if bud:
-        return tkey, sources, sign, None, None
-    siblings = kids[shape.parent[q]]
-    i = siblings.index(q)
-    spliced = siblings[:i] + kids[q] + siblings[i + 1:]
-    lows = shape.lows
-    return tkey, sources, -sign, i + 1, block_sort_perm(
-        [lows[r] for r in spliced])
-
-
-def _slot_masks(key):
-    return _shaped(key).masks
+        first, *drop = kids[q]
+        return (tkey, [0, *range(1, q), *range(q + 1, nv + 1),
+                       *[q if r == first else r for r in range(nv + 1, end)
+                         if r not in drop]], sign, None, None)
+    parent = shape.parent
+    up = parent[q]
+    # size[v]: the vertices in v's block, slots v.. in depth-first order;
+    # a vertex's parent comes before it.
+    size = [1] * (nv + 1)
+    for v in range(nv, 0, -1):
+        size[parent[v]] += size[v]
+    merged = [0] * len(spliced)
+    for r, t in zip(spliced, tau):
+        merged[t] = r
+    blocks = [r for r in merged if r <= nv]
+    order = [0, *range(1, up + 1)]
+    for a, r in enumerate(blocks):
+        order += range(r, r + size[r])
+        for s in blocks[a + 1:]:
+            if s < r and size[r] * size[s] % 2:
+                sign = -sign
+    order += range(up + size[up], end)
+    return tkey, order, -sign, ins, tau
 
 
 @lru_cache(maxsize=None)
@@ -386,8 +459,7 @@ def covers(key):
     for q in range(1, shape.nv + 1):
         for bud in (False, True) if min(shape.kids[q]) > shape.nv else \
                 (False,):
-            tkey, _sources, sign, _ins, _tau = collapse(shape, q, bud,
-                                                         _slot_masks)
+            tkey, _sources, sign, _ins, _tau = collapse(shape, q, bud)
             out.append((tkey, sign))
     return tuple(out)
 

@@ -134,8 +134,7 @@ def _reordered_merges(structure, arity):
             if not up:
                 continue
             m_out, k_inner = len(shape.kids[up]), len(shape.kids[q])
-            _k, _s, _sign, ins, tau = trees.collapse(
-                shape, q, False, lambda k: trees._TreeShape(k).masks)
+            _k, _s, _sign, ins, tau = trees.collapse(shape, q, False)
             if structure.rank(m_out + k_inner - 1) and \
                     tau != tuple(range(len(tau))):
                 out.add((m_out, ins, k_inner, tau))
@@ -182,18 +181,22 @@ def _signature(shape):
 
 
 def _collapse_table_keys(r_mod, p, l_mod, arity):
-    """(moves, distinct keys) of the differential of the complex of these
-    inputs.  A move's key is the signatures of its source and target, the
-    plan of trees.collapse, and its merged slot's matrix key: (outer slot,
-    m_out, insert_pos, k_inner, tau) for an edge, the canonical blocks of
-    the left action for a bud."""
+    """(moves, distinct table keys, distinct templates) of the
+    differential of the complex of these inputs.  A move's table key is
+    the signatures of its source and target, the plan of trees.collapse,
+    and its merged slot's matrix key: (outer slot, m_out, insert_pos,
+    k_inner, tau) for an edge, the canonical blocks of the left action
+    for a bud.  Its template is the source's signature, vertex parents
+    and slot count, q and bud, then for an edge which spliced children
+    are vertices, tau and insert_pos, for a bud q's leaves and the
+    blocks."""
     supports = [{n for n in range(1, arity + 1) if seq.rank(n)}
                 for seq in (r_mod, p, l_mod)]
-    found = {key: (masks, nv) for key, masks, nv, _arities in
-             trees.supported_trees(arity, *supports)}
-    moves, keys = 0, set()
-    for key, (masks, nv) in found.items():
-        shape = trees._TreeShape(key, masks, nv)
+    found = {key: (masks, nv, links) for key, masks, nv, links, _arities
+             in trees.supported_trees(arity, *supports)}
+    moves, keys, templates = 0, set(), set()
+    for key, (masks, nv, links) in found.items():
+        shape = trees._TreeShape(key, masks, nv, links)
         for q in range(1, nv + 1):
             up, kids = shape.parent[q], shape.kids[q]
             m_out = len(shape.kids[up])
@@ -203,22 +206,29 @@ def _collapse_table_keys(r_mod, p, l_mod, arity):
             if min(kids) > nv and masks[q - 1].bit_count() in supports[2]:
                 buds.append(True)
             for bud in buds:
-                tkey, plan, _sign, ins, tau = trees.collapse(
-                    shape, q, bud, lambda k: found[k][0])
+                tkey, plan, _sign, ins, tau = trees.collapse(shape, q, bud)
                 if bud:
                     labels = [x for x in range(arity + 1)
                               if masks[q - 1] >> x & 1]
                     matrix = canonical_partition(
                         [[i for i, x in enumerate(labels, start=1)
                           if masks[r - 1] >> x & 1] for r in kids])
+                    rest = (tuple(kids), matrix)
                 else:
                     matrix = ("v" if up else "root", m_out, ins, len(kids),
                               tau)
+                    siblings = shape.kids[up]
+                    i = siblings.index(q)
+                    spliced = siblings[:i] + kids + siblings[i + 1:]
+                    rest = (tuple(r <= nv for r in spliced), tau, ins)
                 moves += 1
                 keys.add((_signature(shape),
                           _signature(trees._TreeShape(tkey, *found[tkey])),
                           tuple(plan), matrix))
-    return moves, len(keys)
+                templates.add((_signature(shape),
+                               tuple(shape.parent[:nv + 1]),
+                               len(shape.parent), q, bud, rest))
+    return moves, len(keys), len(templates)
 
 
 def _counted_compiles(monkeypatch):
@@ -234,33 +244,42 @@ def _sphere2_inputs():
     return unit_module(sphere.over, RIGHT_COMODULE), sphere.over, sphere
 
 
-# (moves, tables): 8,596 and 550 moves share 243 and 69 plans; the sphere
-# cobar complex's buds need their blocks in the key.
+# (moves, tables, templates): 8,596 and 550 moves share 243 and 69 plans
+# and 615 and 123 templates; the sphere cobar complex's buds need their
+# blocks in the key.
 @pytest.mark.parametrize("build,inputs,arity,counts", [
     (bar_complex, lambda: (unit_module(builtin("com", 6), RIGHT_MODULE),
                            builtin("com", 6),
                            unit_module(builtin("com", 6), LEFT_MODULE)),
-     6, (8596, 243)),
+     6, (8596, 243, 615)),
     (bar_complex, lambda: (unit_module(builtin("ass", 5), RIGHT_MODULE),
                            builtin("ass", 5),
                            unit_module(builtin("ass", 5), LEFT_MODULE)),
-     5, (550, 69)),
+     5, (550, 69, 123)),
     (cobar_complex, _sphere2_inputs, 4, None),
 ], ids=["bar-com-6", "bar-ass-5", "cobar-sphere2-4"])
 def test_each_collapse_plan_is_compiled_once_per_complex(
         monkeypatch, build, inputs, arity, counts):
+    # trees.collapse runs once per template and each table compiles once.
     r_mod, p, l_mod = inputs()
-    moves, tables = _collapse_table_keys(r_mod, p, l_mod, arity)
+    moves, tables, templates = _collapse_table_keys(r_mod, p, l_mod, arity)
     if counts is not None:
-        assert (moves, tables) == counts
-    assert tables < moves
+        assert (moves, tables, templates) == counts
+    assert tables <= templates < moves
     collapsed = []
     collapse = trees.collapse
     monkeypatch.setattr(trees, "collapse", lambda *args: collapsed.append(
         args) or collapse(*args))
     compiled = _counted_compiles(monkeypatch)
     build(r_mod, p, l_mod, arity)
-    assert (len(collapsed), len(compiled)) == (moves, tables)
+    assert (len(collapsed), len(compiled)) == (templates, tables)
+
+
+def test_koszul_ass_compiles_89_tables(monkeypatch):
+    # The five bar complexes of koszul(ass, 5), one build each.
+    compiled = _counted_compiles(monkeypatch)
+    koszul(builtin("ass", 5), 5, with_structure=False)
+    assert len(compiled) == 89
 
 
 def test_actions_and_splits_compile_each_plan_once_per_map(monkeypatch):
@@ -730,8 +749,8 @@ def test_factor_columns_are_built_once_per_map(monkeypatch):
 def test_records_are_listed_once_per_complex(monkeypatch):
     built, calls = [], []
     record, tree_record = barcobar.BarComplex.record, barcobar._TreeRecord
-    monkeypatch.setattr(barcobar, "_TreeRecord", lambda bc, key: (
-        built.append((id(bc), key)) or tree_record(bc, key)))
+    monkeypatch.setattr(barcobar, "_TreeRecord", lambda *args: (
+        built.append((id(args[4]), args[0])) or tree_record(*args)))
     monkeypatch.setattr(barcobar.BarComplex, "record", lambda bc, key: (
         calls.append(key) or record(bc, key)))
     bc = _sphere_cobar(3)
@@ -801,9 +820,9 @@ def test_tree_records_are_built_once_per_complex_and_tree(monkeypatch):
     built = []
     record = barcobar._TreeRecord
 
-    def counted(bc, tree):
-        built.append((bc, tree))
-        return record(bc, tree)
+    def counted(key, masks, nv, links, slots, at):
+        built.append((slots, key))
+        return record(key, masks, nv, links, slots, at)
 
     monkeypatch.setattr(barcobar, "_TreeRecord", counted)
     # Assembly and reduction read no record.
@@ -856,15 +875,28 @@ def test_arity_is_an_int(arity):
 
 @pytest.mark.parametrize("arity,error", [
     (0, BoundsError), (-1, BoundsError), (2.0, ValidationError),
-    (True, ValidationError), (5, ValidationError), (9, ValidationError)],
+    (True, ValidationError), (5, BoundsError), (9, BoundsError)],
     ids=["zero", "negative", "float", "bool", "above-max", "far-above-max"])
 def test_simplicial_arity_is_checked(arity, error):
     # 0 and -1 gave an empty complex, 2.0 a TypeError and True arity 1;
     # above max_arity 4 the complex was truncated (5) or ran for minutes
-    # (9).
+    # (9).  An arity out of range is a BoundsError, as in koszul and
+    # builtin.
     com = builtin("com", 4)
     with pytest.raises(error, match=f"arity {arity!r}"):
         _simplicial(com, unit_module(com, LEFT_MODULE), arity)
+
+
+@pytest.mark.parametrize("build", [
+    lambda com, n: reduced_bar(com, n),
+    lambda com, n: bar_cocomposition(com, n, 2, (1, 2), range(2, n + 1)),
+], ids=["reduced_bar", "bar_cocomposition"])
+@pytest.mark.parametrize("arity", [5, 9])
+def test_arity_above_max_is_a_bounds_error(build, arity):
+    # It was a ValidationError; the message names both numbers.
+    with pytest.raises(BoundsError,
+                       match=f"arity {arity} exceeds max_arity 4"):
+        build(builtin("com", 4), arity)
 
 
 @pytest.mark.parametrize("sigma", [(2, 1), (1, 2, 3, 5), (2, 1, 3, 4, 5),
@@ -897,8 +929,8 @@ def collapses(monkeypatch):
     out = []
     move = trees.collapse
 
-    def recorded(shape, q, bud, slot_masks):
-        result = move(shape, q, bud, slot_masks)
+    def recorded(shape, q, bud):
+        result = move(shape, q, bud)
         # The target's vertex slots are 1..nv - 1.
         out.append((shape.key, result[0], result[1][1:shape.nv]))
         return result
@@ -923,7 +955,8 @@ class TestSupports:
     def test_com_collapses_only_into_the_basis(self, collapses):
         bc = reduced_bar(builtin("com", 6), 6)
         basis = set(bc.trees())
-        assert len(collapses) == 8596
+        # One collapse per template of the 8,596 moves.
+        assert len(collapses) == 615
         for key, target, order in collapses:
             assert target in basis
             assert _nv(target) == len(order) == _nv(key) - 1

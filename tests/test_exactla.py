@@ -1271,6 +1271,89 @@ class TestHomologyCoordinates:
                                match="basis vector 1 in degree 0 depends"):
                 homology_coordinates(c, basis, [(0, {0: 1})])
 
+    @staticmethod
+    def counted_inserts(monkeypatch):
+        inserts = []
+        insert = exactla._Echelon.insert
+
+        def counting(self, vec, tracking):
+            # Boundary columns go in with {}, basis vectors with their row.
+            if tracking:
+                inserts.append(dict(tracking))
+            return insert(self, vec, tracking)
+
+        monkeypatch.setattr(exactla._Echelon, "insert", counting)
+        return inserts
+
+    def test_an_equal_basis_is_inserted_once(self, monkeypatch):
+        c = self.segment_plus_loop()
+        inserts = self.counted_inserts(monkeypatch)
+        images = [(0, {1: 3}), (1, {1: 2})]
+        want = ExactMatrix(2, 2, {(1, 0): 3, (0, 1): 2}, ring=RAT)
+        assert homology_coordinates(
+            c, [(1, {1: 1}), (0, {0: 1})], images) == want
+        assert sorted(map(sorted, inserts)) == [[0], [1]]
+        # An equal basis, in new dicts, inserts no basis vector.
+        inserts.clear()
+        assert homology_coordinates(
+            c, [(1, {1: 1}), (0, {0: 1})], images) == want
+        assert homology_coordinates(c, [(1, {1: 1}), (0, {0: 1})],
+                                    [(0, {0: 5})]) == ExactMatrix(
+            2, 1, {(1, 0): 5}, ring=RAT)
+        assert inserts == []
+
+    def test_another_basis_gets_its_own_echelon(self, monkeypatch):
+        c = self.segment_plus_loop()
+        inserts = self.counted_inserts(monkeypatch)
+        image = [(0, {0: 3})]
+        # The same classes with other rows, vectors or degrees listed.
+        bases = [[(0, {0: 1})], [(0, {0: 2})], [(0, {1: 1})],
+                 [(1, {1: 1}), (0, {0: 1})], [(0, {0: 1}), (1, {1: 1})]]
+        wants = [{(0, 0): 3}, {(0, 0): Fraction(3, 2)}, {(0, 0): 3},
+                 {(1, 0): 3}, {(0, 0): 3}]
+        for _round in range(2):
+            inserts.clear()
+            for basis, want in zip(bases, wants):
+                assert homology_coordinates(c, basis, image) == ExactMatrix(
+                    len(basis), 1, want, ring=RAT)
+            # Each basis inserts its degree-0 vector in the first round
+            # only; the last one's degree-0 row and vector are the
+            # first's, so it shares the first's echelon.
+            assert len(inserts) == (4 if _round == 0 else 0)
+
+    @pytest.mark.parametrize("basis,images,message", [
+        ([(0, {0: 1}), (0, {1: 1})], [(0, {0: 1})],
+         "basis vector 1 in degree 0 depends"),
+        ([(1, {1: 1}), (0, {5: 1})], [(0, {0: 1})],
+         "basis vector 1 in degree 0 has index 5"),
+        ([(1, {1: 1}), (0, {0: 1})], [(1, {0: 1})],
+         "image 0 in degree 1 lies outside"),
+        ([(1, {1: 1}), (0, {0: 1})], [(1, {2: 1})],
+         "image 0 in degree 1 has index 2"),
+    ], ids=["dependent", "index", "non-cycle", "image-index"])
+    def test_errors_repeat_on_later_calls(self, basis, images, message):
+        c = self.segment_plus_loop()
+        # A good call first, so that the complex keeps echelons.
+        homology_coordinates(c, [(1, {1: 1}), (0, {0: 1})], [(0, {0: 1})])
+        for _call in range(3):
+            with pytest.raises(ValidationError, match=message):
+                homology_coordinates(c, basis, images)
+
+    @pytest.mark.parametrize("vector,message", [
+        ({True: 1}, "basis vector 0 in degree 1 has index True"),
+        ({1: True}, "basis vector 0 has entry True"),
+        ({1: 1.0}, "basis vector 0 has entry 1.0"),
+    ], ids=["bool-index", "bool-value", "float-value"])
+    def test_an_equal_vector_of_another_type_is_checked(self, vector,
+                                                        message):
+        # {True: 1}, {1: True} and {1: 1.0} equal the kept basis {1: 1},
+        # and must not pass as it.
+        c = self.segment_plus_loop()
+        for _call in range(2):
+            homology_coordinates(c, [(1, {1: 1})], [(1, {1: 1})])
+            with pytest.raises(ValidationError, match=message):
+                homology_coordinates(c, [(1, vector)], [(1, {1: 1})])
+
 
 class TestBoundaries:
     def test_one_boundary_echelon_per_degree(self, monkeypatch):
@@ -1303,10 +1386,11 @@ class TestBoundaries:
         assert c.boundaries(0) is bounds and len(bounds.pivots) == 1
         assert sorted(c._boundaries) == [0, 1] and len(spans) == 2
         assert built == [bounds, bounds]
-        # Per coordinates call, one insert: the basis vector, tracked by
-        # its row, into a copy of boundaries(0) that shares its vectors.
-        # No boundary vector goes in again.
-        assert [t for _e, t in inserts] == [{0: 1}] * 3
+        # One insert in all: the basis vector, tracked by its row, into a
+        # copy of boundaries(0) that shares its vectors, kept for the
+        # later calls with the equal basis.  No boundary vector goes in
+        # again.
+        assert [t for _e, t in inserts] == [{0: 1}]
         for e, _t in inserts:
             assert e is not bounds and all(
                 e.pivots[p] is hit for p, hit in bounds.pivots.items())

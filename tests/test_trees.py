@@ -256,10 +256,6 @@ def _subtree_index(children):
     return at
 
 
-def _reference_slot_masks(key):
-    return _slots(_nested(key))[0]
-
-
 # -- enumeration ------------------------------------------------------------
 
 class TestEnumeration:
@@ -340,9 +336,30 @@ class TestEnumeration:
         every = range(1, n + 1)
         found = supported_trees(n, every, every, every)
         assert len(found) == count
-        for key, masks, nv, arities in found:
+        for key, masks, nv, _links, arities in found:
             assert (masks, nv, arities) == _slots(_nested(key)), key
             assert key == tuple(sorted(masks))
+
+    @pytest.mark.parametrize("n,species", [
+        (1, GENERALIZED), (2, GENERALIZED), (3, GENERALIZED),
+        (4, GENERALIZED), (5, GENERALIZED), (6, STANDARD)])
+    def test_slot_parents_against_the_walk(self, n, species):
+        # The links joined from the subtrees against those walked from the
+        # key (test_slot_walk checks the walk against the nested
+        # reference): the same edges, and a shape built from them has the
+        # walked shape's parents, children in order, least bits and slots.
+        every = range(1, n + 1)
+        supports = {STANDARD: ({1}, every, {1}),
+                    GENERALIZED: (every, every, every)}[species]
+        found = supported_trees(n, *supports)
+        assert [key for key, *_rest in found] == enumerate_trees(n, species)
+        for key, masks, nv, links, _arities in found:
+            walked = _TreeShape(key)
+            assert (masks, nv, sorted(links)) == (
+                walked.masks, walked.nv, sorted(_mask_walk(key)[2])), key
+            shape = _TreeShape(key, masks, nv, links)
+            assert (shape.parent, shape.kids, shape.lows, shape.slot) == (
+                walked.parent, walked.kids, walked.lows, walked.slot), key
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=5).flatmap(
@@ -431,7 +448,7 @@ class TestLocalCollapseAgainstTheWalk:
                 target, sign, order, ins, tau = _walk_collapse(
                     children, paths[q - 1], bud)
                 tkey, sources, got_sign, got_ins, got_tau = collapse(
-                    shape, q, bud, _reference_slot_masks)
+                    shape, q, bud)
                 assert (tkey, got_sign, sources[1:shape.nv], got_ins,
                         got_tau) == (
                     _key_of(target), sign,
@@ -452,7 +469,7 @@ class TestLocalCollapseAgainstTheWalk:
             children = _nested(key)
             shape = _TreeShape(key)
             masks = shape.masks
-            assert _mask_walk(key) == _slots(children)[:2]
+            assert _mask_walk(key)[:2] == _slots(children)[:2]
             for s, path in enumerate([()] + _vertex_paths(children)):
                 kids = _node_at(children, path)[1]
                 assert [masks[r - 1] for r in shape.kids[s]] == \
@@ -728,9 +745,9 @@ class TestWeightingComplex:
         calls = []
         move = trees.collapse
 
-        def counted(shape, q, bud, slot_masks):
+        def counted(shape, q, bud):
             calls.append((shape.key, q, bud))
-            return move(shape, q, bud, slot_masks)
+            return move(shape, q, bud)
 
         monkeypatch.setattr(trees, "collapse", counted)
         covers.cache_clear()
