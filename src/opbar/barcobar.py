@@ -39,18 +39,18 @@ slot's kind.
 
 Every map works on tree keys (trees): the sorted label masks of a tree's
 nodes below the root.  Assembly reads each basis tree's masks in slot
-order, vertex count, links and slot arities off the enumeration
-(trees.supported_trees, through _placed_trees, which also places each
-decoration in its degree), and keeps per tree, by key, only these, the
-position of the tree with each decoration in its degree and its _Slots.
-The differential sums the collapse moves whose merged slot stays in its
-support, made on the tree's trees._TreeShape, built from its links:
-each target slot copies the source slot with its mask, and the merged
-slot applies the structure matrix.  A move's plan, sign and table depend
-only on its template: the source's _Slots, vertex parents and slot
-count, the vertex, the kind of collapse, and for an edge which spliced
-children are vertices, tau and insert_pos, for a bud its leaves and the
-blocks of its matrix.  The templates are kept for one build, so
+order, vertex count, vertices' children and slot arities off the
+enumeration (trees.supported_trees, through _placed_trees, which also
+places each decoration in its degree), and keeps per tree, by key, only
+these, the position of the tree with each decoration in its degree and
+its _Slots.  The differential sums the collapse moves whose merged slot
+stays in its support, made on the tree's trees._TreeShape, built from
+its vertices' children: each target slot copies the source slot with its
+mask, and the merged slot applies the structure matrix.  A move's plan,
+sign and table depend only on its template: the source's _Slots, vertex
+parents and slot count, the vertex, the kind of collapse, and for an
+edge which spliced children are vertices, tau and insert_pos, for a bud
+its leaves and the blocks of its matrix.  The templates are kept for one build, so
 trees.collapse runs and a table is looked up once per template, and
 every other move costs trees._move (its target key, insert_pos and
 tau), one lookup and the replay.  A tree's shape lives while its moves
@@ -189,8 +189,8 @@ class _TreeRecord(tr._TreeShape):
 
     __slots__ = ("slots", "at")
 
-    def __init__(self, key, masks, nv, links, slots, at):
-        super().__init__(key, masks, nv, links)
+    def __init__(self, key, masks, nv, children, slots, at):
+        super().__init__(key, masks, nv, children)
         self.slots, self.at = slots, at
 
 
@@ -238,14 +238,15 @@ class BarComplex:
     def records(self):
         """The records of every basis tree, in serialization order; built
         once, on the first call, from the enumeration assembly read (the
-        trees' masks, vertex counts, links and _Slots, and each
+        trees' masks, vertex counts, vertices' children and _Slots, and
+        each
         decoration's place in its degree), so no key is walked and no
         label is looked up."""
         if self._all_records is None:
             self._all_records = tuple(
-                _TreeRecord(key, masks, nv, links, slots,
+                _TreeRecord(key, masks, nv, children, slots,
                             list(zip(degs, positions)))
-                for key, masks, nv, links, slots, degs, positions in
+                for key, masks, nv, children, slots, degs, positions in
                 _placed_trees(self.kind, self.arity, self.supports,
                               self.slots_of))
             self._records = {rec.key: rec for rec in self._all_records}
@@ -253,19 +254,19 @@ class BarComplex:
 
 
 def _placed_trees(kind, arity, supports, slots_of):
-    """(key, masks, nv, links, slots, degrees, positions) for every basis
-    tree of a bar or cobar complex in basis order: its key, masks in slot
-    order, vertex count and links as trees.supported_trees gives them
-    within the (root, vertex, leaf) supports, slots the _Slots of its
-    signature, and degrees[k] and positions[k] the total degree of the
-    tree with its k-th decoration and its position in that degree.  A
-    degree's basis lists each tree's decorations in this order, so a
-    position is a count.  degrees is shared by the trees with equal
-    slots, which fix the vertex count."""
+    """(key, masks, nv, children, slots, degrees, positions) for every
+    basis tree of a bar or cobar complex in basis order: its key, masks
+    in slot order, vertex count and vertices' children as
+    trees.supported_trees gives them within the (root, vertex, leaf)
+    supports, slots the _Slots of its signature, and degrees[k] and
+    positions[k] the total degree of the tree with its k-th decoration
+    and its position in that degree.  A degree's basis lists each tree's
+    decorations in this order, so a position is a count.  degrees is
+    shared by the trees with equal slots, which fix the vertex count."""
     filled = {}
     degrees = {}
-    for key, masks, nv, links, arities in tr.supported_trees(arity,
-                                                              *supports):
+    for key, masks, nv, children, arities in tr.supported_trees(
+            arity, *supports):
         slots = slots_of(nv, arities)
         degs = degrees.get(slots)
         if degs is None:
@@ -276,7 +277,7 @@ def _placed_trees(kind, arity, supports, slots_of):
             pos = filled.get(d, 0)
             filled[d] = pos + 1
             positions.append(pos)
-        yield key, masks, nv, links, slots, degs, positions
+        yield key, masks, nv, children, slots, degs, positions
 
 
 def _total_degree(kind, tree_degree, internal_degree):
@@ -460,7 +461,8 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
     the coefficient (orientation sign, Koszul reorder, matrix entry) is
     the bar direction's.
 
-    Each tree's shape is built from the enumeration's masks and links.
+    Each tree's shape is built from the enumeration's masks and
+    vertices' children.
     A move's plan and sign (trees.collapse) depend only on the tree's
     vertex parents and slot count, q, bud, and for an edge which spliced
     children are vertices and tau; with the source's _Slots and the
@@ -475,19 +477,19 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
                      for seq in (r_mod, p, l_mod))
     root_support, v_support, leaf_support = supports
     slots_of = _slot_table(r_mod, p, l_mod, arity)
-    # Per tree, by its key: (masks in slot order, vertex count, links,
+    # Per tree, by its key: (masks in slot order, vertex count, children,
     # each decoration's position within its degree, the signature's
     # _Slots).
     index = {}
     spaces = {}
-    for key, masks, nv, links, slots, degs, positions in _placed_trees(
+    for key, masks, nv, children, slots, degs, positions in _placed_trees(
             kind, arity, supports, slots_of):
         for (decor, _degs, t), d in zip(slots.decorations, degs):
             labels = spaces.get(d)
             if labels is None:
                 labels = spaces[d] = []
             labels.append(BarBasisLabel(key, decor, nv, t))
-        index[key] = (masks, nv, links, positions, slots)
+        index[key] = (masks, nv, children, positions, slots)
     module = GradedFreeModule(spaces)
 
     # The merged slots' matrices, by matrix key: (outer slot kind, m_out,
@@ -503,8 +505,8 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
     templates = {}
     rows = {}
     bar = kind == BAR
-    for key, (masks, nv, links, pos_big, src) in index.items():
-        shape = tr._TreeShape(key, masks, nv, links)
+    for key, (masks, nv, children, pos_big, src) in index.items():
+        shape = tr._TreeShape(key, masks, nv, children)
         kids, parent = shape.kids, shape.parent
         shape_key = (src, *parent[:nv + 1], len(parent))
         made = templates.get(shape_key)
@@ -532,7 +534,7 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
                     q, True, tuple(below), _renumbered(
                         masks[q - 1], [masks[r - 1] for r in below]))))
             for bud, tkey, template in moves:
-                _m, _nv, _links, pos_small, tgt = index[tkey]
+                _m, _nv, _kids, pos_small, tgt = index[tkey]
                 move = made.get(template)
                 if move is None:
                     # Through the module attribute, so that a wrapper of

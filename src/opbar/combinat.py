@@ -113,7 +113,8 @@ def block_sort_perm(keys):
     """tau with tau[i] = sorted position of keys[i] (0-based); keys distinct.
     The keys are a node's children or a partition's blocks, a handful, so
     a scan of the sorted keys beats building a rank table."""
-    return tuple(map(sorted(keys).index, keys))
+    ranks = sorted(keys)
+    return tuple([ranks.index(k) for k in keys])
 
 
 def permutation(sigma, n, caller):

@@ -1202,10 +1202,11 @@ def homology_coordinates(complex_, basis, images):
     coordinates and no boundary vector is inserted again.  The complex
     keeps that echelon under (d, the degree's rows and basis vectors), as
     it keeps boundaries(d), so a later call with an equal basis in that
-    degree inserts nothing and skips its index checks; a degree whose
-    basis holds an index or value that is not an int (a bool is not) or a
-    Fraction is never kept, so such a vector is checked on every call.
-    Images are checked and reduced on every call.  ValidationError is
+    degree inserts nothing and skips its index checks.  The basis vectors
+    of a degree with no kept echelon are checked on every call: a degree
+    without an image, and a degree whose basis holds an index or value
+    that is not an int (a bool is not) or a Fraction, which is never
+    kept.  Images are checked and reduced on every call.  ValidationError is
     raised for a vector with an index outside the rank of its degree, for
     a basis vector that depends on the boundaries and the earlier basis
     vectors of a degree with an image, and for an image outside the span,
@@ -1240,10 +1241,6 @@ def homology_coordinates(complex_, basis, images):
                 f"boundaries and the basis")
         for i, c in tracking.items():
             out.setdefault(i, {})[j] = -c
-    # Every basis vector passed its index check.
-    for key in keys.values():
-        if key is not None:
-            kept.setdefault(key, None)
     return ExactMatrix.from_rows(len(basis), len(images), out, ring=RAT)
 
 

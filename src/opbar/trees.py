@@ -13,10 +13,10 @@ tuple of ints.
 Slot order.  A tree's slots are the root (slot 0), the internal vertices
 in depth-first order with every node's children by least label (the
 canonical VertexOrder, slots 1..nv), then the leaves by least label.
-Enumeration yields each tree's masks in slot order and its links, the
-(node mask, parent mask) pair of every node below the root's children,
-with each vertex's children in one run by least label, concatenated from
-the memoized subtrees' links; _mask_walk reads both off any key.
+Enumeration yields each tree's masks in slot order and its vertices'
+children, one tuple of masks by least label per vertex in slot order,
+joined from the memoized subtrees' (in place of their arities, which
+are these tuples' lengths); _mask_walk reads both off any key.
 _TreeShape reads the children, the parents, the least label bits and
 the slot of every mask off them, with no walk and no search for a
 parent.
@@ -194,48 +194,36 @@ def _forests(blocks, clips):
     return itertools.product(*(_subtrees(b, *clips[len(b)]) for b in blocks))
 
 
-def _joined(forest, heads):
-    """(serialization, vertex masks in depth-first order, their arities,
-    leaf masks, links) of a forest of _subtrees entries, links the (node
-    mask, parent mask) pairs of its nodes: heads those of the forest's
-    roots (none under the tree's root), then each entry's own.  A vertex
-    and the root join their children alike."""
-    if len(forest) == 1:
-        text, vertices, arities, leaves, links = forest[0]
-        return "(" + text + ")", vertices, arities, leaves, heads + links
-    texts, vertices, arities, leaves, links = zip(*forest)
+def _joined(forest):
+    """(serialization, vertex masks in depth-first order, their children,
+    leaf masks) of a forest of _subtrees entries; a vertex and the root
+    join their children alike."""
+    texts, vertices, kids, leaves = zip(*forest)
     return ("(" + ",".join(texts) + ")", sum(vertices, ()),
-            sum(arities, ()), sum(leaves, ()), sum(links, heads))
-
-
-def _heads(blocks, mask):
-    """The links of the roots of a forest on blocks under the node mask."""
-    return tuple([(sum(1 << x for x in b), mask) for b in blocks])
+            sum(kids, ()), sum(leaves, ()))
 
 
 @lru_cache(maxsize=None)
 def _subtrees(labels, vertices, leaves):
-    """(serialization, vertex masks in depth-first order, their arities,
-    leaf masks, links) of every subtree on the sorted labels within the
+    """(serialization, vertex masks in depth-first order, their children,
+    leaf masks) of every subtree on the sorted labels within the
     supports, which are clipped to the label count so that arities share
-    their subtrees.  The links pair each node below the subtree's root
-    with its parent, as masks, so joining a forest only concatenates
-    them.  Blocks come sorted by least label, which is the least label of
-    every subtree on the block, so each forest is already in canonical
-    child order."""
+    their subtrees.  A vertex's children are the tuple of its children's
+    masks; one tuple serves every forest on the same blocks.  Blocks come
+    sorted by least label, which is the least label of every subtree on
+    the block, so each forest and each children tuple is already in
+    canonical child order."""
     mask = sum(1 << x for x in labels)
     out = []
     if len(labels) in leaves:
-        out.append(("[" + ",".join(map(str, labels)) + "]", (), (), (mask,),
-                    ()))
+        out.append(("[" + ",".join(map(str, labels)) + "]", (), (), (mask,)))
     clips = _clips(vertices, leaves, len(labels) - 1)
     for blocks in partitions_into_at_least_two(labels):
         if len(blocks) in vertices:
-            heads = _heads(blocks, mask)
+            heads = tuple([sum(1 << x for x in b) for b in blocks])
             for forest in _forests(blocks, clips):
-                text, below, arities, ends, links = _joined(forest, heads)
-                out.append((text, (mask, *below), (len(blocks), *arities),
-                            ends, links))
+                text, below, kids, ends = _joined(forest)
+                out.append((text, (mask, *below), (heads, *kids), ends))
     return tuple(out)
 
 
@@ -244,14 +232,13 @@ def supported_trees(n, roots, vertices, leaves):
 
     roots, vertices and leaves are the allowed root arities, vertex
     arities and leaf sizes.  Each tree comes as (key, masks in slot order,
-    vertex count, links, slot arities).  The links are the tree's edges
-    below the root's children, a (node mask, parent mask) pair per node,
-    each vertex's children in a run by least label: the memoized
-    subtrees' links concatenated (a standard tree's are its one
-    subtree's), so no tree is walked and _TreeShape reads the slot
-    parents and children off them.  An arity is a slot's number of
-    children (a leaf's labels count as its children).  n must be an int
-    in 1..MAX_LABELS (ValidationError, BoundsError otherwise).
+    vertex count, children, slot arities).  children[v - 1] is the tuple
+    of the masks of vertex v's children by least label, joined from the
+    memoized subtrees (a standard tree's are its one subtree's), so no
+    tree is walked and _TreeShape reads the slot parents off them.  An
+    arity is a slot's number of children (a leaf's labels count as its
+    children).  n must be an int in 1..MAX_LABELS (ValidationError,
+    BoundsError otherwise).
     """
     require_int(n, "label count")
     if not 1 <= n <= MAX_LABELS:
@@ -260,17 +247,15 @@ def supported_trees(n, roots, vertices, leaves):
     clips = _clips(vertices, leaves, n)
     for blocks in set_partitions(range(1, n + 1)):
         if len(blocks) in roots:
-            forests.extend((*_joined(forest, ()), len(blocks))
+            forests.extend((*_joined(forest), len(blocks))
                            for forest in _forests(blocks, clips))
     forests.sort(key=itemgetter(0))
-    # Leaves of one label sort by their masks, the others by least label.
-    low = None if set(leaves) <= {1} else _low
     out = []
-    for _text, below, arities, ends, links, root in forests:
-        ends = sorted(ends, key=low)
+    for _text, below, kids, ends, root in forests:
+        ends = sorted(ends, key=_low)
         masks = (*below, *ends)
-        out.append((tuple(sorted(masks)), masks, len(below), links,
-                    (root, *arities, *map(int.bit_count, ends))))
+        out.append((tuple(sorted(masks)), masks, len(below), kids,
+                    (root, *map(len, kids), *map(int.bit_count, ends))))
     return out
 
 
@@ -305,49 +290,49 @@ def standard_tree_count(n):
 # -- slots ------------------------------------------------------------------
 
 def _mask_walk(key):
-    """(masks in slot order, vertex count, links) of the tree with this
+    """(masks in slot order, vertex count, children) of the tree with this
     key, as supported_trees gives them."""
     kids = _children(key)
     vertices = []
-    links = []
 
     def walk(mask):
         for child in kids[mask]:
-            if mask:
-                links.append((child, mask))
             if child in kids:
                 vertices.append(child)
                 walk(child)
     walk(0)
     leaves = sorted((m for m in key if m not in kids), key=_low)
-    return (*vertices, *leaves), len(vertices), tuple(links)
+    return ((*vertices, *leaves), len(vertices),
+            tuple([tuple(kids[v]) for v in vertices]))
 
 
 class _TreeShape:
     """The slots of the tree with key key, read off its masks in slot
-    order, vertex count and links, as supported_trees gives them (walked
-    from the key unless given): nv the vertex count, parent[q] the slot
-    of q's parent (0 for the root's children and the root itself),
-    kids[s] the slots of slot s's children by least label for the root
-    (s = 0) and each vertex, lows[q] the least label's bit of slot q, and
-    slot[mask] the slot of the node with that mask.  A vertex's children
-    come in one run of the links, by least label, and the root's are the
-    nodes with no link, so no parent is searched for."""
+    order, vertex count and vertices' children, as supported_trees gives
+    them (walked from the key unless given): nv the vertex count,
+    parent[q] the slot of q's parent (0 for the root's children and the
+    root itself), kids[s] the slots of slot s's children by least label
+    for the root (s = 0) and each vertex, lows[q] the least label's bit
+    of slot q, and slot[mask] the slot of the node with that mask.  The
+    root's children are the nodes that are no vertex's child, so no
+    parent is searched for."""
 
     __slots__ = ("key", "masks", "nv", "kids", "parent", "lows", "slot")
 
-    def __init__(self, key, masks=None, nv=None, links=None):
+    def __init__(self, key, masks=None, nv=None, children=None):
         if masks is None:
-            masks, nv, links = _mask_walk(key)
+            masks, nv, children = _mask_walk(key)
         self.key, self.masks, self.nv = key, masks, nv
         self.lows = [0, *[m & -m for m in masks]]
         slot = self.slot = dict(zip(masks, range(1, len(masks) + 1)))
         parent = self.parent = [0] * (len(masks) + 1)
-        kids = self.kids = [[] for _v in range(nv + 1)]
-        for child, up in links:
-            q, up = slot[child], slot[up]
-            parent[q] = up
-            kids[up].append(q)
+        kids = self.kids = [None] * (nv + 1)
+        for v, below in enumerate(children, start=1):
+            qs = kids[v] = []
+            for mask in below:
+                q = slot[mask]
+                parent[q] = v
+                qs.append(q)
         # The root's vertices, then its leaves, each by least label.
         below = kids[0] = [q for q in range(1, len(parent)) if not parent[q]]
         if len(below) > 1:

@@ -189,14 +189,16 @@ def _collapse_table_keys(r_mod, p, l_mod, arity):
     for a bud.  Its template is the source's signature, vertex parents
     and slot count, q and bud, then for an edge which spliced children
     are vertices, tau and insert_pos, for a bud q's leaves and the
-    blocks."""
+    blocks.  Every move is collapsed, and all moves of one template must
+    give one plan, sign, target signature and matrix key, which is what
+    lets the complex collapse once per template."""
     supports = [{n for n in range(1, arity + 1) if seq.rank(n)}
                 for seq in (r_mod, p, l_mod)]
-    found = {key: (masks, nv, links) for key, masks, nv, links, _arities
-             in trees.supported_trees(arity, *supports)}
-    moves, keys, templates = 0, set(), set()
-    for key, (masks, nv, links) in found.items():
-        shape = trees._TreeShape(key, masks, nv, links)
+    found = {key: (masks, nv, children) for key, masks, nv, children,
+             _arities in trees.supported_trees(arity, *supports)}
+    moves, keys, templates = 0, set(), {}
+    for key, (masks, nv, children) in found.items():
+        shape = trees._TreeShape(key, masks, nv, children)
         for q in range(1, nv + 1):
             up, kids = shape.parent[q], shape.kids[q]
             m_out = len(shape.kids[up])
@@ -206,7 +208,7 @@ def _collapse_table_keys(r_mod, p, l_mod, arity):
             if min(kids) > nv and masks[q - 1].bit_count() in supports[2]:
                 buds.append(True)
             for bud in buds:
-                tkey, plan, _sign, ins, tau = trees.collapse(shape, q, bud)
+                tkey, plan, sign, ins, tau = trees.collapse(shape, q, bud)
                 if bud:
                     labels = [x for x in range(arity + 1)
                               if masks[q - 1] >> x & 1]
@@ -222,12 +224,13 @@ def _collapse_table_keys(r_mod, p, l_mod, arity):
                     spliced = siblings[:i] + kids + siblings[i + 1:]
                     rest = (tuple(r <= nv for r in spliced), tau, ins)
                 moves += 1
-                keys.add((_signature(shape),
-                          _signature(trees._TreeShape(tkey, *found[tkey])),
-                          tuple(plan), matrix))
-                templates.add((_signature(shape),
-                               tuple(shape.parent[:nv + 1]),
-                               len(shape.parent), q, bud, rest))
+                target = _signature(trees._TreeShape(tkey, *found[tkey]))
+                keys.add((_signature(shape), target, tuple(plan), matrix))
+                template = (_signature(shape), tuple(shape.parent[:nv + 1]),
+                            len(shape.parent), q, bud, rest)
+                fixed = (tuple(plan), sign, target, matrix)
+                assert templates.setdefault(template, fixed) == fixed, \
+                    (key, q, bud)
     return moves, len(keys), len(templates)
 
 
@@ -820,9 +823,9 @@ def test_tree_records_are_built_once_per_complex_and_tree(monkeypatch):
     built = []
     record = barcobar._TreeRecord
 
-    def counted(key, masks, nv, links, slots, at):
+    def counted(key, masks, nv, children, slots, at):
         built.append((slots, key))
-        return record(key, masks, nv, links, slots, at)
+        return record(key, masks, nv, children, slots, at)
 
     monkeypatch.setattr(barcobar, "_TreeRecord", counted)
     # Assembly and reduction read no record.
@@ -939,6 +942,23 @@ def collapses(monkeypatch):
     return out
 
 
+@pytest.fixture
+def moves(monkeypatch):
+    """{(source key, vertex slot, bud): target key} of every collapse move
+    trees._move makes while the fixture is live: the complexes make each
+    move through it, and trees.collapse its template's first."""
+    out = {}
+    move = trees._move
+
+    def recorded(shape, q, bud):
+        result = move(shape, q, bud)
+        out[shape.key, q, bud] = result[0]
+        return result
+
+    monkeypatch.setattr(trees, "_move", recorded)
+    return out
+
+
 class TestSupports:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_operad_with_a_gap_has_binary_trees_and_no_differential(
@@ -952,13 +972,20 @@ class TestSupports:
         assert all(m.nnz() == 0 for m in bc.complex.diffs.values())
         assert collapses == []
 
-    def test_com_collapses_only_into_the_basis(self, collapses):
+    def test_com_collapses_only_into_the_basis(self, collapses, moves):
         bc = reduced_bar(builtin("com", 6), 6)
         basis = set(bc.trees())
-        # One collapse per template of the 8,596 moves.
+        # Every one of the 8,596 moves lands in the basis, one vertex
+        # down, and one collapse per template orders the target's
+        # vertices.
+        assert len(moves) == 8596
+        for (key, _q, _bud), target in moves.items():
+            assert target in basis
+            assert _nv(target) == _nv(key) - 1
+        made = {(key, target) for (key, _q, _bud), target in moves.items()}
         assert len(collapses) == 615
         for key, target, order in collapses:
-            assert target in basis
+            assert (key, target) in made
             assert _nv(target) == len(order) == _nv(key) - 1
 
     def test_sphere_cobar_collapses_only_into_the_basis(self, collapses):

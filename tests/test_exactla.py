@@ -1326,11 +1326,14 @@ class TestHomologyCoordinates:
          "basis vector 1 in degree 0 depends"),
         ([(1, {1: 1}), (0, {5: 1})], [(0, {0: 1})],
          "basis vector 1 in degree 0 has index 5"),
+        ([(1, {5: 1}), (0, {0: 1})], [(0, {0: 1})],
+         "basis vector 0 in degree 1 has index 5"),
         ([(1, {1: 1}), (0, {0: 1})], [(1, {0: 1})],
          "image 0 in degree 1 lies outside"),
         ([(1, {1: 1}), (0, {0: 1})], [(1, {2: 1})],
          "image 0 in degree 1 has index 2"),
-    ], ids=["dependent", "index", "non-cycle", "image-index"])
+    ], ids=["dependent", "index", "index-without-image", "non-cycle",
+            "image-index"])
     def test_errors_repeat_on_later_calls(self, basis, images, message):
         c = self.segment_plus_loop()
         # A good call first, so that the complex keeps echelons.

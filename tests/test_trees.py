@@ -336,7 +336,7 @@ class TestEnumeration:
         every = range(1, n + 1)
         found = supported_trees(n, every, every, every)
         assert len(found) == count
-        for key, masks, nv, _links, arities in found:
+        for key, masks, nv, _children, arities in found:
             assert (masks, nv, arities) == _slots(_nested(key)), key
             assert key == tuple(sorted(masks))
 
@@ -344,20 +344,19 @@ class TestEnumeration:
         (1, GENERALIZED), (2, GENERALIZED), (3, GENERALIZED),
         (4, GENERALIZED), (5, GENERALIZED), (6, STANDARD)])
     def test_slot_parents_against_the_walk(self, n, species):
-        # The links joined from the subtrees against those walked from the
-        # key (test_slot_walk checks the walk against the nested
-        # reference): the same edges, and a shape built from them has the
+        # The vertices' children joined from the subtrees against those
+        # walked from the key (test_slot_walk checks the walk against the
+        # nested reference), in order, and a shape built from them has the
         # walked shape's parents, children in order, least bits and slots.
         every = range(1, n + 1)
         supports = {STANDARD: ({1}, every, {1}),
                     GENERALIZED: (every, every, every)}[species]
         found = supported_trees(n, *supports)
         assert [key for key, *_rest in found] == enumerate_trees(n, species)
-        for key, masks, nv, links, _arities in found:
+        for key, masks, nv, children, _arities in found:
             walked = _TreeShape(key)
-            assert (masks, nv, sorted(links)) == (
-                walked.masks, walked.nv, sorted(_mask_walk(key)[2])), key
-            shape = _TreeShape(key, masks, nv, links)
+            assert (masks, nv, children) == _mask_walk(key), key
+            shape = _TreeShape(key, masks, nv, children)
             assert (shape.parent, shape.kids, shape.lows, shape.slot) == (
                 walked.parent, walked.kids, walked.lows, walked.slot), key
 
@@ -470,6 +469,9 @@ class TestLocalCollapseAgainstTheWalk:
             shape = _TreeShape(key)
             masks = shape.masks
             assert _mask_walk(key)[:2] == _slots(children)[:2]
+            assert _mask_walk(key)[2] == tuple(
+                tuple(_mask(c) for c in _node_at(children, path)[1])
+                for path in _vertex_paths(children))
             for s, path in enumerate([()] + _vertex_paths(children)):
                 kids = _node_at(children, path)[1]
                 assert [masks[r - 1] for r in shape.kids[s]] == \
