@@ -50,18 +50,19 @@ mask, and the merged slot applies the structure matrix.  A move's plan,
 sign and table depend only on its template: the source's _Slots, vertex
 parents and slot count, the vertex, the kind of collapse, and for an
 edge which spliced children are vertices, tau and insert_pos, for a bud
-its leaves and the blocks of its matrix.  The templates are kept for one build, so
-trees.collapse runs and a table is looked up once per template, and
-every other move costs trees._move (its target key, insert_pos and
-tau), one lookup and the replay.  A tree's shape lives while its moves
-are made, so no per-tree table outlives them; the entries are dropped
-before the matrices are built.  Only a new table fetches its merged
-slot's matrix.  An edge's matrix, the structure's partial in operad
-form (opalg.operad_form) times the child-reorder action, is built once
-per (outer slot, m_out, insert_pos, k_inner, tau) in a dict local to one
-complex.  Bar and cobar complexes share one plan: cobar complexes run
-the covers backwards, with tree degrees recorded negatively.  The
-complex keeps its basis keys, their supports and its _slot_table.
+its leaves and the blocks of its matrix.  The templates are kept for one
+build, so trees.collapse runs and a table is looked up once per
+template, and every other move costs trees._move (its target key,
+insert_pos and tau), one lookup and the replay.  A tree's shape lives
+while its moves are made, so no per-tree table outlives them; the
+entries are dropped before the matrices are built.  Only a new table
+fetches its merged slot's matrix.  An edge's matrix, the structure's
+partial in operad form (opalg.operad_form) times the child-reorder
+action, is built once per (outer slot, m_out, insert_pos, k_inner, tau)
+in a dict local to one complex.  Bar and cobar complexes share one plan:
+cobar complexes run the covers backwards, with tree degrees recorded
+negatively.  The complex keeps its basis keys, their supports and its
+_slot_table.
 
 Each complex builds its records (_TreeRecord), one per basis tree, the
 first time a map asks for one, and keeps them (BarComplex.records);
@@ -239,9 +240,8 @@ class BarComplex:
         """The records of every basis tree, in serialization order; built
         once, on the first call, from the enumeration assembly read (the
         trees' masks, vertex counts, vertices' children and _Slots, and
-        each
-        decoration's place in its degree), so no key is walked and no
-        label is looked up."""
+        each decoration's place in its degree), so no key is walked and
+        no label is looked up."""
         if self._all_records is None:
             self._all_records = tuple(
                 _TreeRecord(key, masks, nv, children, slots,
@@ -461,12 +461,11 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
     the coefficient (orientation sign, Koszul reorder, matrix entry) is
     the bar direction's.
 
-    Each tree's shape is built from the enumeration's masks and
-    vertices' children.
-    A move's plan and sign (trees.collapse) depend only on the tree's
-    vertex parents and slot count, q, bud, and for an edge which spliced
-    children are vertices and tau; with the source's _Slots and the
-    matrix key they fix its table.  So the (sign, table) of each such
+    Each tree's shape is built from the enumeration's masks and vertices'
+    children.  A move's plan and sign (trees.collapse) depend only on the
+    tree's vertex parents and slot count, q, bud, and for an edge which
+    spliced children are vertices and tau; with the source's _Slots and
+    the matrix key they fix its table.  So the (sign, table) of each such
     template is kept for this build, trees.collapse runs once per
     template, and the target key, insert_pos and tau of every move come
     from trees._move.
