@@ -38,41 +38,24 @@ tau per target slot, which with the source's vertex count fix each
 slot's kind.
 
 Every map works on tree keys (trees): the sorted label masks of a tree's
-nodes below the root.  Assembly reads each basis tree's masks in slot
-order, vertex count, vertices' children and slot arities off the
-enumeration (trees.supported_trees, through _placed_trees, which also
-places each decoration in its degree), and keeps per tree, by key, only
-these, the position of the tree with each decoration in its degree and
-its _Slots.  The differential sums the collapse moves whose merged slot
-stays in its support, made on the tree's trees._TreeShape, built from
-its vertices' children: each target slot copies the source slot with its
-mask, and the merged slot applies the structure matrix.  A move's plan,
-sign and table depend only on its template: the source's _Slots, vertex
-parents and slot count, the vertex, the kind of collapse, and for an
-edge which spliced children are vertices, tau and insert_pos, for a bud
-its leaves and the blocks of its matrix.  The templates are kept for one
-build, so trees.collapse runs and a table is looked up once per
-template, and every other move costs trees._move (its target key,
-insert_pos and tau), one lookup and the replay.  A tree's shape lives
-while its moves are made, so no per-tree table outlives them; the
-entries are dropped before the matrices are built.  Only a new table
-fetches its merged slot's matrix.  An edge's matrix, the structure's
+nodes below the root.  Assembly (_tree_complex) reads each basis tree's
+masks in slot order, vertex count, vertices' children and slot arities
+off the enumeration (trees.supported_trees, through _placed_trees, which
+also places each decoration in its degree), and sums the collapse moves
+whose merged slot stays in its support: each target slot copies the
+source slot with its mask, and the merged slot applies the structure
+matrix.  A move's plan, sign and table depend only on its template, so
+each is made once per build, and an edge's matrix, the structure's
 partial in operad form (opalg.operad_form) times the child-reorder
-action, is built once per (outer slot, m_out, insert_pos, k_inner, tau)
-in a dict local to one complex.  Bar and cobar complexes share one plan:
-cobar complexes run the covers backwards, with tree degrees recorded
+action, once per complex.  Bar and cobar complexes share one plan: cobar
+complexes run the covers backwards, with tree degrees recorded
 negatively.  The complex keeps its basis keys, their supports and its
 _slot_table.
 
-Each complex builds its records (_TreeRecord), one per basis tree, the
-first time a map asks for one, and keeps them (BarComplex.records);
-assembly and reduction build none.  They are built from the enumeration
-assembly read, again in basis order: a record is the tree's shape, the
-_Slots of its slot arities (the object assembly used), and the (degree,
-position) of the tree with each decoration by flat decoration index,
-counted as assembly counted them, so no key is walked and no label is
-looked up in the module.  The records belong to the complex, so no
-cache can hand one structure's records to another.
+Each complex builds its records (_TreeRecord), one per basis tree, from
+the enumeration the first time a map asks for one, and keeps them
+(BarComplex.records).  A cache shares a complex, records and all, only
+between inputs that read alike up to its arity (one_sided_key).
 
 A permutation acts on masks through a bit table (trees._mask_image); the
 target's record is the one keyed by the sorted images, and
@@ -811,20 +794,21 @@ def _action_matrices(bc, sigma, degrees):
 
 
 def one_sided_key(kind, r_mod, p, l_mod, arity):
-    """Cache key of a complex: its kind, its arity and its inputs' content.
-
-    Structures with equal data share the key whatever their names, and
-    structures that differ in ring or data never do.
-    """
-    return (kind, fingerprint(r_mod), fingerprint(p), fingerprint(l_mod),
-            arity)
+    """Cache key of a complex: its kind, its arity n and its inputs'
+    fingerprints up to n, as its trees have n leaves.  So dual(com) at
+    max arity 4 and 5 share their complexes up to arity 4, and a shared
+    complex's maps read the inputs it keeps only up to n."""
+    return (kind, fingerprint(r_mod, arity), fingerprint(p, arity),
+            fingerprint(l_mod, arity), arity)
 
 
 def _cached_complex(kind, r_mod, p, l_mod, arity, cache):
-    """The bar or cobar complex at one arity, through an optional cache."""
+    """The bar or cobar complex at one arity, kept in the caller's cache
+    dict if one is given; the arity is checked before the cache is read."""
     build = bar_complex if kind == BAR else cobar_complex
     if cache is None:
         return build(r_mod, p, l_mod, arity)
+    _check_arity(arity, p)
     key = one_sided_key(kind, r_mod, p, l_mod, arity)
     if key not in cache:
         cache[key] = build(r_mod, p, l_mod, arity)

@@ -28,19 +28,19 @@ factors (exactla.reindexing_map).
   from (Omega(s) (x) Omega(r_1) ... Omega(r_s)) (x) M(B_1) ... M(B_r),
   where R shuffles each Omega(r_i) in front of its group of blocks.
 
-Complexes, split maps and module structure maps are shared across
-check calls through the cache they are given: split maps keyed by the
-structure's fingerprint, module structure maps by the content key of
-their complex's inputs (barcobar.one_sided_key) and the canonical
-partition, so complexes with equal inputs share them.  Within one check
-call each identity of B(k) or of a pentagon's part, each tensor product
-of maps and each reindexing is built once and reused by every instance
-that needs it; none of them goes into the shared cache.  A tensor
-product of maps reads each factor's columns from that map, which builds
-them once (exactla.ChainMap._global_columns), so a split map shared by
-many tensors and check calls has its columns built once.  Every instance
-is still compared in every degree; the two sides are compared as
-matrices, and their difference is formed only to name a failing column.
+Complexes, split maps and module structure maps live in the cache the
+checks are given, keyed by their inputs' fingerprints up to their arity
+(barcobar.one_sided_key; a split map's also by its positions, a module
+map's by its partition), so structures with equal data up to that arity
+share them.  Within one check call each identity of B(k) or of a
+pentagon's part, each tensor product of maps and each reindexing is
+built once and reused by every instance that needs it; none of them goes
+into the shared cache.  A tensor product of maps reads each factor's
+columns from that map, which builds them once
+(exactla.ChainMap._global_columns), so a split map shared by many
+tensors and check calls has its columns built once.  Every instance is
+still compared in every degree; the two sides are compared as matrices,
+and their difference is formed only to name a failing column.
 """
 
 from __future__ import annotations
@@ -90,10 +90,10 @@ def _positions(universe, subset):
 class _Maps:
     """The maps of one check call on one structure.  Complexes and split
     maps are kept in the shared cache (split maps under their kind, the
-    structure's fingerprint, the arity and the split positions, so no
-    structure can receive another's map) and outlive the call.  Identities,
-    tensor products of maps and reindexings are built once per check call
-    in `built`, which the call drops when it returns."""
+    structure's fingerprint up to the arity, the arity and the split
+    positions) and outlive the call.  Identities, tensor products of maps
+    and reindexings are built once per check call in `built`, which the
+    call drops when it returns."""
 
     def __init__(self, structure, kind, cache):
         self.structure, self.kind = structure, kind
@@ -113,7 +113,7 @@ class _Maps:
         """The split of b_side off universe, relabelled to 1..len(universe)."""
         n, b = len(universe), _positions(universe, b_side)
         a_rest = tuple(x for x in range(1, n + 1) if x not in b)
-        key = ("split", self.kind, fingerprint(self.structure), n, b)
+        key = ("split", self.kind, fingerprint(self.structure, n), n, b)
         if key not in self.cache:
             build = (bar_cocomposition if self.kind == BAR
                      else cobar_composition)

@@ -11,7 +11,6 @@ blocks as sorted label tuples listed by least label.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .errors import ValidationError
 
@@ -163,11 +162,6 @@ def adjacent_word(sigma):
             break
     word.reverse()
     return tuple(word)
-
-
-@lru_cache(maxsize=None)
-def all_permutations(n):
-    return tuple(itertools.permutations(range(1, n + 1)))
 
 
 def cycle_type(sigma):

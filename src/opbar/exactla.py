@@ -1181,8 +1181,9 @@ def homology_representatives(complex_, degree):
     Representatives are deterministic: the vectors of kernel_basis of
     d_degree, in order, that are independent modulo the boundaries, each
     inserted into a copy of boundaries(degree).  Which vectors are kept
-    depends only on the boundary subspace.
+    depends only on the boundary subspace.  The degree is an int.
     """
+    require_int(degree, "degree")
     ech = _Echelon(complex_.boundaries(degree))
     return [z for z in kernel_basis(complex_.differential(degree))
             if ech.insert(z, {})[0] is not None]
@@ -1206,14 +1207,17 @@ def homology_coordinates(complex_, basis, images):
     of a degree with no kept echelon are checked on every call: a degree
     without an image, and a degree whose basis holds an index or value
     that is not an int (a bool is not) or a Fraction, which is never
-    kept.  Images are checked and reduced on every call.  ValidationError is
-    raised for a vector with an index outside the rank of its degree, for
-    a basis vector that depends on the boundaries and the earlier basis
-    vectors of a degree with an image, and for an image outside the span,
-    such as a vector that is not a cycle.
+    kept.  Images are checked and reduced on every call.  ValidationError
+    is raised for a degree that is not an int, for a vector with an index
+    outside the rank of its degree, for a basis vector that depends on
+    the boundaries and the earlier basis vectors of a degree with an
+    image, and for an image outside the span, such as a non-cycle.
     """
+    for j, (d, _vec) in enumerate(images):
+        require_int(d, f"image {j}: degree")
     rows = {}
     for i, (d, vec) in enumerate(basis):
+        require_int(d, f"basis vector {i}: degree")
         rows.setdefault(d, []).append((i, vec))
     kept = complex_._coordinates
     keys = {d: _basis_key(d, vectors) for d, vectors in rows.items()}

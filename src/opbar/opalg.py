@@ -993,7 +993,8 @@ def _dump_one(structure):
              f"max_arity {ss.max_arity}"]
     if isinstance(structure, SidedModule):
         lines.append(f"over {structure.over.name}")
-    lines.extend(_content_lines(structure))
+    for _n, head, body in _content_blocks(structure):
+        lines += [f"begin {head}", *body, "end"]
     lines.append("endstructure")
     return "\n".join(lines)
 
@@ -1014,28 +1015,27 @@ def _symseq_of(structure):
     return structure if isinstance(structure, SymSeq) else structure.symseq
 
 
-def _content_lines(structure):
-    """Components, actions and structure maps in the text format."""
+def _content_blocks(structure, read=False):
+    """(arity, head, lines) of each component, action and structure map in
+    the text format, in file order, a map at its target's arity.  With
+    read, only what a complex reads: ranks, not labels, and no empty
+    component or zero (co)module map, which reads as an absent one."""
     ss = _symseq_of(structure)
-    lines = []
-    for n in sorted(ss.components):
-        c = ss.components[n]
-        lines.append(f"begin component {n}")
-        for d in c.degrees():
-            labs = " ".join(_q(lab) for lab in c.labels(d))
-            lines.append(f"degree {d} {labs}")
-        lines.append("end")
-    for n in sorted(ss.actions):
-        for i, m in enumerate(ss.actions[n], start=1):
-            lines.append(f"begin action {n} {i}")
-            lines.extend(f"{r} {c} {v}" for (r, c), v in sorted(m.entries()))
-            lines.append("end")
+    for n, c in sorted(ss.components.items()):
+        if c.total_rank() or not read:
+            yield n, f"component {n}", [f"degree {d} " + (
+                str(c.rank(d)) if read else " ".join(map(_q, c.labels(d))))
+                for d in c.degrees()]
     tag, stored = _stored_maps(structure)
-    for key, m in sorted(stored.items()):
-        lines.append(f"begin map {tag} {_encode_key(key)}")
-        lines.extend(f"{r} {c} {v}" for (r, c), v in sorted(m.entries()))
-        lines.append("end")
-    return lines
+    for n, head, m in itertools.chain(
+            ((n, f"action {n} {i}", m) for n in sorted(ss.actions)
+             for i, m in enumerate(ss.actions[n], start=1)),
+            ((sum(map(len, key)) if isinstance(key[0], tuple)
+              else key[0] + key[2] - 1, f"map {tag} {_encode_key(key)}", m)
+             for key, m in sorted(stored.items()))):
+        if not (read and m.is_zero() and isinstance(structure, SidedModule)):
+            yield n, head, [f"{r} {c} {v}" for (r, c), v in
+                            sorted(m.entries())]
 
 
 def _stored_maps(structure):
@@ -1049,21 +1049,26 @@ def _stored_maps(structure):
     return None, {}
 
 
-def fingerprint(structure):
-    """Canonical text of a structure's content, computed once per object.
-
-    It holds the kind, the ring, the degree labels of every component,
-    the symmetric actions and the structure matrices, but not the name
-    or the structure a (co)module is over: structures with equal data
-    have equal fingerprints, and others have different ones.  The text
-    itself is the fingerprint, so no digest can collide.
-    """
-    fp = vars(structure).get("_fingerprint")
-    if fp is None:
-        fp = structure._fingerprint = "\n".join(
-            [_kind(structure), _symseq_of(structure).ring]
-            + _content_lines(structure))
-    return fp
+def fingerprint(structure, arity):
+    """What a complex reads of a structure up to an arity, as text: the
+    kind and ring, then per arity k a chunk of the read _content_blocks
+    at k (below 1 at 1) that says if k is past max_arity, or None past
+    every stored arity.  Structures that read alike up to arity and both
+    reach it or both stop below it have equal fingerprints, whatever
+    their names, labels and larger arities; others never do.  The chunks
+    are built once per object."""
+    chunks = vars(structure).get("_fingerprint")
+    if chunks is None:
+        by_arity = {}
+        for n, head, body in _content_blocks(structure, read=True):
+            by_arity.setdefault(max(n, 1), []).extend([head, *body])
+        bound = structure.max_arity
+        chunks = structure._fingerprint = (
+            f"{_kind(structure)}\n{_symseq_of(structure).ring}",
+            *("\n".join([f"arity {k}" + (" past max_arity" if k > bound
+                                          else ""), *by_arity.get(k, ())])
+              for k in range(1, max([bound, *by_arity]) + 1)))
+    return chunks[:arity + 1] + (None,) * (arity + 1 - len(chunks))
 
 
 def _encode_key(key):

@@ -10,14 +10,14 @@ is their one index.  The differential is the standard alternating sum of
 inner deletions, independent of the orientation convention used by the
 tree complexes: agreement of the homologies is the cross-certification.
 A permutation maps each block through a bit table (trees._mask_image).
+Each character builds its complex once, for all its permutations.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import itertools
 
-from .combinat import all_permutations, cycle_type, permutation, \
-    strict_chains
+from .combinat import cycle_type, permutation, strict_chains
 from .errors import BoundsError, ValidationError, require_int
 from .exactla import (
     ChainComplex,
@@ -25,16 +25,12 @@ from .exactla import (
     GradedFreeModule,
     alternating_trace,
     homology,
-    homology_coordinates,
-    homology_representatives,
 )
 from .trees import _mask_image
 
 MAX_PARTITION_SIZE = 8
 
 
-# typed, so that True is not served from the entry of 1.
-@lru_cache(maxsize=None, typed=True)
 def partition_complex(n):
     """Normalized chains of the partition flag complex over Z."""
     require_int(n, "partition size")
@@ -58,15 +54,15 @@ def partition_complex(n):
     return ChainComplex.from_rows(module, rows)
 
 
-def flag_action(n, sigma):
-    """Permutation matrices of a label permutation on the flag basis.
-
-    sigma is a 1-based image tuple on {1..n}; each partition's image, its
-    blocks' images sorted, is computed once per call."""
-    complex_ = partition_complex(n)
+def flag_action(complex_, sigma):
+    """Permutation matrices of a label permutation sigma, a 1-based image
+    tuple on {1..n}, on the flag basis of complex_ = partition_complex(n);
+    each partition's image, its blocks' images sorted, is computed once
+    per call."""
+    module = complex_.module
+    n = len(module.labels(complex_.degrees()[0])[0][0])
     sigma = permutation(sigma, n, "flag_action")
     image = _mask_image(sigma)
-    module = complex_.module
     images = {}
     mats = {}
     for k in complex_.degrees():
@@ -91,48 +87,29 @@ def partition_character(n):
     homology to be concentrated in degree n-1 and refuses otherwise.
     """
     complex_ = partition_complex(n)
-    summary = homology(complex_)
-    top = n - 1
-    if not summary.is_concentrated_in(top):
+    if not homology(complex_).is_concentrated_in(n - 1):
         raise ValidationError(
             f"homology of the partition complex at n={n} is not "
-            f"concentrated in degree {top}; character undefined")
+            f"concentrated in degree {n - 1}; character undefined")
     values = {}
-    for sigma in all_permutations(n):
-        ct = cycle_type(sigma)
-        if ct in values:
-            continue
-        auto = flag_action(n, sigma)
-        values[ct] = (-1) ** top * alternating_trace(complex_, auto)
+    for sigma in itertools.permutations(range(1, n + 1)):
+        if cycle_type(sigma) not in values:
+            values[cycle_type(sigma)] = _trace(complex_, sigma)
     return values
 
 
 def character_is_class_function(n):
     """Every permutation of a cycle type gives the same trace."""
     complex_ = partition_complex(n)
-    top = n - 1
     seen = {}
-    for sigma in all_permutations(n):
-        ct = cycle_type(sigma)
-        val = (-1) ** top * alternating_trace(complex_, flag_action(n, sigma))
-        if ct in seen and seen[ct] != val:
+    for sigma in itertools.permutations(range(1, n + 1)):
+        trace = _trace(complex_, sigma)
+        if seen.setdefault(cycle_type(sigma), trace) != trace:
             return False
-        seen[ct] = val
     return True
 
 
-def character_on_homology(n):
-    """Character recomputed from the rational homology action matrices."""
-    complex_ = partition_complex(n)
-    top = n - 1
-    reps = homology_representatives(complex_, top)
-    basis = [(top, z) for z in reps]
-    values = {}
-    for sigma in all_permutations(n):
-        ct = cycle_type(sigma)
-        if ct not in values:
-            auto = flag_action(n, sigma)[top]
-            values[ct] = homology_coordinates(
-                complex_, basis, [(top, auto.apply(z)) for z in reps]).trace()
-    return values
-
+def _trace(complex_, sigma):
+    """(-1)^(n-1) times the Lefschetz number of sigma on the complex."""
+    return (-1) ** (len(sigma) - 1) * alternating_trace(
+        complex_, flag_action(complex_, sigma))

@@ -1,7 +1,7 @@
 """Rooted labelled trees as label-mask keys: enumeration, collapses,
 relabellings, cuts and the weighting complexes.
 
-A tree on a set of labels (nonnegative ints) is determined by the label
+A tree on a set of labels (ints >= 1) is determined by the label
 sets of its nodes below the root.  With bit x for label x, its key is the
 sorted tuple of these masks.  They form a laminar family whose Hasse
 diagram is the tree: a node's children are the largest masks strictly
@@ -15,8 +15,8 @@ in depth-first order with every node's children by least label (the
 canonical VertexOrder, slots 1..nv), then the leaves by least label.
 Enumeration yields each tree's masks in slot order and its vertices'
 children, one tuple of masks by least label per vertex in slot order,
-joined from the memoized subtrees' (in place of their arities, which
-are these tuples' lengths); _mask_walk reads both off any key.
+joined from the subtrees' (in place of their arities, which are these
+tuples' lengths); _mask_walk reads both off any key.
 _TreeShape reads the children, the parents, the least label bits and
 the slot of every mask off them, with no walk and no search for a
 parent.
@@ -25,14 +25,8 @@ Moves.  Each move of a tree is made on its key:
 - a collapse (``collapse``) deletes masks: an edge collapse the vertex's
   mask, so its children join its parent's, and a bud collapse the masks
   of the vertex's leaves, so the vertex becomes a leaf.  The target's
-  slot order is read off the source's shape: an edge collapse merges the
-  spliced children again by least label, which permutes the depth-first
-  blocks of their vertices, and a bud collapse puts the vertex among the
-  leaves at its least label's rank.  The sign is that of the induced map
-  of orientations, with the sign of the block permutation.  Sources and
-  sign depend only on the vertices' parents, the slot count, the vertex,
-  the kind of collapse and, for an edge, which spliced children are
-  vertices and their new order, so a complex makes one collapse per such
+  slot order and the sign are read off the source's shape and depend
+  only on the move's template, so a complex makes one collapse per
   template (_move gives the rest of every move);
 - a permutation of the labels maps the masks through a bit table
   (_mask_image), and _relabel_slots carries the slots along;
@@ -43,11 +37,13 @@ Moves.  Each move of a tree is made on its key:
 Trees are enumerated by supports: the allowed root arities, vertex
 arities and leaf sizes (``supported_trees``).  A bar or cobar complex
 passes its coefficients' and operad's supports, the arities of nonzero
-rank.  The trees come in serialization order: each memoized subtree
-keeps its string, so a tree's sort key is one join.  The species are
-supports too: standard trees have root arity 1 and leaf size 1, root
-trees root arity 1, leaf trees leaf size 1, and generalized trees any;
-so standard = root intersect leaf inside the generalized trees.
+rank.  The subtrees of each label block and clipped supports are built
+once per enumeration, in a memo the call drops.  The trees come in
+serialization order: each subtree keeps its string, so a tree's sort key
+is one join.  The species are supports too: standard trees have root
+arity 1 and leaf size 1, root trees root arity 1, leaf trees leaf size
+1, and generalized trees any; so standard = root intersect leaf inside
+the generalized trees.
 
 Text.  Nested tuples occur only where text comes in (``parse_tree``) and
 goes out (``serialize``), in this stable serialization, used in basis
@@ -59,7 +55,8 @@ labels and cell names:
     vertex  = "(" subtree {"," subtree} ")"
 
 with labels in increasing order inside a leaf and the children of every
-node by least label.
+node by least label.  A key from a caller is checked (_check_key), and
+every memo lives for the call that makes it.
 """
 
 from __future__ import annotations
@@ -102,10 +99,37 @@ def _children(key):
 
 # -- text -------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def serialize(key):
-    """The text of the tree with this key (see the module docstring)."""
+def _check_key(key):
+    """The _children of a tree key, or ValidationError naming the first
+    bad mask: a key is a sorted tuple of distinct nonzero int masks of
+    labels >= 1, each node's children disjoint (so the masks nest or are
+    disjoint) and a vertex the union of its two or more children."""
+    def bad(what):
+        return ValidationError(f"tree key {key!r}: {what}")
+    if not isinstance(key, tuple):
+        raise bad("a key is a tuple")
+    for i, mask in enumerate(key):
+        if mask.__class__ is not int or mask & 1 or mask <= 0:
+            raise bad(f"mask {mask!r} is not a nonzero mask of labels >= 1")
+        if i and mask <= key[i - 1]:
+            raise bad(f"mask {mask} is out of sorted order or repeated")
     kids = _children(key)
+    for mask, below in kids.items():
+        union = 0
+        for child in below:
+            if union & child:
+                raise bad(f"mask {child} overlaps a mask without nesting")
+            union |= child
+        if mask and (len(below) < 2 or union != mask):
+            raise bad(f"mask {mask} is not the union of two or more "
+                      f"children")
+    return kids
+
+
+def serialize(key):
+    """The text of the tree with this key (see the module docstring);
+    ValidationError naming the bad mask unless key is a tree key."""
+    kids = _check_key(key)
 
     def text(mask):
         below = kids.get(mask)
@@ -143,6 +167,8 @@ def parse_tree(text):
                 mask = sum(1 << int(x) for x in labels)
             except ValueError:
                 error("bad leaf labels")
+            if mask & 1:
+                error("leaf label 0; labels are >= 1")
             if mask.bit_count() != len(labels) or seen & mask:
                 error("repeated leaf label")
             seen |= mask
@@ -188,10 +214,11 @@ def _clips(vertices, leaves, n):
                      for k in range(1, n + 1)]
 
 
-def _forests(blocks, clips):
+def _forests(blocks, clips, memo):
     """Every choice of one _subtrees entry within the supports per block,
     clips[k] the supports clipped to size k (_clips)."""
-    return itertools.product(*(_subtrees(b, *clips[len(b)]) for b in blocks))
+    return itertools.product(*(_subtrees(b, *clips[len(b)], memo)
+                               for b in blocks))
 
 
 def _joined(forest):
@@ -203,16 +230,18 @@ def _joined(forest):
             sum(kids, ()), sum(leaves, ()))
 
 
-@lru_cache(maxsize=None)
-def _subtrees(labels, vertices, leaves):
+def _subtrees(labels, vertices, leaves, memo):
     """(serialization, vertex masks in depth-first order, their children,
     leaf masks) of every subtree on the sorted labels within the
-    supports, which are clipped to the label count so that arities share
+    supports, kept in memo, which lives for one enumeration.  The
+    supports are clipped to the label count so that block sizes share
     their subtrees.  A vertex's children are the tuple of its children's
     masks; one tuple serves every forest on the same blocks.  Blocks come
     sorted by least label, which is the least label of every subtree on
     the block, so each forest and each children tuple is already in
     canonical child order."""
+    if (labels, vertices, leaves) in memo:
+        return memo[labels, vertices, leaves]
     mask = sum(1 << x for x in labels)
     out = []
     if len(labels) in leaves:
@@ -221,10 +250,11 @@ def _subtrees(labels, vertices, leaves):
     for blocks in partitions_into_at_least_two(labels):
         if len(blocks) in vertices:
             heads = tuple([sum(1 << x for x in b) for b in blocks])
-            for forest in _forests(blocks, clips):
+            for forest in _forests(blocks, clips, memo):
                 text, below, kids, ends = _joined(forest)
                 out.append((text, (mask, *below), (heads, *kids), ends))
-    return tuple(out)
+    out = memo[labels, vertices, leaves] = tuple(out)
+    return out
 
 
 def supported_trees(n, roots, vertices, leaves):
@@ -234,21 +264,23 @@ def supported_trees(n, roots, vertices, leaves):
     arities and leaf sizes.  Each tree comes as (key, masks in slot order,
     vertex count, children, slot arities).  children[v - 1] is the tuple
     of the masks of vertex v's children by least label, joined from the
-    memoized subtrees (a standard tree's are its one subtree's), so no
-    tree is walked and _TreeShape reads the slot parents off them.  An
-    arity is a slot's number of children (a leaf's labels count as its
-    children).  n must be an int in 1..MAX_LABELS (ValidationError,
-    BoundsError otherwise).
+    subtrees (a standard tree's are its one subtree's), so no tree is
+    walked and _TreeShape reads the slot parents off them.  The subtrees
+    of each block and clipped supports are built once per call and
+    dropped when it returns.  An arity is a slot's number of children (a
+    leaf's labels count as its children).  n must be an int in
+    1..MAX_LABELS (ValidationError, BoundsError otherwise).
     """
     require_int(n, "label count")
     if not 1 <= n <= MAX_LABELS:
         raise BoundsError(f"label count {n} outside 1..{MAX_LABELS}")
     forests = []
     clips = _clips(vertices, leaves, n)
+    memo = {}
     for blocks in set_partitions(range(1, n + 1)):
         if len(blocks) in roots:
             forests.extend((*_joined(forest), len(blocks))
-                           for forest in _forests(blocks, clips))
+                           for forest in _forests(blocks, clips, memo))
     forests.sort(key=itemgetter(0))
     out = []
     for _text, below, kids, ends, root in forests:
@@ -339,13 +371,6 @@ class _TreeShape:
             below.sort(key=self.lows.__getitem__)
 
 
-@lru_cache(maxsize=None)
-def _shaped(key):
-    """The _TreeShape of a key, kept for covers and the weighting
-    complexes."""
-    return _TreeShape(key)
-
-
 # -- collapse moves ---------------------------------------------------------
 
 def _move(shape, q, bud):
@@ -433,13 +458,10 @@ def collapse(shape, q, bud):
     return tkey, order, -sign, ins, tau
 
 
-@lru_cache(maxsize=None)
-def covers(key):
-    """The codimension-one predecessors of a tree, as (target key, sign)
-    pairs: for each vertex in VertexOrder its edge collapse, then its bud
-    collapse if all its children are leaves.  Computed once per tree, so
-    down_set and w_cell_complex share every cover."""
-    shape = _shaped(key)
+def _covers(shape):
+    """The codimension-one predecessors of the tree of shape, as (target
+    key, sign) pairs: each vertex's edge collapse in VertexOrder, then its
+    bud collapse if all its children are leaves."""
     out = []
     for q in range(1, shape.nv + 1):
         for bud in (False, True) if min(shape.kids[q]) > shape.nv else \
@@ -449,12 +471,21 @@ def covers(key):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+def covers(key):
+    """_covers of the tree with this key; ValidationError naming the bad
+    mask unless key is a tree key."""
+    _check_key(key)
+    return _covers(_TreeShape(key))
+
+
 def down_set(key):
-    """All trees reachable from this one by collapse moves, inclusive."""
-    out = {key}
-    for sub, _sign in covers(key):
-        out |= down_set(sub)
+    """The trees this one collapses to, itself included (see covers)."""
+    _check_key(key)
+    out, todo = {key}, [key]
+    while todo:
+        found = {sub for sub, _sign in _covers(_TreeShape(todo.pop()))}
+        todo += found - out
+        out |= found
     return frozenset(out)
 
 
@@ -556,35 +587,41 @@ def _cutter(arity, blocks):
     return cut
 
 
-# -- the weighting-space chain complex --------------------------------------
+# -- the weighting-space chain complexes ------------------------------------
 
-MAX_CELL_VERTICES = 8
-
-
-def w_cell_complex(key):
-    """Cellular chains of the weighting disc of a tree.
-
-    Basis in degree k: trees u <= tree with k vertices, by serialization;
-    differential sums signed collapse moves.  Used to certify the sign
-    convention: d^2 = 0 and the homology is that of a point.  Trees with
-    more than MAX_CELL_VERTICES vertices raise BoundsError.
-    """
-    nv = _shaped(key).nv
-    if nv > MAX_CELL_VERTICES:
-        raise BoundsError(f"tree has {nv} vertices, bound is "
-                          f"{MAX_CELL_VERTICES}")
-    by_degree = {}
-    position = {}
-    for u in sorted(down_set(key), key=serialize):
-        cells = by_degree.setdefault(_shaped(u).nv, [])
-        position[u] = len(cells)
-        cells.append(u)
-    rows = {}
-    for k, cells in by_degree.items():
-        out = rows[k] = {}
-        for j, u in enumerate(cells):
-            for sub, sign in covers(u):
-                row = out.setdefault(position[sub], {})
-                row[j] = row.get(j, 0) + sign
-    return ChainComplex.from_rows(GradedFreeModule(
-        {k: tuple(map(serialize, v)) for k, v in by_degree.items()}), rows)
+def weighting_complexes(n):
+    """Cellular chains of the weighting disc of every generalized tree on
+    {1..n}, as {key: complex} in serialization order.  A tree's basis in
+    degree k is the trees u <= tree with k vertices, by serialization,
+    and its differential sums the signed collapse moves; d^2 = 0 and the
+    homology of a point certify the signs.  Every cell is an enumerated
+    tree, so each tree's shape, covers, text and down set are made once
+    per call.  n is checked as in supported_trees."""
+    every = range(1, MAX_LABELS + 1)
+    found = supported_trees(n, every, every, every)
+    rank = {key: i for i, (key, *_slots) in enumerate(found)}
+    degree = [nv for _key, _masks, nv, *_rest in found]
+    text = [serialize(key) for key, *_slots in found]
+    below = [[(rank[sub], sign) for sub, sign in
+              _covers(_TreeShape(key, masks, nv, kids))]
+             for key, masks, nv, kids, _arities in found]
+    # A cover has one vertex less, so each down set joins finished ones.
+    down = [None] * len(found)
+    for i in sorted(range(len(found)), key=degree.__getitem__):
+        down[i] = frozenset([i]).union(*(down[j] for j, _s in below[i]))
+    out = {}
+    for (key, *_slots), cells in zip(found, down):
+        by_degree, position = {}, {}
+        for u in sorted(cells):
+            at = by_degree.setdefault(degree[u], [])
+            position[u] = len(at)
+            at.append(u)
+        rows = {k: {} for k in by_degree}
+        for k, at in by_degree.items():
+            for j, u in enumerate(at):
+                for sub, sign in below[u]:
+                    row = rows[k].setdefault(position[sub], {})
+                    row[j] = row.get(j, 0) + sign
+        out[key] = ChainComplex.from_rows(GradedFreeModule(
+            {k: [text[u] for u in at] for k, at in by_degree.items()}), rows)
+    return out

@@ -4,8 +4,12 @@ Every criterion prints its own pass/fail line; the shared context reuses
 the expensive builds (operads, complexes, the derivatives report).
 """
 
+import gc
+import weakref
+
 import pytest
 
+from opbar import barcobar
 from opbar.errors import BoundsError, ValidationError
 from opbar.verify import CRITERIA, VerifyContext, run_all, run_criterion
 
@@ -41,3 +45,26 @@ def test_context_rejects_a_non_int_arity(max_arity):
 def test_every_criterion_passes_at_small_arity(max_arity):
     failed = [r.line() for r in run_all(max_arity) if not r.passed]
     assert not failed
+
+
+def test_verify_builds_each_complex_once_and_keeps_none(monkeypatch):
+    built, alive = [], []
+    build = barcobar._tree_complex
+
+    def counted(kind, r_mod, p, l_mod, arity):
+        bc = build(kind, r_mod, p, l_mod, arity)
+        c = bc.complex
+        built.append((kind, c.ring, arity, c.module.basis(), tuple(
+            (k, tuple(sorted(m.entries()))) for k, m in sorted(c.diffs.items()))))
+        alive.append(weakref.ref(bc))
+        return bc
+
+    monkeypatch.setattr(barcobar, "_tree_complex", counted)
+    assert all(r.passed for r in run_all(MAX_ARITY))
+    # 55 builds of 38 distinct complexes when the cache keyed on whole
+    # structures and criteria 10 and 11 built their sphere complexes
+    # outside it.
+    assert len(built) == len(set(built)) == 38
+    # Every complex lived in the run's cache, none in module state.
+    gc.collect()
+    assert [ref for ref in alive if ref() is not None] == []

@@ -803,7 +803,7 @@ def test_split_maps_are_kept_with_the_complex_cache(monkeypatch):
     split_map = barcobar._split_map
 
     def counted(kind, p, arity, a, a_side, b_side, cache):
-        builds.append((kind, fingerprint(p), arity, tuple(b_side)))
+        builds.append((kind, fingerprint(p, arity), arity, tuple(b_side)))
         return split_map(kind, p, arity, a, a_side, b_side, cache)
 
     monkeypatch.setattr(barcobar, "_split_map", counted)
@@ -811,8 +811,10 @@ def test_split_maps_are_kept_with_the_complex_cache(monkeypatch):
     # 131 builds when each check call kept its own maps.
     _structure_checks(cache)
     assert len(builds) == len(set(builds)) == 75
-    # Equal structures built again find their maps in the cache.
+    # Equal structures built again find their maps in the cache, and so
+    # does a structure with equal data up to each map's arity.
     _structure_checks(cache)
+    check_coassociativity(builtin("com", 5), 4, cache)
     assert len(builds) == 75
     # A structure with other data gets its own maps.
     check_coassociativity(builtin("com", 4, ring=RAT), 3, cache)
@@ -1671,6 +1673,68 @@ class TestComplexCache:
         ass_bar = reduced_bar(renamed, 4, cache)
         assert com_bar.complex.module.total_rank() == 26
         assert ass_bar.complex.module.total_rank() == 264
+
+    @staticmethod
+    def counted_builds(monkeypatch):
+        """The (kind, operad name, arity) of every complex built."""
+        builds = []
+        build = barcobar._tree_complex
+
+        def counted(kind, r_mod, p, l_mod, arity):
+            builds.append((kind, p.name, arity))
+            return build(kind, r_mod, p, l_mod, arity)
+
+        monkeypatch.setattr(barcobar, "_tree_complex", counted)
+        return builds
+
+    def test_max_arities_share_the_complexes_they_both_reach(
+            self, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        cache = {}
+        five = [reduced_cobar(dual(builtin("com", 5)), n, cache)
+                for n in range(1, 6)]
+        four = [reduced_cobar(dual(builtin("com", 4)), n, cache)
+                for n in range(1, 5)]
+        assert all(a is b for a, b in zip(four, five))
+        assert builds == [(COBAR, "dual(com)", n) for n in range(1, 6)]
+        # Arity 1 of com and ass reads the same data: one unit and its
+        # composition; the label of the unit names nothing a complex uses.
+        assert reduced_bar(builtin("com", 3), 1, cache) is \
+            reduced_bar(builtin("ass", 3), 1, cache)
+
+    def test_a_cache_hit_never_skips_a_bounds_error(self):
+        cache = {}
+        for n in range(1, 6):
+            reduced_bar(builtin("com", 5), n, cache)
+        with pytest.raises(BoundsError, match="arity 5 exceeds max_arity 4"):
+            reduced_bar(builtin("com", 4), 5, cache)
+        with pytest.raises(ValidationError, match="arity 4.0 is not an int"):
+            reduced_bar(builtin("com", 5), 4.0, cache)
+
+    @staticmethod
+    def com_cut_at(top, max_arity):
+        """com up to arity top, and zero from there to max_arity."""
+        com = builtin("com", top)
+        seq = SymSeq(com.ring, com.symseq.components, com.symseq.actions,
+                     max_arity=max_arity)
+        comp = dict(com.comp_maps)
+        for m in range(1, max_arity + 1):
+            for n in range(1, max_arity + 2 - m):
+                if m + n - 1 > top:
+                    for a in range(1, m + 1):
+                        comp[(m, a, n)] = ExactMatrix.zero(
+                            0, seq.rank(m) * seq.rank(n))
+        return Operad(seq, comp, name="com")
+
+    def test_different_data_up_to_the_arity_never_shares(self):
+        cache = {}
+        com = [reduced_bar(builtin("com", 4), n, cache) for n in (3, 4)]
+        cut = [reduced_bar(self.com_cut_at(3, 4), n, cache) for n in (3, 4)]
+        # Equal up to arity 3, and the cut operad has no corolla at 4.
+        assert cut[0] is com[0]
+        assert cut[1] is not com[1]
+        assert (cut[1].complex.module.total_rank(),
+                com[1].complex.module.total_rank()) == (25, 26)
 
 
 def _negated_terms(monkeypatch, match):

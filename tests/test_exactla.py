@@ -1263,6 +1263,28 @@ class TestHomologyCoordinates:
                                  rf"{re.escape(repr(index))} outside rank 2"):
             homology_coordinates(c, [(1, {1: 1})], [(1, {index: 1})])
 
+    @pytest.mark.parametrize("degree", ["a", 1.0, True, None])
+    def test_degree_that_is_not_an_int_is_named(self, degree):
+        # 1.0 and True used to answer for degree 1, "a" used to be an
+        # "index outside rank 0".
+        c = self.segment_plus_loop()
+        name = re.escape(repr(degree))
+        with pytest.raises(ValidationError,
+                           match=rf"basis vector 1: degree {name} is not an "
+                                 rf"int"):
+            homology_coordinates(c, [(1, {1: 1}), (degree, {0: 1})],
+                                 [(1, {1: 1})])
+        with pytest.raises(ValidationError,
+                           match=rf"image 0: degree {name} is not an int"):
+            homology_coordinates(c, [(1, {1: 1})], [(degree, {1: 1})])
+        with pytest.raises(ValidationError,
+                           match=rf"degree {name} is not an int"):
+            homology_representatives(c, degree)
+
+    def test_representatives_of_an_int_degree(self):
+        c = self.segment_plus_loop()
+        assert homology_representatives(c, 1) == [{1: 1}]
+
     def test_dependent_basis_vector_is_rejected(self):
         c = self.segment_plus_loop()
         # a1 = a0 - d(b), so [a1] repeats [a0] modulo boundaries.

@@ -5,10 +5,11 @@ import pytest
 
 from opbar.combinat import perm_inverse, set_partitions
 from opbar.errors import BoundsError, ParseError, ValidationError
-from opbar.exactla import INT, ExactMatrix, GradedFreeModule
+from opbar.exactla import INT, RAT, ExactMatrix, GradedFreeModule
 from opbar.opalg import (
     LEFT_COMODULE,
     LEFT_MODULE,
+    MAX_BUILTIN_ARITY,
     RIGHT_COMODULE,
     RIGHT_MODULE,
     Cooperad,
@@ -520,12 +521,47 @@ def _round_trip_cases():
     }
 
 
+class TestFingerprint:
+    def test_max_arities_agree_up_to_the_smaller(self):
+        four, five = builtin("com", 4), builtin("com", 5)
+        assert fingerprint(four, 4) == fingerprint(five, 4)
+        assert fingerprint(dual(four), 3) == fingerprint(dual(five), 3)
+        # A structure that stops below an arity never matches one that
+        # reaches it.
+        assert fingerprint(four, 5) != fingerprint(five, 5)
+        assert fingerprint(four, 5)[-1] is None
+
+    def test_chunks_are_built_once_and_shared(self):
+        com = builtin("com", 5)
+        assert all(a is b for a, b in zip(fingerprint(com, 3),
+                                          fingerprint(com, 5)))
+
+    def test_ring_kind_and_data_separate_labels_and_names_do_not(self):
+        com, ass = builtin("com", 3), builtin("ass", 3)
+        # Arity 1 of both is one unit and its composition; the label of
+        # the unit names nothing a complex reads.
+        assert fingerprint(com, 1) == fingerprint(ass, 1)
+        assert fingerprint(com, 2) != fingerprint(ass, 2)
+        assert fingerprint(builtin("com", 3, ring=RAT), 1) != \
+            fingerprint(com, 1)
+        assert fingerprint(dual(com), 1) != fingerprint(com, 1)
+
+    def test_zero_module_maps_read_as_absent_ones(self):
+        x = GradedFreeModule({2: ("x",)})
+        mx = constant_comodule(x, ExactMatrix.zero(1, 1), 4, name="mx")
+        sphere = builtin_sphere_comodule(2, 4)
+        assert len(mx.maps) > len(sphere.maps)
+        assert fingerprint(mx, 4) == fingerprint(sphere, 4)
+
+
 @pytest.mark.parametrize("name", list(_round_trip_cases()))
 def test_loads_inverts_dumps(name):
     structure = _round_trip_cases()[name]
     loaded = loads(dumps(structure))[-1]
     assert loaded == structure
-    assert fingerprint(loaded) == fingerprint(structure)
+    # Every stored arity is at most MAX_BUILTIN_ARITY.
+    assert fingerprint(loaded, MAX_BUILTIN_ARITY) == \
+        fingerprint(structure, MAX_BUILTIN_ARITY)
     assert loaded.max_arity == structure.max_arity
 
 

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from opbar.combinat import set_partitions, strict_chains
+from opbar.combinat import cycle_type, set_partitions, strict_chains
 from opbar.errors import BoundsError, ValidationError
-from opbar.exactla import homology
+from opbar.exactla import (
+    homology,
+    homology_coordinates,
+    homology_representatives,
+)
 from opbar.partition import (
     character_is_class_function,
-    character_on_homology,
     flag_action,
     partition_character,
     partition_complex,
@@ -199,6 +202,23 @@ class TestComplex:
             partition_complex(n)
 
 
+def character_on_homology(n):
+    """The character recomputed from the rational homology action
+    matrices: the homology-side oracle of the Lefschetz traces."""
+    complex_ = partition_complex(n)
+    top = n - 1
+    reps = homology_representatives(complex_, top)
+    basis = [(top, z) for z in reps]
+    values = {}
+    for sigma in itertools.permutations(range(1, n + 1)):
+        ct = cycle_type(sigma)
+        if ct not in values:
+            auto = flag_action(complex_, sigma)[top]
+            values[ct] = homology_coordinates(
+                complex_, basis, [(top, auto.apply(z)) for z in reps]).trace()
+    return values
+
+
 class TestCharacter:
     def test_n_two_trivial_representation(self):
         chi = partition_character(2)
@@ -227,7 +247,7 @@ class TestFlagAction:
     def test_rejects_what_is_not_a_permutation_of_the_labels(self, sigma):
         with pytest.raises(ValidationError,
                            match=r"is not a permutation of 1\.\.3"):
-            flag_action(3, sigma)
+            flag_action(partition_complex(3), sigma)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_each_flag_mapped_on_its_own(self, n):
@@ -245,7 +265,7 @@ class TestFlagAction:
                         for mu in flag)
                     want.setdefault(k, {})[(c.module.position(k, moved),
                                             j)] = 1
-            got = flag_action(n, sigma)
+            got = flag_action(c, sigma)
             assert {k: dict(m.entries()) for k, m in got.items()} == want
 
 
@@ -329,4 +349,5 @@ def test_flag_action_matches_pinned_digest(n, kind):
         sigma = (2, 1, *range(3, n + 1))
     else:
         sigma = (*range(2, n + 1), 1)
-    assert _action_digest(flag_action(n, sigma)) == PINNED_ACTIONS[(n, kind)]
+    assert _action_digest(flag_action(partition_complex(n), sigma)) == \
+        PINNED_ACTIONS[(n, kind)]

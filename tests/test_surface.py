@@ -16,9 +16,10 @@ reaches the names it uses: its own module's definitions, the names it
 imports from ``opbar`` and ``module.name`` through an imported module.
 What only tests reach is listed in ``UNREACHED`` with its reason, or goes.
 
-Every module-level ``functools`` cache of ``opbar`` lives as long as the
-process; each is listed in ``CACHED`` with its reason, and a new one fails
-until it is listed.
+A module-level ``functools`` cache of ``opbar`` would live as long as the
+process, so none is allowed: a memo lives for one call, or in the
+``cache`` dict its caller passes.  ``CACHED`` lists the exceptions with
+their reasons, and is empty; a new cache fails until it is listed.
 """
 
 import ast
@@ -147,8 +148,12 @@ UNREACHED = {
     ("opalg", "load_structures"):
         "the on-disk structure format (ROADMAP item 5)",
     ("opalg", "load_operad"): "the on-disk structure format (ROADMAP item 5)",
-    ("partition", "character_on_homology"):
-        "the homology-side character oracle of ROADMAP item 2",
+    ("trees", "covers"):
+        "one tree's covers, checked; the weighting complexes share theirs "
+        "per arity",
+    ("trees", "down_set"):
+        "one tree's down set, checked; the weighting complexes share "
+        "theirs per arity",
     ("trees", "parse_tree"):
         "the text side of the tree serialization, read where trees come in",
 }
@@ -246,10 +251,11 @@ def test_every_definition_is_reached_from_an_entry_point():
 def test_the_reachability_scan_follows_module_attributes():
     definitions, imports = _definitions()
     reached = _reached(_entry_points(definitions), definitions, imports)
-    # verify calls tr.w_cell_complex, which reaches covers and collapse.
-    assert {("trees", "w_cell_complex"), ("trees", "covers"),
+    # verify calls tr.weighting_complexes, which reaches _covers and
+    # collapse.
+    assert {("trees", "weighting_complexes"), ("trees", "_covers"),
             ("trees", "collapse")} <= reached
-    assert ("partition", "character_on_homology") not in reached
+    assert ("trees", "down_set") not in reached
 
 
 def _unused_imports(tree):
@@ -281,25 +287,10 @@ def test_the_import_scan_sees_unused_names():
     assert _unused_imports(tree) == ["c", "regex"]
 
 
-# Module-level memos of opbar, which live as long as the process, with the
-# reason each is kept until one object owns them (ROADMAP item 14).
-CACHED = {
-    ("combinat", "all_permutations"):
-        "the n! permutations, walked once per character and per action test",
-    ("partition", "partition_complex"):
-        "the flag complex, shared by its homology, characters and actions",
-    ("trees", "serialize"):
-        "each tree's text, written once for labels and for sorting cells",
-    ("trees", "_subtrees"):
-        "the subtrees per label block and supports, shared by enumerations",
-    ("trees", "_shaped"):
-        "each tree's shape, walked once for covers and weighting complexes",
-    ("trees", "covers"):
-        "each tree's codimension-one collapses, shared by down sets and "
-        "weighting complexes",
-    ("trees", "down_set"):
-        "each tree's down set, built recursively from its covers' down sets",
-}
+# Module-level memos of opbar, which would live as long as the process,
+# each with the reason it is kept.  None is: every memo lives for one call
+# or in the cache its caller passes.
+CACHED = {}
 
 _CACHE_DECORATORS = ("cache", "lru_cache")
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from math import prod
 
 import pytest
@@ -27,7 +28,7 @@ from opbar.trees import (
     serialize,
     standard_tree_count,
     supported_trees,
-    w_cell_complex,
+    weighting_complexes,
 )
 
 # Counts frozen from the recurrence oracle f({x}) = 1,
@@ -412,6 +413,10 @@ class TestCanonicalForm:
         with pytest.raises(ParseError, match="position"):
             parse_tree(text)
 
+    def test_label_zero_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="label 0; labels are >= 1"):
+            parse_tree("([0],[1])")
+
     def test_a_bare_leaf_is_not_a_tree(self):
         with pytest.raises(ParseError, match="parenthesized"):
             parse_tree("[1,2]")
@@ -480,19 +485,23 @@ class TestLocalCollapseAgainstTheWalk:
             assert shape.slot == {m: q for q, m in enumerate(masks, 1)}
 
     def test_covers_walk_each_tree_once(self, monkeypatch):
-        generalized = _generalized(5)
+        # One weighting_complexes call shapes each tree once, from the
+        # enumeration's children (no walk), for its covers and cells.
         shapes = []
         shape = trees._TreeShape
-        monkeypatch.setattr(trees, "_TreeShape",
-                            lambda key: shapes.append(key) or shape(key))
-        trees._shaped.cache_clear()
-        covers.cache_clear()
-        found = [covers(x) for x in generalized]
+
+        def counted(key, masks=None, nv=None, children=None):
+            shapes.append((key, masks is None))
+            return shape(key, masks, nv, children)
+
+        monkeypatch.setattr(trees, "_TreeShape", counted)
+        weighting_complexes(5)
         monkeypatch.undo()
-        trees._shaped.cache_clear()
-        covers.cache_clear()
-        assert sorted(shapes) == sorted(generalized)
-        for key, got in zip(generalized, found):
+        assert sorted(shapes) == sorted(
+            (key, False) for key in enumerate_trees(5, GENERALIZED))
+        generalized = _generalized(5)
+        for key in generalized:
+            got = covers(key)
             children = _nested(key)
             paths = _vertex_paths(children)
             want = []
@@ -715,32 +724,59 @@ class TestUngraftPartition:
 
 # -- the weighting complex --------------------------------------------------
 
+def _weighting_oracle(key):
+    """The weighting complex of one tree, built alone: its down set
+    ordered by serialize, and every cell's covers."""
+    by_degree, position = {}, {}
+    for u in sorted(down_set(key), key=serialize):
+        cells = by_degree.setdefault(_nv(u), [])
+        position[u] = len(cells)
+        cells.append(u)
+    rows = {}
+    for k, cells in by_degree.items():
+        out = rows[k] = {}
+        for j, u in enumerate(cells):
+            for sub, sign in covers(u):
+                row = out.setdefault(position[sub], {})
+                row[j] = row.get(j, 0) + sign
+    return ({k: tuple(map(serialize, v)) for k, v in by_degree.items()},
+            {k: {(i, j): v for i, row in r.items() for j, v in row.items()
+                 if v} for k, r in rows.items()})
+
+
 class TestWeightingComplex:
     def test_zero_vertex_tree(self):
-        c = w_cell_complex(t("([1,2])"))
+        c = weighting_complexes(2)[t("([1,2])")]
         assert c.rank(0) == 1
         assert c.homology().groups == {0: (1, ())}
 
     def test_disc_contractibility_arity_four(self):
-        for tree in enumerate_trees(4, GENERALIZED):
-            c = w_cell_complex(tree)
+        complexes = weighting_complexes(4)
+        assert list(complexes) == enumerate_trees(4, GENERALIZED)
+        for tree, c in complexes.items():
             assert c.homology().groups == {0: (1, ())}, serialize(tree)
 
     def test_top_cell_is_single(self):
         tree = t("((([1],[2]),[3]))")
-        c = w_cell_complex(tree)
+        c = weighting_complexes(3)[tree]
         assert c.rank(2) == 1
         assert c.labels(2) == ("((([1],[2]),[3]))",)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_each_complex_equals_its_tree_built_alone(self, n):
+        for tree, c in weighting_complexes(n).items():
+            labels, diffs = _weighting_oracle(tree)
+            assert {k: c.labels(k) for k in c.degrees()} == labels
+            assert {k: dict(m.entries()) for k, m in c.diffs.items()} == \
+                {k: entries for k, entries in diffs.items() if entries}
+
     def test_bound(self):
-        # A comb on ten labels has nine vertices, one over the bound.
-        comb = "[1]"
-        for x in range(2, 11):
-            comb = f"({comb},[{x}])"
-        tree = t(f"({comb})")
-        assert _nv(tree) == 9
-        with pytest.raises(BoundsError, match="9 vertices, bound is 8"):
-            w_cell_complex(tree)
+        # A tree on n <= MAX_LABELS labels has at most n - 1 <= 7
+        # vertices, so the label bound bounds the cells.
+        with pytest.raises(BoundsError, match="label count 9 outside"):
+            weighting_complexes(9)
+        with pytest.raises(ValidationError, match="label count 2.0"):
+            weighting_complexes(2.0)
 
     def test_down_set_and_cells_share_one_collapse_per_move(
             self, monkeypatch):
@@ -752,11 +788,39 @@ class TestWeightingComplex:
             return move(shape, q, bud)
 
         monkeypatch.setattr(trees, "collapse", counted)
-        covers.cache_clear()
-        down_set.cache_clear()
-        tree = t("(((([1],[2]),[3]),[4]),[5])")
-        w_cell_complex(tree)
-        moves = [(u, q, bud) for u in down_set(tree)
+        weighting_complexes(5)
+        monkeypatch.undo()
+        # One call makes each move of each tree once, for its down set
+        # and for every complex that holds it as a cell.
+        moves = [(u, q, bud) for u in enumerate_trees(5, GENERALIZED)
                  for q, bud in _moves(_TreeShape(u))]
         assert sorted(calls) == sorted(moves)
-        assert isinstance(covers(tree), tuple)
+        assert isinstance(covers(moves[-1][0]), tuple)
+
+
+class TestMalformedKeys:
+    @pytest.mark.parametrize("key,mask", [
+        ((0,), "mask 0 "),
+        ((3, 6), "mask 3 "),
+        ((6, 10), "mask 10 overlaps a mask without nesting"),
+        ((6, 4), "mask 4 is out of sorted order or repeated"),
+        ((4, 4), "mask 4 is out of sorted order or repeated"),
+        ((-2,), "mask -2 "),
+        ((2.0,), "mask 2.0 "),
+        ((True,), "mask True "),
+        ((2, 6), "mask 6 is not the union"),
+        ((2, 4, 14), "mask 14 is not the union"),
+    ])
+    @pytest.mark.parametrize("function", [covers, down_set, serialize])
+    def test_bad_mask_is_named(self, function, key, mask):
+        with pytest.raises(ValidationError, match=re.escape(mask)):
+            function(key)
+
+    @pytest.mark.parametrize("function", [covers, down_set, serialize])
+    def test_key_is_a_tuple(self, function):
+        with pytest.raises(ValidationError, match="a key is a tuple"):
+            function([2, 4])
+
+    def test_every_enumerated_key_is_valid(self):
+        for key in _generalized(5):
+            trees._check_key(key)
