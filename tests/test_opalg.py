@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -642,3 +643,45 @@ class TestFullComposition:
                     for r, v in ass3.comp(2, 2, 2).column(w * 2 + j).items():
                         out[r] = out.get(r, 0) + c * v
                 assert via_full == out
+
+
+def _pinned_cases():
+    x = GradedFreeModule({2: ("a",), 4: ("t",)})
+    return {
+        "com": lambda: builtin("com", 4), "ass": lambda: builtin("ass", 4),
+        "dual-com": lambda: dual(builtin("com", 4)),
+        "sphere-comodule": lambda: builtin_sphere_comodule(2, 4),
+        "sphere-module": lambda: builtin_sphere_module(1, 4),
+        "constant-comodule": lambda: constant_comodule(
+            x, ExactMatrix(4, 2, {(0, 1): 1}), 4),
+    }
+
+
+# sha256 of dumps(x) and of "\n".join(fingerprint(x, 4)): the on-disk text
+# and the cache keys, which must not move when the code behind them does.
+PINNED = {
+    "com": ("7276528039f84f69c7d467bf5277e112075318132a2a9e604e92d988292861eb",
+            "a5aaab20fef5f45d0d5af599c033680709940318408468bb6598495d1747d73d"),
+    "ass": ("bc37eec185fa5f2b489c3fefb903f53debf7dbaf521c45580f6996b7c5155c25",
+            "72e9a1628518d82c8e1efc74ae18a70d8e9ed6b0dc0290ede8ae37a5561af9df"),
+    "dual-com": (
+        "9c587acbd2298e4dc0132c47ba486304709b497a78d7619ed7c8bb537c4ed58c",
+        "5564945c8d811f0b223f4533d30487e5bebccac2e45dae7a51684db2ac58da49"),
+    "sphere-comodule": (
+        "3a167a0fa4ec71477038069ada60c14afdeab5860d602737cc46ce3aa63cf1f1",
+        "976a67df0a67752e23a0109374f11506200e1ccc78e145aecd5e2adb3ba6bd78"),
+    "sphere-module": (
+        "9bff432b5e37781a534ab2cf16f7241312b81f5f64e2c3101fea0a239fdf50e6",
+        "ced63130b590a20a48b23b1649c17642eb9de60f03cc44858fd893ca71696a88"),
+    "constant-comodule": (
+        "96594646d921da47dbb621ce0f451f385a85e30253ba316f070a9804877cac74",
+        "722804f7143a3ae5cb66de77cd73c58dfcb61a1c746bb10cf29804fd3ebcc0cf"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_text_format_and_fingerprint_are_pinned(name):
+    x = _pinned_cases()[name]()
+    text, chunks = dumps(x), "\n".join(fingerprint(x, 4))
+    assert (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(chunks.encode()).hexdigest()) == PINNED[name]
