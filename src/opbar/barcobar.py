@@ -46,7 +46,7 @@ whose merged slot stays in its support: each target slot copies the
 source slot with its mask, and the merged slot applies the structure
 matrix.  A move's plan, sign and table depend only on its template, so
 each is made once per build, and an edge's matrix, the structure's
-partial in operad form (opalg.operad_form) times the child-reorder
+partial in operad form (opalg.Structure.partial) times the child-reorder
 action, once per complex.  Bar and cobar complexes share one plan: cobar
 complexes run the covers backwards, with tree degrees recorded
 negatively.  The complex keeps its basis keys, their supports and its
@@ -141,7 +141,6 @@ from .opalg import (
     dual,
     builtin,
     fingerprint,
-    operad_form,
     unit_module,
 )
 
@@ -410,16 +409,16 @@ def cobar_complex(r_comod, q, l_comod, arity):
 
 def _check_inputs(kind, r_mod, p, l_mod):
     if kind == BAR:
-        if not isinstance(p, Operad):
+        if p.kind != "operad":
             raise ValidationError("bar complexes are built over an operad")
-        if r_mod.side != RIGHT_MODULE or l_mod.side != LEFT_MODULE:
+        if r_mod.kind != RIGHT_MODULE or l_mod.kind != LEFT_MODULE:
             raise ValidationError("bar coefficients are a right and a left module")
     else:
-        if not isinstance(p, Cooperad):
+        if p.kind != "cooperad":
             raise ValidationError("cobar complexes are built over a cooperad")
-        if r_mod.side != RIGHT_COMODULE:
+        if r_mod.kind != RIGHT_COMODULE:
             raise ValidationError("cobar right coefficient must be a right comodule")
-        if l_mod.side != LEFT_COMODULE:
+        if l_mod.kind != LEFT_COMODULE:
             raise ValidationError("cobar left coefficient must be a left comodule")
     if r_mod.ring != p.ring or l_mod.ring != p.ring:
         raise ValidationError("bar/cobar inputs must share a ring")
@@ -531,7 +530,7 @@ def _tree_complex(kind, r_mod, p, l_mod, arity):
                         apply = matrices.get(merge)
                         if apply is None:
                             apply = matrices[merge] = (
-                                operad_form(l_mod).left_action(merge) if bud
+                                l_mod.left_action(merge) if bud
                                 else _merged_matrix(r_mod if up == 0 else p,
                                                     *merge[1:]))
                         # The merged slot applies its matrix; the others
@@ -581,11 +580,10 @@ def _merged_matrix(outer, m_out, insert_pos, k_inner, tau):
     composition in operad form followed by the child-reorder action tau;
     for cobar complexes the operad form is the transposed cocomposition,
     which supplies the cocomposition coefficients."""
-    form = operad_form(outer)
-    matrix = form.partial(m_out, insert_pos, k_inner)
+    matrix = outer.partial(m_out, insert_pos, k_inner)
     if any(tau[i] != i for i in range(len(tau))):
-        matrix = form.action(m_out + k_inner - 1,
-                             tuple(t + 1 for t in tau)) * matrix
+        matrix = outer.form_action(m_out + k_inner - 1,
+                                   tuple(t + 1 for t in tau)) * matrix
     return matrix
 
 
@@ -687,7 +685,7 @@ def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
             if j_del == k:
                 # Right action absorbs the coarsest layer.
                 inner, rho = grouping(ordered[k - 1], ordered[k])
-                matrix = operad_form(r_mod).full(inner)
+                matrix = r_mod.full(inner)
                 if any(rho[x] != x + 1 for x in range(len(rho))):
                     matrix = r_mod.action(len(rho), rho) * matrix
                 consumed = [src_pos[("R", None)]] + [
@@ -699,7 +697,7 @@ def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
             if j_del == 0:
                 block = tkey
                 subs = [c for c in ordered[0] if c & block == c]
-                matrix = operad_form(l_mod).left_action(
+                matrix = l_mod.left_action(
                     _renumbered(block, subs))
                 consumed = [p_slot(1, block)] + [
                     src_pos[("L", c)] for c in subs]
@@ -713,7 +711,7 @@ def _face_plan(chain, j_del, slots_src, slots_tgt, r_mod, p, l_mod):
                 # Merged layer: compose the block's operad factors.
                 subs = [c for c in ordered[j_del] if c & block == c]
                 inner, rho = grouping(ordered[j_del - 1], subs)
-                matrix = p.full_composition(inner)
+                matrix = p.full(inner)
                 if any(rho[x] != x + 1 for x in range(len(rho))):
                     matrix = p.action(len(rho), rho) * matrix
                 consumed = [p_slot(j_del + 1, block)] + [
@@ -817,7 +815,7 @@ def _cached_complex(kind, r_mod, p, l_mod, arity, cache):
 
 def _unit(p, side):
     """The unit (co)module over p, built once per structure."""
-    units = vars(p).setdefault("_unit_modules", {})
+    units = p.unit_modules
     if side not in units:
         units[side] = unit_module(p, side)
     return units[side]
@@ -1068,11 +1066,9 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
     coordinates both extend a copy of the complex's one boundaries
     echelon per degree, which reduces the boundary vectors once.
     """
-    if isinstance(structure, Operad):
-        kind = BAR
-    elif isinstance(structure, Cooperad):
-        kind = COBAR
-    else:
+    kind = {"operad": BAR, "cooperad": COBAR}.get(
+        getattr(structure, "kind", None))
+    if kind is None:
         raise ValidationError("koszul expects an operad or a cooperad")
     if max_arity is None:
         max_arity = structure.max_arity
@@ -1084,7 +1080,7 @@ def koszul(structure, max_arity=None, with_structure=True, cache=None):
             f"1..{structure.max_arity}")
     if cache is None:
         cache = {}
-    report = KoszulReport(kind, getattr(structure, "name", "?"), max_arity)
+    report = KoszulReport(kind, structure.name, max_arity)
     build = reduced_bar if kind == BAR else reduced_cobar
     for n in range(1, max_arity + 1):
         bc = build(structure, n, cache)

@@ -9,13 +9,16 @@ General instances are derived through the symmetric action.  Every axiom
 executable matrix identity checked on construction: each instance is one
 comparison of two ExactMatrix products.
 
-Every reader of structure matrices goes through one view per structure,
-``operad_form``: it gives the partials M(m) (x) P(n) -> M(m+n-1), the left
-actions and the symmetric actions in operad form, and derives every full
-composition and full right action from the partials.  Cooperad and
-comodule matrices are transposed once, and sigma acts on a dual sequence
-by the transpose of sigma^-1, so the axiom checks and the bar and cobar
-differentials read the same data either way.  One checker,
+Operads, cooperads and one-sided (co)modules share one base, Structure:
+a symmetric sequence, the structure it is over (itself for an operad or
+a cooperad), a kind and one dict of stored maps.  Every reader of
+structure matrices goes through the structure's reads in operad form:
+``partial`` gives M(m) (x) P(n) -> M(m+n-1), ``left_action`` the left
+actions, ``form_action`` the symmetric actions, and ``full`` every full
+composition and full right action, derived from the partials.  Cooperad
+and comodule matrices are transposed once, and sigma acts on a dual
+sequence by the transpose of sigma^-1, so the axiom checks and the bar
+and cobar differentials read the same data either way.  One checker,
 ``_check_partials``, covers all partial-composition data: a right module
 over P is P's data with one more colour, so an operad is checked as a
 right module over itself (plus reducedness and the left unit).
@@ -77,6 +80,8 @@ RIGHT_MODULE = "right_module"
 LEFT_COMODULE = "left_comodule"
 RIGHT_COMODULE = "right_comodule"
 SIDES = (LEFT_MODULE, RIGHT_MODULE, LEFT_COMODULE, RIGHT_COMODULE)
+# The kinds whose stored maps are transposed in operad form.
+TRANSPOSED_KINDS = ("cooperad", RIGHT_COMODULE, LEFT_COMODULE)
 
 DEFAULT_MAX_ARITY = 6
 MAX_BUILTIN_ARITY = 8
@@ -121,6 +126,8 @@ def inner_insertion_perm(m, a, tau):
 class SymSeq:
     """Arity-indexed graded free modules with symmetric-group actions."""
 
+    kind = name = "symseq"
+
     def __init__(self, ring, components, actions, check=True, max_arity=None):
         self.ring = ring
         for n in itertools.chain(components, actions):
@@ -132,6 +139,7 @@ class SymSeq:
         self.actions = {n: tuple(mats) for n, mats in actions.items()
                         if mats}
         self._action_cache = {}
+        self._fingerprint = None
         if check:
             self._validate()
 
@@ -215,18 +223,33 @@ class SymSeq:
                 and self.actions == other.actions)
 
 
-class Operad:
-    """Reduced operad: SymSeq plus partial composition matrices."""
+class Structure:
+    """A symmetric sequence with structure maps: an operad, a cooperad or
+    a one-sided (co)module, told apart by kind.
 
-    def __init__(self, symseq, comp, name="operad", check=True):
+    over is the structure acted on: the structure itself for an operad
+    or a cooperad.  maps holds the stored matrices: partials keyed
+    (m, a, n), left actions P(r) (x) M(B_1) (x) ... (x) M(B_r) -> M(n)
+    keyed by canonical set partitions of {1..n}; missing module keys are
+    zero maps.  They are read in operad form (see the module docstring),
+    each once.
+    """
+
+    def __init__(self, kind, symseq, over, maps, name):
+        self.kind = kind
         self.symseq = symseq
+        self.over = self if over is None else over
         self.name = name
         self.ring = symseq.ring
-        self.max_arity = symseq.max_arity
-        self.comp_maps = {tuple(k): v for k, v in comp.items()}
-        _check_homogeneous(self, f"operad {name}")
-        if check:
-            _check_operad(self, f"operad {name}")
+        self.max_arity = symseq.max_arity if over is None else min(
+            symseq.max_arity, over.max_arity)
+        self.maps = {tuple(k): v for k, v in maps.items()}
+        self._transposed = kind in TRANSPOSED_KINDS
+        # Memos: the operad-form reads, fingerprint's chunks and the unit
+        # (co)modules over this structure, by side.
+        self._reads = {}
+        self._fingerprint = None
+        self.unit_modules = {}
 
     def component(self, n):
         return self.symseq.component(n)
@@ -235,22 +258,85 @@ class Operad:
         return self.symseq.rank(n)
 
     def action(self, n, sigma):
+        """The stored action of sigma on arity n."""
         return self.symseq.action(n, sigma)
 
-    def comp(self, m, a, n):
-        return operad_form(self).partial(m, a, n)
-
-    def full_composition(self, inner_arities):
-        """Matrix of P(s) (x) P(n_1) (x) ... (x) P(n_s) -> P(sum n_i)."""
-        return operad_form(self).full(inner_arities)
-
     def __eq__(self, other):
-        if not isinstance(other, Operad):
+        if not isinstance(other, Structure):
             return NotImplemented
-        return self.symseq == other.symseq and self.comp_maps == other.comp_maps
+        return (self.kind == other.kind and self.symseq == other.symseq
+                and self.maps == other.maps)
+
+    def _read(self, key):
+        """The stored map at key, checked against its shape, in operad
+        form; absent module maps are zero, absent (co)compositions an
+        error."""
+        mat = self._reads.get(key)
+        if mat is None:
+            shape = _map_shape(self.kind, key, self.rank, self.over.rank)
+            mat = self.maps.get(key)
+            if mat is None and self.kind not in SIDES:
+                raise ValidationError(f"no structure matrix for {key}")
+            if mat is None:
+                mat = ExactMatrix.zero(*shape, ring=self.ring)
+            if (mat.nrows, mat.ncols) != shape:
+                raise ValidationError(f"structure map {key} misshapen: "
+                                      f"{(mat.nrows, mat.ncols)} != {shape}")
+            mat = self._reads[key] = \
+                mat.transpose() if self._transposed else mat
+        return mat
+
+    def partial(self, m, a, n):
+        return self._read((m, a, n))
+
+    def left_action(self, blocks):
+        return self._read(canonical_partition(blocks))
+
+    def form_action(self, n, sigma):
+        """The action of sigma on arity n in operad form."""
+        if not self._transposed:
+            return self.action(n, sigma)
+        key = ("action", n, tuple(sigma))
+        if key not in self._reads:
+            self._reads[key] = self.action(n, perm_inverse(sigma)).transpose()
+        return self._reads[key]
+
+    def full(self, inner_arities):
+        """M(r) (x) P(n_1) (x) ... (x) P(n_r) -> M(sum n_i).
+
+        Composes the partials left to right; the consumed factors are
+        always adjacent, so no Koszul signs arise.
+        """
+        key = ("full", tuple(inner_arities))
+        if key in self._reads:
+            return self._reads[key]
+        ring = self.ring
+        ranks = [self.over.rank(n) for n in key[1]]
+        mat = ExactMatrix.identity(self.rank(len(ranks)) * prod(ranks),
+                                   ring=ring)
+        if mat.nrows:
+            arity, pos = len(ranks), 1
+            for i, n in enumerate(key[1]):
+                rest = ExactMatrix.identity(prod(ranks[i + 1:]), ring=ring)
+                mat = self.partial(arity, pos, n).kron(rest) * mat
+                arity, pos = arity + n - 1, pos + n
+        else:
+            mat = ExactMatrix.zero(self.rank(sum(key[1])), 0, ring=ring)
+        self._reads[key] = mat
+        return mat
 
 
-class Cooperad:
+class Operad(Structure):
+    """Reduced operad: SymSeq plus partial composition matrices."""
+
+    def __init__(self, symseq, comp, name="operad", check=True):
+        super().__init__("operad", symseq, None, comp, name)
+        _check_homogeneous(self, f"operad {name}")
+        if check:
+            _check_operad(self, f"operad {name}")
+
+
+class Cooperad(Structure):
     """Reduced cooperad: SymSeq plus partial cocomposition matrices.
 
     Validated through the observation that the transposed data on the
@@ -258,86 +344,32 @@ class Cooperad:
     """
 
     def __init__(self, symseq, cocomp, name="cooperad", check=True):
-        self.symseq = symseq
-        self.name = name
-        self.ring = symseq.ring
-        self.max_arity = symseq.max_arity
-        self.cocomp_maps = {tuple(k): v for k, v in cocomp.items()}
+        super().__init__("cooperad", symseq, None, cocomp, name)
         _check_homogeneous(self, f"cooperad {name}")
         if check:
             _check_operad(self, f"cooperad {name}")
-
-    def component(self, n):
-        return self.symseq.component(n)
-
-    def rank(self, n):
-        return self.symseq.rank(n)
-
-    def action(self, n, sigma):
-        return self.symseq.action(n, sigma)
-
-    def __eq__(self, other):
-        if not isinstance(other, Cooperad):
-            return NotImplemented
-        return self.symseq == other.symseq and self.cocomp_maps == other.cocomp_maps
 
 
 # ---------------------------------------------------------------------------
 # one-sided modules and comodules
 
 
-class SidedModule:
-    """One-sided module or comodule with explicit structure matrices.
-
-    Left-sided structure maps are stored per canonical set partition of
-    {1..n}; right-sided ones as partials keyed (m, a, n).  Missing keys
-    are zero maps.  They are read through ``operad_form``.
-    """
+class SidedModule(Structure):
+    """One-sided module or comodule over a structure; kind is its side."""
 
     def __init__(self, side, symseq, over, maps, name="module", check=True):
         if side not in SIDES:
             raise ValidationError(f"unknown side {side!r}")
-        self.side = side
-        self.symseq = symseq
-        self.over = over
-        self.name = name
-        self.ring = symseq.ring
-        self.max_arity = min(symseq.max_arity, over.max_arity)
-        self.maps = dict(maps)
-        if check:
-            self._validate()
-        else:
-            _check_homogeneous(self, f"{side} {name}")
-
-    def component(self, n):
-        return self.symseq.component(n)
-
-    def rank(self, n):
-        return self.symseq.rank(n)
-
-    def action(self, n, sigma):
-        return self.symseq.action(n, sigma)
-
-    # -- validation --
-
-    def _validate(self):
-        label = f"{self.side} {self.name}"
-        over_kind = Cooperad if self.side in (LEFT_COMODULE, RIGHT_COMODULE) \
-            else Operad
-        if not isinstance(self.over, over_kind):
-            raise ValidationError(
-                f"{label} must be over a {over_kind.__name__.lower()}")
+        super().__init__(side, symseq, over, maps, name)
+        label = f"{side} {name}"
+        over_kind = "cooperad" if side in TRANSPOSED_KINDS else "operad"
+        if check and self.over.kind != over_kind:
+            raise ValidationError(f"{label} must be over a {over_kind}")
         _check_homogeneous(self, label)
-        if self.side in (LEFT_MODULE, LEFT_COMODULE):
+        if check and side in (LEFT_MODULE, LEFT_COMODULE):
             _validate_left_module(self, label)
-        else:
+        elif check:
             _check_partials(label, self, self.over)
-
-    def __eq__(self, other):
-        if not isinstance(other, SidedModule):
-            return NotImplemented
-        return (self.side == other.side and self.symseq == other.symseq
-                and self.maps == other.maps)
 
 
 # ---------------------------------------------------------------------------
@@ -383,93 +415,6 @@ def _transposition(n, i):
     return tuple(sigma)
 
 
-class OperadForm:
-    """A structure read as operad data: one view per structure.
-
-    It gives the partials M(m) (x) P(n) -> M(m+n-1) (M = P for an operad
-    or a cooperad, M a right (co)module over P otherwise), the left
-    actions P(r) (x) M(B_1) (x) ... (x) M(B_r) -> M(n), the symmetric
-    actions and the full compositions.  Cooperads and comodules are read
-    dually: their matrices are transposed, once each, and sigma acts by
-    the transpose of sigma^-1.  Every matrix is memoized on the view.
-    """
-
-    def __init__(self, structure):
-        self.structure = structure
-        self.over = getattr(structure, "over", structure)
-        self.kind = _kind(structure)
-        self.dual = self.kind in ("cooperad", RIGHT_COMODULE, LEFT_COMODULE)
-        self._memo = {}
-
-    def _read(self, key):
-        """The stored map at key, checked against its shape, in operad
-        form; absent module maps are zero, absent (co)compositions an
-        error."""
-        mat = self._memo.get(key)
-        if mat is None:
-            s = self.structure
-            shape = _map_shape(self.kind, key, s.rank, self.over.rank)
-            mat = _stored_maps(s)[1].get(key)
-            if mat is None and not isinstance(s, SidedModule):
-                raise ValidationError(f"no structure matrix for {key}")
-            if mat is None:
-                mat = ExactMatrix.zero(*shape, ring=s.ring)
-            if (mat.nrows, mat.ncols) != shape:
-                raise ValidationError(f"structure map {key} misshapen: "
-                                      f"{(mat.nrows, mat.ncols)} != {shape}")
-            mat = self._memo[key] = mat.transpose() if self.dual else mat
-        return mat
-
-    def partial(self, m, a, n):
-        return self._read((m, a, n))
-
-    def left_action(self, blocks):
-        return self._read(canonical_partition(blocks))
-
-    def action(self, n, sigma):
-        symseq = self.structure.symseq
-        if not self.dual:
-            return symseq.action(n, sigma)
-        key = ("action", n, tuple(sigma))
-        if key not in self._memo:
-            self._memo[key] = symseq.action(n, perm_inverse(sigma)).transpose()
-        return self._memo[key]
-
-    def full(self, inner_arities):
-        """M(r) (x) P(n_1) (x) ... (x) P(n_r) -> M(sum n_i).
-
-        Composes the partials left to right; the consumed factors are
-        always adjacent, so no Koszul signs arise.
-        """
-        key = ("full", tuple(inner_arities))
-        if key in self._memo:
-            return self._memo[key]
-        structure = self.structure
-        ring = structure.ring
-        ranks = [self.over.rank(n) for n in key[1]]
-        mat = ExactMatrix.identity(structure.rank(len(ranks)) * prod(ranks),
-                                   ring=ring)
-        if mat.nrows:
-            arity, pos = len(ranks), 1
-            for i, n in enumerate(key[1]):
-                rest = ExactMatrix.identity(prod(ranks[i + 1:]), ring=ring)
-                mat = self.partial(arity, pos, n).kron(rest) * mat
-                arity, pos = arity + n - 1, pos + n
-        else:
-            mat = ExactMatrix.zero(structure.rank(sum(key[1])), 0, ring=ring)
-        self._memo[key] = mat
-        return mat
-
-
-def operad_form(structure):
-    """The OperadForm view of an operad, a cooperad or a sided module,
-    built once per structure."""
-    form = vars(structure).get("_form_view")
-    if form is None:
-        form = structure._form_view = OperadForm(structure)
-    return form
-
-
 def _check_partials(label, mod, over):
     """Unit, associativity, slot commutation and equivariance.
 
@@ -477,9 +422,8 @@ def _check_partials(label, mod, over):
     operad over's partials, both in operad form; an operad or a cooperad
     is checked as a right module over itself.
     """
-    m_form, p_form = operad_form(mod), operad_form(over)
-    m_comp, p_comp = m_form.partial, p_form.partial
-    m_action, p_action = m_form.action, p_form.action
+    m_comp, p_comp = mod.partial, over.partial
+    m_action, p_action = mod.form_action, over.form_action
     rk_m, rk_p = mod.rank, over.rank
     max_arity = mod.max_arity
 
@@ -550,11 +494,10 @@ def _check_operad(structure, label):
     if structure.rank(1) != 1 or structure.component(1).degrees() != [0]:
         raise ValidationError(
             f"{label} is not reduced: arity 1 is not the unit")
-    comp = operad_form(structure).partial
     for n in range(1, structure.max_arity + 1):
         r = structure.rank(n)
         if r:
-            _require_equal(comp(1, 1, n),
+            _require_equal(structure.partial(1, 1, n),
                            ExactMatrix.identity(r, ring=structure.ring),
                            f"{label}: left unit axiom fails at "
                            f"(m,a,n)=(1,1,{n})")
@@ -569,7 +512,7 @@ def _validate_left_module(mod, label):
     identities.
     """
     over = mod.over
-    act = operad_form(mod).left_action
+    act = mod.left_action
     # Many instances repeat a reordering: build each one once per call.
     reorder = cache(lambda p_arities, m_arities, perm: _factor_permutation(
         [over.component(k) for k in p_arities]
@@ -605,14 +548,14 @@ def _check_left_pentagon(mod, lam, grouping, label, reorder):
     group's blocks, on which act_i acts.
     """
     over, ring = mod.over, mod.ring
-    act, p_form = operad_form(mod).left_action, operad_form(over)
+    act = mod.left_action
     r = len(lam)
     groups = sorted(grouping, key=lambda g: lam[g[0]][0])
     s = len(groups)
     inner = [len(g) for g in groups]
-    rho = p_form.action(r, _perm_from_zero(
+    rho = over.form_action(r, _perm_from_zero(
         block_sort_perm([lam[bi][0] for g in groups for bi in g])))
-    lhs = act(lam) * (rho * p_form.full(inner)).kron(
+    lhs = act(lam) * (rho * over.full(inner)).kron(
         ExactMatrix.identity(prod(mod.rank(len(b)) for b in lam), ring=ring))
 
     slots = [f for i, g in enumerate(groups) for f in (i, *(s + bi for bi in g))]
@@ -640,9 +583,8 @@ def _check_left_equivariance(mod, lam, sigma, label, reorder):
     sigma(lam), and rho permutes the inputs of P(r) alike.
     """
     ring = mod.ring
-    m_form = operad_form(mod)
-    act, m_action = m_form.left_action, m_form.action
-    p_action = operad_form(mod.over).action
+    act, m_action = mod.left_action, mod.form_action
+    p_action = mod.over.form_action
     images = [[sigma[x - 1] for x in b] for b in lam]
     order = block_sort_perm([min(im) for im in images])
     taus = [m_action(len(im), _perm_from_zero(block_sort_perm(im)))
@@ -698,25 +640,24 @@ def dual(structure):
     component (GradedFreeModule.negated), so each transposed matrix is
     reindexed factor by factor into the new orders.
     """
-    if isinstance(structure, SymSeq):
+    kind = getattr(structure, "kind", None)
+    if kind == "symseq":
         return structure.dual_symseq()
-    if not isinstance(structure, (Operad, Cooperad, SidedModule)):
+    if kind not in ("operad", "cooperad", *SIDES):
         raise ValidationError(f"cannot dualize {type(structure).__name__}")
-    kind = _kind(structure)
-    over = getattr(structure, "over", structure)
     maps = {key: _dual_matrix(mat, *_map_factors(
-                kind, key, structure.component, over.component))
-            for key, mat in _stored_maps(structure)[1].items()}
+                kind, key, structure.component, structure.over.component))
+            for key, mat in structure.maps.items()}
     symseq = structure.symseq.dual_symseq()
     name = f"dual({structure.name})"
-    if isinstance(structure, Operad):
+    if kind == "operad":
         return Cooperad(symseq, maps, name=name, check=False)
-    if isinstance(structure, Cooperad):
+    if kind == "cooperad":
         return Operad(symseq, maps, name=name, check=False)
     flip = {LEFT_MODULE: LEFT_COMODULE, LEFT_COMODULE: LEFT_MODULE,
             RIGHT_MODULE: RIGHT_COMODULE, RIGHT_COMODULE: RIGHT_MODULE}
-    return SidedModule(flip[structure.side], symseq, dual(structure.over),
-                       maps, name=name, check=False)
+    return SidedModule(flip[kind], symseq, dual(structure.over), maps,
+                       name=name, check=False)
 
 
 def _negation_index(module):
@@ -763,12 +704,11 @@ def _check_homogeneous(structure, label):
     homogeneous of degree 0: each entry joins basis elements of equal
     total degree.  When every factor has one degree this is one
     comparison per map."""
-    kind = _kind(structure)
-    over = getattr(structure, "over", structure)
+    kind, over = structure.kind, structure.over
     # arity -> the degree of the component, for components of one degree.
     own, other = ({n: c.degrees()[0] for n, c in seq.symseq.components.items()
                    if len(c.degrees()) == 1} for seq in (structure, over))
-    for key, mat in _stored_maps(structure)[1].items():
+    for key, mat in structure.maps.items():
         shape = _map_shape(kind, key, structure.rank, over.rank)
         if (mat.nrows, mat.ncols) != shape:
             raise ValidationError(f"{label}: structure map {key} misshapen: "
@@ -968,6 +908,8 @@ def constant_comodule(module, coproduct, max_arity=DEFAULT_MAX_ARITY,
 
 
 FORMAT_HEADER = "OPBAR-STRUCTURE 1"
+# The file tag of each kind's maps; every (co)module's is "smap".
+_MAP_TAGS = {"operad": "comp", "cooperad": "cocomp"}
 
 
 def _q(label):
@@ -977,38 +919,24 @@ def _q(label):
 def dumps(structure):
     """Serialize a structure (plus any base operad) to the text format."""
     chunks = [FORMAT_HEADER]
-    if isinstance(structure, SidedModule):
+    if structure.kind in SIDES:
         chunks.append(_dump_one(structure.over))
-        chunks.append(_dump_one(structure))
-    else:
-        chunks.append(_dump_one(structure))
+    chunks.append(_dump_one(structure))
     return "\n".join(chunks) + "\n"
 
 
 def _dump_one(structure):
     ss = _symseq_of(structure)
-    lines = [f"kind {_kind(structure)}",
-             f"name {getattr(structure, 'name', 'symseq')}",
+    lines = [f"kind {structure.kind}",
+             f"name {structure.name}",
              f"ring {ss.ring}",
              f"max_arity {ss.max_arity}"]
-    if isinstance(structure, SidedModule):
+    if structure.kind in SIDES:
         lines.append(f"over {structure.over.name}")
     for _n, head, body in _content_blocks(structure):
         lines += [f"begin {head}", *body, "end"]
     lines.append("endstructure")
     return "\n".join(lines)
-
-
-def _kind(structure):
-    if isinstance(structure, Operad):
-        return "operad"
-    if isinstance(structure, Cooperad):
-        return "cooperad"
-    if isinstance(structure, SidedModule):
-        return structure.side
-    if isinstance(structure, SymSeq):
-        return "symseq"
-    raise ValidationError(f"cannot serialize {type(structure).__name__}")
 
 
 def _symseq_of(structure):
@@ -1026,27 +954,17 @@ def _content_blocks(structure, read=False):
             yield n, f"component {n}", [f"degree {d} " + (
                 str(c.rank(d)) if read else " ".join(map(_q, c.labels(d))))
                 for d in c.degrees()]
-    tag, stored = _stored_maps(structure)
+    tag = _MAP_TAGS.get(structure.kind, "smap")
+    stored = {} if structure is ss else structure.maps
     for n, head, m in itertools.chain(
             ((n, f"action {n} {i}", m) for n in sorted(ss.actions)
              for i, m in enumerate(ss.actions[n], start=1)),
             ((sum(map(len, key)) if isinstance(key[0], tuple)
               else key[0] + key[2] - 1, f"map {tag} {_encode_key(key)}", m)
              for key, m in sorted(stored.items()))):
-        if not (read and m.is_zero() and isinstance(structure, SidedModule)):
+        if not (read and m.is_zero() and structure.kind in SIDES):
             yield n, head, [f"{r} {c} {v}" for (r, c), v in
                             sorted(m.entries())]
-
-
-def _stored_maps(structure):
-    """(file tag, stored structure matrices by key) of a structure."""
-    if isinstance(structure, Operad):
-        return "comp", structure.comp_maps
-    if isinstance(structure, Cooperad):
-        return "cocomp", structure.cocomp_maps
-    if isinstance(structure, SidedModule):
-        return "smap", structure.maps
-    return None, {}
 
 
 def fingerprint(structure, arity):
@@ -1057,14 +975,14 @@ def fingerprint(structure, arity):
     reach it or both stop below it have equal fingerprints, whatever
     their names, labels and larger arities; others never do.  The chunks
     are built once per object."""
-    chunks = vars(structure).get("_fingerprint")
+    chunks = structure._fingerprint
     if chunks is None:
         by_arity = {}
         for n, head, body in _content_blocks(structure, read=True):
             by_arity.setdefault(max(n, 1), []).extend([head, *body])
         bound = structure.max_arity
         chunks = structure._fingerprint = (
-            f"{_kind(structure)}\n{_symseq_of(structure).ring}",
+            f"{structure.kind}\n{structure.ring}",
             *("\n".join([f"arity {k}" + (" past max_arity" if k > bound
                                           else ""), *by_arity.get(k, ())])
               for k in range(1, max([bound, *by_arity]) + 1)))
@@ -1096,7 +1014,7 @@ def loads(text):
             continue
         structure, i = _parse_structure(lines, i, by_name)
         structures.append(structure)
-        by_name[getattr(structure, "name", "symseq")] = structure
+        by_name[structure.name] = structure
     if not structures:
         raise ParseError("no structures in file")
     return structures
@@ -1138,11 +1056,13 @@ def _parse_structure(lines, i, by_name):
             i += 1
         elif parts[0] == "max_arity":
             header["max_arity"], = _ints(parts[1:], 1, i, "max_arity")
+            _check_arities(i, "max_arity", header["max_arity"])
             i += 1
         elif parts[0] == "begin" and len(parts) > 2:
             section, start = parts[1], i
             if section == "component":
                 n, = _ints(parts[2:], 1, i, "a component header")
+                _check_arities(i, "component arity", n)
                 spaces = {}
                 i += 1
                 while i < len(lines) and lines[i].strip() != "end":
@@ -1158,6 +1078,7 @@ def _parse_structure(lines, i, by_name):
                 i += 1
             elif section == "action":
                 n, gen = _ints(parts[2:], 2, i, "an action header")
+                _check_arities(i, "action arity", n)
                 if not 1 <= gen < n:
                     _fail(i, f"no transposition s_{gen} at arity {n}")
                 entries, i = _parse_entries(lines, i + 1, header.get("ring", INT))
@@ -1198,15 +1119,18 @@ def _parse_structure(lines, i, by_name):
             f"module is over unknown structure {header.get('over')!r}")
     if kind not in SIDES and kind not in ("operad", "cooperad"):
         raise ParseError(f"unknown kind {kind!r}")
-    tag = {"operad": "comp", "cooperad": "cocomp"}.get(kind, "smap")
+    tag = _MAP_TAGS.get(kind, "smap")
     data = {}
     for start, got, key_tokens, entries in maps:
         if got != tag:
             _fail(start, f"unexpected map tag {got!r} in {kind}")
         if kind in (LEFT_MODULE, LEFT_COMODULE):
             key = _decode_blocks(key_tokens, start)
+            _check_arities(start, "map arity", len(key), sum(map(len, key)))
         else:
             key = tuple(_ints(key_tokens, 3, start, "a partial key"))
+            m, _a, n = key
+            _check_arities(start, "map arity", m, n, m + n - 1)
         shape = _map_shape(kind, key, ss.rank, (over or ss).rank)
         data[key] = _matrix(shape, start, entries, ring)
     if kind == "operad":
@@ -1214,6 +1138,14 @@ def _parse_structure(lines, i, by_name):
     if kind == "cooperad":
         return Cooperad(ss, data, name=name), i
     return SidedModule(kind, ss, over, data, name=name), i
+
+
+def _check_arities(lineno, what, *arities):
+    """A ParseError naming the line unless every arity is in
+    1..MAX_BUILTIN_ARITY, the largest a structure is built to."""
+    for n in arities:
+        if not 1 <= n <= MAX_BUILTIN_ARITY:
+            _fail(lineno, f"{what} {n} outside 1..{MAX_BUILTIN_ARITY}")
 
 
 def _decode_blocks(tokens, lineno):
@@ -1248,8 +1180,7 @@ def _map_factors(kind, key, read, over_read):
     else:
         m, _a, n = key
         factors = [read(m + n - 1)], [read(m), over_read(n)]
-    return factors[::-1] if kind in ("cooperad", RIGHT_COMODULE,
-                                     LEFT_COMODULE) else factors
+    return factors[::-1] if kind in TRANSPOSED_KINDS else factors
 
 
 def _map_shape(kind, key, rank, over_rank):
@@ -1281,7 +1212,7 @@ def load_structures(path):
 
 def load_operad(path):
     for structure in load_structures(path):
-        if isinstance(structure, Operad):
+        if structure.kind == "operad":
             return structure
     raise ParseError(f"no operad in {path}")
 

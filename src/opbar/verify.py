@@ -373,6 +373,11 @@ CRITERIA = (
 
 
 def run_criterion(number, ctx=None, max_arity=5):
+    """Run criterion number, 1..len(CRITERIA): ValidationError unless it
+    is an int, BoundsError outside the range."""
+    require_int(number, "criterion")
+    if not 1 <= number <= len(CRITERIA):
+        raise BoundsError(f"criterion {number} outside 1..{len(CRITERIA)}")
     if ctx is None:
         ctx = VerifyContext(max_arity)
     fn = CRITERIA[number - 1]

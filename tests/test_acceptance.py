@@ -28,6 +28,19 @@ def test_criterion(ctx, number):
     assert result.passed, result.line()
 
 
+@pytest.mark.parametrize("number", [0, 12])
+def test_run_criterion_rejects_a_number_out_of_range(number):
+    # Indexing CRITERIA once ran criterion 11 for 0 and raised IndexError
+    # for 12.
+    with pytest.raises(BoundsError, match="outside 1..11"):
+        run_criterion(number)
+
+
+def test_run_criterion_rejects_a_bool():
+    with pytest.raises(ValidationError, match="criterion True is not"):
+        run_criterion(True)
+
+
 @pytest.mark.parametrize("max_arity", [1, 6, 7])
 def test_context_rejects_arity_outside_bounds(max_arity):
     with pytest.raises(BoundsError):

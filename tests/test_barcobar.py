@@ -922,7 +922,7 @@ def _binary_only(max_arity):
     comp = {(m, a, n): ExactMatrix(
         symseq.rank(m + n - 1), symseq.rank(m) * symseq.rank(n),
         dict(mat.entries()) if m + n - 1 <= 2 else None)
-        for (m, a, n), mat in com.comp_maps.items()}
+        for (m, a, n), mat in com.maps.items()}
     return Operad(symseq, comp, name="binary")
 
 
@@ -1009,7 +1009,7 @@ def _over_itself(name):
     op = builtin(name, 4)
     q = dual(op)
     maps = {lam: op.action(n, tuple(x for b in lam for x in b))
-            * op.full_composition([len(b) for b in lam])
+            * op.full([len(b) for b in lam])
             for n in range(1, 5) for lam in set_partitions(range(1, n + 1))}
     return (op, SidedModule(LEFT_MODULE, op.symseq, op, maps), q,
             SidedModule(LEFT_COMODULE, q.symseq, q,
@@ -1549,7 +1549,7 @@ class TestModuleMX:
         delta = ExactMatrix.zero(1, 1)
         report = module_MX_homology(x, delta, 3, with_action=True)
         assert report.homology_module is not None
-        assert report.homology_module.side == LEFT_MODULE
+        assert report.homology_module.kind == LEFT_MODULE
 
     # Digests computed with the code of commit 8fc8c86, where the induced
     # maps had their own loop: the homology-level module maps of
@@ -1717,7 +1717,7 @@ class TestComplexCache:
         com = builtin("com", top)
         seq = SymSeq(com.ring, com.symseq.components, com.symseq.actions,
                      max_arity=max_arity)
-        comp = dict(com.comp_maps)
+        comp = dict(com.maps)
         for m in range(1, max_arity + 1):
             for n in range(1, max_arity + 2 - m):
                 if m + n - 1 > top:

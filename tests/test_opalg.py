@@ -27,7 +27,6 @@ from opbar.opalg import (
     fingerprint,
     loads,
     load_operad,
-    operad_form,
     save,
     unit_module,
     unit_symseq,
@@ -72,7 +71,7 @@ class TestBuiltins:
         for (i, w), (j, u) in itertools.product(
                 enumerate(words2), enumerate(words2)):
             for a in (1, 2):
-                col = ass3.comp(2, a, 2).column(i * 2 + j)
+                col = ass3.partial(2, a, 2).column(i * 2 + j)
                 expected = "".join(str(x) for x in substitute(w, a, u))
                 assert col == {labels3.index(expected): 1}
 
@@ -81,7 +80,7 @@ class TestBuiltins:
         labels2 = [lab for _d, lab in ass3.component(2).basis()]
         labels3 = [lab for _d, lab in ass3.component(3).basis()]
         i = labels2.index("21")
-        col = ass3.comp(2, 1, 2).column(i * 2 + i)
+        col = ass3.partial(2, 1, 2).column(i * 2 + i)
         assert col == {labels3.index("321"): 1}
 
     def test_unit_symseq(self):
@@ -113,7 +112,7 @@ class TestBuiltins:
 
 class TestValidationCatchesCorruption:
     def test_broken_associativity_rejected(self, com4):
-        comp = dict(com4.comp_maps)
+        comp = dict(com4.maps)
         comp[(2, 1, 2)] = ExactMatrix(1, 1, {(0, 0): -1})
         with pytest.raises(ValidationError, match="axiom"):
             Operad(com4.symseq, comp, name="broken")
@@ -126,8 +125,8 @@ class TestValidationCatchesCorruption:
         # Coxeter relation, so only the partial-composition axioms see it.
         op = builtin(name, 4)
         q = dual(op)
-        maps = op.comp_maps if kind in ("operad", "right_module") \
-            else q.cocomp_maps
+        maps = op.maps if kind in ("operad", "right_module") \
+            else q.maps
         assert len(maps) == 20 and all(m.nnz() for m in maps.values())
 
         def build(data):
@@ -153,14 +152,14 @@ class TestValidationCatchesCorruption:
         actions[3] = tuple(m.scale(-1) for m in actions[3])
         signed = SymSeq(INT, com4.symseq.components, actions)
         with pytest.raises(ValidationError, match="equivariance"):
-            Operad(signed, com4.comp_maps, name="signed")
+            Operad(signed, com4.maps, name="signed")
         with pytest.raises(ValidationError, match="equivariance"):
-            SidedModule(RIGHT_MODULE, signed, com4, com4.comp_maps)
+            SidedModule(RIGHT_MODULE, signed, com4, com4.maps)
 
     def test_left_unit_is_an_operad_axiom_only(self, com4):
         # M(1) acting by -1 keeps every right-module axiom of com over
         # itself; only the operad's left unit sees it.
-        comp = dict(com4.comp_maps)
+        comp = dict(com4.maps)
         for n in (2, 3, 4):
             comp[(1, 1, n)] = comp[(1, 1, n)].scale(-1)
         SidedModule(RIGHT_MODULE, com4.symseq, com4, comp)
@@ -170,14 +169,14 @@ class TestValidationCatchesCorruption:
 
     def test_comodule_over_an_operad_rejected(self, com4):
         with pytest.raises(ValidationError, match="over a cooperad"):
-            SidedModule(RIGHT_COMODULE, com4.symseq, com4, com4.comp_maps)
+            SidedModule(RIGHT_COMODULE, com4.symseq, com4, com4.maps)
 
     @pytest.mark.parametrize("name", ["com", "ass"])
     def test_structures_are_right_modules_over_themselves(self, name):
         op = builtin(name, 4)
         q = dual(op)
-        SidedModule(RIGHT_MODULE, op.symseq, op, op.comp_maps)
-        SidedModule(RIGHT_COMODULE, q.symseq, q, q.cocomp_maps)
+        SidedModule(RIGHT_MODULE, op.symseq, op, op.maps)
+        SidedModule(RIGHT_COMODULE, q.symseq, q, q.maps)
 
     @pytest.mark.parametrize("sigma", [(1, 1, 2), (0, 1, 2), (2, 3, 4),
                                        (1, 2)])
@@ -202,7 +201,7 @@ class TestValidationCatchesCorruption:
                 for lam in set_partitions(range(1, n + 1)):
                     sigma = tuple(x for b in lam for x in b)
                     sigma = perm_inverse(sigma) if inverse else sigma
-                    maps[lam] = op.action(n, sigma) * op.full_composition(
+                    maps[lam] = op.action(n, sigma) * op.full(
                         [len(b) for b in lam])
             return maps
 
@@ -276,7 +275,7 @@ class TestDual:
     def test_involution(self, ass3):
         dd = dual(dual(ass3))
         assert dd.symseq == ass3.symseq
-        assert dd.comp_maps == ass3.comp_maps
+        assert dd.maps == ass3.maps
 
     def test_dual_com_is_cocommutative_cooperad(self, com4):
         q = dual(com4)
@@ -292,7 +291,7 @@ class TestDual:
     def test_dual_flips_module_side(self):
         sphere = builtin_sphere_comodule(2, 3)
         m = dual(sphere)
-        assert m.side == LEFT_MODULE
+        assert m.kind == LEFT_MODULE
         assert m.component(2).degrees() == [-2]
 
 
@@ -360,7 +359,7 @@ def test_structure_maps_must_have_degree_zero():
                      com.symseq.actions)
     with pytest.raises(ValidationError, match=r"operad bad: structure map "
                                               r"\(2, 1, 2\) is not of degree 0"):
-        Operad(shifted, com.comp_maps, name="bad", check=False)
+        Operad(shifted, com.maps, name="bad", check=False)
 
 
 class TestConstantComodule:
@@ -579,7 +578,29 @@ MALFORMED = {
     "entry-outside-shape": (16, "3 0 1", 15),
     "entry-index": (16, "0 a 1", 16),
     "wrong-tag": (15, "begin map smap 1 1 1", 15),
+    "max-arity-range": (5, "max_arity 9", 5),
+    "component-range": (9, "begin component 0", 9),
+    "action-range": (12, "begin action 9 1", 12),
+    "map-range": (15, "begin map comp 1 1 9", 15),
+    "map-target-range": (21, "begin map comp 5 1 5", 21),
 }
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: builtin("ass", 3), id="ass"),
+    pytest.param(lambda: builtin_sphere_comodule(2, 3), id="sphere-comodule"),
+    pytest.param(lambda: dual(builtin("com", 3)), id="dual-com"),
+])
+@pytest.mark.parametrize("max_arity", [1000000, 9, 0])
+def test_a_max_arity_past_the_builtins_names_its_line(build, max_arity):
+    # The unit-axiom loop is quadratic in max_arity, so 1000000 once ran
+    # for minutes, and 9 failed on a missing matrix without a line.
+    lines = dumps(build()).splitlines()
+    at = lines.index("max_arity 3")
+    lines[at] = f"max_arity {max_arity}"
+    with pytest.raises(ParseError, match=f"^line {at + 1}: max_arity "
+                                         f"{max_arity} outside 1..8"):
+        loads("\n".join(lines))
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))
@@ -608,13 +629,13 @@ def test_operad_form_of_the_dual_is_the_original(build):
     # The dual stores transposes and the dual action; read in operad form
     # it must give back the original matrices entrywise.
     x = build()
-    view, dual_view = operad_form(x), operad_form(dual(x))
+    view, dual_view = x, dual(x)
     for n in range(1, 5):
         for sigma in itertools.permutations(range(1, n + 1)):
-            assert dual_view.action(n, sigma) == x.action(n, sigma)
+            assert dual_view.form_action(n, sigma) == x.action(n, sigma)
     if isinstance(x, Operad):
-        assert x.comp_maps
-        for (m, a, n), mat in x.comp_maps.items():
+        assert x.maps
+        for (m, a, n), mat in x.maps.items():
             assert dual_view.partial(m, a, n) == mat == view.partial(m, a, n)
     else:
         for n in range(1, 5):
@@ -626,21 +647,21 @@ def test_operad_form_of_the_dual_is_the_original(build):
 
 class TestFullComposition:
     def test_com_full_composition_is_rank_one(self, com4):
-        mat = com4.full_composition((2, 2))
+        mat = com4.full((2, 2))
         assert mat.nrows == 1 and mat.ncols == 1
         assert mat.entry(0, 0) == 1
 
     def test_ass_full_composition_agrees_with_partials(self, ass3):
         # gamma(p; q1, q2) == (p o_2 q2) o_1 q1 for 1+1 -> 2 insertion.
-        full = ass3.full_composition((1, 2))
-        step1 = ass3.comp(2, 1, 1)
+        full = ass3.full((1, 2))
+        step1 = ass3.partial(2, 1, 1)
         for i in range(2):
             for j in range(2):
                 via_full = full.column(i * 2 + j)
                 mid = step1.column(i * 1 + 0)
                 out = {}
                 for w, c in mid.items():
-                    for r, v in ass3.comp(2, 2, 2).column(w * 2 + j).items():
+                    for r, v in ass3.partial(2, 2, 2).column(w * 2 + j).items():
                         out[r] = out.get(r, 0) + c * v
                 assert via_full == out
 

@@ -16,10 +16,12 @@ reaches the names it uses: its own module's definitions, the names it
 imports from ``opbar`` and ``module.name`` through an imported module.
 What only tests reach is listed in ``UNREACHED`` with its reason, or goes.
 
-A module-level ``functools`` cache of ``opbar`` would live as long as the
-process, so none is allowed: a memo lives for one call, or in the
-``cache`` dict its caller passes.  ``CACHED`` lists the exceptions with
-their reasons, and is empty; a new cache fails until it is listed.
+A module-level memo of ``opbar``, a ``functools`` cache or a weak-reference
+dict, would live as long as the process, so none is allowed: a memo lives
+for one call, on the object it belongs to, or in the ``cache`` dict its
+caller passes.  ``CACHED`` lists the exceptions with their reasons; a new
+memo fails until it is listed.  No module attaches a memo to an object
+through ``vars()``: the owning class declares it.
 """
 
 import ast
@@ -288,21 +290,25 @@ def test_the_import_scan_sees_unused_names():
 
 
 # Module-level memos of opbar, which would live as long as the process,
-# each with the reason it is kept.  None is: every memo lives for one call
-# or in the cache its caller passes.
-CACHED = {}
+# each with the reason it is kept.
+CACHED = {
+    ("exactla", "_PRODUCTS"):
+        "tensor products shared while some caller holds them; the values "
+        "are weak, so the table keeps no product alive",
+}
 
-_CACHE_DECORATORS = ("cache", "lru_cache")
+_CACHE_NAMES = ("cache", "lru_cache", "WeakValueDictionary",
+                "WeakKeyDictionary")
 
 
 def _is_cache(node):
     """Whether the decorator or call node is functools.cache or lru_cache,
-    by name, called with options or not."""
+    called with options or not, or a weakref dict, by name."""
     if isinstance(node, ast.Call):
         node = node.func
     if isinstance(node, ast.Attribute):
-        return node.attr in _CACHE_DECORATORS
-    return isinstance(node, ast.Name) and node.id in _CACHE_DECORATORS
+        return node.attr in _CACHE_NAMES
+    return isinstance(node, ast.Name) and node.id in _CACHE_NAMES
 
 
 def _module_caches(tree):
@@ -339,3 +345,28 @@ def test_the_cache_scan_sees_every_form():
                      "class D:\n    @functools.cache\n    def e(self): pass\n"
                      "f = functools.lru_cache()(len)\n")
     assert _module_caches(tree) == ["a", "b", "D.e", "f"]
+
+
+def test_the_cache_scan_sees_weak_memos():
+    tree = ast.parse("import weakref\nfrom weakref import WeakKeyDictionary\n"
+                     "a = weakref.WeakValueDictionary()\n"
+                     "b = WeakKeyDictionary()\nc = weakref.ref(len)\n")
+    assert _module_caches(tree) == ["a", "b"]
+
+
+def _vars_calls(tree):
+    """The line numbers of the tree's calls of vars()."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "vars"]
+
+
+def test_no_module_calls_vars():
+    found = [(path.stem, line) for path in sorted(LIBRARY.glob("*.py"))
+             for line in _vars_calls(_parse(path))]
+    assert found == []
+
+
+def test_the_vars_scan_sees_calls():
+    tree = ast.parse("x = 1\nmemo = vars(x).get('m')\nvars\n")
+    assert _vars_calls(tree) == [2]
